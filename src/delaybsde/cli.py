@@ -83,6 +83,7 @@ def validate(config, n_steps=None):
 
     from .model import c_threshold
     from .registry import known_names
+    from .stochastic_engine import PROCESS_KINDS
 
     diags = []
 
@@ -140,9 +141,8 @@ def validate(config, n_steps=None):
             err("registry", f"{section} must be null or name one of {sorted(names[kind])}")
 
     A = problem.get("A")
-    known_A = {"deterministic", "running_max", "time_integral", "oscillatory"}
-    if not (isinstance(A, dict) and A.get("kind") in known_A):
-        err("registry", f"A.kind must be one of {sorted(known_A)}")
+    if not (isinstance(A, dict) and A.get("kind") in PROCESS_KINDS):
+        err("registry", f"A.kind must be one of {sorted(PROCESS_KINDS)}")
 
     if not any(d["level"] == "error" for d in diags):
         steps = n_steps if n_steps is not None else config.get("solver", {}).get("n_steps", DEFAULT_STEPS)
@@ -205,6 +205,28 @@ def write_manifest(out_dir, command, config, settings):
     return path
 
 
+def _settings(args, config, section="solver", default_steps=DEFAULT_STEPS):
+    """(config[section] or {}, output directory, {seed, n_paths, n_steps}),
+    each setting resolved as flag > env > config > default."""
+    cfg = config.get(section, {})
+    cfg = cfg if isinstance(cfg, dict) else {}
+    settings = {
+        "seed": resolve_setting(args.seed, "SEED", cfg.get("seed"), DEFAULT_SEED),
+        "n_paths": resolve_setting(args.paths, "PATHS", cfg.get("n_paths"), DEFAULT_PATHS),
+        "n_steps": resolve_setting(args.steps, "STEPS", cfg.get("n_steps"), default_steps),
+    }
+    out_dir = resolve_setting(args.out, "OUT", config.get("out"), "delaybsde-out", cast=str)
+    return cfg, out_dir, settings
+
+
+def _config_is_valid(config, n_steps):
+    """Print the config diagnostics; True when none is an error."""
+    diags = validate(config, n_steps=n_steps)
+    for diag in diags:
+        print(f"{diag['level']}: [{diag['code']}] {diag['message']}")
+    return not any(d["level"] == "error" for d in diags)
+
+
 def _prepare(args):
     """Shared setup: config, resolved settings, problem, ensemble."""
     from .path_calculus import TimeGrid
@@ -212,23 +234,14 @@ def _prepare(args):
     from .stochastic_engine import realize_increasing_process, simulate_brownian
 
     config = load_config(args.config)
-    solver_cfg = config.get("solver", {}) if isinstance(config.get("solver", {}), dict) else {}
-    n_paths = resolve_setting(args.paths, "PATHS", solver_cfg.get("n_paths"), DEFAULT_PATHS)
-    n_steps = resolve_setting(args.steps, "STEPS", solver_cfg.get("n_steps"), DEFAULT_STEPS)
-    seed = resolve_setting(args.seed, "SEED", solver_cfg.get("seed"), DEFAULT_SEED)
-    out_dir = resolve_setting(args.out, "OUT", config.get("out"), "delaybsde-out", cast=str)
-
-    diags = validate(config, n_steps=n_steps)
-    for diag in diags:
-        print(f"{diag['level']}: [{diag['code']}] {diag['message']}")
-    if any(d["level"] == "error" for d in diags):
+    solver_cfg, out_dir, settings = _settings(args, config)
+    if not _config_is_valid(config, settings["n_steps"]):
         return None
 
     problem = problem_from_dict(config["problem"])
-    grid = TimeGrid.uniform(problem.T, n_steps, delta=problem.delta)
-    ensemble = simulate_brownian(grid, n_paths, d=problem.d, seed=seed)
+    grid = TimeGrid.uniform(problem.T, settings["n_steps"], delta=problem.delta)
+    ensemble = simulate_brownian(grid, settings["n_paths"], d=problem.d, seed=settings["seed"])
     ensemble = realize_increasing_process(problem.A_spec, ensemble)
-    settings = {"seed": seed, "n_paths": n_paths, "n_steps": n_steps}
     return config, solver_cfg, problem, ensemble, out_dir, settings
 
 
@@ -407,16 +420,8 @@ def cmd_stability(args):
     if not isinstance(stab_cfg, dict):
         print("error: [schema] 'stability' section must be an object")
         return 1
-    solver_cfg = config.get("solver", {}) if isinstance(config.get("solver", {}), dict) else {}
-    n_paths = resolve_setting(args.paths, "PATHS", solver_cfg.get("n_paths"), DEFAULT_PATHS)
-    n_steps = resolve_setting(args.steps, "STEPS", solver_cfg.get("n_steps"), DEFAULT_STEPS)
-    seed = resolve_setting(args.seed, "SEED", solver_cfg.get("seed"), DEFAULT_SEED)
-    out_dir = resolve_setting(args.out, "OUT", config.get("out"), "delaybsde-out", cast=str)
-
-    diags = validate(config, n_steps=n_steps)
-    for diag in diags:
-        print(f"{diag['level']}: [{diag['code']}] {diag['message']}")
-    if any(d["level"] == "error" for d in diags):
+    _, out_dir, settings = _settings(args, config)
+    if not _config_is_valid(config, settings["n_steps"]):
         return 2
 
     base = problem_from_dict(config["problem"])
@@ -433,7 +438,7 @@ def cmd_stability(args):
 
     try:
         report = run_stability(
-            family, n_paths=n_paths, n_steps=n_steps, seed=seed,
+            family, **settings,
             final_threshold=float(stab_cfg.get("final_threshold", 1e-3)),
             tol=float(stab_cfg.get("tol", 1e-8)),
             max_iter=int(stab_cfg.get("max_iter", 25)),
@@ -451,7 +456,6 @@ def cmd_stability(args):
                  [r.delta_F for r in rows], [r.delta_G for r in rows],
                  [r.sup_A_diff for r in rows], [r.bv_H for r in rows],
                  [r.error for r in rows]])
-    settings = {"seed": seed, "n_paths": n_paths, "n_steps": n_steps}
     write_manifest(out_dir, "stability", config, settings)
     print(f"stability: {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 2
@@ -469,15 +473,13 @@ def cmd_hellybray(args):
     if not isinstance(hb_cfg, dict):
         print("error: [schema] 'hellybray' section must be an object")
         return 1
-    n_paths = resolve_setting(args.paths, "PATHS", hb_cfg.get("n_paths"), DEFAULT_PATHS)
-    n_steps = resolve_setting(args.steps, "STEPS", hb_cfg.get("n_steps"), 200)
-    seed = resolve_setting(args.seed, "SEED", hb_cfg.get("seed"), DEFAULT_SEED)
-    out_dir = resolve_setting(args.out, "OUT", config.get("out"), "delaybsde-out", cast=str)
+    _, out_dir, settings = _settings(args, config, section="hellybray", default_steps=200)
 
     family = hb_cfg.get("family", "oscillatory")
     T = float(hb_cfg.get("T", 1.0))
     n_values = [int(n) for n in hb_cfg.get("n_values", [2, 4, 8, 16, 32])]
-    ensemble = simulate_brownian(TimeGrid.uniform(T, n_steps), n_paths, d=1, seed=seed)
+    ensemble = simulate_brownian(TimeGrid.uniform(T, settings["n_steps"]),
+                                 settings["n_paths"], d=1, seed=settings["seed"])
 
     if family == "oscillatory":
         X_list, H_list, X_limit, H_limit = oscillatory_integration_family(ensemble, n_values)
@@ -507,7 +509,6 @@ def cmd_hellybray(args):
     write_table(os.path.join(out_dir, "hellybray.csv"),
                 ["label", "nu", "phi_distance", "sup_distance", "ks_statistic"],
                 [labels, nus, phis, sups, kss])
-    settings = {"seed": seed, "n_paths": n_paths, "n_steps": n_steps}
     write_manifest(out_dir, "helly-bray", config, settings)
     print(f"helly-bray: {report.verdict}")
     return 0 if report.passed else 2
@@ -540,7 +541,27 @@ def build_parser():
     return parser
 
 
-def _apply_threads(argv):
+def thread_count(argv):
+    """The ``--threads`` value in argv, or None when the flag is absent.
+
+    Raises ValueError unless the value is a positive integer no larger than
+    the machine's CPU count.
+    """
+    raw = None
+    for i, arg in enumerate(argv):
+        if arg == "--threads" and i + 1 < len(argv):
+            raw = argv[i + 1]
+        elif arg.startswith("--threads="):
+            raw = arg.split("=", 1)[1]
+    if raw is None:
+        return None
+    limit = os.cpu_count() or 1
+    if not (raw.isdecimal() and 1 <= int(raw) <= limit):
+        raise ValueError(f"--threads must be an integer from 1 to {limit}, got {raw!r}")
+    return int(raw)
+
+
+def _apply_threads(argv, threads):
     """Honor --threads by re-executing with BLAS pools pinned.
 
     Thread counts are read by the BLAS runtime at import, which happens before
@@ -548,15 +569,7 @@ def _apply_threads(argv):
     with the environment set.  Results do not depend on the count; this is a
     performance control.
     """
-    if os.environ.get(ENV_PREFIX + "THREADS_APPLIED"):
-        return
-    threads = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif arg.startswith("--threads="):
-            threads = arg.split("=", 1)[1]
-    if threads is None:
+    if threads is None or os.environ.get(ENV_PREFIX + "THREADS_APPLIED"):
         return
     env = dict(os.environ)
     for var in _THREAD_VARS:
@@ -569,7 +582,12 @@ def run(argv=None):
     """Parse arguments and dispatch; returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
-    _apply_threads(argv)
+    try:
+        threads = thread_count(argv)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    _apply_threads(argv, threads)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

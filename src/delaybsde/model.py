@@ -35,6 +35,8 @@ __all__ = [
     "check_H1",
     "check_H2",
     "select_lambda",
+    "argument_clouds",
+    "evaluate_generator",
     "probe_lipschitz",
     "check_integrability",
 ]
@@ -133,6 +135,8 @@ class ProblemSpec:
     rho_tilde: AtomMeasure | None = None
     c: float | None = None
     label: str = ""
+    _delay_weights: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self):
         if self.T <= 0 or not (0 < self.delta <= self.T):
@@ -157,13 +161,23 @@ class ProblemSpec:
     def rho_tilde_or_dirac(self) -> AtomMeasure:
         return self.rho_tilde if self.rho_tilde is not None else AtomMeasure.dirac(-self.delta)
 
+    def delay_weights(self, k: int):
+        """(theta, rho, rho_tilde) on the theta grid with k equal steps
+        spanning [-delta, 0].  Computed once per k; the arrays are shared
+        between calls and read-only."""
+        cached = self._delay_weights.get(k)
+        if cached is None:
+            cached = (np.linspace(-self.delta, 0.0, k + 1),
+                      self.rho_or_dirac().project(self.delta, k),
+                      self.rho_tilde_or_dirac().project(self.delta, k))
+            for arr in cached:
+                arr.flags.writeable = False
+            self._delay_weights[k] = cached
+        return cached
+
     def context(self, grid: TimeGrid, t: float, w: np.ndarray) -> GenContext:
-        k = grid.delta_index_offset
-        step = grid.T / grid.n_steps
-        theta = (np.arange(k + 1) - k) * step
-        return GenContext(t=t, w=w, theta=theta,
-                          rho=self.rho_or_dirac().project(self.delta, k),
-                          rho_tilde=self.rho_tilde_or_dirac().project(self.delta, k))
+        theta, rho, rho_tilde = self.delay_weights(grid.delta_index_offset)
+        return GenContext(t=t, w=w, theta=theta, rho=rho, rho_tilde=rho_tilde)
 
 
 # ----------------------------------------------------------------- norms
@@ -219,18 +233,11 @@ def _weights(A, grid, alpha, beta):
     return A, w
 
 
-def weighted_norm(Y, Z, A, grid: TimeGrid, p: float = 2.0,
-                  beta: float = 0.0) -> NormReport:
-    """Monte Carlo estimate of the p-th power of the solution norm.
-
-    sup term   E[ sup_t e^{beta A}|Y|^p ]
-    dA term    E[ int_0^T e^{beta A}|Y|^2 dA ]^{p/2}
-    dt term    E[ int_0^T e^{beta A}|Z|^2 dt ]^{p/2}
-    Left-point sums; the terminal node never enters the integrals.
-    """
-    if p < 2:
-        raise ValueError("p >= 2 required")
-    A, w = _weights(A, grid, 0.0, beta)
+def _assemble_norm(Y, Z, A, grid: TimeGrid, *, p: float, alpha: float,
+                   beta: float, a: float, b: float) -> NormReport:
+    """Terms of E sup w|Y|^p, (E int w|Y|^2 dA)^{p/2} and (E int w|Z|^2 dt)^{p/2}
+    with weights w = e^{alpha t + beta A(t)}, by left-point sums."""
+    A, w = _weights(A, grid, alpha, beta)
     sup_term = dA_term = dt_term = 0.0
     if Y is not None:
         Y = _as_paths(Y, grid.nodes.size, ("m",))
@@ -242,10 +249,24 @@ def weighted_norm(Y, Z, A, grid: TimeGrid, p: float = 2.0,
         zsq = _sq_size(Z)
         dt_term = float(np.mean(np.sum(w[:, :-1] * zsq[:, :-1] * grid.steps()[None, :], axis=1))) ** (p / 2.0)
     report = NormReport(sup_term=sup_term, dA_term=dA_term, dt_term=dt_term,
-                        p=p, beta=beta)
+                        p=p, beta=beta, alpha=alpha, a=a, b=b)
     if not np.isfinite(report.total):
         raise NumericOverflowError("weighted norm is not finite")
     return report
+
+
+def weighted_norm(Y, Z, A, grid: TimeGrid, p: float = 2.0,
+                  beta: float = 0.0) -> NormReport:
+    """Monte Carlo estimate of the p-th power of the solution norm.
+
+    sup term   E[ sup_t e^{beta A}|Y|^p ]
+    dA term    E[ int_0^T e^{beta A}|Y|^2 dA ]^{p/2}
+    dt term    E[ int_0^T e^{beta A}|Z|^2 dt ]^{p/2}
+    Left-point sums; the terminal node never enters the integrals.
+    """
+    if p < 2:
+        raise ValueError("p >= 2 required")
+    return _assemble_norm(Y, Z, A, grid, p=p, alpha=0.0, beta=beta, a=1.0, b=1.0)
 
 
 def equivalent_norm(dY, dZ, A, grid: TimeGrid, alpha: float, beta: float,
@@ -255,22 +276,7 @@ def equivalent_norm(dY, dZ, A, grid: TimeGrid, alpha: float, beta: float,
     E sup e^{alpha t + beta A}|dY|^2 + a E int e^..|dY|^2 dA
                                      + b E int e^..|dZ|^2 dt.
     """
-    A, w = _weights(A, grid, alpha, beta)
-    sup_term = dA_term = dt_term = 0.0
-    if dY is not None:
-        dY = _as_paths(dY, grid.nodes.size, ("m",))
-        ysq = _sq_size(dY)
-        sup_term = float(np.mean(np.max(w * ysq, axis=1)))
-        dA_term = float(np.mean(np.sum(w[:, :-1] * ysq[:, :-1] * np.diff(A, axis=1), axis=1)))
-    if dZ is not None:
-        dZ = _as_paths(dZ, grid.nodes.size, ("m", "d"))
-        zsq = _sq_size(dZ)
-        dt_term = float(np.mean(np.sum(w[:, :-1] * zsq[:, :-1] * grid.steps()[None, :], axis=1)))
-    report = NormReport(sup_term=sup_term, dA_term=dA_term, dt_term=dt_term,
-                        p=2.0, beta=beta, alpha=alpha, a=a, b=b)
-    if not np.isfinite(report.total):
-        raise NumericOverflowError("equivalent norm is not finite")
-    return report
+    return _assemble_norm(dY, dZ, A, grid, p=2.0, alpha=alpha, beta=beta, a=a, b=b)
 
 
 # ----------------------------------------------------------------- constants
@@ -433,26 +439,71 @@ class LipschitzProbe:
     n_samples: int
 
 
+@dataclass(frozen=True)
+class ArgumentCloud:
+    """Generator arguments y, z and theta-linear segments at n points, with
+    one context (holding w) per node of the time ladder 0, T/8, ..., T."""
+
+    y: np.ndarray
+    z: np.ndarray
+    y_seg: np.ndarray
+    z_seg: np.ndarray
+    contexts: tuple
+
+
+def argument_clouds(problem: ProblemSpec, n_samples: int, seed: int,
+                    box: float = 3.0, count: int = 1) -> tuple:
+    """``count`` clouds of 2^ceil(log2 n_samples) points in [-box, box] on the
+    8-step theta grid: disjoint coordinate blocks of one scrambled-Sobol set,
+    so the clouds' i-th points together form one low-discrepancy point."""
+    m, d, k = problem.m, problem.d, 8
+    theta, rho, rho_tilde = problem.delay_weights(k)
+    widths = [d, m, m * d, m, m, m * d, m * d]
+    sampler = qmc.Sobol(count * sum(widths), scramble=True, seed=seed)
+    u = box * (2.0 * sampler.random_base2(
+        int(np.ceil(np.log2(max(n_samples, 4))))) - 1.0)
+    n = u.shape[0]
+    clouds = []
+    for block in np.split(u, count, axis=1):
+        w, y, z, y_end, y_slope, z_end, z_slope = np.split(
+            block, np.cumsum(widths)[:-1], axis=1)
+        # linear-in-theta profiles with the endpoint value at theta = 0
+        y_seg = y_end[:, None, :] + y_slope[:, None, :] * theta[None, :, None]
+        z_seg = (z_end[:, None, :] + z_slope[:, None, :]
+                 * theta[None, :, None]).reshape(n, k + 1, m, d)
+        contexts = tuple(GenContext(t=float(t), w=w, theta=theta, rho=rho,
+                                    rho_tilde=rho_tilde)
+                         for t in np.linspace(0.0, problem.T, 9))
+        clouds.append(ArgumentCloud(y=y, z=z.reshape(n, m, d), y_seg=y_seg,
+                                    z_seg=z_seg, contexts=contexts))
+    return tuple(clouds)
+
+
+def evaluate_generator(gen, which: str, ctx: GenContext, y, z, y_seg, z_seg) -> np.ndarray:
+    """One vectorised call of an F or G generator over n argument sets,
+    shaped (n, m); an absent generator is zero."""
+    n, m = y.shape
+    if gen is None:
+        return np.zeros((n, m))
+    out = gen(ctx.t, y, z, y_seg, z_seg, ctx) if which == "F" \
+        else gen(ctx.t, y, y_seg, ctx)
+    return np.asarray(out, dtype=float).reshape(n, m)
+
+
 def probe_lipschitz(problem: ProblemSpec, which: str = "F",
                     n_samples: int = 2048, seed: int = 0,
                     box: float = 3.0) -> LipschitzProbe:
     """Empirical Lipschitz/kernel constants from low-discrepancy sampling.
 
-    Draws paired arguments differing only in (y, z) for the pointwise
-    constant, and only in the delayed segments for the kernel constant
-    K1 = sup |dGen|^2 / int (|dy_seg|^2 + |dz_seg|^2) drho.  Flags when an
-    estimate exceeds the declared constant.
+    Pairs two argument clouds: moving only (y, z) gives the pointwise
+    constant, moving only the delayed segments the kernel constant
+    K1 = sup |dGen|^2 / int (|dy_seg|^2 + |dz_seg|^2) drho, both over the
+    clouds' time ladder.  Flags when an estimate exceeds the declared
+    constant.
     """
     if which not in ("F", "G"):
         raise ValueError("which must be 'F' or 'G'")
     gen = problem.F if which == "F" else problem.G
-    m, d = problem.m, problem.d
-    k = 8
-    theta = np.linspace(-problem.delta, 0.0, k + 1)
-    rho_w = problem.rho_or_dirac().project(problem.delta, k)
-    rho_t_w = problem.rho_tilde_or_dirac().project(problem.delta, k)
-    weights = rho_w if which == "F" else rho_t_w
-
     declared_L = problem.L if which == "F" else problem.L_tilde
     declared_K_raw = problem.K if which == "F" else problem.K_tilde
     declared_K = float("inf") if callable(declared_K_raw) \
@@ -461,60 +512,26 @@ def probe_lipschitz(problem: ProblemSpec, which: str = "F",
         return LipschitzProbe(which, 0.0, 0.0, declared_L, declared_K,
                               False, False, 0)
 
-    # sample dims: t | w | y, y2 | z, z2 | segment endpoint/slope pairs
-    dim = 1 + d + 2 * m + 2 * m * d + 4 * m + 4 * m * d
-    sampler = qmc.Sobol(dim, scramble=True, seed=seed)
-    u = sampler.random_base2(int(np.ceil(np.log2(max(n_samples, 4)))))
-    n = u.shape[0]
-    u = box * (2.0 * u - 1.0)
-    pos = [0]
+    a, b = argument_clouds(problem, n_samples, seed, box, count=2)
+    n = a.y.shape[0]
+    weights = a.contexts[0].rho if which == "F" else a.contexts[0].rho_tilde
+    gap = np.linalg.norm(a.y - b.y, axis=1)
+    seg_sq = np.sum((a.y_seg - b.y_seg) ** 2, axis=-1)
+    if which == "F":
+        gap = gap + np.linalg.norm((a.z - b.z).reshape(n, -1), axis=1)
+        seg_sq = seg_sq + np.sum((a.z_seg - b.z_seg) ** 2, axis=(-2, -1))
+    den = np.sum(weights * seg_sq, axis=1)
+    L_ok, K_ok = gap > 1e-9, den > 1e-9
 
-    def take(count):
-        block = u[:, pos[0]:pos[0] + count]
-        pos[0] += count
-        return block
-
-    t_nodes = (take(1)[:, 0] / box + 1.0) / 2.0 * problem.T
-    w = take(d)
-    y, y2 = take(m), take(m)
-    z = take(m * d).reshape(n, m, d)
-    z2 = take(m * d).reshape(n, m, d)
-
-    def seg(endpoints, slopes):
-        # linear-in-theta profile: value endpoints at theta=0
-        return endpoints[:, None, :] + slopes[:, None, :] * theta[None, :, None]
-
-    ys_a = seg(take(m), take(m))
-    ys_b = seg(take(m), take(m))
-    zs_a = seg(take(m * d), take(m * d)).reshape(n, k + 1, m, d)
-    zs_b = seg(take(m * d), take(m * d)).reshape(n, k + 1, m, d)
-
-    emp_L = 0.0
-    emp_K = 0.0
-    for i in range(n):
-        ctx = GenContext(t=float(t_nodes[i]), w=w[i:i + 1], theta=theta,
-                         rho=rho_w, rho_tilde=rho_t_w)
-        if which == "F":
-            base = gen(ctx.t, y[i:i + 1], z[i:i + 1], ys_a[i:i + 1], zs_a[i:i + 1], ctx)
-            moved = gen(ctx.t, y2[i:i + 1], z2[i:i + 1], ys_a[i:i + 1], zs_a[i:i + 1], ctx)
-            gap = np.linalg.norm(y[i] - y2[i]) + np.linalg.norm(z[i] - z2[i])
-            if gap > 1e-9:
-                emp_L = max(emp_L, float(np.linalg.norm(moved - base)) / gap)
-            seg_moved = gen(ctx.t, y[i:i + 1], z[i:i + 1], ys_b[i:i + 1], zs_b[i:i + 1], ctx)
-            den = float(np.sum(weights * (np.sum((ys_a[i] - ys_b[i]) ** 2, axis=-1)
-                                          + np.sum((zs_a[i] - zs_b[i]) ** 2, axis=(-2, -1)))))
-            if den > 1e-9:
-                emp_K = max(emp_K, float(np.sum((seg_moved - base) ** 2)) / den)
-        else:
-            base = gen(ctx.t, y[i:i + 1], ys_a[i:i + 1], ctx)
-            moved = gen(ctx.t, y2[i:i + 1], ys_a[i:i + 1], ctx)
-            gap = np.linalg.norm(y[i] - y2[i])
-            if gap > 1e-9:
-                emp_L = max(emp_L, float(np.linalg.norm(moved - base)) / gap)
-            seg_moved = gen(ctx.t, y[i:i + 1], ys_b[i:i + 1], ctx)
-            den = float(np.sum(weights * np.sum((ys_a[i] - ys_b[i]) ** 2, axis=-1)))
-            if den > 1e-9:
-                emp_K = max(emp_K, float(np.sum((seg_moved - base) ** 2)) / den)
+    emp_L = emp_K = 0.0
+    for ctx in a.contexts:
+        base = evaluate_generator(gen, which, ctx, a.y, a.z, a.y_seg, a.z_seg)
+        moved = evaluate_generator(gen, which, ctx, b.y, b.z, a.y_seg, a.z_seg)
+        seg_moved = evaluate_generator(gen, which, ctx, a.y, a.z, b.y_seg, b.z_seg)
+        step = np.linalg.norm(moved - base, axis=1)
+        emp_L = max(emp_L, float(np.max(step[L_ok] / gap[L_ok], initial=0.0)))
+        seg_gap = np.sum((seg_moved - base) ** 2, axis=1)
+        emp_K = max(emp_K, float(np.max(seg_gap[K_ok] / den[K_ok], initial=0.0)))
     probe = LipschitzProbe(
         which=which, empirical_L=emp_L, empirical_K1=emp_K,
         declared_L=declared_L, declared_K1=declared_K,
@@ -578,7 +595,7 @@ def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
         eA = np.exp(problem.beta * ensemble.A)
         eAT = eA[:, -1]
 
-    def gen_at_zero(gen, is_F):
+    def gen_at_zero(gen, which):
         vals = np.zeros((n, nodes.size))
         if gen is None:
             return vals
@@ -589,16 +606,14 @@ def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
         zero_zseg = np.zeros((n, ksteps + 1, problem.m, problem.d))
         for i, t in enumerate(nodes):
             ctx = problem.context(grid, float(t), ensemble.W[:, i, :])
-            out = gen(t, zero_y, zero_z, zero_yseg, zero_zseg, ctx) if is_F \
-                else gen(t, zero_y, zero_yseg, ctx)
-            out = np.asarray(out, dtype=float).reshape(n, -1)
+            out = evaluate_generator(gen, which, ctx, zero_y, zero_z, zero_yseg, zero_zseg)
             if not np.all(np.isfinite(out)):
                 raise NumericOverflowError(f"generator at zero is not finite at t={t}")
             vals[:, i] = np.einsum("nm,nm->n", out, out, optimize=False)
         return vals
 
-    F0_sq = gen_at_zero(problem.F, True)
-    G0_sq = gen_at_zero(problem.G, False)
+    F0_sq = gen_at_zero(problem.F, "F")
+    G0_sq = gen_at_zero(problem.G, "G")
     dA = np.diff(ensemble.A, axis=1)
     dt = grid.steps()[None, :]
     int_F = np.sum(eA[:, :-1] * F0_sq[:, :-1] * dt, axis=1)

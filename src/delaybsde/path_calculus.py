@@ -24,6 +24,7 @@ __all__ = [
     "bv_norm",
     "stieltjes_integral",
     "cumulative_stieltjes",
+    "delay_window",
     "delayed_segment",
     "step_approximation",
     "helly_bray_distance",
@@ -264,26 +265,37 @@ def cumulative_stieltjes(x_values: np.ndarray, eta_values: np.ndarray,
     return out
 
 
-def delayed_segment(x: GridFunction, t: float, kind: str = "state") -> "DelayedSegment":
-    """Path segment theta |-> x(t + theta) for theta in [-delta, 0].
+def delay_window(X: np.ndarray, i: int, k: int, kind: str = "state") -> np.ndarray:
+    """Delay window of a path stack at node i: X[:, i-k .. i] along axis 1.
 
-    Values before time zero follow the prolongation convention: "state"
-    segments repeat x(0); "control" segments vanish there.
+    Nodes before time zero follow the prolongation convention: "state"
+    windows repeat X[:, 0]; "control" windows vanish there.  For i >= k the
+    window is a view of X, otherwise a fresh array; either way it is
+    read-only, so a generator cannot write through into the path it reads.
     """
+    if kind not in ("state", "control"):
+        raise ValueError(f"unknown segment kind {kind!r}")
+    if i >= k:
+        window = X[:, i - k:i + 1]
+    else:
+        idx = np.arange(i - k, i + 1)
+        window = X[:, np.clip(idx, 0, None)]
+        if kind == "control":
+            window[:, idx < 0] = 0.0
+    window.flags.writeable = False
+    return window
+
+
+def delayed_segment(x: GridFunction, t: float, kind: str = "state") -> "DelayedSegment":
+    """Path segment theta |-> x(t + theta) for theta in [-delta, 0], with
+    values before time zero prolonged as in ``delay_window``."""
     grid = x.grid
     if grid.delta is None:
         raise GridAlignmentError("grid carries no delay span")
-    if kind not in ("state", "control"):
-        raise ValueError(f"unknown segment kind {kind!r}")
     k = grid.delta_index_offset
-    i = grid.index_of(t)
-    idx = np.arange(i - k, i + 1)
-    theta = (np.arange(k + 1) - k) * (grid.T / grid.n_steps)
-    clipped = np.clip(idx, 0, None)
-    values = x.values[clipped].copy()
-    if kind == "control":
-        values[idx < 0] = 0.0
-    return DelayedSegment(theta=theta, values=values, kind=kind)
+    values = delay_window(x.values[None], grid.index_of(t), k, kind)[0]
+    return DelayedSegment(theta=np.linspace(-grid.delta, 0.0, k + 1),
+                          values=values, kind=kind)
 
 
 @dataclass(frozen=True)

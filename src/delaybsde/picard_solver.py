@@ -20,7 +20,9 @@ from .errors import (BlowupError, ConstraintViolationError,
                      GeneratorEvaluationError, GridAlignmentError,
                      NonContractionError)
 from .model import (ConditionReport, ProblemSpec, check_H1, check_H2,
-                    effective_c, equivalent_norm, select_lambda)
+                    effective_c, equivalent_norm, evaluate_generator,
+                    select_lambda)
+from .path_calculus import delay_window as node_segment
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
                                 RegressionBasis, conditional_expectation,
                                 realize_increasing_process)
@@ -38,19 +40,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-
-def node_segment(X: np.ndarray, i: int, k: int, kind: str = "state") -> np.ndarray:
-    """Delay window of X at node i: values at nodes i-k .. i.
-
-    Negative times are prolonged by the initial value for states and by zero
-    for controls, matching the convention used everywhere in the package.
-    """
-    idx = np.arange(i - k, i + 1)
-    seg = X[:, np.clip(idx, 0, None), ...].copy()
-    if kind == "control":
-        seg[:, idx < 0, ...] = 0.0
-    return seg
 
 
 def _is_deterministic(spec: IncreasingProcessSpec | None) -> bool:
@@ -97,8 +86,7 @@ def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
     for j in range(n_nodes - 1):
         t = float(grid.nodes[j])
         ctx = problem.context(grid, t, ensemble.W[:, j, :])
-        g = np.asarray(problem.G(t, U[:, j], node_segment(U, j, k), ctx),
-                       dtype=float).reshape(n, m)
+        g = evaluate_generator(problem.G, "G", ctx, U[:, j], None, node_segment(U, j, k), None)
         if not np.all(np.isfinite(g)):
             raise GeneratorEvaluationError(
                 f"G returned a non-finite value at t={t:.6g}")
@@ -164,16 +152,16 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
         if problem.F is None:
             cur = mean_fit
         elif scheme == "explicit":
-            drv = np.asarray(problem.F(t, nxt - B[:, i + 1], Z[:, i],
-                                       seg_y, seg_z, ctx), dtype=float).reshape(n, m)
+            drv = evaluate_generator(problem.F, "F", ctx, nxt - B[:, i + 1], Z[:, i],
+                                     seg_y, seg_z)
             cur, theta_y = conditional_expectation(
                 nxt + dt * drv, basis, ensemble, i, extra_features=extras,
                 ridge=ridge, return_coefficients=True)
         else:
             cur = mean_fit.copy()
             for _ in range(20):
-                drv = np.asarray(problem.F(t, cur - B[:, i], Z[:, i],
-                                           seg_y, seg_z, ctx), dtype=float).reshape(n, m)
+                drv = evaluate_generator(problem.F, "F", ctx, cur - B[:, i], Z[:, i],
+                                         seg_y, seg_z)
                 new = mean_fit + dt * drv
                 gap = float(np.max(np.abs(new - cur))) if np.all(np.isfinite(new)) else np.inf
                 cur = new
@@ -240,14 +228,12 @@ def _consistency(problem, ensemble, Y, Z, scheme):
         acc = Y[:, i + 1] - Y[:, i]
         if problem.F is not None:
             y_arg = Y[:, i + 1] if scheme == "explicit" else Y[:, i]
-            acc = acc + dt * np.asarray(
-                problem.F(t, y_arg, Z[:, i], node_segment(Y, i, k),
-                          node_segment(Z, i, k, kind="control"), ctx),
-                dtype=float).reshape(n, m)
+            acc = acc + dt * evaluate_generator(
+                problem.F, "F", ctx, y_arg, Z[:, i], node_segment(Y, i, k),
+                node_segment(Z, i, k, kind="control"))
         if problem.G is not None:
-            acc = acc + dA[:, i, None] * np.asarray(
-                problem.G(t, Y[:, i], node_segment(Y, i, k), ctx),
-                dtype=float).reshape(n, m)
+            acc = acc + dA[:, i, None] * evaluate_generator(
+                problem.G, "G", ctx, Y[:, i], None, node_segment(Y, i, k), None)
         dW = ensemble.W[:, i + 1, :] - ensemble.W[:, i, :]
         acc = acc - np.einsum("nmd,nd->nm", Z[:, i], dW, optimize=False)
         R[:, i] = acc

@@ -15,11 +15,12 @@ import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import ks_2samp, qmc, spearmanr
+from scipy.stats import ks_2samp, spearmanr
 
 from .errors import FamilyInvalidError
-from .model import (ProblemSpec, check_H1, check_H2, effective_c,
-                    equivalent_norm, weighted_norm)
+from .model import (ProblemSpec, argument_clouds, check_H1, check_H2,
+                    effective_c, equivalent_norm, evaluate_generator,
+                    weighted_norm)
 from .path_calculus import TimeGrid, cumulative_stieltjes
 from .picard_solver import solve
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
@@ -97,46 +98,12 @@ def generator_gap(gen_a, gen_b, problem: ProblemSpec, which: str = "F",
         raise ValueError("which must be 'F' or 'G'")
     if gen_a is None and gen_b is None:
         return 0.0
-    m, d = problem.m, problem.d
-    k = 8
-    theta = np.linspace(-problem.delta, 0.0, k + 1)
-    rho = problem.rho_or_dirac().project(problem.delta, k)
-    rho_t = problem.rho_tilde_or_dirac().project(problem.delta, k)
-
-    dim = d + m + m * d + 2 * m + 2 * m * d
-    sampler = qmc.Sobol(dim, scramble=True, seed=seed)
-    u = box * (2.0 * sampler.random_base2(
-        int(np.ceil(np.log2(max(n_samples, 4))))) - 1.0)
-    n = u.shape[0]
-    pos = [0]
-
-    def take(count):
-        block = u[:, pos[0]:pos[0] + count]
-        pos[0] += count
-        return block
-
-    w = take(d)
-    y = take(m)
-    z = take(m * d).reshape(n, m, d)
-    y_seg = (take(m)[:, None, :] + take(m)[:, None, :] * theta[None, :, None])
-    z_seg = (take(m * d)[:, None, :] + take(m * d)[:, None, :]
-             * theta[None, :, None]).reshape(n, k + 1, m, d)
-
-    from .model import GenContext
-
-    def call(gen, t, ctx):
-        if gen is None:
-            return np.zeros((n, m))
-        if which == "F":
-            out = gen(t, y, z, y_seg, z_seg, ctx)
-        else:
-            out = gen(t, y, y_seg, ctx)
-        return np.asarray(out, dtype=float).reshape(n, m)
-
+    (cloud,) = argument_clouds(problem, n_samples, seed, box)
+    args = (cloud.y, cloud.z, cloud.y_seg, cloud.z_seg)
     gap = 0.0
-    for t in np.linspace(0.0, problem.T, 9):
-        ctx = GenContext(t=float(t), w=w, theta=theta, rho=rho, rho_tilde=rho_t)
-        diff = call(gen_a, float(t), ctx) - call(gen_b, float(t), ctx)
+    for ctx in cloud.contexts:
+        diff = evaluate_generator(gen_a, which, ctx, *args) \
+            - evaluate_generator(gen_b, which, ctx, *args)
         gap = max(gap, float(np.max(np.sqrt(np.sum(diff ** 2, axis=1)))))
     return gap
 
@@ -261,15 +228,12 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
 
 def bv_tail_curve(H_list, levels=(0.5, 1.0, 2.0, 4.0, 8.0)) -> dict:
     """For each level nu: worst-case P(variation of H_n > nu) over members."""
-    out = {}
-    for nu in levels:
-        worst = 0.0
-        for H in H_list:
-            H = np.atleast_2d(np.asarray(H, dtype=float))
-            variation = np.sum(np.abs(np.diff(H, axis=1)), axis=1)
-            worst = max(worst, float(np.mean(variation > nu)))
-        out[float(nu)] = worst
-    return out
+    variations = []
+    for H in H_list:
+        H = np.atleast_2d(np.asarray(H, dtype=float))
+        variations.append(np.sum(np.abs(np.diff(H, axis=1)), axis=1))
+    return {float(nu): max((float(np.mean(v > nu)) for v in variations), default=0.0)
+            for nu in levels}
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .path_calculus import TimeGrid
 __all__ = [
     "PathEnsemble",
     "IncreasingProcessSpec",
+    "PROCESS_KINDS",
     "RegressionBasis",
     "simulate_brownian",
     "realize_increasing_process",
@@ -112,6 +113,9 @@ def register_deterministic_shape(name: str, fn) -> None:
 def register_positive_functional(name: str, fn) -> None:
     """Plugin hook: fn(W_t (n,d), params) -> nonnegative rates (n,)."""
     _POS_FUNCTIONALS[name] = fn
+
+
+PROCESS_KINDS = ("deterministic", "running_max", "time_integral", "oscillatory")
 
 
 @dataclass(frozen=True)

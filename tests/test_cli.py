@@ -325,9 +325,22 @@ def test_threads_flag_reexecs_cleanly(tmp_path):
     config_path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
     env = {k: v for k, v in os.environ.items() if not k.startswith("DELAYBSDE_")}
+    # the child runs in tmp_path, so the package path must be absolute
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "delaybsde.cli", "solve", "--config", config_path,
          "--out", str(out), "--threads", "2"],
         capture_output=True, text=True, env=env, cwd=str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert (out / "solution_Y.csv").exists()
+
+
+def test_thread_count_validation(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli.thread_count(["solve", "--config", "c.json"]) is None
+    assert cli.thread_count(["solve", "--threads", "1"]) == 1
+    assert cli.thread_count(["solve", "--threads=4"]) == 4
+    for bad in ("0", "-2", "5", "two", "1.5", ""):
+        with pytest.raises(ValueError, match="--threads"):
+            cli.thread_count(["solve", "--threads", bad])

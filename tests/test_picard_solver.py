@@ -101,6 +101,35 @@ def test_node_segment_prolongation():
     assert seg[0, :, 0].tolist() == [3, 4, 5]
 
 
+def test_node_segment_windows_are_read_only():
+    X = np.arange(24.0).reshape(2, 12, 1)
+    # past the first k nodes the window is a view of the iterate
+    assert np.shares_memory(node_segment(X, 5, 3), X)
+    for i in (0, 2, 3, 11):
+        for kind in ("state", "control"):
+            assert not node_segment(X, i, 3, kind=kind).flags.writeable
+    assert X.flags.writeable
+
+
+@pytest.mark.parametrize("which", ["F", "G"])
+def test_generator_cannot_write_into_iterate(which):
+    def F(t, y, z, y_seg, z_seg, ctx):
+        y_seg[:] = 0.0
+        return y
+
+    def G(t, y, y_seg, ctx):
+        y_seg[:] = 0.0
+        return y
+
+    ens = make_ensemble(16)
+    prob = make_problem(**{which: F if which == "F" else G})
+    U = np.ones((16, 21, 1))
+    V = np.ones((16, 21, 1, 1))
+    with pytest.raises(ValueError, match="read-only"):
+        gamma_step(prob, ens, U, V)
+    assert np.all(U == 1.0) and np.all(V == 1.0)
+
+
 # ------------------------------------------------------------------ build_B
 
 def test_build_B_constant_driver_exact():

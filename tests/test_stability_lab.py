@@ -145,6 +145,11 @@ def test_bv_tail_curve_deterministic():
     t = np.linspace(0.0, 1.0, 101)
     tails = bv_tail_curve([t[None, :]], levels=(0.5, 1.0, 2.0))
     assert tails == {0.5: 1.0, 1.0: 0.0, 2.0: 0.0}
+    # a second member with variations 1.5 and 3 on its two paths sets the
+    # worst case wherever it exceeds the first
+    wide = np.stack([1.5 * t, 3.0 * t])
+    tails = bv_tail_curve([t[None, :], wide], levels=(0.5, 1.0, 2.0, 4.0))
+    assert tails == {0.5: 1.0, 1.0: 1.0, 2.0: 0.5, 4.0: 0.0}
 
 
 def test_helly_bray_check_reduces_to_deterministic_distance():
