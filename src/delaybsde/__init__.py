@@ -11,8 +11,9 @@ from .path_calculus import (BVFunction, GridFunction, TimeGrid, bv_norm,
                             helly_bray_distance, read_csv, step_approximation,
                             stieltjes_integral, total_variation, write_csv)
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
-                                RegressionBasis, conditional_expectation,
-                                fit_least_squares, load_ensemble, omega_delta,
+                                RegressionBasis, RegressionPlan,
+                                conditional_expectation, fit_least_squares,
+                                load_ensemble, omega_delta,
                                 realize_increasing_process,
                                 register_deterministic_shape,
                                 register_positive_functional, save_ensemble,

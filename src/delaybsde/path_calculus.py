@@ -58,7 +58,8 @@ class TimeGrid:
         object.__setattr__(self, "nodes", nodes)
         nodes.flags.writeable = False
         if self.delta is not None:
-            if not (0 < self.delta <= self.T):
+            # a delta of n steps computed as T * n / n may exceed T by rounding
+            if not (0 < self.delta <= self.T * (1 + 1e-12)):
                 raise GridAlignmentError(
                     f"delay delta={self.delta} must lie in (0, T={self.T}]")
             if not self.is_uniform:

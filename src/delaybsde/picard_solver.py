@@ -21,11 +21,13 @@ from .errors import (BlowupError, ConstraintViolationError,
                      NonContractionError)
 from .model import (ConditionReport, ProblemSpec, check_H1, check_H2,
                     effective_c, equivalent_norm, evaluate_generator,
-                    select_lambda)
+                    probe_lipschitz, select_lambda)
 from .path_calculus import delay_window as node_segment
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
-                                RegressionBasis, conditional_expectation,
+                                RegressionBasis, RegressionPlan,
                                 realize_increasing_process)
+# no longer called here; bench/tracing.py still looks the name up here
+from .stochastic_engine import conditional_expectation  # noqa: F401
 
 __all__ = [
     "GammaArtifacts",
@@ -55,11 +57,14 @@ def _is_deterministic(spec: IncreasingProcessSpec | None) -> bool:
     return False
 
 
-def _regression_extras(ensemble: PathEnsemble, i: int):
-    # a realized random A is extra information the Brownian state lacks
-    if ensemble.A is None or _is_deterministic(ensemble.A_spec):
-        return None
-    return [ensemble.A[:, i]]
+def _regression_plan(ensemble: PathEnsemble, basis: RegressionBasis | None,
+                     ridge: float | None) -> RegressionPlan:
+    """Regressions on W(t_i), plus A(t_i) when A is random: a realized random
+    A is extra information the Brownian state lacks."""
+    A = ensemble.A
+    random_A = A is not None and not _is_deterministic(ensemble.A_spec)
+    return RegressionPlan(basis or RegressionBasis(), ensemble, ridge,
+                          extra_columns=(lambda i: [A[:, i]]) if random_A else None)
 
 
 @dataclass(frozen=True)
@@ -100,20 +105,28 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
                basis: RegressionBasis | None = None,
                scheme: str = "explicit", ridge: float | None = None,
                keep_regression: bool = False,
-               blowup_threshold: float = 1e8):
+               blowup_threshold: float = 1e8,
+               plan: RegressionPlan | None = None):
     """One application of the outer map: (U, V) -> (Y, Z).
 
     Backward in time: project the next shifted value on the current Brownian
     state, read the control from the centered increment correlation, then
     advance the value either explicitly (driver at the next value) or
     implicitly (per-path fixed point, driver at the current value).
+
+    ``plan`` carries the regression work that does not depend on (U, V)
+    across calls on the same ensemble; when given, it replaces ``basis`` and
+    ``ridge``.  Without one, the step builds its own.
     """
     if scheme not in ("explicit", "implicit"):
         raise ValueError("scheme must be 'explicit' or 'implicit'")
     grid = ensemble.grid
     if grid.delta is None:
         raise GridAlignmentError("the ensemble grid was built without a delay")
-    basis = basis or RegressionBasis()
+    if plan is None:
+        plan = _regression_plan(ensemble, basis, ridge)
+    elif plan.ensemble is not ensemble:
+        raise ValueError("the regression plan was built for another ensemble")
     k = grid.delta_index_offset
     n, m, d = ensemble.n_paths, problem.m, problem.d
     n_nodes = grid.nodes.size
@@ -132,16 +145,12 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     for i in range(n_nodes - 2, -1, -1):
         dt = float(steps[i])
         dW = ensemble.W[:, i + 1, :] - ensemble.W[:, i, :]
-        extras = _regression_extras(ensemble, i)
+        design = plan.design(i)
         nxt = Yhat[:, i + 1]
 
-        mean_fit, theta_m = conditional_expectation(
-            nxt, basis, ensemble, i, extra_features=extras, ridge=ridge,
-            return_coefficients=True)
+        mean_fit, theta_m = plan.fit(i, design, nxt)
         z_target = (nxt - mean_fit)[:, :, None] * dW[:, None, :] / dt
-        z_fit, theta_z = conditional_expectation(
-            z_target.reshape(n, m * d), basis, ensemble, i,
-            extra_features=extras, ridge=ridge, return_coefficients=True)
+        z_fit, theta_z = plan.fit(i, design, z_target.reshape(n, m * d))
         Z[:, i] = z_fit.reshape(n, m, d)
 
         t = float(grid.nodes[i])
@@ -154,9 +163,7 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
         elif scheme == "explicit":
             drv = evaluate_generator(problem.F, "F", ctx, nxt - B[:, i + 1], Z[:, i],
                                      seg_y, seg_z)
-            cur, theta_y = conditional_expectation(
-                nxt + dt * drv, basis, ensemble, i, extra_features=extras,
-                ridge=ridge, return_coefficients=True)
+            cur, theta_y = plan.fit(i, design, nxt + dt * drv)
         else:
             cur = mean_fit.copy()
             for _ in range(20):
@@ -170,6 +177,7 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
         if not np.all(np.isfinite(cur)) or np.max(np.abs(cur)) > blowup_threshold:
             raise BlowupError(f"value iterate exploded at node {i} (t={t:.6g})")
         Yhat[:, i] = cur
+        del design  # free it before the next node builds its own
         if thetas is not None:
             thetas[i] = {"mean": theta_m, "z": theta_z, "y": theta_y}
 
@@ -251,9 +259,12 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     """Iterate the outer map from (0, 0) until the successive squared
     distance in the contraction norm drops below tol.
 
-    Pre-checks the smallness conditions on the realized A and refuses to run
-    when they fail unless force=True.  Raises NonContractionError when the
-    iteration budget is spent while the distances have stopped shrinking.
+    Pre-checks the smallness conditions on the realized A, and that no
+    declared Lipschitz or kernel constant of F or G lies below its
+    probe_lipschitz estimate (the conditions are computed from the declared
+    ones); refuses to run when either fails unless force=True.  Raises
+    NonContractionError when the iteration budget is spent while the
+    distances have stopped shrinking.
     """
     grid = ensemble.grid
     if grid.delta is None:
@@ -274,6 +285,15 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     if check_conditions and not (h1.passed and h2.passed) and not force:
         raise ConstraintViolationError(
             f"smallness conditions fail; {h1}; {h2}; pass force=True to run anyway")
+    if check_conditions:
+        for probe in (probe_lipschitz(problem, "F"), probe_lipschitz(problem, "G")):
+            if (probe.exceeds_L or probe.exceeds_K1) and not force:
+                raise ConstraintViolationError(
+                    f"declared constants of {probe.which} are below the empirical "
+                    f"ones (L={probe.declared_L:.3g} vs {probe.empirical_L:.3g}, "
+                    f"K1={probe.declared_K1:.3g} vs {probe.empirical_K1:.3g}), so "
+                    "the smallness conditions prove nothing; pass force=True to "
+                    "run anyway")
 
     lam = mu = None
     a = b = 1.0
@@ -292,10 +312,10 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     deltas: list[float] = []
     ratios: list[float] = []
     converged = False
+    plan = _regression_plan(ensemble, basis, ridge)
 
     for it in range(1, max_iter + 1):
-        Y, Z, _ = gamma_step(problem, ensemble, U, V, basis=basis,
-                             scheme=scheme, ridge=ridge)
+        Y, Z, _ = gamma_step(problem, ensemble, U, V, scheme=scheme, plan=plan)
         step_norm = equivalent_norm(Y - U, Z - V, ensemble.A, grid,
                                     alpha=alpha, beta=beta, a=a, b=b)
         deltas.append(step_norm.total)

@@ -6,6 +6,9 @@ integrator processes A are realized as functionals of the same Brownian data
 (or deterministically) and are checked node-by-node for monotonicity.
 All cross products in the least-squares step go through numpy-core reductions
 in a fixed order, which keeps results independent of BLAS thread counts.
+A RegressionPlan holds the part of the regressions that depends on the
+ensemble alone: it builds each node's ridged Gram matrix once and reuses it
+for every later fit at that node, whatever the targets.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "IncreasingProcessSpec",
     "PROCESS_KINDS",
     "RegressionBasis",
+    "RegressionPlan",
     "simulate_brownian",
     "realize_increasing_process",
     "omega_delta",
@@ -247,6 +251,34 @@ class RegressionBasis:
         return np.stack(cols, axis=1)
 
 
+_SINGULAR = ("normal equations are singular; drop collinear features or set "
+             "a positive ridge")
+
+
+def _normal_matrix(design: np.ndarray, ridge: float) -> np.ndarray:
+    """Ridged Gram matrix of the design; with ridge = 0 a numerically
+    singular one raises SingularSystemError."""
+    gram = np.einsum("ni,nj->ij", design, design, optimize=False)
+    if ridge:
+        return gram + ridge * np.eye(gram.shape[0])
+    spectrum = np.linalg.svd(gram, compute_uv=False)
+    if spectrum[0] == 0.0 or spectrum[-1] <= 1e-12 * spectrum[0]:
+        raise SingularSystemError(_SINGULAR)
+    return gram
+
+
+def _solve_normal(gram: np.ndarray, design: np.ndarray,
+                  targets: np.ndarray) -> np.ndarray:
+    """Coefficients from a normal matrix built by _normal_matrix."""
+    t2d = targets if targets.ndim == 2 else targets[:, None]
+    rhs = np.einsum("ni,nq->iq", design, t2d, optimize=False)
+    try:
+        theta = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularSystemError(_SINGULAR) from None
+    return theta if targets.ndim == 2 else theta[:, 0]
+
+
 def fit_least_squares(design: np.ndarray, targets: np.ndarray,
                       ridge: float) -> np.ndarray:
     """Solve the (ridged) normal equations; deterministic reduction order.
@@ -254,22 +286,56 @@ def fit_least_squares(design: np.ndarray, targets: np.ndarray,
     targets may have several right-hand sides as trailing columns.  With
     ridge = 0 an exactly collinear design raises SingularSystemError.
     """
-    t2d = targets if targets.ndim == 2 else targets[:, None]
-    gram = np.einsum("ni,nj->ij", design, design, optimize=False)
-    rhs = np.einsum("ni,nq->iq", design, t2d, optimize=False)
-    msg = ("normal equations are singular; drop collinear features or set "
-           "a positive ridge")
-    if ridge:
-        gram = gram + ridge * np.eye(gram.shape[0])
-    else:
-        spectrum = np.linalg.svd(gram, compute_uv=False)
-        if spectrum[0] == 0.0 or spectrum[-1] <= 1e-12 * spectrum[0]:
-            raise SingularSystemError(msg)
-    try:
-        theta = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularSystemError(msg) from None
-    return theta if targets.ndim == 2 else theta[:, 0]
+    return _solve_normal(_normal_matrix(design, ridge), design, targets)
+
+
+class RegressionPlan:
+    """The target-independent half of the regressions on one ensemble.
+
+    Bound to a basis, an ensemble, a ridge and an extra-column rule
+    ``extra_columns(step) -> list of (n_paths,) arrays or None``.  The design
+    at a node depends on the ensemble only, so the plan builds each node's
+    ridged Gram matrix (and, with ridge = 0, runs its singularity check) once,
+    on the first fit there, and every later fit at that node reuses it.
+    Designs are not kept: ``design(step)`` rebuilds one on each call, and the
+    caller hands it back to ``fit`` for every regression at that node.
+    """
+
+    def __init__(self, basis: RegressionBasis, ensemble: PathEnsemble,
+                 ridge: float | None = None, extra_columns=None):
+        self.basis = basis
+        self.ensemble = ensemble
+        self.ridge = basis.ridge if ridge is None else ridge
+        self.extra_columns = extra_columns
+        self._grams: dict[int, np.ndarray] = {}
+
+    def design(self, step: int) -> np.ndarray:
+        extras = None if self.extra_columns is None else self.extra_columns(step)
+        return self.basis.design(self.ensemble.W[:, step, :], extras)
+
+    def fit(self, step: int, design: np.ndarray, targets: np.ndarray):
+        """(fitted, coefficients) of E[targets | F_{t_step}] on the design
+        ``self.design(step)``.
+
+        At step 0 the sigma-field is trivial and the estimate is the plain
+        mean (returned as an intercept-only coefficient vector so that
+        evaluation against any design stays consistent).
+        """
+        targets = np.asarray(targets, dtype=float)
+        if targets.shape[0] != self.ensemble.n_paths:
+            raise ValueError("targets must have one row per path")
+        if step == 0:
+            t2d = targets if targets.ndim == 2 else targets[:, None]
+            theta = np.zeros((design.shape[1], t2d.shape[1]))
+            theta[0, :] = t2d.mean(axis=0)
+            if targets.ndim == 1:
+                theta = theta[:, 0]
+        else:
+            gram = self._grams.get(step)
+            if gram is None:
+                gram = self._grams[step] = _normal_matrix(design, self.ridge)
+            theta = _solve_normal(gram, design, targets)
+        return design @ theta, theta
 
 
 def conditional_expectation(targets: np.ndarray, basis: RegressionBasis,
@@ -277,29 +343,12 @@ def conditional_expectation(targets: np.ndarray, basis: RegressionBasis,
                             extra_features: list[np.ndarray] | None = None,
                             ridge: float | None = None,
                             return_coefficients: bool = False):
-    """Least-squares estimate of E[targets | F_{t_step}] per path.
-
-    At step 0 the sigma-field is trivial and the estimate is the plain mean
-    (returned as an intercept-only coefficient vector so that evaluation
-    against any design stays consistent).
-    """
-    targets = np.asarray(targets, dtype=float)
-    if targets.shape[0] != ensemble.n_paths:
-        raise ValueError("targets must have one row per path")
-    ridge = basis.ridge if ridge is None else ridge
-    design = basis.design(ensemble.W[:, step, :], extra_features)
-    if step == 0:
-        t2d = targets if targets.ndim == 2 else targets[:, None]
-        theta = np.zeros((design.shape[1], t2d.shape[1]))
-        theta[0, :] = t2d.mean(axis=0)
-        if targets.ndim == 1:
-            theta = theta[:, 0]
-    else:
-        theta = fit_least_squares(design, targets, ridge)
-    fitted = design @ theta
-    if return_coefficients:
-        return fitted, theta
-    return fitted
+    """Least-squares estimate of E[targets | F_{t_step}] per path: one fit
+    of a single-use RegressionPlan (see RegressionPlan.fit)."""
+    plan = RegressionPlan(basis, ensemble, ridge,
+                          extra_columns=lambda _step: extra_features)
+    fitted, theta = plan.fit(step, plan.design(step), targets)
+    return (fitted, theta) if return_coefficients else fitted
 
 
 def splice_future(ensemble: PathEnsemble, step: int,

@@ -76,6 +76,13 @@ def test_grid_delta_alignment():
         TimeGrid.uniform(1.0, 50, delta=1.5)
 
 
+def test_grid_accepts_full_window_delta_with_rounding():
+    # T * n / n rounds one ulp above T here; the window is still n steps
+    T, n = 39.56073760172803, 105
+    assert T * n / n > T
+    assert TimeGrid.uniform(T, n, delta=T * n / n).delta_index_offset == n
+
+
 def test_index_of():
     g = TimeGrid.uniform(2.0, 40)
     assert g.index_of(0.0) == 0

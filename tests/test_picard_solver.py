@@ -16,10 +16,10 @@ Oracle notes:
 import numpy as np
 import pytest
 
-from delaybsde import registry
+from delaybsde import registry, stochastic_engine
 from delaybsde.errors import (BlowupError, ConstraintViolationError,
                               GeneratorEvaluationError, GridAlignmentError,
-                              NonContractionError)
+                              NonContractionError, SingularSystemError)
 from delaybsde.model import AtomMeasure, ProblemSpec
 from delaybsde.path_calculus import TimeGrid
 from delaybsde.picard_solver import (ContractionReport, build_B,
@@ -275,7 +275,57 @@ def test_gamma_step_requires_delay_grid():
         gamma_step(prob, ens, np.zeros((10, 21, 1)), np.zeros((10, 21, 1, 1)))
 
 
+def test_gamma_step_singular_design_without_ridge():
+    # a "time_integral" A with a constant rate is random in kind only: its
+    # extra regression column t * rate is collinear with the intercept
+    spec = IncreasingProcessSpec("time_integral", {"functional": "constant"})
+    ens = make_ensemble(200, n_steps=10, spec=spec)
+    prob = make_problem(xi=registry.build_terminal({"name": "brownian", "params": {}}))
+    U = np.zeros((200, 11, 1))
+    V = np.zeros((200, 11, 1, 1))
+    with pytest.raises(SingularSystemError):
+        gamma_step(prob, ens, U, V, ridge=0.0)
+    Y, _, _ = gamma_step(prob, ens, U, V)
+    assert np.all(np.isfinite(Y))
+
+
+def test_gamma_step_rejects_plan_of_another_ensemble():
+    ens = make_ensemble(20, n_steps=10)
+    plan = stochastic_engine.RegressionPlan(
+        RegressionBasis(), make_ensemble(20, n_steps=10, seed=1))
+    with pytest.raises(ValueError, match="another ensemble"):
+        gamma_step(make_problem(), ens, np.zeros((20, 11, 1)),
+                   np.zeros((20, 11, 1, 1)), plan=plan)
+
+
 # -------------------------------------------------------------------- solve
+
+def test_solve_builds_each_gram_once(monkeypatch):
+    ens = make_ensemble(300, n_steps=20, seed=2)
+    gram_nodes, design_calls = [], []
+    normal_matrix = stochastic_engine._normal_matrix
+    design = RegressionBasis.design
+
+    def spy_normal_matrix(X, ridge):
+        # column 1 of the design is W(t_i); it names the node
+        gram_nodes.extend(i for i in range(21) if np.array_equal(X[:, 1], ens.W[:, i, 0]))
+        return normal_matrix(X, ridge)
+
+    def spy_design(self, w_t, extras=None):
+        design_calls.append(1)
+        return design(self, w_t, extras)
+
+    monkeypatch.setattr(stochastic_engine, "_normal_matrix", spy_normal_matrix)
+    monkeypatch.setattr(RegressionBasis, "design", spy_design)
+    prob = make_problem(
+        F=registry.build_F({"name": "linear", "params": {"a_y": 0.2, "a_z": 0.1}}),
+        xi=registry.build_terminal({"name": "brownian", "params": {}}))
+    sol = solve(prob, ens, tol=1e-30, max_iter=2)
+    assert sol.diagnostics.iterations == 2
+    # nodes 1..19 regress on a nontrivial state; node 0 takes the plain mean
+    assert sorted(gram_nodes) == list(range(1, 20))
+    assert len(design_calls) == 2 * 20
+
 
 def test_solve_zero_problem_is_exact():
     ens = make_ensemble(100, n_steps=20)
@@ -356,6 +406,26 @@ def test_solve_rejects_failing_conditions():
         K=16.0)
     with pytest.raises(ConstraintViolationError, match="smallness"):
         solve(prob, ens)
+
+
+@pytest.mark.parametrize("which", ["F", "G"])
+def test_solve_refuses_constants_below_probe(which):
+    # (H1)/(H2) read the declared constants, so they pass here although
+    # kappa = 3 has K1 = kappa^2 = 9 against a declared K = 5e-4, and b = 2
+    # has Lipschitz constant 2 against a declared L_tilde = 1
+    ens = make_ensemble(50, n_steps=20)
+    drivers = {
+        "F": registry.build_F({"name": "delayed_linear", "params": {"kappa": 3.0}}),
+        "G": registry.build_G({"name": "linear", "params": {"b": 2.0}})}
+    prob = make_problem(**{which: drivers[which]}, xi=registry.build_terminal(
+        {"name": "constant", "params": {"value": 1.0}}))
+    with pytest.raises(ConstraintViolationError,
+                       match=f"declared constants of {which}"):
+        solve(prob, ens, max_iter=4)
+    sol = solve(prob, ens, max_iter=4, force=True)
+    assert sol.diagnostics.h1.passed and sol.diagnostics.h2.passed
+    assert sol.diagnostics.iterations >= 1
+    solve(prob, ens, max_iter=4, check_conditions=False)
 
 
 def test_solve_noncontraction_detected_under_force():

@@ -8,6 +8,7 @@ from delaybsde.path_calculus import TimeGrid
 from delaybsde.stochastic_engine import (
     IncreasingProcessSpec,
     RegressionBasis,
+    RegressionPlan,
     conditional_expectation,
     fit_least_squares,
     load_ensemble,
@@ -206,6 +207,43 @@ def test_multi_rhs_matches_separate_fits():
     both = fit_least_squares(design, np.stack([t1, t2], axis=1), ridge=1e-10)
     assert np.allclose(both[:, 0], fit_least_squares(design, t1, 1e-10), atol=1e-12)
     assert np.allclose(both[:, 1], fit_least_squares(design, t2, 1e-10), atol=1e-12)
+
+
+@pytest.mark.parametrize("step, width, random_A", [
+    (5, None, False), (5, 3, False), (0, None, False), (0, 2, False),
+    (5, None, True), (9, 2, True)])
+def test_plan_fit_matches_conditional_expectation(step, width, random_A):
+    ens = simulate_brownian(GRID, 700, d=2, seed=14)
+    extra_columns = extras = None
+    if random_A:
+        ens = realize_increasing_process(IncreasingProcessSpec("running_max", {}), ens)
+        extra_columns = lambda i: [ens.A[:, i]]
+        extras = extra_columns(step)
+    rng = np.random.default_rng(15)
+    targets = ens.W[:, -1, 0] ** 2 + rng.normal(size=700)
+    if width is not None:
+        targets = targets[:, None] + rng.normal(size=(700, width))
+    basis = RegressionBasis(2)
+    want_fit, want_theta = conditional_expectation(
+        targets, basis, ens, step, extra_features=extras, return_coefficients=True)
+    plan = RegressionPlan(basis, ens, extra_columns=extra_columns)
+    design = plan.design(step)
+    # a second fit at the node reuses the cached normal matrix
+    for _ in range(2):
+        fit, theta = plan.fit(step, design, targets)
+        assert np.array_equal(fit, want_fit) and np.array_equal(theta, want_theta)
+    assert design.shape[1] == 6 + random_A
+
+
+def test_plan_singular_design_raises_on_every_fit():
+    ens = simulate_brownian(GRID, 100, seed=8)
+    plan = RegressionPlan(RegressionBasis(1, ridge=0.0), ens,
+                          extra_columns=lambda i: [ens.W[:, i, 0]])
+    for _ in range(2):
+        with pytest.raises(SingularSystemError):
+            plan.fit(5, plan.design(5), ens.W[:, -1, 0])
+    with pytest.raises(ValueError, match="one row per path"):
+        plan.fit(5, plan.design(5), np.zeros(99))
 
 
 # ---------------------------------------------------------------- adaptedness
