@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import ConstraintViolationError, NumericOverflowError
-from .path_calculus import TimeGrid
+from .path_calculus import TimeGrid, delay_fits_horizon
 from .stochastic_engine import IncreasingProcessSpec, PathEnsemble, omega_delta
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "segment_integral",
     "weighted_norm",
     "equivalent_norm",
+    "norm_weights",
     "c_threshold",
     "effective_c",
     "check_H1",
@@ -139,7 +140,7 @@ class ProblemSpec:
                                  compare=False)
 
     def __post_init__(self):
-        if self.T <= 0 or not (0 < self.delta <= self.T):
+        if self.T <= 0 or not delay_fits_horizon(self.delta, self.T):
             raise ValueError("need T > 0 and 0 < delta <= T")
         if self.beta <= 0 or self.L <= 0 or self.L_tilde <= 0:
             raise ValueError("constants beta, L, L_tilde must be positive")
@@ -223,27 +224,31 @@ def _sq_size(values):
     return np.einsum("nik,nik->ni", flat, flat, optimize=False)
 
 
-def _weights(A, grid, alpha, beta):
+def norm_weights(A, grid: TimeGrid, alpha: float, beta: float):
+    """(w, dA): the norm weights w = e^{alpha t + beta A(t)}, (n_paths, n_nodes),
+    and the increments of A, (n_paths, n_steps).  Both depend on A alone, so a
+    caller taking many norms against one A builds them once."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     with np.errstate(over="ignore"):
         w = np.exp(alpha * grid.nodes[None, :] + beta * A)
     if not np.all(np.isfinite(w)):
         raise NumericOverflowError(
             "exp(alpha t + beta A) overflowed; beta * A(T) is too large")
-    return A, w
+    return w, np.diff(A, axis=1)
 
 
 def _assemble_norm(Y, Z, A, grid: TimeGrid, *, p: float, alpha: float,
-                   beta: float, a: float, b: float) -> NormReport:
+                   beta: float, a: float, b: float, weights=None) -> NormReport:
     """Terms of E sup w|Y|^p, (E int w|Y|^2 dA)^{p/2} and (E int w|Z|^2 dt)^{p/2}
-    with weights w = e^{alpha t + beta A(t)}, by left-point sums."""
-    A, w = _weights(A, grid, alpha, beta)
+    with weights w = e^{alpha t + beta A(t)}, by left-point sums.  ``weights``
+    is norm_weights(A, grid, alpha, beta), built here when not given."""
+    w, dA = norm_weights(A, grid, alpha, beta) if weights is None else weights
     sup_term = dA_term = dt_term = 0.0
     if Y is not None:
         Y = _as_paths(Y, grid.nodes.size, ("m",))
         ysq = _sq_size(Y)
         sup_term = float(np.mean(np.max(w * ysq ** (p / 2.0), axis=1)))
-        dA_term = float(np.mean(np.sum(w[:, :-1] * ysq[:, :-1] * np.diff(A, axis=1), axis=1))) ** (p / 2.0)
+        dA_term = float(np.mean(np.sum(w[:, :-1] * ysq[:, :-1] * dA, axis=1))) ** (p / 2.0)
     if Z is not None:
         Z = _as_paths(Z, grid.nodes.size, ("m", "d"))
         zsq = _sq_size(Z)
@@ -270,13 +275,17 @@ def weighted_norm(Y, Z, A, grid: TimeGrid, p: float = 2.0,
 
 
 def equivalent_norm(dY, dZ, A, grid: TimeGrid, alpha: float, beta: float,
-                    a: float, b: float) -> NormReport:
+                    a: float, b: float, *, weights=None) -> NormReport:
     """Squared contraction norm with weights e^{alpha t + beta A(t)}:
 
     E sup e^{alpha t + beta A}|dY|^2 + a E int e^..|dY|^2 dA
                                      + b E int e^..|dZ|^2 dt.
+
+    ``weights`` may pass norm_weights(A, grid, alpha, beta) built once for
+    many norms against the same A.
     """
-    return _assemble_norm(dY, dZ, A, grid, p=2.0, alpha=alpha, beta=beta, a=a, b=b)
+    return _assemble_norm(dY, dZ, A, grid, p=2.0, alpha=alpha, beta=beta, a=a, b=b,
+                          weights=weights)
 
 
 # ----------------------------------------------------------------- constants

@@ -17,6 +17,7 @@ from .errors import GridAlignmentError
 
 __all__ = [
     "TimeGrid",
+    "delay_fits_horizon",
     "GridFunction",
     "BVFunction",
     "DelayedSegment",
@@ -31,6 +32,12 @@ __all__ = [
     "write_csv",
     "read_csv",
 ]
+
+
+def delay_fits_horizon(delta: float, T: float) -> bool:
+    """Whether the delay span lies in (0, T].  A delta of n steps computed as
+    T * n / n may exceed T by rounding, so T * (1 + 1e-12) still counts."""
+    return 0 < delta <= T * (1 + 1e-12)
 
 
 @dataclass(frozen=True)
@@ -58,8 +65,7 @@ class TimeGrid:
         object.__setattr__(self, "nodes", nodes)
         nodes.flags.writeable = False
         if self.delta is not None:
-            # a delta of n steps computed as T * n / n may exceed T by rounding
-            if not (0 < self.delta <= self.T * (1 + 1e-12)):
+            if not delay_fits_horizon(self.delta, self.T):
                 raise GridAlignmentError(
                     f"delay delta={self.delta} must lie in (0, T={self.T}]")
             if not self.is_uniform:

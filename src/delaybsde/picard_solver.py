@@ -7,6 +7,14 @@ backward equation for Yhat = Y + B by least-squares regression on a backward
 sweep.  Iterating this map contracts in the weighted norm whenever the
 smallness conditions hold; the solver tracks the contraction empirically and
 compares it with the theoretical factor mu_lambda.
+
+Layout: the API takes and returns path stacks path-major and C-contiguous,
+(n_paths, n_nodes, ...).  Inside the sweep, the arrays it reads or writes one
+node at a time (Yhat, Z, B, dA, the consistency residuals and the regression
+plan's copy of W) are node-major in memory, so that each node's values are
+one contiguous block.  They are handed back in the public layout, and every
+reduction across paths or nodes, and every delay window a generator reduces,
+runs in that layout, so the results do not depend on the internal one.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from .errors import (BlowupError, ConstraintViolationError,
                      NonContractionError)
 from .model import (ConditionReport, ProblemSpec, check_H1, check_H2,
                     effective_c, equivalent_norm, evaluate_generator,
-                    probe_lipschitz, select_lambda)
+                    norm_weights, probe_lipschitz, select_lambda)
 from .path_calculus import delay_window as node_segment
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
                                 RegressionBasis, RegressionPlan,
@@ -61,10 +69,40 @@ def _regression_plan(ensemble: PathEnsemble, basis: RegressionBasis | None,
                      ridge: float | None) -> RegressionPlan:
     """Regressions on W(t_i), plus A(t_i) when A is random: a realized random
     A is extra information the Brownian state lacks."""
+    plan = RegressionPlan(basis or RegressionBasis(), ensemble, ridge)
+    if ensemble.A is not None and not _is_deterministic(ensemble.A_spec):
+        # the rule holds the copy, not the plan: a plan -> rule -> plan cycle
+        # would keep every solve's plan alive until the cycle collector runs
+        A = plan.A_by_node
+        plan.extra_columns = lambda i: [A[i]]
+    return plan
+
+
+def _node_major_zeros(shape) -> np.ndarray:
+    """Zeros of the path-major shape (n_paths, n_nodes, ...) laid out
+    node-major in memory, so that X[:, i] is one contiguous block."""
+    return np.zeros((shape[1], shape[0]) + tuple(shape[2:])).swapaxes(0, 1)
+
+
+def _path_major(X) -> np.ndarray:
+    """X in the public layout, C-contiguous (n_paths, n_nodes, ...); a copy
+    only when given otherwise.  The sweep reads delay windows of the frozen
+    iterate from this layout alone: a generator's reduction over a window
+    may round differently on windows of another layout."""
+    return np.ascontiguousarray(X)
+
+
+def _node_major_copy(X: np.ndarray) -> np.ndarray:
+    """X copied into the layout of _node_major_zeros."""
+    out = _node_major_zeros(X.shape)
+    out[...] = X
+    return out
+
+
+def _increments_of_A(ensemble: PathEnsemble) -> np.ndarray:
+    """dA as (n_paths, n_steps), laid out like _node_major_zeros."""
     A = ensemble.A
-    random_A = A is not None and not _is_deterministic(ensemble.A_spec)
-    return RegressionPlan(basis or RegressionBasis(), ensemble, ridge,
-                          extra_columns=(lambda i: [A[:, i]]) if random_A else None)
+    return np.subtract(A[:, 1:], A[:, :-1], out=_node_major_zeros((A.shape[0], A.shape[1] - 1)))
 
 
 @dataclass(frozen=True)
@@ -79,15 +117,16 @@ class GammaArtifacts:
 
 def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
             U: np.ndarray) -> np.ndarray:
-    """Left-point running integral of G against A along the frozen iterate."""
+    """Left-point running integral of G against A along the frozen iterate,
+    as (n_paths, n_nodes, m) laid out node-major (see _node_major_zeros)."""
     grid = ensemble.grid
     n, n_nodes, m = ensemble.n_paths, grid.nodes.size, problem.m
-    B = np.zeros((n, n_nodes, m))
+    B = _node_major_zeros((n, n_nodes, m))
     if problem.G is None:
         return B
     k = grid.delta_index_offset
-    dA = np.diff(ensemble.A, axis=1)
-    vals = np.empty((n, n_nodes - 1, m))
+    dA = _increments_of_A(ensemble)
+    U = _path_major(U)
     for j in range(n_nodes - 1):
         t = float(grid.nodes[j])
         ctx = problem.context(grid, t, ensemble.W[:, j, :])
@@ -95,8 +134,11 @@ def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
         if not np.all(np.isfinite(g)):
             raise GeneratorEvaluationError(
                 f"G returned a non-finite value at t={t:.6g}")
-        vals[:, j] = g
-    np.cumsum(vals * dA[:, :, None], axis=1, out=B[:, 1:])
+        # left sums B(t_{j+1}) = B(t_j) + g dA_j in cumsum's order, one
+        # contiguous node block at a time
+        np.multiply(g, dA[:, j, None], out=B[:, j + 1])
+        if j:
+            B[:, j + 1] += B[:, j]
     return B
 
 
@@ -116,7 +158,8 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
 
     ``plan`` carries the regression work that does not depend on (U, V)
     across calls on the same ensemble; when given, it replaces ``basis`` and
-    ``ridge``.  Without one, the step builds its own.
+    ``ridge``.  Without one, the step builds its own.  Y and Z come back
+    path-major and C-contiguous whatever the layout of U and V.
     """
     if scheme not in ("explicit", "implicit"):
         raise ValueError("scheme must be 'explicit' or 'implicit'")
@@ -131,20 +174,22 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     n, m, d = ensemble.n_paths, problem.m, problem.d
     n_nodes = grid.nodes.size
     steps = grid.steps()
+    W = plan.W_by_node
+    U, V = _path_major(U), _path_major(V)
 
     B = build_B(problem, ensemble, U)
     xi = np.asarray(problem.xi(ensemble), dtype=float).reshape(n, m)
     if not np.all(np.isfinite(xi)):
         raise GeneratorEvaluationError("terminal values are not finite")
 
-    Yhat = np.empty((n, n_nodes, m))
-    Z = np.zeros((n, n_nodes, m, d))
+    Yhat = _node_major_zeros((n, n_nodes, m))
+    Z = _node_major_zeros((n, n_nodes, m, d))
     Yhat[:, -1] = xi + B[:, -1]
     thetas: dict | None = {} if keep_regression else None
 
     for i in range(n_nodes - 2, -1, -1):
         dt = float(steps[i])
-        dW = ensemble.W[:, i + 1, :] - ensemble.W[:, i, :]
+        dW = W[i + 1] - W[i]
         design = plan.design(i)
         nxt = Yhat[:, i + 1]
 
@@ -154,7 +199,7 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
         Z[:, i] = z_fit.reshape(n, m, d)
 
         t = float(grid.nodes[i])
-        ctx = problem.context(grid, t, ensemble.W[:, i, :])
+        ctx = problem.context(grid, t, W[i])
         seg_y = node_segment(U, i, k)
         seg_z = node_segment(V, i, k, kind="control")
         theta_y = None
@@ -182,7 +227,10 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
             thetas[i] = {"mean": theta_m, "z": theta_z, "y": theta_y}
 
     Z[:, -1] = Z[:, -2]
-    Y = Yhat - B
+    # back to the public layout, path-major and C-contiguous; Z first, so
+    # that its node-major stack is freed before Y is allocated
+    Z = np.ascontiguousarray(Z)
+    Y = np.subtract(Yhat, B, order="C")
     Y[:, -1] = xi
     return Y, Z, GammaArtifacts(B=B, shifted_terminal=xi + B[:, -1],
                                 scheme=scheme, thetas=thetas)
@@ -221,30 +269,37 @@ class Solution:
         return self.Y[:, 0, :].mean(axis=0)
 
 
-def _consistency(problem, ensemble, Y, Z, scheme):
-    """Residuals of the discrete backward recursion along the solution."""
+def _consistency(problem, ensemble, W, Y, Z, scheme):
+    """Residuals of the discrete backward recursion along the solution.
+
+    W is the ensemble's W node-major (RegressionPlan.W_by_node); the node
+    values of Y and Z are read from node-major copies, their delay windows
+    from Y and Z themselves (see _path_major)."""
     grid = ensemble.grid
     k = grid.delta_index_offset
     n, m = Y.shape[0], Y.shape[2]
     steps = grid.steps()
-    dA = np.diff(ensemble.A, axis=1)
-    R = np.zeros((n, grid.n_steps, m))
+    dA = _increments_of_A(ensemble)
+    Yn, Zn = _node_major_copy(Y), _node_major_copy(Z)
+    R = _node_major_zeros((n, grid.n_steps, m))
     for i in range(grid.n_steps):
         t = float(grid.nodes[i])
         dt = float(steps[i])
-        ctx = problem.context(grid, t, ensemble.W[:, i, :])
-        acc = Y[:, i + 1] - Y[:, i]
+        ctx = problem.context(grid, t, W[i])
+        acc = Yn[:, i + 1] - Yn[:, i]
         if problem.F is not None:
-            y_arg = Y[:, i + 1] if scheme == "explicit" else Y[:, i]
+            y_arg = Yn[:, i + 1] if scheme == "explicit" else Yn[:, i]
             acc = acc + dt * evaluate_generator(
-                problem.F, "F", ctx, y_arg, Z[:, i], node_segment(Y, i, k),
+                problem.F, "F", ctx, y_arg, Zn[:, i], node_segment(Y, i, k),
                 node_segment(Z, i, k, kind="control"))
         if problem.G is not None:
             acc = acc + dA[:, i, None] * evaluate_generator(
-                problem.G, "G", ctx, Y[:, i], None, node_segment(Y, i, k), None)
-        dW = ensemble.W[:, i + 1, :] - ensemble.W[:, i, :]
-        acc = acc - np.einsum("nmd,nd->nm", Z[:, i], dW, optimize=False)
+                problem.G, "G", ctx, Yn[:, i], None, node_segment(Y, i, k), None)
+        dW = W[i + 1] - W[i]
+        acc = acc - np.einsum("nmd,nd->nm", Zn[:, i], dW, optimize=False)
         R[:, i] = acc
+    # reduce in the public layout's order
+    R = np.ascontiguousarray(R)
     mtg = float(np.max(np.abs(R.mean(axis=0))))
     rms = float(np.sqrt(np.mean(R ** 2)))
     return mtg, rms
@@ -313,11 +368,14 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     ratios: list[float] = []
     converged = False
     plan = _regression_plan(ensemble, basis, ridge)
+    weights = norm_weights(ensemble.A, grid, alpha, beta)
 
     for it in range(1, max_iter + 1):
         Y, Z, _ = gamma_step(problem, ensemble, U, V, scheme=scheme, plan=plan)
-        step_norm = equivalent_norm(Y - U, Z - V, ensemble.A, grid,
-                                    alpha=alpha, beta=beta, a=a, b=b)
+        # the distances overwrite the previous iterate, which is not read again
+        step_norm = equivalent_norm(np.subtract(Y, U, out=U), np.subtract(Z, V, out=V),
+                                    ensemble.A, grid, alpha=alpha, beta=beta, a=a, b=b,
+                                    weights=weights)
         deltas.append(step_norm.total)
         if len(deltas) >= 2:
             prev = deltas[-2]
@@ -334,7 +392,7 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
             f"(last ratios {ratios[-2]:.3f}, {ratios[-1]:.3f}); "
             "the smallness conditions are likely violated")
 
-    mtg, rms = _consistency(problem, ensemble, U, V, scheme)
+    mtg, rms = _consistency(problem, ensemble, plan.W_by_node, U, V, scheme)
     diag = SolverDiagnostics(
         deltas=deltas, ratios=ratios, tol=tol, converged=converged,
         iterations=len(deltas), c=c_val, alpha=alpha, beta=beta, lam=lam,

@@ -9,10 +9,18 @@ in a fixed order, which keeps results independent of BLAS thread counts.
 A RegressionPlan holds the part of the regressions that depends on the
 ensemble alone: it builds each node's ridged Gram matrix once and reuses it
 for every later fit at that node, whatever the targets.
+
+Layout: ensembles are path-major and C-contiguous, W as (n_paths, n_nodes, d)
+and A as (n_paths, n_nodes), and that is the layout of every public array.
+A backward sweep reads them one node at a time, so a RegressionPlan keeps
+node-major copies (W_by_node, A_by_node), built on first use, in which each
+node's values are one contiguous block.  A single regression
+(conditional_expectation) reads the node column of the ensemble directly.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -21,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridAlignmentError, MonotonicityError, SingularSystemError
-from .path_calculus import TimeGrid
+from .path_calculus import TimeGrid, delay_fits_horizon
 
 __all__ = [
     "PathEnsemble",
@@ -210,7 +218,7 @@ def omega_delta(A: np.ndarray | PathEnsemble, delta: float,
         grid, A = A.grid, A.A
     if grid is None:
         raise ValueError("need the grid that samples A")
-    if not (0 < delta <= grid.T):
+    if not delay_fits_horizon(delta, grid.T):
         raise ValueError(f"delta={delta} outside (0, T={grid.T}]")
     work = np.atleast_2d(np.asarray(A, dtype=float))
     k = TimeGrid(grid.nodes, delta).delta_index_offset
@@ -235,20 +243,22 @@ class RegressionBasis:
     def design(self, w_t: np.ndarray, extras: list[np.ndarray] | None = None) -> np.ndarray:
         w_t = np.atleast_2d(np.asarray(w_t, dtype=float))
         n, d = w_t.shape
-        cols = [np.ones(n)]
-        for deg in range(1, self.degree + 1):
-            for combo in itertools.combinations_with_replacement(range(d), deg):
-                col = np.ones(n)
-                for j in combo:
-                    col = col * w_t[:, j]
-                cols.append(col)
-        for extra in extras or []:
-            extra = np.asarray(extra, dtype=float)
-            if extra.ndim == 1:
-                cols.append(extra)
-            else:
-                cols.extend(extra[:, j] for j in range(extra.shape[1]))
-        return np.stack(cols, axis=1)
+        combos = [combo for deg in range(1, self.degree + 1)
+                  for combo in itertools.combinations_with_replacement(range(d), deg)]
+        extras = [np.asarray(extra, dtype=float).reshape(n, -1) for extra in extras or []]
+        out = np.empty((n, 1 + len(combos) + sum(extra.shape[1] for extra in extras)))
+        out[:, 0] = 1.0
+        for c, combo in enumerate(combos, start=1):
+            # each monomial starts from its first factor (1.0 * x is exact)
+            col = out[:, c]
+            col[...] = w_t[:, combo[0]]
+            for j in combo[1:]:
+                col *= w_t[:, j]
+        c = 1 + len(combos)
+        for extra in extras:
+            out[:, c:c + extra.shape[1]] = extra
+            c += extra.shape[1]
+        return out
 
 
 _SINGULAR = ("normal equations are singular; drop collinear features or set "
@@ -289,6 +299,14 @@ def fit_least_squares(design: np.ndarray, targets: np.ndarray,
     return _solve_normal(_normal_matrix(design, ridge), design, targets)
 
 
+def _node_major(X: np.ndarray) -> np.ndarray:
+    """Read-only copy of a path stack (n_paths, n_nodes, ...) with the node
+    axis first, so that each node's values are one contiguous block."""
+    out = np.ascontiguousarray(np.swapaxes(X, 0, 1))
+    out.flags.writeable = False
+    return out
+
+
 class RegressionPlan:
     """The target-independent half of the regressions on one ensemble.
 
@@ -299,6 +317,9 @@ class RegressionPlan:
     on the first fit there, and every later fit at that node reuses it.
     Designs are not kept: ``design(step)`` rebuilds one on each call, and the
     caller hands it back to ``fit`` for every regression at that node.
+    ``W_by_node`` and ``A_by_node`` are node-major copies of the ensemble's
+    W and A, built on first use, from which a backward sweep reads one node
+    at a time; ``design`` reads W(t_step) there.
     """
 
     def __init__(self, basis: RegressionBasis, ensemble: PathEnsemble,
@@ -309,13 +330,23 @@ class RegressionPlan:
         self.extra_columns = extra_columns
         self._grams: dict[int, np.ndarray] = {}
 
+    @functools.cached_property
+    def W_by_node(self) -> np.ndarray:
+        """W as (n_nodes, n_paths, d)."""
+        return _node_major(self.ensemble.W)
+
+    @functools.cached_property
+    def A_by_node(self) -> np.ndarray:
+        """A as (n_nodes, n_paths)."""
+        return _node_major(self.ensemble.A)
+
     def design(self, step: int) -> np.ndarray:
         extras = None if self.extra_columns is None else self.extra_columns(step)
-        return self.basis.design(self.ensemble.W[:, step, :], extras)
+        return self.basis.design(self.W_by_node[step], extras)
 
     def fit(self, step: int, design: np.ndarray, targets: np.ndarray):
         """(fitted, coefficients) of E[targets | F_{t_step}] on the design
-        ``self.design(step)``.
+        of W(t_step) and the step's extra columns.
 
         At step 0 the sigma-field is trivial and the estimate is the plain
         mean (returned as an intercept-only coefficient vector so that
@@ -344,10 +375,11 @@ def conditional_expectation(targets: np.ndarray, basis: RegressionBasis,
                             ridge: float | None = None,
                             return_coefficients: bool = False):
     """Least-squares estimate of E[targets | F_{t_step}] per path: one fit
-    of a single-use RegressionPlan (see RegressionPlan.fit)."""
-    plan = RegressionPlan(basis, ensemble, ridge,
-                          extra_columns=lambda _step: extra_features)
-    fitted, theta = plan.fit(step, plan.design(step), targets)
+    of a single-use RegressionPlan (see RegressionPlan.fit), on a design
+    read straight from the ensemble's node column."""
+    plan = RegressionPlan(basis, ensemble, ridge)
+    design = basis.design(ensemble.W[:, step, :], extra_features)
+    fitted, theta = plan.fit(step, design, targets)
     return (fitted, theta) if return_coefficients else fitted
 
 

@@ -26,7 +26,7 @@ from delaybsde.model import (AtomMeasure, ProblemSpec, c_threshold, check_H1,
                              equivalent_norm, mu_lambda, probe_lipschitz,
                              segment_integral, select_lambda, weighted_norm)
 from delaybsde.path_calculus import TimeGrid
-from delaybsde.stochastic_engine import (IncreasingProcessSpec,
+from delaybsde.stochastic_engine import (IncreasingProcessSpec, omega_delta,
                                          realize_increasing_process,
                                          simulate_brownian)
 
@@ -433,6 +433,19 @@ def test_problem_validation():
         base_problem(c=-0.1)
     with pytest.raises(ValueError):
         base_problem(rho=AtomMeasure.dirac(-0.5))
+
+
+def test_full_window_delta_with_rounding_accepted():
+    # T * n / n rounds one ulp above T here; the grid takes it as n steps,
+    # and so must the problem and the delay-window increments of A
+    T, n = 39.56073760172803, 105
+    delta = T * n / n
+    assert delta > T
+    prob = base_problem(T=T, delta=delta)
+    grid = TimeGrid.uniform(prob.T, n, delta=prob.delta)
+    assert omega_delta(grid.nodes.copy(), delta, grid) == grid.T
+    with pytest.raises(ValueError):
+        base_problem(T=T, delta=T * (1 + 1e-9))
 
 
 def test_problem_context_projection():

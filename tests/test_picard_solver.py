@@ -20,7 +20,7 @@ from delaybsde import registry, stochastic_engine
 from delaybsde.errors import (BlowupError, ConstraintViolationError,
                               GeneratorEvaluationError, GridAlignmentError,
                               NonContractionError, SingularSystemError)
-from delaybsde.model import AtomMeasure, ProblemSpec
+from delaybsde.model import AtomMeasure, ProblemSpec, equivalent_norm
 from delaybsde.path_calculus import TimeGrid
 from delaybsde.picard_solver import (ContractionReport, build_B,
                                      contraction_report, gamma_step,
@@ -296,6 +296,86 @@ def test_gamma_step_rejects_plan_of_another_ensemble():
     with pytest.raises(ValueError, match="another ensemble"):
         gamma_step(make_problem(), ens, np.zeros((20, 11, 1)),
                    np.zeros((20, 11, 1, 1)), plan=plan)
+
+
+# ------------------------------------------------------------------- layout
+
+def node_major(X):
+    """X with its values laid out node-major: same shape, X[:, i] contiguous."""
+    out = np.ascontiguousarray(np.swapaxes(X, 0, 1)).swapaxes(0, 1)
+    assert not out.flags.c_contiguous and out[:, 3].flags.c_contiguous
+    return out
+
+
+def segment_problem():
+    """F and G read (y, z) and their delay segments; A is random, so the
+    regressions carry the extra A(t_i) column."""
+    return make_problem(
+        F=registry.build_F({"name": "linear_plus_rho",
+                            "params": {"a_y": 0.3, "a_z": 0.2, "kappa_rho": 0.1,
+                                       "kappa_z_rho": 0.05}}),
+        G=registry.build_G({"name": "linear_plus_rho", "params": {"b": 0.2, "gamma": 0.1}}),
+        xi=registry.build_terminal({"name": "brownian", "params": {}}),
+        rho=AtomMeasure.uniform(0.1, 3), rho_tilde=AtomMeasure.uniform(0.1, 2),
+        A_spec=IncreasingProcessSpec("time_integral", {"functional": "inv_quadratic"}))
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+def test_gamma_step_and_build_B_ignore_input_layout(scheme):
+    prob = segment_problem()
+    ens = make_ensemble(300, n_steps=20, seed=6, spec=prob.A_spec)
+    rng = np.random.default_rng(10)
+    U = rng.normal(size=(300, 21, 1))
+    V = rng.normal(size=(300, 21, 1, 1))
+    B = build_B(prob, ens, U)
+    assert np.array_equal(build_B(prob, ens, node_major(U)), B)
+    Y, Z, art = gamma_step(prob, ens, U, V, scheme=scheme)
+    Y2, Z2, art2 = gamma_step(prob, ens, node_major(U), node_major(V), scheme=scheme)
+    assert np.array_equal(Y2, Y) and np.array_equal(Z2, Z)
+    assert np.array_equal(art2.B, art.B) and np.array_equal(art.B, B)
+    # the public layout: path-major and C-contiguous
+    assert Y.shape == (300, 21, 1) and Z.shape == (300, 21, 1, 1)
+    assert Y.flags.c_contiguous and Z.flags.c_contiguous
+
+
+def test_solve_matches_pass_by_pass_replay():
+    prob = segment_problem()
+    ens = make_ensemble(400, n_steps=20, seed=7, spec=prob.A_spec)
+    sol = solve(prob, ens, tol=1e-30, max_iter=4, check_conditions=False)
+    assert sol.Y.flags.c_contiguous and sol.Z.flags.c_contiguous
+    diag = sol.diagnostics
+    U = np.zeros((400, 21, 1))
+    V = np.zeros((400, 21, 1, 1))
+    deltas = []
+    for _ in range(diag.iterations):
+        # a fresh regression plan and norm weights on every pass
+        Y, Z, _ = gamma_step(prob, ens, U, V)
+        deltas.append(equivalent_norm(Y - U, Z - V, ens.A, ens.grid, alpha=diag.alpha,
+                                      beta=diag.beta, a=diag.a, b=diag.b).total)
+        U, V = Y, Z
+    assert deltas == diag.deltas
+    assert np.array_equal(U, sol.Y) and np.array_equal(V, sol.Z)
+
+
+def test_conditional_expectation_makes_no_node_major_copy(monkeypatch):
+    copies = []
+    node_major_copy = stochastic_engine._node_major
+
+    def spy(X):
+        copies.append(X.shape)
+        return node_major_copy(X)
+
+    monkeypatch.setattr(stochastic_engine, "_node_major", spy)
+    ens = make_ensemble(20_000, n_steps=20, seed=8)
+    basis = RegressionBasis()
+    targets = ens.W[:, -1, 0] ** 2
+    fit = stochastic_engine.conditional_expectation(targets, basis, ens, 10)
+    assert copies == []
+    # a sweep's plan copies W once, on its first design, and reuses the copy
+    plan = stochastic_engine.RegressionPlan(basis, ens)
+    for _ in range(2):
+        assert np.array_equal(plan.fit(10, plan.design(10), targets)[0], fit)
+    assert copies == [ens.W.shape]
 
 
 # -------------------------------------------------------------------- solve

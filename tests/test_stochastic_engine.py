@@ -1,5 +1,7 @@
 """Brownian simulation, increasing integrators, regression estimates."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,32 @@ def test_residuals_orthogonal_to_features():
     theta = fit_least_squares(design, targets, ridge=0.0)
     resid = targets - design @ theta
     assert np.max(np.abs(design.T @ resid)) <= 1e-8 * np.abs(targets).sum()
+
+
+def design_loop(w_t, degree, extras):
+    """Reference design: every monomial a running product from a column of ones."""
+    n, d = w_t.shape
+    cols = [np.ones(n)]
+    for deg in range(1, degree + 1):
+        for combo in itertools.combinations_with_replacement(range(d), deg):
+            col = np.ones(n)
+            for j in combo:
+                col = col * w_t[:, j]
+            cols.append(col)
+    for extra in extras:
+        cols.extend(extra.reshape(n, -1).T)
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("d, degree", [(1, 1), (1, 3), (2, 2), (3, 3)])
+def test_design_matches_monomial_loop(d, degree):
+    ens = simulate_brownian(GRID, 50, d=d, seed=16)
+    w_t = ens.W[:, 6, :]
+    extras = [ens.W[:, 3, 0], np.stack([ens.W[:, 2, 0], ens.W[:, 9, -1]], axis=1)]
+    for ex in ([], extras):
+        design = RegressionBasis(degree).design(w_t, ex)
+        assert design.flags.c_contiguous
+        assert np.array_equal(design, design_loop(w_t, degree, ex))
 
 
 def test_multi_rhs_matches_separate_fits():
