@@ -62,13 +62,22 @@ def resolve_setting(flag_value, env_name, config_value, default, cast=int):
     return default
 
 
+def _grid_accepts(T, delta, n_steps):
+    """Whether TimeGrid takes this delay on n_steps uniform steps."""
+    from .errors import GridAlignmentError
+    from .path_calculus import TimeGrid
+
+    try:
+        TimeGrid.uniform(T, n_steps, delta=delta)
+    except GridAlignmentError:
+        return False
+    return True
+
+
 def suggest_aligned_steps(T, delta, n_steps, span=25):
-    """Step counts near n_steps for which delta is a whole number of steps."""
-    good = []
-    for n in range(max(1, n_steps - span), n_steps + span + 1):
-        ratio = delta * n / T
-        if abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio) and round(ratio) >= 1:
-            good.append(n)
+    """Step counts near n_steps on which TimeGrid accepts the delay."""
+    good = [n for n in range(max(1, n_steps - span), n_steps + span + 1)
+            if _grid_accepts(T, delta, n)]
     good.sort(key=lambda n: (abs(n - n_steps), n))
     return good[:3]
 
@@ -82,8 +91,9 @@ def validate(config, n_steps=None):
     import numpy as np
 
     from .model import c_threshold
+    from .path_calculus import delay_fits_horizon
     from .registry import known_names
-    from .stochastic_engine import PROCESS_KINDS
+    from .stochastic_engine import PROCESS_KINDS, IncreasingProcessSpec
 
     diags = []
 
@@ -106,9 +116,10 @@ def validate(config, n_steps=None):
 
     T = problem["T"]
     delta = problem["delta"]
-    if not (isinstance(T, (int, float)) and T > 0):
+    T_ok = isinstance(T, (int, float)) and T > 0
+    if not T_ok:
         err("domain", f"T must be a positive number, got {T!r}")
-    if not (isinstance(delta, (int, float)) and 0 < delta <= (T if isinstance(T, (int, float)) else np.inf)):
+    if not (isinstance(delta, (int, float)) and delay_fits_horizon(delta, T if T_ok else np.inf)):
         err("domain", f"delta must satisfy 0 < delta <= T, got {delta!r}")
     for key in ("m", "d"):
         value = problem.get(key, 1)
@@ -140,14 +151,15 @@ def validate(config, n_steps=None):
         if entry is not None and not (isinstance(entry, dict) and entry.get("name") in names[kind]):
             err("registry", f"{section} must be null or name one of {sorted(names[kind])}")
 
-    A = problem.get("A")
-    if not (isinstance(A, dict) and A.get("kind") in PROCESS_KINDS):
-        err("registry", f"A.kind must be one of {sorted(PROCESS_KINDS)}")
+    try:
+        IncreasingProcessSpec.from_dict(problem["A"])
+    except (KeyError, TypeError, ValueError) as exc:
+        err("registry", f"A must be an increasing process of a kind in "
+                        f"{sorted(PROCESS_KINDS)}: {exc}")
 
     if not any(d["level"] == "error" for d in diags):
         steps = n_steps if n_steps is not None else config.get("solver", {}).get("n_steps", DEFAULT_STEPS)
-        ratio = delta * steps / T
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio) or round(ratio) < 1:
+        if not _grid_accepts(T, delta, steps):
             hint = suggest_aligned_steps(T, delta, steps)
             extra = f"; nearby aligned step counts: {hint}" if hint else ""
             err("grid-alignment",
@@ -361,23 +373,16 @@ def cmd_solve(args):
         return 2
     config, solver_cfg, problem, ensemble, out_dir, settings = prepared
 
-    basis = RegressionBasis(degree=int(solver_cfg.get("degree", 2)))
-    kwargs = {
-        "basis": basis,
-        "tol": float(solver_cfg.get("tol", 1e-6)),
-        "max_iter": int(solver_cfg.get("max_iter", 25)),
-        "scheme": solver_cfg.get("scheme", "explicit"),
-        "force": bool(solver_cfg.get("force", False)),
-    }
-    if solver_cfg.get("ridge") is not None:
-        kwargs["ridge"] = float(solver_cfg["ridge"])
-
+    ridge = solver_cfg.get("ridge")
+    basis = RegressionBasis(degree=int(solver_cfg.get("degree", 2)),
+                            ridge=RegressionBasis.ridge if ridge is None else float(ridge))
     try:
-        solution = solve(problem, ensemble, **kwargs)
-    except ConstraintViolationError as exc:
-        print(f"solve: FAIL ({exc})")
-        return 2
-    except (NonContractionError, BlowupError) as exc:
+        solution = solve(problem, ensemble, basis=basis,
+                         tol=float(solver_cfg.get("tol", 1e-6)),
+                         max_iter=int(solver_cfg.get("max_iter", 25)),
+                         scheme=solver_cfg.get("scheme", "explicit"),
+                         force=bool(solver_cfg.get("force", False)))
+    except (ConstraintViolationError, NonContractionError, BlowupError) as exc:
         print(f"solve: FAIL ({exc})")
         return 2
 

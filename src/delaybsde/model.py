@@ -156,21 +156,17 @@ class ProblemSpec:
     def alpha(self) -> float:
         return 8.0 * self.L ** 2 + 0.5
 
-    def rho_or_dirac(self) -> AtomMeasure:
-        return self.rho if self.rho is not None else AtomMeasure.dirac(-self.delta)
-
-    def rho_tilde_or_dirac(self) -> AtomMeasure:
-        return self.rho_tilde if self.rho_tilde is not None else AtomMeasure.dirac(-self.delta)
-
     def delay_weights(self, k: int):
         """(theta, rho, rho_tilde) on the theta grid with k equal steps
-        spanning [-delta, 0].  Computed once per k; the arrays are shared
-        between calls and read-only."""
+        spanning [-delta, 0], an absent measure being the Dirac mass at
+        -delta.  Computed once per k; the arrays are shared between calls
+        and read-only."""
         cached = self._delay_weights.get(k)
         if cached is None:
+            dirac = AtomMeasure.dirac(-self.delta)
             cached = (np.linspace(-self.delta, 0.0, k + 1),
-                      self.rho_or_dirac().project(self.delta, k),
-                      self.rho_tilde_or_dirac().project(self.delta, k))
+                      (dirac if self.rho is None else self.rho).project(self.delta, k),
+                      (dirac if self.rho_tilde is None else self.rho_tilde).project(self.delta, k))
             for arr in cached:
                 arr.flags.writeable = False
             self._delay_weights[k] = cached
@@ -343,8 +339,11 @@ def _condition_report(name, lhs, c, notes=""):
                            worst_margin=float(margins.min()), notes=notes)
 
 
-def check_H1(problem: ProblemSpec, ensemble: PathEnsemble, c: float) -> ConditionReport:
-    """Drift-delay smallness: K1 max{1,T} e^{(8L^2+1/2)delta + beta omega_delta} / (4L^2) <= c."""
+def _condition_setup(name: str, problem: ProblemSpec, ensemble: PathEnsemble,
+                     c: float):
+    """What (H1) and (H2) share: the checks on c and on the realized A, the
+    note when c is above its threshold, and the per-path factor
+    e^{(8L^2+1/2)delta + beta omega_delta}."""
     if c <= 0:
         raise ValueError("c must be positive")
     notes = ""
@@ -352,34 +351,26 @@ def check_H1(problem: ProblemSpec, ensemble: PathEnsemble, c: float) -> Conditio
         if c >= c_threshold(problem.beta, problem.L_tilde):
             notes = "c exceeds the admissible threshold"
     except ConstraintViolationError as exc:
-        raise ConstraintViolationError(f"(H1) unusable: {exc}") from None
+        raise ConstraintViolationError(f"({name}) unusable: {exc}") from None
     if ensemble.A is None:
         raise ValueError("ensemble carries no realized A")
-    K1 = _K_sup(problem.K, ensemble.grid, ensemble)
     w_delta = omega_delta(ensemble, problem.delta)
-    lhs = K1 * max(1.0, problem.T) * np.exp(problem.alpha * problem.delta
-                                            + problem.beta * w_delta) \
-        / (4.0 * problem.L ** 2)
+    return notes, np.exp(problem.alpha * problem.delta + problem.beta * w_delta)
+
+
+def check_H1(problem: ProblemSpec, ensemble: PathEnsemble, c: float) -> ConditionReport:
+    """Drift-delay smallness: K1 max{1,T} e^{(8L^2+1/2)delta + beta omega_delta} / (4L^2) <= c."""
+    notes, factor = _condition_setup("H1", problem, ensemble, c)
+    K1 = _K_sup(problem.K, ensemble.grid, ensemble)
+    lhs = K1 * max(1.0, problem.T) * factor / (4.0 * problem.L ** 2)
     return _condition_report("H1", lhs, c, notes)
 
 
 def check_H2(problem: ProblemSpec, ensemble: PathEnsemble, c: float) -> ConditionReport:
     """Stieltjes-delay smallness: 4 Kt1 A(T) e^{(8L^2+1/2)delta + beta omega_delta} / beta <= c."""
-    if c <= 0:
-        raise ValueError("c must be positive")
-    notes = ""
-    try:
-        if c >= c_threshold(problem.beta, problem.L_tilde):
-            notes = "c exceeds the admissible threshold"
-    except ConstraintViolationError as exc:
-        raise ConstraintViolationError(f"(H2) unusable: {exc}") from None
-    if ensemble.A is None:
-        raise ValueError("ensemble carries no realized A")
+    notes, factor = _condition_setup("H2", problem, ensemble, c)
     Kt1 = _K_sup(problem.K_tilde, ensemble.grid, ensemble)
-    w_delta = omega_delta(ensemble, problem.delta)
-    lhs = 4.0 * Kt1 * ensemble.A[:, -1] * np.exp(problem.alpha * problem.delta
-                                                 + problem.beta * w_delta) \
-        / problem.beta
+    lhs = 4.0 * Kt1 * ensemble.A[:, -1] * factor / problem.beta
     return _condition_report("H2", lhs, c, notes)
 
 

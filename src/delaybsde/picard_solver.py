@@ -20,7 +20,7 @@ runs in that layout, so the results do not depend on the internal one.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,8 +31,7 @@ from .model import (ConditionReport, ProblemSpec, check_H1, check_H2,
                     effective_c, equivalent_norm, evaluate_generator,
                     norm_weights, probe_lipschitz, select_lambda)
 from .path_calculus import delay_window as node_segment
-from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
-                                RegressionBasis, RegressionPlan,
+from .stochastic_engine import (PathEnsemble, RegressionBasis, RegressionPlan,
                                 realize_increasing_process)
 # no longer called here; bench/tracing.py still looks the name up here
 from .stochastic_engine import conditional_expectation  # noqa: F401
@@ -51,26 +50,16 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-
-def _is_deterministic(spec: IncreasingProcessSpec | None) -> bool:
-    if spec is None:
-        return True
-    if spec.kind == "deterministic":
-        return True
-    if spec.kind == "oscillatory":
-        base = spec.params.get("base")
-        if isinstance(base, dict):
-            base = IncreasingProcessSpec.from_dict(base)
-        return _is_deterministic(base)
-    return False
+BLOWUP_THRESHOLD = 1e8  # |Y + B| above this at a node raises BlowupError
 
 
-def _regression_plan(ensemble: PathEnsemble, basis: RegressionBasis | None,
-                     ridge: float | None) -> RegressionPlan:
+def _regression_plan(ensemble: PathEnsemble,
+                     basis: RegressionBasis | None) -> RegressionPlan:
     """Regressions on W(t_i), plus A(t_i) when A is random: a realized random
     A is extra information the Brownian state lacks."""
-    plan = RegressionPlan(basis or RegressionBasis(), ensemble, ridge)
-    if ensemble.A is not None and not _is_deterministic(ensemble.A_spec):
+    plan = RegressionPlan(basis or RegressionBasis(), ensemble)
+    spec = ensemble.A_spec
+    if ensemble.A is not None and spec is not None and spec.is_random:
         # the rule holds the copy, not the plan: a plan -> rule -> plan cycle
         # would keep every solve's plan alive until the cycle collector runs
         A = plan.A_by_node
@@ -110,8 +99,6 @@ class GammaArtifacts:
     """Byproducts of one outer step, kept for diagnostics and replay."""
 
     B: np.ndarray
-    shifted_terminal: np.ndarray
-    scheme: str
     thetas: dict | None = None
 
 
@@ -145,9 +132,7 @@ def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
 def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
                U: np.ndarray, V: np.ndarray, *,
                basis: RegressionBasis | None = None,
-               scheme: str = "explicit", ridge: float | None = None,
-               keep_regression: bool = False,
-               blowup_threshold: float = 1e8,
+               scheme: str = "explicit", keep_regression: bool = False,
                plan: RegressionPlan | None = None):
     """One application of the outer map: (U, V) -> (Y, Z).
 
@@ -156,9 +141,12 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     advance the value either explicitly (driver at the next value) or
     implicitly (per-path fixed point, driver at the current value).
 
-    ``plan`` carries the regression work that does not depend on (U, V)
-    across calls on the same ensemble; when given, it replaces ``basis`` and
-    ``ridge``.  Without one, the step builds its own.  Y and Z come back
+    ``basis`` (default RegressionBasis()) sets the regression, its ridge
+    included.  ``plan`` carries the regression work that does not depend on
+    (U, V) across calls on the same ensemble; when given, it replaces
+    ``basis``.  Without one, the step builds its own.  ``keep_regression``
+    keeps each node's coefficients in the artifacts.  A value iterate above
+    BLOWUP_THRESHOLD or not finite raises BlowupError.  Y and Z come back
     path-major and C-contiguous whatever the layout of U and V.
     """
     if scheme not in ("explicit", "implicit"):
@@ -167,7 +155,7 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     if grid.delta is None:
         raise GridAlignmentError("the ensemble grid was built without a delay")
     if plan is None:
-        plan = _regression_plan(ensemble, basis, ridge)
+        plan = _regression_plan(ensemble, basis)
     elif plan.ensemble is not ensemble:
         raise ValueError("the regression plan was built for another ensemble")
     k = grid.delta_index_offset
@@ -219,7 +207,7 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
                 cur = new
                 if gap < 1e-12:
                     break
-        if not np.all(np.isfinite(cur)) or np.max(np.abs(cur)) > blowup_threshold:
+        if not np.all(np.isfinite(cur)) or np.max(np.abs(cur)) > BLOWUP_THRESHOLD:
             raise BlowupError(f"value iterate exploded at node {i} (t={t:.6g})")
         Yhat[:, i] = cur
         del design  # free it before the next node builds its own
@@ -232,8 +220,7 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     Z = np.ascontiguousarray(Z)
     Y = np.subtract(Yhat, B, order="C")
     Y[:, -1] = xi
-    return Y, Z, GammaArtifacts(B=B, shifted_terminal=xi + B[:, -1],
-                                scheme=scheme, thetas=thetas)
+    return Y, Z, GammaArtifacts(B=B, thetas=thetas)
 
 
 @dataclass(frozen=True)
@@ -308,18 +295,19 @@ def _consistency(problem, ensemble, W, Y, Z, scheme):
 def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
           basis: RegressionBasis | None = None, tol: float = 1e-6,
           max_iter: int = 25, scheme: str = "explicit",
-          ridge: float | None = None, c: float | None = None,
-          check_conditions: bool = True, force: bool = False,
-          bdg_constant: float = 144.0) -> Solution:
+          c: float | None = None, force: bool = False) -> Solution:
     """Iterate the outer map from (0, 0) until the successive squared
     distance in the contraction norm drops below tol.
 
-    Pre-checks the smallness conditions on the realized A, and that no
+    ``basis`` (default RegressionBasis()) sets the regression, its ridge
+    included; ``c`` overrides the problem's smallness budget.  Always
+    pre-checks the smallness conditions on the realized A, and that no
     declared Lipschitz or kernel constant of F or G lies below its
     probe_lipschitz estimate (the conditions are computed from the declared
-    ones); refuses to run when either fails unless force=True.  Raises
-    NonContractionError when the iteration budget is spent while the
-    distances have stopped shrinking.
+    ones); refuses to run when either fails, or when no lambda contracts,
+    unless force=True, which runs anyway and keeps the checks in the
+    diagnostics.  Raises NonContractionError when the iteration budget is
+    spent while the distances have stopped shrinking.
     """
     grid = ensemble.grid
     if grid.delta is None:
@@ -337,23 +325,22 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     c_val = effective_c(problem) if c is None else c
     h1 = check_H1(problem, ensemble, c_val)
     h2 = check_H2(problem, ensemble, c_val)
-    if check_conditions and not (h1.passed and h2.passed) and not force:
+    if not (h1.passed and h2.passed) and not force:
         raise ConstraintViolationError(
             f"smallness conditions fail; {h1}; {h2}; pass force=True to run anyway")
-    if check_conditions:
-        for probe in (probe_lipschitz(problem, "F"), probe_lipschitz(problem, "G")):
-            if (probe.exceeds_L or probe.exceeds_K1) and not force:
-                raise ConstraintViolationError(
-                    f"declared constants of {probe.which} are below the empirical "
-                    f"ones (L={probe.declared_L:.3g} vs {probe.empirical_L:.3g}, "
-                    f"K1={probe.declared_K1:.3g} vs {probe.empirical_K1:.3g}), so "
-                    "the smallness conditions prove nothing; pass force=True to "
-                    "run anyway")
+    for probe in (probe_lipschitz(problem, "F"), probe_lipschitz(problem, "G")):
+        if (probe.exceeds_L or probe.exceeds_K1) and not force:
+            raise ConstraintViolationError(
+                f"declared constants of {probe.which} are below the empirical "
+                f"ones (L={probe.declared_L:.3g} vs {probe.empirical_L:.3g}, "
+                f"K1={probe.declared_K1:.3g} vs {probe.empirical_K1:.3g}), so "
+                "the smallness conditions prove nothing; pass force=True to "
+                "run anyway")
 
     lam = mu = None
     a = b = 1.0
     try:
-        sel = select_lambda(c_val, problem.beta, problem.L_tilde, bdg_constant)
+        sel = select_lambda(c_val, problem.beta, problem.L_tilde)
         lam, mu, a, b = sel.lam, sel.mu_lambda, sel.a, sel.b
     except ConstraintViolationError:
         if not force:
@@ -367,7 +354,7 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     deltas: list[float] = []
     ratios: list[float] = []
     converged = False
-    plan = _regression_plan(ensemble, basis, ridge)
+    plan = _regression_plan(ensemble, basis)
     weights = norm_weights(ensemble.A, grid, alpha, beta)
 
     for it in range(1, max_iter + 1):

@@ -140,23 +140,41 @@ class IncreasingProcessSpec:
     "oscillatory" (a base spec plus T*sin(2 pi n t / T)/(4 pi n)).
     Every kind is a functional of the driving W or of time alone, which is
     what keeps A adapted; arbitrary exogenous processes are not accepted.
+    A kind outside PROCESS_KINDS, here or down an oscillatory base chain,
+    raises ValueError, and a dict base becomes a spec.
     """
 
     kind: str
     params: dict
 
+    def __post_init__(self):
+        if self.kind not in PROCESS_KINDS:
+            raise ValueError(f"unknown increasing-process kind {self.kind!r}; "
+                             f"expected one of {sorted(PROCESS_KINDS)}")
+        if self.kind == "oscillatory":
+            base = self.params.get("base")
+            if isinstance(base, dict):
+                base = IncreasingProcessSpec.from_dict(base)
+                object.__setattr__(self, "params", {**self.params, "base": base})
+            if not isinstance(base, IncreasingProcessSpec) or "n" not in self.params:
+                raise ValueError("an oscillatory A needs a base spec and n")
+
+    @property
+    def is_random(self) -> bool:
+        """Whether A depends on the Brownian paths, not on time alone."""
+        if self.kind == "oscillatory":
+            return self.params["base"].is_random
+        return self.kind != "deterministic"
+
     def to_dict(self) -> dict:
         params = dict(self.params)
-        if self.kind == "oscillatory" and isinstance(params.get("base"), IncreasingProcessSpec):
+        if self.kind == "oscillatory":
             params["base"] = params["base"].to_dict()
         return {"kind": self.kind, "params": params}
 
     @classmethod
     def from_dict(cls, data: dict) -> "IncreasingProcessSpec":
-        params = dict(data.get("params", {}))
-        if data["kind"] == "oscillatory" and isinstance(params.get("base"), dict):
-            params["base"] = cls.from_dict(params["base"])
-        return cls(kind=data["kind"], params=params)
+        return cls(kind=data["kind"], params=dict(data.get("params", {})))
 
 
 def _realize_A(spec: IncreasingProcessSpec, ensemble: PathEnsemble) -> np.ndarray:
@@ -184,15 +202,11 @@ def _realize_A(spec: IncreasingProcessSpec, ensemble: PathEnsemble) -> np.ndarra
         A = np.zeros((ensemble.n_paths, nodes.size))
         np.cumsum(rates * grid.steps()[None, :], axis=1, out=A[:, 1:])
         return A
-    if spec.kind == "oscillatory":
-        base = spec.params["base"]
-        if not isinstance(base, IncreasingProcessSpec):
-            base = IncreasingProcessSpec.from_dict(base)
-        n = int(spec.params["n"])
-        T = grid.T
-        bump = T * np.sin(2 * np.pi * n * nodes / T) / (4 * np.pi * n)
-        return _realize_A(base, ensemble) + bump[None, :]
-    raise ValueError(f"unknown increasing-process kind {spec.kind!r}")
+    # "oscillatory", the one kind left
+    n = int(spec.params["n"])
+    T = grid.T
+    bump = T * np.sin(2 * np.pi * n * nodes / T) / (4 * np.pi * n)
+    return _realize_A(spec.params["base"], ensemble) + bump[None, :]
 
 
 def realize_increasing_process(spec: IncreasingProcessSpec,
@@ -235,6 +249,8 @@ class RegressionBasis:
 
     Features are 1, all monomials of W(t) components up to total degree
     ``degree``, then any caller-supplied columns (delayed-segment summaries).
+    ``ridge`` is added to the diagonal of every normal matrix on this basis;
+    with ridge = 0 a singular system raises SingularSystemError.
     """
 
     degree: int = 2
@@ -310,23 +326,23 @@ def _node_major(X: np.ndarray) -> np.ndarray:
 class RegressionPlan:
     """The target-independent half of the regressions on one ensemble.
 
-    Bound to a basis, an ensemble, a ridge and an extra-column rule
-    ``extra_columns(step) -> list of (n_paths,) arrays or None``.  The design
-    at a node depends on the ensemble only, so the plan builds each node's
-    ridged Gram matrix (and, with ridge = 0, runs its singularity check) once,
-    on the first fit there, and every later fit at that node reuses it.
-    Designs are not kept: ``design(step)`` rebuilds one on each call, and the
-    caller hands it back to ``fit`` for every regression at that node.
+    Bound to a basis, an ensemble and an extra-column rule
+    ``extra_columns(step) -> list of (n_paths,) arrays or None``; the ridge
+    is the basis's.  The design at a node depends on the ensemble only, so
+    the plan builds each node's ridged Gram matrix (and, with ridge = 0,
+    runs its singularity check) once, on the first fit there, and every
+    later fit at that node reuses it.  Designs are not kept:
+    ``design(step)`` rebuilds one on each call, and the caller hands it
+    back to ``fit`` for every regression at that node.
     ``W_by_node`` and ``A_by_node`` are node-major copies of the ensemble's
     W and A, built on first use, from which a backward sweep reads one node
     at a time; ``design`` reads W(t_step) there.
     """
 
     def __init__(self, basis: RegressionBasis, ensemble: PathEnsemble,
-                 ridge: float | None = None, extra_columns=None):
+                 extra_columns=None):
         self.basis = basis
         self.ensemble = ensemble
-        self.ridge = basis.ridge if ridge is None else ridge
         self.extra_columns = extra_columns
         self._grams: dict[int, np.ndarray] = {}
 
@@ -364,7 +380,7 @@ class RegressionPlan:
         else:
             gram = self._grams.get(step)
             if gram is None:
-                gram = self._grams[step] = _normal_matrix(design, self.ridge)
+                gram = self._grams[step] = _normal_matrix(design, self.basis.ridge)
             theta = _solve_normal(gram, design, targets)
         return design @ theta, theta
 
@@ -372,12 +388,11 @@ class RegressionPlan:
 def conditional_expectation(targets: np.ndarray, basis: RegressionBasis,
                             ensemble: PathEnsemble, step: int,
                             extra_features: list[np.ndarray] | None = None,
-                            ridge: float | None = None,
                             return_coefficients: bool = False):
     """Least-squares estimate of E[targets | F_{t_step}] per path: one fit
     of a single-use RegressionPlan (see RegressionPlan.fit), on a design
     read straight from the ensemble's node column."""
-    plan = RegressionPlan(basis, ensemble, ridge)
+    plan = RegressionPlan(basis, ensemble)
     design = basis.design(ensemble.W[:, step, :], extra_features)
     fitted, theta = plan.fit(step, design, targets)
     return (fitted, theta) if return_coefficients else fitted

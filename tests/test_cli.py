@@ -104,6 +104,52 @@ def test_suggest_aligned_steps_orders_by_distance():
     assert all(n % 3 == 0 for n in got)
 
 
+def test_validate_accepts_full_window_delta_with_rounding():
+    # delta = T * 105 / 105 rounds one ulp above T; TimeGrid takes it as
+    # 105 steps, so validate must not call it out of range
+    config = base_config()
+    T = 39.56073760172803
+    config["problem"].update(T=T, delta=T * 105 / 105)
+    assert config["problem"]["delta"] > T
+    errors = [d for d in cli.validate(config, n_steps=105) if d["level"] == "error"]
+    assert errors == []
+
+
+def test_validate_refuses_delta_the_grid_refuses(tmp_path, capsys):
+    # delta / step = 1000 + 4e-7: within a relative 1e-9 of a whole number,
+    # but TimeGrid refuses it, so validate must too and solve exits 2
+    config = base_config()
+    config["problem"]["delta"] = 0.5 + 2e-10
+    config["solver"]["n_steps"] = 2000
+    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    assert [d["code"] for d in errors] == ["grid-alignment"]
+    code = cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "grid-alignment" in capsys.readouterr().out
+
+
+def test_suggested_steps_are_accepted_by_the_grid():
+    from delaybsde.path_calculus import TimeGrid
+
+    for T, delta, n_steps in ((1.0, 1.0 / 3.0, 100), (2.0, 0.3, 47), (1.0, 0.5 + 2e-10, 2000)):
+        for n in cli.suggest_aligned_steps(T, delta, n_steps):
+            assert TimeGrid.uniform(T, n, delta=delta).delta_index_offset >= 1
+
+
+def test_validate_refuses_oscillatory_A_over_unknown_base(tmp_path, capsys):
+    config = base_config()
+    config["problem"]["A"] = {"kind": "oscillatory",
+                              "params": {"n": 2, "base": {"kind": "nosuch", "params": {}}}}
+    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    assert [d["code"] for d in errors] == ["registry"]
+    assert "nosuch" in errors[0]["message"]
+    code = cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "[registry]" in capsys.readouterr().out
+
+
 def test_validate_warns_on_zero_delay_bound():
     config = base_config()
     config["problem"]["K"] = 0.0
@@ -206,6 +252,20 @@ def test_solve_rejects_failing_conditions(tmp_path, capsys):
     text = capsys.readouterr().out
     assert code == 2
     assert "solve: FAIL" in text
+
+
+def test_solve_ridge_setting_reaches_the_regression(tmp_path, capsys):
+    # a constant-rate time_integral A is random in kind, so the regressions
+    # carry its A(t_i) column, which is collinear with the intercept: only
+    # the basis's ridge keeps the normal equations solvable
+    config = base_config()
+    config["problem"]["A"] = {"kind": "time_integral", "params": {"functional": "constant"}}
+    assert cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "default")]) == 0
+    config["solver"]["ridge"] = 0
+    assert cli.run(["solve", "--config", write_config(tmp_path, config, "ridge0.json"),
+                    "--out", str(tmp_path / "ridge0")]) == 1
+    assert "SingularSystemError" in capsys.readouterr().err
 
 
 def test_solve_csv_full_precision(tmp_path):

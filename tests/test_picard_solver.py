@@ -284,7 +284,7 @@ def test_gamma_step_singular_design_without_ridge():
     U = np.zeros((200, 11, 1))
     V = np.zeros((200, 11, 1, 1))
     with pytest.raises(SingularSystemError):
-        gamma_step(prob, ens, U, V, ridge=0.0)
+        gamma_step(prob, ens, U, V, basis=RegressionBasis(ridge=0.0))
     Y, _, _ = gamma_step(prob, ens, U, V)
     assert np.all(np.isfinite(Y))
 
@@ -341,7 +341,7 @@ def test_gamma_step_and_build_B_ignore_input_layout(scheme):
 def test_solve_matches_pass_by_pass_replay():
     prob = segment_problem()
     ens = make_ensemble(400, n_steps=20, seed=7, spec=prob.A_spec)
-    sol = solve(prob, ens, tol=1e-30, max_iter=4, check_conditions=False)
+    sol = solve(prob, ens, tol=1e-30, max_iter=4, force=True)
     assert sol.Y.flags.c_contiguous and sol.Z.flags.c_contiguous
     diag = sol.diagnostics
     U = np.zeros((400, 21, 1))
@@ -505,7 +505,6 @@ def test_solve_refuses_constants_below_probe(which):
     sol = solve(prob, ens, max_iter=4, force=True)
     assert sol.diagnostics.h1.passed and sol.diagnostics.h2.passed
     assert sol.diagnostics.iterations >= 1
-    solve(prob, ens, max_iter=4, check_conditions=False)
 
 
 def test_solve_noncontraction_detected_under_force():

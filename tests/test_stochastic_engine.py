@@ -126,6 +126,31 @@ def test_spec_roundtrip():
     assert back.params["base"].params["shape"] == "power"
 
 
+def test_spec_refuses_unknown_kinds_down_the_base_chain():
+    with pytest.raises(ValueError, match="unknown increasing-process kind"):
+        IncreasingProcessSpec("nosuch", {})
+    with pytest.raises(ValueError, match="'nosuch'"):
+        IncreasingProcessSpec("oscillatory", {"n": 2, "base": {"kind": "nosuch"}})
+    with pytest.raises(ValueError, match="base spec and n"):
+        IncreasingProcessSpec("oscillatory", {"n": 2})
+    with pytest.raises(ValueError, match="base spec and n"):
+        IncreasingProcessSpec("oscillatory", {"base": {"kind": "running_max"}})
+
+
+def test_spec_dict_base_becomes_a_spec():
+    raw = {"kind": "running_max", "params": {}}
+    params = {"n": 2, "base": {"kind": "oscillatory", "params": {"n": 3, "base": raw}}}
+    spec = IncreasingProcessSpec("oscillatory", params)
+    assert isinstance(params["base"], dict)     # the caller's dict is not changed
+    inner = spec.params["base"]
+    assert isinstance(inner, IncreasingProcessSpec)
+    assert isinstance(inner.params["base"], IncreasingProcessSpec)
+    assert spec.is_random and inner.is_random
+    assert not IncreasingProcessSpec("oscillatory", {"n": 2, "base": det("identity")}).is_random
+    assert IncreasingProcessSpec("time_integral", {}).is_random
+    assert IncreasingProcessSpec.from_dict(spec.to_dict()) == spec
+
+
 # ---------------------------------------------------------------- omega_delta
 
 def test_omega_delta_values():
