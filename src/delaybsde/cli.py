@@ -82,6 +82,15 @@ def suggest_aligned_steps(T, delta, n_steps, span=25):
     return good[:3]
 
 
+def _regression_basis(solver_cfg):
+    """The solver section's RegressionBasis; ValueError or TypeError if refused."""
+    from .stochastic_engine import RegressionBasis
+
+    ridge = solver_cfg.get("ridge")
+    return RegressionBasis(degree=int(solver_cfg.get("degree", 2)),
+                           ridge=RegressionBasis.ridge if ridge is None else float(ridge))
+
+
 def validate(config, n_steps=None):
     """Check a config dict without running anything.
 
@@ -168,8 +177,13 @@ def validate(config, n_steps=None):
     solver = config.get("solver", {})
     if solver and not isinstance(solver, dict):
         err("schema", "'solver' section must be an object")
-    elif solver.get("scheme") not in (None, "explicit", "implicit"):
-        err("schema", f"solver.scheme must be 'explicit' or 'implicit', got {solver.get('scheme')!r}")
+    else:
+        if solver.get("scheme") not in (None, "explicit", "implicit"):
+            err("schema", f"solver.scheme must be 'explicit' or 'implicit', got {solver.get('scheme')!r}")
+        try:
+            _regression_basis(solver)
+        except (TypeError, ValueError) as exc:
+            err("domain", f"solver regression basis: {exc}")
 
     if problem.get("K", 0.0) == 0.0 and problem.get("F") is not None:
         warn("bounds", "F is set but K is 0; the smallness checks will treat F as undelayed")
@@ -366,18 +380,14 @@ def cmd_solve(args):
     from .errors import (BlowupError, ConstraintViolationError,
                          NonContractionError)
     from .picard_solver import contraction_report, solve
-    from .stochastic_engine import RegressionBasis
 
     prepared = _prepare(args)
     if prepared is None:
         return 2
     config, solver_cfg, problem, ensemble, out_dir, settings = prepared
 
-    ridge = solver_cfg.get("ridge")
-    basis = RegressionBasis(degree=int(solver_cfg.get("degree", 2)),
-                            ridge=RegressionBasis.ridge if ridge is None else float(ridge))
     try:
-        solution = solve(problem, ensemble, basis=basis,
+        solution = solve(problem, ensemble, basis=_regression_basis(solver_cfg),
                          tol=float(solver_cfg.get("tol", 1e-6)),
                          max_iter=int(solver_cfg.get("max_iter", 25)),
                          scheme=solver_cfg.get("scheme", "explicit"),

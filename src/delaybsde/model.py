@@ -104,8 +104,13 @@ class GenContext:
 
 
 def segment_integral(segment: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j weights[j] * segment[:, j, ...] over the theta axis."""
-    return np.einsum("nj...,j->n...", segment, weights, optimize=False)
+    """sum_j weights[j] * segment[:, j, ...] over the theta axis, the terms
+    of the non-zero weights added to zeros in increasing j: elementwise steps
+    in a fixed order, so the bits do not depend on the layout of segment."""
+    out = np.zeros(segment.shape[:1] + segment.shape[2:])
+    for j in np.flatnonzero(weights):
+        out += weights[j] * segment[:, j]
+    return out
 
 
 @dataclass(frozen=True)

@@ -277,18 +277,19 @@ def delay_window(X: np.ndarray, i: int, k: int, kind: str = "state") -> np.ndarr
 
     Nodes before time zero follow the prolongation convention: "state"
     windows repeat X[:, 0]; "control" windows vanish there.  For i >= k the
-    window is a view of X, otherwise a fresh array; either way it is
-    read-only, so a generator cannot write through into the path it reads.
+    window is a view of X, otherwise a fresh array filled by two slices;
+    either way it is read-only, so a generator cannot write into the path.
     """
     if kind not in ("state", "control"):
         raise ValueError(f"unknown segment kind {kind!r}")
     if i >= k:
         window = X[:, i - k:i + 1]
     else:
-        idx = np.arange(i - k, i + 1)
-        window = X[:, np.clip(idx, 0, None)]
-        if kind == "control":
-            window[:, idx < 0] = 0.0
+        # node-major in memory, so that each slice copies whole node columns
+        # rather than a few values per path, which is slow at many paths
+        window = np.empty((k + 1, X.shape[0]) + X.shape[2:], dtype=X.dtype).swapaxes(0, 1)
+        window[:, :k - i] = X[:, :1] if kind == "state" else 0.0
+        window[:, k - i:] = X[:, :i + 1]
     window.flags.writeable = False
     return window
 

@@ -13,8 +13,8 @@ Layout: the API takes and returns path stacks path-major and C-contiguous,
 node at a time (Yhat, Z, B, dA, the consistency residuals and the regression
 plan's copy of W) are node-major in memory, so that each node's values are
 one contiguous block.  They are handed back in the public layout, and every
-reduction across paths or nodes, and every delay window a generator reduces,
-runs in that layout, so the results do not depend on the internal one.
+reduction across paths or nodes runs in that layout, so the results do not
+depend on the internal one.
 """
 
 from __future__ import annotations
@@ -73,14 +73,6 @@ def _node_major_zeros(shape) -> np.ndarray:
     return np.zeros((shape[1], shape[0]) + tuple(shape[2:])).swapaxes(0, 1)
 
 
-def _path_major(X) -> np.ndarray:
-    """X in the public layout, C-contiguous (n_paths, n_nodes, ...); a copy
-    only when given otherwise.  The sweep reads delay windows of the frozen
-    iterate from this layout alone: a generator's reduction over a window
-    may round differently on windows of another layout."""
-    return np.ascontiguousarray(X)
-
-
 def _node_major_copy(X: np.ndarray) -> np.ndarray:
     """X copied into the layout of _node_major_zeros."""
     out = _node_major_zeros(X.shape)
@@ -113,7 +105,6 @@ def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
         return B
     k = grid.delta_index_offset
     dA = _increments_of_A(ensemble)
-    U = _path_major(U)
     for j in range(n_nodes - 1):
         t = float(grid.nodes[j])
         ctx = problem.context(grid, t, ensemble.W[:, j, :])
@@ -163,7 +154,6 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     n_nodes = grid.nodes.size
     steps = grid.steps()
     W = plan.W_by_node
-    U, V = _path_major(U), _path_major(V)
 
     B = build_B(problem, ensemble, U)
     xi = np.asarray(problem.xi(ensemble), dtype=float).reshape(n, m)
@@ -261,7 +251,7 @@ def _consistency(problem, ensemble, W, Y, Z, scheme):
 
     W is the ensemble's W node-major (RegressionPlan.W_by_node); the node
     values of Y and Z are read from node-major copies, their delay windows
-    from Y and Z themselves (see _path_major)."""
+    from Y and Z themselves."""
     grid = ensemble.grid
     k = grid.delta_index_offset
     n, m = Y.shape[0], Y.shape[2]

@@ -128,6 +128,20 @@ def register_positive_functional(name: str, fn) -> None:
 
 
 PROCESS_KINDS = ("deterministic", "running_max", "time_integral", "oscillatory")
+# the kinds whose params name a function: the key, its default and registry
+_NAMED = {"deterministic": ("shape", "identity", _DET_SHAPES),
+          "time_integral": ("functional", "constant", _POS_FUNCTIONALS)}
+
+
+def _named_function(spec: "IncreasingProcessSpec"):
+    """The shape or functional of a spec of a kind in _NAMED: its callable, or
+    the registered function of its name; ValueError for any other name."""
+    key, default, known = _NAMED[spec.kind]
+    fn = spec.params.get(key, default)
+    if isinstance(fn, str) and fn not in known:
+        raise ValueError(f"unknown {spec.kind} {key} {fn!r}; "
+                         f"expected one of {sorted(known)} or a callable")
+    return known[fn] if isinstance(fn, str) else fn
 
 
 @dataclass(frozen=True)
@@ -140,8 +154,9 @@ class IncreasingProcessSpec:
     "oscillatory" (a base spec plus T*sin(2 pi n t / T)/(4 pi n)).
     Every kind is a functional of the driving W or of time alone, which is
     what keeps A adapted; arbitrary exogenous processes are not accepted.
-    A kind outside PROCESS_KINDS, here or down an oscillatory base chain,
-    raises ValueError, and a dict base becomes a spec.
+    A kind outside PROCESS_KINDS, or a shape or functional named by a string
+    that is not registered, here or down an oscillatory base chain, raises
+    ValueError, and a dict base becomes a spec.
     """
 
     kind: str
@@ -151,6 +166,8 @@ class IncreasingProcessSpec:
         if self.kind not in PROCESS_KINDS:
             raise ValueError(f"unknown increasing-process kind {self.kind!r}; "
                              f"expected one of {sorted(PROCESS_KINDS)}")
+        if self.kind in _NAMED:
+            _named_function(self)
         if self.kind == "oscillatory":
             base = self.params.get("base")
             if isinstance(base, dict):
@@ -181,9 +198,7 @@ def _realize_A(spec: IncreasingProcessSpec, ensemble: PathEnsemble) -> np.ndarra
     grid, W = ensemble.grid, ensemble.W
     nodes = grid.nodes
     if spec.kind == "deterministic":
-        shape = spec.params.get("shape", "identity")
-        fn = _DET_SHAPES[shape] if isinstance(shape, str) else shape
-        vals = np.asarray(fn(nodes, spec.params), dtype=float)
+        vals = np.asarray(_named_function(spec)(nodes, spec.params), dtype=float)
         if vals.shape != nodes.shape:
             raise ValueError("deterministic shape must return one value per node")
         return np.broadcast_to(vals, (ensemble.n_paths, nodes.size)).copy()
@@ -191,8 +206,7 @@ def _realize_A(spec: IncreasingProcessSpec, ensemble: PathEnsemble) -> np.ndarra
         comp = int(spec.params.get("component", 0))
         return np.maximum.accumulate(W[:, :, comp], axis=1)
     if spec.kind == "time_integral":
-        g = spec.params.get("functional", "constant")
-        fn = _POS_FUNCTIONALS[g] if isinstance(g, str) else g
+        fn = _named_function(spec)
         rates = np.empty((ensemble.n_paths, grid.n_steps))
         for i in range(grid.n_steps):
             r = np.asarray(fn(W[:, i, :], spec.params), dtype=float)
@@ -250,11 +264,17 @@ class RegressionBasis:
     Features are 1, all monomials of W(t) components up to total degree
     ``degree``, then any caller-supplied columns (delayed-segment summaries).
     ``ridge`` is added to the diagonal of every normal matrix on this basis;
-    with ridge = 0 a singular system raises SingularSystemError.
+    with ridge = 0 a singular system raises SingularSystemError.  A negative
+    degree or ridge raises ValueError.
     """
 
     degree: int = 2
     ridge: float = 1e-10
+
+    def __post_init__(self):
+        if not (self.degree >= 0 and self.ridge >= 0):
+            raise ValueError(f"need degree >= 0 and ridge >= 0, got degree={self.degree!r}, "
+                             f"ridge={self.ridge!r}")
 
     def design(self, w_t: np.ndarray, extras: list[np.ndarray] | None = None) -> np.ndarray:
         w_t = np.atleast_2d(np.asarray(w_t, dtype=float))

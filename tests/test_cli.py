@@ -150,6 +150,38 @@ def test_validate_refuses_oscillatory_A_over_unknown_base(tmp_path, capsys):
     assert "[registry]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("A", [
+    {"kind": "deterministic", "params": {"shape": "bogus"}},
+    {"kind": "time_integral", "params": {"functional": "bogus"}},
+    {"kind": "oscillatory",
+     "params": {"n": 2, "base": {"kind": "deterministic", "params": {"shape": "bogus"}}}},
+])
+def test_validate_refuses_unknown_A_names(tmp_path, capsys, A):
+    config = base_config()
+    config["problem"]["A"] = A
+    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    assert [d["code"] for d in errors] == ["registry"]
+    assert "'bogus'" in errors[0]["message"]
+    code = cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "[registry]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key, value", [("ridge", -1.0), ("degree", -1)])
+def test_validate_refuses_negative_basis_settings(tmp_path, capsys, key, value):
+    config = base_config()
+    config["solver"][key] = value
+    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    assert [d["code"] for d in errors] == ["domain"]
+    assert key in errors[0]["message"]
+    code = cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "[domain]" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_warns_on_zero_delay_bound():
     config = base_config()
     config["problem"]["K"] = 0.0

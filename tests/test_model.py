@@ -127,6 +127,23 @@ def test_segment_integral_matches_loop():
     assert np.allclose(segment_integral(seg, w), manual, atol=1e-14)
 
 
+@pytest.mark.parametrize("atoms", ["three", "uniform"])
+def test_segment_integral_bits_ignore_memory_layout(atoms):
+    # one path stack in the public C layout and laid out node-major, as the
+    # solver's sweep holds it: every window must reduce to the same bits
+    n, n_nodes, k = 2500, 101, 50
+    X = np.random.default_rng(11).normal(size=(n, n_nodes, 1))
+    X_node_major = np.ascontiguousarray(np.swapaxes(X, 0, 1)).swapaxes(0, 1)
+    if atoms == "three":
+        w = np.zeros(k + 1)
+        w[[0, k // 2, k]] = 1.0 / 3.0
+    else:
+        w = np.full(k + 1, 1.0 / (k + 1))
+    for i in range(k, n_nodes):
+        assert np.array_equal(segment_integral(X_node_major[:, i - k:i + 1], w),
+                              segment_integral(X[:, i - k:i + 1], w))
+
+
 # -------------------------------------------------------------------- norms
 
 def test_weighted_norm_closed_form():

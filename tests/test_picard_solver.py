@@ -13,6 +13,8 @@ Oracle notes:
 * martingale case (no drivers, xi = W(T)): Y = W, Z = 1 exactly.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,17 @@ def test_node_segment_prolongation():
     assert seg[:, :, 0].tolist() == [[0, 0, 0, 1], [0, 0, 6, 7]]
     seg = node_segment(X, 5, 2)
     assert seg[0, :, 0].tolist() == [3, 4, 5]
+    # every node of small state (n, nodes, m) and control (n, nodes, m, d)
+    # stacks against the clipped-index gather, nodes before 0 zeroed for controls
+    rng = np.random.default_rng(5)
+    for kind, trailing in itertools.product(("state", "control"), ((1,), (2, 3))):
+        stack = rng.normal(size=(3, 9) + trailing)
+        for k, i in itertools.product((1, 3, 8), range(9)):
+            idx = np.arange(i - k, i + 1)
+            expected = stack[:, np.clip(idx, 0, None)]
+            if kind == "control":
+                expected[:, idx < 0] = 0.0
+            assert np.array_equal(node_segment(stack, i, k, kind=kind), expected)
 
 
 def test_node_segment_windows_are_read_only():

@@ -135,6 +135,16 @@ def test_spec_refuses_unknown_kinds_down_the_base_chain():
         IncreasingProcessSpec("oscillatory", {"n": 2})
     with pytest.raises(ValueError, match="base spec and n"):
         IncreasingProcessSpec("oscillatory", {"base": {"kind": "running_max"}})
+    with pytest.raises(ValueError, match="'bogus'"):
+        IncreasingProcessSpec("deterministic", {"shape": "bogus"})
+    with pytest.raises(ValueError, match="'bogus'"):
+        IncreasingProcessSpec("time_integral", {"functional": "bogus"})
+    with pytest.raises(ValueError, match="'bogus'"):
+        IncreasingProcessSpec("oscillatory", {"n": 2, "base": {
+            "kind": "time_integral", "params": {"functional": "bogus"}}})
+    # callables are not looked up, and a name only counts for its own kind
+    IncreasingProcessSpec("deterministic", {"shape": lambda t, params: t})
+    IncreasingProcessSpec("running_max", {"shape": "bogus"})
 
 
 def test_spec_dict_base_becomes_a_spec():
@@ -214,6 +224,10 @@ def test_singular_design_raises_without_ridge():
     out = conditional_expectation(ens.W[:, -1, 0], RegressionBasis(1, ridge=1e-10),
                                   ens, 5, extra_features=[dup])
     assert np.all(np.isfinite(out))
+    with pytest.raises(ValueError, match="ridge >= 0"):
+        RegressionBasis(1, ridge=-1e-10)
+    with pytest.raises(ValueError, match="degree >= 0"):
+        RegressionBasis(-1)
 
 
 def test_residuals_orthogonal_to_features():
