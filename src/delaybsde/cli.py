@@ -74,9 +74,9 @@ def _grid_accepts(T, delta, n_steps):
     return True
 
 
-def suggest_aligned_steps(T, delta, n_steps, span=25):
-    """Step counts near n_steps on which TimeGrid accepts the delay."""
-    good = [n for n in range(max(1, n_steps - span), n_steps + span + 1)
+def suggest_aligned_steps(T, delta, n_steps):
+    """The nearest three step counts within 25 of n_steps that TimeGrid accepts."""
+    good = [n for n in range(max(1, n_steps - 25), n_steps + 26)
             if _grid_accepts(T, delta, n)]
     good.sort(key=lambda n: (abs(n - n_steps), n))
     return good[:3]
@@ -99,9 +99,10 @@ def validate(config, n_steps=None):
     """
     import numpy as np
 
+    from .errors import ConfigError
     from .model import c_threshold
     from .path_calculus import delay_fits_horizon
-    from .registry import known_names
+    from .registry import build_F, build_G, build_terminal
     from .stochastic_engine import PROCESS_KINDS, IncreasingProcessSpec
 
     diags = []
@@ -151,14 +152,11 @@ def validate(config, n_steps=None):
         if not (isinstance(c, (int, float)) and 0 < c < cap):
             err("c-range", f"c={c!r} must lie in (0, {cap:.6g}) for beta={beta}, L_tilde={L_tilde}")
 
-    names = known_names()
-    terminal = problem.get("terminal")
-    if not (isinstance(terminal, dict) and terminal.get("name") in names["terminal"]):
-        err("registry", f"terminal must name one of {sorted(names['terminal'])}")
-    for section, kind in (("F", "F"), ("G", "G")):
-        entry = problem.get(section)
-        if entry is not None and not (isinstance(entry, dict) and entry.get("name") in names[kind]):
-            err("registry", f"{section} must be null or name one of {sorted(names[kind])}")
+    for section, build in (("terminal", build_terminal), ("F", build_F), ("G", build_G)):
+        try:
+            build(problem.get(section))
+        except (ConfigError, TypeError, ValueError) as exc:
+            err("registry", f"{section}: {exc}")
 
     try:
         IncreasingProcessSpec.from_dict(problem["A"])
@@ -166,24 +164,24 @@ def validate(config, n_steps=None):
         err("registry", f"A must be an increasing process of a kind in "
                         f"{sorted(PROCESS_KINDS)}: {exc}")
 
+    solver = config.get("solver", {})
+    if not isinstance(solver, dict):
+        err("schema", "'solver' section must be an object")
+        solver = {}
     if not any(d["level"] == "error" for d in diags):
-        steps = n_steps if n_steps is not None else config.get("solver", {}).get("n_steps", DEFAULT_STEPS)
+        steps = n_steps if n_steps is not None else solver.get("n_steps", DEFAULT_STEPS)
         if not _grid_accepts(T, delta, steps):
             hint = suggest_aligned_steps(T, delta, steps)
             extra = f"; nearby aligned step counts: {hint}" if hint else ""
             err("grid-alignment",
                 f"delay delta={delta} is not a whole number of steps at n_steps={steps}{extra}")
 
-    solver = config.get("solver", {})
-    if solver and not isinstance(solver, dict):
-        err("schema", "'solver' section must be an object")
-    else:
-        if solver.get("scheme") not in (None, "explicit", "implicit"):
-            err("schema", f"solver.scheme must be 'explicit' or 'implicit', got {solver.get('scheme')!r}")
-        try:
-            _regression_basis(solver)
-        except (TypeError, ValueError) as exc:
-            err("domain", f"solver regression basis: {exc}")
+    if solver.get("scheme") not in (None, "explicit", "implicit"):
+        err("schema", f"solver.scheme must be 'explicit' or 'implicit', got {solver.get('scheme')!r}")
+    try:
+        _regression_basis(solver)
+    except (TypeError, ValueError) as exc:
+        err("domain", f"solver regression basis: {exc}")
 
     if problem.get("K", 0.0) == 0.0 and problem.get("F") is not None:
         warn("bounds", "F is set but K is 0; the smallness checks will treat F as undelayed")
@@ -361,8 +359,8 @@ def cmd_check(args):
     return 0 if failures == 0 else 2
 
 
-def _solution_columns(label, values, n_show=5):
-    """Mean curve plus the first few sample paths, one block per component."""
+def _solution_columns(label, values):
+    """Mean curve plus the first five sample paths, one block per component."""
     import numpy as np
 
     n_paths, _, width = values.shape
@@ -370,7 +368,7 @@ def _solution_columns(label, values, n_show=5):
     for j in range(width):
         header.append(f"mean_{label}{j + 1}")
         columns.append(values[:, :, j].mean(axis=0))
-        for i in range(min(n_show, n_paths)):
+        for i in range(min(5, n_paths)):
             header.append(f"path{i + 1}_{label}{j + 1}")
             columns.append(values[i, :, j])
     return header, columns

@@ -207,9 +207,7 @@ class NormReport:
 
 
 def _as_paths(values, n_nodes, trailing):
-    """Normalize to (n_paths, n_nodes, *trailing); None becomes zeros."""
-    if values is None:
-        return None
+    """Normalize to (n_paths, n_nodes, *trailing)."""
     values = np.asarray(values, dtype=float)
     want = 2 + len(trailing)
     while values.ndim < want:
@@ -404,8 +402,8 @@ def mu_lambda(lam: float, c: float, beta: float, L_tilde: float,
 
 
 def select_lambda(c: float, beta: float, L_tilde: float,
-                  bdg_constant: float = 144.0, n_scan: int = 200) -> LambdaSelection:
-    """Pick lambda on a log scan minimizing the contraction factor mu_lambda.
+                  bdg_constant: float = 144.0) -> LambdaSelection:
+    """Pick lambda minimizing mu_lambda on a 200-point log scan.
 
     Requires 0 < c < c_threshold(beta, L_tilde); the returned factor is
     guaranteed below one there.  b = lam/2 - bdg_constant keeps the printed
@@ -417,7 +415,7 @@ def select_lambda(c: float, beta: float, L_tilde: float,
             f"c={c} leaves no contraction margin (needs 0 < c < {threshold:.6g})")
     lo = 2.0 * bdg_constant * (1.0 + 1e-6)
     hi = 10.0 * max(2.0 * bdg_constant, 1.0 / (2.0 * c) - 2.0)
-    lams = np.geomspace(lo, hi, n_scan)
+    lams = np.geomspace(lo, hi, 200)
     mus = mu_lambda(lams, c, beta, L_tilde, bdg_constant)
     j = int(np.argmin(mus))
     lam, mu = float(lams[j]), float(mus[j])
@@ -457,15 +455,15 @@ class ArgumentCloud:
 
 
 def argument_clouds(problem: ProblemSpec, n_samples: int, seed: int,
-                    box: float = 3.0, count: int = 1) -> tuple:
-    """``count`` clouds of 2^ceil(log2 n_samples) points in [-box, box] on the
+                    count: int = 1) -> tuple:
+    """``count`` clouds of 2^ceil(log2 n_samples) points in the box [-3, 3] on the
     8-step theta grid: disjoint coordinate blocks of one scrambled-Sobol set,
     so the clouds' i-th points together form one low-discrepancy point."""
     m, d, k = problem.m, problem.d, 8
     theta, rho, rho_tilde = problem.delay_weights(k)
     widths = [d, m, m * d, m, m, m * d, m * d]
     sampler = qmc.Sobol(count * sum(widths), scramble=True, seed=seed)
-    u = box * (2.0 * sampler.random_base2(
+    u = 3.0 * (2.0 * sampler.random_base2(
         int(np.ceil(np.log2(max(n_samples, 4))))) - 1.0)
     n = u.shape[0]
     clouds = []
@@ -496,11 +494,10 @@ def evaluate_generator(gen, which: str, ctx: GenContext, y, z, y_seg, z_seg) -> 
 
 
 def probe_lipschitz(problem: ProblemSpec, which: str = "F",
-                    n_samples: int = 2048, seed: int = 0,
-                    box: float = 3.0) -> LipschitzProbe:
+                    n_samples: int = 2048, seed: int = 0) -> LipschitzProbe:
     """Empirical Lipschitz/kernel constants from low-discrepancy sampling.
 
-    Pairs two argument clouds: moving only (y, z) gives the pointwise
+    Pairs two argument clouds in the box [-3, 3] (see argument_clouds): moving only (y, z) gives the pointwise
     constant, moving only the delayed segments the kernel constant
     K1 = sup |dGen|^2 / int (|dy_seg|^2 + |dz_seg|^2) drho, both over the
     clouds' time ladder.  Flags when an estimate exceeds the declared
@@ -517,7 +514,7 @@ def probe_lipschitz(problem: ProblemSpec, which: str = "F",
         return LipschitzProbe(which, 0.0, 0.0, declared_L, declared_K,
                               False, False, 0)
 
-    a, b = argument_clouds(problem, n_samples, seed, box, count=2)
+    a, b = argument_clouds(problem, n_samples, seed, count=2)
     n = a.y.shape[0]
     weights = a.contexts[0].rho if which == "F" else a.contexts[0].rho_tilde
     gap = np.linalg.norm(a.y - b.y, axis=1)
@@ -568,23 +565,23 @@ class IntegrabilityReport:
         return all(e.finite for e in self.entries.values())
 
 
-def _moment(samples, top_fraction=0.01, tail_share=0.5) -> MomentEstimate:
+def _moment(samples) -> MomentEstimate:
     samples = np.asarray(samples, dtype=float)
     finite = bool(np.all(np.isfinite(samples)))
     value = float(samples.mean()) if finite else float("inf")
     heavy = False
     if finite and samples.size >= 100 and value > 0:
         srt = np.sort(samples)[::-1]
-        top = srt[: max(1, int(np.ceil(top_fraction * samples.size)))]
-        heavy = bool(top.sum() > tail_share * samples.sum())
+        top = srt[: max(1, int(np.ceil(0.01 * samples.size)))]
+        heavy = bool(top.sum() > 0.5 * samples.sum())
     return MomentEstimate(value=value, finite=finite, heavy_tail=heavy,
                           n=int(samples.size))
 
 
 def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
-                        p: float = 2.0,
-                        r_values=(1.0, 2.0, 4.0, 8.0)) -> IntegrabilityReport:
-    """Monte Carlo moment estimates behind the standing assumptions.
+                        p: float = 2.0) -> IntegrabilityReport:
+    """Monte Carlo moment estimates behind the standing assumptions, the
+    exponential moments E e^{r A(T)} at r = 1, 2, 4 and 8 among them.
 
     Reports, per sample-mean entry, whether all samples were finite and
     whether the top 1% of samples carries more than half the estimate
@@ -634,7 +631,7 @@ def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
         "A1p_G": _moment(int_G_dt ** p),
         "A1sup_G": _moment(np.max(G0_sq, axis=1) ** p),
     }
-    for r in r_values:
+    for r in (1.0, 2.0, 4.0, 8.0):
         with np.errstate(over="ignore"):
             entries[f"A0r_r{r:g}"] = _moment(np.exp(r * ensemble.A[:, -1]))
     for name, est in entries.items():

@@ -128,10 +128,6 @@ class GridFunction:
     def __post_init__(self):
         object.__setattr__(self, "values", _check_values(self.grid, self.values))
 
-    @property
-    def dim(self) -> int:
-        return 1 if self.values.ndim == 1 else self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class BVFunction:
@@ -146,15 +142,11 @@ class BVFunction:
     grid: TimeGrid
     values: np.ndarray
     mode: str = "linear"
-    cached_total_variation: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         if self.mode not in ("linear", "step"):
             raise ValueError(f"unknown BV mode {self.mode!r}")
-        values = _check_values(self.grid, self.values)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "cached_total_variation",
-                           _variation(values, 0, self.grid.n_steps))
+        object.__setattr__(self, "values", _check_values(self.grid, self.values))
 
 
 def _variation(values: np.ndarray, i0: int, i1: int) -> float:
@@ -192,16 +184,17 @@ def bv_norm(eta: BVFunction | GridFunction) -> float:
 
 
 def _eval_points(x_values: np.ndarray, policy: str) -> np.ndarray:
+    """Integrand values at each step's evaluation point, node axis last."""
     if policy == "left":
-        return x_values[:-1]
+        return x_values[..., :-1]
     if policy == "jump":
-        return x_values[1:]
+        return x_values[..., 1:]
     if policy == "midpoint":
-        return 0.5 * (x_values[:-1] + x_values[1:])
+        return 0.5 * (x_values[..., :-1] + x_values[..., 1:])
     raise ValueError(f"unknown evaluation policy {policy!r}")
 
 
-def _resolve_policy(eta, eval_point: str | None) -> str:
+def _resolve_policy(eta, eval_point: str | None = None) -> str:
     if eval_point is not None:
         return eval_point
     if isinstance(eta, BVFunction) and eta.mode == "step":
@@ -210,10 +203,10 @@ def _resolve_policy(eta, eval_point: str | None) -> str:
     return "left"
 
 
-def stieltjes_integral(x: GridFunction, eta: BVFunction | GridFunction,
-                       a: float | None = None, b: float | None = None,
+def stieltjes_integral(x: GridFunction, eta: BVFunction | GridFunction, *,
                        eval_point: str | None = None) -> float:
-    """Grid Stieltjes sum of x against deta over [a, b].
+    """Grid Stieltjes sum of x against deta over the whole grid [0, T];
+    cumulative_stieltjes gives the running values.
 
     Vector-valued pairs are contracted componentwise, sum_i int x_i deta_i.
     The evaluation point defaults to the left node (the adapted choice);
@@ -225,49 +218,20 @@ def stieltjes_integral(x: GridFunction, eta: BVFunction | GridFunction,
         raise GridAlignmentError("x and eta must share one grid")
     if x.values.ndim != eta.values.ndim or x.values.shape != eta.values.shape:
         raise ValueError("x and eta must have matching shapes")
-    grid = x.grid
-    i0 = 0 if a is None else grid.index_of(a)
-    i1 = grid.n_steps if b is None else grid.index_of(b)
-    if i1 < i0:
-        raise ValueError("need a <= b")
-    policy = _resolve_policy(eta, eval_point)
-    xs = _eval_points(x.values[i0:i1 + 1], policy)
-    deta = np.diff(eta.values[i0:i1 + 1], axis=0)
-    return float(np.sum(xs * deta))
+    xs = _eval_points(x.values.T, _resolve_policy(eta, eval_point))
+    return float(np.sum(xs * np.diff(eta.values.T, axis=-1)))
 
 
 def cumulative_stieltjes(x_values: np.ndarray, eta_values: np.ndarray,
-                         policy: str = "left", contract: bool = False) -> np.ndarray:
+                         policy: str = "left") -> np.ndarray:
     """Running grid sums t |-> sum_{t_i < t} x(tau_i) (eta(t_{i+1}) - eta(t_i)).
 
-    Works on stacked arrays with the node axis last (shape (..., M+1)).  With
-    ``contract=True`` both arguments carry a trailing component axis
-    (shape (..., M+1, d)) and the componentwise sums are added up.
+    Works on stacked arrays with the node axis last (shape (..., M+1)).
     """
     x_values = np.asarray(x_values, dtype=float)
     eta_values = np.asarray(eta_values, dtype=float)
-    node_axis = -2 if contract else -1
-
-    def cut(arr, sl):
-        idx = [slice(None)] * arr.ndim
-        idx[node_axis % arr.ndim] = sl
-        return arr[tuple(idx)]
-
-    deta = np.diff(eta_values, axis=node_axis)
-    if policy == "left":
-        xs = cut(x_values, slice(None, -1))
-    elif policy == "jump":
-        xs = cut(x_values, slice(1, None))
-    elif policy == "midpoint":
-        xs = 0.5 * (cut(x_values, slice(None, -1)) + cut(x_values, slice(1, None)))
-    else:
-        raise ValueError(f"unknown evaluation policy {policy!r}")
-    inc = xs * deta
-    if contract:
-        inc = inc.sum(axis=-1)
-    out_shape = list(inc.shape)
-    out_shape[-1] += 1
-    out = np.zeros(out_shape, dtype=float)
+    inc = _eval_points(x_values, policy) * np.diff(eta_values, axis=-1)
+    out = np.zeros(inc.shape[:-1] + (inc.shape[-1] + 1,))
     np.cumsum(inc, axis=-1, out=out[..., 1:])
     return out
 
@@ -337,27 +301,23 @@ def step_approximation(x: GridFunction, partition: np.ndarray) -> GridFunction:
 
 
 def helly_bray_distance(x_seq: list[GridFunction], eta_seq: list[BVFunction],
-                        x: GridFunction, eta: BVFunction,
-                        eval_point: str | None = None) -> np.ndarray:
-    """sup_t |int_0^t x_n deta_n - int_0^t x deta| for each member n."""
+                        x: GridFunction, eta: BVFunction) -> np.ndarray:
+    """sup_t |int_0^t x_n deta_n - int_0^t x deta| for each member n, each
+    integral at its integrator's default evaluation point."""
     if len(x_seq) != len(eta_seq):
         raise ValueError("x_seq and eta_seq must pair up")
-    pol = _resolve_policy(eta, eval_point)
-    base = cumulative_stieltjes(x.values.T if x.values.ndim == 2 else x.values,
-                                eta.values.T if eta.values.ndim == 2 else eta.values,
-                                policy=pol)
-    if x.values.ndim == 2:
-        base = base.sum(axis=0)
+
+    def running(xf, ef):
+        # vector values: one row of running sums per component, then added up
+        run = cumulative_stieltjes(xf.values.T, ef.values.T, policy=_resolve_policy(ef))
+        return run.sum(axis=0) if xf.values.ndim == 2 else run
+
+    base = running(x, eta)
     out = np.empty(len(x_seq))
     for j, (xn, en) in enumerate(zip(x_seq, eta_seq)):
         if np.any(xn.grid.nodes != x.grid.nodes):
             raise GridAlignmentError("all members must share the limit grid")
-        pn = _resolve_policy(en, eval_point)
-        if xn.values.ndim == 2:
-            run = cumulative_stieltjes(xn.values.T, en.values.T, policy=pn).sum(axis=0)
-        else:
-            run = cumulative_stieltjes(xn.values, en.values, policy=pn)
-        out[j] = float(np.max(np.abs(run - base)))
+        out[j] = float(np.max(np.abs(running(xn, en) - base)))
     return out
 
 

@@ -187,6 +187,8 @@ def register_G(name, builder):
 def _build(kind, table, entry):
     if entry is None:
         return None
+    if not isinstance(entry, dict) or not isinstance(entry.get("params", {}), dict):
+        raise ConfigError(f"a {kind} entry must be an object with a params object")
     name = entry.get("name")
     if name not in table:
         raise ConfigError(f"unknown {kind} '{name}'; known: {sorted(table)}")
@@ -195,6 +197,8 @@ def _build(kind, table, entry):
 
 
 def build_terminal(entry):
+    if entry is None:
+        raise ConfigError("a terminal entry is required")
     return _build("terminal", _TERMINALS, entry)
 
 
@@ -204,11 +208,6 @@ def build_F(entry):
 
 def build_G(entry):
     return _build("G", _G_BUILDERS, entry)
-
-
-def known_names():
-    return {"terminal": sorted(_TERMINALS), "F": sorted(_F_BUILDERS),
-            "G": sorted(_G_BUILDERS)}
 
 
 # ----------------------------------------------------------------- configs
@@ -230,8 +229,6 @@ def problem_from_dict(config: dict) -> ProblemSpec:
     """Assemble a ProblemSpec from a JSON-able dictionary of named parts."""
     try:
         xi = build_terminal(config["terminal"])
-        if xi is None:
-            raise ConfigError("a terminal entry is required")
         return ProblemSpec(
             T=float(config["T"]),
             delta=float(config["delta"]),

@@ -92,13 +92,13 @@ def xi_shift_family(base: ProblemSpec, shifts) -> PerturbationFamily:
 
 
 def generator_gap(gen_a, gen_b, problem: ProblemSpec, which: str = "F",
-                  n_samples: int = 512, seed: int = 0, box: float = 3.0) -> float:
-    """sup |gen_a - gen_b| over a low-discrepancy cloud of arguments."""
+                  seed: int = 0) -> float:
+    """sup |gen_a - gen_b| over 512 argument_clouds points in the box [-3, 3]."""
     if which not in ("F", "G"):
         raise ValueError("which must be 'F' or 'G'")
     if gen_a is None and gen_b is None:
         return 0.0
-    (cloud,) = argument_clouds(problem, n_samples, seed, box)
+    (cloud,) = argument_clouds(problem, 512, seed)
     args = (cloud.y, cloud.z, cloud.y_seg, cloud.z_seg)
     gap = 0.0
     for ctx in cloud.contexts:
@@ -272,7 +272,6 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
                                 nu_ladder=(0.25, 0.5, 1.0, 2.0),
                                 ks_threshold: float = 0.02,
                                 bv_levels=(0.5, 1.0, 2.0, 4.0, 8.0),
-                                bv_tail_threshold: float = 0.01,
                                 labels=None) -> HellyBrayReport:
     """Convergence of coupled integrals int X_n dH_n toward int X dH.
 
@@ -280,9 +279,9 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
     single rows).  Reports, per member, the coupled distance
     E sup_t |I_n(t) - I(t)|, its truncations E[min(sup..., nu)] over the
     ladder, and the two-sample terminal statistic.  The verdict is
-    INCONCLUSIVE when no variation level bounds every member's tail
-    probability: without that tightness the distances may diverge even
-    though integrands and integrators settle down pointwise.
+    INCONCLUSIVE when no level of bv_levels bounds the variation of every
+    member outside 1% of paths: without that tightness the distances may
+    diverge even though integrands and integrators settle down pointwise.
     """
     if not (len(X_list) == len(H_list) >= 1):
         raise ValueError("need equally many integrands and integrators")
@@ -313,7 +312,7 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
                                  phi=phi, ks_statistic=ks))
 
     tail = bv_tail_curve(H_list, levels=bv_levels)
-    tight = any(v <= bv_tail_threshold for v in tail.values())
+    tight = any(v <= 0.01 for v in tail.values())
     sups = np.array([r.sup_distance for r in rows])
     decreasing = bool(np.all(np.diff(sups) < 0.0)) if len(rows) >= 2 else True
     ks_final = rows[-1].ks_statistic
@@ -328,14 +327,14 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
                            ks_threshold=ks_threshold, verdict=verdict)
 
 
-def oscillatory_integration_family(ensemble: PathEnsemble, n_values,
-                                   component: int = 0):
+def oscillatory_integration_family(ensemble: PathEnsemble, n_values):
     """Coupled family X_n = W + p_n, H_n = t + p_n with the common vanishing
-    oscillation p_n(t) = T sin(2 pi n t / T) / (4 pi n); limits (W, t)."""
+    oscillation p_n(t) = T sin(2 pi n t / T) / (4 pi n); limits (W, t), W
+    the first Brownian component."""
     grid = ensemble.grid
     t = grid.nodes
     T = grid.T
-    W = ensemble.W[:, :, component]
+    W = ensemble.W[:, :, 0]
     X_list, H_list = [], []
     for n in n_values:
         p = T * np.sin(2 * np.pi * int(n) * t / T) / (4 * np.pi * int(n))
@@ -344,14 +343,14 @@ def oscillatory_integration_family(ensemble: PathEnsemble, n_values,
     return X_list, H_list, W, np.broadcast_to(t, W.shape)
 
 
-def resonant_integration_family(ensemble: PathEnsemble, n_values,
-                                component: int = 0):
+def resonant_integration_family(ensemble: PathEnsemble, n_values):
     """Counterexample family: H_n = sin(2 pi n^2 t)/(4 pi n) vanishes
     uniformly but with variation of order n, and X_n = W + cos(2 pi n^2 t)/
-    sqrt(n) rides the resonance; the coupled integrals do not converge."""
+    sqrt(n) rides the resonance, W the first Brownian component; the coupled
+    integrals do not converge."""
     grid = ensemble.grid
     t = grid.nodes
-    W = ensemble.W[:, :, component]
+    W = ensemble.W[:, :, 0]
     X_list, H_list = [], []
     for n in n_values:
         n = int(n)

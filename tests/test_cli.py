@@ -182,6 +182,39 @@ def test_validate_refuses_negative_basis_settings(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("solver", [[], "fast", None])
+def test_validate_refuses_non_object_solver(tmp_path, capsys, solver):
+    config = base_config(solver=solver)
+    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    assert [d["code"] for d in errors] == ["schema"]
+    assert "'solver'" in errors[0]["message"]
+    code = cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "[schema]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("section, entry", [
+    ("F", {"name": "linear", "params": {"a_y": "abc"}}),
+    ("G", {"name": "linear", "params": {"b": [1.0]}}),
+    ("terminal", {"name": "brownian", "params": {"component": "first"}}),
+    ("terminal", None),
+    ("F", "linear"),
+    ("G", {"name": "linear", "params": [0.1]}),
+])
+def test_validate_refuses_what_the_registry_builders_refuse(tmp_path, capsys,
+                                                            section, entry):
+    config = base_config()
+    config["problem"][section] = entry
+    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    assert [d["code"] for d in errors] == ["registry"]
+    assert errors[0]["message"].startswith(f"{section}:")
+    code = cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "[registry]" in capsys.readouterr().out
+
+
 def test_validate_warns_on_zero_delay_bound():
     config = base_config()
     config["problem"]["K"] = 0.0

@@ -259,13 +259,19 @@ def test_refinement_consistency_bound():
 
 
 def test_cumulative_matches_scalar_calls():
+    # inputs: every policy, on one path and on a (paths, nodes) stack
     g = TimeGrid.uniform(1.0, 25)
-    xv = np.sin(g.nodes)
-    ev = g.nodes ** 2
-    run = cumulative_stieltjes(xv, ev)
-    for i in (0, 7, 25):
-        direct = stieltjes_bruteforce(xv[:i + 1], ev[:i + 1])
-        assert run[i] == pytest.approx(direct, abs=1e-13)
+    rng = np.random.default_rng(12)
+    single = (np.sin(g.nodes), g.nodes ** 2)
+    stack = (rng.normal(size=(3, 26)), np.cumsum(rng.random((3, 26)), axis=1))
+    for policy in ("left", "jump", "midpoint"):
+        for xv, ev in (single, stack):
+            run = cumulative_stieltjes(xv, ev, policy=policy)
+            assert run.shape == xv.shape
+            for row, (x_row, e_row) in enumerate(zip(np.atleast_2d(xv), np.atleast_2d(ev))):
+                for i in (0, 7, 25):
+                    direct = stieltjes_bruteforce(x_row[:i + 1], e_row[:i + 1], policy)
+                    assert np.atleast_2d(run)[row, i] == pytest.approx(direct, abs=1e-13)
 
 
 # ---------------------------------------------------------------- segments

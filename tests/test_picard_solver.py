@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 import pytest
 
-from delaybsde import registry, stochastic_engine
+from delaybsde import picard_solver, registry, stochastic_engine
 from delaybsde.errors import (BlowupError, ConstraintViolationError,
                               GeneratorEvaluationError, GridAlignmentError,
                               NonContractionError, SingularSystemError)
@@ -124,14 +124,22 @@ def test_node_segment_windows_are_read_only():
     assert X.flags.writeable
 
 
-@pytest.mark.parametrize("which", ["F", "G"])
-def test_generator_cannot_write_into_iterate(which):
+@pytest.mark.parametrize("which, arg", [
+    pytest.param("F", "y_seg", id="F"),
+    pytest.param("G", "y_seg", id="G"),
+    pytest.param("F", "y", id="F-y"),
+    pytest.param("F", "z", id="F-z"),
+    pytest.param("G", "y", id="G-y"),
+])
+def test_generator_cannot_write_into_iterate(which, arg):
+    # the generator `which` writes into its argument `arg`, in the sweep and
+    # in the consistency residuals
     def F(t, y, z, y_seg, z_seg, ctx):
-        y_seg[:] = 0.0
+        {"y": y, "z": z, "y_seg": y_seg}[arg][:] = 0.0
         return y
 
     def G(t, y, y_seg, ctx):
-        y_seg[:] = 0.0
+        {"y": y, "y_seg": y_seg}[arg][:] = 0.0
         return y
 
     ens = make_ensemble(16)
@@ -140,6 +148,9 @@ def test_generator_cannot_write_into_iterate(which):
     V = np.ones((16, 21, 1, 1))
     with pytest.raises(ValueError, match="read-only"):
         gamma_step(prob, ens, U, V)
+    W = stochastic_engine.RegressionPlan(RegressionBasis(), ens).W_by_node
+    with pytest.raises(ValueError, match="read-only"):
+        picard_solver._consistency(prob, ens, W, U, V, "explicit")
     assert np.all(U == 1.0) and np.all(V == 1.0)
 
 
