@@ -218,40 +218,45 @@ def _as_paths(values, n_nodes, trailing):
 
 
 def _sq_size(values):
-    """Squared Euclidean size over all trailing axes -> (n_paths, n_nodes)."""
+    """Squared Euclidean size over all trailing axes -> (n_paths, n_nodes), C order."""
     flat = values.reshape(values.shape[0], values.shape[1], -1)
-    return np.einsum("nik,nik->ni", flat, flat, optimize=False)
+    return np.einsum("nik,nik->ni", flat, flat, order="C", optimize=False)
 
 
 def norm_weights(A, grid: TimeGrid, alpha: float, beta: float):
     """(w, dA): the norm weights w = e^{alpha t + beta A(t)}, (n_paths, n_nodes),
-    and the increments of A, (n_paths, n_steps).  Both depend on A alone, so a
-    caller taking many norms against one A builds them once."""
+    and the increments of A, (n_paths, n_steps) laid out node-major.  Both
+    depend on A alone, so a caller taking many norms builds them once."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     with np.errstate(over="ignore"):
         w = np.exp(alpha * grid.nodes[None, :] + beta * A)
     if not np.all(np.isfinite(w)):
         raise NumericOverflowError(
             "exp(alpha t + beta A) overflowed; beta * A(T) is too large")
-    return w, np.diff(A, axis=1)
+    return w, np.subtract(A[:, 1:], A[:, :-1], out=np.empty((A.shape[1] - 1, A.shape[0])).T)
 
 
 def _assemble_norm(Y, Z, A, grid: TimeGrid, *, p: float, alpha: float,
                    beta: float, a: float, b: float, weights=None) -> NormReport:
     """Terms of E sup w|Y|^p, (E int w|Y|^2 dA)^{p/2} and (E int w|Z|^2 dt)^{p/2}
     with weights w = e^{alpha t + beta A(t)}, by left-point sums.  ``weights``
-    is norm_weights(A, grid, alpha, beta), built here when not given."""
+    is norm_weights(A, grid, alpha, beta), built here when not given; they
+    multiply into |Y|^2 and |Z|^2 in place (products commute exactly)."""
     w, dA = norm_weights(A, grid, alpha, beta) if weights is None else weights
     sup_term = dA_term = dt_term = 0.0
     if Y is not None:
         Y = _as_paths(Y, grid.nodes.size, ("m",))
         ysq = _sq_size(Y)
-        sup_term = float(np.mean(np.max(w * ysq ** (p / 2.0), axis=1)))
-        dA_term = float(np.mean(np.sum(w[:, :-1] * ysq[:, :-1] * dA, axis=1))) ** (p / 2.0)
+        top = w * ysq ** (p / 2.0) if p != 2.0 else None
+        ysq *= w  # w|Y|^2, which is w|Y|^p for p = 2
+        sup_term = float(np.mean(np.max(ysq if top is None else top, axis=1)))
+        wy = np.multiply(ysq[:, :-1], dA, out=ysq[:, :-1])
+        dA_term = float(np.mean(np.sum(wy, axis=1))) ** (p / 2.0)
     if Z is not None:
         Z = _as_paths(Z, grid.nodes.size, ("m", "d"))
-        zsq = _sq_size(Z)
-        dt_term = float(np.mean(np.sum(w[:, :-1] * zsq[:, :-1] * grid.steps()[None, :], axis=1))) ** (p / 2.0)
+        zsq = _sq_size(Z)[:, :-1]
+        zsq *= w[:, :-1]
+        dt_term = float(np.mean(np.sum(np.multiply(zsq, grid.steps(), out=zsq), axis=1))) ** (p / 2.0)
     report = NormReport(sup_term=sup_term, dA_term=dA_term, dt_term=dt_term,
                         p=p, beta=beta, alpha=alpha, a=a, b=b)
     if not np.isfinite(report.total):
@@ -458,7 +463,8 @@ def argument_clouds(problem: ProblemSpec, n_samples: int, seed: int,
                     count: int = 1) -> tuple:
     """``count`` clouds of 2^ceil(log2 n_samples) points in the box [-3, 3] on the
     8-step theta grid: disjoint coordinate blocks of one scrambled-Sobol set,
-    so the clouds' i-th points together form one low-discrepancy point."""
+    so the clouds' i-th points together form one low-discrepancy point.  The
+    arrays, each handed to many generator calls, are read-only."""
     m, d, k = problem.m, problem.d, 8
     theta, rho, rho_tilde = problem.delay_weights(k)
     widths = [d, m, m * d, m, m, m * d, m * d]
@@ -474,11 +480,13 @@ def argument_clouds(problem: ProblemSpec, n_samples: int, seed: int,
         y_seg = y_end[:, None, :] + y_slope[:, None, :] * theta[None, :, None]
         z_seg = (z_end[:, None, :] + z_slope[:, None, :]
                  * theta[None, :, None]).reshape(n, k + 1, m, d)
+        z = z.reshape(n, m, d)
+        for arr in (w, y, z, y_seg, z_seg):
+            arr.flags.writeable = False
         contexts = tuple(GenContext(t=float(t), w=w, theta=theta, rho=rho,
                                     rho_tilde=rho_tilde)
                          for t in np.linspace(0.0, problem.T, 9))
-        clouds.append(ArgumentCloud(y=y, z=z.reshape(n, m, d), y_seg=y_seg,
-                                    z_seg=z_seg, contexts=contexts))
+        clouds.append(ArgumentCloud(y=y, z=z, y_seg=y_seg, z_seg=z_seg, contexts=contexts))
     return tuple(clouds)
 
 
@@ -602,10 +610,10 @@ def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
         if gen is None:
             return vals
         ksteps = grid.delta_index_offset
-        zero_y = np.zeros((n, problem.m))
-        zero_z = np.zeros((n, problem.m, problem.d))
-        zero_yseg = np.zeros((n, ksteps + 1, problem.m))
-        zero_zseg = np.zeros((n, ksteps + 1, problem.m, problem.d))
+        zero_y = np.broadcast_to(0.0, (n, problem.m))  # read-only: every node gets them
+        zero_z = np.broadcast_to(0.0, (n, problem.m, problem.d))
+        zero_yseg = np.broadcast_to(0.0, (n, ksteps + 1, problem.m))
+        zero_zseg = np.broadcast_to(0.0, (n, ksteps + 1, problem.m, problem.d))
         for i, t in enumerate(nodes):
             ctx = problem.context(grid, float(t), ensemble.W[:, i, :])
             out = evaluate_generator(gen, which, ctx, zero_y, zero_z, zero_yseg, zero_zseg)

@@ -12,9 +12,11 @@ Layout: the API takes and returns path stacks path-major and C-contiguous,
 (n_paths, n_nodes, ...).  Inside the sweep, the arrays it reads or writes one
 node at a time (Yhat, Z, B, dA, the consistency residuals and the regression
 plan's copy of W) are node-major in memory, so that each node's values are
-one contiguous block.  They are handed back in the public layout, and every
-reduction across paths or nodes runs in that layout, so the results do not
-depend on the internal one.
+one contiguous block.  dA is built once per solve, by norm_weights, and
+reaches build_B and the consistency residuals through the regression plan.
+Results are handed back in the public layout, and every reduction across
+paths or nodes runs in that layout, so the results do not depend on the
+internal one.
 """
 
 from __future__ import annotations
@@ -87,12 +89,6 @@ def _read_only(X: np.ndarray) -> np.ndarray:
     return view
 
 
-def _increments_of_A(ensemble: PathEnsemble) -> np.ndarray:
-    """dA as (n_paths, n_steps), laid out like _node_major_zeros."""
-    A = ensemble.A
-    return np.subtract(A[:, 1:], A[:, :-1], out=_node_major_zeros((A.shape[0], A.shape[1] - 1)))
-
-
 @dataclass(frozen=True)
 class GammaArtifacts:
     """Byproducts of one outer step, kept for diagnostics and replay."""
@@ -102,16 +98,17 @@ class GammaArtifacts:
 
 
 def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
-            U: np.ndarray) -> np.ndarray:
+            U: np.ndarray, *, plan: RegressionPlan | None = None) -> np.ndarray:
     """Left-point running integral of G against A along the frozen iterate,
-    as (n_paths, n_nodes, m) laid out node-major (see _node_major_zeros)."""
+    as (n_paths, n_nodes, m) laid out node-major (see _node_major_zeros).
+    ``plan``, built for this ensemble, supplies dA."""
     grid = ensemble.grid
     n, n_nodes, m = ensemble.n_paths, grid.nodes.size, problem.m
     B = _node_major_zeros((n, n_nodes, m))
     if problem.G is None:
         return B
     k = grid.delta_index_offset
-    dA = _increments_of_A(ensemble)
+    dA = (plan or RegressionPlan(RegressionBasis(), ensemble)).dA
     U_in = _read_only(U)
     for j in range(n_nodes - 1):
         t = float(grid.nodes[j])
@@ -164,7 +161,7 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     steps = grid.steps()
     W = plan.W_by_node
 
-    B = build_B(problem, ensemble, U)
+    B = build_B(problem, ensemble, U, plan=plan)
     xi = np.asarray(problem.xi(ensemble), dtype=float).reshape(n, m)
     if not np.all(np.isfinite(xi)):
         raise GeneratorEvaluationError("terminal values are not finite")
@@ -256,17 +253,17 @@ class Solution:
         return self.Y[:, 0, :].mean(axis=0)
 
 
-def _consistency(problem, ensemble, W, Y, Z, scheme):
+def _consistency(problem, plan, Y, Z, scheme):
     """Residuals of the discrete backward recursion along the solution.
 
-    W is the ensemble's W node-major (RegressionPlan.W_by_node); the node
-    values of Y and Z are read from node-major copies, their delay windows
-    from Y and Z themselves."""
-    grid = ensemble.grid
+    W and dA are read node-major from the regression plan; the node values
+    of Y and Z from node-major copies, their delay windows from Y and Z
+    themselves."""
+    grid = plan.ensemble.grid
     k = grid.delta_index_offset
     n, m = Y.shape[0], Y.shape[2]
     steps = grid.steps()
-    dA = _increments_of_A(ensemble)
+    W, dA = plan.W_by_node, plan.dA
     Yn, Zn = _read_only(_node_major_copy(Y)), _read_only(_node_major_copy(Z))
     R = _node_major_zeros((n, grid.n_steps, m))
     for i in range(grid.n_steps):
@@ -356,6 +353,7 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     converged = False
     plan = _regression_plan(ensemble, basis)
     weights = norm_weights(ensemble.A, grid, alpha, beta)
+    plan.dA = weights[1]  # the one dA of the solve
 
     for it in range(1, max_iter + 1):
         Y, Z, _ = gamma_step(problem, ensemble, U, V, scheme=scheme, plan=plan)
@@ -379,7 +377,7 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
             f"(last ratios {ratios[-2]:.3f}, {ratios[-1]:.3f}); "
             "the smallness conditions are likely violated")
 
-    mtg, rms = _consistency(problem, ensemble, plan.W_by_node, U, V, scheme)
+    mtg, rms = _consistency(problem, plan, U, V, scheme)
     diag = SolverDiagnostics(
         deltas=deltas, ratios=ratios, tol=tol, converged=converged,
         iterations=len(deltas), c=c_val, alpha=alpha, beta=beta, lam=lam,

@@ -4,8 +4,8 @@ Brownian ensembles use a counter-based Philox stream filled in path-major
 order, so path p's draw never depends on how many paths follow it.  Increasing
 integrator processes A are realized as functionals of the same Brownian data
 (or deterministically) and are checked node-by-node for monotonicity.
-All cross products in the least-squares step go through numpy-core reductions
-in a fixed order, which keeps results independent of BLAS thread counts.
+Designs are column-major, and the least-squares cross products are numpy-core
+reductions along their path axis: no BLAS, so no dependence on thread counts.
 A RegressionPlan holds the part of the regressions that depends on the
 ensemble alone: it builds each node's ridged Gram matrix once and reuses it
 for every later fit at that node, whatever the targets.
@@ -13,8 +13,8 @@ for every later fit at that node, whatever the targets.
 Layout: ensembles are path-major and C-contiguous, W as (n_paths, n_nodes, d)
 and A as (n_paths, n_nodes), and that is the layout of every public array.
 A backward sweep reads them one node at a time, so a RegressionPlan keeps
-node-major copies (W_by_node, A_by_node), built on first use, in which each
-node's values are one contiguous block.  A single regression
+node-major copies (W_by_node, A_by_node, dA), built on first use, in which
+each node's values are one contiguous block.  A single regression
 (conditional_expectation) reads the node column of the ensemble directly.
 """
 
@@ -265,7 +265,7 @@ class RegressionBasis:
     ``degree``, then any caller-supplied columns (delayed-segment summaries).
     ``ridge`` is added to the diagonal of every normal matrix on this basis;
     with ridge = 0 a singular system raises SingularSystemError.  A negative
-    degree or ridge raises ValueError.
+    degree or ridge raises ValueError.  Designs are column-major (n_paths, p).
     """
 
     degree: int = 2
@@ -282,7 +282,7 @@ class RegressionBasis:
         combos = [combo for deg in range(1, self.degree + 1)
                   for combo in itertools.combinations_with_replacement(range(d), deg)]
         extras = [np.asarray(extra, dtype=float).reshape(n, -1) for extra in extras or []]
-        out = np.empty((n, 1 + len(combos) + sum(extra.shape[1] for extra in extras)))
+        out = np.empty((n, 1 + len(combos) + sum(e.shape[1] for e in extras)), order="F")
         out[:, 0] = 1.0
         for c, combo in enumerate(combos, start=1):
             # each monomial starts from its first factor (1.0 * x is exact)
@@ -302,9 +302,10 @@ _SINGULAR = ("normal equations are singular; drop collinear features or set "
 
 
 def _normal_matrix(design: np.ndarray, ridge: float) -> np.ndarray:
-    """Ridged Gram matrix of the design; with ridge = 0 a numerically
-    singular one raises SingularSystemError."""
-    gram = np.einsum("ni,nj->ij", design, design, optimize=False)
+    """Ridged Gram matrix of the design, reduced along its path axis; with
+    ridge = 0 a numerically singular one raises SingularSystemError."""
+    X = np.asfortranarray(design).T
+    gram = np.einsum("in,jn->ij", X, X, optimize=False)
     if ridge:
         return gram + ridge * np.eye(gram.shape[0])
     spectrum = np.linalg.svd(gram, compute_uv=False)
@@ -317,7 +318,8 @@ def _solve_normal(gram: np.ndarray, design: np.ndarray,
                   targets: np.ndarray) -> np.ndarray:
     """Coefficients from a normal matrix built by _normal_matrix."""
     t2d = targets if targets.ndim == 2 else targets[:, None]
-    rhs = np.einsum("ni,nq->iq", design, t2d, optimize=False)
+    rhs = np.einsum("in,qn->iq", np.asfortranarray(design).T,
+                    np.ascontiguousarray(t2d.T), optimize=False)
     try:
         theta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError:
@@ -356,7 +358,9 @@ class RegressionPlan:
     back to ``fit`` for every regression at that node.
     ``W_by_node`` and ``A_by_node`` are node-major copies of the ensemble's
     W and A, built on first use, from which a backward sweep reads one node
-    at a time; ``design`` reads W(t_step) there.
+    at a time; ``design`` reads W(t_step) there, and ``fit`` reduces along
+    the path axis of the column-major design.  ``dA``, the increments of A
+    laid out node-major, is the one a solve's norm weights hold.
     """
 
     def __init__(self, basis: RegressionBasis, ensemble: PathEnsemble,
@@ -375,6 +379,11 @@ class RegressionPlan:
     def A_by_node(self) -> np.ndarray:
         """A as (n_nodes, n_paths)."""
         return _node_major(self.ensemble.A)
+
+    @functools.cached_property
+    def dA(self) -> np.ndarray:
+        """Increments of A as (n_paths, n_steps), laid out node-major in memory."""
+        return np.diff(self.A_by_node, axis=0).T
 
     def design(self, step: int) -> np.ndarray:
         extras = None if self.extra_columns is None else self.extra_columns(step)

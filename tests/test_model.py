@@ -18,13 +18,14 @@ Oracle notes (derived before the implementations were trusted):
 import numpy as np
 import pytest
 
-from delaybsde import registry
+from delaybsde import model, registry, stability_lab
 from delaybsde.errors import (ConfigError, ConstraintViolationError,
                               NumericOverflowError)
 from delaybsde.model import (AtomMeasure, ProblemSpec, c_threshold, check_H1,
                              check_H2, check_integrability, effective_c,
-                             equivalent_norm, mu_lambda, probe_lipschitz,
-                             segment_integral, select_lambda, weighted_norm)
+                             equivalent_norm, mu_lambda, norm_weights,
+                             probe_lipschitz, segment_integral, select_lambda,
+                             weighted_norm)
 from delaybsde.path_calculus import TimeGrid
 from delaybsde.stochastic_engine import (IncreasingProcessSpec, omega_delta,
                                          realize_increasing_process,
@@ -239,6 +240,44 @@ def test_equivalent_norm_matches_bruteforce():
     assert rep.total == pytest.approx(sup + 5.0 * da + 2.0 * dt, rel=1e-12)
 
 
+def node_major(X):
+    """X with the same shape, laid out node-major in memory."""
+    return np.ascontiguousarray(np.swapaxes(X, 0, 1)).swapaxes(0, 1)
+
+
+@pytest.mark.parametrize("layout", ["C", "node_major"])
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_norm_terms_equal_three_product_sums_bitwise(p, layout):
+    # the norm multiplies its weights into |Y|^2 and |Z|^2 in place; the terms
+    # must be those of the three-product expressions on C-ordered arrays, bit
+    # for bit, whatever the layout of the inputs
+    rng = np.random.default_rng(19)
+    n, n_steps = 400, 30
+    grid = TimeGrid.uniform(1.0, n_steps)
+    Y = rng.normal(size=(n, n_steps + 1, 1))
+    Z = rng.normal(size=(n, n_steps + 1, 1, 2))
+    A = np.concatenate([np.zeros((n, 1)),
+                        np.cumsum(rng.uniform(0, 0.1, size=(n, n_steps)), axis=1)], axis=1)
+    ysq, zsq = model._sq_size(Y), model._sq_size(Z)
+    dA, dt = np.diff(A, axis=1), grid.steps()[None, :]
+
+    def expected(alpha, beta):
+        w = np.exp(alpha * grid.nodes[None, :] + beta * A)
+        return (float(np.mean(np.max(w * ysq ** (p / 2.0), axis=1))),
+                float(np.mean(np.sum(w[:, :-1] * ysq[:, :-1] * dA, axis=1))) ** (p / 2.0),
+                float(np.mean(np.sum(w[:, :-1] * zsq[:, :-1] * dt, axis=1))) ** (p / 2.0))
+
+    if layout == "node_major":
+        Y, Z, A = node_major(Y), node_major(Z), node_major(A)
+    rep = weighted_norm(Y, Z, A, grid, p=p, beta=0.6)
+    assert (rep.sup_term, rep.dA_term, rep.dt_term) == expected(0.0, 0.6)
+    if p == 2.0:
+        for weights in (None, norm_weights(A, grid, 1.3, 0.6)):
+            rep = equivalent_norm(Y, Z, A, grid, alpha=1.3, beta=0.6, a=5.0, b=2.0,
+                                  weights=weights)
+            assert (rep.sup_term, rep.dA_term, rep.dt_term) == expected(1.3, 0.6)
+
+
 # ---------------------------------------------------------------- constants
 
 def test_c_threshold_values():
@@ -392,6 +431,29 @@ def test_probe_absent_generator():
     assert not probe.exceeds_L and not probe.exceeds_K1
     with pytest.raises(ValueError):
         probe_lipschitz(prob, which="H")
+
+
+@pytest.mark.parametrize("which, arg", [
+    ("F", "y"), ("F", "z"), ("F", "y_seg"), ("F", "z_seg"), ("G", "y"), ("G", "w")])
+def test_generator_cannot_write_into_argument_clouds(which, arg):
+    # the probes hand the same arrays to every call, so a generator that
+    # writes into its argument would change the inputs of every later call
+    def F(t, y, z, y_seg, z_seg, ctx):
+        {"y": y, "z": z, "y_seg": y_seg, "z_seg": z_seg}[arg][:] = 0.0
+        return 0.1 * y
+
+    def G(t, y, y_seg, ctx):
+        {"y": y, "w": ctx.w}[arg][:] = 0.0
+        return 0.1 * y
+
+    gen = F if which == "F" else G
+    prob = base_problem(**{which: gen})
+    with pytest.raises(ValueError, match="read-only"):
+        probe_lipschitz(prob, which=which, n_samples=64)
+    with pytest.raises(ValueError, match="read-only"):
+        stability_lab.generator_gap(gen, None, prob, which=which)
+    with pytest.raises(ValueError, match="read-only"):
+        check_integrability(prob, linear_A_ensemble())
 
 
 # ------------------------------------------------------------ integrability

@@ -148,9 +148,9 @@ def test_generator_cannot_write_into_iterate(which, arg):
     V = np.ones((16, 21, 1, 1))
     with pytest.raises(ValueError, match="read-only"):
         gamma_step(prob, ens, U, V)
-    W = stochastic_engine.RegressionPlan(RegressionBasis(), ens).W_by_node
+    plan = stochastic_engine.RegressionPlan(RegressionBasis(), ens)
     with pytest.raises(ValueError, match="read-only"):
-        picard_solver._consistency(prob, ens, W, U, V, "explicit")
+        picard_solver._consistency(prob, plan, U, V, "explicit")
     assert np.all(U == 1.0) and np.all(V == 1.0)
 
 

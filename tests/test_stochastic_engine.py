@@ -1,10 +1,12 @@
 """Brownian simulation, increasing integrators, regression estimates."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from delaybsde import stochastic_engine
 from delaybsde.errors import MonotonicityError, SingularSystemError
 from delaybsde.path_calculus import TimeGrid
 from delaybsde.stochastic_engine import (
@@ -262,7 +264,7 @@ def test_design_matches_monomial_loop(d, degree):
     extras = [ens.W[:, 3, 0], np.stack([ens.W[:, 2, 0], ens.W[:, 9, -1]], axis=1)]
     for ex in ([], extras):
         design = RegressionBasis(degree).design(w_t, ex)
-        assert design.flags.c_contiguous
+        assert design.flags.f_contiguous
         assert np.array_equal(design, design_loop(w_t, degree, ex))
 
 
@@ -300,6 +302,39 @@ def test_plan_fit_matches_conditional_expectation(step, width, random_A):
         fit, theta = plan.fit(step, design, targets)
         assert np.array_equal(fit, want_fit) and np.array_equal(theta, want_theta)
     assert design.shape[1] == 6 + random_A
+
+
+def offset_copy(X, offset, order):
+    """X copied, in the given memory order, into a buffer starting ``offset``
+    doubles past an allocation's start."""
+    out = np.empty(X.size + offset)[offset:].reshape(X.shape, order=order)
+    out[...] = X
+    return out
+
+
+def test_fit_bits_ignore_design_layout_and_alignment():
+    ens = simulate_brownian(GRID, 20000, d=2, seed=17)
+    rng = np.random.default_rng(18)
+    target = ens.W[:, -1, 0] ** 2 + rng.normal(size=20000)
+    targets = np.stack([target, ens.W[:, -1, 1] + rng.normal(size=20000)], axis=1)
+    basis = RegressionBasis(2)
+    design = basis.design(ens.W[:, 7, :])
+    # fit_least_squares copies a C-ordered design into the column-major layout
+    for t in (target, targets):
+        assert np.array_equal(fit_least_squares(np.ascontiguousarray(design), t, 1e-10),
+                              fit_least_squares(design, t, 1e-10))
+    want_fit, want_theta = RegressionPlan(basis, ens).fit(7, design, targets)
+    for offset in range(1, 8):
+        for order in "CF":
+            # a fresh plan builds its Gram matrix from the shifted design
+            fit, theta = RegressionPlan(basis, ens).fit(
+                7, offset_copy(design, offset, "F"), offset_copy(targets, offset, order))
+            assert np.array_equal(fit, want_fit) and np.array_equal(theta, want_theta)
+    # against the identity normal matrix the coefficients are the right-hand side
+    rhs = stochastic_engine._solve_normal(np.eye(design.shape[1]), design, targets)
+    for i, q in itertools.product(range(design.shape[1]), range(2)):
+        terms = design[:, i] * targets[:, q]
+        assert abs(rhs[i, q] - math.fsum(terms)) <= 1e-12 * math.fsum(np.abs(terms))
 
 
 def test_plan_singular_design_raises_on_every_fit():
