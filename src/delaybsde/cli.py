@@ -102,7 +102,7 @@ def validate(config, n_steps=None):
     from .errors import ConfigError
     from .model import c_threshold
     from .path_calculus import delay_fits_horizon
-    from .registry import build_F, build_G, build_terminal
+    from .registry import build_F, build_G, build_terminal, problem_from_dict
     from .stochastic_engine import PROCESS_KINDS, IncreasingProcessSpec
 
     diags = []
@@ -182,6 +182,12 @@ def validate(config, n_steps=None):
         _regression_basis(solver)
     except (TypeError, ValueError) as exc:
         err("domain", f"solver regression basis: {exc}")
+    if not any(d["level"] == "error" for d in diags):
+        # what the checks above do not cover: delay measures, kernel bounds
+        try:
+            problem_from_dict(problem)
+        except (ConfigError, TypeError, ValueError) as exc:
+            err("domain", f"problem: {exc}")
 
     if problem.get("K", 0.0) == 0.0 and problem.get("F") is not None:
         warn("bounds", "F is set but K is 0; the smallness checks will treat F as undelayed")
@@ -304,7 +310,7 @@ def cmd_check(args):
 
     probes = {}
     for which in ("F", "G"):
-        probe = probe_lipschitz(problem, which=which, seed=settings["seed"])
+        probe = probe_lipschitz(problem, which=which)
         probes[which] = probe
         verdict = "FAIL" if (probe.exceeds_L or probe.exceeds_K1) else "PASS"
         print(f"lipschitz probe {which}: {verdict} empirical_L={probe.empirical_L:.6g} "

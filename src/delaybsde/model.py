@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import ConstraintViolationError, NumericOverflowError
-from .path_calculus import TimeGrid, delay_fits_horizon
+from .path_calculus import TimeGrid, delay_fits_horizon, node_major_zeros
 from .stochastic_engine import IncreasingProcessSpec, PathEnsemble, omega_delta
 
 __all__ = [
@@ -57,11 +57,12 @@ class AtomMeasure:
         weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
         if thetas.shape != weights.shape or thetas.ndim != 1:
             raise ValueError("thetas and weights must be equally sized vectors")
-        if np.any(weights < 0):
+        # written so that a NaN fails each check
+        if not np.all(weights >= 0):
             raise ValueError("weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > 1e-12:
+        if not abs(weights.sum() - 1.0) <= 1e-12:
             raise ValueError("weights must sum to one")
-        if np.any(thetas > 0):
+        if not np.all(thetas <= 0):
             raise ValueError("atoms must sit in [-delta, 0]")
         object.__setattr__(self, "thetas", thetas)
         object.__setattr__(self, "weights", weights)
@@ -233,7 +234,7 @@ def norm_weights(A, grid: TimeGrid, alpha: float, beta: float):
     if not np.all(np.isfinite(w)):
         raise NumericOverflowError(
             "exp(alpha t + beta A) overflowed; beta * A(T) is too large")
-    return w, np.subtract(A[:, 1:], A[:, :-1], out=np.empty((A.shape[1] - 1, A.shape[0])).T)
+    return w, np.subtract(A[:, 1:], A[:, :-1], out=node_major_zeros((A.shape[0], A.shape[1] - 1)))
 
 
 def _assemble_norm(Y, Z, A, grid: TimeGrid, *, p: float, alpha: float,

@@ -25,6 +25,7 @@ __all__ = [
     "bv_norm",
     "stieltjes_integral",
     "cumulative_stieltjes",
+    "node_major_zeros",
     "delay_window",
     "delayed_segment",
     "step_approximation",
@@ -236,23 +237,29 @@ def cumulative_stieltjes(x_values: np.ndarray, eta_values: np.ndarray,
     return out
 
 
+def node_major_zeros(shape) -> np.ndarray:
+    """Zeros of the path-major shape (n_paths, n_nodes, ...), laid out
+    node-major in memory, so that X[:, i] is one contiguous block."""
+    return np.zeros((shape[1], shape[0]) + tuple(shape[2:])).swapaxes(0, 1)
+
+
 def delay_window(X: np.ndarray, i: int, k: int, kind: str = "state") -> np.ndarray:
     """Delay window of a path stack at node i: X[:, i-k .. i] along axis 1.
 
     Nodes before time zero follow the prolongation convention: "state"
     windows repeat X[:, 0]; "control" windows vanish there.  For i >= k the
-    window is a view of X, otherwise a fresh array filled by two slices;
-    either way it is read-only, so a generator cannot write into the path.
+    window is a view of X, otherwise a fresh node_major_zeros array filled
+    by whole node columns; either way it is read-only, so a generator cannot
+    write into the path.
     """
     if kind not in ("state", "control"):
         raise ValueError(f"unknown segment kind {kind!r}")
     if i >= k:
         window = X[:, i - k:i + 1]
     else:
-        # node-major in memory, so that each slice copies whole node columns
-        # rather than a few values per path, which is slow at many paths
-        window = np.empty((k + 1, X.shape[0]) + X.shape[2:], dtype=X.dtype).swapaxes(0, 1)
-        window[:, :k - i] = X[:, :1] if kind == "state" else 0.0
+        window = node_major_zeros((X.shape[0], k + 1) + X.shape[2:])
+        if kind == "state":
+            window[:, :k - i] = X[:, :1]
         window[:, k - i:] = X[:, :i + 1]
     window.flags.writeable = False
     return window

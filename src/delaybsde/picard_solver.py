@@ -8,15 +8,9 @@ sweep.  Iterating this map contracts in the weighted norm whenever the
 smallness conditions hold; the solver tracks the contraction empirically and
 compares it with the theoretical factor mu_lambda.
 
-Layout: the API takes and returns path stacks path-major and C-contiguous,
-(n_paths, n_nodes, ...).  Inside the sweep, the arrays it reads or writes one
-node at a time (Yhat, Z, B, dA, the consistency residuals and the regression
-plan's copy of W) are node-major in memory, so that each node's values are
-one contiguous block.  dA is built once per solve, by norm_weights, and
-reaches build_B and the consistency residuals through the regression plan.
-Results are handed back in the public layout, and every reduction across
-paths or nodes runs in that layout, so the results do not depend on the
-internal one.
+Layout: path stacks are (n_paths, n_nodes, ...); sweep arrays, the Picard
+iterate included, are node-major (path_calculus.node_major_zeros), and solve
+returns C order.
 """
 
 from __future__ import annotations
@@ -33,6 +27,7 @@ from .model import (ConditionReport, ProblemSpec, check_H1, check_H2,
                     effective_c, equivalent_norm, evaluate_generator,
                     norm_weights, probe_lipschitz, select_lambda)
 from .path_calculus import delay_window as node_segment
+from .path_calculus import node_major_zeros
 from .stochastic_engine import (PathEnsemble, RegressionBasis, RegressionPlan,
                                 realize_increasing_process)
 # no longer called here; bench/tracing.py still looks the name up here
@@ -65,21 +60,8 @@ def _regression_plan(ensemble: PathEnsemble,
         # the rule holds the copy, not the plan: a plan -> rule -> plan cycle
         # would keep every solve's plan alive until the cycle collector runs
         A = plan.A_by_node
-        plan.extra_columns = lambda i: [A[i]]
+        plan.extra_columns = lambda i: [A[:, i]]
     return plan
-
-
-def _node_major_zeros(shape) -> np.ndarray:
-    """Zeros of the path-major shape (n_paths, n_nodes, ...) laid out
-    node-major in memory, so that X[:, i] is one contiguous block."""
-    return np.zeros((shape[1], shape[0]) + tuple(shape[2:])).swapaxes(0, 1)
-
-
-def _node_major_copy(X: np.ndarray) -> np.ndarray:
-    """X copied into the layout of _node_major_zeros."""
-    out = _node_major_zeros(X.shape)
-    out[...] = X
-    return out
 
 
 def _read_only(X: np.ndarray) -> np.ndarray:
@@ -100,11 +82,11 @@ class GammaArtifacts:
 def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
             U: np.ndarray, *, plan: RegressionPlan | None = None) -> np.ndarray:
     """Left-point running integral of G against A along the frozen iterate,
-    as (n_paths, n_nodes, m) laid out node-major (see _node_major_zeros).
-    ``plan``, built for this ensemble, supplies dA."""
+    as (n_paths, n_nodes, m) laid out node-major.  ``plan``, built for this
+    ensemble, supplies dA."""
     grid = ensemble.grid
     n, n_nodes, m = ensemble.n_paths, grid.nodes.size, problem.m
-    B = _node_major_zeros((n, n_nodes, m))
+    B = node_major_zeros((n, n_nodes, m))
     if problem.G is None:
         return B
     k = grid.delta_index_offset
@@ -144,7 +126,7 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     keeps each node's coefficients in the artifacts.  F and G get read-only
     arguments.  A value iterate above
     BLOWUP_THRESHOLD or not finite raises BlowupError.  Y and Z come back
-    path-major and C-contiguous whatever the layout of U and V.
+    node-major whatever the layout of U and V.
     """
     if scheme not in ("explicit", "implicit"):
         raise ValueError("scheme must be 'explicit' or 'implicit'")
@@ -166,15 +148,15 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     if not np.all(np.isfinite(xi)):
         raise GeneratorEvaluationError("terminal values are not finite")
 
-    Yhat = _node_major_zeros((n, n_nodes, m))
-    Z = _node_major_zeros((n, n_nodes, m, d))
+    Yhat = node_major_zeros((n, n_nodes, m))
+    Z = node_major_zeros((n, n_nodes, m, d))
     Z_in = _read_only(Z)
     Yhat[:, -1] = xi + B[:, -1]
     thetas: dict | None = {} if keep_regression else None
 
     for i in range(n_nodes - 2, -1, -1):
         dt = float(steps[i])
-        dW = W[i + 1] - W[i]
+        dW = W[:, i + 1] - W[:, i]
         design = plan.design(i)
         nxt = Yhat[:, i + 1]
 
@@ -184,7 +166,7 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
         Z[:, i] = z_fit.reshape(n, m, d)
 
         t = float(grid.nodes[i])
-        ctx = problem.context(grid, t, W[i])
+        ctx = problem.context(grid, t, W[:, i])
         seg_y = node_segment(U, i, k)
         seg_z = node_segment(V, i, k, kind="control")
         theta_y = None
@@ -212,10 +194,7 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
             thetas[i] = {"mean": theta_m, "z": theta_z, "y": theta_y}
 
     Z[:, -1] = Z[:, -2]
-    # back to the public layout, path-major and C-contiguous; Z first, so
-    # that its node-major stack is freed before Y is allocated
-    Z = np.ascontiguousarray(Z)
-    Y = np.subtract(Yhat, B, order="C")
+    Y = np.subtract(Yhat, B, out=Yhat)
     Y[:, -1] = xi
     return Y, Z, GammaArtifacts(B=B, thetas=thetas)
 
@@ -254,35 +233,31 @@ class Solution:
 
 
 def _consistency(problem, plan, Y, Z, scheme):
-    """Residuals of the discrete backward recursion along the solution.
-
-    W and dA are read node-major from the regression plan; the node values
-    of Y and Z from node-major copies, their delay windows from Y and Z
-    themselves."""
+    """Residuals of the discrete backward recursion along the node-major
+    solution, reduced in C order."""
     grid = plan.ensemble.grid
     k = grid.delta_index_offset
     n, m = Y.shape[0], Y.shape[2]
     steps = grid.steps()
     W, dA = plan.W_by_node, plan.dA
-    Yn, Zn = _read_only(_node_major_copy(Y)), _read_only(_node_major_copy(Z))
-    R = _node_major_zeros((n, grid.n_steps, m))
+    Y, Z = _read_only(Y), _read_only(Z)
+    R = node_major_zeros((n, grid.n_steps, m))
     for i in range(grid.n_steps):
         t = float(grid.nodes[i])
         dt = float(steps[i])
-        ctx = problem.context(grid, t, W[i])
-        acc = Yn[:, i + 1] - Yn[:, i]
+        ctx = problem.context(grid, t, W[:, i])
+        acc = Y[:, i + 1] - Y[:, i]
         if problem.F is not None:
-            y_arg = Yn[:, i + 1] if scheme == "explicit" else Yn[:, i]
+            y_arg = Y[:, i + 1] if scheme == "explicit" else Y[:, i]
             acc = acc + dt * evaluate_generator(
-                problem.F, "F", ctx, y_arg, Zn[:, i], node_segment(Y, i, k),
+                problem.F, "F", ctx, y_arg, Z[:, i], node_segment(Y, i, k),
                 node_segment(Z, i, k, kind="control"))
         if problem.G is not None:
             acc = acc + dA[:, i, None] * evaluate_generator(
-                problem.G, "G", ctx, Yn[:, i], None, node_segment(Y, i, k), None)
-        dW = W[i + 1] - W[i]
-        acc = acc - np.einsum("nmd,nd->nm", Zn[:, i], dW, optimize=False)
+                problem.G, "G", ctx, Y[:, i], None, node_segment(Y, i, k), None)
+        dW = W[:, i + 1] - W[:, i]
+        acc = acc - np.einsum("nmd,nd->nm", Z[:, i], dW, optimize=False)
         R[:, i] = acc
-    # reduce in the public layout's order
     R = np.ascontiguousarray(R)
     mtg = float(np.max(np.abs(R.mean(axis=0))))
     rms = float(np.sqrt(np.mean(R ** 2)))
@@ -329,8 +304,8 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
         if (probe.exceeds_L or probe.exceeds_K1) and not force:
             raise ConstraintViolationError(
                 f"declared constants of {probe.which} are below the empirical "
-                f"ones (L={probe.declared_L:.3g} vs {probe.empirical_L:.3g}, "
-                f"K1={probe.declared_K1:.3g} vs {probe.empirical_K1:.3g}), so "
+                f"ones (L={probe.declared_L:.6g} vs {probe.empirical_L:.6g}, "
+                f"K1={probe.declared_K1:.6g} vs {probe.empirical_K1:.6g}), so "
                 "the smallness conditions prove nothing; pass force=True to "
                 "run anyway")
 
@@ -346,8 +321,8 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
 
     alpha, beta = problem.alpha, problem.beta
     n, n_nodes = ensemble.n_paths, grid.nodes.size
-    U = np.zeros((n, n_nodes, problem.m))
-    V = np.zeros((n, n_nodes, problem.m, problem.d))
+    U = node_major_zeros((n, n_nodes, problem.m))
+    V = node_major_zeros((n, n_nodes, problem.m, problem.d))
     deltas: list[float] = []
     ratios: list[float] = []
     converged = False
@@ -386,7 +361,8 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     if not converged:
         log.warning("iteration budget spent at squared distance %.3e > tol %.3e",
                     deltas[-1], tol)
-    return Solution(Y=U, Z=V, diagnostics=diag, ensemble=ensemble)
+    return Solution(Y=np.ascontiguousarray(U), Z=np.ascontiguousarray(V),
+                    diagnostics=diag, ensemble=ensemble)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,9 @@ A RegressionPlan holds the part of the regressions that depends on the
 ensemble alone: it builds each node's ridged Gram matrix once and reuses it
 for every later fit at that node, whatever the targets.
 
-Layout: ensembles are path-major and C-contiguous, W as (n_paths, n_nodes, d)
-and A as (n_paths, n_nodes), and that is the layout of every public array.
-A backward sweep reads them one node at a time, so a RegressionPlan keeps
-node-major copies (W_by_node, A_by_node, dA), built on first use, in which
-each node's values are one contiguous block.  A single regression
-(conditional_expectation) reads the node column of the ensemble directly.
+Layout: ensembles are C order, W as (n_paths, n_nodes, d) and A as
+(n_paths, n_nodes); a RegressionPlan's sweep arrays are node-major
+(path_calculus.node_major_zeros).
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridAlignmentError, MonotonicityError, SingularSystemError
-from .path_calculus import TimeGrid, delay_fits_horizon
+from .path_calculus import TimeGrid, delay_fits_horizon, node_major_zeros
 
 __all__ = [
     "PathEnsemble",
@@ -338,9 +335,10 @@ def fit_least_squares(design: np.ndarray, targets: np.ndarray,
 
 
 def _node_major(X: np.ndarray) -> np.ndarray:
-    """Read-only copy of a path stack (n_paths, n_nodes, ...) with the node
-    axis first, so that each node's values are one contiguous block."""
-    out = np.ascontiguousarray(np.swapaxes(X, 0, 1))
+    """Read-only copy of a path stack (n_paths, n_nodes, ...) laid out as
+    node_major_zeros, so that X[:, i] is one contiguous block."""
+    out = node_major_zeros(X.shape)
+    out[...] = X
     out.flags.writeable = False
     return out
 
@@ -359,8 +357,8 @@ class RegressionPlan:
     ``W_by_node`` and ``A_by_node`` are node-major copies of the ensemble's
     W and A, built on first use, from which a backward sweep reads one node
     at a time; ``design`` reads W(t_step) there, and ``fit`` reduces along
-    the path axis of the column-major design.  ``dA``, the increments of A
-    laid out node-major, is the one a solve's norm weights hold.
+    the path axis of the column-major design.  ``dA``, the increments of A,
+    is the one a solve's norm weights hold.
     """
 
     def __init__(self, basis: RegressionBasis, ensemble: PathEnsemble,
@@ -372,22 +370,22 @@ class RegressionPlan:
 
     @functools.cached_property
     def W_by_node(self) -> np.ndarray:
-        """W as (n_nodes, n_paths, d)."""
+        """W as (n_paths, n_nodes, d), read-only, laid out node-major."""
         return _node_major(self.ensemble.W)
 
     @functools.cached_property
     def A_by_node(self) -> np.ndarray:
-        """A as (n_nodes, n_paths)."""
+        """A as (n_paths, n_nodes), read-only, laid out node-major."""
         return _node_major(self.ensemble.A)
 
     @functools.cached_property
     def dA(self) -> np.ndarray:
-        """Increments of A as (n_paths, n_steps), laid out node-major in memory."""
-        return np.diff(self.A_by_node, axis=0).T
+        """Increments of A as (n_paths, n_steps), in A_by_node's layout."""
+        return np.diff(self.A_by_node, axis=1)
 
     def design(self, step: int) -> np.ndarray:
         extras = None if self.extra_columns is None else self.extra_columns(step)
-        return self.basis.design(self.W_by_node[step], extras)
+        return self.basis.design(self.W_by_node[:, step], extras)
 
     def fit(self, step: int, design: np.ndarray, targets: np.ndarray):
         """(fitted, coefficients) of E[targets | F_{t_step}] on the design

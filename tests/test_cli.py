@@ -215,6 +215,24 @@ def test_validate_refuses_what_the_registry_builders_refuse(tmp_path, capsys,
     assert "[registry]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("key, value", [
+    ("rho", {"thetas": [-0.1, 0.0], "weights": [0.5, 0.6]}),
+    ("rho", {"thetas": [-0.5, 0.0], "weights": [0.5, 0.5]}),
+    ("rho", {"thetas": [0.0], "weights": [float("nan")]}),
+    ("rho", {"thetas": [float("nan")], "weights": [1.0]}),
+    ("K", "abc"),
+])
+def test_validate_refuses_malformed_delay_measures_and_bounds(tmp_path, capsys, key, value):
+    config = base_config()
+    config["problem"][key] = value
+    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    assert [d["code"] for d in errors] == ["domain"]
+    code = cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "[domain]" in capsys.readouterr().out
+
+
 def test_validate_warns_on_zero_delay_bound():
     config = base_config()
     config["problem"]["K"] = 0.0
@@ -317,6 +335,40 @@ def test_solve_rejects_failing_conditions(tmp_path, capsys):
     text = capsys.readouterr().out
     assert code == 2
     assert "solve: FAIL" in text
+
+
+def test_check_assumptions_runs_the_probe_of_solve(tmp_path, capsys):
+    # a declared L between the F probes at seeds 0 and 3: the verdict would
+    # depend on the seed if check-assumptions probed at its --seed
+    from delaybsde.model import probe_lipschitz
+    from delaybsde.registry import problem_from_dict
+
+    config = base_config()
+    problem = problem_from_dict(config["problem"])
+    e0, e3 = (probe_lipschitz(problem, "F", seed=s).empirical_L for s in (0, 3))
+    assert e0 != e3
+    config["problem"]["L"] = 0.5 * (e0 + e3)
+    config["problem"]["K"] = 1e-4
+    config_path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    check = cli.run(["check-assumptions", "--config", config_path, "--out", str(out),
+                     "--paths", "300", "--seed", "3"])
+    check_text = capsys.readouterr().out
+    solve = cli.run(["solve", "--config", config_path, "--out", str(tmp_path / "solve"),
+                     "--seed", "3"])
+    solve_text = capsys.readouterr().out
+    refused = e0 > config["problem"]["L"]
+    assert ("lipschitz probe F: FAIL" in check_text) == refused
+    assert ("declared constants of F" in solve_text) == refused
+    assert (check == 2) == (solve == 2) == refused
+    problem = problem_from_dict(config["problem"])
+    report = json.loads((out / "assumptions.json").read_text())["probes"]
+    for which in "FG":
+        probe = probe_lipschitz(problem, which)
+        assert report[which] == {
+            "empirical_L": probe.empirical_L, "declared_L": probe.declared_L,
+            "empirical_K1": probe.empirical_K1, "declared_K1": probe.declared_K1,
+            "exceeds_L": probe.exceeds_L, "exceeds_K1": probe.exceeds_K1}
 
 
 def test_solve_ridge_setting_reaches_the_regression(tmp_path, capsys):

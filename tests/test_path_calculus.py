@@ -17,6 +17,7 @@ from delaybsde.path_calculus import (
     cumulative_stieltjes,
     delayed_segment,
     helly_bray_distance,
+    node_major_zeros,
     read_csv,
     step_approximation,
     stieltjes_integral,
@@ -290,6 +291,15 @@ def test_delayed_segment_prolongation_conventions():
     assert np.allclose(state.values, [1.0, 1.0, 1.0, 1.1], atol=1e-12)
     control = delayed_segment(x, 0.0, kind="control")
     assert np.allclose(control.values, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (7, 5, 2), (7, 5, 2, 3)])
+def test_node_major_zeros_keeps_each_node_contiguous(shape):
+    X = node_major_zeros(shape)
+    assert X.shape == shape and X.dtype == np.float64 and not X.any()
+    assert all(X[:, i].flags.c_contiguous for i in range(shape[1]))
+    # the node blocks follow one another in memory
+    assert X.strides[1] == X[:, 0].nbytes
 
 
 def test_delayed_segment_needs_delta():

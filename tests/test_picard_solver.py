@@ -357,9 +357,9 @@ def test_gamma_step_and_build_B_ignore_input_layout(scheme):
     Y2, Z2, art2 = gamma_step(prob, ens, node_major(U), node_major(V), scheme=scheme)
     assert np.array_equal(Y2, Y) and np.array_equal(Z2, Z)
     assert np.array_equal(art2.B, art.B) and np.array_equal(art.B, B)
-    # the public layout: path-major and C-contiguous
+    # the sweep's layout: path-major shape, each node one contiguous block
     assert Y.shape == (300, 21, 1) and Z.shape == (300, 21, 1, 1)
-    assert Y.flags.c_contiguous and Z.flags.c_contiguous
+    assert all(Y[:, i].flags.c_contiguous and Z[:, i].flags.c_contiguous for i in range(21))
 
 
 def test_solve_matches_pass_by_pass_replay():

@@ -304,6 +304,20 @@ def test_plan_fit_matches_conditional_expectation(step, width, random_A):
     assert design.shape[1] == 6 + random_A
 
 
+def test_plan_copies_are_node_major_blocks_of_the_ensemble():
+    ens = realize_increasing_process(IncreasingProcessSpec("running_max", {}),
+                                     simulate_brownian(GRID, 300, d=2, seed=16))
+    plan = RegressionPlan(RegressionBasis(2), ens)
+    W, A, dA = plan.W_by_node, plan.A_by_node, plan.dA
+    assert W.shape == ens.W.shape and A.shape == ens.A.shape
+    assert not (W.flags.writeable or A.flags.writeable)
+    for i in range(GRID.n_steps):
+        assert W[:, i].flags.c_contiguous and np.array_equal(W[:, i], ens.W[:, i])
+        assert A[:, i].flags.c_contiguous and np.array_equal(A[:, i], ens.A[:, i])
+        assert dA[:, i].flags.c_contiguous
+        assert np.array_equal(dA[:, i], ens.A[:, i + 1] - ens.A[:, i])
+
+
 def offset_copy(X, offset, order):
     """X copied, in the given memory order, into a buffer starting ``offset``
     doubles past an allocation's start."""
