@@ -121,8 +121,8 @@ class ProblemSpec:
     xi maps an ensemble to terminal values (n_paths, m).  F and G are
     vectorized generators F(t, y, z, y_seg, z_seg, ctx) -> (n, m) and
     G(t, y, y_seg, ctx) -> (n, m); either may be None (zero).  K and K_tilde
-    are the delay-kernel bounds: scalars, per-node arrays, or callables
-    (grid, ensemble) -> per-path-per-node arrays.
+    are the nonnegative delay-kernel bounds: scalars, per-node arrays, or
+    callables (grid, ensemble) -> per-path-per-node arrays.
     """
 
     T: float
@@ -146,14 +146,19 @@ class ProblemSpec:
                                  compare=False)
 
     def __post_init__(self):
-        if self.T <= 0 or not delay_fits_horizon(self.delta, self.T):
+        # written so that a NaN fails each check
+        if not self.T > 0 or not delay_fits_horizon(self.delta, self.T):
             raise ValueError("need T > 0 and 0 < delta <= T")
-        if self.beta <= 0 or self.L <= 0 or self.L_tilde <= 0:
+        if not (self.beta > 0 and self.L > 0 and self.L_tilde > 0):
             raise ValueError("constants beta, L, L_tilde must be positive")
         if self.m < 1 or self.d < 1:
             raise ValueError("need m >= 1 and d >= 1")
-        if self.c is not None and self.c <= 0:
+        if self.c is not None and not self.c > 0:
             raise ValueError("c must be positive when given")
+        for name in ("K", "K_tilde"):
+            bound = getattr(self, name)
+            if not callable(bound) and not np.all(np.asarray(bound, dtype=float) >= 0):
+                raise ValueError(f"kernel bound {name} must be nonnegative, got {bound!r}")
         for meas in (self.rho, self.rho_tilde):
             if meas is not None and np.any(meas.thetas < -self.delta - 1e-12):
                 raise ValueError("delay measure atom outside [-delta, 0]")
@@ -314,6 +319,9 @@ def _K_sup(K, grid: TimeGrid, ensemble: PathEnsemble | None):
     """Sup over time of the kernel bound; per path when K is random."""
     if callable(K):
         vals = np.asarray(K(grid, ensemble), dtype=float)
+        if not np.all(np.isfinite(vals) & (vals >= 0)):
+            raise ValueError("a callable kernel bound must return finite "
+                             "nonnegative values")
         return vals.max(axis=-1)
     vals = np.asarray(K, dtype=float)
     if vals.ndim == 0:

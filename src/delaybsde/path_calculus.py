@@ -25,6 +25,7 @@ __all__ = [
     "bv_norm",
     "stieltjes_integral",
     "cumulative_stieltjes",
+    "stored_rows",
     "node_major_zeros",
     "delay_window",
     "delayed_segment",
@@ -227,14 +228,24 @@ def cumulative_stieltjes(x_values: np.ndarray, eta_values: np.ndarray,
                          policy: str = "left") -> np.ndarray:
     """Running grid sums t |-> sum_{t_i < t} x(tau_i) (eta(t_{i+1}) - eta(t_i)).
 
-    Works on stacked arrays with the node axis last (shape (..., M+1)).
+    Works on stacked arrays with the node axis last (shape (..., M+1)) that
+    broadcast against each other; a broadcast integrator is differenced
+    once, on its stored rows.
     """
     x_values = np.asarray(x_values, dtype=float)
     eta_values = np.asarray(eta_values, dtype=float)
-    inc = _eval_points(x_values, policy) * np.diff(eta_values, axis=-1)
-    out = np.zeros(inc.shape[:-1] + (inc.shape[-1] + 1,))
-    np.cumsum(inc, axis=-1, out=out[..., 1:])
+    out = np.empty(np.broadcast_shapes(x_values.shape, eta_values.shape))
+    inc = np.multiply(_eval_points(x_values, policy),
+                      np.diff(stored_rows(eta_values), axis=-1), out=out[..., 1:])
+    np.cumsum(inc, axis=-1, out=inc)
+    out[..., 0] = 0.0
     return out
+
+
+def stored_rows(a: np.ndarray) -> np.ndarray:
+    """View of a with every leading axis of stride 0 cut to length 1: the
+    rows a broadcast array stores.  The node (last) axis stays whole."""
+    return a[tuple(slice(0, 1) if s == 0 else slice(None) for s in a.strides[:-1])]
 
 
 def node_major_zeros(shape) -> np.ndarray:

@@ -21,7 +21,7 @@ from .errors import FamilyInvalidError
 from .model import (ProblemSpec, argument_clouds, check_H1, check_H2,
                     effective_c, equivalent_norm, evaluate_generator,
                     weighted_norm)
-from .path_calculus import TimeGrid, cumulative_stieltjes
+from .path_calculus import TimeGrid, cumulative_stieltjes, stored_rows
 from .picard_solver import solve
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
                                 realize_increasing_process, simulate_brownian)
@@ -227,10 +227,11 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
 # ------------------------------------------------- integral convergence
 
 def bv_tail_curve(H_list, levels=(0.5, 1.0, 2.0, 4.0, 8.0)) -> dict:
-    """For each level nu: worst-case P(variation of H_n > nu) over members."""
+    """For each level nu: worst-case P(variation of H_n > nu) over members;
+    a broadcast H_n is differenced once, on its stored rows."""
     variations = []
     for H in H_list:
-        H = np.atleast_2d(np.asarray(H, dtype=float))
+        H = stored_rows(np.atleast_2d(np.asarray(H, dtype=float)))
         variations.append(np.sum(np.abs(np.diff(H, axis=1)), axis=1))
     return {float(nu): max((float(np.mean(v > nu)) for v in variations), default=0.0)
             for nu in levels}
@@ -275,8 +276,9 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
                                 labels=None) -> HellyBrayReport:
     """Convergence of coupled integrals int X_n dH_n toward int X dH.
 
-    All processes are path stacks on one grid (deterministic inputs may be
-    single rows).  Reports, per member, the coupled distance
+    All processes are path stacks on one grid that broadcast against each
+    other; a broadcast integrator is differenced once, on its stored rows,
+    and no input is written.  Reports, per member, the coupled distance
     E sup_t |I_n(t) - I(t)|, its truncations E[min(sup..., nu)] over the
     ladder, and the two-sample terminal statistic.  The verdict is
     INCONCLUSIVE when no level of bv_levels bounds the variation of every
@@ -300,12 +302,14 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
     for j, (X, H) in enumerate(zip(X_list, H_list)):
         X, H = rows_of(X), rows_of(H)
         I_n = cumulative_stieltjes(X, H)
-        gap = np.abs(I_n - I_lim)
-        per_path_sup = np.max(gap, axis=1)
+        terminal = I_n[:, -1].copy()
+        # |I_n - I_lim| in I_n itself, unless a single-row I_n meets more limit rows
+        gap = np.subtract(I_n, I_lim, out=I_n if I_n.shape[0] >= I_lim.shape[0] else None)
+        per_path_sup = np.max(np.abs(gap, out=gap), axis=1)
         phi = {float(nu): float(np.mean(np.minimum(per_path_sup, nu)))
                for nu in nu_ladder}
-        ks = float(ks_2samp(I_n[:, -1], I_lim[:, -1], method="asymp").statistic) \
-            if I_n.shape[0] > 1 else float(abs(I_n[0, -1] - I_lim[0, -1]))
+        ks = float(ks_2samp(terminal, I_lim[:, -1], method="asymp").statistic) \
+            if terminal.size > 1 else float(abs(terminal[0] - I_lim[0, -1]))
         label = str(labels[j]) if labels is not None else str(j)
         rows.append(HellyBrayRow(label=label,
                                  sup_distance=float(np.mean(per_path_sup)),

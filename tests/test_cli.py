@@ -233,6 +233,26 @@ def test_validate_refuses_malformed_delay_measures_and_bounds(tmp_path, capsys, 
     assert "[domain]" in capsys.readouterr().out
 
 
+def readme_config():
+    """The JSON block under "### Config file" in README.md."""
+    text = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    block = text.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    return json.loads(block)
+
+
+@pytest.mark.parametrize("key, value", [("K", -1.0), ("K_tilde", float("nan"))])
+def test_validate_refuses_negative_or_nan_kernel_bounds(tmp_path, capsys, key, value):
+    config = readme_config()
+    config["problem"][key] = value
+    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    assert [d["code"] for d in errors] == ["domain"]
+    assert key in errors[0]["message"]
+    code = cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "[domain]" in capsys.readouterr().out
+
+
 def test_validate_warns_on_zero_delay_bound():
     config = base_config()
     config["problem"]["K"] = 0.0

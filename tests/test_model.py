@@ -514,6 +514,30 @@ def test_problem_validation():
         base_problem(rho=AtomMeasure.dirac(-0.5))
 
 
+@pytest.mark.parametrize("key, value", [
+    ("K", -1.0), ("K_tilde", np.nan),
+    ("K", np.array([0.001, -0.001])), ("K_tilde", np.array([0.001, np.nan])),
+    ("beta", np.nan), ("L", np.nan), ("L_tilde", np.nan), ("c", np.nan),
+    ("T", np.nan),
+])
+def test_problem_refuses_negative_or_nan_constants(key, value):
+    with pytest.raises(ValueError):
+        base_problem(**{key: value})
+
+
+@pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("which, checker", [("K", check_H1), ("K_tilde", check_H2)])
+def test_conditions_refuse_a_callable_kernel_bound_out_of_range(which, checker, value):
+    # a negative K would make the left-hand side negative, a pass
+    ens = linear_A_ensemble(n_paths=3)
+
+    def bound(grid, ensemble):
+        return np.full((ensemble.n_paths, grid.nodes.size), value)
+
+    with pytest.raises(ValueError, match="kernel bound"):
+        checker(base_problem(**{which: bound}), ens, c=1.0 / 584.0)
+
+
 def test_full_window_delta_with_rounding_accepted():
     # T * n / n rounds one ulp above T here; the grid takes it as n steps,
     # and so must the problem and the delay-window increments of A

@@ -21,6 +21,7 @@ from delaybsde.path_calculus import (
     read_csv,
     step_approximation,
     stieltjes_integral,
+    stored_rows,
     total_variation,
     write_csv,
 )
@@ -273,6 +274,64 @@ def test_cumulative_matches_scalar_calls():
                 for i in (0, 7, 25):
                     direct = stieltjes_bruteforce(x_row[:i + 1], e_row[:i + 1], policy)
                     assert np.atleast_2d(run)[row, i] == pytest.approx(direct, abs=1e-13)
+
+
+def _broadcast_cases():
+    """(X, H) pairs whose integrator, and in one case integrand, is a
+    broadcast view: stride 0 on the path axis, a (1, M+1) row, a scalar
+    (stride 0 on the node axis too) and a 3-axis stack."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(4, 26))
+    row = np.cumsum(rng.random(26))
+    return [
+        (X, np.broadcast_to(row, X.shape)),
+        (X, row[None, :]),
+        (X, np.broadcast_to(0.3, X.shape)),
+        (X[:1], np.broadcast_to(row, X.shape)),
+        (np.broadcast_to(X[0], X.shape), np.broadcast_to(row, X.shape)),
+        (rng.normal(size=(2, 4, 26)), np.broadcast_to(row, (2, 4, 26))),
+        (rng.normal(size=(2, 4, 26)),
+         np.broadcast_to(np.cumsum(rng.random((4, 26)), axis=1), (2, 4, 26))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+@pytest.mark.parametrize("policy", ["left", "jump", "midpoint"])
+def test_cumulative_stieltjes_same_bits_on_broadcast_inputs(case, policy):
+    X, H = _broadcast_cases()[case]
+    run = cumulative_stieltjes(X, H, policy)
+    assert np.array_equal(run, cumulative_stieltjes(X, H.copy(), policy))
+    assert np.array_equal(run, cumulative_stieltjes(X.copy(), H.copy(), policy))
+    assert run.shape == np.broadcast_shapes(X.shape, H.shape)
+
+
+def test_stored_rows_cuts_only_leading_stride_zero_axes():
+    row = np.arange(5.0)
+    assert stored_rows(np.broadcast_to(row, (3, 5))).shape == (1, 5)
+    assert stored_rows(np.broadcast_to(row, (2, 3, 5))).shape == (1, 1, 5)
+    # a broadcast scalar has stride 0 on the node axis too; that axis stays
+    scalar = stored_rows(np.broadcast_to(0.0, (3, 5)))
+    assert scalar.shape == (1, 5) and not scalar.any()
+    dense = np.ones((3, 5))
+    assert stored_rows(dense).shape == (3, 5) and np.shares_memory(stored_rows(dense), dense)
+    assert stored_rows(row).shape == (5,)
+
+
+def test_cumulative_stieltjes_leaves_its_inputs_alone():
+    rng = np.random.default_rng(22)
+    X = rng.normal(size=(3, 26))
+    for H in (np.cumsum(rng.random((3, 26)), axis=1),
+              np.broadcast_to(np.linspace(0.0, 1.0, 26), X.shape)):
+        X.flags.writeable = False
+        if H.flags.writeable:
+            H.flags.writeable = False
+        X0, H0 = X.copy(), H.copy()
+        for policy in ("left", "jump", "midpoint"):
+            run = cumulative_stieltjes(X, H, policy)
+            assert run.flags.writeable
+            assert not np.shares_memory(run, X) and not np.shares_memory(run, H)
+            assert np.all(run[..., 0] == 0.0)
+            assert np.array_equal(X, X0) and np.array_equal(H, H0)
 
 
 # ---------------------------------------------------------------- segments

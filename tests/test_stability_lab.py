@@ -202,6 +202,37 @@ def test_helly_bray_resonant_family_inconclusive():
     assert not report.decreasing
 
 
+@pytest.mark.parametrize("family", [oscillatory_integration_family,
+                                    resonant_integration_family])
+def test_helly_bray_check_same_bits_on_broadcast_integrators(family):
+    grid = TimeGrid.uniform(1.0, 64)
+    ens = simulate_brownian(grid, 300, seed=5)
+    X_list, H_list, X_lim, H_lim = family(ens, [2, 4, 8])
+    dense = [H.copy() for H in H_list]
+    assert bv_tail_curve(H_list) == bv_tail_curve(dense)
+    assert helly_bray_stochastic_check(X_list, H_list, X_lim, H_lim, grid) == \
+        helly_bray_stochastic_check(X_list, dense, X_lim, H_lim.copy(), grid)
+    # single-row members against the multi-row limit
+    rows = [X[:1] for X in X_list], [H[:1] for H in H_list]
+    assert helly_bray_stochastic_check(*rows, X_lim, H_lim, grid) == \
+        helly_bray_stochastic_check(*rows, X_lim, H_lim.copy(), grid)
+
+
+def test_helly_bray_check_leaves_its_inputs_alone():
+    grid = TimeGrid.uniform(1.0, 64)
+    ens = simulate_brownian(grid, 200, seed=6)
+    X_list, H_list, X_lim, H_lim = oscillatory_integration_family(ens, [2, 4])
+    # dense and writable, so that a write into any of them would show
+    inputs = ([X.copy() for X in X_list], [H.copy() for H in H_list],
+              X_lim.copy(), H_lim.copy())
+    before = [np.copy(a) for a in (*inputs[0], *inputs[1], inputs[2], inputs[3])]
+    helly_bray_stochastic_check(*inputs, grid)
+    helly_bray_stochastic_check([X[:1] for X in inputs[0]],
+                                [H[:1] for H in inputs[1]], *inputs[2:], grid)
+    after = (*inputs[0], *inputs[1], inputs[2], inputs[3])
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
 def test_helly_bray_input_validation():
     grid = TimeGrid.uniform(1.0, 10)
     t = grid.nodes[None, :]
