@@ -12,6 +12,7 @@ that separates honest convergence from resonant counterexamples.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "bv_tail_curve",
     "HellyBrayRow",
     "HellyBrayReport",
+    "ShiftedPaths",
     "helly_bray_stochastic_check",
     "oscillatory_integration_family",
     "resonant_integration_family",
@@ -268,6 +270,17 @@ class HellyBrayReport:
         return "\n".join(lines)
 
 
+# Bytes of one block of paths the Helly-Bray check reads at a time, per
+# stack: about 1 MB, 256 rows at 513 nodes, so that the limit's and every
+# member's block of integrals stays in cache.
+BLOCK_BYTES = 1 << 20
+
+
+def _block(a, lo: int, hi: int):
+    """Rows lo..hi of a path stack; a single-row stack serves every block."""
+    return a[lo:hi] if np.shape(a)[0] > 1 else a[:1]
+
+
 def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
                                 grid: TimeGrid, *,
                                 nu_ladder=(0.25, 0.5, 1.0, 2.0),
@@ -277,39 +290,57 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
     """Convergence of coupled integrals int X_n dH_n toward int X dH.
 
     All processes are path stacks on one grid that broadcast against each
-    other; a broadcast integrator is differenced once, on its stored rows,
-    and no input is written.  Reports, per member, the coupled distance
-    E sup_t |I_n(t) - I(t)|, its truncations E[min(sup..., nu)] over the
-    ladder, and the two-sample terminal statistic.  The verdict is
-    INCONCLUSIVE when no level of bv_levels bounds the variation of every
-    member outside 1% of paths: without that tightness the distances may
-    diverge even though integrands and integrators settle down pointwise.
+    other: arrays, or anything with ``shape`` and row slicing such as the
+    ShiftedPaths integrands of the families below.  The check reads its
+    inputs one block of BLOCK_BYTES worth of paths at a time, integrates the
+    limit and every member on that block, and keeps only per-path sups and
+    terminal values, so no member-sized stack is ever held; a broadcast
+    integrator is differenced on its stored rows, and no input is written.
+    Reports, per member, the coupled distance E sup_t |I_n(t) - I(t)|, its
+    truncations E[min(sup..., nu)] over the ladder, and the two-sample
+    terminal statistic.  The verdict is INCONCLUSIVE when no level of
+    bv_levels bounds the variation of every member outside 1% of paths:
+    without that tightness the distances may diverge even though integrands
+    and integrators settle down pointwise.
     """
     if not (len(X_list) == len(H_list) >= 1):
         raise ValueError("need equally many integrands and integrators")
     n_nodes = grid.nodes.size
 
     def rows_of(arr):
-        arr = np.atleast_2d(np.asarray(arr, dtype=float))
-        if arr.shape[-1] != n_nodes:
+        if np.ndim(arr) < 2:
+            arr = np.atleast_2d(np.asarray(arr, dtype=float))
+        if np.shape(arr)[-1] != n_nodes:
             raise ValueError("process does not live on the given grid")
         return arr
 
-    X_limit = rows_of(X_limit)
-    H_limit = rows_of(H_limit)
-    I_lim = cumulative_stieltjes(X_limit, H_limit)
+    def paths_of(*stacks):
+        return np.broadcast_shapes(*(np.shape(a)[:1] for a in stacks))[0]
+
+    X_limit, H_limit = rows_of(X_limit), rows_of(H_limit)
+    members = [(rows_of(X), rows_of(H)) for X, H in zip(X_list, H_list)]
+    n_paths = paths_of(X_limit, H_limit, *(a for pair in members for a in pair))
+    terminal_lim = np.empty(paths_of(X_limit, H_limit))
+    terminals = [np.empty(paths_of(X, H)) for X, H in members]
+    path_sups = [np.empty(paths_of(X, H, X_limit, H_limit)) for X, H in members]
+    step = max(1, BLOCK_BYTES // (8 * n_nodes))
+    for lo in range(0, n_paths, step):
+        hi = lo + step
+        I_lim = cumulative_stieltjes(_block(X_limit, lo, hi), _block(H_limit, lo, hi))
+        _block(terminal_lim, lo, hi)[:] = I_lim[:, -1]
+        for (X, H), terminal, sup in zip(members, terminals, path_sups):
+            I_n = cumulative_stieltjes(_block(X, lo, hi), _block(H, lo, hi))
+            _block(terminal, lo, hi)[:] = I_n[:, -1]
+            # |I_n - I_lim| in I_n itself, unless a single-row I_n meets more limit rows
+            gap = np.subtract(I_n, I_lim, out=I_n if I_n.shape[0] >= I_lim.shape[0] else None)
+            _block(sup, lo, hi)[:] = np.max(np.abs(gap, out=gap), axis=1)
+
     rows = []
-    for j, (X, H) in enumerate(zip(X_list, H_list)):
-        X, H = rows_of(X), rows_of(H)
-        I_n = cumulative_stieltjes(X, H)
-        terminal = I_n[:, -1].copy()
-        # |I_n - I_lim| in I_n itself, unless a single-row I_n meets more limit rows
-        gap = np.subtract(I_n, I_lim, out=I_n if I_n.shape[0] >= I_lim.shape[0] else None)
-        per_path_sup = np.max(np.abs(gap, out=gap), axis=1)
+    for j, (terminal, per_path_sup) in enumerate(zip(terminals, path_sups)):
         phi = {float(nu): float(np.mean(np.minimum(per_path_sup, nu)))
                for nu in nu_ladder}
-        ks = float(ks_2samp(terminal, I_lim[:, -1], method="asymp").statistic) \
-            if terminal.size > 1 else float(abs(terminal[0] - I_lim[0, -1]))
+        ks = float(ks_2samp(terminal, terminal_lim, method="asymp").statistic) \
+            if terminal.size > 1 else float(abs(terminal[0] - terminal_lim[0]))
         label = str(labels[j]) if labels is not None else str(j)
         rows.append(HellyBrayRow(label=label,
                                  sup_distance=float(np.mean(per_path_sup)),
@@ -331,10 +362,44 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
                            ks_threshold=ks_threshold, verdict=verdict)
 
 
+class ShiftedPaths:
+    """The path stack base + row, formed only where it is read.
+
+    Stores the shared (n_paths, n_nodes) base and one node row.  Supports
+    ``shape``/``ndim``, row slicing (``X[rows]`` is the fresh array
+    ``base[rows] + row``), and ``np.asarray(X)``/``X.copy()``, which build
+    the whole stack.
+    """
+
+    __slots__ = ("base", "row")
+
+    def __init__(self, base: np.ndarray, row: np.ndarray):
+        self.base = base
+        self.row = row
+
+    @property
+    def shape(self) -> tuple:
+        return self.base.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.base.ndim
+
+    def __getitem__(self, rows):
+        return self.base[rows] + self.row
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self[:], dtype=dtype)
+
+    def copy(self) -> np.ndarray:
+        return self[:]
+
+
 def oscillatory_integration_family(ensemble: PathEnsemble, n_values):
     """Coupled family X_n = W + p_n, H_n = t + p_n with the common vanishing
     oscillation p_n(t) = T sin(2 pi n t / T) / (4 pi n); limits (W, t), W
-    the first Brownian component."""
+    the first Brownian component.  Each member stores one row: X_n is a
+    ShiftedPaths over the shared W, H_n a broadcast row."""
     grid = ensemble.grid
     t = grid.nodes
     T = grid.T
@@ -342,7 +407,7 @@ def oscillatory_integration_family(ensemble: PathEnsemble, n_values):
     X_list, H_list = [], []
     for n in n_values:
         p = T * np.sin(2 * np.pi * int(n) * t / T) / (4 * np.pi * int(n))
-        X_list.append(W + p[None, :])
+        X_list.append(ShiftedPaths(W, p))
         H_list.append(np.broadcast_to(t + p, W.shape))
     return X_list, H_list, W, np.broadcast_to(t, W.shape)
 
@@ -351,14 +416,26 @@ def resonant_integration_family(ensemble: PathEnsemble, n_values):
     """Counterexample family: H_n = sin(2 pi n^2 t)/(4 pi n) vanishes
     uniformly but with variation of order n, and X_n = W + cos(2 pi n^2 t)/
     sqrt(n) rides the resonance, W the first Brownian component; the coupled
-    integrals do not converge."""
+    integrals do not converge.  Each member stores one row: X_n is a
+    ShiftedPaths over the shared W, H_n a broadcast row.
+
+    A member with 2 n^2 T >= n_steps has no more steps than half-periods, so
+    the grid aliases it (on 512 steps over [0, 1], n = 16 samples sin(pi j),
+    zero at every node) and its grid variation is meaningless; such members
+    are named in a WARNING with the step count each needs."""
     grid = ensemble.grid
     t = grid.nodes
+    n_steps = t.size - 1
     W = ensemble.W[:, :, 0]
+    n_values = [int(n) for n in n_values]
+    aliased = [f"n={n} needs at least {math.floor(2 * n * n * grid.T) + 1} steps"
+               for n in n_values if 2 * n * n * grid.T >= n_steps]
+    if aliased:
+        log.warning("resonant members alias on %d steps (2 n^2 T >= n_steps): %s",
+                    n_steps, ", ".join(aliased))
     X_list, H_list = [], []
     for n in n_values:
-        n = int(n)
         H = np.sin(2 * np.pi * n * n * t) / (4 * np.pi * n)
-        X_list.append(W + (np.cos(2 * np.pi * n * n * t) / np.sqrt(n))[None, :])
+        X_list.append(ShiftedPaths(W, np.cos(2 * np.pi * n * n * t) / np.sqrt(n)))
         H_list.append(np.broadcast_to(H, W.shape))
     return X_list, H_list, W, np.broadcast_to(np.zeros_like(t), W.shape)

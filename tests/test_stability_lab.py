@@ -13,17 +13,21 @@ Oracle notes:
   H_n -> 0 uniformly; the variation of H_n is about n / pi.
 """
 
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import replace
+from scipy.stats import ks_2samp
 
 from delaybsde import registry
 from delaybsde.errors import FamilyInvalidError
 from delaybsde.model import ProblemSpec
 from delaybsde.path_calculus import BVFunction, GridFunction, TimeGrid
-from delaybsde.path_calculus import helly_bray_distance
-from delaybsde.stability_lab import (PerturbationFamily, bv_tail_curve,
-                                     generator_gap,
+from delaybsde.path_calculus import cumulative_stieltjes, helly_bray_distance
+from delaybsde.stability_lab import (HellyBrayRow, PerturbationFamily,
+                                     bv_tail_curve, generator_gap,
                                      helly_bray_stochastic_check,
                                      oscillatory_A_family,
                                      oscillatory_integration_family,
@@ -202,20 +206,83 @@ def test_helly_bray_resonant_family_inconclusive():
     assert not report.decreasing
 
 
+def whole_stack_rows(X_list, H_list, X_lim, H_lim, nu_ladder=(0.25, 0.5, 1.0, 2.0)):
+    """The check's rows from whole-stack integrals, one member at a time."""
+    I_lim = cumulative_stieltjes(X_lim, H_lim)
+    rows = []
+    for j, (X, H) in enumerate(zip(X_list, H_list)):
+        I_n = cumulative_stieltjes(X, H)
+        sup = np.max(np.abs(I_n - I_lim), axis=1)
+        terminal = I_n[:, -1]
+        ks = ks_2samp(terminal, I_lim[:, -1], method="asymp").statistic \
+            if terminal.size > 1 else abs(terminal[0] - I_lim[0, -1])
+        rows.append(HellyBrayRow(
+            label=str(j), sup_distance=float(np.mean(sup)),
+            phi={nu: float(np.mean(np.minimum(sup, nu))) for nu in nu_ladder},
+            ks_statistic=float(ks)))
+    return rows
+
+
 @pytest.mark.parametrize("family", [oscillatory_integration_family,
                                     resonant_integration_family])
 def test_helly_bray_check_same_bits_on_broadcast_integrators(family):
-    grid = TimeGrid.uniform(1.0, 64)
+    # 1,000 steps put 130 paths in a block of the check, so 300 paths end
+    # on a partial block
+    grid = TimeGrid.uniform(1.0, 1000)
     ens = simulate_brownian(grid, 300, seed=5)
     X_list, H_list, X_lim, H_lim = family(ens, [2, 4, 8])
+    dense_X = [np.asarray(X) for X in X_list]
+    for X, stack in zip(X_list, dense_X):
+        assert X.shape == stack.shape == X_lim.shape
+        assert np.array_equal(X[120:140], stack[120:140])
+        assert np.array_equal(X.copy(), stack)
+        # one shift row shared by every path
+        assert np.allclose(stack - X_lim, stack[:1] - X_lim[:1], rtol=0.0, atol=1e-12)
     dense = [H.copy() for H in H_list]
     assert bv_tail_curve(H_list) == bv_tail_curve(dense)
-    assert helly_bray_stochastic_check(X_list, H_list, X_lim, H_lim, grid) == \
-        helly_bray_stochastic_check(X_list, dense, X_lim, H_lim.copy(), grid)
+    report = helly_bray_stochastic_check(X_list, H_list, X_lim, H_lim, grid)
+    assert report.rows == whole_stack_rows(dense_X, H_list, X_lim, H_lim)
+    assert report == helly_bray_stochastic_check(dense_X, H_list, X_lim, H_lim, grid)
+    assert report == helly_bray_stochastic_check(X_list, dense, X_lim, H_lim.copy(), grid)
     # single-row members against the multi-row limit
     rows = [X[:1] for X in X_list], [H[:1] for H in H_list]
-    assert helly_bray_stochastic_check(*rows, X_lim, H_lim, grid) == \
-        helly_bray_stochastic_check(*rows, X_lim, H_lim.copy(), grid)
+    report = helly_bray_stochastic_check(*rows, X_lim, H_lim, grid)
+    assert report.rows == whole_stack_rows(*rows, X_lim, H_lim)
+    assert report == helly_bray_stochastic_check(*rows, X_lim, H_lim.copy(), grid)
+
+
+MEMBER_STACK = 5_000 * 513 * 8   # one member's integrand or integral, bytes
+
+
+@pytest.mark.parametrize("family", [oscillatory_integration_family,
+                                    resonant_integration_family])
+def test_helly_bray_families_and_check_hold_no_member_stack(family):
+    ens = simulate_brownian(TimeGrid.uniform(1.0, 512), 5_000, seed=8)
+    n_values = [2, 4, 8, 16, 32]
+    tracemalloc.start()
+    try:
+        inputs = family(ens, n_values)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        helly_bray_stochastic_check(*inputs, ens.grid)
+        checked = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built < MEMBER_STACK
+    assert checked < MEMBER_STACK
+
+
+def test_resonant_family_warns_about_aliased_members(caplog):
+    ens = simulate_brownian(TimeGrid.uniform(1.0, 512), 10, seed=9)
+    with caplog.at_level(logging.WARNING, logger="delaybsde.stability_lab"):
+        resonant_integration_family(ens, [8])
+    assert not caplog.records
+    with caplog.at_level(logging.WARNING, logger="delaybsde.stability_lab"):
+        resonant_integration_family(ens, [8, 16])
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "n=16 needs at least 513 steps" in record.getMessage()
+    assert "n=8" not in record.getMessage()
 
 
 def test_helly_bray_check_leaves_its_inputs_alone():
