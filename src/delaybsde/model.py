@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import ConstraintViolationError, NumericOverflowError
-from .path_calculus import TimeGrid, delay_fits_horizon, node_major_zeros
+from .path_calculus import TimeGrid, delay_fits_horizon
 from .stochastic_engine import IncreasingProcessSpec, PathEnsemble, omega_delta
 
 __all__ = [
@@ -224,22 +224,29 @@ def _as_paths(values, n_nodes, trailing):
 
 
 def _sq_size(values):
-    """Squared Euclidean size over all trailing axes -> (n_paths, n_nodes), C order."""
+    """Squared Euclidean size over all trailing axes -> (n_paths, n_nodes), in
+    the input's memory layout; components add in index order."""
     flat = values.reshape(values.shape[0], values.shape[1], -1)
-    return np.einsum("nik,nik->ni", flat, flat, order="C", optimize=False)
+    sq = np.square(flat[..., 0])
+    for j in range(1, flat.shape[2]):
+        sq += np.square(flat[..., j])
+    return sq
 
 
 def norm_weights(A, grid: TimeGrid, alpha: float, beta: float):
     """(w, dA): the norm weights w = e^{alpha t + beta A(t)}, (n_paths, n_nodes),
-    and the increments of A, (n_paths, n_steps) laid out node-major.  Both
-    depend on A alone, so a caller taking many norms builds them once."""
+    and the increments of A, (n_paths, n_steps), both in A's memory layout.
+    Both depend on A alone, so a caller taking many norms builds them once."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     with np.errstate(over="ignore"):
-        w = np.exp(alpha * grid.nodes[None, :] + beta * A)
-    if not np.all(np.isfinite(w)):
+        w = np.multiply(beta, A)
+        w += alpha * grid.nodes
+        np.exp(w, out=w)
+    # w > 0, so an overflow or a NaN in A shows in the maximum
+    if not np.isfinite(w.max()):
         raise NumericOverflowError(
             "exp(alpha t + beta A) overflowed; beta * A(T) is too large")
-    return w, np.subtract(A[:, 1:], A[:, :-1], out=node_major_zeros((A.shape[0], A.shape[1] - 1)))
+    return w, np.subtract(A[:, 1:], A[:, :-1])
 
 
 def _assemble_norm(Y, Z, A, grid: TimeGrid, *, p: float, alpha: float,

@@ -9,8 +9,8 @@ smallness conditions hold; the solver tracks the contraction empirically and
 compares it with the theoretical factor mu_lambda.
 
 Layout: path stacks are (n_paths, n_nodes, ...); sweep arrays, the Picard
-iterate included, are node-major (path_calculus.node_major_zeros), and solve
-returns C order.
+iterate and the solve's norm weights included, are node-major
+(path_calculus.node_major_zeros), and solve returns C order.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .model import (ConditionReport, ProblemSpec, check_H1, check_H2,
 from .path_calculus import delay_window as node_segment
 from .path_calculus import node_major_zeros
 from .stochastic_engine import (PathEnsemble, RegressionBasis, RegressionPlan,
-                                realize_increasing_process)
+                                _node_major, realize_increasing_process)
 # no longer called here; bench/tracing.py still looks the name up here
 from .stochastic_engine import conditional_expectation  # noqa: F401
 
@@ -327,7 +327,8 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     ratios: list[float] = []
     converged = False
     plan = _regression_plan(ensemble, basis)
-    weights = norm_weights(ensemble.A, grid, alpha, beta)
+    # weights in the sweep's layout, from a copy of A that is dropped at once
+    weights = norm_weights(_node_major(ensemble.A), grid, alpha, beta)
     plan.dA = weights[1]  # the one dA of the solve
 
     for it in range(1, max_iter + 1):

@@ -267,15 +267,67 @@ def test_norm_terms_equal_three_product_sums_bitwise(p, layout):
                 float(np.mean(np.sum(w[:, :-1] * ysq[:, :-1] * dA, axis=1))) ** (p / 2.0),
                 float(np.mean(np.sum(w[:, :-1] * zsq[:, :-1] * dt, axis=1))) ** (p / 2.0))
 
+    A_by_path = A
     if layout == "node_major":
         Y, Z, A = node_major(Y), node_major(Z), node_major(A)
     rep = weighted_norm(Y, Z, A, grid, p=p, beta=0.6)
     assert (rep.sup_term, rep.dA_term, rep.dt_term) == expected(0.0, 0.6)
     if p == 2.0:
-        for weights in (None, norm_weights(A, grid, 1.3, 0.6)):
-            rep = equivalent_norm(Y, Z, A, grid, alpha=1.3, beta=0.6, a=5.0, b=2.0,
+        # solve's mix in the node-major case: a C-ordered A beside weights
+        # built from a node-major copy of it
+        for A_arg, weights in ((A, None), (A, norm_weights(A, grid, 1.3, 0.6)),
+                               (A_by_path, norm_weights(node_major(A_by_path), grid, 1.3, 0.6))):
+            rep = equivalent_norm(Y, Z, A_arg, grid, alpha=1.3, beta=0.6, a=5.0, b=2.0,
                                   weights=weights)
             assert (rep.sup_term, rep.dA_term, rep.dt_term) == expected(1.3, 0.6)
+
+
+def is_node_major(X):
+    return all(X[:, i].flags.c_contiguous for i in range(X.shape[1]))
+
+
+@pytest.mark.parametrize("layout", ["C", "node_major"])
+def test_norm_inputs_keep_their_layout(layout):
+    # w and dA come back in A's layout and |Y|^2 in Y's, so that the norm of
+    # a node-major iterate never mixes layouts; the values do not depend on it
+    rng = np.random.default_rng(23)
+    n, n_steps = 50, 12
+    grid = TimeGrid.uniform(1.0, n_steps)
+    A = np.concatenate([np.zeros((n, 1)),
+                        np.cumsum(rng.uniform(0, 0.1, size=(n, n_steps)), axis=1)], axis=1)
+    A_in = node_major(A) if layout == "node_major" else A.copy()
+    A_in.flags.writeable = False
+    w, dA = norm_weights(A_in, grid, 1.3, 0.6)
+    assert np.array_equal(A_in, A)
+    assert np.array_equal(w, np.exp(1.3 * grid.nodes[None, :] + 0.6 * A))
+    assert np.array_equal(dA, np.diff(A, axis=1))
+    stacks = [rng.normal(size=(n, n_steps + 1, 2)), rng.normal(size=(n, n_steps + 1, 2, 3))]
+    sizes = [model._sq_size(node_major(X) if layout == "node_major" else X) for X in stacks]
+    for X, sq in zip(stacks, sizes):
+        assert np.array_equal(sq, model._sq_size(X))
+        assert sq == pytest.approx(np.sum(X.reshape(n, n_steps + 1, -1) ** 2, axis=2), rel=1e-15)
+    for X in [w, dA] + sizes:
+        if layout == "node_major":
+            assert is_node_major(X)
+        else:
+            assert X.flags.c_contiguous
+
+
+@pytest.mark.parametrize("layout", ["C", "node_major"])
+@pytest.mark.parametrize("fault", ["overflow", "nan"])
+def test_norm_weights_refuse_overflow_and_nan(fault, layout):
+    # one bad entry is enough: beta * A(T) overflows exp, or A holds a NaN
+    grid = TimeGrid.uniform(1.0, 4)
+    A = np.tile(grid.nodes, (3, 1))
+    beta = 800.0 if fault == "overflow" else 1.0
+    if fault == "nan":
+        A[1, 2] = np.nan
+    if layout == "node_major":
+        A = node_major(A)
+    with pytest.raises(NumericOverflowError):
+        norm_weights(A, grid, 0.0, beta)
+    with pytest.raises(NumericOverflowError):
+        weighted_norm(np.ones((3, 5)), None, A, grid, p=2.0, beta=beta)
 
 
 # ---------------------------------------------------------------- constants
