@@ -27,6 +27,7 @@ __all__ = [
     "cumulative_stieltjes",
     "stored_rows",
     "node_major_zeros",
+    "delay_windows",
     "delay_window",
     "delayed_segment",
     "step_approximation",
@@ -254,31 +255,53 @@ def node_major_zeros(shape) -> np.ndarray:
     return np.zeros((shape[1], shape[0]) + tuple(shape[2:])).swapaxes(0, 1)
 
 
-def delay_window(X: np.ndarray, i: int, k: int, kind: str = "state") -> np.ndarray:
-    """Delay window of a path stack at node i: X[:, i-k .. i] along axis 1.
+def delay_windows(X: np.ndarray, k: int, kind: str = "state"):
+    """Reader of the delay windows of a path stack: i -> X[:, i-k .. i] along
+    axis 1, for every node i of X.
 
     Nodes before time zero follow the prolongation convention: "state"
-    windows repeat X[:, 0]; "control" windows vanish there.  For i >= k the
-    window is a view of X, otherwise a fresh node_major_zeros array filled
-    by whole node columns; either way it is read-only, so a generator cannot
-    write into the path.
+    windows repeat X[:, 0]; "control" windows vanish there.  From node k on
+    a window is a view of X.  The first window before node k builds one
+    node_major_zeros head holding nodes -k .. k-1 (up to X's last node), and
+    every window before node k is a view of that head, which copies X as it
+    was then.  Every window is read-only, so a generator cannot write into
+    the path.  A node outside [0, n_nodes) raises IndexError.
     """
     if kind not in ("state", "control"):
         raise ValueError(f"unknown segment kind {kind!r}")
-    if i >= k:
-        window = X[:, i - k:i + 1]
-    else:
-        window = node_major_zeros((X.shape[0], k + 1) + X.shape[2:])
-        if kind == "state":
-            window[:, :k - i] = X[:, :1]
-        window[:, k - i:] = X[:, :i + 1]
-    window.flags.writeable = False
+    if k < 0:
+        raise ValueError(f"delay offset k={k} must be non-negative")
+    n_nodes = X.shape[1]
+    head = None
+
+    def window(i: int) -> np.ndarray:
+        nonlocal head
+        if not 0 <= i < n_nodes:
+            raise IndexError(f"node {i} is outside [0, {n_nodes})")
+        if i >= k:
+            view = X[:, i - k:i + 1]
+        else:
+            if head is None:
+                stored = min(k, n_nodes)
+                head = node_major_zeros((X.shape[0], k + stored) + X.shape[2:])
+                if kind == "state":
+                    head[:, :k] = X[:, :1]
+                head[:, k:] = X[:, :stored]
+            view = head[:, i:i + k + 1]
+        view.flags.writeable = False
+        return view
+
     return window
+
+
+def delay_window(X: np.ndarray, i: int, k: int, kind: str = "state") -> np.ndarray:
+    """Delay window of a path stack at node i, as ``delay_windows`` reads it."""
+    return delay_windows(X, k, kind)(i)
 
 
 def delayed_segment(x: GridFunction, t: float, kind: str = "state") -> "DelayedSegment":
     """Path segment theta |-> x(t + theta) for theta in [-delta, 0], with
-    values before time zero prolonged as in ``delay_window``."""
+    values before time zero prolonged as in ``delay_windows``."""
     grid = x.grid
     if grid.delta is None:
         raise GridAlignmentError("grid carries no delay span")

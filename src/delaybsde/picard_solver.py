@@ -26,8 +26,10 @@ from .errors import (BlowupError, ConstraintViolationError,
 from .model import (ConditionReport, ProblemSpec, check_H1, check_H2,
                     effective_c, equivalent_norm, evaluate_generator,
                     norm_weights, probe_lipschitz, select_lambda)
+# solver code reads windows through delay_windows; bench/tracing.py still
+# looks node_segment up here
 from .path_calculus import delay_window as node_segment
-from .path_calculus import node_major_zeros
+from .path_calculus import delay_windows, node_major_zeros
 from .stochastic_engine import (PathEnsemble, RegressionBasis, RegressionPlan,
                                 _node_major, realize_increasing_process)
 # no longer called here; bench/tracing.py still looks the name up here
@@ -92,10 +94,11 @@ def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
     k = grid.delta_index_offset
     dA = (plan or RegressionPlan(RegressionBasis(), ensemble)).dA
     U_in = _read_only(U)
+    u_windows = delay_windows(U, k)
     for j in range(n_nodes - 1):
         t = float(grid.nodes[j])
         ctx = problem.context(grid, t, ensemble.W[:, j, :])
-        g = evaluate_generator(problem.G, "G", ctx, U_in[:, j], None, node_segment(U, j, k), None)
+        g = evaluate_generator(problem.G, "G", ctx, U_in[:, j], None, u_windows(j), None)
         if not np.all(np.isfinite(g)):
             raise GeneratorEvaluationError(
                 f"G returned a non-finite value at t={t:.6g}")
@@ -153,6 +156,8 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     Z_in = _read_only(Z)
     Yhat[:, -1] = xi + B[:, -1]
     thetas: dict | None = {} if keep_regression else None
+    u_windows = delay_windows(U, k)
+    v_windows = delay_windows(V, k, kind="control")
 
     for i in range(n_nodes - 2, -1, -1):
         dt = float(steps[i])
@@ -167,8 +172,8 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
 
         t = float(grid.nodes[i])
         ctx = problem.context(grid, t, W[:, i])
-        seg_y = node_segment(U, i, k)
-        seg_z = node_segment(V, i, k, kind="control")
+        seg_y = u_windows(i)
+        seg_z = v_windows(i)
         theta_y = None
         if problem.F is None:
             cur = mean_fit
@@ -241,6 +246,8 @@ def _consistency(problem, plan, Y, Z, scheme):
     steps = grid.steps()
     W, dA = plan.W_by_node, plan.dA
     Y, Z = _read_only(Y), _read_only(Z)
+    y_windows = delay_windows(Y, k)
+    z_windows = delay_windows(Z, k, kind="control")
     R = node_major_zeros((n, grid.n_steps, m))
     for i in range(grid.n_steps):
         t = float(grid.nodes[i])
@@ -250,11 +257,10 @@ def _consistency(problem, plan, Y, Z, scheme):
         if problem.F is not None:
             y_arg = Y[:, i + 1] if scheme == "explicit" else Y[:, i]
             acc = acc + dt * evaluate_generator(
-                problem.F, "F", ctx, y_arg, Z[:, i], node_segment(Y, i, k),
-                node_segment(Z, i, k, kind="control"))
+                problem.F, "F", ctx, y_arg, Z[:, i], y_windows(i), z_windows(i))
         if problem.G is not None:
             acc = acc + dA[:, i, None] * evaluate_generator(
-                problem.G, "G", ctx, Y[:, i], None, node_segment(Y, i, k), None)
+                problem.G, "G", ctx, Y[:, i], None, y_windows(i), None)
         dW = W[:, i + 1] - W[:, i]
         acc = acc - np.einsum("nmd,nd->nm", Z[:, i], dW, optimize=False)
         R[:, i] = acc

@@ -18,12 +18,12 @@ import itertools
 import numpy as np
 import pytest
 
-from delaybsde import picard_solver, registry, stochastic_engine
+from delaybsde import path_calculus, picard_solver, registry, stochastic_engine
 from delaybsde.errors import (BlowupError, ConstraintViolationError,
                               GeneratorEvaluationError, GridAlignmentError,
                               NonContractionError, SingularSystemError)
 from delaybsde.model import AtomMeasure, ProblemSpec, equivalent_norm
-from delaybsde.path_calculus import TimeGrid
+from delaybsde.path_calculus import TimeGrid, delay_windows
 from delaybsde.picard_solver import (ContractionReport, build_B,
                                      contraction_report, gamma_step,
                                      node_segment, solve)
@@ -92,6 +92,16 @@ def build_B_bruteforce(b, gamma, rho_w, U, A, k):
 
 # ----------------------------------------------------------------- segments
 
+def clipped_gather(stack, i, k, kind):
+    """Window at node i by fancy indexing: nodes i-k .. i clipped to 0, and
+    the nodes before 0 zeroed for controls."""
+    idx = np.arange(i - k, i + 1)
+    out = stack[:, np.clip(idx, 0, None)]
+    if kind == "control":
+        out[:, idx < 0] = 0.0
+    return out
+
+
 def test_node_segment_prolongation():
     X = np.arange(12.0).reshape(2, 6, 1)
     seg = node_segment(X, 1, 3)
@@ -107,11 +117,40 @@ def test_node_segment_prolongation():
     for kind, trailing in itertools.product(("state", "control"), ((1,), (2, 3))):
         stack = rng.normal(size=(3, 9) + trailing)
         for k, i in itertools.product((1, 3, 8), range(9)):
-            idx = np.arange(i - k, i + 1)
-            expected = stack[:, np.clip(idx, 0, None)]
-            if kind == "control":
-                expected[:, idx < 0] = 0.0
-            assert np.array_equal(node_segment(stack, i, k, kind=kind), expected)
+            assert np.array_equal(node_segment(stack, i, k, kind=kind),
+                                  clipped_gather(stack, i, k, kind))
+
+
+def test_delay_windows_are_views_of_x_or_of_one_head():
+    rng = np.random.default_rng(6)
+    for kind, trailing in itertools.product(("state", "control"), ((1,), (2, 3))):
+        # 3 stored nodes: fewer than k = 8, so the head is only partly stored
+        for n_nodes, k in itertools.product((9, 3), (1, 3, 8)):
+            stack = rng.normal(size=(3, n_nodes) + trailing)
+            windows = delay_windows(stack, k, kind)
+            head_windows = []
+            for i in range(n_nodes):
+                window = windows(i)
+                assert np.array_equal(window, clipped_gather(stack, i, k, kind))
+                assert not window.flags.writeable
+                assert np.shares_memory(window, stack) == (i >= k)
+                if i < k:
+                    head_windows.append(window)
+            assert all(w.base is head_windows[0].base for w in head_windows)
+            assert stack.flags.writeable
+
+
+def test_delay_windows_refuse_nodes_outside_the_stack():
+    X = np.arange(12.0).reshape(2, 6, 1)
+    for i in (6, 7, -1):
+        with pytest.raises(IndexError):
+            node_segment(X, i, 2)
+        with pytest.raises(IndexError):
+            delay_windows(X, 2, kind="control")(i)
+    with pytest.raises(ValueError):
+        node_segment(X, 3, -1)
+    with pytest.raises(ValueError):
+        delay_windows(X, -1)
 
 
 def test_node_segment_windows_are_read_only():
@@ -331,16 +370,17 @@ def node_major(X):
     return out
 
 
-def segment_problem():
+def segment_problem(delta=0.1):
     """F and G read (y, z) and their delay segments; A is random, so the
     regressions carry the extra A(t_i) column."""
     return make_problem(
+        delta=delta,
         F=registry.build_F({"name": "linear_plus_rho",
                             "params": {"a_y": 0.3, "a_z": 0.2, "kappa_rho": 0.1,
                                        "kappa_z_rho": 0.05}}),
         G=registry.build_G({"name": "linear_plus_rho", "params": {"b": 0.2, "gamma": 0.1}}),
         xi=registry.build_terminal({"name": "brownian", "params": {}}),
-        rho=AtomMeasure.uniform(0.1, 3), rho_tilde=AtomMeasure.uniform(0.1, 2),
+        rho=AtomMeasure.uniform(delta, 3), rho_tilde=AtomMeasure.uniform(delta, 2),
         A_spec=IncreasingProcessSpec("time_integral", {"functional": "inv_quadratic"}))
 
 
@@ -360,6 +400,31 @@ def test_gamma_step_and_build_B_ignore_input_layout(scheme):
     # the sweep's layout: path-major shape, each node one contiguous block
     assert Y.shape == (300, 21, 1) and Z.shape == (300, 21, 1, 1)
     assert all(Y[:, i].flags.c_contiguous and Z[:, i].flags.c_contiguous for i in range(21))
+
+
+def test_sweep_builds_no_window_copies(monkeypatch):
+    shapes = []
+    node_major_zeros = path_calculus.node_major_zeros
+
+    def spy(shape):
+        shapes.append(shape)
+        return node_major_zeros(shape)
+
+    for module in (path_calculus, picard_solver, stochastic_engine):
+        monkeypatch.setattr(module, "node_major_zeros", spy)
+    rng = np.random.default_rng(11)
+    U = rng.normal(size=(50, 51, 1))
+    V = rng.normal(size=(50, 51, 1, 1))
+    counts = []
+    for k in (2, 40):
+        prob = segment_problem(delta=k / 50)
+        ens = make_ensemble(50, n_steps=50, delta=k / 50, seed=9, spec=prob.A_spec)
+        shapes.clear()
+        gamma_step(prob, ens, U, V)
+        counts.append(len(shapes))
+    # every window before node k is a view of one head per reader, so the
+    # count does not grow with k
+    assert counts[0] == counts[1]
 
 
 def test_solve_matches_pass_by_pass_replay():
