@@ -19,9 +19,9 @@ from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
                                 register_positive_functional, save_ensemble,
                                 simulate_brownian, splice_future)
 from .model import (AtomMeasure, ConditionReport, GenContext, NormReport,
-                    ProblemSpec, c_threshold, check_H1, check_H2,
+                    Preflight, ProblemSpec, c_threshold, check_H1, check_H2,
                     check_integrability, effective_c, equivalent_norm,
-                    mu_lambda, probe_lipschitz, segment_integral,
+                    mu_lambda, preflight, probe_lipschitz, segment_integral,
                     select_lambda, weighted_norm)
 from .registry import (build_F, build_G, build_terminal, problem_from_dict,
                        problem_to_dict, register_F, register_G,

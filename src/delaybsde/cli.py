@@ -281,43 +281,27 @@ def _ensure_out(out_dir):
 
 
 def cmd_check(args):
-    from .model import (check_H1, check_H2, check_integrability, effective_c,
-                        probe_lipschitz, select_lambda)
+    from .model import check_integrability, preflight
 
     prepared = _prepare(args)
     if prepared is None:
         return 2
     config, solver_cfg, problem, ensemble, out_dir, settings = prepared
 
-    c = effective_c(problem)
-    h1 = check_H1(problem, ensemble, c)
-    h2 = check_H2(problem, ensemble, c)
-    print(h1)
-    print(h2)
-
-    failures = 0 if h1.passed else 1
-    failures += 0 if h2.passed else 1
-
-    try:
-        selection = select_lambda(c, problem.beta, problem.L_tilde)
+    checks = preflight(problem, ensemble)
+    selection = checks.selection
+    print(checks.h1)
+    print(checks.h2)
+    if selection is None:
+        print(f"lambda selection: FAIL ({checks.failures['lambda']})")
+    else:
         print(f"lambda selection: lambda={selection.lam:.6g} "
               f"mu_lambda={selection.mu_lambda:.6g} a={selection.a:.6g} b={selection.b:.6g}")
-        mu = selection.mu_lambda
-    except Exception as exc:
-        print(f"lambda selection: FAIL ({exc})")
-        failures += 1
-        mu = float("nan")
-
-    probes = {}
-    for which in ("F", "G"):
-        probe = probe_lipschitz(problem, which=which)
-        probes[which] = probe
-        verdict = "FAIL" if (probe.exceeds_L or probe.exceeds_K1) else "PASS"
-        print(f"lipschitz probe {which}: {verdict} empirical_L={probe.empirical_L:.6g} "
+    for probe in checks.probes:
+        verdict = "FAIL" if probe.which in checks.failures else "PASS"
+        print(f"lipschitz probe {probe.which}: {verdict} empirical_L={probe.empirical_L:.6g} "
               f"declared_L={probe.declared_L:.6g} empirical_K1={probe.empirical_K1:.6g} "
               f"declared_K1={probe.declared_K1:.6g}")
-        if probe.exceeds_L or probe.exceeds_K1:
-            failures += 1
 
     integ = check_integrability(problem, ensemble)
     verdict = "PASS" if integ.all_finite else "FAIL"
@@ -330,26 +314,22 @@ def cmd_check(args):
             flags.append("heavy tail")
         note = f" ({', '.join(flags)})" if flags else ""
         print(f"  {name} = {entry.value:.6g}{note}")
-    if not integ.all_finite:
-        failures += 1
+    failures = len(checks.failures) + (0 if integ.all_finite else 1)
 
     import numpy as np
 
     _ensure_out(out_dir)
     report = {
-        "c": c,
-        "H1": {"lhs_max": float(np.max(h1.lhs)), "passed": h1.passed,
-               "worst_margin": h1.worst_margin, "pass_fraction": h1.pass_fraction,
-               "notes": h1.notes},
-        "H2": {"lhs_max": float(np.max(h2.lhs)), "passed": h2.passed,
-               "worst_margin": h2.worst_margin, "pass_fraction": h2.pass_fraction,
-               "notes": h2.notes},
-        "mu_lambda": mu,
+        "c": checks.c,
+        **{rep.name: {"lhs_max": float(np.max(rep.lhs)), "passed": rep.passed,
+                      "worst_margin": rep.worst_margin, "pass_fraction": rep.pass_fraction,
+                      "notes": rep.notes} for rep in (checks.h1, checks.h2)},
+        "mu_lambda": float("nan") if selection is None else selection.mu_lambda,
         "probes": {
-            which: {"empirical_L": p.empirical_L, "declared_L": p.declared_L,
-                    "empirical_K1": p.empirical_K1, "declared_K1": p.declared_K1,
-                    "exceeds_L": p.exceeds_L, "exceeds_K1": p.exceeds_K1}
-            for which, p in probes.items()
+            p.which: {"empirical_L": p.empirical_L, "declared_L": p.declared_L,
+                      "empirical_K1": p.empirical_K1, "declared_K1": p.declared_K1,
+                      "exceeds_L": p.exceeds_L, "exceeds_K1": p.exceeds_K1}
+            for p in checks.probes
         },
         "integrability": {name: {"value": e.value, "finite": e.finite,
                                  "heavy_tail": e.heavy_tail}
@@ -429,7 +409,7 @@ def cmd_solve(args):
 
 
 def cmd_stability(args):
-    from .errors import FamilyInvalidError
+    from .errors import BlowupError, FamilyInvalidError, NonContractionError
     from .registry import problem_from_dict
     from .stability_lab import (oscillatory_A_family, run_stability,
                                 xi_shift_family)
@@ -462,7 +442,7 @@ def cmd_stability(args):
             tol=float(stab_cfg.get("tol", 1e-8)),
             max_iter=int(stab_cfg.get("max_iter", 25)),
             scheme=stab_cfg.get("scheme", "explicit"))
-    except FamilyInvalidError as exc:
+    except (FamilyInvalidError, NonContractionError, BlowupError) as exc:
         print(f"stability: FAIL ({exc})")
         return 2
 

@@ -39,6 +39,8 @@ __all__ = [
     "argument_clouds",
     "evaluate_generator",
     "probe_lipschitz",
+    "Preflight",
+    "preflight",
     "check_integrability",
 ]
 
@@ -567,6 +569,47 @@ def probe_lipschitz(problem: ProblemSpec, which: str = "F",
     if probe.exceeds_L or probe.exceeds_K1:
         log.warning("declared constants for %s are too small: %s", which, probe)
     return probe
+
+
+# ----------------------------------------------------------------- preflight
+
+@dataclass(frozen=True)
+class Preflight:
+    """The pre-solve checks on one realized A: ``selection`` is None when no
+    lambda contracts, ``failures`` maps each failed check to its message."""
+
+    c: float
+    h1: ConditionReport
+    h2: ConditionReport
+    selection: LambdaSelection | None
+    probes: tuple
+    failures: dict
+
+
+def preflight(problem: ProblemSpec, ensemble: PathEnsemble,
+              c: float | None = None) -> Preflight:
+    """(H1) and (H2) at budget c (default effective_c), the lambda selection
+    and the fixed-seed Lipschitz probes of F and G, failing as "H1", "H2",
+    "lambda", "F" and "G": the conditions use the declared constants, so a
+    declared constant below its probe makes them prove nothing."""
+    c = effective_c(problem) if c is None else c
+    h1, h2 = check_H1(problem, ensemble, c), check_H2(problem, ensemble, c)
+    failures = {rep.name: f"smallness condition fails: {rep}"
+                for rep in (h1, h2) if not rep.passed}
+    selection = None
+    try:
+        selection = select_lambda(c, problem.beta, problem.L_tilde)
+    except ConstraintViolationError as exc:
+        failures["lambda"] = str(exc)
+    probes = (probe_lipschitz(problem, "F"), probe_lipschitz(problem, "G"))
+    for p in probes:
+        if p.exceeds_L or p.exceeds_K1:
+            failures[p.which] = (
+                f"declared constants of {p.which} are below the empirical ones "
+                f"(L={p.declared_L:.6g} vs {p.empirical_L:.6g}, K1={p.declared_K1:.6g} "
+                f"vs {p.empirical_K1:.6g}), so the smallness conditions prove nothing")
+    return Preflight(c=c, h1=h1, h2=h2, selection=selection, probes=probes,
+                     failures=failures)
 
 
 # ----------------------------------------------------------------- moments

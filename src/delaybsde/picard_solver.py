@@ -23,9 +23,10 @@ import numpy as np
 from .errors import (BlowupError, ConstraintViolationError,
                      GeneratorEvaluationError, GridAlignmentError,
                      NonContractionError)
-from .model import (ConditionReport, ProblemSpec, check_H1, check_H2,
-                    effective_c, equivalent_norm, evaluate_generator,
-                    norm_weights, probe_lipschitz, select_lambda)
+from .model import (Preflight, ProblemSpec, equivalent_norm,
+                    evaluate_generator, norm_weights, preflight)
+# unused here (model.preflight calls them); bench/tracing.py looks them up here
+from .model import check_H1, check_H2, select_lambda  # noqa: F401
 # solver code reads windows through delay_windows; bench/tracing.py still
 # looks node_segment up here
 from .path_calculus import delay_window as node_segment
@@ -211,16 +212,13 @@ class SolverDiagnostics:
     tol: float
     converged: bool
     iterations: int
-    c: float
     alpha: float
     beta: float
-    lam: float | None
     mu_lambda: float | None
     a: float
     b: float
     scheme: str
-    h1: ConditionReport | None = None
-    h2: ConditionReport | None = None
+    preflight: Preflight | None = None
     martingale_residual: float = float("nan")
     self_consistency_rms: float = float("nan")
 
@@ -278,14 +276,11 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     distance in the contraction norm drops below tol.
 
     ``basis`` (default RegressionBasis()) sets the regression, its ridge
-    included; ``c`` overrides the problem's smallness budget.  Always
-    pre-checks the smallness conditions on the realized A, and that no
-    declared Lipschitz or kernel constant of F or G lies below its
-    probe_lipschitz estimate (the conditions are computed from the declared
-    ones); refuses to run when either fails, or when no lambda contracts,
-    unless force=True, which runs anyway and keeps the checks in the
-    diagnostics.  Raises NonContractionError when the iteration budget is
-    spent while the distances have stopped shrinking.
+    included; ``c`` overrides the problem's smallness budget.  Runs
+    model.preflight on the realized A first and refuses when any of its
+    checks fails, unless force=True; the record is kept as
+    diagnostics.preflight either way.  Raises NonContractionError when the
+    iteration budget is spent while the distances have stopped shrinking.
     """
     grid = ensemble.grid
     if grid.delta is None:
@@ -300,30 +295,14 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     if ensemble.A is None:
         ensemble = realize_increasing_process(problem.A_spec, ensemble)
 
-    c_val = effective_c(problem) if c is None else c
-    h1 = check_H1(problem, ensemble, c_val)
-    h2 = check_H2(problem, ensemble, c_val)
-    if not (h1.passed and h2.passed) and not force:
+    checks = preflight(problem, ensemble, c)
+    if checks.failures and not force:
         raise ConstraintViolationError(
-            f"smallness conditions fail; {h1}; {h2}; pass force=True to run anyway")
-    for probe in (probe_lipschitz(problem, "F"), probe_lipschitz(problem, "G")):
-        if (probe.exceeds_L or probe.exceeds_K1) and not force:
-            raise ConstraintViolationError(
-                f"declared constants of {probe.which} are below the empirical "
-                f"ones (L={probe.declared_L:.6g} vs {probe.empirical_L:.6g}, "
-                f"K1={probe.declared_K1:.6g} vs {probe.empirical_K1:.6g}), so "
-                "the smallness conditions prove nothing; pass force=True to "
-                "run anyway")
-
-    lam = mu = None
-    a = b = 1.0
-    try:
-        sel = select_lambda(c_val, problem.beta, problem.L_tilde)
-        lam, mu, a, b = sel.lam, sel.mu_lambda, sel.a, sel.b
-    except ConstraintViolationError:
-        if not force:
-            raise
-        log.warning("no contraction budget for c=%.3g; tracking with unit weights", c_val)
+            "; ".join(checks.failures.values()) + "; pass force=True to run anyway")
+    sel = checks.selection
+    mu, a, b = (None, 1.0, 1.0) if sel is None else (sel.mu_lambda, sel.a, sel.b)
+    if sel is None:
+        log.warning("no contraction budget for c=%.3g; tracking with unit weights", checks.c)
 
     alpha, beta = problem.alpha, problem.beta
     n, n_nodes = ensemble.n_paths, grid.nodes.size
@@ -362,8 +341,8 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     mtg, rms = _consistency(problem, plan, U, V, scheme)
     diag = SolverDiagnostics(
         deltas=deltas, ratios=ratios, tol=tol, converged=converged,
-        iterations=len(deltas), c=c_val, alpha=alpha, beta=beta, lam=lam,
-        mu_lambda=mu, a=a, b=b, scheme=scheme, h1=h1, h2=h2,
+        iterations=len(deltas), alpha=alpha, beta=beta, mu_lambda=mu, a=a, b=b,
+        scheme=scheme, preflight=checks,
         martingale_residual=mtg, self_consistency_rms=rms)
     if not converged:
         log.warning("iteration budget spent at squared distance %.3e > tol %.3e",

@@ -433,6 +433,93 @@ def test_stability_command(tmp_path, capsys):
     assert np.all(np.diff(cols["error"]) < 0)
 
 
+def probe_failing_readme_config():
+    """The README config with G = 2y against a declared L_tilde = 1: (H1)
+    and (H2) pass on the declared constants, the G probe does not."""
+    config = readme_config()
+    config["problem"]["G"] = {"name": "linear", "params": {"b": 2.0}}
+    return config
+
+
+def test_probe_failing_readme_config_fails_every_command(tmp_path, capsys):
+    from delaybsde.errors import FamilyInvalidError
+    from delaybsde.registry import problem_from_dict
+    from delaybsde.stability_lab import oscillatory_A_family, run_stability
+
+    config_path = write_config(tmp_path, probe_failing_readme_config())
+    for cmd in ("check-assumptions", "solve", "stability"):
+        code = cli.run([cmd, "--config", config_path, "--out", str(tmp_path / cmd),
+                        "--paths", "200"])
+        text = capsys.readouterr().out
+        assert code == 2, cmd
+        assert f"{cmd}: FAIL" in text
+    family = oscillatory_A_family(
+        problem_from_dict(probe_failing_readme_config()["problem"]), [2, 4, 8, 16])
+    with pytest.raises(FamilyInvalidError, match="base problem.*declared constants of G"):
+        run_stability(family, n_paths=200, n_steps=50, seed=7)
+
+
+@pytest.mark.parametrize("error", ["NonContractionError", "BlowupError"])
+def test_stability_maps_solver_failures_like_solve(tmp_path, capsys, monkeypatch, error):
+    from delaybsde import errors, stability_lab
+
+    def fail(*args, **kwargs):
+        raise getattr(errors, error)("the iteration went wrong")
+
+    monkeypatch.setattr(stability_lab, "run_stability", fail)
+    code = cli.run(["stability", "--config", write_config(tmp_path, base_config()),
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "stability: FAIL (the iteration went wrong)" in capsys.readouterr().out
+
+
+# (problem overrides, the checks that fail), one case per check of preflight
+REFUSALS = {
+    "H1": ({"K": 1.0}, ["H1"]),
+    "H2": ({"K_tilde": 1.0}, ["H2"]),
+    "F": ({"F": {"name": "linear", "params": {"a_y": 2.0, "a_z": 0.1}}}, ["F"]),
+    "G": ({"G": {"name": "linear", "params": {"b": 2.0}}}, ["G"]),
+    # beta just above 2 sqrt(2) L_tilde leaves a threshold below c = 0.0015,
+    # which (H1) and (H2) flag as well; the config check refuses that c first
+    "lambda": ({"beta": 2.83}, ["H1", "H2", "lambda"]),
+}
+
+
+@pytest.mark.parametrize("check", sorted(REFUSALS))
+def test_one_refusal_rule(tmp_path, capsys, check):
+    from delaybsde.errors import ConstraintViolationError, FamilyInvalidError
+    from delaybsde.model import preflight
+    from delaybsde.path_calculus import TimeGrid
+    from delaybsde.picard_solver import solve
+    from delaybsde.registry import problem_from_dict
+    from delaybsde.stability_lab import PerturbationFamily, run_stability
+    from delaybsde.stochastic_engine import (realize_increasing_process,
+                                             simulate_brownian)
+
+    overrides, failing = REFUSALS[check]
+    config = base_config()
+    config["problem"].update(overrides)
+    problem = problem_from_dict(config["problem"])
+    grid = TimeGrid.uniform(problem.T, 20, delta=problem.delta)
+    ensemble = realize_increasing_process(problem.A_spec, simulate_brownian(grid, 200, seed=3))
+
+    failures = preflight(problem, ensemble).failures
+    assert list(failures) == failing
+    with pytest.raises(ConstraintViolationError) as refused:
+        solve(problem, ensemble)
+    assert all(message in str(refused.value) for message in failures.values())
+    forced = solve(problem, ensemble, max_iter=2, force=True)
+    assert forced.diagnostics.preflight.failures == failures
+    with pytest.raises(FamilyInvalidError, match="base problem"):
+        run_stability(PerturbationFamily(base=problem, members=[problem]),
+                      n_paths=200, n_steps=20, seed=3)
+    code = cli.run(["check-assumptions", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out"), "--paths", "200"])
+    text = capsys.readouterr().out
+    assert code == 2
+    assert ("[c-range]" if check == "lambda" else "check-assumptions: FAIL (1 failures)") in text
+
+
 def test_hellybray_command(tmp_path, capsys):
     config_path = write_config(tmp_path, base_config())
     out = tmp_path / "out"

@@ -592,7 +592,8 @@ def test_solve_refuses_constants_below_probe(which):
                        match=f"declared constants of {which}"):
         solve(prob, ens, max_iter=4)
     sol = solve(prob, ens, max_iter=4, force=True)
-    assert sol.diagnostics.h1.passed and sol.diagnostics.h2.passed
+    checks = sol.diagnostics.preflight
+    assert checks.h1.passed and checks.h2.passed and list(checks.failures) == [which]
     assert sol.diagnostics.iterations >= 1
 
 
@@ -646,8 +647,8 @@ def test_contraction_report_verdicts():
         from delaybsde.picard_solver import SolverDiagnostics
         return SolverDiagnostics(
             deltas=deltas, ratios=ratios, tol=1e-6, converged=True,
-            iterations=len(deltas), c=1e-3, alpha=8.5, beta=4.0, lam=500.0,
-            mu_lambda=mu, a=1000.0, b=106.0, scheme="explicit")
+            iterations=len(deltas), alpha=8.5, beta=4.0, mu_lambda=mu,
+            a=1000.0, b=106.0, scheme="explicit")
 
     rep = contraction_report(diag([4.0, 0.4, 0.04, 0.004], [0.1, 0.1, 0.1], 0.5))
     assert rep.passed and rep.tail_max == pytest.approx(0.1)
