@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .errors import ConstraintViolationError, NumericOverflowError
-from .path_calculus import TimeGrid, delay_fits_horizon
+from .path_calculus import TimeGrid, delay_fits_horizon, stored_rows
 from .stochastic_engine import IncreasingProcessSpec, PathEnsemble, omega_delta
 
 __all__ = [
@@ -236,10 +236,11 @@ def _sq_size(values):
 
 
 def norm_weights(A, grid: TimeGrid, alpha: float, beta: float):
-    """(w, dA): the norm weights w = e^{alpha t + beta A(t)}, (n_paths, n_nodes),
-    and the increments of A, (n_paths, n_steps), both in A's memory layout.
-    Both depend on A alone, so a caller taking many norms builds them once."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    """(w, dA): the norm weights w = e^{alpha t + beta A(t)}, (rows, n_nodes),
+    and the increments of A, (rows, n_steps), on the rows A stores
+    (path_calculus.stored_rows) and in A's memory layout.  Both depend on A
+    alone, so a caller taking many norms builds them once."""
+    A = stored_rows(np.atleast_2d(np.asarray(A, dtype=float)))
     with np.errstate(over="ignore"):
         w = np.multiply(beta, A)
         w += alpha * grid.nodes
@@ -660,8 +661,9 @@ def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
     n, nodes = ensemble.n_paths, grid.nodes
     xi = np.asarray(problem.xi(ensemble), dtype=float).reshape(n, -1)
     xi_sq = np.einsum("nm,nm->n", xi, xi, optimize=False)
+    A = stored_rows(ensemble.A)
     with np.errstate(over="ignore"):
-        eA = np.exp(problem.beta * ensemble.A)
+        eA = np.exp(problem.beta * A)
         eAT = eA[:, -1]
 
     def gen_at_zero(gen, which):
@@ -683,7 +685,7 @@ def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
 
     F0_sq = gen_at_zero(problem.F, "F")
     G0_sq = gen_at_zero(problem.G, "G")
-    dA = np.diff(ensemble.A, axis=1)
+    dA = np.diff(A, axis=1)
     dt = grid.steps()[None, :]
     int_F = np.sum(eA[:, :-1] * F0_sq[:, :-1] * dt, axis=1)
     int_G_dA = np.sum(eA[:, :-1] * G0_sq[:, :-1] * dA, axis=1)

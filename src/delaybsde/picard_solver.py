@@ -51,6 +51,8 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 BLOWUP_THRESHOLD = 1e8  # |Y + B| above this at a node raises BlowupError
+# ends solve's refusal; a caller that takes no force setting drops it
+FORCE_HINT = "; pass force=True to run anyway"
 
 
 def _regression_plan(ensemble: PathEnsemble,
@@ -173,16 +175,16 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
 
         t = float(grid.nodes[i])
         ctx = problem.context(grid, t, W[:, i])
-        seg_y = u_windows(i)
-        seg_z = v_windows(i)
         theta_y = None
         if problem.F is None:
+            # no F reads the windows, and a read before node k fills a head
             cur = mean_fit
         elif scheme == "explicit":
             drv = evaluate_generator(problem.F, "F", ctx, _read_only(nxt - B[:, i + 1]),
-                                     Z_in[:, i], seg_y, seg_z)
+                                     Z_in[:, i], u_windows(i), v_windows(i))
             cur, theta_y = plan.fit(i, design, nxt + dt * drv)
         else:
+            seg_y, seg_z = u_windows(i), v_windows(i)
             cur = mean_fit.copy()
             for _ in range(20):
                 drv = evaluate_generator(problem.F, "F", ctx, _read_only(cur - B[:, i]),
@@ -298,7 +300,7 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     checks = preflight(problem, ensemble, c)
     if checks.failures and not force:
         raise ConstraintViolationError(
-            "; ".join(checks.failures.values()) + "; pass force=True to run anyway")
+            "; ".join(checks.failures.values()) + FORCE_HINT)
     sel = checks.selection
     mu, a, b = (None, 1.0, 1.0) if sel is None else (sel.mu_lambda, sel.a, sel.b)
     if sel is None:

@@ -24,7 +24,7 @@ from .model import (ProblemSpec, argument_clouds, effective_c, equivalent_norm,
 # unused here (solve's preflight calls them); bench/tracing.py looks them up here
 from .model import check_H1, check_H2  # noqa: F401
 from .path_calculus import TimeGrid, cumulative_stieltjes, stored_rows
-from .picard_solver import solve
+from .picard_solver import FORCE_HINT, solve
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
                                 realize_increasing_process, simulate_brownian)
 
@@ -175,7 +175,11 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
             return solve(problem, ensemble, c=c_family, tol=tol,
                          max_iter=max_iter, scheme=scheme, basis=basis)
         except ConstraintViolationError as exc:
-            raise FamilyInvalidError(f"{name} fails: {exc}") from None
+            raise FamilyInvalidError(
+                f"{name} fails: {str(exc).removesuffix(FORCE_HINT)}") from None
+
+    def per_path(values):
+        return np.ascontiguousarray(np.broadcast_to(values, (n_paths,)))
 
     ens_base = realize_increasing_process(base.A_spec, driving)
     sol_base = solve_or_refuse(base, ens_base, "base problem")
@@ -192,9 +196,11 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
         delta_xi = float(np.mean(np.sum(gap ** 2, axis=1) ** family.p))
         delta_F = generator_gap(member.F, base.F, base, which="F", seed=seed)
         delta_G = generator_gap(member.G, base.G, base, which="G", seed=seed)
-        H = ens_n.A - ens_base.A
-        sup_A = float(np.mean(np.max(np.abs(H), axis=1)))
-        bv_H = float(np.mean(np.sum(np.abs(np.diff(H, axis=1)), axis=1)))
+        # H on the stored rows; per_path makes each mean add what it adds
+        # over a full H
+        H = stored_rows(ens_n.A) - stored_rows(ens_base.A)
+        sup_A = float(np.mean(per_path(np.max(np.abs(H), axis=1))))
+        bv_H = float(np.mean(per_path(np.sum(np.abs(np.diff(H, axis=1)), axis=1))))
         err = equivalent_norm(sol_n.Y - sol_base.Y, sol_n.Z - sol_base.Z,
                               ens_base.A, grid, alpha=0.0, beta=0.0,
                               a=0.0, b=1.0)

@@ -11,7 +11,9 @@ ensemble alone: it builds each node's ridged Gram matrix once and reuses it
 for every later fit at that node, whatever the targets.
 
 Layout: ensembles are C order, W as (n_paths, n_nodes, d) and A as
-(n_paths, n_nodes); a RegressionPlan's sweep arrays are node-major
+(n_paths, n_nodes), except that a deterministic A is a read-only broadcast
+of its one row over the paths; code reads the rows an A stores through
+path_calculus.stored_rows.  A RegressionPlan's sweep arrays are node-major
 (path_calculus.node_major_zeros).
 """
 
@@ -26,7 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridAlignmentError, MonotonicityError, SingularSystemError
-from .path_calculus import TimeGrid, delay_fits_horizon, node_major_zeros
+from .path_calculus import (TimeGrid, delay_fits_horizon, node_major_zeros,
+                            stored_rows)
 
 __all__ = [
     "PathEnsemble",
@@ -52,6 +55,8 @@ class PathEnsemble:
     """Simulated paths on a shared grid.
 
     W has shape (n_paths, n_nodes, d); A, when realized, (n_paths, n_nodes).
+    A deterministic A is a read-only broadcast of its one row (stride 0 over
+    the paths; path_calculus.stored_rows reads it); W and any other A are C order.
     Arrays are frozen after construction.
     """
 
@@ -68,9 +73,10 @@ class PathEnsemble:
         object.__setattr__(self, "W", W)
         W.flags.writeable = False
         if self.A is not None:
-            A = np.ascontiguousarray(self.A, dtype=float)
+            A = np.asarray(self.A, dtype=float)
             if A.shape != W.shape[:2]:
                 raise ValueError("A must be (n_paths, n_nodes)")
+            A = A if A.strides[0] == 0 else np.ascontiguousarray(A)
             object.__setattr__(self, "A", A)
             A.flags.writeable = False
 
@@ -222,11 +228,16 @@ def _realize_A(spec: IncreasingProcessSpec, ensemble: PathEnsemble) -> np.ndarra
 
 def realize_increasing_process(spec: IncreasingProcessSpec,
                                ensemble: PathEnsemble) -> PathEnsemble:
-    """Attach a realized A to the ensemble; checks A(0)=0 and monotonicity."""
-    A = _realize_A(spec, ensemble)
-    if np.any(A[:, 0] != 0.0):
+    """Attach a realized A to the ensemble; checks A(0)=0 and monotonicity.
+
+    A deterministic A is realized once, on the first path alone, and
+    attached as a read-only broadcast of that row over every path."""
+    source = ensemble if spec.is_random else replace(ensemble, W=ensemble.W[:1], A=None)
+    A = np.broadcast_to(_realize_A(spec, source), ensemble.W.shape[:2])
+    rows = stored_rows(A)  # every path of A is one of these rows
+    if np.any(rows[:, 0] != 0.0):
         raise MonotonicityError(f"A(0) != 0 for kind {spec.kind!r}")
-    if np.any(np.diff(A, axis=1) < 0.0):
+    if np.any(np.diff(rows, axis=1) < 0.0):
         raise MonotonicityError(f"kind {spec.kind!r} produced a decreasing path")
     return replace(ensemble, A=A, A_spec=spec)
 
@@ -235,7 +246,8 @@ def omega_delta(A: np.ndarray | PathEnsemble, delta: float,
                 grid: TimeGrid | None = None):
     """Largest A-increment over any delay window: sup_t (A(t+delta) - A(t)).
 
-    Returns one value per path, or a scalar for a single path.
+    Returns one value per path, or a scalar for a single path; the gaps
+    are taken on the rows A stores (path_calculus.stored_rows).
     """
     if isinstance(A, PathEnsemble):
         if A.A is None:
@@ -246,9 +258,10 @@ def omega_delta(A: np.ndarray | PathEnsemble, delta: float,
     if not delay_fits_horizon(delta, grid.T):
         raise ValueError(f"delta={delta} outside (0, T={grid.T}]")
     work = np.atleast_2d(np.asarray(A, dtype=float))
+    rows = stored_rows(work)
     k = TimeGrid(grid.nodes, delta).delta_index_offset
-    gaps = work[:, k:] - work[:, :-k]
-    out = gaps.max(axis=1)
+    gaps = rows[:, k:] - rows[:, :-k]
+    out = np.broadcast_to(gaps.max(axis=1), work.shape[:1])
     return float(out[0]) if np.asarray(A).ndim == 1 else out
 
 
@@ -335,8 +348,9 @@ def fit_least_squares(design: np.ndarray, targets: np.ndarray,
 
 
 def _node_major(X: np.ndarray) -> np.ndarray:
-    """Read-only copy of a path stack (n_paths, n_nodes, ...) laid out as
-    node_major_zeros, so that X[:, i] is one contiguous block."""
+    """Read-only copy of the stored rows of a path stack (n_paths, n_nodes,
+    ...), laid out as node_major_zeros so that X[:, i] is one contiguous block."""
+    X = stored_rows(X)
     out = node_major_zeros(X.shape)
     out[...] = X
     out.flags.writeable = False
@@ -355,8 +369,9 @@ class RegressionPlan:
     ``design(step)`` rebuilds one on each call, and the caller hands it
     back to ``fit`` for every regression at that node.
     ``W_by_node`` and ``A_by_node`` are node-major copies of the ensemble's
-    W and A, built on first use, from which a backward sweep reads one node
-    at a time; ``design`` reads W(t_step) there, and ``fit`` reduces along
+    W and of the rows its A stores (one for a deterministic A), built on
+    first use, from which a backward sweep reads one node at a time;
+    ``design`` reads W(t_step) there, and ``fit`` reduces along
     the path axis of the column-major design.  ``dA``, the increments of A,
     is the one a solve's norm weights hold.
     """
@@ -375,12 +390,13 @@ class RegressionPlan:
 
     @functools.cached_property
     def A_by_node(self) -> np.ndarray:
-        """A as (n_paths, n_nodes), read-only, laid out node-major."""
+        """A's stored rows, (n_paths, n_nodes) or (1, n_nodes), read-only,
+        laid out node-major."""
         return _node_major(self.ensemble.A)
 
     @functools.cached_property
     def dA(self) -> np.ndarray:
-        """Increments of A as (n_paths, n_steps), in A_by_node's layout."""
+        """Increments of A's stored rows, in A_by_node's layout and row count."""
         return np.diff(self.A_by_node, axis=1)
 
     def design(self, step: int) -> np.ndarray:

@@ -453,10 +453,13 @@ def test_probe_failing_readme_config_fails_every_command(tmp_path, capsys):
         text = capsys.readouterr().out
         assert code == 2, cmd
         assert f"{cmd}: FAIL" in text
+        # only solve takes a force setting, so only solve offers it
+        assert ("force=True" in text) == (cmd == "solve"), cmd
     family = oscillatory_A_family(
         problem_from_dict(probe_failing_readme_config()["problem"]), [2, 4, 8, 16])
-    with pytest.raises(FamilyInvalidError, match="base problem.*declared constants of G"):
+    with pytest.raises(FamilyInvalidError, match="base problem.*declared constants of G") as exc:
         run_stability(family, n_paths=200, n_steps=50, seed=7)
+    assert "force=True" not in str(exc.value)
 
 
 @pytest.mark.parametrize("error", ["NonContractionError", "BlowupError"])

@@ -14,6 +14,7 @@ Oracle notes:
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,9 @@ from delaybsde import path_calculus, picard_solver, registry, stochastic_engine
 from delaybsde.errors import (BlowupError, ConstraintViolationError,
                               GeneratorEvaluationError, GridAlignmentError,
                               NonContractionError, SingularSystemError)
-from delaybsde.model import AtomMeasure, ProblemSpec, equivalent_norm
-from delaybsde.path_calculus import TimeGrid, delay_windows
+from delaybsde.model import (AtomMeasure, ProblemSpec, check_integrability,
+                            equivalent_norm)
+from delaybsde.path_calculus import TimeGrid, delay_windows, stored_rows
 from delaybsde.picard_solver import (ContractionReport, build_B,
                                      contraction_report, gamma_step,
                                      node_segment, solve)
@@ -402,16 +404,22 @@ def test_gamma_step_and_build_B_ignore_input_layout(scheme):
     assert all(Y[:, i].flags.c_contiguous and Z[:, i].flags.c_contiguous for i in range(21))
 
 
-def test_sweep_builds_no_window_copies(monkeypatch):
+def spy_on_node_major_zeros(monkeypatch):
+    """Shapes of every node_major_zeros call from here on."""
     shapes = []
     node_major_zeros = path_calculus.node_major_zeros
 
     def spy(shape):
-        shapes.append(shape)
+        shapes.append(tuple(shape))
         return node_major_zeros(shape)
 
     for module in (path_calculus, picard_solver, stochastic_engine):
         monkeypatch.setattr(module, "node_major_zeros", spy)
+    return shapes
+
+
+def test_sweep_builds_no_window_copies(monkeypatch):
+    shapes = spy_on_node_major_zeros(monkeypatch)
     rng = np.random.default_rng(11)
     U = rng.normal(size=(50, 51, 1))
     V = rng.normal(size=(50, 51, 1, 1))
@@ -425,6 +433,52 @@ def test_sweep_builds_no_window_copies(monkeypatch):
     # every window before node k is a view of one head per reader, so the
     # count does not grow with k
     assert counts[0] == counts[1]
+
+
+def test_sweep_without_F_reads_no_window(monkeypatch):
+    # F = None with G = 1, as in the criterion-6 family: before node k a
+    # window read fills a head, and without F nothing reads U's or V's
+    shapes = spy_on_node_major_zeros(monkeypatch)
+    k, n = 5, 60
+    prob = make_problem(G=registry.build_G({"name": "constant", "params": {"value": 1.0}}),
+                        delta=k / 20)
+    ens = make_ensemble(n, n_steps=20, delta=k / 20, seed=4)
+    U = np.random.default_rng(5).normal(size=(n, 21, 1))
+    gamma_step(prob, ens, U, np.zeros((n, 21, 1, 1)))
+    # the one head left is build_B's, for G's window of U
+    assert [s for s in shapes if s[1] != 21] == [(n, 2 * k, 1)]
+
+
+def test_solve_copies_one_row_of_a_deterministic_A(monkeypatch):
+    shapes = spy_on_node_major_zeros(monkeypatch)
+    prob = make_problem(F=registry.build_F({"name": "linear", "params": {"a_y": 0.2}}),
+                        G=registry.build_G({"name": "linear", "params": {"b": 0.1}}),
+                        xi=registry.build_terminal({"name": "brownian", "params": {}}))
+    sol = solve(prob, make_ensemble(70, n_steps=20, seed=6))
+    assert sol.diagnostics.iterations >= 2
+    assert (1, 21) in shapes and (70, 21) not in shapes
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+def test_solve_same_bits_on_broadcast_and_full_A(scheme):
+    # a full copy of A is what load_ensemble hands back
+    spec = IncreasingProcessSpec("oscillatory", {"base": IDENTITY_A, "n": 3})
+    prob = replace(segment_problem(), A_spec=spec)
+    ens = make_ensemble(300, n_steps=20, seed=10, spec=spec)
+    full = replace(ens, A=np.array(ens.A))
+    assert stored_rows(ens.A).shape == (1, 21) and full.A.flags.c_contiguous
+    one, two = (solve(prob, e, tol=1e-30, max_iter=4, scheme=scheme, force=True)
+                for e in (ens, full))
+    assert np.array_equal(one.Y, two.Y) and np.array_equal(one.Z, two.Z)
+    d1, d2 = one.diagnostics, two.diagnostics
+    assert d1.deltas == d2.deltas and d1.iterations == d2.iterations == 4
+    assert (d1.martingale_residual, d1.self_consistency_rms) == \
+        (d2.martingale_residual, d2.self_consistency_rms)
+    for rep1, rep2 in ((d1.preflight.h1, d2.preflight.h1), (d1.preflight.h2, d2.preflight.h2)):
+        assert rep1.lhs.shape == (300,) and np.array_equal(rep1.lhs, rep2.lhs)
+    moments = [check_integrability(prob, e).entries for e in (ens, full)]
+    assert moments[0] == moments[1]
+    assert all(est.n == 300 for est in moments[0].values())
 
 
 def test_solve_matches_pass_by_pass_replay():

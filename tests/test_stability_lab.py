@@ -21,7 +21,7 @@ import pytest
 from dataclasses import replace
 from scipy.stats import ks_2samp
 
-from delaybsde import registry
+from delaybsde import registry, stability_lab
 from delaybsde.errors import FamilyInvalidError
 from delaybsde.model import ProblemSpec
 from delaybsde.path_calculus import BVFunction, GridFunction, TimeGrid
@@ -106,6 +106,31 @@ def test_oscillatory_A_family_vanishing_error_persistent_variation():
     errors = [r.error for r in report.rows]
     assert all(a > b for a, b in zip(errors, errors[1:]))
     assert report.passed
+
+
+def test_run_stability_same_rows_on_broadcast_and_full_A(monkeypatch):
+    # members with a deterministic A (one stored row) and one with a random
+    # A (a full stack); the full copies are what load_ensemble hands back
+    base = make_base(
+        xi=registry.build_terminal({"name": "brownian", "params": {}}),
+        F=registry.build_F({"name": "linear", "params": {"a_y": 0.2, "a_z": 0.1}}),
+        G=registry.build_G({"name": "constant", "params": {"value": 1.0}}))
+    family = oscillatory_A_family(base, [2, 4, 8])
+    family = PerturbationFamily(
+        base=base, members=family.members + [replace(base, A_spec=IncreasingProcessSpec(
+            "time_integral", {"functional": "constant"}))])
+    kwargs = dict(n_paths=64, n_steps=40, seed=3, final_threshold=1.0)
+    broadcast = run_stability(family, **kwargs)
+    realize = stability_lab.realize_increasing_process
+
+    def realize_full(spec, ensemble):
+        out = realize(spec, ensemble)
+        return replace(out, A=np.array(out.A))
+
+    monkeypatch.setattr(stability_lab, "realize_increasing_process", realize_full)
+    full = run_stability(family, **kwargs)
+    assert broadcast.rows == full.rows
+    assert str(broadcast) == str(full)
 
 
 def test_family_member_failing_conditions_is_named():

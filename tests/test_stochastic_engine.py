@@ -8,9 +8,10 @@ import pytest
 
 from delaybsde import stochastic_engine
 from delaybsde.errors import MonotonicityError, SingularSystemError
-from delaybsde.path_calculus import TimeGrid
+from delaybsde.path_calculus import TimeGrid, stored_rows
 from delaybsde.stochastic_engine import (
     IncreasingProcessSpec,
+    PathEnsemble,
     RegressionBasis,
     RegressionPlan,
     conditional_expectation,
@@ -18,6 +19,7 @@ from delaybsde.stochastic_engine import (
     load_ensemble,
     omega_delta,
     realize_increasing_process,
+    register_deterministic_shape,
     save_ensemble,
     simulate_brownian,
     splice_future,
@@ -107,12 +109,53 @@ def test_oscillatory_sup_distance_closed_form():
     assert np.all(np.diff(out.A, axis=1) >= 0)
 
 
-def test_monotonicity_violations_raise():
+@pytest.mark.parametrize("spec, random", [
+    (det("power", exponent=2.0), False),
+    (IncreasingProcessSpec("oscillatory", {"base": det("identity"), "n": 4}), False),
+    (IncreasingProcessSpec("running_max", {}), True),
+    (IncreasingProcessSpec("time_integral", {"functional": "inv_quadratic"}), True)])
+def test_deterministic_A_is_one_stored_row(spec, random):
+    ens = simulate_brownian(GRID, 40, seed=6)
+    out = realize_increasing_process(spec, ens)
+    assert out.A.shape == (40, 33) and not out.A.flags.writeable
+    if random:
+        assert out.A.flags.c_contiguous
+        return
+    row = stored_rows(out.A)
+    assert row.shape == (1, 33) and not row.flags.writeable
+    assert np.all(out.A == row)
+    # the row is what a per-path realization gives every path
+    nodes = GRID.nodes
+    want = nodes ** 2 if spec.kind == "deterministic" \
+        else nodes + np.sin(2 * np.pi * 4 * nodes) / (16 * np.pi)
+    assert np.array_equal(row[0], want)
+
+
+def test_ensemble_keeps_a_broadcast_A_and_copies_any_other_layout():
+    ens = simulate_brownian(GRID, 5, seed=7)
+    row = np.linspace(0.0, 1.0, 33)
+    broadcast = np.broadcast_to(row, (5, 33))
+    assert PathEnsemble(GRID, ens.W, 7, A=broadcast).A is broadcast
+    strided = np.asfortranarray(np.tile(row, (5, 1)))
+    kept = PathEnsemble(GRID, ens.W, 7, A=strided).A
+    assert kept.flags.c_contiguous and not kept.flags.writeable
+    assert np.array_equal(kept, strided)
+    with pytest.raises(ValueError, match="n_paths, n_nodes"):
+        PathEnsemble(GRID, ens.W, 7, A=np.broadcast_to(row, (4, 33)))
+
+
+def test_monotonicity_violations_raise(monkeypatch):
     ens = simulate_brownian(GRID, 2, seed=0)
     with pytest.raises(MonotonicityError):
         realize_increasing_process(det(lambda t, p: -t), ens)
     with pytest.raises(MonotonicityError):
         realize_increasing_process(det(lambda t, p: t + 1.0), ens)
+    # the same through the registry; setitem removes the names afterwards
+    for name, shape in (("falling", lambda t, p: -t), ("lifted", lambda t, p: t + 1.0)):
+        monkeypatch.setitem(stochastic_engine._DET_SHAPES, name, None)
+        register_deterministic_shape(name, shape)
+        with pytest.raises(MonotonicityError):
+            realize_increasing_process(det(name), ens)
     # an oscillation too strong for its base slope
     weak = det("linear", rate=0.25)
     with pytest.raises(MonotonicityError):
@@ -174,6 +217,10 @@ def test_omega_delta_values():
     two = np.stack([g.nodes, g.nodes ** 2])
     out = omega_delta(two, 0.3, g)
     assert out.shape == (2,)
+    # a broadcast A: one gap per path, as from the full stack
+    broadcast = np.broadcast_to(g.nodes ** 2, (3, 11))
+    assert np.array_equal(omega_delta(broadcast, 0.3, g),
+                          omega_delta(np.array(broadcast), 0.3, g))
     with pytest.raises(ValueError):
         omega_delta(g.nodes, 1.5, g)
 
