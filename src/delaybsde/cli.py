@@ -100,7 +100,7 @@ def validate(config, n_steps=None):
     import numpy as np
 
     from .errors import ConfigError
-    from .model import c_threshold
+    from .model import c_admissible
     from .path_calculus import delay_fits_horizon
     from .registry import build_F, build_G, build_terminal, problem_from_dict
     from .stochastic_engine import PROCESS_KINDS, IncreasingProcessSpec
@@ -148,8 +148,8 @@ def validate(config, n_steps=None):
 
     c = problem.get("c")
     if c is not None and not diags:
-        cap = c_threshold(beta, L_tilde)
-        if not (isinstance(c, (int, float)) and 0 < c < cap):
+        admissible, cap = c_admissible(c, beta, L_tilde)
+        if not admissible:
             err("c-range", f"c={c!r} must lie in (0, {cap:.6g}) for beta={beta}, L_tilde={L_tilde}")
 
     for section, build in (("terminal", build_terminal), ("F", build_F), ("G", build_G)):

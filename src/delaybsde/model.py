@@ -11,6 +11,7 @@ and compute the contraction budget (threshold for c, lambda, mu_lambda).
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,11 +33,14 @@ __all__ = [
     "equivalent_norm",
     "norm_weights",
     "c_threshold",
+    "c_admissible",
     "effective_c",
     "check_H1",
     "check_H2",
     "select_lambda",
     "argument_clouds",
+    "GENERATOR_ARGUMENTS",
+    "generator_reads",
     "evaluate_generator",
     "probe_lipschitz",
     "Preflight",
@@ -318,6 +322,13 @@ def c_threshold(beta: float, L_tilde: float) -> float:
     return min((beta ** 2 - 8.0 * L_tilde ** 2) / (4.0 * beta ** 2), 1.0 / 584.0)
 
 
+def c_admissible(c, beta: float, L_tilde: float) -> tuple[bool, float]:
+    """(whether c is a real number in (0, c_threshold(beta, L_tilde)), that
+    threshold): the one c-range rule, which each caller words its own way."""
+    threshold = c_threshold(beta, L_tilde)
+    return isinstance(c, numbers.Real) and 0 < c < threshold, threshold
+
+
 def effective_c(problem: ProblemSpec) -> float:
     """The problem's c, defaulting to half the admissible threshold."""
     if problem.c is not None:
@@ -373,12 +384,11 @@ def _condition_setup(name: str, problem: ProblemSpec, ensemble: PathEnsemble,
     e^{(8L^2+1/2)delta + beta omega_delta}."""
     if c <= 0:
         raise ValueError("c must be positive")
-    notes = ""
     try:
-        if c >= c_threshold(problem.beta, problem.L_tilde):
-            notes = "c exceeds the admissible threshold"
+        admissible, _ = c_admissible(c, problem.beta, problem.L_tilde)
     except ConstraintViolationError as exc:
         raise ConstraintViolationError(f"({name}) unusable: {exc}") from None
+    notes = "" if admissible else "c exceeds the admissible threshold"
     if ensemble.A is None:
         raise ValueError("ensemble carries no realized A")
     w_delta = omega_delta(ensemble, problem.delta)
@@ -433,8 +443,8 @@ def select_lambda(c: float, beta: float, L_tilde: float,
     guaranteed below one there.  b = lam/2 - bdg_constant keeps the printed
     value with its default 144; pass 72 to see the alternative bookkeeping.
     """
-    threshold = c_threshold(beta, L_tilde)
-    if not (0 < c < threshold):
+    admissible, threshold = c_admissible(c, beta, L_tilde)
+    if not admissible:
         raise ConstraintViolationError(
             f"c={c} leaves no contraction margin (needs 0 < c < {threshold:.6g})")
     lo = 2.0 * bdg_constant * (1.0 + 1e-6)
@@ -507,6 +517,18 @@ def argument_clouds(problem: ProblemSpec, n_samples: int, seed: int,
                          for t in np.linspace(0.0, problem.T, 9))
         clouds.append(ArgumentCloud(y=y, z=z, y_seg=y_seg, z_seg=z_seg, contexts=contexts))
     return tuple(clouds)
+
+
+GENERATOR_ARGUMENTS = frozenset({"y", "z", "y_seg", "z_seg"})
+
+
+def generator_reads(gen) -> frozenset:
+    """The arguments an F or G reads: its ``reads`` attribute, which the
+    registry's builders set; GENERATOR_ARGUMENTS for a generator without
+    one, and none for an absent generator."""
+    if gen is None:
+        return frozenset()
+    return getattr(gen, "reads", GENERATOR_ARGUMENTS)
 
 
 def evaluate_generator(gen, which: str, ctx: GenContext, y, z, y_seg, z_seg) -> np.ndarray:

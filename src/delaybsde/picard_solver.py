@@ -24,7 +24,8 @@ from .errors import (BlowupError, ConstraintViolationError,
                      GeneratorEvaluationError, GridAlignmentError,
                      NonContractionError)
 from .model import (Preflight, ProblemSpec, equivalent_norm,
-                    evaluate_generator, norm_weights, preflight)
+                    evaluate_generator, generator_reads, norm_weights,
+                    preflight)
 # unused here (model.preflight calls them); bench/tracing.py looks them up here
 from .model import check_H1, check_H2, select_lambda  # noqa: F401
 # solver code reads windows through delay_windows; bench/tracing.py still
@@ -76,6 +77,12 @@ def _read_only(X: np.ndarray) -> np.ndarray:
     return view
 
 
+def _windows(X: np.ndarray, k: int, read: bool, kind: str = "state"):
+    """delay_windows(X, k, kind) for a window the driver reads, else a reader
+    of None: a read before node k would fill a head that nothing reads."""
+    return delay_windows(X, k, kind) if read else lambda i: None
+
+
 @dataclass(frozen=True)
 class GammaArtifacts:
     """Byproducts of one outer step, kept for diagnostics and replay."""
@@ -97,7 +104,7 @@ def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
     k = grid.delta_index_offset
     dA = (plan or RegressionPlan(RegressionBasis(), ensemble)).dA
     U_in = _read_only(U)
-    u_windows = delay_windows(U, k)
+    u_windows = _windows(U, k, "y_seg" in generator_reads(problem.G))
     for j in range(n_nodes - 1):
         t = float(grid.nodes[j])
         ctx = problem.context(grid, t, ensemble.W[:, j, :])
@@ -117,7 +124,7 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
                U: np.ndarray, V: np.ndarray, *,
                basis: RegressionBasis | None = None,
                scheme: str = "explicit", keep_regression: bool = False,
-               plan: RegressionPlan | None = None):
+               plan: RegressionPlan | None = None, B: np.ndarray | None = None):
     """One application of the outer map: (U, V) -> (Y, Z).
 
     Backward in time: project the next shifted value on the current Brownian
@@ -128,7 +135,10 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     ``basis`` (default RegressionBasis()) sets the regression, its ridge
     included.  ``plan`` carries the regression work that does not depend on
     (U, V) across calls on the same ensemble; when given, it replaces
-    ``basis``.  Without one, the step builds its own.  ``keep_regression``
+    ``basis``.  Without one, the step builds its own.  ``B``, the running
+    integral build_B forms, may be passed when G reads neither y nor its
+    window, since it then does not depend on U; it is read, never written.
+    Without one, the step builds it from U.  ``keep_regression``
     keeps each node's coefficients in the artifacts.  F and G get read-only
     arguments.  A value iterate above
     BLOWUP_THRESHOLD or not finite raises BlowupError.  Y and Z come back
@@ -149,7 +159,8 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     steps = grid.steps()
     W = plan.W_by_node
 
-    B = build_B(problem, ensemble, U, plan=plan)
+    if B is None:
+        B = build_B(problem, ensemble, U, plan=plan)
     xi = np.asarray(problem.xi(ensemble), dtype=float).reshape(n, m)
     if not np.all(np.isfinite(xi)):
         raise GeneratorEvaluationError("terminal values are not finite")
@@ -159,8 +170,9 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     Z_in = _read_only(Z)
     Yhat[:, -1] = xi + B[:, -1]
     thetas: dict | None = {} if keep_regression else None
-    u_windows = delay_windows(U, k)
-    v_windows = delay_windows(V, k, kind="control")
+    f_reads = generator_reads(problem.F)
+    u_windows = _windows(U, k, "y_seg" in f_reads)
+    v_windows = _windows(V, k, "z_seg" in f_reads, kind="control")
 
     for i in range(n_nodes - 2, -1, -1):
         dt = float(steps[i])
@@ -177,7 +189,6 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
         ctx = problem.context(grid, t, W[:, i])
         theta_y = None
         if problem.F is None:
-            # no F reads the windows, and a read before node k fills a head
             cur = mean_fit
         elif scheme == "explicit":
             drv = evaluate_generator(problem.F, "F", ctx, _read_only(nxt - B[:, i + 1]),
@@ -246,8 +257,9 @@ def _consistency(problem, plan, Y, Z, scheme):
     steps = grid.steps()
     W, dA = plan.W_by_node, plan.dA
     Y, Z = _read_only(Y), _read_only(Z)
-    y_windows = delay_windows(Y, k)
-    z_windows = delay_windows(Z, k, kind="control")
+    f_reads = generator_reads(problem.F)
+    y_windows = _windows(Y, k, "y_seg" in (f_reads | generator_reads(problem.G)))
+    z_windows = _windows(Z, k, "z_seg" in f_reads, kind="control")
     R = node_major_zeros((n, grid.n_steps, m))
     for i in range(grid.n_steps):
         t = float(grid.nodes[i])
@@ -281,7 +293,9 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     included; ``c`` overrides the problem's smallness budget.  Runs
     model.preflight on the realized A first and refuses when any of its
     checks fails, unless force=True; the record is kept as
-    diagnostics.preflight either way.  Raises NonContractionError when the
+    diagnostics.preflight either way.  When G reads neither y nor y_seg
+    (model.generator_reads), B is built once and every pass reuses it.
+    Raises NonContractionError when the
     iteration budget is spent while the distances have stopped shrinking.
     """
     grid = ensemble.grid
@@ -317,9 +331,12 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     # weights in the sweep's layout, from a copy of A that is dropped at once
     weights = norm_weights(_node_major(ensemble.A), grid, alpha, beta)
     plan.dA = weights[1]  # the one dA of the solve
+    # B = int G dA depends on the iterate only through G's y and y_seg
+    B = None if generator_reads(problem.G) & {"y", "y_seg"} \
+        else _read_only(build_B(problem, ensemble, U, plan=plan))
 
     for it in range(1, max_iter + 1):
-        Y, Z, _ = gamma_step(problem, ensemble, U, V, scheme=scheme, plan=plan)
+        Y, Z, _ = gamma_step(problem, ensemble, U, V, scheme=scheme, plan=plan, B=B)
         # the distances overwrite the previous iterate, which is not read again
         step_norm = equivalent_norm(np.subtract(Y, U, out=U), np.subtract(Z, V, out=V),
                                     ensemble.A, grid, alpha=alpha, beta=beta, a=a, b=b,

@@ -2,7 +2,10 @@
 
 Built callables carry a ``spec_dict`` attribute so a ProblemSpec assembled
 from names round-trips through JSON.  Hand-written callables work everywhere
-else in the package but cannot be serialized.
+else in the package but cannot be serialized.  Built F and G also carry
+``reads``, the frozenset of the arguments ("y", "z", "y_seg", "z_seg") they
+read; a generator without it, hand-written or from a registered builder that
+sets none, counts as reading every argument (model.generator_reads).
 """
 
 from __future__ import annotations
@@ -68,10 +71,15 @@ _TERMINALS = {
 
 # ----------------------------------------------------------------- drivers
 
+def _reading(fn, *arguments):
+    fn.reads = frozenset(arguments)
+    return fn
+
+
 def _F_zero(params):
     def F(t, y, z, y_seg, z_seg, ctx):
         return np.zeros_like(y)
-    return F
+    return _reading(F)
 
 
 def _F_linear(params):
@@ -80,7 +88,7 @@ def _F_linear(params):
 
     def F(t, y, z, y_seg, z_seg, ctx):
         return a_y * y + a_z * np.sum(z, axis=2)
-    return F
+    return _reading(F, "y", "z")
 
 
 def _F_delayed_linear(params):
@@ -89,7 +97,7 @@ def _F_delayed_linear(params):
 
     def F(t, y, z, y_seg, z_seg, ctx):
         return kappa * y_seg[:, 0, :]
-    return F
+    return _reading(F, "y_seg")
 
 
 def _F_rho_integral(params):
@@ -97,7 +105,7 @@ def _F_rho_integral(params):
 
     def F(t, y, z, y_seg, z_seg, ctx):
         return kappa * segment_integral(y_seg, ctx.rho)
-    return F
+    return _reading(F, "y_seg")
 
 
 def _F_linear_plus_rho(params):
@@ -112,7 +120,7 @@ def _F_linear_plus_rho(params):
         if kappa_z_rho:
             out = out + kappa_z_rho * np.sum(segment_integral(z_seg, ctx.rho), axis=2)
         return out
-    return F
+    return _reading(F, "y", "z", "y_seg", *(("z_seg",) if kappa_z_rho else ()))
 
 
 _F_BUILDERS = {
@@ -127,7 +135,7 @@ _F_BUILDERS = {
 def _G_zero(params):
     def G(t, y, y_seg, ctx):
         return np.zeros_like(y)
-    return G
+    return _reading(G)
 
 
 def _G_constant(params):
@@ -135,7 +143,7 @@ def _G_constant(params):
 
     def G(t, y, y_seg, ctx):
         return np.full_like(y, value)
-    return G
+    return _reading(G)
 
 
 def _G_linear(params):
@@ -143,7 +151,7 @@ def _G_linear(params):
 
     def G(t, y, y_seg, ctx):
         return b * y
-    return G
+    return _reading(G, "y")
 
 
 def _G_rho_integral(params):
@@ -151,7 +159,7 @@ def _G_rho_integral(params):
 
     def G(t, y, y_seg, ctx):
         return gamma * segment_integral(y_seg, ctx.rho_tilde)
-    return G
+    return _reading(G, "y_seg")
 
 
 def _G_linear_plus_rho(params):
@@ -160,7 +168,7 @@ def _G_linear_plus_rho(params):
 
     def G(t, y, y_seg, ctx):
         return b * y + gamma * segment_integral(y_seg, ctx.rho_tilde)
-    return G
+    return _reading(G, "y", "y_seg")
 
 
 _G_BUILDERS = {

@@ -26,6 +26,7 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import GridAlignmentError, MonotonicityError, SingularSystemError
 from .path_calculus import (TimeGrid, delay_fits_horizon, node_major_zeros,
@@ -272,7 +273,8 @@ class RegressionBasis:
     """Polynomial design in the Brownian state plus optional extra columns.
 
     Features are 1, all monomials of W(t) components up to total degree
-    ``degree``, then any caller-supplied columns (delayed-segment summaries).
+    ``degree``, then any caller-supplied columns (today a random A's column,
+    see picard_solver._regression_plan).
     ``ridge`` is added to the diagonal of every normal matrix on this basis;
     with ridge = 0 a singular system raises SingularSystemError.  A negative
     degree or ridge raises ValueError.  Designs are column-major (n_paths, p).
@@ -324,14 +326,22 @@ def _normal_matrix(design: np.ndarray, ridge: float) -> np.ndarray:
     return gram
 
 
-def _solve_normal(gram: np.ndarray, design: np.ndarray,
-                  targets: np.ndarray) -> np.ndarray:
+def _lapack_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The LAPACK gufunc np.linalg.solve calls for a 2-D right-hand side,
+    without its checks and wrapping: the same bits in a fraction of the
+    time, but a singular gram gives NaN (with a RuntimeWarning), not an
+    error, so only a gram np.linalg.solve has accepted may come here."""
+    return _umath_linalg.solve(gram, rhs, signature="dd->d")
+
+
+def _solve_normal(gram: np.ndarray, design: np.ndarray, targets: np.ndarray,
+                  solve=np.linalg.solve) -> np.ndarray:
     """Coefficients from a normal matrix built by _normal_matrix."""
     t2d = targets if targets.ndim == 2 else targets[:, None]
     rhs = np.einsum("in,qn->iq", np.asfortranarray(design).T,
                     np.ascontiguousarray(t2d.T), optimize=False)
     try:
-        theta = np.linalg.solve(gram, rhs)
+        theta = solve(gram, rhs)
     except np.linalg.LinAlgError:
         raise SingularSystemError(_SINGULAR) from None
     return theta if targets.ndim == 2 else theta[:, 0]
@@ -365,7 +375,10 @@ class RegressionPlan:
     is the basis's.  The design at a node depends on the ensemble only, so
     the plan builds each node's ridged Gram matrix (and, with ridge = 0,
     runs its singularity check) once, on the first fit there, and every
-    later fit at that node reuses it.  Designs are not kept:
+    later fit at that node reuses it.  The first fit solves through
+    np.linalg.solve, which raises on a singular matrix; the plan keeps the
+    matrix only once that solve has passed, and later fits call the same
+    LAPACK routine directly (_lapack_solve), for the same bits.  Designs are not kept:
     ``design(step)`` rebuilds one on each call, and the caller hands it
     back to ``fit`` for every regression at that node.
     ``W_by_node`` and ``A_by_node`` are node-major copies of the ensemble's
@@ -423,8 +436,11 @@ class RegressionPlan:
         else:
             gram = self._grams.get(step)
             if gram is None:
-                gram = self._grams[step] = _normal_matrix(design, self.basis.ridge)
-            theta = _solve_normal(gram, design, targets)
+                gram = _normal_matrix(design, self.basis.ridge)
+                theta = _solve_normal(gram, design, targets)
+                self._grams[step] = gram
+            else:
+                theta = _solve_normal(gram, design, targets, _lapack_solve)
         return design @ theta, theta
 
 
@@ -463,11 +479,12 @@ def splice_future(ensemble: PathEnsemble, step: int,
 # ----------------------------------------------------------- persistence
 
 def save_ensemble(ensemble: PathEnsemble, directory: str) -> None:
-    """Dump paths plus a manifest recording seed, grid and A spec."""
+    """Dump paths plus a manifest recording seed, grid and A spec.  A is
+    stored as the rows it holds: one row for a deterministic A."""
     os.makedirs(directory, exist_ok=True)
     arrays = {"W": ensemble.W, "nodes": ensemble.grid.nodes}
     if ensemble.A is not None:
-        arrays["A"] = ensemble.A
+        arrays["A"] = stored_rows(ensemble.A)
     np.savez(os.path.join(directory, "paths.npz"), **arrays)
     manifest = {
         "seed": ensemble.seed,
@@ -483,12 +500,16 @@ def save_ensemble(ensemble: PathEnsemble, directory: str) -> None:
 
 
 def load_ensemble(directory: str) -> PathEnsemble:
+    """The ensemble save_ensemble wrote; a one-row A comes back as a
+    read-only broadcast of that row over the manifest's n_paths."""
     with open(os.path.join(directory, "manifest.json")) as fh:
         manifest = json.load(fh)
     data = np.load(os.path.join(directory, "paths.npz"))
     grid = TimeGrid(data["nodes"], manifest.get("delta"))
     spec = manifest.get("A_spec")
+    A = None
+    if "A" in data.files:
+        A = np.broadcast_to(data["A"], (manifest["n_paths"], grid.nodes.size))
     return PathEnsemble(
-        grid=grid, W=data["W"], seed=manifest["seed"],
-        A=data["A"] if "A" in data.files else None,
+        grid=grid, W=data["W"], seed=manifest["seed"], A=A,
         A_spec=IncreasingProcessSpec.from_dict(spec) if spec else None)

@@ -342,6 +342,15 @@ def test_c_threshold_values():
     assert c_threshold(2.835, 1.0) < 1.0 / 584.0
 
 
+def test_c_admissible_is_the_one_c_range_rule():
+    cap = 1.0 / 584.0
+    assert model.c_admissible(1e-3, 4.0, 1.0) == (True, cap)
+    for c in (0.0, -1e-3, cap, 1e-2, float("nan"), "abc", None):
+        assert model.c_admissible(c, 4.0, 1.0) == (False, cap)
+    with pytest.raises(ConstraintViolationError):
+        model.c_admissible(1e-3, 2.0, 1.0)
+
+
 def test_c_threshold_domain():
     with pytest.raises(ConstraintViolationError):
         c_threshold(2.0 * np.sqrt(2.0), 1.0)
@@ -643,6 +652,49 @@ def test_generator_registry_behaviors():
     assert np.allclose(G(0.3, y, y_seg, ctx), want)
 
 
+# (kind, name, params, the arguments it declares), one case per registry
+# name, and linear_plus_rho's F both with and without its z-segment term
+DRIVER_READS = [
+    ("F", "zero", {}, set()),
+    ("F", "linear", {"a_y": 0.3, "a_z": 0.2}, {"y", "z"}),
+    ("F", "delayed_linear", {"kappa": 0.4}, {"y_seg"}),
+    ("F", "rho_integral", {"kappa": 0.4}, {"y_seg"}),
+    ("F", "linear_plus_rho", {"a_y": 0.3, "a_z": 0.2, "kappa_rho": 0.1},
+     {"y", "z", "y_seg"}),
+    ("F", "linear_plus_rho", {"a_y": 0.3, "a_z": 0.2, "kappa_rho": 0.1, "kappa_z_rho": 0.05},
+     {"y", "z", "y_seg", "z_seg"}),
+    ("G", "zero", {}, set()),
+    ("G", "constant", {"value": 2.0}, set()),
+    ("G", "linear", {"b": 0.3}, {"y"}),
+    ("G", "rho_integral", {"gamma": 0.4}, {"y_seg"}),
+    ("G", "linear_plus_rho", {"b": 0.2, "gamma": 0.1}, {"y", "y_seg"}),
+]
+
+
+def test_driver_reads_cases_cover_the_registry():
+    assert {name for kind, name, _, _ in DRIVER_READS if kind == "F"} == set(registry._F_BUILDERS)
+    assert {name for kind, name, _, _ in DRIVER_READS if kind == "G"} == set(registry._G_BUILDERS)
+
+
+@pytest.mark.parametrize("which, name, params, declared", DRIVER_READS)
+def test_declared_reads_are_true(which, name, params, declared):
+    build = registry.build_F if which == "F" else registry.build_G
+    gen = build({"name": name, "params": params})
+    assert model.generator_reads(gen) == declared
+    problem = base_problem(m=2, d=2, rho=AtomMeasure.uniform(0.1, 3),
+                           rho_tilde=AtomMeasure.uniform(0.1, 2))
+    cloud, = model.argument_clouds(problem, 64, seed=5)
+    args = {"y": cloud.y, "z": cloud.z, "y_seg": cloud.y_seg, "z_seg": cloud.z_seg}
+    # an argument the driver does not declare becomes NaN, which any read
+    # of it would carry into the output
+    masked = {key: value if key in declared else np.full(value.shape, np.nan)
+              for key, value in args.items()}
+    for ctx in cloud.contexts:
+        want = model.evaluate_generator(gen, which, ctx, *args.values())
+        assert np.all(np.isfinite(want))
+        assert np.array_equal(model.evaluate_generator(gen, which, ctx, *masked.values()), want)
+
+
 def test_problem_config_roundtrip():
     cfg = {
         "T": 1.0, "delta": 0.25, "m": 1, "d": 1,
@@ -691,6 +743,8 @@ def test_custom_registration():
     try:
         F = registry.build_F({"name": "tanh_drive", "params": {"scale": 2.0}})
         assert F.spec_dict == {"name": "tanh_drive", "params": {"scale": 2.0}}
+        # a builder that declares no reads gives a driver that reads everything
+        assert model.generator_reads(F) == model.GENERATOR_ARGUMENTS
         y = np.array([[0.5]])
         assert np.allclose(F(0.0, y, None, None, None, None), 2.0 * np.tanh(0.5))
     finally:

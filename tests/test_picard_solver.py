@@ -433,11 +433,22 @@ def test_sweep_builds_no_window_copies(monkeypatch):
     # every window before node k is a view of one head per reader, so the
     # count does not grow with k
     assert counts[0] == counts[1]
+    # delayed_segment's drivers: F reads y and y's window but not z's, and
+    # G = 0.5 reads nothing, so the one head is that of F's window of U
+    k = 40
+    prob = replace(segment_problem(delta=k / 50),
+                   F=registry.build_F({"name": "linear_plus_rho",
+                                       "params": {"a_y": 0.1, "kappa_rho": 0.008}}),
+                   G=registry.build_G({"name": "constant", "params": {"value": 0.5}}))
+    ens = make_ensemble(50, n_steps=50, delta=k / 50, seed=9, spec=prob.A_spec)
+    shapes.clear()
+    gamma_step(prob, ens, U, V)
+    assert [s for s in shapes if s[1] != 51] == [(50, 2 * k, 1)]
 
 
 def test_sweep_without_F_reads_no_window(monkeypatch):
     # F = None with G = 1, as in the criterion-6 family: before node k a
-    # window read fills a head, and without F nothing reads U's or V's
+    # window read fills a head, and neither F nor G reads U's or V's
     shapes = spy_on_node_major_zeros(monkeypatch)
     k, n = 5, 60
     prob = make_problem(G=registry.build_G({"name": "constant", "params": {"value": 1.0}}),
@@ -445,8 +456,7 @@ def test_sweep_without_F_reads_no_window(monkeypatch):
     ens = make_ensemble(n, n_steps=20, delta=k / 20, seed=4)
     U = np.random.default_rng(5).normal(size=(n, 21, 1))
     gamma_step(prob, ens, U, np.zeros((n, 21, 1, 1)))
-    # the one head left is build_B's, for G's window of U
-    assert [s for s in shapes if s[1] != 21] == [(n, 2 * k, 1)]
+    assert [s for s in shapes if s[1] != 21] == []
 
 
 def test_solve_copies_one_row_of_a_deterministic_A(monkeypatch):
@@ -459,9 +469,65 @@ def test_solve_copies_one_row_of_a_deterministic_A(monkeypatch):
     assert (1, 21) in shapes and (70, 21) not in shapes
 
 
+def test_solve_builds_B_once_when_G_ignores_the_iterate(monkeypatch):
+    calls = []
+    build = picard_solver.build_B
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    def hand_written_constant(t, y, y_seg, ctx):
+        return np.full_like(y, 1.0)
+
+    monkeypatch.setattr(picard_solver, "build_B", spy)
+    ens = make_ensemble(100, n_steps=20, seed=12)
+    # F reads its window, so every pass moves the iterate
+    F = registry.build_F({"name": "linear_plus_rho",
+                          "params": {"a_y": 0.2, "a_z": 0.1, "kappa_rho": 0.3}})
+    xi = registry.build_terminal({"name": "brownian", "params": {}})
+    # (G, build_B calls in a three-pass solve): a G without a reads flag
+    # counts as reading the iterate
+    cases = {
+        "constant": (registry.build_G({"name": "constant", "params": {"value": 1.0}}), 1),
+        "hand-written": (hand_written_constant, 3),
+        "linear": (registry.build_G({"name": "linear", "params": {"b": 0.1}}), 3),
+    }
+    sols = {}
+    for name, (G, want) in cases.items():
+        calls.clear()
+        sols[name] = solve(make_problem(F=F, G=G, xi=xi), ens, tol=1e-30, max_iter=3,
+                           force=True)
+        assert sols[name].diagnostics.iterations == 3 and len(calls) == want, name
+    once, per_pass = sols["constant"], sols["hand-written"]
+    assert np.array_equal(once.Y, per_pass.Y) and np.array_equal(once.Z, per_pass.Z)
+    assert once.diagnostics.deltas == per_pass.diagnostics.deltas
+
+
+@pytest.mark.parametrize("spec", [IDENTITY_A, IncreasingProcessSpec("running_max", {})])
+def test_reloaded_ensemble_keeps_its_stored_rows(tmp_path, spec):
+    ens = make_ensemble(150, n_steps=20, seed=13, spec=spec)
+    rows = 1 if not spec.is_random else 150
+    stochastic_engine.save_ensemble(ens, str(tmp_path))
+    with np.load(tmp_path / "paths.npz") as data:
+        assert data["A"].shape == (rows, 21)
+    back = stochastic_engine.load_ensemble(str(tmp_path))
+    assert back.A.shape == (150, 21) and stored_rows(back.A).shape == (rows, 21)
+    assert np.array_equal(back.A, ens.A)
+    prob = make_problem(F=registry.build_F({"name": "linear", "params": {"a_y": 0.2}}),
+                        G=registry.build_G({"name": "linear", "params": {"b": 0.1}}),
+                        xi=registry.build_terminal({"name": "brownian", "params": {}}),
+                        A_spec=spec)
+    one, two = (solve(prob, e, tol=1e-30, max_iter=3, force=True) for e in (ens, back))
+    assert np.array_equal(one.Y, two.Y) and np.array_equal(one.Z, two.Z)
+    assert one.diagnostics.deltas == two.diagnostics.deltas
+    assert (one.diagnostics.martingale_residual, one.diagnostics.self_consistency_rms) == \
+        (two.diagnostics.martingale_residual, two.diagnostics.self_consistency_rms)
+
+
 @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
 def test_solve_same_bits_on_broadcast_and_full_A(scheme):
-    # a full copy of A is what load_ensemble hands back
+    # a full copy of a deterministic A, as a hand-built ensemble may hold it
     spec = IncreasingProcessSpec("oscillatory", {"base": IDENTITY_A, "n": 3})
     prob = replace(segment_problem(), A_spec=spec)
     ens = make_ensemble(300, n_steps=20, seed=10, spec=spec)

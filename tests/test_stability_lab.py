@@ -110,7 +110,8 @@ def test_oscillatory_A_family_vanishing_error_persistent_variation():
 
 def test_run_stability_same_rows_on_broadcast_and_full_A(monkeypatch):
     # members with a deterministic A (one stored row) and one with a random
-    # A (a full stack); the full copies are what load_ensemble hands back
+    # A (a full stack), then full copies of every A, as a hand-built
+    # ensemble may hold them
     base = make_base(
         xi=registry.build_terminal({"name": "brownian", "params": {}}),
         F=registry.build_F({"name": "linear", "params": {"a_y": 0.2, "a_z": 0.1}}),

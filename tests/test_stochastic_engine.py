@@ -409,6 +409,31 @@ def test_plan_singular_design_raises_on_every_fit():
         plan.fit(5, plan.design(5), np.zeros(99))
 
 
+@pytest.mark.parametrize("ridge", [1e-10, 0.0])
+def test_plan_fit_bits_match_linalg_solve(ridge):
+    # the first fit at a node solves through np.linalg.solve, later ones call
+    # its LAPACK routine directly: both give np.linalg.solve's bits
+    ens = simulate_brownian(GRID, 500, d=2, seed=21)
+    plan = RegressionPlan(RegressionBasis(2, ridge=ridge), ens)
+    rng = np.random.default_rng(22)
+    targets = [rng.normal(size=500), rng.normal(size=(500, 1)), rng.normal(size=(500, 4))]
+    for step in (0, 7, 31):
+        design = plan.design(step)
+        for t in targets * 2:
+            fit, theta = plan.fit(step, design, t)
+            t2d = t.reshape(500, -1)
+            if step == 0:
+                want = np.zeros((design.shape[1], t2d.shape[1]))
+                want[0] = t2d.mean(axis=0)
+            else:
+                gram = stochastic_engine._normal_matrix(design, ridge)
+                rhs = np.einsum("in,qn->iq", design.T, np.ascontiguousarray(t2d.T),
+                                optimize=False)
+                want = np.linalg.solve(gram, rhs)
+            want = want.reshape(theta.shape)
+            assert np.array_equal(theta, want) and np.array_equal(fit, design @ want)
+
+
 # ---------------------------------------------------------------- adaptedness
 
 def test_splice_preserves_past():
