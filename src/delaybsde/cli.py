@@ -17,6 +17,24 @@ import json
 import os
 import sys
 
+import numpy as np
+import scipy
+
+from . import __version__, stability_lab
+from .errors import (BlowupError, ConfigError, ConstraintViolationError,
+                     DelayBsdeError, FamilyInvalidError, GridAlignmentError,
+                     NonContractionError)
+from .model import c_admissible, check_integrability, preflight
+from .path_calculus import TimeGrid, delay_fits_horizon
+from .picard_solver import contraction_report, solve
+from .registry import build_F, build_G, build_terminal, problem_from_dict
+from .stability_lab import (helly_bray_stochastic_check, oscillatory_A_family,
+                            oscillatory_integration_family,
+                            resonant_integration_family, xi_shift_family)
+from .stochastic_engine import (PROCESS_KINDS, IncreasingProcessSpec,
+                                RegressionBasis, realize_increasing_process,
+                                simulate_brownian)
+
 ENV_PREFIX = "DELAYBSDE_"
 DEFAULT_PATHS = 2000
 DEFAULT_STEPS = 50
@@ -26,8 +44,6 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 def load_config(path):
     """Read a JSON config file, mapping parse problems to ConfigError."""
-    from .errors import ConfigError
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -62,11 +78,42 @@ def resolve_setting(flag_value, env_name, config_value, default, cast=int):
     return default
 
 
+def _section(config, name):
+    """config[name], or {} when absent; ConfigError unless it is an object."""
+    cfg = config.get(name, {})
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"[schema] '{name}' section must be an object")
+    return cfg
+
+
+def _read(cfg, section, key, default, cast):
+    """cfg[key], or default when absent, through cast; a value cast refuses
+    raises ConfigError naming section.key."""
+    try:
+        return cast(cfg.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"[schema] {section}.{key}: {exc}") from None
+
+
+def _choice(*options):
+    """A cast that passes one of options and refuses anything else."""
+    def cast(value):
+        if value not in options:
+            raise ValueError(f"must be {' or '.join(map(repr, options))}, got {value!r}")
+        return value
+    return cast
+
+
+def _floats(values):
+    return [float(v) for v in values]
+
+
+def _ints(values):
+    return [int(v) for v in values]
+
+
 def _grid_accepts(T, delta, n_steps):
     """Whether TimeGrid takes this delay on n_steps uniform steps."""
-    from .errors import GridAlignmentError
-    from .path_calculus import TimeGrid
-
     try:
         TimeGrid.uniform(T, n_steps, delta=delta)
     except GridAlignmentError:
@@ -84,8 +131,6 @@ def suggest_aligned_steps(T, delta, n_steps):
 
 def _regression_basis(solver_cfg):
     """The solver section's RegressionBasis; ValueError or TypeError if refused."""
-    from .stochastic_engine import RegressionBasis
-
     ridge = solver_cfg.get("ridge")
     return RegressionBasis(degree=int(solver_cfg.get("degree", 2)),
                            ridge=RegressionBasis.ridge if ridge is None else float(ridge))
@@ -97,14 +142,6 @@ def validate(config, n_steps=None):
     Returns a list of diagnostics, each ``{"level", "code", "message"}`` with
     level "error" or "warning".  An empty list means the config is runnable.
     """
-    import numpy as np
-
-    from .errors import ConfigError
-    from .model import c_admissible
-    from .path_calculus import delay_fits_horizon
-    from .registry import build_F, build_G, build_terminal, problem_from_dict
-    from .stochastic_engine import PROCESS_KINDS, IncreasingProcessSpec
-
     diags = []
 
     def err(code, message):
@@ -202,8 +239,6 @@ def _format(value):
 
 def write_table(path, header, columns):
     """Write columns of floats as CSV with full precision."""
-    import numpy as np
-
     columns = [np.asarray(col, dtype=float) for col in columns]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -212,18 +247,13 @@ def write_table(path, header, columns):
 
 
 def write_manifest(out_dir, command, config, settings):
-    import numpy
-    import scipy
-
-    from . import __version__
-
     manifest = {
         "command": command,
         "config_sha256": hashlib.sha256(canonical_config_text(config).encode("utf-8")).hexdigest(),
         "settings": settings,
         "versions": {
             "package": __version__,
-            "numpy": numpy.__version__,
+            "numpy": np.__version__,
             "scipy": scipy.__version__,
             "python": "%d.%d.%d" % sys.version_info[:3],
         },
@@ -259,10 +289,6 @@ def _config_is_valid(config, n_steps):
 
 def _prepare(args):
     """Shared setup: config, resolved settings, problem, ensemble."""
-    from .path_calculus import TimeGrid
-    from .registry import problem_from_dict
-    from .stochastic_engine import realize_increasing_process, simulate_brownian
-
     config = load_config(args.config)
     solver_cfg, out_dir, settings = _settings(args, config)
     if not _config_is_valid(config, settings["n_steps"]):
@@ -281,8 +307,6 @@ def _ensure_out(out_dir):
 
 
 def cmd_check(args):
-    from .model import check_integrability, preflight
-
     prepared = _prepare(args)
     if prepared is None:
         return 2
@@ -316,8 +340,6 @@ def cmd_check(args):
         print(f"  {name} = {entry.value:.6g}{note}")
     failures = len(checks.failures) + (0 if integ.all_finite else 1)
 
-    import numpy as np
-
     _ensure_out(out_dir)
     report = {
         "c": checks.c,
@@ -347,8 +369,6 @@ def cmd_check(args):
 
 def _solution_columns(label, values):
     """Mean curve plus the first five sample paths, one block per component."""
-    import numpy as np
-
     n_paths, _, width = values.shape
     header, columns = [], []
     for j in range(width):
@@ -361,21 +381,19 @@ def _solution_columns(label, values):
 
 
 def cmd_solve(args):
-    from .errors import (BlowupError, ConstraintViolationError,
-                         NonContractionError)
-    from .picard_solver import contraction_report, solve
-
     prepared = _prepare(args)
     if prepared is None:
         return 2
     config, solver_cfg, problem, ensemble, out_dir, settings = prepared
 
+    tol = _read(solver_cfg, "solver", "tol", 1e-6, float)
+    max_iter = _read(solver_cfg, "solver", "max_iter", 25, int)
+    # bool() would read the string "false" as true
+    force = _read(solver_cfg, "solver", "force", False, _choice(False, True))
     try:
         solution = solve(problem, ensemble, basis=_regression_basis(solver_cfg),
-                         tol=float(solver_cfg.get("tol", 1e-6)),
-                         max_iter=int(solver_cfg.get("max_iter", 25)),
-                         scheme=solver_cfg.get("scheme", "explicit"),
-                         force=bool(solver_cfg.get("force", False)))
+                         tol=tol, max_iter=max_iter,
+                         scheme=solver_cfg.get("scheme", "explicit"), force=force)
     except (ConstraintViolationError, NonContractionError, BlowupError) as exc:
         print(f"solve: FAIL ({exc})")
         return 2
@@ -409,39 +427,27 @@ def cmd_solve(args):
 
 
 def cmd_stability(args):
-    from .errors import BlowupError, FamilyInvalidError, NonContractionError
-    from .registry import problem_from_dict
-    from .stability_lab import (oscillatory_A_family, run_stability,
-                                xi_shift_family)
-
     config = load_config(args.config)
-    stab_cfg = config.get("stability", {})
-    if not isinstance(stab_cfg, dict):
-        print("error: [schema] 'stability' section must be an object")
-        return 1
+    stab_cfg = _section(config, "stability")
     _, out_dir, settings = _settings(args, config)
     if not _config_is_valid(config, settings["n_steps"]):
         return 2
 
+    def read(key, default, cast):
+        return _read(stab_cfg, "stability", key, default, cast)
+
     base = problem_from_dict(config["problem"])
-    kind = stab_cfg.get("kind", "oscillatory_A")
-    if kind == "oscillatory_A":
-        n_values = [int(n) for n in stab_cfg.get("n_values", [2, 4, 8, 16])]
-        family = oscillatory_A_family(base, n_values)
-    elif kind == "xi_shift":
-        shifts = [float(s) for s in stab_cfg.get("shifts", [1.0, 0.5, 0.25, 0.125])]
-        family = xi_shift_family(base, shifts)
+    if read("kind", "oscillatory_A", _choice("oscillatory_A", "xi_shift")) == "oscillatory_A":
+        family = oscillatory_A_family(base, read("n_values", [2, 4, 8, 16], _ints))
     else:
-        print(f"error: [schema] stability.kind must be 'oscillatory_A' or 'xi_shift', got {kind!r}")
-        return 1
+        family = xi_shift_family(base, read("shifts", [1.0, 0.5, 0.25, 0.125], _floats))
+    options = {"final_threshold": read("final_threshold", 1e-3, float),
+               "tol": read("tol", 1e-8, float),
+               "max_iter": read("max_iter", 25, int),
+               "scheme": read("scheme", "explicit", _choice("explicit", "implicit"))}
 
     try:
-        report = run_stability(
-            family, **settings,
-            final_threshold=float(stab_cfg.get("final_threshold", 1e-3)),
-            tol=float(stab_cfg.get("tol", 1e-8)),
-            max_iter=int(stab_cfg.get("max_iter", 25)),
-            scheme=stab_cfg.get("scheme", "explicit"))
+        report = stability_lab.run_stability(family, **settings, **options)
     except (FamilyInvalidError, NonContractionError, BlowupError) as exc:
         print(f"stability: FAIL ({exc})")
         return 2
@@ -461,38 +467,27 @@ def cmd_stability(args):
 
 
 def cmd_hellybray(args):
-    from .path_calculus import TimeGrid
-    from .stability_lab import (helly_bray_stochastic_check,
-                                oscillatory_integration_family,
-                                resonant_integration_family)
-    from .stochastic_engine import simulate_brownian
-
     config = load_config(args.config)
-    hb_cfg = config.get("hellybray", {})
-    if not isinstance(hb_cfg, dict):
-        print("error: [schema] 'hellybray' section must be an object")
-        return 1
+    hb_cfg = _section(config, "hellybray")
     _, out_dir, settings = _settings(args, config, section="hellybray", default_steps=200)
 
-    family = hb_cfg.get("family", "oscillatory")
-    T = float(hb_cfg.get("T", 1.0))
-    n_values = [int(n) for n in hb_cfg.get("n_values", [2, 4, 8, 16, 32])]
+    def read(key, default, cast):
+        return _read(hb_cfg, "hellybray", key, default, cast)
+
+    families = {"oscillatory": oscillatory_integration_family,
+                "resonant": resonant_integration_family}
+    build = families[read("family", "oscillatory", _choice(*families))]
+    T = read("T", 1.0, float)
+    n_values = read("n_values", [2, 4, 8, 16, 32], _ints)
+    options = {"nu_ladder": tuple(read("nu_ladder", (0.25, 0.5, 1.0, 2.0), _floats)),
+               "ks_threshold": read("ks_threshold", 0.02, float),
+               "bv_levels": tuple(read("bv_levels", (0.5, 1.0, 2.0, 4.0, 8.0), _floats))}
     ensemble = simulate_brownian(TimeGrid.uniform(T, settings["n_steps"]),
                                  settings["n_paths"], d=1, seed=settings["seed"])
-
-    if family == "oscillatory":
-        X_list, H_list, X_limit, H_limit = oscillatory_integration_family(ensemble, n_values)
-    elif family == "resonant":
-        X_list, H_list, X_limit, H_limit = resonant_integration_family(ensemble, n_values)
-    else:
-        print(f"error: [schema] hellybray.family must be 'oscillatory' or 'resonant', got {family!r}")
-        return 1
+    X_list, H_list, X_limit, H_limit = build(ensemble, n_values)
 
     report = helly_bray_stochastic_check(
-        X_list, H_list, X_limit, H_limit, ensemble.grid,
-        nu_ladder=tuple(hb_cfg.get("nu_ladder", (0.25, 0.5, 1.0, 2.0))),
-        ks_threshold=float(hb_cfg.get("ks_threshold", 0.02)),
-        bv_levels=tuple(hb_cfg.get("bv_levels", (0.5, 1.0, 2.0, 4.0, 8.0))),
+        X_list, H_list, X_limit, H_limit, ensemble.grid, **options,
         labels=[str(n) for n in n_values])
     print(report)
 
@@ -592,8 +587,6 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-
-    from .errors import ConfigError, DelayBsdeError
 
     try:
         return args.func(args)

@@ -440,7 +440,9 @@ def select_lambda(c: float, beta: float, L_tilde: float,
     """Pick lambda minimizing mu_lambda on a 200-point log scan.
 
     Requires 0 < c < c_threshold(beta, L_tilde); the returned factor is
-    guaranteed below one there.  b = lam/2 - bdg_constant keeps the printed
+    below one there in exact arithmetic.  Below about 3e-308, 1/(2c)
+    overflows and the scan reads NaN, which is refused like a factor of one
+    or more.  b = lam/2 - bdg_constant keeps the printed
     value with its default 144; pass 72 to see the alternative bookkeeping.
     """
     admissible, threshold = c_admissible(c, beta, L_tilde)
@@ -448,12 +450,13 @@ def select_lambda(c: float, beta: float, L_tilde: float,
         raise ConstraintViolationError(
             f"c={c} leaves no contraction margin (needs 0 < c < {threshold:.6g})")
     lo = 2.0 * bdg_constant * (1.0 + 1e-6)
-    hi = 10.0 * max(2.0 * bdg_constant, 1.0 / (2.0 * c) - 2.0)
-    lams = np.geomspace(lo, hi, 200)
-    mus = mu_lambda(lams, c, beta, L_tilde, bdg_constant)
+    with np.errstate(over="ignore", invalid="ignore"):
+        hi = 10.0 * max(2.0 * bdg_constant, 1.0 / (2.0 * c) - 2.0)
+        lams = np.geomspace(lo, hi, 200)
+        mus = mu_lambda(lams, c, beta, L_tilde, bdg_constant)
     j = int(np.argmin(mus))
     lam, mu = float(lams[j]), float(mus[j])
-    if mu >= 1.0:
+    if not mu < 1.0:
         raise ConstraintViolationError(
             f"no scanned lambda contracts (best mu={mu:.4f}); "
             "beta or c are too close to their limits")

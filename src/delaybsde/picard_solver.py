@@ -33,12 +33,11 @@ from .model import check_H1, check_H2, select_lambda  # noqa: F401
 from .path_calculus import delay_window as node_segment
 from .path_calculus import delay_windows, node_major_zeros
 from .stochastic_engine import (PathEnsemble, RegressionBasis, RegressionPlan,
-                                _node_major, realize_increasing_process)
+                                realize_increasing_process)
 # no longer called here; bench/tracing.py still looks the name up here
 from .stochastic_engine import conditional_expectation  # noqa: F401
 
 __all__ = [
-    "GammaArtifacts",
     "SolverDiagnostics",
     "Solution",
     "ContractionReport",
@@ -56,20 +55,6 @@ BLOWUP_THRESHOLD = 1e8  # |Y + B| above this at a node raises BlowupError
 FORCE_HINT = "; pass force=True to run anyway"
 
 
-def _regression_plan(ensemble: PathEnsemble,
-                     basis: RegressionBasis | None) -> RegressionPlan:
-    """Regressions on W(t_i), plus A(t_i) when A is random: a realized random
-    A is extra information the Brownian state lacks."""
-    plan = RegressionPlan(basis or RegressionBasis(), ensemble)
-    spec = ensemble.A_spec
-    if ensemble.A is not None and spec is not None and spec.is_random:
-        # the rule holds the copy, not the plan: a plan -> rule -> plan cycle
-        # would keep every solve's plan alive until the cycle collector runs
-        A = plan.A_by_node
-        plan.extra_columns = lambda i: [A[:, i]]
-    return plan
-
-
 def _read_only(X: np.ndarray) -> np.ndarray:
     """Read-only view of X, so that a generator cannot write into it."""
     view = X.view()
@@ -81,14 +66,6 @@ def _windows(X: np.ndarray, k: int, read: bool, kind: str = "state"):
     """delay_windows(X, k, kind) for a window the driver reads, else a reader
     of None: a read before node k would fill a head that nothing reads."""
     return delay_windows(X, k, kind) if read else lambda i: None
-
-
-@dataclass(frozen=True)
-class GammaArtifacts:
-    """Byproducts of one outer step, kept for diagnostics and replay."""
-
-    B: np.ndarray
-    thetas: dict | None = None
 
 
 def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
@@ -121,26 +98,22 @@ def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
 
 
 def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
-               U: np.ndarray, V: np.ndarray, *,
-               basis: RegressionBasis | None = None,
-               scheme: str = "explicit", keep_regression: bool = False,
+               U: np.ndarray, V: np.ndarray, *, scheme: str = "explicit",
                plan: RegressionPlan | None = None, B: np.ndarray | None = None):
-    """One application of the outer map: (U, V) -> (Y, Z).
+    """One application of the outer map: (U, V) -> (Y, Z, B).
 
-    Backward in time: project the next shifted value on the current Brownian
+    Backward in time: project the next shifted value on the regression
     state, read the control from the centered increment correlation, then
     advance the value either explicitly (driver at the next value) or
     implicitly (per-path fixed point, driver at the current value).
 
-    ``basis`` (default RegressionBasis()) sets the regression, its ridge
-    included.  ``plan`` carries the regression work that does not depend on
-    (U, V) across calls on the same ensemble; when given, it replaces
-    ``basis``.  Without one, the step builds its own.  ``B``, the running
-    integral build_B forms, may be passed when G reads neither y nor its
-    window, since it then does not depend on U; it is read, never written.
-    Without one, the step builds it from U.  ``keep_regression``
-    keeps each node's coefficients in the artifacts.  F and G get read-only
-    arguments.  A value iterate above
+    ``plan`` (default RegressionPlan(RegressionBasis(), ensemble)) sets the
+    regression, its basis, ridge and state, and carries the work that does
+    not depend on (U, V) across calls on the same ensemble.  ``B``, the
+    running integral build_B forms, may be passed when G reads neither y nor
+    its window, since it then does not depend on U; it is read, never
+    written.  Without one, the step builds it from U, and returns the B it
+    used.  F and G get read-only arguments.  A value iterate above
     BLOWUP_THRESHOLD or not finite raises BlowupError.  Y and Z come back
     node-major whatever the layout of U and V.
     """
@@ -150,7 +123,7 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     if grid.delta is None:
         raise GridAlignmentError("the ensemble grid was built without a delay")
     if plan is None:
-        plan = _regression_plan(ensemble, basis)
+        plan = RegressionPlan(RegressionBasis(), ensemble)
     elif plan.ensemble is not ensemble:
         raise ValueError("the regression plan was built for another ensemble")
     k = grid.delta_index_offset
@@ -169,7 +142,6 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     Z = node_major_zeros((n, n_nodes, m, d))
     Z_in = _read_only(Z)
     Yhat[:, -1] = xi + B[:, -1]
-    thetas: dict | None = {} if keep_regression else None
     f_reads = generator_reads(problem.F)
     u_windows = _windows(U, k, "y_seg" in f_reads)
     v_windows = _windows(V, k, "z_seg" in f_reads, kind="control")
@@ -180,20 +152,19 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
         design = plan.design(i)
         nxt = Yhat[:, i + 1]
 
-        mean_fit, theta_m = plan.fit(i, design, nxt)
+        mean_fit, _ = plan.fit(i, design, nxt)
         z_target = (nxt - mean_fit)[:, :, None] * dW[:, None, :] / dt
-        z_fit, theta_z = plan.fit(i, design, z_target.reshape(n, m * d))
+        z_fit, _ = plan.fit(i, design, z_target.reshape(n, m * d))
         Z[:, i] = z_fit.reshape(n, m, d)
 
         t = float(grid.nodes[i])
         ctx = problem.context(grid, t, W[:, i])
-        theta_y = None
         if problem.F is None:
             cur = mean_fit
         elif scheme == "explicit":
             drv = evaluate_generator(problem.F, "F", ctx, _read_only(nxt - B[:, i + 1]),
                                      Z_in[:, i], u_windows(i), v_windows(i))
-            cur, theta_y = plan.fit(i, design, nxt + dt * drv)
+            cur, _ = plan.fit(i, design, nxt + dt * drv)
         else:
             seg_y, seg_z = u_windows(i), v_windows(i)
             cur = mean_fit.copy()
@@ -209,13 +180,11 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
             raise BlowupError(f"value iterate exploded at node {i} (t={t:.6g})")
         Yhat[:, i] = cur
         del design  # free it before the next node builds its own
-        if thetas is not None:
-            thetas[i] = {"mean": theta_m, "z": theta_z, "y": theta_y}
 
     Z[:, -1] = Z[:, -2]
     Y = np.subtract(Yhat, B, out=Yhat)
     Y[:, -1] = xi
-    return Y, Z, GammaArtifacts(B=B, thetas=thetas)
+    return Y, Z, B
 
 
 @dataclass(frozen=True)
@@ -327,9 +296,9 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     deltas: list[float] = []
     ratios: list[float] = []
     converged = False
-    plan = _regression_plan(ensemble, basis)
-    # weights in the sweep's layout, from a copy of A that is dropped at once
-    weights = norm_weights(_node_major(ensemble.A), grid, alpha, beta)
+    plan = RegressionPlan(basis or RegressionBasis(), ensemble)
+    # weights in the sweep's layout, from the plan's one node-major copy of A
+    weights = norm_weights(plan.A_by_node, grid, alpha, beta)
     plan.dA = weights[1]  # the one dA of the solve
     # B = int G dA depends on the iterate only through G's y and y_seg
     B = None if generator_reads(problem.G) & {"y", "y_seg"} \

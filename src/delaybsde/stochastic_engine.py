@@ -273,8 +273,8 @@ class RegressionBasis:
     """Polynomial design in the Brownian state plus optional extra columns.
 
     Features are 1, all monomials of W(t) components up to total degree
-    ``degree``, then any caller-supplied columns (today a random A's column,
-    see picard_solver._regression_plan).
+    ``degree``, then any caller-supplied columns (a RegressionPlan passes a
+    random A's column).
     ``ridge`` is added to the diagonal of every normal matrix on this basis;
     with ridge = 0 a singular system raises SingularSystemError.  A negative
     degree or ridge raises ValueError.  Designs are column-major (n_paths, p).
@@ -368,32 +368,34 @@ def _node_major(X: np.ndarray) -> np.ndarray:
 
 
 class RegressionPlan:
-    """The target-independent half of the regressions on one ensemble.
+    """The target-independent half of the regressions on one ensemble, and
+    the one way to configure a backward sweep's regression.
 
-    Bound to a basis, an ensemble and an extra-column rule
-    ``extra_columns(step) -> list of (n_paths,) arrays or None``; the ridge
-    is the basis's.  The design at a node depends on the ensemble only, so
-    the plan builds each node's ridged Gram matrix (and, with ridge = 0,
-    runs its singularity check) once, on the first fit there, and every
-    later fit at that node reuses it.  The first fit solves through
-    np.linalg.solve, which raises on a singular matrix; the plan keeps the
-    matrix only once that solve has passed, and later fits call the same
-    LAPACK routine directly (_lapack_solve), for the same bits.  Designs are not kept:
-    ``design(step)`` rebuilds one on each call, and the caller hands it
-    back to ``fit`` for every regression at that node.
+    Bound to a basis and an ensemble; the ridge is the basis's.  The plan
+    decides the state it regresses on: W(t_step), plus A(t_step) as one
+    linear column when A is random (``A_spec.is_random``), since the
+    solution is adapted to the filtration of W and A.  The design at a node
+    depends on the ensemble only, so the plan builds each node's ridged Gram
+    matrix (and, with ridge = 0, runs its singularity check) once, on the
+    first fit there, and every later fit at that node reuses it.  The first
+    fit solves through np.linalg.solve, which raises on a singular matrix;
+    the plan keeps the matrix only once that solve has passed, and later
+    fits call the same LAPACK routine directly (_lapack_solve), for the same
+    bits.  Designs are not kept: ``design(step)`` rebuilds one on each call,
+    and the caller hands it back to ``fit`` for every regression at that node.
     ``W_by_node`` and ``A_by_node`` are node-major copies of the ensemble's
     W and of the rows its A stores (one for a deterministic A), built on
     first use, from which a backward sweep reads one node at a time;
-    ``design`` reads W(t_step) there, and ``fit`` reduces along
+    ``design`` reads the state there, and ``fit`` reduces along
     the path axis of the column-major design.  ``dA``, the increments of A,
     is the one a solve's norm weights hold.
     """
 
-    def __init__(self, basis: RegressionBasis, ensemble: PathEnsemble,
-                 extra_columns=None):
+    def __init__(self, basis: RegressionBasis, ensemble: PathEnsemble):
         self.basis = basis
         self.ensemble = ensemble
-        self.extra_columns = extra_columns
+        spec = ensemble.A_spec
+        self._random_A = ensemble.A is not None and spec is not None and spec.is_random
         self._grams: dict[int, np.ndarray] = {}
 
     @functools.cached_property
@@ -413,12 +415,12 @@ class RegressionPlan:
         return np.diff(self.A_by_node, axis=1)
 
     def design(self, step: int) -> np.ndarray:
-        extras = None if self.extra_columns is None else self.extra_columns(step)
+        extras = [self.A_by_node[:, step]] if self._random_A else None
         return self.basis.design(self.W_by_node[:, step], extras)
 
     def fit(self, step: int, design: np.ndarray, targets: np.ndarray):
         """(fitted, coefficients) of E[targets | F_{t_step}] on the design
-        of W(t_step) and the step's extra columns.
+        of the state at t_step.
 
         At step 0 the sigma-field is trivial and the estimate is the plain
         mean (returned as an intercept-only coefficient vector so that

@@ -194,6 +194,29 @@ def test_validate_refuses_non_object_solver(tmp_path, capsys, solver):
     assert "[schema]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("solve", "solver", "tol", "abc"),
+    ("solve", "solver", "max_iter", [25]),
+    ("solve", "solver", "force", "false"),
+    ("stability", "stability", "scheme", "midpoint"),
+    ("stability", "stability", "n_values", 4),
+    ("stability", "stability", "kind", "bogus"),
+    ("helly-bray", "hellybray", "n_values", ["x"]),
+    ("helly-bray", "hellybray", "nu_ladder", ["x"]),
+    ("helly-bray", "hellybray", "family", "bogus"),
+])
+def test_malformed_section_value_is_a_schema_error(tmp_path, capsys, command, section,
+                                                   key, value):
+    config = base_config()
+    config[section][key] = value
+    code = cli.run([command, "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out"), "--paths", "200"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: [schema] {section}.{key}: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("section, entry", [
     ("F", {"name": "linear", "params": {"a_y": "abc"}}),
     ("G", {"name": "linear", "params": {"b": [1.0]}}),
@@ -484,7 +507,10 @@ REFUSALS = {
     "G": ({"G": {"name": "linear", "params": {"b": 2.0}}}, ["G"]),
     # beta just above 2 sqrt(2) L_tilde leaves a threshold below c = 0.0015,
     # which (H1) and (H2) flag as well; the config check refuses that c first
-    "lambda": ({"beta": 2.83}, ["H1", "H2", "lambda"]),
+    "beta-limit": ({"beta": 2.83}, ["H1", "H2", "lambda"]),
+    # below about 3e-308 the lambda scan overflows to a NaN factor, which only
+    # the lambda check sees
+    "lambda": ({"c": 1e-320, "K": 0.0, "K_tilde": 0.0}, ["lambda"]),
 }
 
 
@@ -520,7 +546,8 @@ def test_one_refusal_rule(tmp_path, capsys, check):
                     "--out", str(tmp_path / "out"), "--paths", "200"])
     text = capsys.readouterr().out
     assert code == 2
-    assert ("[c-range]" if check == "lambda" else "check-assumptions: FAIL (1 failures)") in text
+    assert ("[c-range]" if check == "beta-limit"
+            else "check-assumptions: FAIL (1 failures)") in text
 
 
 def test_hellybray_command(tmp_path, capsys):

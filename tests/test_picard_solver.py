@@ -240,12 +240,12 @@ def test_gamma_step_martingale_case():
     prob = make_problem(xi=registry.build_terminal({"name": "brownian", "params": {}}))
     U = np.zeros((20000, 21, 1))
     V = np.zeros((20000, 21, 1, 1))
-    Y, Z, art = gamma_step(prob, ens, U, V)
+    Y, Z, B = gamma_step(prob, ens, U, V)
     assert np.array_equal(Y[:, -1, 0], ens.W[:, -1, 0])
     err = np.sqrt(np.mean((Y[:, :, 0] - ens.W[:, :, 0]) ** 2))
     assert err < 0.02
     assert np.sqrt(np.mean((Z - 1.0) ** 2)) < 0.05
-    assert np.all(art.B == 0.0)
+    assert np.all(B == 0.0)
 
 
 def test_gamma_step_two_dimensional_value():
@@ -348,8 +348,9 @@ def test_gamma_step_singular_design_without_ridge():
     prob = make_problem(xi=registry.build_terminal({"name": "brownian", "params": {}}))
     U = np.zeros((200, 11, 1))
     V = np.zeros((200, 11, 1, 1))
+    plan = stochastic_engine.RegressionPlan(RegressionBasis(ridge=0.0), ens)
     with pytest.raises(SingularSystemError):
-        gamma_step(prob, ens, U, V, basis=RegressionBasis(ridge=0.0))
+        gamma_step(prob, ens, U, V, plan=plan)
     Y, _, _ = gamma_step(prob, ens, U, V)
     assert np.all(np.isfinite(Y))
 
@@ -395,10 +396,10 @@ def test_gamma_step_and_build_B_ignore_input_layout(scheme):
     V = rng.normal(size=(300, 21, 1, 1))
     B = build_B(prob, ens, U)
     assert np.array_equal(build_B(prob, ens, node_major(U)), B)
-    Y, Z, art = gamma_step(prob, ens, U, V, scheme=scheme)
-    Y2, Z2, art2 = gamma_step(prob, ens, node_major(U), node_major(V), scheme=scheme)
+    Y, Z, B1 = gamma_step(prob, ens, U, V, scheme=scheme)
+    Y2, Z2, B2 = gamma_step(prob, ens, node_major(U), node_major(V), scheme=scheme)
     assert np.array_equal(Y2, Y) and np.array_equal(Z2, Z)
-    assert np.array_equal(art2.B, art.B) and np.array_equal(art.B, B)
+    assert np.array_equal(B2, B1) and np.array_equal(B1, B)
     # the sweep's layout: path-major shape, each node one contiguous block
     assert Y.shape == (300, 21, 1) and Z.shape == (300, 21, 1, 1)
     assert all(Y[:, i].flags.c_contiguous and Z[:, i].flags.c_contiguous for i in range(21))
@@ -467,6 +468,20 @@ def test_solve_copies_one_row_of_a_deterministic_A(monkeypatch):
     sol = solve(prob, make_ensemble(70, n_steps=20, seed=6))
     assert sol.diagnostics.iterations >= 2
     assert (1, 21) in shapes and (70, 21) not in shapes
+
+
+def test_solve_copies_a_random_A_node_major_once(monkeypatch):
+    # the plan's one node-major copy of A serves the design's A column, the
+    # norm weights and dA
+    shapes = spy_on_node_major_zeros(monkeypatch)
+    spec = IncreasingProcessSpec("time_integral", {"functional": "inv_quadratic"})
+    prob = make_problem(F=registry.build_F({"name": "linear", "params": {"a_y": 0.2}}),
+                        G=registry.build_G({"name": "linear", "params": {"b": 0.1}}),
+                        xi=registry.build_terminal({"name": "brownian", "params": {}}),
+                        A_spec=spec)
+    sol = solve(prob, make_ensemble(70, n_steps=20, seed=6, spec=spec))
+    assert sol.diagnostics.iterations >= 2
+    assert shapes.count((70, 21)) == 1 and (1, 21) not in shapes
 
 
 def test_solve_builds_B_once_when_G_ignores_the_iterate(monkeypatch):
@@ -779,37 +794,32 @@ def test_contraction_report_verdicts():
 
 
 def test_replay_frozen_coefficients():
-    """With no Stieltjes term and no delay feature, each value level is the
-    stored design-coefficient image of the current Brownian state: replaying
-    the coefficients reproduces the sweep, and after a future splice the
-    levels at or before the splice node are unchanged."""
-    from delaybsde.stochastic_engine import splice_future
+    """With no Stieltjes term and no delay feature, each value level is a
+    function of the plan's regression state (W and a random A): refitting
+    Y[:, i] on the plan's design reproduces it, and after a future splice the
+    design, so the level, is unchanged at or before the splice node."""
+    from delaybsde.stochastic_engine import RegressionPlan, splice_future
 
-    ens = make_ensemble(500, n_steps=20, seed=21)
+    spec = IncreasingProcessSpec("running_max", {})
+    ens = make_ensemble(500, n_steps=20, seed=21, spec=spec)
     prob = make_problem(
         F=registry.build_F({"name": "linear", "params": {"a_y": 0.4, "a_z": 0.2}}),
-        xi=registry.build_terminal({"name": "brownian", "params": {}}))
+        xi=registry.build_terminal({"name": "brownian", "params": {}}), A_spec=spec)
     n = ens.n_paths
-    U = np.zeros((n, 21, 1))
-    V = np.zeros((n, 21, 1, 1))
-    Y, Z, art = gamma_step(prob, ens, U, V, keep_regression=True)
-    basis = RegressionBasis()
-
-    for i in (0, 5, 12):
-        design = basis.design(ens.W[:, i, :])
-        theta = art.thetas[i]["y"]
-        assert np.array_equal(design @ theta, Y[:, i])
+    plan = RegressionPlan(RegressionBasis(), ens)
+    Y, _, _ = gamma_step(prob, ens, np.zeros((n, 21, 1)), np.zeros((n, 21, 1, 1)),
+                         plan=plan)
 
     split = 10
-    rng = np.random.default_rng(0)
-    perm = rng.permutation(n)
-    spliced = splice_future(ens, split, perm)
-    for i in (3, 7, 10):
-        design = basis.design(spliced.W[:, i, :])
-        for key in ("y", "z", "mean"):
-            theta = art.thetas[i][key]
-            replay = design @ theta
-            if key == "y":
-                assert np.array_equal(replay, Y[:, i])
-    late = basis.design(spliced.W[:, 15, :]) @ art.thetas[15]["y"]
-    assert not np.allclose(late, Y[:, 15])
+    perm = np.random.default_rng(0).permutation(n)
+    spliced = RegressionPlan(RegressionBasis(), splice_future(ens, split, perm))
+    for i in (0, 3, 7, 10, 12, 15):
+        design = plan.design(i)
+        # 1, W, W^2 and the random A's column
+        assert design.shape == (n, 4)
+        fitted, theta = plan.fit(i, design, Y[:, i])
+        assert np.allclose(fitted, Y[:, i], rtol=0.0, atol=1e-10)
+        if i <= split:
+            assert np.array_equal(spliced.design(i), design)
+        else:
+            assert not np.allclose(spliced.design(i) @ theta, Y[:, i])

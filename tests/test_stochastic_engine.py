@@ -330,11 +330,10 @@ def test_multi_rhs_matches_separate_fits():
     (5, None, True), (9, 2, True)])
 def test_plan_fit_matches_conditional_expectation(step, width, random_A):
     ens = simulate_brownian(GRID, 700, d=2, seed=14)
-    extra_columns = extras = None
+    extras = None
     if random_A:
         ens = realize_increasing_process(IncreasingProcessSpec("running_max", {}), ens)
-        extra_columns = lambda i: [ens.A[:, i]]
-        extras = extra_columns(step)
+        extras = [ens.A[:, step]]
     rng = np.random.default_rng(15)
     targets = ens.W[:, -1, 0] ** 2 + rng.normal(size=700)
     if width is not None:
@@ -342,7 +341,8 @@ def test_plan_fit_matches_conditional_expectation(step, width, random_A):
     basis = RegressionBasis(2)
     want_fit, want_theta = conditional_expectation(
         targets, basis, ens, step, extra_features=extras, return_coefficients=True)
-    plan = RegressionPlan(basis, ens, extra_columns=extra_columns)
+    # the plan adds a random A's column by itself
+    plan = RegressionPlan(basis, ens)
     design = plan.design(step)
     # a second fit at the node reuses the cached normal matrix
     for _ in range(2):
@@ -399,9 +399,13 @@ def test_fit_bits_ignore_design_layout_and_alignment():
 
 
 def test_plan_singular_design_raises_on_every_fit():
-    ens = simulate_brownian(GRID, 100, seed=8)
-    plan = RegressionPlan(RegressionBasis(1, ridge=0.0), ens,
-                          extra_columns=lambda i: [ens.W[:, i, 0]])
+    # a constant-rate time_integral A is random in kind only: A(t_i) = t_i on
+    # every path, so the plan's A column is collinear with the intercept
+    ens = realize_increasing_process(
+        IncreasingProcessSpec("time_integral", {"functional": "constant"}),
+        simulate_brownian(GRID, 100, seed=8))
+    assert np.all(ens.A[:, 5] == ens.A[0, 5])
+    plan = RegressionPlan(RegressionBasis(1, ridge=0.0), ens)
     for _ in range(2):
         with pytest.raises(SingularSystemError):
             plan.fit(5, plan.design(5), ens.W[:, -1, 0])
