@@ -6,14 +6,21 @@ Subcommands:
     stability           run a perturbation-family experiment
     helly-bray          run a pathwise integral-convergence experiment
 
-Settings resolve as: command line flag > DELAYBSDE_* environment variable >
-config file value > built-in default.  Exit codes: 0 all checks passed,
-2 a check or experiment failed, 1 bad input or internal error.
+Every setting a command takes is listed once, with its default and cast, in
+SETTINGS, and read by read_settings; seed, n_paths, n_steps and out resolve as
+command line flag > DELAYBSDE_* environment variable > config file value >
+default.  Exit codes: 0 all checks passed; 2 a check or experiment failed,
+a fault of the problem section included (a config-check diagnostic on
+stdout); 1 bad input or internal error, a setting from a flag, an environment
+variable or a section that cannot be read included ("error: [schema]
+<where>: ..." on stderr).
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
+import numbers
 import os
 import sys
 
@@ -32,14 +39,116 @@ from .stability_lab import (helly_bray_stochastic_check, oscillatory_A_family,
                             oscillatory_integration_family,
                             resonant_integration_family, xi_shift_family)
 from .stochastic_engine import (PROCESS_KINDS, IncreasingProcessSpec,
-                                RegressionBasis, realize_increasing_process,
-                                simulate_brownian)
+                                RegressionBasis, is_integer,
+                                realize_increasing_process, simulate_brownian)
 
 ENV_PREFIX = "DELAYBSDE_"
-DEFAULT_PATHS = 2000
-DEFAULT_STEPS = 50
-DEFAULT_SEED = 0
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+# the settings a flag and a DELAYBSDE_* variable override: key -> (name, flag help)
+_OVERRIDES = {"out": ("OUT", "output directory"), "seed": ("SEED", "simulation seed"),
+              "n_paths": ("PATHS", "number of Monte Carlo paths"),
+              "n_steps": ("STEPS", "number of time steps")}
+_ENSEMBLE_KEYS = ("seed", "n_paths", "n_steps")
+
+
+def _integer(low=None):
+    """A cast to an integer >= low; it refuses a bool or a fraction."""
+    def cast(value):
+        if not is_integer(value, low):
+            raise ValueError(f"must be an integer{'' if low is None else f' >= {low}'}, "
+                             f"got {value!r}")
+        return int(value)
+    return cast
+
+
+def _number(value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _text(value):
+    if not (isinstance(value, str) and value):
+        raise ValueError(f"must be a non-empty string, got {value!r}")
+    return value
+
+
+def _choice(*options):
+    """A cast that passes one of options, type included (0 is not False)."""
+    def cast(value):
+        if not any(type(value) is type(o) and value == o for o in options):
+            raise ValueError(f"must be {' or '.join(map(repr, options))}, got {value!r}")
+        return value
+    return cast
+
+
+def _list_of(cast):
+    def cast_all(values):
+        if not (isinstance(values, list) and values):
+            raise ValueError(f"must be a non-empty list, got {values!r}")
+        return tuple(cast(v) for v in values)
+    return cast_all
+
+
+def _basis(key, cast):
+    """cast, then RegressionBasis's own check of key's range."""
+    return lambda value: getattr(RegressionBasis(**{key: cast(value)}), key)
+
+
+_FAMILIES = {"oscillatory": oscillatory_integration_family,
+             "resonant": resonant_integration_family}
+_ENSEMBLE = {"seed": (0, _integer(0)), "n_paths": (2000, _integer(1))}
+_SWEEP = {"max_iter": (25, _integer(1)), "scheme": ("explicit", _choice("explicit", "implicit"))}
+# every setting a command reads: section -> key -> (default, cast); None is the root
+SETTINGS = {
+    None: {"out": ("delaybsde-out", _text)},
+    "solver": {**_ENSEMBLE, "n_steps": (50, _integer(1)), "tol": (1e-6, _number), **_SWEEP,
+               "force": (False, _choice(False, True)),
+               "degree": (RegressionBasis.degree, _basis("degree", _integer())),
+               "ridge": (RegressionBasis.ridge, _basis("ridge", _number))},
+    "stability": {"kind": ("oscillatory_A", _choice("oscillatory_A", "xi_shift")),
+                  "n_values": ([2, 4, 8, 16], _list_of(_integer(1))),
+                  "shifts": ([1.0, 0.5, 0.25, 0.125], _list_of(_number)),
+                  "final_threshold": (1e-3, _number), "tol": (1e-8, _number), **_SWEEP},
+    "hellybray": {**_ENSEMBLE, "n_steps": (200, _integer(1)),
+                  "family": ("oscillatory", _choice(*_FAMILIES)), "T": (1.0, _number),
+                  "n_values": ([2, 4, 8, 16, 32], _list_of(_integer(1))),
+                  "nu_ladder": ([0.25, 0.5, 1.0, 2.0], _list_of(_number)),
+                  "ks_threshold": (0.02, _number),
+                  "bv_levels": ([0.5, 1.0, 2.0, 4.0, 8.0], _list_of(_number))},
+}
+
+
+def read_settings(config, section, args=None):
+    """Every setting of SETTINGS[section], resolved and cast.
+
+    seed, n_paths, n_steps and out resolve as flag > DELAYBSDE_* environment
+    variable > config value > default, the first two only when args is given.
+    A section that is not an object, or a value its cast refuses, raises
+    ConfigError("[schema] <where>: ..."), where <where> is section.key, the
+    flag or the environment variable.
+    """
+    cfg = config if section is None else config.get(section, {})
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"[schema] {section}: must be an object, got {cfg!r}")
+    values = {}
+    for key, (default, cast) in SETTINGS[section].items():
+        where, value = key if section is None else f"{section}.{key}", cfg.get(key, default)
+        name = _OVERRIDES[key][0] if args is not None and key in _OVERRIDES else None
+        if name is not None:
+            for source, text in ((f"--{name.lower()}", getattr(args, name.lower())),
+                                 (ENV_PREFIX + name, os.environ.get(ENV_PREFIX + name))):
+                if text is not None:
+                    # flags and the environment give text, read as the default's type
+                    with contextlib.suppress(ValueError):
+                        text = type(default)(text)
+                    where, value = source, text
+                    break
+        try:
+            values[key] = cast(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"[schema] {where}: {exc}") from None
+    return values
 
 
 def load_config(path):
@@ -62,56 +171,6 @@ def canonical_config_text(config):
     return json.dumps(config, sort_keys=True, separators=(",", ":"))
 
 
-def _env(name):
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def resolve_setting(flag_value, env_name, config_value, default, cast=int):
-    """Apply the flag > environment > config > default precedence."""
-    if flag_value is not None:
-        return flag_value
-    raw = _env(env_name)
-    if raw is not None:
-        return cast(raw)
-    if config_value is not None:
-        return config_value
-    return default
-
-
-def _section(config, name):
-    """config[name], or {} when absent; ConfigError unless it is an object."""
-    cfg = config.get(name, {})
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"[schema] '{name}' section must be an object")
-    return cfg
-
-
-def _read(cfg, section, key, default, cast):
-    """cfg[key], or default when absent, through cast; a value cast refuses
-    raises ConfigError naming section.key."""
-    try:
-        return cast(cfg.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"[schema] {section}.{key}: {exc}") from None
-
-
-def _choice(*options):
-    """A cast that passes one of options and refuses anything else."""
-    def cast(value):
-        if value not in options:
-            raise ValueError(f"must be {' or '.join(map(repr, options))}, got {value!r}")
-        return value
-    return cast
-
-
-def _floats(values):
-    return [float(v) for v in values]
-
-
-def _ints(values):
-    return [int(v) for v in values]
-
-
 def _grid_accepts(T, delta, n_steps):
     """Whether TimeGrid takes this delay on n_steps uniform steps."""
     try:
@@ -129,18 +188,14 @@ def suggest_aligned_steps(T, delta, n_steps):
     return good[:3]
 
 
-def _regression_basis(solver_cfg):
-    """The solver section's RegressionBasis; ValueError or TypeError if refused."""
-    ridge = solver_cfg.get("ridge")
-    return RegressionBasis(degree=int(solver_cfg.get("degree", 2)),
-                           ridge=RegressionBasis.ridge if ridge is None else float(ridge))
-
-
 def validate(config, n_steps=None):
     """Check a config dict without running anything.
 
     Returns a list of diagnostics, each ``{"level", "code", "message"}`` with
     level "error" or "warning".  An empty list means the config is runnable.
+    Only the problem section is checked; the grid check runs at n_steps, by
+    default the solver section's, read by read_settings (a refusal of which is
+    a schema diagnostic).
     """
     diags = []
 
@@ -168,11 +223,6 @@ def validate(config, n_steps=None):
         err("domain", f"T must be a positive number, got {T!r}")
     if not (isinstance(delta, (int, float)) and delay_fits_horizon(delta, T if T_ok else np.inf)):
         err("domain", f"delta must satisfy 0 < delta <= T, got {delta!r}")
-    for key in ("m", "d"):
-        value = problem.get(key, 1)
-        if not (isinstance(value, int) and value >= 1):
-            err("domain", f"{key} must be an integer >= 1, got {value!r}")
-
     beta = problem["beta"]
     L_tilde = problem["L_tilde"]
     for key, value in (("beta", beta), ("L", problem["L"]), ("L_tilde", L_tilde)):
@@ -196,29 +246,24 @@ def validate(config, n_steps=None):
             err("registry", f"{section}: {exc}")
 
     try:
-        IncreasingProcessSpec.from_dict(problem["A"])
+        spec = IncreasingProcessSpec.from_dict(problem["A"])
+        if is_integer(problem.get("d", 1), 1):    # any other d is a [domain] error below
+            spec.check_dimension(problem.get("d", 1))
     except (KeyError, TypeError, ValueError) as exc:
         err("registry", f"A must be an increasing process of a kind in "
                         f"{sorted(PROCESS_KINDS)}: {exc}")
 
-    solver = config.get("solver", {})
-    if not isinstance(solver, dict):
-        err("schema", "'solver' section must be an object")
-        solver = {}
     if not any(d["level"] == "error" for d in diags):
-        steps = n_steps if n_steps is not None else solver.get("n_steps", DEFAULT_STEPS)
+        try:
+            steps = read_settings(config, "solver")["n_steps"] if n_steps is None else n_steps
+        except ConfigError as exc:
+            err("schema", str(exc).removeprefix("[schema] "))
+            return diags
         if not _grid_accepts(T, delta, steps):
             hint = suggest_aligned_steps(T, delta, steps)
             extra = f"; nearby aligned step counts: {hint}" if hint else ""
             err("grid-alignment",
                 f"delay delta={delta} is not a whole number of steps at n_steps={steps}{extra}")
-
-    if solver.get("scheme") not in (None, "explicit", "implicit"):
-        err("schema", f"solver.scheme must be 'explicit' or 'implicit', got {solver.get('scheme')!r}")
-    try:
-        _regression_basis(solver)
-    except (TypeError, ValueError) as exc:
-        err("domain", f"solver regression basis: {exc}")
     if not any(d["level"] == "error" for d in diags):
         # what the checks above do not cover: delay measures, kernel bounds
         try:
@@ -250,72 +295,46 @@ def write_manifest(out_dir, command, config, settings):
     manifest = {
         "command": command,
         "config_sha256": hashlib.sha256(canonical_config_text(config).encode("utf-8")).hexdigest(),
-        "settings": settings,
-        "versions": {
-            "package": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": "%d.%d.%d" % sys.version_info[:3],
-        },
+        "settings": {key: settings[key] for key in _ENSEMBLE_KEYS},
+        "versions": {"package": __version__, "numpy": np.__version__,
+                     "scipy": scipy.__version__, "python": "%d.%d.%d" % sys.version_info[:3]},
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
 
 
-def _settings(args, config, section="solver", default_steps=DEFAULT_STEPS):
-    """(config[section] or {}, output directory, {seed, n_paths, n_steps}),
-    each setting resolved as flag > env > config > default."""
-    cfg = config.get(section, {})
-    cfg = cfg if isinstance(cfg, dict) else {}
-    settings = {
-        "seed": resolve_setting(args.seed, "SEED", cfg.get("seed"), DEFAULT_SEED),
-        "n_paths": resolve_setting(args.paths, "PATHS", cfg.get("n_paths"), DEFAULT_PATHS),
-        "n_steps": resolve_setting(args.steps, "STEPS", cfg.get("n_steps"), default_steps),
-    }
-    out_dir = resolve_setting(args.out, "OUT", config.get("out"), "delaybsde-out", cast=str)
-    return cfg, out_dir, settings
-
-
-def _config_is_valid(config, n_steps):
-    """Print the config diagnostics; True when none is an error."""
-    diags = validate(config, n_steps=n_steps)
+def _prepare(args, config):
+    """(solver settings, output directory, problem), or None when the config
+    check, whose diagnostics it prints, finds an error."""
+    solver = read_settings(config, "solver", args)
+    out_dir = read_settings(config, None, args)["out"]
+    diags = validate(config, n_steps=solver["n_steps"])
     for diag in diags:
         print(f"{diag['level']}: [{diag['code']}] {diag['message']}")
-    return not any(d["level"] == "error" for d in diags)
-
-
-def _prepare(args):
-    """Shared setup: config, resolved settings, problem, ensemble."""
-    config = load_config(args.config)
-    solver_cfg, out_dir, settings = _settings(args, config)
-    if not _config_is_valid(config, settings["n_steps"]):
+    if any(d["level"] == "error" for d in diags):
         return None
-
-    problem = problem_from_dict(config["problem"])
-    grid = TimeGrid.uniform(problem.T, settings["n_steps"], delta=problem.delta)
-    ensemble = simulate_brownian(grid, settings["n_paths"], d=problem.d, seed=settings["seed"])
-    ensemble = realize_increasing_process(problem.A_spec, ensemble)
-    return config, solver_cfg, problem, ensemble, out_dir, settings
+    return solver, out_dir, problem_from_dict(config["problem"])
 
 
-def _ensure_out(out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+def _ensemble(problem, solver):
+    """The solver settings' Brownian ensemble with the problem's A realized on it."""
+    grid = TimeGrid.uniform(problem.T, solver["n_steps"], delta=problem.delta)
+    ensemble = simulate_brownian(grid, solver["n_paths"], d=problem.d, seed=solver["seed"])
+    return realize_increasing_process(problem.A_spec, ensemble)
 
 
 def cmd_check(args):
-    prepared = _prepare(args)
+    config = load_config(args.config)
+    prepared = _prepare(args, config)
     if prepared is None:
         return 2
-    config, solver_cfg, problem, ensemble, out_dir, settings = prepared
+    solver, out_dir, problem = prepared
+    ensemble = _ensemble(problem, solver)
 
     checks = preflight(problem, ensemble)
     selection = checks.selection
-    print(checks.h1)
-    print(checks.h2)
+    print(checks.h1, checks.h2, sep="\n")
     if selection is None:
         print(f"lambda selection: FAIL ({checks.failures['lambda']})")
     else:
@@ -328,40 +347,32 @@ def cmd_check(args):
               f"declared_K1={probe.declared_K1:.6g}")
 
     integ = check_integrability(problem, ensemble)
-    verdict = "PASS" if integ.all_finite else "FAIL"
-    print(f"integrability: {verdict}")
+    print(f"integrability: {'PASS' if integ.all_finite else 'FAIL'}")
     for name, entry in integ.entries.items():
-        flags = []
-        if not entry.finite:
-            flags.append("not finite")
-        if entry.heavy_tail:
-            flags.append("heavy tail")
+        flags = [text for text, on in (("not finite", not entry.finite),
+                                       ("heavy tail", entry.heavy_tail)) if on]
         note = f" ({', '.join(flags)})" if flags else ""
         print(f"  {name} = {entry.value:.6g}{note}")
     failures = len(checks.failures) + (0 if integ.all_finite else 1)
 
-    _ensure_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
     report = {
         "c": checks.c,
         **{rep.name: {"lhs_max": float(np.max(rep.lhs)), "passed": rep.passed,
                       "worst_margin": rep.worst_margin, "pass_fraction": rep.pass_fraction,
                       "notes": rep.notes} for rep in (checks.h1, checks.h2)},
         "mu_lambda": float("nan") if selection is None else selection.mu_lambda,
-        "probes": {
-            p.which: {"empirical_L": p.empirical_L, "declared_L": p.declared_L,
-                      "empirical_K1": p.empirical_K1, "declared_K1": p.declared_K1,
-                      "exceeds_L": p.exceeds_L, "exceeds_K1": p.exceeds_K1}
-            for p in checks.probes
-        },
-        "integrability": {name: {"value": e.value, "finite": e.finite,
-                                 "heavy_tail": e.heavy_tail}
+        "probes": {p.which: {key: getattr(p, key) for key in (
+            "empirical_L", "declared_L", "empirical_K1", "declared_K1", "exceeds_L", "exceeds_K1")}
+            for p in checks.probes},
+        "integrability": {name: {"value": e.value, "finite": e.finite, "heavy_tail": e.heavy_tail}
                           for name, e in integ.entries.items()},
         "failures": failures,
     }
     with open(os.path.join(out_dir, "assumptions.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(report, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
-    write_manifest(out_dir, "check-assumptions", config, settings)
+    write_manifest(out_dir, "check-assumptions", config, solver)
 
     print(f"check-assumptions: {'PASS' if failures == 0 else f'FAIL ({failures} failures)'}")
     return 0 if failures == 0 else 2
@@ -381,26 +392,24 @@ def _solution_columns(label, values):
 
 
 def cmd_solve(args):
-    prepared = _prepare(args)
+    config = load_config(args.config)
+    prepared = _prepare(args, config)
     if prepared is None:
         return 2
-    config, solver_cfg, problem, ensemble, out_dir, settings = prepared
-
-    tol = _read(solver_cfg, "solver", "tol", 1e-6, float)
-    max_iter = _read(solver_cfg, "solver", "max_iter", 25, int)
-    # bool() would read the string "false" as true
-    force = _read(solver_cfg, "solver", "force", False, _choice(False, True))
+    solver, out_dir, problem = prepared
+    ensemble = _ensemble(problem, solver)
     try:
-        solution = solve(problem, ensemble, basis=_regression_basis(solver_cfg),
-                         tol=tol, max_iter=max_iter,
-                         scheme=solver_cfg.get("scheme", "explicit"), force=force)
+        solution = solve(problem, ensemble,
+                         basis=RegressionBasis(solver["degree"], solver["ridge"]),
+                         tol=solver["tol"], max_iter=solver["max_iter"],
+                         scheme=solver["scheme"], force=solver["force"])
     except (ConstraintViolationError, NonContractionError, BlowupError) as exc:
         print(f"solve: FAIL ({exc})")
         return 2
 
     diag = solution.diagnostics
     t = ensemble.grid.nodes
-    _ensure_out(out_dir)
+    os.makedirs(out_dir, exist_ok=True)
 
     header, columns = _solution_columns("Y", solution.Y)
     write_table(os.path.join(out_dir, "solution_Y.csv"), ["t"] + header, [t] + columns)
@@ -412,7 +421,7 @@ def cmd_solve(args):
     write_table(os.path.join(out_dir, "diagnostics.csv"),
                 ["iteration", "distance", "ratio", "mu_lambda"],
                 [iterations, diag.deltas, ratios, [diag.mu_lambda] * len(iterations)])
-    write_manifest(out_dir, "solve", config, settings)
+    write_manifest(out_dir, "solve", config, solver)
 
     report = contraction_report(diag)
     y0 = ", ".join(_format(v) for v in solution.initial_value)
@@ -428,82 +437,53 @@ def cmd_solve(args):
 
 def cmd_stability(args):
     config = load_config(args.config)
-    stab_cfg = _section(config, "stability")
-    _, out_dir, settings = _settings(args, config)
-    if not _config_is_valid(config, settings["n_steps"]):
+    stab = read_settings(config, "stability")
+    prepared = _prepare(args, config)
+    if prepared is None:
         return 2
-
-    def read(key, default, cast):
-        return _read(stab_cfg, "stability", key, default, cast)
-
-    base = problem_from_dict(config["problem"])
-    if read("kind", "oscillatory_A", _choice("oscillatory_A", "xi_shift")) == "oscillatory_A":
-        family = oscillatory_A_family(base, read("n_values", [2, 4, 8, 16], _ints))
-    else:
-        family = xi_shift_family(base, read("shifts", [1.0, 0.5, 0.25, 0.125], _floats))
-    options = {"final_threshold": read("final_threshold", 1e-3, float),
-               "tol": read("tol", 1e-8, float),
-               "max_iter": read("max_iter", 25, int),
-               "scheme": read("scheme", "explicit", _choice("explicit", "implicit"))}
+    solver, out_dir, base = prepared
+    family = (oscillatory_A_family(base, stab["n_values"]) if stab["kind"] == "oscillatory_A"
+              else xi_shift_family(base, stab["shifts"]))
 
     try:
-        report = stability_lab.run_stability(family, **settings, **options)
+        report = stability_lab.run_stability(
+            family, **{key: solver[key] for key in _ENSEMBLE_KEYS},
+            **{key: stab[key] for key in ("final_threshold", "tol", "max_iter", "scheme")})
     except (FamilyInvalidError, NonContractionError, BlowupError) as exc:
         print(f"stability: FAIL ({exc})")
         return 2
 
     print(report)
-    _ensure_out(out_dir)
-    rows = report.rows
-    write_table(os.path.join(out_dir, "stability.csv"),
-                ["label", "delta_xi", "delta_F", "delta_G", "sup_A_diff", "bv_H", "error"],
-                [[float(r.label) for r in rows], [r.delta_xi for r in rows],
-                 [r.delta_F for r in rows], [r.delta_G for r in rows],
-                 [r.sup_A_diff for r in rows], [r.bv_H for r in rows],
-                 [r.error for r in rows]])
-    write_manifest(out_dir, "stability", config, settings)
+    os.makedirs(out_dir, exist_ok=True)
+    fields = ["delta_xi", "delta_F", "delta_G", "sup_A_diff", "bv_H", "error"]
+    write_table(os.path.join(out_dir, "stability.csv"), ["label"] + fields,
+                [[float(r.label) for r in report.rows]]
+                + [[getattr(r, field) for r in report.rows] for field in fields])
+    write_manifest(out_dir, "stability", config, solver)
     print(f"stability: {'PASS' if report.passed else 'FAIL'}")
     return 0 if report.passed else 2
 
 
 def cmd_hellybray(args):
     config = load_config(args.config)
-    hb_cfg = _section(config, "hellybray")
-    _, out_dir, settings = _settings(args, config, section="hellybray", default_steps=200)
-
-    def read(key, default, cast):
-        return _read(hb_cfg, "hellybray", key, default, cast)
-
-    families = {"oscillatory": oscillatory_integration_family,
-                "resonant": resonant_integration_family}
-    build = families[read("family", "oscillatory", _choice(*families))]
-    T = read("T", 1.0, float)
-    n_values = read("n_values", [2, 4, 8, 16, 32], _ints)
-    options = {"nu_ladder": tuple(read("nu_ladder", (0.25, 0.5, 1.0, 2.0), _floats)),
-               "ks_threshold": read("ks_threshold", 0.02, float),
-               "bv_levels": tuple(read("bv_levels", (0.5, 1.0, 2.0, 4.0, 8.0), _floats))}
-    ensemble = simulate_brownian(TimeGrid.uniform(T, settings["n_steps"]),
-                                 settings["n_paths"], d=1, seed=settings["seed"])
-    X_list, H_list, X_limit, H_limit = build(ensemble, n_values)
+    hb = read_settings(config, "hellybray", args)
+    out_dir = read_settings(config, None, args)["out"]
+    ensemble = simulate_brownian(TimeGrid.uniform(hb["T"], hb["n_steps"]),
+                                 hb["n_paths"], d=1, seed=hb["seed"])
+    X_list, H_list, X_limit, H_limit = _FAMILIES[hb["family"]](ensemble, hb["n_values"])
 
     report = helly_bray_stochastic_check(
-        X_list, H_list, X_limit, H_limit, ensemble.grid, **options,
-        labels=[str(n) for n in n_values])
+        X_list, H_list, X_limit, H_limit, ensemble.grid,
+        **{key: hb[key] for key in ("nu_ladder", "ks_threshold", "bv_levels")},
+        labels=[str(n) for n in hb["n_values"]])
     print(report)
 
-    _ensure_out(out_dir)
-    labels, nus, phis, sups, kss = [], [], [], [], []
-    for row in report.rows:
-        for nu, phi in sorted(row.phi.items()):
-            labels.append(float(row.label))
-            nus.append(nu)
-            phis.append(phi)
-            sups.append(row.sup_distance)
-            kss.append(row.ks_statistic)
+    os.makedirs(out_dir, exist_ok=True)
+    rows = [(float(row.label), nu, phi, row.sup_distance, row.ks_statistic)
+            for row in report.rows for nu, phi in sorted(row.phi.items())]
     write_table(os.path.join(out_dir, "hellybray.csv"),
-                ["label", "nu", "phi_distance", "sup_distance", "ks_statistic"],
-                [labels, nus, phis, sups, kss])
-    write_manifest(out_dir, "helly-bray", config, settings)
+                ["label", "nu", "phi_distance", "sup_distance", "ks_statistic"], zip(*rows))
+    write_manifest(out_dir, "helly-bray", config, hb)
     print(f"helly-bray: {report.verdict}")
     return 0 if report.passed else 2
 
@@ -517,10 +497,8 @@ def build_parser():
 
     def add_common(p):
         p.add_argument("--config", required=True, help="path to a JSON config file")
-        p.add_argument("--out", help=f"output directory (env {ENV_PREFIX}OUT)")
-        p.add_argument("--seed", type=int, help=f"simulation seed (env {ENV_PREFIX}SEED)")
-        p.add_argument("--paths", type=int, help=f"number of Monte Carlo paths (env {ENV_PREFIX}PATHS)")
-        p.add_argument("--steps", type=int, help=f"number of time steps (env {ENV_PREFIX}STEPS)")
+        for name, text in _OVERRIDES.values():
+            p.add_argument(f"--{name.lower()}", help=f"{text} (env {ENV_PREFIX}{name})")
         p.add_argument("--threads", type=int,
                        help="pin BLAS thread pools to this count (re-executes the process)")
 

@@ -19,7 +19,7 @@ from scipy.stats import qmc
 
 from .errors import ConstraintViolationError, NumericOverflowError
 from .path_calculus import TimeGrid, delay_fits_horizon, stored_rows
-from .stochastic_engine import IncreasingProcessSpec, PathEnsemble, omega_delta
+from .stochastic_engine import IncreasingProcessSpec, PathEnsemble, is_integer, omega_delta
 
 __all__ = [
     "AtomMeasure",
@@ -157,8 +157,9 @@ class ProblemSpec:
             raise ValueError("need T > 0 and 0 < delta <= T")
         if not (self.beta > 0 and self.L > 0 and self.L_tilde > 0):
             raise ValueError("constants beta, L, L_tilde must be positive")
-        if self.m < 1 or self.d < 1:
-            raise ValueError("need m >= 1 and d >= 1")
+        if not (is_integer(self.m, 1) and is_integer(self.d, 1)):
+            raise ValueError(f"need integers m >= 1 and d >= 1, got m={self.m!r}, d={self.d!r}")
+        self.A_spec.check_dimension(self.d)
         if self.c is not None and not self.c > 0:
             raise ValueError("c must be positive when given")
         for name in ("K", "K_tilde"):

@@ -245,8 +245,8 @@ def problem_from_dict(config: dict) -> ProblemSpec:
             beta=float(config["beta"]),
             L=float(config["L"]),
             L_tilde=float(config["L_tilde"]),
-            m=int(config.get("m", 1)),
-            d=int(config.get("d", 1)),
+            m=config.get("m", 1),
+            d=config.get("d", 1),
             F=build_F(config.get("F")),
             G=build_G(config.get("G")),
             K=float(config.get("K", 0.0)),

@@ -75,10 +75,9 @@ class PerturbationFamily:
 def oscillatory_A_family(base: ProblemSpec, n_values) -> PerturbationFamily:
     """Members whose integrator gains a vanishing oscillation of order 1/n."""
     members = [replace(base, A_spec=IncreasingProcessSpec(
-        "oscillatory", {"base": base.A_spec, "n": int(n)}))
+        "oscillatory", {"base": base.A_spec, "n": n}))
         for n in n_values]
-    return PerturbationFamily(base=base, members=members,
-                              labels=[int(n) for n in n_values])
+    return PerturbationFamily(base=base, members=members, labels=list(n_values))
 
 
 def xi_shift_family(base: ProblemSpec, shifts) -> PerturbationFamily:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import numbers
 import os
 from dataclasses import dataclass, replace
 
@@ -38,6 +39,7 @@ __all__ = [
     "PROCESS_KINDS",
     "RegressionBasis",
     "RegressionPlan",
+    "is_integer",
     "simulate_brownian",
     "realize_increasing_process",
     "omega_delta",
@@ -131,10 +133,18 @@ def register_positive_functional(name: str, fn) -> None:
     _POS_FUNCTIONALS[name] = fn
 
 
+def is_integer(value, low=None) -> bool:
+    """Whether value is an integer, not a bool, and at least low when given."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and (low is None or value >= low))
+
+
 PROCESS_KINDS = ("deterministic", "running_max", "time_integral", "oscillatory")
 # the kinds whose params name a function: the key, its default and registry
 _NAMED = {"deterministic": ("shape", "identity", _DET_SHAPES),
           "time_integral": ("functional", "constant", _POS_FUNCTIONALS)}
+# the kinds with an integer param: the key and its least value
+_INTEGER_PARAMS = {"running_max": ("component", 0), "oscillatory": ("n", 1)}
 
 
 def _named_function(spec: "IncreasingProcessSpec"):
@@ -158,9 +168,9 @@ class IncreasingProcessSpec:
     "oscillatory" (a base spec plus T*sin(2 pi n t / T)/(4 pi n)).
     Every kind is a functional of the driving W or of time alone, which is
     what keeps A adapted; arbitrary exogenous processes are not accepted.
-    A kind outside PROCESS_KINDS, or a shape or functional named by a string
-    that is not registered, here or down an oscillatory base chain, raises
-    ValueError, and a dict base becomes a spec.
+    A kind outside PROCESS_KINDS, an unregistered shape or functional name, or
+    an integer param (_INTEGER_PARAMS) that is not an integer >= its least
+    value, here or down an oscillatory base chain, raises ValueError.
     """
 
     kind: str
@@ -172,13 +182,17 @@ class IncreasingProcessSpec:
                              f"expected one of {sorted(PROCESS_KINDS)}")
         if self.kind in _NAMED:
             _named_function(self)
-        if self.kind == "oscillatory":
+        if self.kind == "oscillatory":    # a dict base becomes a spec
             base = self.params.get("base")
             if isinstance(base, dict):
                 base = IncreasingProcessSpec.from_dict(base)
                 object.__setattr__(self, "params", {**self.params, "base": base})
             if not isinstance(base, IncreasingProcessSpec) or "n" not in self.params:
                 raise ValueError("an oscillatory A needs a base spec and n")
+        key, low = _INTEGER_PARAMS.get(self.kind, (None, 0))
+        if key and not is_integer(self.params.get(key, low), low):
+            raise ValueError(f"{self.kind} A needs an integer {key} >= {low}, "
+                             f"got {self.params[key]!r}")
 
     @property
     def is_random(self) -> bool:
@@ -186,6 +200,14 @@ class IncreasingProcessSpec:
         if self.kind == "oscillatory":
             return self.params["base"].is_random
         return self.kind != "deterministic"
+
+    def check_dimension(self, d: int) -> None:
+        """Raise ValueError if A reads a Brownian component that d components lack."""
+        if self.kind == "oscillatory":
+            return self.params["base"].check_dimension(d)
+        if self.kind == "running_max" and self.params.get("component", 0) >= d:
+            raise ValueError(f"running_max A reads component {self.params['component']}, "
+                             f"so needs d > {self.params['component']}, got d={d}")
 
     def to_dict(self) -> dict:
         params = dict(self.params)
@@ -207,8 +229,7 @@ def _realize_A(spec: IncreasingProcessSpec, ensemble: PathEnsemble) -> np.ndarra
             raise ValueError("deterministic shape must return one value per node")
         return np.broadcast_to(vals, (ensemble.n_paths, nodes.size)).copy()
     if spec.kind == "running_max":
-        comp = int(spec.params.get("component", 0))
-        return np.maximum.accumulate(W[:, :, comp], axis=1)
+        return np.maximum.accumulate(W[:, :, spec.params.get("component", 0)], axis=1)
     if spec.kind == "time_integral":
         fn = _named_function(spec)
         rates = np.empty((ensemble.n_paths, grid.n_steps))
@@ -221,7 +242,7 @@ def _realize_A(spec: IncreasingProcessSpec, ensemble: PathEnsemble) -> np.ndarra
         np.cumsum(rates * grid.steps()[None, :], axis=1, out=A[:, 1:])
         return A
     # "oscillatory", the one kind left
-    n = int(spec.params["n"])
+    n = spec.params["n"]
     T = grid.T
     bump = T * np.sin(2 * np.pi * n * nodes / T) / (4 * np.pi * n)
     return _realize_A(spec.params["base"], ensemble) + bump[None, :]

@@ -168,30 +168,45 @@ def test_validate_refuses_unknown_A_names(tmp_path, capsys, A):
     assert "[registry]" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("key, value", [("ridge", -1.0), ("degree", -1)])
-def test_validate_refuses_negative_basis_settings(tmp_path, capsys, key, value):
+@pytest.mark.parametrize("A", [
+    {"kind": "oscillatory", "params": {"n": 2.5, "base": {"kind": "deterministic"}}},
+    {"kind": "oscillatory", "params": {"n": 0, "base": {"kind": "deterministic"}}},
+    {"kind": "running_max", "params": {"component": 0.7}},
+    {"kind": "running_max", "params": {"component": 1}},
+    {"kind": "oscillatory", "params": {"n": 2, "base": {"kind": "running_max",
+                                                        "params": {"component": 3}}}},
+])
+def test_validate_refuses_integer_A_params_out_of_range(tmp_path, capsys, A):
+    # without the check, component 3 with d = 1 ends the solve in an IndexError
     config = base_config()
-    config["solver"][key] = value
+    config["problem"]["A"] = A
+    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    assert [d["code"] for d in errors] == ["registry"]
+    code = cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "[registry]" in captured.out and captured.err == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("m", 1.7), ("d", 2.5), ("m", 0), ("d", "abc")])
+def test_validate_refuses_non_integer_dimensions(tmp_path, capsys, key, value):
+    config = base_config()
+    config["problem"][key] = value
     errors = [d for d in cli.validate(config) if d["level"] == "error"]
     assert [d["code"] for d in errors] == ["domain"]
-    assert key in errors[0]["message"]
+    assert f"{key}={value!r}" in errors[0]["message"]
     code = cli.run(["solve", "--config", write_config(tmp_path, config),
                     "--out", str(tmp_path / "out")])
     assert code == 2
     assert "[domain]" in capsys.readouterr().out
-    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("solver", [[], "fast", None])
-def test_validate_refuses_non_object_solver(tmp_path, capsys, solver):
-    config = base_config(solver=solver)
-    errors = [d for d in cli.validate(config) if d["level"] == "error"]
-    assert [d["code"] for d in errors] == ["schema"]
-    assert "'solver'" in errors[0]["message"]
-    code = cli.run(["solve", "--config", write_config(tmp_path, config),
-                    "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "[schema]" in capsys.readouterr().out
+def test_validate_reports_a_solver_section_it_cannot_read():
+    errors = [d for d in cli.validate(base_config(solver="fast")) if d["level"] == "error"]
+    assert [(d["code"], d["message"]) for d in errors] == [
+        ("schema", "solver: must be an object, got 'fast'")]
 
 
 @pytest.mark.parametrize("command, section, key, value", [
@@ -204,17 +219,61 @@ def test_validate_refuses_non_object_solver(tmp_path, capsys, solver):
     ("helly-bray", "hellybray", "n_values", ["x"]),
     ("helly-bray", "hellybray", "nu_ladder", ["x"]),
     ("helly-bray", "hellybray", "family", "bogus"),
+    # the regression basis keeps its own range check, reported like any setting
+    ("solve", "solver", "ridge", -1.0),
+    ("solve", "solver", "degree", -1),
+    # a key of None replaces the whole section
+    ("solve", "solver", None, []),
+    ("solve", "solver", None, "fast"),
+    ("solve", "solver", None, None),
+    ("solve", "solver", "scheme", "midpoint"),
+    ("check-assumptions", "solver", "n_paths", "abc"),
+    ("solve", "solver", "seed", "x"),
+    ("solve", "solver", "n_steps", 20.5),
+    ("solve", "solver", "degree", 2.7),
+    ("stability", "solver", "max_iter", 2.5),
+    ("stability", "stability", "n_values", [2.5, 4, 8]),
+    ("helly-bray", "hellybray", "n_paths", "abc"),
+    ("helly-bray", "hellybray", "n_paths", 0),
 ])
 def test_malformed_section_value_is_a_schema_error(tmp_path, capsys, command, section,
                                                    key, value):
     config = base_config()
-    config[section][key] = value
+    if key is None:
+        config[section] = value
+    else:
+        config[section][key] = value
     code = cli.run([command, "--config", write_config(tmp_path, config),
-                    "--out", str(tmp_path / "out"), "--paths", "200"])
-    err = capsys.readouterr().err
+                    "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
     assert code == 1
-    assert err.startswith(f"error: [schema] {section}.{key}: ")
+    where = section if key is None else f"{section}.{key}"
+    assert captured.err.startswith(f"error: [schema] {where}: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, env, where", [
+    (["--paths", "0"], {}, "--paths"),
+    (["--paths", "-5"], {}, "--paths"),
+    (["--seed", "-1"], {}, "--seed"),
+    (["--steps", "2.5"], {}, "--steps"),
+    ([], {"DELAYBSDE_PATHS": "abc"}, "DELAYBSDE_PATHS"),
+    ([], {"DELAYBSDE_SEED": "-1"}, "DELAYBSDE_SEED"),
+])
+def test_malformed_flag_or_environment_value_is_a_schema_error(tmp_path, capsys, monkeypatch,
+                                                               flags, env, where):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    for command in ("check-assumptions", "solve", "stability", "helly-bray"):
+        code = cli.run([command, "--config", write_config(tmp_path, base_config()),
+                        "--out", str(tmp_path / "out")] + flags)
+        err = capsys.readouterr().err
+        assert code == 1, command
+        assert err.startswith(f"error: [schema] {where}: must be an integer >= "), command
+        assert err.count("\n") == 1, command
+        assert not (tmp_path / "out").exists(), command
 
 
 @pytest.mark.parametrize("section, entry", [
@@ -286,12 +345,22 @@ def test_validate_warns_on_zero_delay_bound():
 # ------------------------------------------------------------- precedence
 
 def test_resolve_setting_precedence(monkeypatch):
+    def seed(config, *flags):
+        args = cli.build_parser().parse_args(["solve", "--config", "c.json", *flags])
+        return cli.read_settings(config, "solver", args)["seed"]
+
+    config = {"solver": {"seed": 7}}
     monkeypatch.setenv("DELAYBSDE_SEED", "11")
-    assert cli.resolve_setting(5, "SEED", 7, 0) == 5
-    assert cli.resolve_setting(None, "SEED", 7, 0) == 11
+    assert seed(config, "--seed", "5") == 5
+    assert seed(config) == 11
+    # a malformed value that a higher source overrides is never read
+    assert seed({"solver": {"seed": "x"}}) == 11
     monkeypatch.delenv("DELAYBSDE_SEED")
-    assert cli.resolve_setting(None, "SEED", 7, 0) == 7
-    assert cli.resolve_setting(None, "SEED", None, 0) == 0
+    assert seed(config) == 7
+    assert seed({}) == cli.SETTINGS["solver"]["seed"][0] == 0
+    # without args, flags and the environment are not read
+    monkeypatch.setenv("DELAYBSDE_SEED", "11")
+    assert cli.read_settings(config, "solver")["seed"] == 7
 
 
 def test_env_seed_reaches_manifest(tmp_path, monkeypatch):

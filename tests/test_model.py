@@ -94,6 +94,23 @@ def base_problem(**overrides):
     return ProblemSpec(**fields)
 
 
+@pytest.mark.parametrize("overrides", [
+    {"m": 1.7}, {"d": 1.5}, {"m": 0}, {"d": True}, {"m": "1"},
+    {"d": 1, "A_spec": IncreasingProcessSpec("running_max", {"component": 1})},
+])
+def test_problem_refuses_non_integer_dimensions(overrides):
+    with pytest.raises(ValueError, match="need integers m >= 1 and d >= 1|needs d > 1"):
+        base_problem(**overrides)
+
+
+def test_problem_from_dict_keeps_m_and_d_as_given():
+    # at m = 1.7 problem_from_dict would build m = 1
+    config = registry.problem_to_dict(base_problem(m=2, d=2))
+    assert (registry.problem_from_dict(config).m, registry.problem_from_dict(config).d) == (2, 2)
+    with pytest.raises(ValueError, match="m=1.7"):
+        registry.problem_from_dict({**config, "m": 1.7})
+
+
 # ------------------------------------------------------------- atom measures
 
 def test_atom_measure_validation():

@@ -192,6 +192,33 @@ def test_spec_refuses_unknown_kinds_down_the_base_chain():
     IncreasingProcessSpec("running_max", {"shape": "bogus"})
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("oscillatory", {"n": 2.5}),
+    ("oscillatory", {"n": 0}),
+    ("oscillatory", {"n": True}),
+    ("oscillatory", {"n": "2"}),
+    ("running_max", {"component": 0.7}),
+    ("running_max", {"component": -1}),
+])
+def test_spec_refuses_fractional_or_out_of_range_integer_params(kind, params):
+    # at n = 2.5 an oscillatory A would realize n = 2, at component 0.7 read component 0
+    if kind == "oscillatory":
+        params = {**params, "base": det("identity")}
+    with pytest.raises(ValueError, match="needs an integer"):
+        IncreasingProcessSpec(kind, params)
+    with pytest.raises(ValueError, match="needs an integer"):
+        IncreasingProcessSpec("oscillatory", {"n": 2, "base": {"kind": kind, "params": params}})
+
+
+def test_spec_check_dimension_follows_the_base_chain():
+    spec = IncreasingProcessSpec("oscillatory", {"n": 2, "base": {
+        "kind": "running_max", "params": {"component": 1}}})
+    spec.check_dimension(2)
+    with pytest.raises(ValueError, match="component 1, so needs d > 1"):
+        spec.check_dimension(1)
+    IncreasingProcessSpec("time_integral", {}).check_dimension(1)
+
+
 def test_spec_dict_base_becomes_a_spec():
     raw = {"kind": "running_max", "params": {}}
     params = {"n": 2, "base": {"kind": "oscillatory", "params": {"n": 3, "base": raw}}}
