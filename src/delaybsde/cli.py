@@ -61,10 +61,17 @@ def _integer(low=None):
     return cast
 
 
-def _number(value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"must be a number, got {value!r}")
-    return float(value)
+def _number(low=None, strict=False):
+    """A cast to a float >= low (> low when strict); it refuses a bool, and
+    a NaN once low is given."""
+    def cast(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"must be a number, got {value!r}")
+        if low is not None and not (value > low if strict else value >= low):
+            raise ValueError(f"must be a number {'>' if strict else '>='} {low}, "
+                             f"got {value!r}")
+        return float(value)
+    return cast
 
 
 def _text(value):
@@ -102,20 +109,21 @@ _SWEEP = {"max_iter": (25, _integer(1)), "scheme": ("explicit", _choice("explici
 # every setting a command reads: section -> key -> (default, cast); None is the root
 SETTINGS = {
     None: {"out": ("delaybsde-out", _text)},
-    "solver": {**_ENSEMBLE, "n_steps": (50, _integer(1)), "tol": (1e-6, _number), **_SWEEP,
+    "solver": {**_ENSEMBLE, "n_steps": (50, _integer(1)), "tol": (1e-6, _number(0)), **_SWEEP,
                "force": (False, _choice(False, True)),
                "degree": (RegressionBasis.degree, _basis("degree", _integer())),
-               "ridge": (RegressionBasis.ridge, _basis("ridge", _number))},
+               "ridge": (RegressionBasis.ridge, _basis("ridge", _number()))},
     "stability": {"kind": ("oscillatory_A", _choice("oscillatory_A", "xi_shift")),
                   "n_values": ([2, 4, 8, 16], _list_of(_integer(1))),
-                  "shifts": ([1.0, 0.5, 0.25, 0.125], _list_of(_number)),
-                  "final_threshold": (1e-3, _number), "tol": (1e-8, _number), **_SWEEP},
+                  "shifts": ([1.0, 0.5, 0.25, 0.125], _list_of(_number())),
+                  "final_threshold": (1e-3, _number()), "tol": (1e-8, _number(0)), **_SWEEP},
     "hellybray": {**_ENSEMBLE, "n_steps": (200, _integer(1)),
-                  "family": ("oscillatory", _choice(*_FAMILIES)), "T": (1.0, _number),
+                  "family": ("oscillatory", _choice(*_FAMILIES)),
+                  "T": (1.0, _number(0, strict=True)),
                   "n_values": ([2, 4, 8, 16, 32], _list_of(_integer(1))),
-                  "nu_ladder": ([0.25, 0.5, 1.0, 2.0], _list_of(_number)),
-                  "ks_threshold": (0.02, _number),
-                  "bv_levels": ([0.5, 1.0, 2.0, 4.0, 8.0], _list_of(_number))},
+                  "nu_ladder": ([0.25, 0.5, 1.0, 2.0], _list_of(_number())),
+                  "ks_threshold": (0.02, _number()),
+                  "bv_levels": ([0.5, 1.0, 2.0, 4.0, 8.0], _list_of(_number()))},
 }
 
 

@@ -128,7 +128,9 @@ class ProblemSpec:
     vectorized generators F(t, y, z, y_seg, z_seg, ctx) -> (n, m) and
     G(t, y, y_seg, ctx) -> (n, m); either may be None (zero).  K and K_tilde
     are the nonnegative delay-kernel bounds: scalars, per-node arrays, or
-    callables (grid, ensemble) -> per-path-per-node arrays.
+    callables (grid, ensemble) -> per-path-per-node arrays.  An A or a
+    terminal (its ``component`` attribute) that reads a component of W that
+    d components lack raises ValueError.
     """
 
     T: float
@@ -160,6 +162,10 @@ class ProblemSpec:
         if not (is_integer(self.m, 1) and is_integer(self.d, 1)):
             raise ValueError(f"need integers m >= 1 and d >= 1, got m={self.m!r}, d={self.d!r}")
         self.A_spec.check_dimension(self.d)
+        component = getattr(self.xi, "component", None)
+        if component is not None and component >= self.d:
+            raise ValueError(f"the terminal reads component {component} of W(T), "
+                             f"so needs d > {component}, got d={self.d}")
         if self.c is not None and not self.c > 0:
             raise ValueError("c must be positive when given")
         for name in ("K", "K_tilde"):

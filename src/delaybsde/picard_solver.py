@@ -31,9 +31,9 @@ from .model import check_H1, check_H2, select_lambda  # noqa: F401
 # solver code reads windows through delay_windows; bench/tracing.py still
 # looks node_segment up here
 from .path_calculus import delay_window as node_segment
-from .path_calculus import delay_windows, node_major_zeros
+from .path_calculus import delay_windows, node_major_zeros, stored_rows
 from .stochastic_engine import (PathEnsemble, RegressionBasis, RegressionPlan,
-                                realize_increasing_process)
+                                _node_major, realize_increasing_process)
 # no longer called here; bench/tracing.py still looks the name up here
 from .stochastic_engine import conditional_expectation  # noqa: F401
 
@@ -68,18 +68,42 @@ def _windows(X: np.ndarray, k: int, read: bool, kind: str = "state"):
     return delay_windows(X, k, kind) if read else lambda i: None
 
 
+def _iterate_reads(problem: ProblemSpec) -> frozenset:
+    """What the outer map reads of the previous iterate (U, V), by
+    model.generator_reads: "B" when G reads y or y_seg, since B is then built
+    along U, and whichever of its "y_seg" and "z_seg" windows F reads.  F's y
+    and z come from the current sweep, so with none of these the map is
+    constant."""
+    reads = generator_reads(problem.F) & {"y_seg", "z_seg"}
+    return reads | {"B"} if generator_reads(problem.G) & {"y", "y_seg"} else reads
+
+
+def _plan_for(ensemble: PathEnsemble, plan: RegressionPlan | None,
+              basis: RegressionBasis | None = None) -> RegressionPlan:
+    """plan when it serves ensemble (ValueError when not), or a new plan on
+    basis (default RegressionBasis())."""
+    if plan is None:
+        return RegressionPlan(basis or RegressionBasis(), ensemble)
+    if not plan.serves(ensemble):
+        raise ValueError("the regression plan was built for another ensemble, "
+                         "whose W or random A is not this one's")
+    return plan
+
+
 def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
-            U: np.ndarray, *, plan: RegressionPlan | None = None) -> np.ndarray:
+            U: np.ndarray, *, dA: np.ndarray | None = None) -> np.ndarray:
     """Left-point running integral of G against A along the frozen iterate,
-    as (n_paths, n_nodes, m) laid out node-major.  ``plan``, built for this
-    ensemble, supplies dA."""
+    as (n_paths, n_nodes, m) laid out node-major.  ``dA``, the increments of
+    the rows A stores (a solve's norm weights hold them), is taken from
+    ensemble.A when not given."""
     grid = ensemble.grid
     n, n_nodes, m = ensemble.n_paths, grid.nodes.size, problem.m
     B = node_major_zeros((n, n_nodes, m))
     if problem.G is None:
         return B
     k = grid.delta_index_offset
-    dA = (plan or RegressionPlan(RegressionBasis(), ensemble)).dA
+    if dA is None:
+        dA = np.diff(stored_rows(ensemble.A), axis=1)
     U_in = _read_only(U)
     u_windows = _windows(U, k, "y_seg" in generator_reads(problem.G))
     for j in range(n_nodes - 1):
@@ -109,23 +133,20 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
 
     ``plan`` (default RegressionPlan(RegressionBasis(), ensemble)) sets the
     regression, its basis, ridge and state, and carries the work that does
-    not depend on (U, V) across calls on the same ensemble.  ``B``, the
-    running integral build_B forms, may be passed when G reads neither y nor
-    its window, since it then does not depend on U; it is read, never
-    written.  Without one, the step builds it from U, and returns the B it
-    used.  F and G get read-only arguments.  A value iterate above
-    BLOWUP_THRESHOLD or not finite raises BlowupError.  Y and Z come back
-    node-major whatever the layout of U and V.
+    not depend on (U, V) across calls on the same regression state; a plan
+    that does not serve the ensemble (RegressionPlan.serves) raises
+    ValueError.  ``B``, build_B's running integral along U, may be passed
+    in; it is read, never written.  Without one, the step builds it from U,
+    and returns the B it used.  F and G get read-only arguments.  A value
+    iterate above BLOWUP_THRESHOLD or not finite raises BlowupError.  Y and
+    Z come back node-major whatever the layout of U and V.
     """
     if scheme not in ("explicit", "implicit"):
         raise ValueError("scheme must be 'explicit' or 'implicit'")
     grid = ensemble.grid
     if grid.delta is None:
         raise GridAlignmentError("the ensemble grid was built without a delay")
-    if plan is None:
-        plan = RegressionPlan(RegressionBasis(), ensemble)
-    elif plan.ensemble is not ensemble:
-        raise ValueError("the regression plan was built for another ensemble")
+    plan = _plan_for(ensemble, plan)
     k = grid.delta_index_offset
     n, m, d = ensemble.n_paths, problem.m, problem.d
     n_nodes = grid.nodes.size
@@ -133,7 +154,7 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     W = plan.W_by_node
 
     if B is None:
-        B = build_B(problem, ensemble, U, plan=plan)
+        B = build_B(problem, ensemble, U)
     xi = np.asarray(problem.xi(ensemble), dtype=float).reshape(n, m)
     if not np.all(np.isfinite(xi)):
         raise GeneratorEvaluationError("terminal values are not finite")
@@ -217,14 +238,14 @@ class Solution:
         return self.Y[:, 0, :].mean(axis=0)
 
 
-def _consistency(problem, plan, Y, Z, scheme):
+def _consistency(problem, ensemble, W, dA, Y, Z, scheme):
     """Residuals of the discrete backward recursion along the node-major
-    solution, reduced in C order."""
-    grid = plan.ensemble.grid
+    solution, reduced in C order; W is node-major and dA holds the
+    increments of the rows A stores."""
+    grid = ensemble.grid
     k = grid.delta_index_offset
     n, m = Y.shape[0], Y.shape[2]
     steps = grid.steps()
-    W, dA = plan.W_by_node, plan.dA
     Y, Z = _read_only(Y), _read_only(Z)
     f_reads = generator_reads(problem.F)
     y_windows = _windows(Y, k, "y_seg" in (f_reads | generator_reads(problem.G)))
@@ -252,21 +273,39 @@ def _consistency(problem, plan, Y, Z, scheme):
 
 
 def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
-          basis: RegressionBasis | None = None, tol: float = 1e-6,
+          basis: RegressionBasis | None = None,
+          plan: RegressionPlan | None = None, tol: float = 1e-6,
           max_iter: int = 25, scheme: str = "explicit",
           c: float | None = None, force: bool = False) -> Solution:
     """Iterate the outer map from (0, 0) until the successive squared
-    distance in the contraction norm drops below tol.
+    distance in the contraction norm is at most tol (a number >= 0, else
+    ValueError).
 
-    ``basis`` (default RegressionBasis()) sets the regression, its ridge
-    included; ``c`` overrides the problem's smallness budget.  Runs
-    model.preflight on the realized A first and refuses when any of its
-    checks fails, unless force=True; the record is kept as
-    diagnostics.preflight either way.  When G reads neither y nor y_seg
-    (model.generator_reads), B is built once and every pass reuses it.
+    ``plan`` sets the regression as in gamma_step and may be shared by the
+    solves on one regression state (RegressionPlan.serves); ``basis`` is
+    short for RegressionPlan(basis, ensemble) on the realized ensemble, and
+    passing both raises ValueError.  ``c`` overrides the problem's
+    smallness budget.  Runs model.preflight on the realized A first and
+    refuses when any of its checks fails, unless force=True; the record is
+    kept as diagnostics.preflight either way.  A's node-major row or rows,
+    dA and the norm weights are the solve's: a random A's come from the
+    plan's A_by_node, a deterministic A's from one copy of its row.
+
+    The map reads the previous iterate only through B, when G reads y or
+    y_seg, and through F's delay windows (model.generator_reads).  When G
+    reads neither, B is built once and every pass reuses it.  When the map
+    reads no iterate at all, pass 2 would repeat pass 1 bit for bit, so it
+    is skipped (logged at INFO) and recorded as what it would give: the
+    distance 0.0, the ratio 0.0, iterations == 2 and converged.  This needs
+    max_iter >= 2 and a pass 1 that did not converge.  A generator without
+    ``reads`` counts as reading everything and keeps the full loop.
     Raises NonContractionError when the
     iteration budget is spent while the distances have stopped shrinking.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+    if basis is not None and plan is not None:
+        raise ValueError("pass basis or plan, not both")
     grid = ensemble.grid
     if grid.delta is None:
         raise GridAlignmentError(
@@ -296,16 +335,25 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     deltas: list[float] = []
     ratios: list[float] = []
     converged = False
-    plan = RegressionPlan(basis or RegressionBasis(), ensemble)
-    # weights in the sweep's layout, from the plan's one node-major copy of A
-    weights = norm_weights(plan.A_by_node, grid, alpha, beta)
-    plan.dA = weights[1]  # the one dA of the solve
-    # B = int G dA depends on the iterate only through G's y and y_seg
-    B = None if generator_reads(problem.G) & {"y", "y_seg"} \
-        else _read_only(build_B(problem, ensemble, U, plan=plan))
+    plan = _plan_for(ensemble, plan, basis)
+    # weights in the sweep's layout, from one node-major copy of A: the
+    # plan's for a random A, the solve's own of a deterministic A's row
+    weights = norm_weights(plan.A_by_node if plan.reads_A else _node_major(ensemble.A),
+                           grid, alpha, beta)
+    dA = weights[1]  # the one dA of the solve
+    reads = _iterate_reads(problem)
+    B = None if "B" in reads else _read_only(build_B(problem, ensemble, U, dA=dA))
 
     for it in range(1, max_iter + 1):
-        Y, Z, _ = gamma_step(problem, ensemble, U, V, scheme=scheme, plan=plan, B=B)
+        if it == 2 and not reads:
+            log.info("outer step 2 skipped: the map reads no iterate, so it would "
+                     "repeat step 1 at squared distance 0")
+            deltas.append(0.0)
+            ratios.append(0.0)
+            converged = True
+            break
+        B_it = build_B(problem, ensemble, U, dA=dA) if B is None else B
+        Y, Z, _ = gamma_step(problem, ensemble, U, V, scheme=scheme, plan=plan, B=B_it)
         # the distances overwrite the previous iterate, which is not read again
         step_norm = equivalent_norm(np.subtract(Y, U, out=U), np.subtract(Z, V, out=V),
                                     ensemble.A, grid, alpha=alpha, beta=beta, a=a, b=b,
@@ -326,7 +374,7 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
             f"(last ratios {ratios[-2]:.3f}, {ratios[-1]:.3f}); "
             "the smallness conditions are likely violated")
 
-    mtg, rms = _consistency(problem, plan, U, V, scheme)
+    mtg, rms = _consistency(problem, ensemble, plan.W_by_node, dA, U, V, scheme)
     diag = SolverDiagnostics(
         deltas=deltas, ratios=ratios, tol=tol, converged=converged,
         iterations=len(deltas), alpha=alpha, beta=beta, mu_lambda=mu, a=a, b=b,

@@ -5,7 +5,9 @@ from names round-trips through JSON.  Hand-written callables work everywhere
 else in the package but cannot be serialized.  Built F and G also carry
 ``reads``, the frozenset of the arguments ("y", "z", "y_seg", "z_seg") they
 read; a generator without it, hand-written or from a registered builder that
-sets none, counts as reading every argument (model.generator_reads).
+sets none, counts as reading every argument (model.generator_reads).  A
+built "brownian" terminal carries ``component``, the component of W(T) it
+reads, which ProblemSpec checks against d.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import AtomMeasure, ProblemSpec, segment_integral
-from .stochastic_engine import IncreasingProcessSpec
+from .stochastic_engine import IncreasingProcessSpec, is_integer
 
 __all__ = [
     "build_terminal",
@@ -45,11 +47,15 @@ def _terminal_constant(params):
 
 
 def _terminal_brownian(params):
-    component = int(params.get("component", 0))
+    component = params.get("component", 0)
+    if not is_integer(component, 0):
+        raise ValueError(f"brownian terminal needs an integer component >= 0, "
+                         f"got {component!r}")
     coeff = float(params.get("coeff", 1.0))
 
     def xi(ensemble):
         return coeff * ensemble.W[:, -1, component:component + 1]
+    xi.component = component
     return xi
 
 

@@ -26,6 +26,7 @@ from .model import check_H1, check_H2  # noqa: F401
 from .path_calculus import TimeGrid, cumulative_stieltjes, stored_rows
 from .picard_solver import FORCE_HINT, solve
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
+                                RegressionBasis, RegressionPlan,
                                 realize_increasing_process, simulate_brownian)
 
 __all__ = [
@@ -162,17 +163,25 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
     Every member must pass solve's preflight with the family's single
     budget c (taken from the base problem); a problem that solve refuses
     stops the run with FamilyInvalidError naming it.  The error per member is
-    E sup_t |Y_n - Y|^2 + E int |Z_n - Z|^2 dt on coupled paths.
+    E sup_t |Y_n - Y|^2 + E int |Z_n - Z|^2 dt on coupled paths.  One
+    RegressionPlan on ``basis`` (default RegressionBasis()) is built on the
+    base ensemble and shared by every member it serves, those whose A is
+    deterministic when the base's is, so its Gram matrices are built once
+    for all of them; any other member gets its own plan.  A tol that is not
+    a number >= 0 raises ValueError.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     base = family.base
     grid = TimeGrid.uniform(base.T, n_steps, delta=base.delta)
     driving = simulate_brownian(grid, n_paths, d=base.d, seed=seed)
     c_family = effective_c(base)
 
     def solve_or_refuse(problem, ensemble, name):
+        own = plan if plan.serves(ensemble) else RegressionPlan(plan.basis, ensemble)
         try:
             return solve(problem, ensemble, c=c_family, tol=tol,
-                         max_iter=max_iter, scheme=scheme, basis=basis)
+                         max_iter=max_iter, scheme=scheme, plan=own)
         except ConstraintViolationError as exc:
             raise FamilyInvalidError(
                 f"{name} fails: {str(exc).removesuffix(FORCE_HINT)}") from None
@@ -181,6 +190,7 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
         return np.ascontiguousarray(np.broadcast_to(values, (n_paths,)))
 
     ens_base = realize_increasing_process(base.A_spec, driving)
+    plan = RegressionPlan(basis or RegressionBasis(), ens_base)
     sol_base = solve_or_refuse(base, ens_base, "base problem")
     xi_base = np.asarray(base.xi(ens_base), dtype=float).reshape(n_paths, -1)
 

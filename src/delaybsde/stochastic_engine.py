@@ -7,8 +7,9 @@ integrator processes A are realized as functionals of the same Brownian data
 Designs are column-major, and the least-squares cross products are numpy-core
 reductions along their path axis: no BLAS, so no dependence on thread counts.
 A RegressionPlan holds the part of the regressions that depends on the
-ensemble alone: it builds each node's ridged Gram matrix once and reuses it
-for every later fit at that node, whatever the targets.
+regression state alone (W, plus a random A): it builds each node's ridged
+Gram matrix once and reuses it for every later fit at that node, whatever the
+targets and whichever ensemble on that state they come from.
 
 Layout: ensembles are C order, W as (n_paths, n_nodes, d) and A as
 (n_paths, n_nodes), except that a deterministic A is a read-only broadcast
@@ -388,55 +389,72 @@ def _node_major(X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _regression_state(ensemble: PathEnsemble) -> tuple:
+    """(W, A) that a RegressionPlan regresses on: the ensemble's W, and its A
+    when A is random (``A_spec.is_random``), else None."""
+    spec = ensemble.A_spec
+    random_A = ensemble.A is not None and spec is not None and spec.is_random
+    return ensemble.W, ensemble.A if random_A else None
+
+
 class RegressionPlan:
-    """The target-independent half of the regressions on one ensemble, and
-    the one way to configure a backward sweep's regression.
+    """The target-independent half of the regressions on one regression
+    state, and the one way to configure a backward sweep's regression.
 
     Bound to a basis and an ensemble; the ridge is the basis's.  The plan
     decides the state it regresses on: W(t_step), plus A(t_step) as one
     linear column when A is random (``A_spec.is_random``), since the
-    solution is adapted to the filtration of W and A.  The design at a node
-    depends on the ensemble only, so the plan builds each node's ridged Gram
-    matrix (and, with ridge = 0, runs its singularity check) once, on the
-    first fit there, and every later fit at that node reuses it.  The first
-    fit solves through np.linalg.solve, which raises on a singular matrix;
-    the plan keeps the matrix only once that solve has passed, and later
-    fits call the same LAPACK routine directly (_lapack_solve), for the same
-    bits.  Designs are not kept: ``design(step)`` rebuilds one on each call,
-    and the caller hands it back to ``fit`` for every regression at that node.
-    ``W_by_node`` and ``A_by_node`` are node-major copies of the ensemble's
-    W and of the rows its A stores (one for a deterministic A), built on
-    first use, from which a backward sweep reads one node at a time;
-    ``design`` reads the state there, and ``fit`` reduces along
-    the path axis of the column-major design.  ``dA``, the increments of A,
-    is the one a solve's norm weights hold.
+    solution is adapted to the filtration of W and A.  The plan is a
+    function of that state alone, so it serves every ensemble that holds
+    the same W object, and the same random A object or no random A
+    (``serves``): the members of a family on one Brownian ensemble with a
+    deterministic A share one plan.  What a deterministic A fixes, its row,
+    increments and norm weights, is the solve's, never the plan's.  The
+    design at a node depends on the state only, so the plan builds each
+    node's ridged Gram matrix (and, with ridge = 0, runs its singularity
+    check) once, on the first fit there, and every later fit at that node
+    reuses it, whichever solve it serves.  The first fit solves through
+    np.linalg.solve, which raises on a singular matrix; the plan keeps the
+    matrix only once that solve has passed, and later fits call the same
+    LAPACK routine directly (_lapack_solve), for the same bits.  Designs are
+    not kept: ``design(step)`` rebuilds one on each call, and the caller
+    hands it back to ``fit`` for every regression at that node.
+    ``W_by_node`` and, for a random A, ``A_by_node`` are node-major copies
+    of the state, built on first use, from which a backward sweep reads one
+    node at a time; ``design`` reads the state there, and ``fit`` reduces
+    along the path axis of the column-major design.
     """
 
     def __init__(self, basis: RegressionBasis, ensemble: PathEnsemble):
         self.basis = basis
         self.ensemble = ensemble
-        spec = ensemble.A_spec
-        self._random_A = ensemble.A is not None and spec is not None and spec.is_random
+        self._state = _regression_state(ensemble)
         self._grams: dict[int, np.ndarray] = {}
+
+    @property
+    def reads_A(self) -> bool:
+        """Whether the state holds a random A, the design's extra column."""
+        return self._state[1] is not None
+
+    def serves(self, ensemble: PathEnsemble) -> bool:
+        """Whether ensemble holds this plan's regression state."""
+        return all(a is b for a, b in zip(_regression_state(ensemble), self._state))
 
     @functools.cached_property
     def W_by_node(self) -> np.ndarray:
         """W as (n_paths, n_nodes, d), read-only, laid out node-major."""
-        return _node_major(self.ensemble.W)
+        return _node_major(self._state[0])
 
     @functools.cached_property
     def A_by_node(self) -> np.ndarray:
-        """A's stored rows, (n_paths, n_nodes) or (1, n_nodes), read-only,
-        laid out node-major."""
-        return _node_major(self.ensemble.A)
-
-    @functools.cached_property
-    def dA(self) -> np.ndarray:
-        """Increments of A's stored rows, in A_by_node's layout and row count."""
-        return np.diff(self.A_by_node, axis=1)
+        """The state's random A, (n_paths, n_nodes), read-only, laid out
+        node-major; ValueError when the state holds none."""
+        if not self.reads_A:
+            raise ValueError("the regression state holds no random A")
+        return _node_major(self._state[1])
 
     def design(self, step: int) -> np.ndarray:
-        extras = [self.A_by_node[:, step]] if self._random_A else None
+        extras = [self.A_by_node[:, step]] if self.reads_A else None
         return self.basis.design(self.W_by_node[:, step], extras)
 
     def fit(self, step: int, design: np.ndarray, targets: np.ndarray):

@@ -190,6 +190,25 @@ def test_validate_refuses_integer_A_params_out_of_range(tmp_path, capsys, A):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("component, code", [
+    (0.7, "registry"), (-1, "registry"), (True, "registry"), (1, "domain"), (3, "domain")])
+def test_validate_refuses_a_brownian_terminal_component_out_of_range(tmp_path, capsys,
+                                                                     component, code):
+    # without the checks, component 0.7 solves on component 0 and component 3
+    # with d = 1 ends the solve in a reshape traceback
+    config = base_config()
+    config["problem"]["terminal"] = {"name": "brownian", "params": {"component": component}}
+    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    assert [d["code"] for d in errors] == [code]
+    assert repr(component) in errors[0]["message"]
+    rc = cli.run(["solve", "--config", write_config(tmp_path, config),
+                  "--out", str(tmp_path / "out"), "--paths", "200"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"[{code}]" in captured.out and "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key, value", [("m", 1.7), ("d", 2.5), ("m", 0), ("d", "abc")])
 def test_validate_refuses_non_integer_dimensions(tmp_path, capsys, key, value):
     config = base_config()
@@ -235,6 +254,13 @@ def test_validate_reports_a_solver_section_it_cannot_read():
     ("stability", "stability", "n_values", [2.5, 4, 8]),
     ("helly-bray", "hellybray", "n_paths", "abc"),
     ("helly-bray", "hellybray", "n_paths", 0),
+    # a tolerance that can never be met, and a horizon that is no horizon
+    ("solve", "solver", "tol", -1.0),
+    ("solve", "solver", "tol", float("nan")),
+    ("stability", "stability", "tol", -1e-8),
+    ("stability", "stability", "tol", float("nan")),
+    ("helly-bray", "hellybray", "T", 0.0),
+    ("helly-bray", "hellybray", "T", -1.0),
 ])
 def test_malformed_section_value_is_a_schema_error(tmp_path, capsys, command, section,
                                                    key, value):

@@ -103,6 +103,23 @@ def test_problem_refuses_non_integer_dimensions(overrides):
         base_problem(**overrides)
 
 
+@pytest.mark.parametrize("component", [0.7, -1, "1"])
+def test_brownian_terminal_refuses_a_non_integer_component(component):
+    # int() would turn 0.7 into component 0
+    with pytest.raises(ValueError, match="integer component >= 0"):
+        registry.build_terminal({"name": "brownian", "params": {"component": component}})
+
+
+def test_problem_refuses_a_terminal_component_beyond_d():
+    xi = registry.build_terminal({"name": "brownian", "params": {"component": 1}})
+    with pytest.raises(ValueError, match="terminal reads component 1 of W.T., so needs d > 1"):
+        base_problem(xi=xi)
+    problem = base_problem(xi=xi, d=2)
+    grid = TimeGrid.uniform(1.0, 10, delta=problem.delta)
+    ens = simulate_brownian(grid, 50, d=2, seed=1)
+    assert np.array_equal(problem.xi(ens), ens.W[:, -1, 1:2])
+
+
 def test_problem_from_dict_keeps_m_and_d_as_given():
     # at m = 1.7 problem_from_dict would build m = 1
     config = registry.problem_to_dict(base_problem(m=2, d=2))

@@ -14,6 +14,7 @@ Oracle notes:
 """
 
 import itertools
+import logging
 from dataclasses import replace
 
 import numpy as np
@@ -190,8 +191,9 @@ def test_generator_cannot_write_into_iterate(which, arg):
     with pytest.raises(ValueError, match="read-only"):
         gamma_step(prob, ens, U, V)
     plan = stochastic_engine.RegressionPlan(RegressionBasis(), ens)
+    dA = np.diff(stored_rows(ens.A), axis=1)
     with pytest.raises(ValueError, match="read-only"):
-        picard_solver._consistency(prob, plan, U, V, "explicit")
+        picard_solver._consistency(prob, ens, plan.W_by_node, dA, U, V, "explicit")
     assert np.all(U == 1.0) and np.all(V == 1.0)
 
 
@@ -362,6 +364,13 @@ def test_gamma_step_rejects_plan_of_another_ensemble():
     with pytest.raises(ValueError, match="another ensemble"):
         gamma_step(make_problem(), ens, np.zeros((20, 11, 1)),
                    np.zeros((20, 11, 1, 1)), plan=plan)
+    # the same W with another random A is another regression state
+    spec = IncreasingProcessSpec("running_max", {})
+    random_A = realize_increasing_process(spec, ens)
+    plan = stochastic_engine.RegressionPlan(RegressionBasis(), random_A)
+    with pytest.raises(ValueError, match="another ensemble"):
+        gamma_step(make_problem(A_spec=spec), realize_increasing_process(spec, ens),
+                   np.zeros((20, 11, 1)), np.zeros((20, 11, 1, 1)), plan=plan)
 
 
 # ------------------------------------------------------------------- layout
@@ -621,14 +630,90 @@ def test_solve_builds_each_gram_once(monkeypatch):
 
     monkeypatch.setattr(stochastic_engine, "_normal_matrix", spy_normal_matrix)
     monkeypatch.setattr(RegressionBasis, "design", spy_design)
+    # G reads y, so the map reads the iterate and both passes sweep
     prob = make_problem(
         F=registry.build_F({"name": "linear", "params": {"a_y": 0.2, "a_z": 0.1}}),
+        G=registry.build_G({"name": "linear", "params": {"b": 0.1}}),
         xi=registry.build_terminal({"name": "brownian", "params": {}}))
     sol = solve(prob, ens, tol=1e-30, max_iter=2)
     assert sol.diagnostics.iterations == 2
     # nodes 1..19 regress on a nontrivial state; node 0 takes the plain mean
     assert sorted(gram_nodes) == list(range(1, 20))
     assert len(design_calls) == 2 * 20
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+def test_constant_map_sweeps_once_with_the_bits_of_the_full_loop(monkeypatch, caplog,
+                                                                  scheme):
+    # F reads y and z, which the current sweep gives, and G = 1 reads
+    # nothing, so the map reads no iterate; the same F without a reads flag
+    # counts as reading its windows and runs the full loop
+    calls = []
+    step = picard_solver.gamma_step
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(picard_solver, "gamma_step", spy)
+    F = registry.build_F({"name": "linear", "params": {"a_y": 0.2, "a_z": 0.1}})
+
+    def hand_written(t, y, z, y_seg, z_seg, ctx):
+        return F(t, y, z, y_seg, z_seg, ctx)
+
+    G = registry.build_G({"name": "constant", "params": {"value": 1.0}})
+    xi = registry.build_terminal({"name": "brownian", "params": {}})
+    ens = make_ensemble(200, n_steps=20, seed=14)
+    sols, sweeps = {}, {}
+    for name, f in (("constant", F), ("full", hand_written)):
+        calls.clear()
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger=picard_solver.__name__):
+            sols[name] = solve(make_problem(F=f, G=G, xi=xi), ens, scheme=scheme)
+        sweeps[name] = (len(calls), "outer step 2 skipped" in caplog.text)
+    assert sweeps == {"constant": (1, True), "full": (2, False)}
+    once, full = sols["constant"], sols["full"]
+    assert np.array_equal(once.Y, full.Y) and np.array_equal(once.Z, full.Z)
+    d1, d2 = once.diagnostics, full.diagnostics
+    assert d1.deltas == d2.deltas and d1.deltas[0] > d1.tol and d1.deltas[1] == 0.0
+    assert d1.ratios == d2.ratios == [0.0]
+    assert d1.iterations == d2.iterations == 2 and d1.converged and d2.converged
+    assert (d1.martingale_residual, d1.self_consistency_rms) == \
+        (d2.martingale_residual, d2.self_consistency_rms)
+    # one pass is all a budget of one allows, skipped or not
+    calls.clear()
+    capped = solve(make_problem(F=F, G=G, xi=xi), ens, scheme=scheme, max_iter=1)
+    assert len(calls) == 1 and capped.diagnostics.iterations == 1
+    assert not capped.diagnostics.converged and capped.diagnostics.deltas == d1.deltas[:1]
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_solve_refuses_a_tolerance_that_cannot_be_met(tol):
+    with pytest.raises(ValueError, match="tol must be a number >= 0"):
+        solve(make_problem(), make_ensemble(20), tol=tol)
+
+
+def test_solve_takes_a_plan_that_serves_its_ensemble():
+    prob = make_problem(F=registry.build_F({"name": "linear", "params": {"a_y": 0.2}}),
+                        G=registry.build_G({"name": "linear", "params": {"b": 0.1}}),
+                        xi=registry.build_terminal({"name": "brownian", "params": {}}))
+    ens = make_ensemble(80, n_steps=20, seed=15)
+    plan = stochastic_engine.RegressionPlan(RegressionBasis(degree=1), ens)
+    with pytest.raises(ValueError, match="basis or plan"):
+        solve(prob, ens, basis=RegressionBasis(degree=1), plan=plan)
+    with pytest.raises(ValueError, match="another ensemble"):
+        solve(prob, make_ensemble(80, n_steps=20, seed=16), plan=plan)
+    # another deterministic A on the same W keeps the state, and basis= is
+    # short for a plan of its own
+    osc = replace(prob, A_spec=IncreasingProcessSpec("oscillatory",
+                                                     {"base": IDENTITY_A, "n": 2}))
+    ens_osc = realize_increasing_process(osc.A_spec, replace(ens, A=None, A_spec=None))
+    for p, e in ((prob, ens), (osc, ens_osc)):
+        shared = solve(p, e, plan=plan, force=True)
+        own = solve(p, e, basis=RegressionBasis(degree=1), force=True)
+        assert np.array_equal(shared.Y, own.Y) and np.array_equal(shared.Z, own.Z)
+        assert shared.diagnostics.deltas == own.diagnostics.deltas
+    assert not hasattr(plan, "dA")
 
 
 def test_solve_zero_problem_is_exact():

@@ -21,7 +21,7 @@ import pytest
 from dataclasses import replace
 from scipy.stats import ks_2samp
 
-from delaybsde import registry, stability_lab
+from delaybsde import registry, stability_lab, stochastic_engine
 from delaybsde.errors import FamilyInvalidError
 from delaybsde.model import ProblemSpec
 from delaybsde.path_calculus import BVFunction, GridFunction, TimeGrid
@@ -132,6 +132,45 @@ def test_run_stability_same_rows_on_broadcast_and_full_A(monkeypatch):
     full = run_stability(family, **kwargs)
     assert broadcast.rows == full.rows
     assert str(broadcast) == str(full)
+
+
+def test_family_shares_one_plan_among_the_members_it_serves(monkeypatch):
+    # the criterion-6 family, plus a member with a random A, which needs a
+    # plan of its own
+    base = make_base(
+        xi=registry.build_terminal({"name": "constant", "params": {"value": 0.0}}),
+        G=registry.build_G({"name": "constant", "params": {"value": 1.0}}))
+    family = oscillatory_A_family(base, [1, 2, 4, 8, 16])
+    family = PerturbationFamily(
+        base=base, members=family.members + [replace(base, A_spec=IncreasingProcessSpec(
+            "time_integral", {"functional": "inv_quadratic"}))])
+    grams = []
+    normal_matrix = stochastic_engine._normal_matrix
+
+    def spy(design, ridge):
+        grams.append(design.shape[1])
+        return normal_matrix(design, ridge)
+
+    monkeypatch.setattr(stochastic_engine, "_normal_matrix", spy)
+    n_steps = 40
+    kwargs = dict(n_paths=64, n_steps=n_steps, seed=4, final_threshold=1.0)
+    shared = run_stability(family, **kwargs)
+    # node 0 takes the plain mean; the random A adds a design column
+    assert sorted(grams) == [3] * (n_steps - 1) + [4] * (n_steps - 1)
+    # a fresh plan for every solve: the same rows from six times the work
+    grams.clear()
+    monkeypatch.setattr(stochastic_engine.RegressionPlan, "serves",
+                        lambda plan, ensemble: plan.ensemble is ensemble)
+    fresh = run_stability(family, **kwargs)
+    assert len(grams) == (1 + len(family.members)) * (n_steps - 1)
+    assert fresh.rows == shared.rows
+
+
+@pytest.mark.parametrize("tol", [-1e-8, float("nan")])
+def test_run_stability_refuses_a_tolerance_that_cannot_be_met(tol):
+    family = xi_shift_family(make_base(), [1.0, 0.5])
+    with pytest.raises(ValueError, match="tol must be a number >= 0"):
+        run_stability(family, n_paths=16, n_steps=20, tol=tol)
 
 
 def test_family_member_failing_conditions_is_named():

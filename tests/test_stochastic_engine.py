@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from delaybsde import stochastic_engine
 from delaybsde.errors import MonotonicityError, SingularSystemError
+from delaybsde.model import norm_weights
 from delaybsde.path_calculus import TimeGrid, stored_rows
 from delaybsde.stochastic_engine import (
     IncreasingProcessSpec,
@@ -382,7 +384,9 @@ def test_plan_copies_are_node_major_blocks_of_the_ensemble():
     ens = realize_increasing_process(IncreasingProcessSpec("running_max", {}),
                                      simulate_brownian(GRID, 300, d=2, seed=16))
     plan = RegressionPlan(RegressionBasis(2), ens)
-    W, A, dA = plan.W_by_node, plan.A_by_node, plan.dA
+    W, A = plan.W_by_node, plan.A_by_node
+    # a solve's dA: the increments its norm weights take of the plan's copy
+    dA = norm_weights(A, GRID, 0.0, 0.0)[1]
     assert W.shape == ens.W.shape and A.shape == ens.A.shape
     assert not (W.flags.writeable or A.flags.writeable)
     for i in range(GRID.n_steps):
@@ -390,6 +394,30 @@ def test_plan_copies_are_node_major_blocks_of_the_ensemble():
         assert A[:, i].flags.c_contiguous and np.array_equal(A[:, i], ens.A[:, i])
         assert dA[:, i].flags.c_contiguous
         assert np.array_equal(dA[:, i], ens.A[:, i + 1] - ens.A[:, i])
+
+
+def test_plan_serves_the_ensembles_that_hold_its_regression_state():
+    driving = simulate_brownian(GRID, 100, seed=30)
+    running_max = IncreasingProcessSpec("running_max", {})
+    det_A = realize_increasing_process(det("identity"), driving)
+    plan = RegressionPlan(RegressionBasis(2), det_A)
+    # a deterministic A is not part of the state, whichever it is
+    other_det_A = realize_increasing_process(
+        IncreasingProcessSpec("oscillatory", {"base": det("identity"), "n": 2}), driving)
+    assert not plan.reads_A
+    assert plan.serves(det_A) and plan.serves(other_det_A) and plan.serves(driving)
+    with pytest.raises(ValueError, match="no random A"):
+        plan.A_by_node
+    # another W object, even with the same values, or a random A
+    assert not plan.serves(PathEnsemble(grid=GRID, W=driving.W.copy(), seed=30))
+    random_A = realize_increasing_process(running_max, driving)
+    assert not plan.serves(random_A)
+    random_plan = RegressionPlan(RegressionBasis(2), random_A)
+    assert random_plan.reads_A and random_plan.serves(random_A)
+    assert not (random_plan.serves(det_A) or random_plan.serves(driving))
+    # the same W with another random A object
+    assert not random_plan.serves(realize_increasing_process(running_max, driving))
+    assert not random_plan.serves(replace(random_A, A=random_A.A.copy()))
 
 
 def offset_copy(X, offset, order):
