@@ -20,7 +20,6 @@ import argparse
 import contextlib
 import hashlib
 import json
-import numbers
 import os
 import sys
 
@@ -32,14 +31,14 @@ from .errors import (BlowupError, ConfigError, ConstraintViolationError,
                      DelayBsdeError, FamilyInvalidError, GridAlignmentError,
                      NonContractionError)
 from .model import c_admissible, check_integrability, preflight
-from .path_calculus import TimeGrid, delay_fits_horizon
+from .path_calculus import TimeGrid
 from .picard_solver import contraction_report, solve
 from .registry import build_F, build_G, build_terminal, problem_from_dict
 from .stability_lab import (helly_bray_stochastic_check, oscillatory_A_family,
                             oscillatory_integration_family,
                             resonant_integration_family, xi_shift_family)
 from .stochastic_engine import (PROCESS_KINDS, IncreasingProcessSpec,
-                                RegressionBasis, is_integer,
+                                RegressionBasis, is_integer, is_number,
                                 realize_increasing_process, simulate_brownian)
 
 ENV_PREFIX = "DELAYBSDE_"
@@ -65,7 +64,7 @@ def _number(low=None, strict=False):
     """A cast to a float >= low (> low when strict); it refuses a bool, and
     a NaN once low is given."""
     def cast(value):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not is_number(value):
             raise ValueError(f"must be a number, got {value!r}")
         if low is not None and not (value > low if strict else value >= low):
             raise ValueError(f"must be a number {'>' if strict else '>='} {low}, "
@@ -201,89 +200,68 @@ def validate(config, n_steps=None):
 
     Returns a list of diagnostics, each ``{"level", "code", "message"}`` with
     level "error" or "warning".  An empty list means the config is runnable.
-    Only the problem section is checked; the grid check runs at n_steps, by
-    default the solver section's, read by read_settings (a refusal of which is
-    a schema diagnostic).
+    Only the problem section is checked (_problem_errors); the grid check
+    runs at n_steps, by default the solver section's, read by read_settings
+    (a refusal of which is a schema diagnostic, and no warnings follow one).
     """
-    diags = []
-
-    def err(code, message):
-        diags.append({"level": "error", "code": code, "message": message})
-
-    def warn(code, message):
-        diags.append({"level": "warning", "code": code, "message": message})
-
     problem = config.get("problem")
-    if not isinstance(problem, dict):
-        err("schema", "config must contain a 'problem' object")
-        return diags
+    errors = (_problem_errors(problem, config, n_steps) if isinstance(problem, dict)
+              else [("schema", "config must contain a 'problem' object")])
+    diags = [{"level": "error", "code": code, "message": message} for code, message in errors]
+    if all(code != "schema" for code, _ in errors):
+        for key, gen in (("K", "F"), ("K_tilde", "G")):
+            if problem.get(key, 0.0) == 0.0 and problem.get(gen) is not None:
+                diags.append({"level": "warning", "code": "bounds", "message": (
+                    f"{gen} is set but {key} is 0; the smallness checks will treat "
+                    f"{gen} as undelayed")})
+    return diags
 
-    for key in ("T", "delta", "beta", "L", "L_tilde", "terminal", "A"):
-        if key not in problem:
-            err("schema", f"problem section is missing required key '{key}'")
-    if diags:
-        return diags
 
-    T = problem["T"]
-    delta = problem["delta"]
-    T_ok = isinstance(T, (int, float)) and T > 0
-    if not T_ok:
-        err("domain", f"T must be a positive number, got {T!r}")
-    if not (isinstance(delta, (int, float)) and delay_fits_horizon(delta, T if T_ok else np.inf)):
-        err("domain", f"delta must satisfy 0 < delta <= T, got {delta!r}")
-    beta = problem["beta"]
-    L_tilde = problem["L_tilde"]
-    for key, value in (("beta", beta), ("L", problem["L"]), ("L_tilde", L_tilde)):
-        if not (isinstance(value, (int, float)) and value > 0):
-            err("domain", f"{key} must be a positive number, got {value!r}")
-    if not diags and beta <= 2.0 * np.sqrt(2.0) * L_tilde:
-        err("beta-range",
-            f"beta={beta} must exceed 2*sqrt(2)*L_tilde={2.0 * np.sqrt(2.0) * L_tilde:.6g} "
-            "for the contraction constant to exist")
-
-    c = problem.get("c")
-    if c is not None and not diags:
-        admissible, cap = c_admissible(c, beta, L_tilde)
-        if not admissible:
-            err("c-range", f"c={c!r} must lie in (0, {cap:.6g}) for beta={beta}, L_tilde={L_tilde}")
-
+def _problem_errors(problem, config, n_steps):
+    """validate's (code, message) errors: "registry" for what the registry
+    builders and IncreasingProcessSpec refuse; once nothing is, "domain" for
+    what building the ProblemSpec refuses, and "beta-range" or "c-range" for
+    what c_threshold refuses of beta, or c_admissible of c."""
+    errors = [("schema", f"problem section is missing required key '{key}'")
+              for key in ("T", "delta", "beta", "L", "L_tilde", "terminal", "A")
+              if key not in problem]
+    if errors:
+        return errors
     for section, build in (("terminal", build_terminal), ("F", build_F), ("G", build_G)):
         try:
             build(problem.get(section))
         except (ConfigError, TypeError, ValueError) as exc:
-            err("registry", f"{section}: {exc}")
+            errors.append(("registry", f"{section}: {exc}"))
+    try:
+        A_spec = IncreasingProcessSpec.from_dict(problem["A"])
+        if is_integer(problem.get("d", 1), 1):    # any other d is a [domain] error below
+            A_spec.check_dimension(problem.get("d", 1))
+    except (KeyError, TypeError, ValueError) as exc:
+        errors.append(("registry", f"A must be an increasing process of a kind in "
+                                   f"{sorted(PROCESS_KINDS)}: {exc}"))
+    if errors:
+        return errors
 
     try:
-        spec = IncreasingProcessSpec.from_dict(problem["A"])
-        if is_integer(problem.get("d", 1), 1):    # any other d is a [domain] error below
-            spec.check_dimension(problem.get("d", 1))
-    except (KeyError, TypeError, ValueError) as exc:
-        err("registry", f"A must be an increasing process of a kind in "
-                        f"{sorted(PROCESS_KINDS)}: {exc}")
-
-    if not any(d["level"] == "error" for d in diags):
-        try:
-            steps = read_settings(config, "solver")["n_steps"] if n_steps is None else n_steps
-        except ConfigError as exc:
-            err("schema", str(exc).removeprefix("[schema] "))
-            return diags
-        if not _grid_accepts(T, delta, steps):
-            hint = suggest_aligned_steps(T, delta, steps)
-            extra = f"; nearby aligned step counts: {hint}" if hint else ""
-            err("grid-alignment",
-                f"delay delta={delta} is not a whole number of steps at n_steps={steps}{extra}")
-    if not any(d["level"] == "error" for d in diags):
-        # what the checks above do not cover: delay measures, kernel bounds
-        try:
-            problem_from_dict(problem)
-        except (ConfigError, TypeError, ValueError) as exc:
-            err("domain", f"problem: {exc}")
-
-    if problem.get("K", 0.0) == 0.0 and problem.get("F") is not None:
-        warn("bounds", "F is set but K is 0; the smallness checks will treat F as undelayed")
-    if problem.get("K_tilde", 0.0) == 0.0 and problem.get("G") is not None:
-        warn("bounds", "G is set but K_tilde is 0; the smallness checks will treat G as undelayed")
-    return diags
+        spec = problem_from_dict(problem)
+        admissible, cap = c_admissible(spec.c, spec.beta, spec.L_tilde)
+    except ConstraintViolationError as exc:
+        return [("beta-range", str(exc))]
+    except (ConfigError, TypeError, ValueError) as exc:
+        return [("domain", f"problem: {exc}")]
+    if spec.c is not None and not admissible:
+        return [("c-range", f"c={spec.c!r} must lie in (0, {cap:.6g}) "
+                            f"for beta={spec.beta}, L_tilde={spec.L_tilde}")]
+    try:
+        steps = read_settings(config, "solver")["n_steps"] if n_steps is None else n_steps
+    except ConfigError as exc:
+        return [("schema", str(exc).removeprefix("[schema] "))]
+    if _grid_accepts(spec.T, spec.delta, steps):
+        return []
+    hint = suggest_aligned_steps(spec.T, spec.delta, steps)
+    extra = f"; nearby aligned step counts: {hint}" if hint else ""
+    return [("grid-alignment",
+             f"delay delta={spec.delta} is not a whole number of steps at n_steps={steps}{extra}")]
 
 
 def _format(value):
@@ -313,8 +291,8 @@ def write_manifest(out_dir, command, config, settings):
 
 
 def _prepare(args, config):
-    """(solver settings, output directory, problem), or None when the config
-    check, whose diagnostics it prints, finds an error."""
+    """(solver settings, output directory, problem, RegressionBasis), or None
+    when the config check, whose diagnostics it prints, finds an error."""
     solver = read_settings(config, "solver", args)
     out_dir = read_settings(config, None, args)["out"]
     diags = validate(config, n_steps=solver["n_steps"])
@@ -322,7 +300,8 @@ def _prepare(args, config):
         print(f"{diag['level']}: [{diag['code']}] {diag['message']}")
     if any(d["level"] == "error" for d in diags):
         return None
-    return solver, out_dir, problem_from_dict(config["problem"])
+    return (solver, out_dir, problem_from_dict(config["problem"]),
+            RegressionBasis(solver["degree"], solver["ridge"]))
 
 
 def _ensemble(problem, solver):
@@ -334,10 +313,9 @@ def _ensemble(problem, solver):
 
 def cmd_check(args):
     config = load_config(args.config)
-    prepared = _prepare(args, config)
-    if prepared is None:
+    if (prepared := _prepare(args, config)) is None:
         return 2
-    solver, out_dir, problem = prepared
+    solver, out_dir, problem, _ = prepared
     ensemble = _ensemble(problem, solver)
 
     checks = preflight(problem, ensemble)
@@ -401,16 +379,13 @@ def _solution_columns(label, values):
 
 def cmd_solve(args):
     config = load_config(args.config)
-    prepared = _prepare(args, config)
-    if prepared is None:
+    if (prepared := _prepare(args, config)) is None:
         return 2
-    solver, out_dir, problem = prepared
+    solver, out_dir, problem, basis = prepared
     ensemble = _ensemble(problem, solver)
     try:
-        solution = solve(problem, ensemble,
-                         basis=RegressionBasis(solver["degree"], solver["ridge"]),
-                         tol=solver["tol"], max_iter=solver["max_iter"],
-                         scheme=solver["scheme"], force=solver["force"])
+        solution = solve(problem, ensemble, basis=basis,
+                         **{key: solver[key] for key in ("tol", "max_iter", "scheme", "force")})
     except (ConstraintViolationError, NonContractionError, BlowupError) as exc:
         print(f"solve: FAIL ({exc})")
         return 2
@@ -446,16 +421,15 @@ def cmd_solve(args):
 def cmd_stability(args):
     config = load_config(args.config)
     stab = read_settings(config, "stability")
-    prepared = _prepare(args, config)
-    if prepared is None:
+    if (prepared := _prepare(args, config)) is None:
         return 2
-    solver, out_dir, base = prepared
+    solver, out_dir, base, basis = prepared
     family = (oscillatory_A_family(base, stab["n_values"]) if stab["kind"] == "oscillatory_A"
               else xi_shift_family(base, stab["shifts"]))
 
     try:
         report = stability_lab.run_stability(
-            family, **{key: solver[key] for key in _ENSEMBLE_KEYS},
+            family, basis=basis, **{key: solver[key] for key in _ENSEMBLE_KEYS},
             **{key: stab[key] for key in ("final_threshold", "tol", "max_iter", "scheme")})
     except (FamilyInvalidError, NonContractionError, BlowupError) as exc:
         print(f"stability: FAIL ({exc})")

@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
-from .errors import ConstraintViolationError, NumericOverflowError
+from .errors import (ConstraintViolationError, GeneratorEvaluationError,
+                     NumericOverflowError)
 from .path_calculus import TimeGrid, delay_fits_horizon, stored_rows
-from .stochastic_engine import IncreasingProcessSpec, PathEnsemble, is_integer, omega_delta
+from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble, is_integer,
+                                is_number, omega_delta)
 
 __all__ = [
     "AtomMeasure",
@@ -128,9 +130,10 @@ class ProblemSpec:
     vectorized generators F(t, y, z, y_seg, z_seg, ctx) -> (n, m) and
     G(t, y, y_seg, ctx) -> (n, m); either may be None (zero).  K and K_tilde
     are the nonnegative delay-kernel bounds: scalars, per-node arrays, or
-    callables (grid, ensemble) -> per-path-per-node arrays.  An A or a
-    terminal (its ``component`` attribute) that reads a component of W that
-    d components lack raises ValueError.
+    callables (grid, ensemble) -> per-path-per-node arrays.  T, beta, L,
+    L_tilde > 0 and 0 < delta <= T must be numbers (kept as floats); these,
+    or an A or terminal (``component``) reading a component of W that d
+    lacks, raise ValueError.
     """
 
     T: float
@@ -154,11 +157,14 @@ class ProblemSpec:
                                  compare=False)
 
     def __post_init__(self):
-        # written so that a NaN fails each check
-        if not self.T > 0 or not delay_fits_horizon(self.delta, self.T):
-            raise ValueError("need T > 0 and 0 < delta <= T")
-        if not (self.beta > 0 and self.L > 0 and self.L_tilde > 0):
-            raise ValueError("constants beta, L, L_tilde must be positive")
+        # written so that a NaN fails each check; T is checked before delta
+        for name in ("T", "delta", "beta", "L", "L_tilde"):
+            value, delay = getattr(self, name), name == "delta"
+            if not (is_number(value)
+                    and (delay_fits_horizon(value, self.T) if delay else value > 0)):
+                rule = "satisfy 0 < delta <= T" if delay else "be a positive number"
+                raise ValueError(f"{name} must {rule}, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not (is_integer(self.m, 1) and is_integer(self.d, 1)):
             raise ValueError(f"need integers m >= 1 and d >= 1, got m={self.m!r}, d={self.d!r}")
         self.A_spec.check_dimension(self.d)
@@ -166,8 +172,8 @@ class ProblemSpec:
         if component is not None and component >= self.d:
             raise ValueError(f"the terminal reads component {component} of W(T), "
                              f"so needs d > {component}, got d={self.d}")
-        if self.c is not None and not self.c > 0:
-            raise ValueError("c must be positive when given")
+        if self.c is not None and not (is_number(self.c) and self.c > 0):
+            raise ValueError(f"c must be a positive number when given, got {self.c!r}")
         for name in ("K", "K_tilde"):
             bound = getattr(self, name)
             if not callable(bound) and not np.all(np.asarray(bound, dtype=float) >= 0):
@@ -396,8 +402,6 @@ def _condition_setup(name: str, problem: ProblemSpec, ensemble: PathEnsemble,
     except ConstraintViolationError as exc:
         raise ConstraintViolationError(f"({name}) unusable: {exc}") from None
     notes = "" if admissible else "c exceeds the admissible threshold"
-    if ensemble.A is None:
-        raise ValueError("ensemble carries no realized A")
     w_delta = omega_delta(ensemble, problem.delta)
     return notes, np.exp(problem.alpha * problem.delta + problem.beta * w_delta)
 
@@ -541,15 +545,20 @@ def generator_reads(gen) -> frozenset:
     return getattr(gen, "reads", GENERATOR_ARGUMENTS)
 
 
-def evaluate_generator(gen, which: str, ctx: GenContext, y, z, y_seg, z_seg) -> np.ndarray:
+def evaluate_generator(gen, which: str, ctx: GenContext, y, z, y_seg, z_seg, *,
+                       finite: bool = False) -> np.ndarray:
     """One vectorised call of an F or G generator over n argument sets,
-    shaped (n, m); an absent generator is zero."""
+    shaped (n, m); an absent generator is zero.  finite=True refuses a
+    non-finite value (GeneratorEvaluationError)."""
     n, m = y.shape
     if gen is None:
         return np.zeros((n, m))
     out = gen(ctx.t, y, z, y_seg, z_seg, ctx) if which == "F" \
         else gen(ctx.t, y, y_seg, ctx)
-    return np.asarray(out, dtype=float).reshape(n, m)
+    out = np.asarray(out, dtype=float).reshape(n, m)
+    if finite and not np.all(np.isfinite(out)):
+        raise GeneratorEvaluationError(f"{which} returned a non-finite value at t={ctx.t:.6g}")
+    return out
 
 
 def probe_lipschitz(problem: ProblemSpec, which: str = "F",
@@ -559,8 +568,8 @@ def probe_lipschitz(problem: ProblemSpec, which: str = "F",
     Pairs two argument clouds in the box [-3, 3] (see argument_clouds): moving only (y, z) gives the pointwise
     constant, moving only the delayed segments the kernel constant
     K1 = sup |dGen|^2 / int (|dy_seg|^2 + |dz_seg|^2) drho, both over the
-    clouds' time ladder.  Flags when an estimate exceeds the declared
-    constant.
+    clouds' time ladder; a non-finite generator value makes both infinite.
+    Flags when an estimate exceeds the declared constant.
     """
     if which not in ("F", "G"):
         raise ValueError("which must be 'F' or 'G'")
@@ -589,6 +598,9 @@ def probe_lipschitz(problem: ProblemSpec, which: str = "F",
         base = evaluate_generator(gen, which, ctx, a.y, a.z, a.y_seg, a.z_seg)
         moved = evaluate_generator(gen, which, ctx, b.y, b.z, a.y_seg, a.z_seg)
         seg_moved = evaluate_generator(gen, which, ctx, a.y, a.z, b.y_seg, b.z_seg)
+        if not all(np.all(np.isfinite(out)) for out in (base, moved, seg_moved)):
+            emp_L = emp_K = float("inf")
+            break
         step = np.linalg.norm(moved - base, axis=1)
         emp_L = max(emp_L, float(np.max(step[L_ok] / gap[L_ok], initial=0.0)))
         seg_gap = np.sum((seg_moved - base) ** 2, axis=1)
@@ -688,12 +700,10 @@ def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
     (a heavy-tail warning: the plain average is then untrustworthy).
     """
     grid = ensemble.grid
-    if ensemble.A is None:
-        raise ValueError("ensemble carries no realized A")
+    A = stored_rows(ensemble.realized_A())
     n, nodes = ensemble.n_paths, grid.nodes
     xi = np.asarray(problem.xi(ensemble), dtype=float).reshape(n, -1)
     xi_sq = np.einsum("nm,nm->n", xi, xi, optimize=False)
-    A = stored_rows(ensemble.A)
     with np.errstate(over="ignore"):
         eA = np.exp(problem.beta * A)
         eAT = eA[:, -1]
@@ -709,9 +719,8 @@ def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
         zero_zseg = np.broadcast_to(0.0, (n, ksteps + 1, problem.m, problem.d))
         for i, t in enumerate(nodes):
             ctx = problem.context(grid, float(t), ensemble.W[:, i, :])
-            out = evaluate_generator(gen, which, ctx, zero_y, zero_z, zero_yseg, zero_zseg)
-            if not np.all(np.isfinite(out)):
-                raise NumericOverflowError(f"generator at zero is not finite at t={t}")
+            out = evaluate_generator(gen, which, ctx, zero_y, zero_z, zero_yseg, zero_zseg,
+                                     finite=True)
             vals[:, i] = np.einsum("nm,nm->n", out, out, optimize=False)
         return vals
 

@@ -26,15 +26,13 @@ from .errors import (BlowupError, ConstraintViolationError,
 from .model import (Preflight, ProblemSpec, equivalent_norm,
                     evaluate_generator, generator_reads, norm_weights,
                     preflight)
-# unused here (model.preflight calls them); bench/tracing.py looks them up here
-from .model import check_H1, check_H2, select_lambda  # noqa: F401
-# solver code reads windows through delay_windows; bench/tracing.py still
-# looks node_segment up here
-from .path_calculus import delay_window as node_segment
 from .path_calculus import delay_windows, node_major_zeros, stored_rows
 from .stochastic_engine import (PathEnsemble, RegressionBasis, RegressionPlan,
                                 _node_major, realize_increasing_process)
-# no longer called here; bench/tracing.py still looks the name up here
+# not called here (model.preflight calls the checks, the solver reads windows
+# through delay_windows); bench/tracing.py looks these names up here
+from .model import check_H1, check_H2, select_lambda  # noqa: F401
+from .path_calculus import delay_window as node_segment
 from .stochastic_engine import conditional_expectation  # noqa: F401
 
 __all__ = [
@@ -90,12 +88,28 @@ def _plan_for(ensemble: PathEnsemble, plan: RegressionPlan | None,
     return plan
 
 
+def _check_fit(problem: ProblemSpec, ensemble: PathEnsemble) -> None:
+    """The one rule for an ensemble the outer map runs on: the problem's delay
+    and horizon (else GridAlignmentError), d and a realized A (ValueError)."""
+    grid = ensemble.grid
+    if grid.delta is None:
+        raise GridAlignmentError(
+            "build the grid with the problem's delay (TimeGrid.uniform(..., delta=...))")
+    for name, have, want in (("delay", grid.delta, problem.delta), ("horizon", grid.T, problem.T)):
+        if abs(have - want) > 1e-9 * max(1.0, want):
+            raise GridAlignmentError(f"grid {name} {have} does not match the problem {name} {want}")
+    if ensemble.d != problem.d:
+        raise ValueError(f"the ensemble has d={ensemble.d}, the problem d={problem.d}")
+    ensemble.realized_A()
+
+
 def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
             U: np.ndarray, *, dA: np.ndarray | None = None) -> np.ndarray:
     """Left-point running integral of G against A along the frozen iterate,
-    as (n_paths, n_nodes, m) laid out node-major.  ``dA``, the increments of
-    the rows A stores (a solve's norm weights hold them), is taken from
-    ensemble.A when not given."""
+    as (n_paths, n_nodes, m) laid out node-major; ``dA`` (a solve's norm
+    weights hold it) defaults to the increments of ensemble.A's stored rows.
+    Refuses an ensemble that does not fit (_check_fit) or a non-finite G."""
+    _check_fit(problem, ensemble)
     grid = ensemble.grid
     n, n_nodes, m = ensemble.n_paths, grid.nodes.size, problem.m
     B = node_major_zeros((n, n_nodes, m))
@@ -109,10 +123,8 @@ def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
     for j in range(n_nodes - 1):
         t = float(grid.nodes[j])
         ctx = problem.context(grid, t, ensemble.W[:, j, :])
-        g = evaluate_generator(problem.G, "G", ctx, U_in[:, j], None, u_windows(j), None)
-        if not np.all(np.isfinite(g)):
-            raise GeneratorEvaluationError(
-                f"G returned a non-finite value at t={t:.6g}")
+        g = evaluate_generator(problem.G, "G", ctx, U_in[:, j], None, u_windows(j), None,
+                               finite=True)
         # left sums B(t_{j+1}) = B(t_j) + g dA_j in cumsum's order, one
         # contiguous node block at a time
         np.multiply(g, dA[:, j, None], out=B[:, j + 1])
@@ -137,15 +149,15 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     that does not serve the ensemble (RegressionPlan.serves) raises
     ValueError.  ``B``, build_B's running integral along U, may be passed
     in; it is read, never written.  Without one, the step builds it from U,
-    and returns the B it used.  F and G get read-only arguments.  A value
-    iterate above BLOWUP_THRESHOLD or not finite raises BlowupError.  Y and
-    Z come back node-major whatever the layout of U and V.
+    and returns the B it used.  F and G get read-only arguments.  It refuses
+    an ensemble that does not fit the problem (_check_fit); a value iterate
+    above BLOWUP_THRESHOLD or not finite raises BlowupError.  Y and Z come
+    back node-major whatever the layout of U and V.
     """
     if scheme not in ("explicit", "implicit"):
         raise ValueError("scheme must be 'explicit' or 'implicit'")
+    _check_fit(problem, ensemble)
     grid = ensemble.grid
-    if grid.delta is None:
-        raise GridAlignmentError("the ensemble grid was built without a delay")
     plan = _plan_for(ensemble, plan)
     k = grid.delta_index_offset
     n, m, d = ensemble.n_paths, problem.m, problem.d
@@ -285,11 +297,12 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     solves on one regression state (RegressionPlan.serves); ``basis`` is
     short for RegressionPlan(basis, ensemble) on the realized ensemble, and
     passing both raises ValueError.  ``c`` overrides the problem's
-    smallness budget.  Runs model.preflight on the realized A first and
-    refuses when any of its checks fails, unless force=True; the record is
-    kept as diagnostics.preflight either way.  A's node-major row or rows,
-    dA and the norm weights are the solve's: a random A's come from the
-    plan's A_by_node, a deterministic A's from one copy of its row.
+    smallness budget.  Realizes A if need be, refuses an ensemble that does
+    not fit the problem (_check_fit), then runs model.preflight and refuses
+    when any of its checks fails, unless force=True; the record is kept as
+    diagnostics.preflight either way.  A's node-major row or rows, dA and
+    the norm weights are the solve's: a random A's come from the plan's
+    A_by_node, a deterministic A's from one copy of its row.
 
     The map reads the previous iterate only through B, when G reads y or
     y_seg, and through F's delay windows (model.generator_reads).  When G
@@ -306,18 +319,10 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     if basis is not None and plan is not None:
         raise ValueError("pass basis or plan, not both")
-    grid = ensemble.grid
-    if grid.delta is None:
-        raise GridAlignmentError(
-            "build the grid with the problem's delay (TimeGrid.uniform(..., delta=...))")
-    if abs(grid.delta - problem.delta) > 1e-9 * max(1.0, problem.delta):
-        raise GridAlignmentError(
-            f"grid delay {grid.delta} does not match the problem delay {problem.delta}")
-    if abs(grid.T - problem.T) > 1e-9 * max(1.0, problem.T):
-        raise GridAlignmentError(
-            f"grid horizon {grid.T} does not match the problem horizon {problem.T}")
     if ensemble.A is None:
         ensemble = realize_increasing_process(problem.A_spec, ensemble)
+    _check_fit(problem, ensemble)
+    grid = ensemble.grid
 
     checks = preflight(problem, ensemble, c)
     if checks.failures and not force:

@@ -244,13 +244,13 @@ def problem_from_dict(config: dict) -> ProblemSpec:
     try:
         xi = build_terminal(config["terminal"])
         return ProblemSpec(
-            T=float(config["T"]),
-            delta=float(config["delta"]),
+            T=config["T"],
+            delta=config["delta"],
             xi=xi,
             A_spec=IncreasingProcessSpec.from_dict(config["A"]),
-            beta=float(config["beta"]),
-            L=float(config["L"]),
-            L_tilde=float(config["L_tilde"]),
+            beta=config["beta"],
+            L=config["L"],
+            L_tilde=config["L_tilde"],
             m=config.get("m", 1),
             d=config.get("d", 1),
             F=build_F(config.get("F")),

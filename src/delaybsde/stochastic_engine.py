@@ -41,6 +41,7 @@ __all__ = [
     "RegressionBasis",
     "RegressionPlan",
     "is_integer",
+    "is_number",
     "simulate_brownian",
     "realize_increasing_process",
     "omega_delta",
@@ -95,6 +96,12 @@ class PathEnsemble:
     def increments(self) -> np.ndarray:
         return np.diff(self.W, axis=1)
 
+    def realized_A(self) -> np.ndarray:
+        """A, or ValueError when the ensemble carries none."""
+        if self.A is None:
+            raise ValueError("ensemble carries no realized A")
+        return self.A
+
 
 def simulate_brownian(grid: TimeGrid, n_paths: int, d: int = 1,
                       seed: int = 0) -> PathEnsemble:
@@ -136,8 +143,13 @@ def register_positive_functional(name: str, fn) -> None:
 
 def is_integer(value, low=None) -> bool:
     """Whether value is an integer, not a bool, and at least low when given."""
-    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return (is_number(value) and isinstance(value, numbers.Integral)
             and (low is None or value >= low))
+
+
+def is_number(value) -> bool:
+    """Whether value is a real number, not a bool (a NaN is one)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 PROCESS_KINDS = ("deterministic", "running_max", "time_integral", "oscillatory")
@@ -251,10 +263,11 @@ def _realize_A(spec: IncreasingProcessSpec, ensemble: PathEnsemble) -> np.ndarra
 
 def realize_increasing_process(spec: IncreasingProcessSpec,
                                ensemble: PathEnsemble) -> PathEnsemble:
-    """Attach a realized A to the ensemble; checks A(0)=0 and monotonicity.
+    """Attach a realized A to the ensemble; checks d, A(0)=0 and monotonicity.
 
     A deterministic A is realized once, on the first path alone, and
     attached as a read-only broadcast of that row over every path."""
+    spec.check_dimension(ensemble.d)
     source = ensemble if spec.is_random else replace(ensemble, W=ensemble.W[:1], A=None)
     A = np.broadcast_to(_realize_A(spec, source), ensemble.W.shape[:2])
     rows = stored_rows(A)  # every path of A is one of these rows
@@ -273,9 +286,7 @@ def omega_delta(A: np.ndarray | PathEnsemble, delta: float,
     are taken on the rows A stores (path_calculus.stored_rows).
     """
     if isinstance(A, PathEnsemble):
-        if A.A is None:
-            raise ValueError("ensemble has no realized A")
-        grid, A = A.grid, A.A
+        grid, A = A.grid, A.realized_A()
     if grid is None:
         raise ValueError("need the grid that samples A")
     if not delay_fits_horizon(delta, grid.T):

@@ -222,6 +222,32 @@ def test_validate_refuses_non_integer_dimensions(tmp_path, capsys, key, value):
     assert "[domain]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("key", ["T", "delta", "beta", "L", "L_tilde"])
+@pytest.mark.parametrize("value", ["1.0", True, -1.0])
+def test_validate_reports_what_the_problem_refuses_of_its_numbers(tmp_path, capsys, key, value):
+    # ProblemSpec holds the one rule; a bool used to pass as 1
+    config = base_config()
+    config["problem"][key] = value
+    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    assert [d["code"] for d in errors] == ["domain"]
+    rule = "satisfy 0 < delta <= T" if key == "delta" else "be a positive number"
+    assert errors[0]["message"] == f"problem: {key} must {rule}, got {value!r}"
+    code = cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "[domain]" in capsys.readouterr().out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("c", [-0.1, 0.0, "abc", True])
+def test_validate_reports_a_c_that_is_no_positive_number_as_domain(c):
+    config = base_config()
+    config["problem"]["c"] = c
+    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    assert [(d["code"], d["message"]) for d in errors] == [
+        ("domain", f"problem: c must be a positive number when given, got {c!r}")]
+
+
 def test_validate_reports_a_solver_section_it_cannot_read():
     errors = [d for d in cli.validate(base_config(solver="fast")) if d["level"] == "error"]
     assert [(d["code"], d["message"]) for d in errors] == [
@@ -549,6 +575,40 @@ def test_stability_command(tmp_path, capsys):
                       "sup_A_diff", "bv_H", "error"]
     assert cols["label"].tolist() == [2.0, 4.0, 8.0]
     assert np.all(np.diff(cols["error"]) < 0)
+
+
+def test_stability_regresses_on_the_solver_sections_basis(tmp_path):
+    # stability used to read degree and ridge and then solve on the default basis
+    tables = {}
+    for command, table in (("stability", "stability.csv"), ("solve", "solution_Y.csv")):
+        for degree in (1, 4):
+            config = base_config()
+            config["solver"]["degree"] = degree
+            out = tmp_path / f"{command}-{degree}"
+            assert cli.run([command, "--config", write_config(tmp_path, config),
+                            "--out", str(out)]) == 0
+            tables[command, degree] = (out / table).read_bytes()
+    assert tables["solve", 1] != tables["solve", 4]
+    assert tables["stability", 1] != tables["stability", 4]
+
+
+def test_check_assumptions_names_a_generator_not_finite_at_zero(tmp_path, capsys, monkeypatch):
+    from delaybsde import registry
+
+    def log_F(params):
+        def F(t, y, z, y_seg, z_seg, ctx):
+            with np.errstate(divide="ignore"):
+                return np.log(np.abs(y))
+        return F
+
+    monkeypatch.setitem(registry._F_BUILDERS, "test_log", log_F)
+    config = base_config()
+    config["problem"]["F"] = {"name": "test_log", "params": {}}
+    code = cli.run(["check-assumptions", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out"), "--paths", "200"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: GeneratorEvaluationError: F returned a non-finite value at t=0\n")
 
 
 def probe_failing_readme_config():

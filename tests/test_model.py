@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from delaybsde import model, registry, stability_lab
-from delaybsde.errors import (ConfigError, ConstraintViolationError,
-                              NumericOverflowError)
+from delaybsde.errors import (BlowupError, ConfigError, ConstraintViolationError,
+                              GeneratorEvaluationError, NumericOverflowError)
 from delaybsde.model import (AtomMeasure, ProblemSpec, c_threshold, check_H1,
                              check_H2, check_integrability, effective_c,
                              equivalent_norm, mu_lambda, norm_weights,
@@ -101,6 +101,26 @@ def base_problem(**overrides):
 def test_problem_refuses_non_integer_dimensions(overrides):
     with pytest.raises(ValueError, match="need integers m >= 1 and d >= 1|needs d > 1"):
         base_problem(**overrides)
+
+
+@pytest.mark.parametrize("key", ["T", "delta", "beta", "L", "L_tilde"])
+@pytest.mark.parametrize("value", ["0.1", True])
+def test_problem_refuses_a_string_or_bool_for_a_number(key, value):
+    # a bool passed as T, beta, L or L_tilde would read as 1, and so would
+    # delta = True on T = 1; a string used to end in a TypeError
+    rule = "satisfy 0 < delta <= T" if key == "delta" else "be a positive number"
+    with pytest.raises(ValueError, match=f"^{key} must {rule}, got {value!r}$"):
+        base_problem(**{key: value})
+    config = registry.problem_to_dict(base_problem())
+    config[key] = value
+    with pytest.raises(ValueError, match=f"^{key} must"):
+        registry.problem_from_dict(config)
+
+
+def test_problem_keeps_its_numbers_as_floats():
+    problem = base_problem(T=1, delta=np.float64(0.1), beta=4, L=1, L_tilde=1)
+    assert all(type(getattr(problem, key)) is float
+               for key in ("T", "delta", "beta", "L", "L_tilde"))
 
 
 @pytest.mark.parametrize("component", [0.7, -1, "1"])
@@ -528,6 +548,38 @@ def test_probe_absent_generator():
         probe_lipschitz(prob, which="H")
 
 
+def sqrt_F(t, y, z, y_seg, z_seg, ctx):
+    return np.sqrt(y)     # NaN on half the cloud
+
+
+def nan_F(t, y, z, y_seg, z_seg, ctx):
+    return np.full_like(y, np.nan)
+
+
+@pytest.mark.parametrize("F", [sqrt_F, nan_F])
+def test_probe_reads_a_non_finite_generator_as_an_infinite_constant(F):
+    # a NaN used to drop out of the probes' max, so both F probed as
+    # empirical_L = 0, the preflight passed and the solve blew up
+    from delaybsde.picard_solver import solve
+
+    problem = base_problem(F=F, K=0.0, K_tilde=0.0,
+                           xi=registry.build_terminal({"name": "brownian"}))
+    with np.errstate(invalid="ignore"):
+        probe = probe_lipschitz(problem, which="F")
+        assert probe.empirical_L == probe.empirical_K1 == float("inf")
+        assert probe.exceeds_L and probe.exceeds_K1
+        assert stability_lab.generator_gap(F, None, problem, which="F") == float("inf")
+        grid = TimeGrid.uniform(1.0, 20, delta=0.1)
+        ens = realize_increasing_process(problem.A_spec, simulate_brownian(grid, 200, seed=3))
+        failures = model.preflight(problem, ens).failures
+        assert list(failures) == ["F"]
+        with pytest.raises(ConstraintViolationError, match="declared constants of F"):
+            solve(problem, ens)
+        # force=True still runs the problem, which then blows up
+        with pytest.raises(BlowupError):
+            solve(problem, ens, force=True)
+
+
 @pytest.mark.parametrize("which, arg", [
     ("F", "y"), ("F", "z"), ("F", "y_seg"), ("F", "z_seg"), ("G", "y"), ("G", "w")])
 def test_generator_cannot_write_into_argument_clouds(which, arg):
@@ -587,6 +639,23 @@ def test_integrability_heavy_tail_flagged():
     rep = check_integrability(prob, ens, p=2.0)
     assert rep.entries["A0p"].heavy_tail
     assert rep.entries["A0p"].finite
+
+
+@pytest.mark.parametrize("which", ["F", "G"])
+def test_integrability_names_a_generator_not_finite_at_zero(which):
+    def F(t, y, z, y_seg, z_seg, ctx):
+        return np.log(np.abs(y))
+
+    def G(t, y, y_seg, ctx):
+        return np.log(np.abs(y))
+
+    grid = TimeGrid.uniform(1.0, 20, delta=0.1)
+    ens = realize_increasing_process(IncreasingProcessSpec("deterministic", {}),
+                                     simulate_brownian(grid, 10, seed=7))
+    with pytest.raises(GeneratorEvaluationError,
+                       match=f"^{which} returned a non-finite value at t=0$"), \
+            np.errstate(divide="ignore"):
+        check_integrability(base_problem(**{which: F if which == "F" else G}), ens)
 
 
 def test_integrability_requires_A():

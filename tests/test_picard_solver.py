@@ -333,6 +333,62 @@ def test_gamma_step_blowup():
             gamma_step(prob, ens, U, V, scheme=scheme)
 
 
+def call_the_map(fn, problem, ens):
+    """build_B, gamma_step or solve of problem on ens from a zero iterate."""
+    n, n_nodes = ens.n_paths, ens.grid.nodes.size
+    U = np.zeros((n, n_nodes, problem.m))
+    if fn == "build_B":
+        return build_B(problem, ens, U)
+    if fn == "gamma_step":
+        return gamma_step(problem, ens, U, np.zeros((n, n_nodes, problem.m, ens.d)))
+    return solve(problem, ens, force=True)
+
+
+LINEAR_G = registry.build_G({"name": "linear", "params": {"b": 0.1}})
+
+
+def test_build_B_refuses_a_grid_without_a_delay():
+    # without the check, build_B read each node's own value as its delayed one
+    grid = TimeGrid.uniform(1.0, 20)
+    ens = realize_increasing_process(IDENTITY_A, simulate_brownian(grid, 10, seed=0))
+    with pytest.raises(GridAlignmentError, match="delay"):
+        call_the_map("build_B", make_problem(G=LINEAR_G), ens)
+
+
+@pytest.mark.parametrize("fn", ["build_B", "gamma_step"])
+def test_the_map_refuses_a_grid_with_another_delay_or_horizon(fn):
+    # a sweep on the wrong lag would solve a different delayed equation
+    prob = make_problem(G=LINEAR_G, delta=0.5)
+    with pytest.raises(GridAlignmentError, match="grid delay 0.25 does not match "
+                                                 "the problem delay 0.5"):
+        call_the_map(fn, prob, make_ensemble(10, n_steps=20, delta=0.25))
+    with pytest.raises(GridAlignmentError, match="horizon"):
+        call_the_map(fn, prob, make_ensemble(10, n_steps=40, T=2.0, delta=0.5))
+
+
+@pytest.mark.parametrize("fn", ["build_B", "gamma_step", "solve"])
+def test_the_map_refuses_an_ensemble_of_another_dimension(fn):
+    # solve used to die in a reshape, and build_B ran
+    with pytest.raises(ValueError, match="the ensemble has d=1, the problem d=2"):
+        call_the_map(fn, make_problem(G=LINEAR_G, d=2), make_ensemble(10))
+
+
+@pytest.mark.parametrize("fn", ["build_B", "gamma_step"])
+def test_the_map_refuses_an_ensemble_without_A(fn):
+    # both used to die in an AttributeError on ensemble.A
+    grid = TimeGrid.uniform(1.0, 20, delta=0.1)
+    with pytest.raises(ValueError, match="ensemble carries no realized A"):
+        call_the_map(fn, make_problem(G=LINEAR_G), simulate_brownian(grid, 10, seed=0))
+
+
+def test_solve_realizes_a_running_max_A_only_on_an_ensemble_that_has_its_component():
+    # without the check, realizing A on the ensemble raised an IndexError
+    spec = IncreasingProcessSpec("running_max", {"component": 1})
+    grid = TimeGrid.uniform(1.0, 20, delta=0.1)
+    with pytest.raises(ValueError, match="component 1, so needs d > 1, got d=1"):
+        solve(make_problem(A_spec=spec, d=2), simulate_brownian(grid, 10, seed=0))
+
+
 def test_gamma_step_requires_delay_grid():
     grid = TimeGrid.uniform(1.0, 20)
     ens = simulate_brownian(grid, 10, seed=0)

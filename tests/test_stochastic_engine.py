@@ -22,6 +22,7 @@ from delaybsde.stochastic_engine import (
     omega_delta,
     realize_increasing_process,
     register_deterministic_shape,
+    register_positive_functional,
     save_ensemble,
     simulate_brownian,
     splice_future,
@@ -99,6 +100,28 @@ def test_time_integral_positive_functional_monotone():
     out = realize_increasing_process(spec, ens)
     assert np.all(np.diff(out.A, axis=1) >= 0)
     assert np.all(out.A[:, -1] <= 3.0 + 1e-12)
+
+
+def test_registered_positive_functional_drives_a_time_integral():
+    def squared_first(w, params):
+        return params.get("scale", 1.0) * w[:, 0] ** 2
+
+    ens = simulate_brownian(GRID, 16, d=2, seed=8)
+    register_positive_functional("test_squared_first", squared_first)
+    try:
+        spec = IncreasingProcessSpec("time_integral",
+                                     {"functional": "test_squared_first", "scale": 1.5})
+        out = realize_increasing_process(spec, ens)
+    finally:
+        del stochastic_engine._POS_FUNCTIONALS["test_squared_first"]
+    # left sums of f(W) dt, accumulated by hand
+    expected = np.zeros((16, GRID.nodes.size))
+    for i, dt in enumerate(GRID.steps()):
+        expected[:, i + 1] = expected[:, i] + 1.5 * ens.W[:, i, 0] ** 2 * dt
+    assert spec.is_random and out.A_spec is spec
+    np.testing.assert_allclose(out.A, expected, rtol=1e-13, atol=1e-15)
+    with pytest.raises(ValueError, match="unknown time_integral functional"):
+        IncreasingProcessSpec("time_integral", {"functional": "test_squared_first"})
 
 
 def test_oscillatory_sup_distance_closed_form():
