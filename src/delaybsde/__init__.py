@@ -27,8 +27,8 @@ from .registry import (build_F, build_G, build_terminal, problem_from_dict,
                        problem_to_dict, register_F, register_G,
                        register_terminal)
 from .picard_solver import (ContractionReport, Solution, SolverDiagnostics,
-                            build_B, contraction_report, gamma_step,
-                            node_segment, solve)
+                            build_B, consistency_residuals, contraction_report,
+                            gamma_step, node_segment, solve)
 from .stability_lab import (HellyBrayReport, PerturbationFamily,
                             StabilityReport, bv_tail_curve, generator_gap,
                             helly_bray_stochastic_check, oscillatory_A_family,

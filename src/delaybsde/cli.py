@@ -32,7 +32,7 @@ from .errors import (BlowupError, ConfigError, ConstraintViolationError,
                      NonContractionError)
 from .model import c_admissible, check_integrability, preflight
 from .path_calculus import TimeGrid
-from .picard_solver import contraction_report, solve
+from .picard_solver import consistency_residuals, contraction_report, solve
 from .registry import build_F, build_G, build_terminal, problem_from_dict
 from .stability_lab import (helly_bray_stochastic_check, oscillatory_A_family,
                             oscillatory_integration_family,
@@ -411,8 +411,8 @@ def cmd_solve(args):
     print(f"solve: converged={diag.converged} iterations={diag.iterations} Y(0)=[{y0}]")
     print(f"contraction: {report.verdict} tail_max={report.tail_max:.6g} "
           f"mu_lambda={diag.mu_lambda:.6g}")
-    print(f"martingale residual={diag.martingale_residual:.3e} "
-          f"self consistency rms={diag.self_consistency_rms:.3e}")
+    mtg, rms = consistency_residuals(problem, solution)
+    print(f"martingale residual={mtg:.3e} self consistency rms={rms:.3e}")
     ok = diag.converged and report.verdict != "FAIL"
     print(f"solve: {'PASS' if ok else 'FAIL'}")
     return 0 if ok else 2

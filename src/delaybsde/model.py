@@ -84,11 +84,15 @@ class AtomMeasure:
         ths = np.linspace(-delta, 0.0, n_atoms)
         return cls(ths, np.full(n_atoms, 1.0 / n_atoms))
 
+    def check_window(self, delta: float) -> None:
+        """The one delay-window rule: an atom left of -delta is a ValueError."""
+        if np.any(self.thetas < -delta - 1e-12):
+            raise ValueError("delay measure atom outside [-delta, 0]")
+
     def project(self, delta: float, n_theta_steps: int) -> np.ndarray:
         """Weights re-attached to the nearest node of a theta grid with
         n_theta_steps equal steps spanning [-delta, 0]."""
-        if np.any(self.thetas < -delta - 1e-12):
-            raise ValueError("atom outside the delay window")
+        self.check_window(delta)
         out = np.zeros(n_theta_steps + 1)
         idx = np.clip(np.round((self.thetas + delta) / delta * n_theta_steps),
                       0, n_theta_steps).astype(int)
@@ -178,9 +182,8 @@ class ProblemSpec:
             bound = getattr(self, name)
             if not callable(bound) and not np.all(np.asarray(bound, dtype=float) >= 0):
                 raise ValueError(f"kernel bound {name} must be nonnegative, got {bound!r}")
-        for meas in (self.rho, self.rho_tilde):
-            if meas is not None and np.any(meas.thetas < -self.delta - 1e-12):
-                raise ValueError("delay measure atom outside [-delta, 0]")
+        for meas in filter(None, (self.rho, self.rho_tilde)):
+            meas.check_window(self.delta)
 
     @property
     def alpha(self) -> float:

@@ -44,6 +44,7 @@ __all__ = [
     "gamma_step",
     "solve",
     "contraction_report",
+    "consistency_residuals",
 ]
 
 log = logging.getLogger(__name__)
@@ -234,8 +235,6 @@ class SolverDiagnostics:
     b: float
     scheme: str
     preflight: Preflight | None = None
-    martingale_residual: float = float("nan")
-    self_consistency_rms: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -250,23 +249,25 @@ class Solution:
         return self.Y[:, 0, :].mean(axis=0)
 
 
-def _consistency(problem, ensemble, W, dA, Y, Z, scheme):
-    """Residuals of the discrete backward recursion along the node-major
-    solution, reduced in C order; W is node-major and dA holds the
-    increments of the rows A stores."""
+def consistency_residuals(problem: ProblemSpec, solution: Solution) -> tuple:
+    """(martingale_residual, self_consistency_rms), which solve does not
+    compute: the largest |path mean| and the RMS of the residuals R_i =
+    Y_{i+1} - Y_i + F dt + G dA_i - Z_i dW_i in solution's scheme, from F and
+    G at every node of read-only node-major copies of Y, Z and W, dA from A's
+    stored rows, and R reduced in C order.  Refuses an unfit problem (_check_fit)."""
+    ensemble, scheme = solution.ensemble, solution.diagnostics.scheme
+    _check_fit(problem, ensemble)
     grid = ensemble.grid
-    k = grid.delta_index_offset
-    n, m = Y.shape[0], Y.shape[2]
-    steps = grid.steps()
-    Y, Z = _read_only(Y), _read_only(Z)
+    k, steps = grid.delta_index_offset, grid.steps()
+    Y, Z, W = (_node_major(X) for X in (solution.Y, solution.Z, ensemble.W))
+    dA = np.diff(stored_rows(ensemble.A), axis=1)
     f_reads = generator_reads(problem.F)
     y_windows = _windows(Y, k, "y_seg" in (f_reads | generator_reads(problem.G)))
     z_windows = _windows(Z, k, "z_seg" in f_reads, kind="control")
-    R = node_major_zeros((n, grid.n_steps, m))
+    R = node_major_zeros((Y.shape[0], grid.n_steps, Y.shape[2]))
     for i in range(grid.n_steps):
-        t = float(grid.nodes[i])
         dt = float(steps[i])
-        ctx = problem.context(grid, t, W[:, i])
+        ctx = problem.context(grid, float(grid.nodes[i]), W[:, i])
         acc = Y[:, i + 1] - Y[:, i]
         if problem.F is not None:
             y_arg = Y[:, i + 1] if scheme == "explicit" else Y[:, i]
@@ -275,13 +276,9 @@ def _consistency(problem, ensemble, W, dA, Y, Z, scheme):
         if problem.G is not None:
             acc = acc + dA[:, i, None] * evaluate_generator(
                 problem.G, "G", ctx, Y[:, i], None, y_windows(i), None)
-        dW = W[:, i + 1] - W[:, i]
-        acc = acc - np.einsum("nmd,nd->nm", Z[:, i], dW, optimize=False)
-        R[:, i] = acc
+        R[:, i] = acc - np.einsum("nmd,nd->nm", Z[:, i], W[:, i + 1] - W[:, i], optimize=False)
     R = np.ascontiguousarray(R)
-    mtg = float(np.max(np.abs(R.mean(axis=0))))
-    rms = float(np.sqrt(np.mean(R ** 2)))
-    return mtg, rms
+    return float(np.max(np.abs(R.mean(axis=0)))), float(np.sqrt(np.mean(R ** 2)))
 
 
 def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
@@ -312,8 +309,9 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     distance 0.0, the ratio 0.0, iterations == 2 and converged.  This needs
     max_iter >= 2 and a pass 1 that did not converge.  A generator without
     ``reads`` counts as reading everything and keeps the full loop.
-    Raises NonContractionError when the
-    iteration budget is spent while the distances have stopped shrinking.
+    Raises NonContractionError when the iteration budget is spent while the
+    distances have stopped shrinking.  F and G are evaluated only in the
+    passes and the preflight; consistency_residuals gives the residuals.
     """
     if not tol >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
@@ -379,12 +377,10 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
             f"(last ratios {ratios[-2]:.3f}, {ratios[-1]:.3f}); "
             "the smallness conditions are likely violated")
 
-    mtg, rms = _consistency(problem, ensemble, plan.W_by_node, dA, U, V, scheme)
     diag = SolverDiagnostics(
         deltas=deltas, ratios=ratios, tol=tol, converged=converged,
         iterations=len(deltas), alpha=alpha, beta=beta, mu_lambda=mu, a=a, b=b,
-        scheme=scheme, preflight=checks,
-        martingale_residual=mtg, self_consistency_rms=rms)
+        scheme=scheme, preflight=checks)
     if not converged:
         log.warning("iteration budget spent at squared distance %.3e > tol %.3e",
                     deltas[-1], tol)

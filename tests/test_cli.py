@@ -490,6 +490,30 @@ def test_solve_writes_solution_tables(tmp_path, capsys):
     assert np.all(np.diff(cols_d["iteration"]) == 1)
 
 
+def test_solve_prints_the_residuals_of_its_solution(tmp_path, capsys):
+    # solve no longer computes them; the command asks consistency_residuals
+    from delaybsde.path_calculus import TimeGrid
+    from delaybsde.picard_solver import consistency_residuals, solve
+    from delaybsde.registry import problem_from_dict
+    from delaybsde.stochastic_engine import (RegressionBasis, realize_increasing_process,
+                                             simulate_brownian)
+
+    config = readme_config()
+    code = cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out"), "--paths", "400"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and lines[-1] == "solve: PASS"
+    problem, settings = problem_from_dict(config["problem"]), config["solver"]
+    grid = TimeGrid.uniform(problem.T, settings["n_steps"], delta=problem.delta)
+    ensemble = realize_increasing_process(
+        problem.A_spec, simulate_brownian(grid, 400, d=problem.d, seed=settings["seed"]))
+    solution = solve(problem, ensemble, basis=RegressionBasis(degree=settings["degree"]),
+                     tol=settings["tol"], max_iter=settings["max_iter"],
+                     scheme=settings["scheme"])
+    mtg, rms = consistency_residuals(problem, solution)
+    assert lines[-2] == f"martingale residual={mtg:.3e} self consistency rms={rms:.3e}"
+
+
 def test_solve_rejects_failing_conditions(tmp_path, capsys):
     config = base_config()
     config["problem"]["K"] = 1.0

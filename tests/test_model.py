@@ -174,6 +174,22 @@ def test_atom_measure_projection():
         AtomMeasure.dirac(-0.5).project(0.1, 5)
 
 
+@pytest.mark.parametrize("theta", [-0.5, -0.1 - 1e-11])
+def test_problem_and_projection_refuse_an_atom_with_one_message(theta):
+    atom = AtomMeasure.dirac(theta)
+    messages = []
+    for refuse in (lambda: base_problem(rho=atom), lambda: base_problem(rho_tilde=atom),
+                   lambda: atom.project(0.1, 5)):
+        with pytest.raises(ValueError) as info:
+            refuse()
+        messages.append(str(info.value))
+    assert messages == ["delay measure atom outside [-delta, 0]"] * 3
+    # within the rule's 1e-12 slack, both take it
+    inside = AtomMeasure.dirac(-0.1 - 1e-13)
+    assert base_problem(rho=inside).rho is inside
+    assert inside.project(0.1, 5)[0] == 1.0
+
+
 def test_segment_integral_matches_loop():
     rng = np.random.default_rng(3)
     seg = rng.normal(size=(6, 4, 2))

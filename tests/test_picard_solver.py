@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from delaybsde import path_calculus, picard_solver, registry, stochastic_engine
+from delaybsde import model, path_calculus, picard_solver, registry, stochastic_engine
 from delaybsde.errors import (BlowupError, ConstraintViolationError,
                               GeneratorEvaluationError, GridAlignmentError,
                               NonContractionError, SingularSystemError)
@@ -28,6 +28,7 @@ from delaybsde.model import (AtomMeasure, ProblemSpec, check_integrability,
                             equivalent_norm)
 from delaybsde.path_calculus import TimeGrid, delay_windows, stored_rows
 from delaybsde.picard_solver import (ContractionReport, build_B,
+                                     consistency_residuals,
                                      contraction_report, gamma_step,
                                      node_segment, solve)
 from delaybsde.stochastic_engine import (IncreasingProcessSpec,
@@ -54,6 +55,14 @@ def make_ensemble(n_paths, n_steps=20, T=1.0, delta=0.1, seed=0, spec=IDENTITY_A
     grid = TimeGrid.uniform(T, n_steps, delta=delta)
     ens = simulate_brownian(grid, n_paths, seed=seed)
     return realize_increasing_process(spec, ens)
+
+
+def diagnostics(scheme):
+    """Diagnostics of a hand-built Solution; consistency_residuals reads only
+    the scheme."""
+    return picard_solver.SolverDiagnostics(
+        deltas=[], ratios=[], tol=0.0, converged=True, iterations=0, alpha=0.0,
+        beta=0.0, mu_lambda=None, a=1.0, b=1.0, scheme=scheme)
 
 
 # ------------------------------------------------------------------ oracles
@@ -190,10 +199,9 @@ def test_generator_cannot_write_into_iterate(which, arg):
     V = np.ones((16, 21, 1, 1))
     with pytest.raises(ValueError, match="read-only"):
         gamma_step(prob, ens, U, V)
-    plan = stochastic_engine.RegressionPlan(RegressionBasis(), ens)
-    dA = np.diff(stored_rows(ens.A), axis=1)
+    sol = picard_solver.Solution(Y=U, Z=V, diagnostics=diagnostics("explicit"), ensemble=ens)
     with pytest.raises(ValueError, match="read-only"):
-        picard_solver._consistency(prob, ens, plan.W_by_node, dA, U, V, "explicit")
+        consistency_residuals(prob, sol)
     assert np.all(U == 1.0) and np.all(V == 1.0)
 
 
@@ -601,8 +609,7 @@ def test_reloaded_ensemble_keeps_its_stored_rows(tmp_path, spec):
     one, two = (solve(prob, e, tol=1e-30, max_iter=3, force=True) for e in (ens, back))
     assert np.array_equal(one.Y, two.Y) and np.array_equal(one.Z, two.Z)
     assert one.diagnostics.deltas == two.diagnostics.deltas
-    assert (one.diagnostics.martingale_residual, one.diagnostics.self_consistency_rms) == \
-        (two.diagnostics.martingale_residual, two.diagnostics.self_consistency_rms)
+    assert consistency_residuals(prob, one) == consistency_residuals(prob, two)
 
 
 @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
@@ -618,8 +625,7 @@ def test_solve_same_bits_on_broadcast_and_full_A(scheme):
     assert np.array_equal(one.Y, two.Y) and np.array_equal(one.Z, two.Z)
     d1, d2 = one.diagnostics, two.diagnostics
     assert d1.deltas == d2.deltas and d1.iterations == d2.iterations == 4
-    assert (d1.martingale_residual, d1.self_consistency_rms) == \
-        (d2.martingale_residual, d2.self_consistency_rms)
+    assert consistency_residuals(prob, one) == consistency_residuals(prob, two)
     for rep1, rep2 in ((d1.preflight.h1, d2.preflight.h1), (d1.preflight.h2, d2.preflight.h2)):
         assert rep1.lhs.shape == (300,) and np.array_equal(rep1.lhs, rep2.lhs)
     moments = [check_integrability(prob, e).entries for e in (ens, full)]
@@ -721,11 +727,13 @@ def test_constant_map_sweeps_once_with_the_bits_of_the_full_loop(monkeypatch, ca
     xi = registry.build_terminal({"name": "brownian", "params": {}})
     ens = make_ensemble(200, n_steps=20, seed=14)
     sols, sweeps = {}, {}
-    for name, f in (("constant", F), ("full", hand_written)):
+    probs = {name: make_problem(F=f, G=G, xi=xi)
+             for name, f in (("constant", F), ("full", hand_written))}
+    for name, prob in probs.items():
         calls.clear()
         caplog.clear()
         with caplog.at_level(logging.INFO, logger=picard_solver.__name__):
-            sols[name] = solve(make_problem(F=f, G=G, xi=xi), ens, scheme=scheme)
+            sols[name] = solve(prob, ens, scheme=scheme)
         sweeps[name] = (len(calls), "outer step 2 skipped" in caplog.text)
     assert sweeps == {"constant": (1, True), "full": (2, False)}
     once, full = sols["constant"], sols["full"]
@@ -734,8 +742,8 @@ def test_constant_map_sweeps_once_with_the_bits_of_the_full_loop(monkeypatch, ca
     assert d1.deltas == d2.deltas and d1.deltas[0] > d1.tol and d1.deltas[1] == 0.0
     assert d1.ratios == d2.ratios == [0.0]
     assert d1.iterations == d2.iterations == 2 and d1.converged and d2.converged
-    assert (d1.martingale_residual, d1.self_consistency_rms) == \
-        (d2.martingale_residual, d2.self_consistency_rms)
+    assert consistency_residuals(probs["constant"], once) == \
+        consistency_residuals(probs["full"], full)
     # one pass is all a budget of one allows, skipped or not
     calls.clear()
     capped = solve(make_problem(F=F, G=G, xi=xi), ens, scheme=scheme, max_iter=1)
@@ -798,8 +806,9 @@ def test_solve_linear_closed_form():
     assert np.array_equal(sol.Y[:, -1, 0], ens.W[:, -1, 0])
     # contraction: every ratio after the warm-up step is well below one
     assert all(r < 0.5 for r in d.ratios[1:])
-    assert d.martingale_residual < 0.02
-    assert np.isfinite(d.self_consistency_rms) and d.self_consistency_rms < 1.0
+    mtg, rms = consistency_residuals(prob, sol)
+    assert mtg < 0.02
+    assert np.isfinite(rms) and rms < 1.0
     assert contraction_report(d).passed
 
 
@@ -916,6 +925,95 @@ def test_solve_realizes_A_when_missing():
     sol = solve(make_problem(), ens)
     assert sol.ensemble.A is not None
     assert np.allclose(sol.ensemble.A, grid.nodes[None, :])
+
+
+# ------------------------------------------------------- consistency residuals
+
+def counting(gen, rows, calls):
+    """gen, reads included, appending to calls whether each call has `rows`
+    argument sets: the ensemble's paths, not a preflight probe's cloud."""
+    def counted(*args):
+        calls.append(args[1].shape[0] == rows)
+        return gen(*args)
+    counted.reads = gen.reads
+    return counted
+
+
+@pytest.mark.parametrize("G", [
+    pytest.param({"name": "constant", "params": {"value": 1.0}}, id="one-sweep"),
+    pytest.param({"name": "linear", "params": {"b": 0.1}}, id="full-loop"),
+])
+def test_solve_evaluates_the_generators_only_in_its_passes(G):
+    # one pass evaluates the explicit F once per step, and B, which a
+    # constant G lets solve build once, G once per step; with F reading no
+    # window and G = 1 the map reads no iterate, so solve sweeps once
+    n, n_steps = 200, 20
+    calls = {"F": [], "G": []}
+    prob = make_problem(
+        F=counting(registry.build_F({"name": "linear", "params": {"a_y": 0.2, "a_z": 0.1}}),
+                   n, calls["F"]),
+        G=counting(registry.build_G(G), n, calls["G"]),
+        xi=registry.build_terminal({"name": "brownian", "params": {}}))
+    ens = make_ensemble(n, n_steps=n_steps, seed=14)
+    sol = solve(prob, ens)
+    passes = 1 if G["name"] == "constant" else sol.diagnostics.iterations
+    assert sol.diagnostics.iterations >= 2
+    in_solve = {which: (sum(c), len(c) - sum(c)) for which, c in calls.items()}
+    for c in calls.values():
+        c.clear()
+    model.preflight(prob, ens)
+    probes = {which: len(c) for which, c in calls.items()}
+    assert in_solve == {which: (passes * n_steps, probes[which]) for which in calls}
+    # asked for, the residuals evaluate each generator once more per step
+    for c in calls.values():
+        c.clear()
+    consistency_residuals(prob, sol)
+    assert calls == {"F": [True] * n_steps, "G": [True] * n_steps}
+
+
+def residuals_on_the_iterate(problem, solution):
+    """The residuals as solve computed them on its node-major iterate, with
+    the plan's W_by_node and the dA of the solve's norm weights."""
+    ens, scheme = solution.ensemble, solution.diagnostics.scheme
+    grid = ens.grid
+    k, steps = grid.delta_index_offset, grid.steps()
+    plan = stochastic_engine.RegressionPlan(RegressionBasis(), ens)
+    A = plan.A_by_node if plan.reads_A else stochastic_engine._node_major(ens.A)
+    dA = model.norm_weights(A, grid, problem.alpha, problem.beta)[1]
+    W, Y, Z = plan.W_by_node, node_major(solution.Y), node_major(solution.Z)
+    y_win, z_win = delay_windows(Y, k), delay_windows(Z, k, "control")
+    R = path_calculus.node_major_zeros((Y.shape[0], grid.n_steps, Y.shape[2]))
+    for i in range(grid.n_steps):
+        ctx = problem.context(grid, float(grid.nodes[i]), W[:, i])
+        y_arg = Y[:, i + 1] if scheme == "explicit" else Y[:, i]
+        f = model.evaluate_generator(problem.F, "F", ctx, y_arg, Z[:, i], y_win(i), z_win(i))
+        g = model.evaluate_generator(problem.G, "G", ctx, Y[:, i], None, y_win(i), None)
+        R[:, i] = (Y[:, i + 1] - Y[:, i] + float(steps[i]) * f + dA[:, i, None] * g
+                   - np.einsum("nmd,nd->nm", Z[:, i], W[:, i + 1] - W[:, i], optimize=False))
+    R = np.ascontiguousarray(R)
+    return float(np.max(np.abs(R.mean(axis=0)))), float(np.sqrt(np.mean(R ** 2)))
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+@pytest.mark.parametrize("problem", [
+    pytest.param(lambda: make_problem(
+        F=registry.build_F({"name": "linear", "params": {"a_y": 0.2, "a_z": 0.1}}),
+        G=registry.build_G({"name": "linear", "params": {"b": 0.1}}),
+        xi=registry.build_terminal({"name": "brownian", "params": {}})), id="deterministic-A"),
+    pytest.param(segment_problem, id="random-A-segments"),
+])
+def test_consistency_residuals_have_the_bits_of_the_iterate(problem, scheme):
+    # from the C-order solution, W and the stored rows of A, the residuals
+    # that solve gave on its node-major iterate, bit for bit
+    prob = problem()
+    ens = make_ensemble(300, n_steps=20, seed=19, spec=prob.A_spec)
+    sol = solve(prob, ens, tol=1e-30, max_iter=3, scheme=scheme, force=True)
+    assert sol.Y.flags.c_contiguous and sol.Z.flags.c_contiguous
+    mtg, rms = consistency_residuals(prob, sol)
+    assert (mtg, rms) == residuals_on_the_iterate(prob, sol)
+    assert 0 < mtg and 0 < rms < 1.0
+    with pytest.raises(GridAlignmentError, match="delay"):
+        consistency_residuals(replace(prob, delta=0.2), sol)
 
 
 def test_contraction_report_verdicts():
