@@ -204,9 +204,16 @@ def validate(config, n_steps=None):
     runs at n_steps, by default the solver section's, read by read_settings
     (a refusal of which is a schema diagnostic, and no warnings follow one).
     """
+    return _validated(config, n_steps)[0]
+
+
+def _validated(config, n_steps=None):
+    """(validate's diagnostics, the ProblemSpec the check built), the
+    problem None when the check finds an error, so that a command builds
+    each part of its problem once."""
     problem = config.get("problem")
-    errors = (_problem_errors(problem, config, n_steps) if isinstance(problem, dict)
-              else [("schema", "config must contain a 'problem' object")])
+    errors, spec = (_problem_errors(problem, config, n_steps) if isinstance(problem, dict)
+                    else ([("schema", "config must contain a 'problem' object")], None))
     diags = [{"level": "error", "code": code, "message": message} for code, message in errors]
     if all(code != "schema" for code, _ in errors):
         for key, gen in (("K", "F"), ("K_tilde", "G")):
@@ -214,54 +221,56 @@ def validate(config, n_steps=None):
                 diags.append({"level": "warning", "code": "bounds", "message": (
                     f"{gen} is set but {key} is 0; the smallness checks will treat "
                     f"{gen} as undelayed")})
-    return diags
+    return diags, spec
 
 
 def _problem_errors(problem, config, n_steps):
-    """validate's (code, message) errors: "registry" for what the registry
-    builders and IncreasingProcessSpec refuse; once nothing is, "domain" for
-    what building the ProblemSpec refuses, and "beta-range" or "c-range" for
-    what c_threshold refuses of beta, or c_admissible of c."""
+    """validate's (code, message) errors and the ProblemSpec, None unless
+    the errors are none: "registry" for what the registry builders and
+    IncreasingProcessSpec refuse; once nothing is, "domain" for what building
+    the ProblemSpec from those parts refuses, and "beta-range" or "c-range"
+    for what c_threshold refuses of beta, or c_admissible of c."""
     errors = [("schema", f"problem section is missing required key '{key}'")
               for key in ("T", "delta", "beta", "L", "L_tilde", "terminal", "A")
               if key not in problem]
     if errors:
-        return errors
+        return errors, None
+    built = {}
     for section, build in (("terminal", build_terminal), ("F", build_F), ("G", build_G)):
         try:
-            build(problem.get(section))
+            built[section] = build(problem.get(section))
         except (ConfigError, TypeError, ValueError) as exc:
             errors.append(("registry", f"{section}: {exc}"))
     try:
-        A_spec = IncreasingProcessSpec.from_dict(problem["A"])
+        built["A"] = IncreasingProcessSpec.from_dict(problem["A"])
         if is_integer(problem.get("d", 1), 1):    # any other d is a [domain] error below
-            A_spec.check_dimension(problem.get("d", 1))
+            built["A"].check_dimension(problem.get("d", 1))
     except (KeyError, TypeError, ValueError) as exc:
         errors.append(("registry", f"A must be an increasing process of a kind in "
                                    f"{sorted(PROCESS_KINDS)}: {exc}"))
     if errors:
-        return errors
+        return errors, None
 
     try:
-        spec = problem_from_dict(problem)
+        spec = problem_from_dict(problem, built)
         admissible, cap = c_admissible(spec.c, spec.beta, spec.L_tilde)
     except ConstraintViolationError as exc:
-        return [("beta-range", str(exc))]
+        return [("beta-range", str(exc))], None
     except (ConfigError, TypeError, ValueError) as exc:
-        return [("domain", f"problem: {exc}")]
+        return [("domain", f"problem: {exc}")], None
     if spec.c is not None and not admissible:
         return [("c-range", f"c={spec.c!r} must lie in (0, {cap:.6g}) "
-                            f"for beta={spec.beta}, L_tilde={spec.L_tilde}")]
+                            f"for beta={spec.beta}, L_tilde={spec.L_tilde}")], None
     try:
         steps = read_settings(config, "solver")["n_steps"] if n_steps is None else n_steps
     except ConfigError as exc:
-        return [("schema", str(exc).removeprefix("[schema] "))]
+        return [("schema", str(exc).removeprefix("[schema] "))], None
     if _grid_accepts(spec.T, spec.delta, steps):
-        return []
+        return [], spec
     hint = suggest_aligned_steps(spec.T, spec.delta, steps)
     extra = f"; nearby aligned step counts: {hint}" if hint else ""
-    return [("grid-alignment",
-             f"delay delta={spec.delta} is not a whole number of steps at n_steps={steps}{extra}")]
+    return [("grid-alignment", f"delay delta={spec.delta} is not a whole number of steps "
+                               f"at n_steps={steps}{extra}")], None
 
 
 def _format(value):
@@ -295,13 +304,12 @@ def _prepare(args, config):
     when the config check, whose diagnostics it prints, finds an error."""
     solver = read_settings(config, "solver", args)
     out_dir = read_settings(config, None, args)["out"]
-    diags = validate(config, n_steps=solver["n_steps"])
+    diags, problem = _validated(config, n_steps=solver["n_steps"])
     for diag in diags:
         print(f"{diag['level']}: [{diag['code']}] {diag['message']}")
-    if any(d["level"] == "error" for d in diags):
+    if problem is None:
         return None
-    return (solver, out_dir, problem_from_dict(config["problem"]),
-            RegressionBasis(solver["degree"], solver["ridge"]))
+    return solver, out_dir, problem, RegressionBasis(solver["degree"], solver["ridge"])
 
 
 def _ensemble(problem, solver):

@@ -19,7 +19,8 @@ from scipy.stats import qmc
 
 from .errors import (ConstraintViolationError, GeneratorEvaluationError,
                      NumericOverflowError)
-from .path_calculus import TimeGrid, delay_fits_horizon, stored_rows
+from .path_calculus import (BLOCK_BYTES, TimeGrid, delay_fits_horizon,
+                            node_major_zeros, stored_rows)
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble, is_integer,
                                 is_number, omega_delta)
 
@@ -711,10 +712,13 @@ def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
         eA = np.exp(problem.beta * A)
         eAT = eA[:, -1]
 
-    def gen_at_zero(gen, which):
-        vals = np.zeros((n, nodes.size))
+    def squares_at_zero(gen, which):
+        """|gen|^2 at zero arguments, (paths, nodes) laid out node-major so
+        that each node writes one contiguous block; one zero row for an
+        absent generator."""
         if gen is None:
-            return vals
+            return np.zeros((1, nodes.size))
+        vals = node_major_zeros((n, nodes.size))
         ksteps = grid.delta_index_offset
         zero_y = np.broadcast_to(0.0, (n, problem.m))  # read-only: every node gets them
         zero_z = np.broadcast_to(0.0, (n, problem.m, problem.d))
@@ -727,13 +731,31 @@ def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
             vals[:, i] = np.einsum("nm,nm->n", out, out, optimize=False)
         return vals
 
-    F0_sq = gen_at_zero(problem.F, "F")
-    G0_sq = gen_at_zero(problem.G, "G")
-    dA = np.diff(A, axis=1)
-    dt = grid.steps()[None, :]
-    int_F = np.sum(eA[:, :-1] * F0_sq[:, :-1] * dt, axis=1)
-    int_G_dA = np.sum(eA[:, :-1] * G0_sq[:, :-1] * dA, axis=1)
-    int_G_dt = np.sum(eA[:, :-1] * G0_sq[:, :-1] * dt, axis=1)
+    eA_steps, dA, dt = eA[:, :-1], np.diff(A, axis=1), grid.steps()[None, :]
+    step = max(1, BLOCK_BYTES // (8 * dt.size))
+    block = np.empty((min(step, n), dt.size))
+
+    def integral(sq, d):
+        """Per path, the sum over steps of e^{beta A} sq d, on blocks of
+        paths copied to C order, so that each row is summed pairwise as a
+        whole stack's would be; one row serves every path when e^{beta A}
+        and sq store one."""
+        stored = max(eA.shape[0], sq.shape[0])
+        total = np.empty(stored)
+        for lo in range(0, stored, step):
+            hi = min(lo + step, stored)
+            # a one-row stack serves every block
+            e, x, dx = (a[lo:hi] if a.shape[0] > 1 else a for a in (eA_steps, sq[:, :-1], d))
+            out = np.multiply(e, x, out=block[:hi - lo])
+            out *= dx
+            np.sum(out, axis=1, out=total[lo:hi])
+        return total if stored == n else np.full(n, total[0])
+
+    F0_sq = squares_at_zero(problem.F, "F")
+    G0_sq = squares_at_zero(problem.G, "G")
+    int_F = integral(F0_sq, dt)
+    int_G_dA = integral(G0_sq, dA)
+    int_G_dt = integral(G0_sq, dt)
 
     entries = {
         "A0": _moment(eAT * (1.0 + xi_sq)),
@@ -742,7 +764,7 @@ def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
         "A0p": _moment(eAT ** p * xi_sq ** p),
         "A1p_F": _moment(int_F ** p),
         "A1p_G": _moment(int_G_dt ** p),
-        "A1sup_G": _moment(np.max(G0_sq, axis=1) ** p),
+        "A1sup_G": _moment(np.broadcast_to(np.max(G0_sq, axis=1), (n,)) ** p),
     }
     for r in (1.0, 2.0, 4.0, 8.0):
         with np.errstate(over="ignore"):

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import GridAlignmentError
 
 __all__ = [
+    "BLOCK_BYTES",
     "TimeGrid",
     "delay_fits_horizon",
     "GridFunction",
@@ -35,6 +36,14 @@ __all__ = [
     "write_csv",
     "read_csv",
 ]
+
+
+# Bytes a blockwise pass over path stacks holds at a time, about 1 MiB, so
+# that its block stays in cache: model.check_integrability reads that many
+# bytes of paths per block, and the Helly-Bray check (stability_lab) holds
+# that many bytes of running integrals, limit and members together, per
+# chunk of nodes.
+BLOCK_BYTES = 1 << 20
 
 
 def delay_fits_horizon(delta: float, T: float) -> bool:

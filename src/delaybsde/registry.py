@@ -239,22 +239,34 @@ def _measure_to(measure):
     return {"thetas": measure.thetas.tolist(), "weights": measure.weights.tolist()}
 
 
-def problem_from_dict(config: dict) -> ProblemSpec:
-    """Assemble a ProblemSpec from a JSON-able dictionary of named parts."""
+def problem_from_dict(config: dict, built: dict | None = None) -> ProblemSpec:
+    """Assemble a ProblemSpec from a JSON-able dictionary of named parts.
+
+    ``built`` may map the sections "terminal", "A", "F" and "G" to their parts
+    already built from config, as cli.validate builds them to name a section
+    at fault; a part given there is not built again.
+    """
+    built = built or {}
+
+    def part(section, build, required=False):
+        if section in built:
+            return built[section]
+        return build(config[section] if required else config.get(section))
+
     try:
-        xi = build_terminal(config["terminal"])
+        xi = part("terminal", build_terminal, required=True)
         return ProblemSpec(
             T=config["T"],
             delta=config["delta"],
             xi=xi,
-            A_spec=IncreasingProcessSpec.from_dict(config["A"]),
+            A_spec=part("A", IncreasingProcessSpec.from_dict, required=True),
             beta=config["beta"],
             L=config["L"],
             L_tilde=config["L_tilde"],
             m=config.get("m", 1),
             d=config.get("d", 1),
-            F=build_F(config.get("F")),
-            G=build_G(config.get("G")),
+            F=part("F", build_F),
+            G=part("G", build_G),
             K=float(config.get("K", 0.0)),
             K_tilde=float(config.get("K_tilde", 0.0)),
             rho=_measure_from(config.get("rho")),

@@ -23,7 +23,9 @@ from .model import (ProblemSpec, argument_clouds, effective_c, equivalent_norm,
                     evaluate_generator, weighted_norm)
 # unused here (solve's preflight calls them); bench/tracing.py looks them up here
 from .model import check_H1, check_H2  # noqa: F401
-from .path_calculus import TimeGrid, cumulative_stieltjes, stored_rows
+from .path_calculus import BLOCK_BYTES, TimeGrid, stored_rows
+# unused here (the check keeps its own running sums); bench/tracing.py looks it up here
+from .path_calculus import cumulative_stieltjes  # noqa: F401
 from .picard_solver import FORCE_HINT, solve
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
                                 RegressionBasis, RegressionPlan,
@@ -282,15 +284,31 @@ class HellyBrayReport:
         return "\n".join(lines)
 
 
-# Bytes of one block of paths the Helly-Bray check reads at a time, per
-# stack: about 1 MB, 256 rows at 513 nodes, so that the limit's and every
-# member's block of integrals stays in cache.
-BLOCK_BYTES = 1 << 20
+# Paths per tile of a node-major copy, so that a tile's strided reads stay in cache.
+_TILE = 512
 
 
-def _block(a, lo: int, hi: int):
-    """Rows lo..hi of a path stack; a single-row stack serves every block."""
-    return a[lo:hi] if np.shape(a)[0] > 1 else a[:1]
+def _node_major_reader(chunk: int):
+    """Reader (a, lo, hi) -> a[:, lo:hi].T for a stack of stored rows: a view
+    of a single row, else a copy made in tiles of _TILE paths, once per
+    distinct stack and node range, into one buffer of chunk + 1 nodes per
+    stack."""
+    copies = {}
+
+    def read(a, lo: int, hi: int):
+        if a.shape[0] == 1:
+            return a[0, lo:hi, None]
+        key = (a.__array_interface__["data"][0], a.shape, a.strides)
+        out, at = copies.get(key, (None, None))
+        if at != (lo, hi):
+            if out is None:
+                out = np.empty((chunk + 1, a.shape[0]))
+            for p in range(0, a.shape[0], _TILE):
+                out[:hi - lo, p:p + _TILE] = a[p:p + _TILE, lo:hi].T
+            copies[key] = out, (lo, hi)
+        return out[:hi - lo]
+
+    return read
 
 
 def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
@@ -302,12 +320,16 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
     """Convergence of coupled integrals int X_n dH_n toward int X dH.
 
     All processes are path stacks on one grid that broadcast against each
-    other: arrays, or anything with ``shape`` and row slicing such as the
-    ShiftedPaths integrands of the families below.  The check reads its
-    inputs one block of BLOCK_BYTES worth of paths at a time, integrates the
-    limit and every member on that block, and keeps only per-path sups and
-    terminal values, so no member-sized stack is ever held; a broadcast
-    integrator is differenced on its stored rows, and no input is written.
+    other: arrays, or ShiftedPaths, which the check reads as its base plus
+    its row.  The check streams over chunks of nodes: per chunk it reads each
+    distinct integrand base node-major once, forms the left-point increments
+    x dH of the limit and every member in one (nodes, stacks, paths) buffer
+    of about BLOCK_BYTES, takes the running sums with one vector add per
+    node, carried from chunk to chunk, and folds |I_n - I| into per-path
+    sups.  Each path adds the same increments in the same order as
+    path_calculus.cumulative_stieltjes, so the bits are those of whole-stack
+    integrals; no member-sized stack is ever held, a broadcast integrator is
+    differenced on its stored rows, and no input is written.
     Reports, per member, the coupled distance E sup_t |I_n(t) - I(t)|, its
     truncations E[min(sup..., nu)] over the ladder, and the two-sample
     terminal statistic.  The verdict is INCONCLUSIVE when no level of
@@ -324,6 +346,8 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
             arr = np.atleast_2d(np.asarray(arr, dtype=float))
         if np.shape(arr)[-1] != n_nodes:
             raise ValueError("process does not live on the given grid")
+        if np.shape(arr)[0] == 0:
+            raise ValueError("process has no paths")
         return arr
 
     def paths_of(*stacks):
@@ -331,21 +355,46 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
 
     X_limit, H_limit = rows_of(X_limit), rows_of(H_limit)
     members = [(rows_of(X), rows_of(H)) for X, H in zip(X_list, H_list)]
-    n_paths = paths_of(X_limit, H_limit, *(a for pair in members for a in pair))
-    terminal_lim = np.empty(paths_of(X_limit, H_limit))
-    terminals = [np.empty(paths_of(X, H)) for X, H in members]
-    path_sups = [np.empty(paths_of(X, H, X_limit, H_limit)) for X, H in members]
-    step = max(1, BLOCK_BYTES // (8 * n_nodes))
-    for lo in range(0, n_paths, step):
-        hi = lo + step
-        I_lim = cumulative_stieltjes(_block(X_limit, lo, hi), _block(H_limit, lo, hi))
-        _block(terminal_lim, lo, hi)[:] = I_lim[:, -1]
-        for (X, H), terminal, sup in zip(members, terminals, path_sups):
-            I_n = cumulative_stieltjes(_block(X, lo, hi), _block(H, lo, hi))
-            _block(terminal, lo, hi)[:] = I_n[:, -1]
-            # |I_n - I_lim| in I_n itself, unless a single-row I_n meets more limit rows
-            gap = np.subtract(I_n, I_lim, out=I_n if I_n.shape[0] >= I_lim.shape[0] else None)
-            _block(sup, lo, hi)[:] = np.max(np.abs(gap, out=gap), axis=1)
+    stacks = [(X_limit, H_limit)] + members
+    n_paths = paths_of(*(a for pair in stacks for a in pair))
+    chunk = max(1, BLOCK_BYTES // (8 * len(stacks) * n_paths))
+    read = _node_major_reader(chunk)
+
+    def increments(X, H):
+        """Reader (lo, hi) -> the increments x dH of steps lo..hi-1, node-major."""
+        base, row = (X.base, X.row[:, None]) if isinstance(X, ShiftedPaths) else (X, None)
+        base, H = (stored_rows(np.asarray(a, dtype=float)) for a in (base, H))
+        dH = np.diff(H[0])[:, None] if H.shape[0] == 1 else None
+
+        def inc(lo, hi, out):
+            x = read(base, lo, hi)
+            if row is None:
+                np.copyto(out, x)
+            else:
+                np.add(x, row[lo:hi], out=out)
+            return np.multiply(out, dH[lo:hi] if dH is not None
+                               else np.diff(read(H, lo, hi + 1), axis=0), out=out)
+        return inc
+
+    readers = [increments(X, H) for X, H in stacks]
+    # run[j, s] holds stack s's running integrals at the chunk's j-th node,
+    # node 0 carrying them over from the chunk before
+    run = np.empty((chunk + 1, len(stacks), n_paths))
+    sups = np.zeros((len(members), n_paths))
+    for lo in range(0, n_nodes - 1, chunk):
+        hi = min(lo + chunk, n_nodes - 1)
+        n = hi - lo
+        for s, inc in enumerate(readers):
+            inc(lo, hi, run[1:n + 1, s])
+        # the first increment is the first running sum as it is
+        for j in range(2 if lo == 0 else 1, n + 1):
+            np.add(run[j - 1], run[j], out=run[j])
+        run[0] = run[n]
+        gap = np.subtract(run[1:n + 1, 1:], run[1:n + 1, :1], out=run[1:n + 1, 1:])
+        np.maximum(sups, np.max(np.abs(gap, out=gap), axis=0), out=sups)
+    terminal_lim = run[0, 0, :paths_of(X_limit, H_limit)]
+    terminals = [run[0, s, :paths_of(X, H)] for s, (X, H) in enumerate(members, 1)]
+    path_sups = [sup[:paths_of(X, H, X_limit, H_limit)] for sup, (X, H) in zip(sups, members)]
 
     rows = []
     for j, (terminal, per_path_sup) in enumerate(zip(terminals, path_sups)):
@@ -380,7 +429,9 @@ class ShiftedPaths:
     Stores the shared (n_paths, n_nodes) base and one node row.  Supports
     ``shape``/``ndim``, row slicing (``X[rows]`` is the fresh array
     ``base[rows] + row``), and ``np.asarray(X)``/``X.copy()``, which build
-    the whole stack.
+    the whole stack.  helly_bray_stochastic_check slices none of these: it
+    reads ``base`` node-major, once per chunk of nodes for every stack that
+    shares it, and adds ``row`` there.
     """
 
     __slots__ = ("base", "row")

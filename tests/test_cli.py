@@ -454,6 +454,34 @@ def test_check_assumptions_pass(tmp_path, capsys):
     assert 0 < report["mu_lambda"] < 1
 
 
+@pytest.mark.parametrize("command", ["check-assumptions", "solve", "stability"])
+def test_each_command_builds_each_part_of_its_problem_once(tmp_path, capsys, monkeypatch,
+                                                           command):
+    from delaybsde import registry
+    from delaybsde.stochastic_engine import IncreasingProcessSpec
+
+    config = base_config(stability={"kind": "oscillatory_A", "n_values": [2, 4],
+                                    "final_threshold": 1.0})
+    calls = {}
+
+    def counted(name, build):
+        def count(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return build(*args)
+        return count
+
+    for part, table in (("terminal", registry._TERMINALS), ("F", registry._F_BUILDERS),
+                        ("G", registry._G_BUILDERS)):
+        name = config["problem"][part]["name"]
+        monkeypatch.setitem(table, name, counted(part, table[name]))
+    monkeypatch.setattr(IncreasingProcessSpec, "from_dict",
+                        counted("A", IncreasingProcessSpec.from_dict))
+    code = cli.run([command, "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out"), "--paths", "200"])
+    assert code == 0, capsys.readouterr().out
+    assert calls == {"terminal": 1, "F": 1, "G": 1, "A": 1}
+
+
 def test_check_assumptions_failing_condition(tmp_path, capsys):
     config = base_config()
     config["problem"]["K_tilde"] = 1.0

@@ -15,6 +15,10 @@ Oracle notes (derived before the implementations were trusted):
 * weighted norm terms of Y=1, Z=1, beta=1, A=t, p=2: sup e, both integrals e-1.
 """
 
+import importlib.util
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -26,7 +30,7 @@ from delaybsde.model import (AtomMeasure, ProblemSpec, c_threshold, check_H1,
                              equivalent_norm, mu_lambda, norm_weights,
                              probe_lipschitz, segment_integral, select_lambda,
                              weighted_norm)
-from delaybsde.path_calculus import TimeGrid
+from delaybsde.path_calculus import TimeGrid, stored_rows
 from delaybsde.stochastic_engine import (IncreasingProcessSpec, omega_delta,
                                          realize_increasing_process,
                                          simulate_brownian)
@@ -679,6 +683,101 @@ def test_integrability_requires_A():
     ens = simulate_brownian(grid, 10, seed=7)
     with pytest.raises(ValueError):
         check_integrability(base_problem(), ens)
+
+
+def integrability_by_whole_stacks(problem, ensemble, p=2.0):
+    """check_integrability's entries by the formula it had before it read
+    its generators node-major: path-major squares and whole-stack products."""
+    grid = ensemble.grid
+    A = stored_rows(ensemble.realized_A())
+    n, nodes = ensemble.n_paths, grid.nodes
+    xi = np.asarray(problem.xi(ensemble), dtype=float).reshape(n, -1)
+    xi_sq = np.einsum("nm,nm->n", xi, xi, optimize=False)
+    with np.errstate(over="ignore"):
+        eA = np.exp(problem.beta * A)
+        eAT = eA[:, -1]
+
+    def gen_at_zero(gen, which):
+        vals = np.zeros((n, nodes.size))
+        if gen is None:
+            return vals
+        k = grid.delta_index_offset
+        zeros = [np.broadcast_to(0.0, shape) for shape in (
+            (n, problem.m), (n, problem.m, problem.d), (n, k + 1, problem.m),
+            (n, k + 1, problem.m, problem.d))]
+        for i, t in enumerate(nodes):
+            ctx = problem.context(grid, float(t), ensemble.W[:, i, :])
+            out = model.evaluate_generator(gen, which, ctx, *zeros, finite=True)
+            vals[:, i] = np.einsum("nm,nm->n", out, out, optimize=False)
+        return vals
+
+    F0_sq, G0_sq = gen_at_zero(problem.F, "F"), gen_at_zero(problem.G, "G")
+    dA, dt = np.diff(A, axis=1), grid.steps()[None, :]
+    with np.errstate(invalid="ignore"):
+        int_F = np.sum(eA[:, :-1] * F0_sq[:, :-1] * dt, axis=1)
+        int_G_dA = np.sum(eA[:, :-1] * G0_sq[:, :-1] * dA, axis=1)
+        int_G_dt = np.sum(eA[:, :-1] * G0_sq[:, :-1] * dt, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = {
+            "A0": model._moment(eAT * (1.0 + xi_sq)),
+            "A1_F": model._moment(int_F),
+            "A1_G": model._moment(int_G_dA),
+            "A0p": model._moment(eAT ** p * xi_sq ** p),
+            "A1p_F": model._moment(int_F ** p),
+            "A1p_G": model._moment(int_G_dt ** p),
+            "A1sup_G": model._moment(np.max(G0_sq, axis=1) ** p),
+        }
+        for r in (1.0, 2.0, 4.0, 8.0):
+            entries[f"A0r_r{r:g}"] = model._moment(np.exp(r * ensemble.A[:, -1]))
+    return entries
+
+
+def bench_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", pathlib.Path(__file__).parents[1] / "bench" / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("name", ["readme_solve", "stability_family", "delayed_segment"])
+def test_integrability_same_entries_on_every_checked_workload_pair(name):
+    workload = bench_workloads()[name]
+    for seed in (workload.default_seed, workload.heldout_seed):
+        for problem, ensemble in workload.setup(seed).checked:
+            report = check_integrability(problem, ensemble)
+            assert report.entries == integrability_by_whole_stacks(problem, ensemble)
+
+
+def test_integrability_same_entries_as_whole_stacks():
+    # 69 steps put 1,899 paths in a block, so 5,000 paths end on a partial one
+    linear_F = registry.build_F({"name": "linear", "params": {"a_y": 0.3, "a_z": 0.2}})
+    constant_G = registry.build_G({"name": "constant", "params": {"value": 1.5}})
+    brownian = registry.build_terminal({"name": "brownian", "params": {}})
+    random_A = IncreasingProcessSpec("running_max", {})
+    grid = TimeGrid.uniform(1.0, 69, delta=1.0 / 69)
+    driving = simulate_brownian(grid, 5000, seed=11)
+    driving_2d = simulate_brownian(grid, 300, d=2, seed=12)
+    cases = [
+        (dict(F=None, G=constant_G), driving),
+        (dict(F=linear_F, G=None), driving),
+        (dict(F=None, G=None), driving),
+        (dict(F=linear_F, G=constant_G, xi=brownian, A_spec=random_A), driving),
+        (dict(F=None, G=constant_G, A_spec=random_A), driving),
+        (dict(F=linear_F, G=registry.build_G({"name": "linear", "params": {"b": 0.4}}),
+              xi=brownian, m=2, d=2), driving_2d),
+        # e^{beta A} overflows, and its zero-generator products are NaN
+        (dict(F=None, G=constant_G, beta=800.0), driving),
+        (dict(F=linear_F, G=None, beta=800.0, A_spec=random_A), driving),
+    ]
+    for fields, ensemble in cases:
+        problem = base_problem(delta=grid.delta, **fields)
+        ensemble = realize_increasing_process(problem.A_spec, ensemble)
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries = check_integrability(problem, ensemble).entries
+        assert entries == integrability_by_whole_stacks(problem, ensemble), fields
+        if fields.get("beta"):
+            assert not entries["A1_F"].finite
 
 
 # ----------------------------------------------------------------- problems

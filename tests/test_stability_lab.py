@@ -26,7 +26,7 @@ from delaybsde.errors import FamilyInvalidError
 from delaybsde.model import ProblemSpec
 from delaybsde.path_calculus import BVFunction, GridFunction, TimeGrid
 from delaybsde.path_calculus import cumulative_stieltjes, helly_bray_distance
-from delaybsde.stability_lab import (HellyBrayRow, PerturbationFamily,
+from delaybsde.stability_lab import (HellyBrayRow, PerturbationFamily, ShiftedPaths,
                                      bv_tail_curve, generator_gap,
                                      helly_bray_stochastic_check,
                                      oscillatory_A_family,
@@ -316,6 +316,65 @@ def test_helly_bray_check_same_bits_on_broadcast_integrators(family):
     assert report == helly_bray_stochastic_check(*rows, X_lim, H_lim.copy(), grid)
 
 
+def read_only(a):
+    a = np.asarray(a)
+    a.flags.writeable = False
+    return a
+
+
+# (BLOCK_BYTES, paths per tile): every node a chunk of its own; chunks of 7
+# nodes, so that 64 steps end on a partial chunk, and tiles of 128 paths, so
+# that 300 paths end on a partial tile; the default
+@pytest.mark.parametrize("block_bytes, tile", [(1, 512), (7 * 8 * 6 * 300, 128), (None, None)])
+def test_helly_bray_check_matches_whole_stack_integrals(monkeypatch, block_bytes, tile):
+    if block_bytes is not None:
+        monkeypatch.setattr(stability_lab, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(stability_lab, "_TILE", tile)
+    grid = TimeGrid.uniform(1.0, 64)
+    ens = simulate_brownian(grid, 300, d=2, seed=13)
+    rng = np.random.default_rng(13)
+    t = grid.nodes
+    W, V = read_only(ens.W[:, :, 0]), read_only(ens.W[:, :, 1].copy())
+    X_list = [
+        ShiftedPaths(W, read_only(np.sin(3 * t))),   # the limit's base
+        read_only(rng.standard_normal(W.shape)),     # integrands that share no base
+        ShiftedPaths(V, read_only(t ** 2)),
+        read_only(V[:1] + t),                        # a single row
+        read_only(np.asfortranarray(rng.standard_normal(W.shape))),
+    ]
+    H_list = [
+        read_only(np.broadcast_to(t + np.sin(6 * t) / 12, W.shape)),
+        read_only(np.cumsum(rng.exponential(size=W.shape), axis=1)),   # dense per path
+        read_only(np.maximum.accumulate(V, axis=1)),
+        read_only(t[None, :] ** 2),                                     # a single row
+        read_only(np.broadcast_to(t[None, :] ** 2, W.shape)),
+    ]
+    X_lim, H_lim = W, read_only(np.broadcast_to(t, W.shape))
+    arrays = [W, V, *H_list, *(X for X in X_list if isinstance(X, np.ndarray))]
+    before = [np.copy(a) for a in arrays]
+    report = helly_bray_stochastic_check(X_list, H_list, X_lim, H_lim, grid)
+    dense_X = [np.asarray(X) for X in X_list]
+    assert report.rows == whole_stack_rows(dense_X, H_list, X_lim, H_lim)
+    assert report == helly_bray_stochastic_check(dense_X, H_list, X_lim, H_lim, grid)
+    assert all(np.array_equal(a, b) for a, b in zip(before, arrays))
+    # single-row members against the multi-row limit
+    rows = [X[:1] for X in dense_X], [H[:1] for H in H_list]
+    report = helly_bray_stochastic_check(*rows, X_lim, H_lim, grid)
+    assert report.rows == whole_stack_rows(*rows, X_lim, H_lim)
+    # a single-row limit against multi-row members
+    report = helly_bray_stochastic_check(dense_X, H_list, X_lim[:1], H_lim[:1], grid)
+    assert report.rows == whole_stack_rows(dense_X, H_list, X_lim[:1], H_lim[:1])
+    # a single path
+    paths = [[a[5:6] if a.shape[0] > 1 else a for a in stacks] for stacks in (dense_X, H_list)]
+    report = helly_bray_stochastic_check(*paths, X_lim[5:6], H_lim[5:6], grid)
+    assert report.rows == whole_stack_rows(*paths, X_lim[5:6], H_lim[5:6])
+
+
+def test_stability_lab_still_binds_cumulative_stieltjes():
+    # the traced benchmark run patches the name here
+    assert stability_lab.cumulative_stieltjes is cumulative_stieltjes
+
+
 MEMBER_STACK = 5_000 * 513 * 8   # one member's integrand or integral, bytes
 
 
@@ -372,3 +431,5 @@ def test_helly_bray_input_validation():
         helly_bray_stochastic_check([t], [t, t], t, t, grid)
     with pytest.raises(ValueError):
         helly_bray_stochastic_check([t[:, :5]], [t[:, :5]], t[:, :5], t[:, :5], grid)
+    with pytest.raises(ValueError, match="no paths"):
+        helly_bray_stochastic_check([t[:0]], [t], t, t, grid)
