@@ -32,7 +32,7 @@ from .errors import (BlowupError, ConfigError, ConstraintViolationError,
                      NonContractionError)
 from .model import c_admissible, check_integrability, preflight
 from .path_calculus import TimeGrid
-from .picard_solver import consistency_residuals, contraction_report, solve
+from .picard_solver import SCHEMES, consistency_residuals, contraction_report, solve
 from .registry import build_F, build_G, build_terminal, problem_from_dict
 from .stability_lab import (helly_bray_stochastic_check, oscillatory_A_family,
                             oscillatory_integration_family,
@@ -104,7 +104,7 @@ def _basis(key, cast):
 _FAMILIES = {"oscillatory": oscillatory_integration_family,
              "resonant": resonant_integration_family}
 _ENSEMBLE = {"seed": (0, _integer(0)), "n_paths": (2000, _integer(1))}
-_SWEEP = {"max_iter": (25, _integer(1)), "scheme": ("explicit", _choice("explicit", "implicit"))}
+_SWEEP = {"max_iter": (25, _integer(1)), "scheme": ("explicit", _choice(*SCHEMES))}
 # every setting a command reads: section -> key -> (default, cast); None is the root
 SETTINGS = {
     None: {"out": ("delaybsde-out", _text)},
@@ -418,7 +418,7 @@ def cmd_solve(args):
     y0 = ", ".join(_format(v) for v in solution.initial_value)
     print(f"solve: converged={diag.converged} iterations={diag.iterations} Y(0)=[{y0}]")
     print(f"contraction: {report.verdict} tail_max={report.tail_max:.6g} "
-          f"mu_lambda={diag.mu_lambda:.6g}")
+          f"mu_lambda={np.nan if diag.mu_lambda is None else diag.mu_lambda:.6g}")
     mtg, rms = consistency_residuals(problem, solution)
     print(f"martingale residual={mtg:.3e} self consistency rms={rms:.3e}")
     ok = diag.converged and report.verdict != "FAIL"
@@ -489,7 +489,7 @@ def build_parser():
         p.add_argument("--config", required=True, help="path to a JSON config file")
         for name, text in _OVERRIDES.values():
             p.add_argument(f"--{name.lower()}", help=f"{text} (env {ENV_PREFIX}{name})")
-        p.add_argument("--threads", type=int,
+        p.add_argument("--threads", type=_threads,
                        help="pin BLAS thread pools to this count (re-executes the process)")
 
     for name, func, text in (
@@ -503,24 +503,12 @@ def build_parser():
     return parser
 
 
-def thread_count(argv):
-    """The ``--threads`` value in argv, or None when the flag is absent.
-
-    Raises ValueError unless the value is a positive integer no larger than
-    the machine's CPU count.
-    """
-    raw = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            raw = argv[i + 1]
-        elif arg.startswith("--threads="):
-            raw = arg.split("=", 1)[1]
-    if raw is None:
-        return None
+def _threads(text):
+    """The --threads cast: an integer from 1 to the machine's CPU count."""
     limit = os.cpu_count() or 1
-    if not (raw.isdecimal() and 1 <= int(raw) <= limit):
-        raise ValueError(f"--threads must be an integer from 1 to {limit}, got {raw!r}")
-    return int(raw)
+    if not (text.isdecimal() and 1 <= int(text) <= limit):
+        raise argparse.ArgumentTypeError(f"must be an integer from 1 to {limit}, got {text!r}")
+    return int(text)
 
 
 def _apply_threads(argv, threads):
@@ -545,16 +533,10 @@ def run(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     try:
-        threads = thread_count(argv)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _apply_threads(argv, threads)
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
+    _apply_threads(argv, args.threads)
 
     try:
         return args.func(args)

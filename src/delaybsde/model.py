@@ -361,10 +361,7 @@ def _K_sup(K, grid: TimeGrid, ensemble: PathEnsemble | None):
             raise ValueError("a callable kernel bound must return finite "
                              "nonnegative values")
         return vals.max(axis=-1)
-    vals = np.asarray(K, dtype=float)
-    if vals.ndim == 0:
-        return float(vals)
-    return float(vals.max())
+    return float(np.max(np.asarray(K, dtype=float)))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ __all__ = [
     "cumulative_stieltjes",
     "stored_rows",
     "node_major_zeros",
+    "node_major",
     "delay_windows",
     "delay_window",
     "delayed_segment",
@@ -44,6 +45,8 @@ __all__ = [
 # that many bytes of running integrals, limit and members together, per
 # chunk of nodes.
 BLOCK_BYTES = 1 << 20
+# Paths per tile of a node-major copy, so that a tile's strided reads stay in cache.
+_TILE = 512
 
 
 def delay_fits_horizon(delta: float, T: float) -> bool:
@@ -262,6 +265,18 @@ def node_major_zeros(shape) -> np.ndarray:
     """Zeros of the path-major shape (n_paths, n_nodes, ...), laid out
     node-major in memory, so that X[:, i] is one contiguous block."""
     return np.zeros((shape[1], shape[0]) + tuple(shape[2:])).swapaxes(0, 1)
+
+
+def node_major(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The stored rows of a path stack (n_paths, n_nodes, ...) copied in
+    tiles of _TILE paths into out, which has their shape and is laid out
+    node-major, or else into a fresh node_major_zeros array made read-only."""
+    X = stored_rows(X)
+    into = node_major_zeros(X.shape) if out is None else out
+    for p in range(0, X.shape[0], _TILE):
+        into[p:p + _TILE] = X[p:p + _TILE]
+    into.flags.writeable = out is not None
+    return into
 
 
 def delay_windows(X: np.ndarray, k: int, kind: str = "state"):

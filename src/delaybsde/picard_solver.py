@@ -9,7 +9,7 @@ smallness conditions hold; the solver tracks the contraction empirically and
 compares it with the theoretical factor mu_lambda.
 
 Layout: path stacks are (n_paths, n_nodes, ...); sweep arrays, the Picard
-iterate and the solve's norm weights included, are node-major
+iterate and a random A's norm weights included, are node-major
 (path_calculus.node_major_zeros), and solve returns C order.
 """
 
@@ -26,9 +26,9 @@ from .errors import (BlowupError, ConstraintViolationError,
 from .model import (Preflight, ProblemSpec, equivalent_norm,
                     evaluate_generator, generator_reads, norm_weights,
                     preflight)
-from .path_calculus import delay_windows, node_major_zeros, stored_rows
+from .path_calculus import delay_windows, node_major, node_major_zeros, stored_rows
 from .stochastic_engine import (PathEnsemble, RegressionBasis, RegressionPlan,
-                                _node_major, realize_increasing_process)
+                                is_integer, realize_increasing_process)
 # not called here (model.preflight calls the checks, the solver reads windows
 # through delay_windows); bench/tracing.py looks these names up here
 from .model import check_H1, check_H2, select_lambda  # noqa: F401
@@ -36,6 +36,7 @@ from .path_calculus import delay_window as node_segment
 from .stochastic_engine import conditional_expectation  # noqa: F401
 
 __all__ = [
+    "SCHEMES",
     "SolverDiagnostics",
     "Solution",
     "ContractionReport",
@@ -52,6 +53,7 @@ log = logging.getLogger(__name__)
 BLOWUP_THRESHOLD = 1e8  # |Y + B| above this at a node raises BlowupError
 # ends solve's refusal; a caller that takes no force setting drops it
 FORCE_HINT = "; pass force=True to run anyway"
+SCHEMES = ("explicit", "implicit")  # how a sweep advances the value, see gamma_step
 
 
 def _read_only(X: np.ndarray) -> np.ndarray:
@@ -87,6 +89,11 @@ def _plan_for(ensemble: PathEnsemble, plan: RegressionPlan | None,
         raise ValueError("the regression plan was built for another ensemble, "
                          "whose W or random A is not this one's")
     return plan
+
+
+def _check_scheme(scheme) -> None:
+    if scheme not in SCHEMES:
+        raise ValueError(f"scheme must be {' or '.join(map(repr, SCHEMES))}")
 
 
 def _check_fit(problem: ProblemSpec, ensemble: PathEnsemble) -> None:
@@ -155,8 +162,7 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     above BLOWUP_THRESHOLD or not finite raises BlowupError.  Y and Z come
     back node-major whatever the layout of U and V.
     """
-    if scheme not in ("explicit", "implicit"):
-        raise ValueError("scheme must be 'explicit' or 'implicit'")
+    _check_scheme(scheme)
     _check_fit(problem, ensemble)
     grid = ensemble.grid
     plan = _plan_for(ensemble, plan)
@@ -259,7 +265,7 @@ def consistency_residuals(problem: ProblemSpec, solution: Solution) -> tuple:
     _check_fit(problem, ensemble)
     grid = ensemble.grid
     k, steps = grid.delta_index_offset, grid.steps()
-    Y, Z, W = (_node_major(X) for X in (solution.Y, solution.Z, ensemble.W))
+    Y, Z, W = (node_major(X) for X in (solution.Y, solution.Z, ensemble.W))
     dA = np.diff(stored_rows(ensemble.A), axis=1)
     f_reads = generator_reads(problem.F)
     y_windows = _windows(Y, k, "y_seg" in (f_reads | generator_reads(problem.G)))
@@ -287,8 +293,9 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
           max_iter: int = 25, scheme: str = "explicit",
           c: float | None = None, force: bool = False) -> Solution:
     """Iterate the outer map from (0, 0) until the successive squared
-    distance in the contraction norm is at most tol (a number >= 0, else
-    ValueError).
+    distance in the contraction norm is at most tol or max_iter passes have
+    run.  A tol that is not a number >= 0, a max_iter that is not an integer
+    >= 1 or a scheme outside SCHEMES raises ValueError before anything runs.
 
     ``plan`` sets the regression as in gamma_step and may be shared by the
     solves on one regression state (RegressionPlan.serves); ``basis`` is
@@ -297,9 +304,9 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     smallness budget.  Realizes A if need be, refuses an ensemble that does
     not fit the problem (_check_fit), then runs model.preflight and refuses
     when any of its checks fails, unless force=True; the record is kept as
-    diagnostics.preflight either way.  A's node-major row or rows, dA and
-    the norm weights are the solve's: a random A's come from the plan's
-    A_by_node, a deterministic A's from one copy of its row.
+    diagnostics.preflight either way.  dA and the norm weights are the
+    solve's: a random A's come from the plan's A_by_node, a deterministic
+    A's from the one row it stores, which is not copied.
 
     The map reads the previous iterate only through B, when G reads y or
     y_seg, and through F's delay windows (model.generator_reads).  When G
@@ -315,6 +322,9 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     """
     if not tol >= 0:
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+    if not is_integer(max_iter, 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    _check_scheme(scheme)
     if basis is not None and plan is not None:
         raise ValueError("pass basis or plan, not both")
     if ensemble.A is None:
@@ -339,10 +349,9 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     ratios: list[float] = []
     converged = False
     plan = _plan_for(ensemble, plan, basis)
-    # weights in the sweep's layout, from one node-major copy of A: the
-    # plan's for a random A, the solve's own of a deterministic A's row
-    weights = norm_weights(plan.A_by_node if plan.reads_A else _node_major(ensemble.A),
-                           grid, alpha, beta)
+    # weights in the sweep's layout: from the plan's node-major copy of a
+    # random A, from the one row a deterministic A stores
+    weights = norm_weights(plan.A_by_node if plan.reads_A else ensemble.A, grid, alpha, beta)
     dA = weights[1]  # the one dA of the solve
     reads = _iterate_reads(problem)
     B = None if "B" in reads else _read_only(build_B(problem, ensemble, U, dA=dA))

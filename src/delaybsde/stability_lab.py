@@ -23,13 +23,14 @@ from .model import (ProblemSpec, argument_clouds, effective_c, equivalent_norm,
                     evaluate_generator, weighted_norm)
 # unused here (solve's preflight calls them); bench/tracing.py looks them up here
 from .model import check_H1, check_H2  # noqa: F401
-from .path_calculus import BLOCK_BYTES, TimeGrid, stored_rows
+from .path_calculus import BLOCK_BYTES, TimeGrid, node_major, stored_rows
 # unused here (the check keeps its own running sums); bench/tracing.py looks it up here
 from .path_calculus import cumulative_stieltjes  # noqa: F401
 from .picard_solver import FORCE_HINT, solve
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
-                                RegressionBasis, RegressionPlan,
-                                realize_increasing_process, simulate_brownian)
+                                RegressionBasis, RegressionPlan, member_index,
+                                oscillation, realize_increasing_process,
+                                simulate_brownian)
 
 __all__ = [
     "PerturbationFamily",
@@ -68,11 +69,17 @@ class PerturbationFamily:
                 if getattr(member, attr) != getattr(self.base, attr):
                     raise ValueError(
                         f"member {i} differs from the base in {attr}")
-        if self.labels is not None and len(self.labels) != len(self.members):
-            raise ValueError("one label per member")
+        _labels(self.labels, len(self.members))
 
     def label_of(self, i: int) -> str:
-        return str(self.labels[i]) if self.labels is not None else str(i)
+        return _labels(self.labels, len(self.members))[i]
+
+
+def _labels(labels, count: int) -> list:
+    """Text labels of count members, their indices by default; ValueError unless one each."""
+    if labels is not None and len(labels) != count:
+        raise ValueError("one label per member")
+    return [str(label) for label in (range(count) if labels is None else labels)]
 
 
 def oscillatory_A_family(base: ProblemSpec, n_values) -> PerturbationFamily:
@@ -284,15 +291,10 @@ class HellyBrayReport:
         return "\n".join(lines)
 
 
-# Paths per tile of a node-major copy, so that a tile's strided reads stay in cache.
-_TILE = 512
-
-
 def _node_major_reader(chunk: int):
     """Reader (a, lo, hi) -> a[:, lo:hi].T for a stack of stored rows: a view
-    of a single row, else a copy made in tiles of _TILE paths, once per
-    distinct stack and node range, into one buffer of chunk + 1 nodes per
-    stack."""
+    of a single row, else a path_calculus.node_major copy, once per distinct
+    stack and node range, into one buffer of chunk + 1 nodes per stack."""
     copies = {}
 
     def read(a, lo: int, hi: int):
@@ -301,10 +303,8 @@ def _node_major_reader(chunk: int):
         key = (a.__array_interface__["data"][0], a.shape, a.strides)
         out, at = copies.get(key, (None, None))
         if at != (lo, hi):
-            if out is None:
-                out = np.empty((chunk + 1, a.shape[0]))
-            for p in range(0, a.shape[0], _TILE):
-                out[:hi - lo, p:p + _TILE] = a[p:p + _TILE, lo:hi].T
+            out = np.empty((chunk + 1, a.shape[0])) if out is None else out
+            node_major(a[:, lo:hi], out=out[:hi - lo].T)
             copies[key] = out, (lo, hi)
         return out[:hi - lo]
 
@@ -339,6 +339,7 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
     """
     if not (len(X_list) == len(H_list) >= 1):
         raise ValueError("need equally many integrands and integrators")
+    labels = _labels(labels, len(X_list))
     n_nodes = grid.nodes.size
 
     def rows_of(arr):
@@ -402,8 +403,7 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
                for nu in nu_ladder}
         ks = float(ks_2samp(terminal, terminal_lim, method="asymp").statistic) \
             if terminal.size > 1 else float(abs(terminal[0] - terminal_lim[0]))
-        label = str(labels[j]) if labels is not None else str(j)
-        rows.append(HellyBrayRow(label=label,
+        rows.append(HellyBrayRow(label=labels[j],
                                  sup_distance=float(np.mean(per_path_sup)),
                                  phi=phi, ks_statistic=ks))
 
@@ -460,19 +460,14 @@ class ShiftedPaths:
 
 def oscillatory_integration_family(ensemble: PathEnsemble, n_values):
     """Coupled family X_n = W + p_n, H_n = t + p_n with the common vanishing
-    oscillation p_n(t) = T sin(2 pi n t / T) / (4 pi n); limits (W, t), W
-    the first Brownian component.  Each member stores one row: X_n is a
-    ShiftedPaths over the shared W, H_n a broadcast row."""
-    grid = ensemble.grid
-    t = grid.nodes
-    T = grid.T
+    oscillation p_n (stochastic_engine.oscillation, which refuses an n that is
+    not an integer >= 1); limits (W, t), W the first Brownian component.  Each
+    member stores one row: X_n is a ShiftedPaths over W, H_n a broadcast row."""
+    t = ensemble.grid.nodes
     W = ensemble.W[:, :, 0]
-    X_list, H_list = [], []
-    for n in n_values:
-        p = T * np.sin(2 * np.pi * int(n) * t / T) / (4 * np.pi * int(n))
-        X_list.append(ShiftedPaths(W, p))
-        H_list.append(np.broadcast_to(t + p, W.shape))
-    return X_list, H_list, W, np.broadcast_to(t, W.shape)
+    rows = [oscillation(n, t, ensemble.grid.T) for n in n_values]
+    return ([ShiftedPaths(W, p) for p in rows], [np.broadcast_to(t + p, W.shape) for p in rows],
+            W, np.broadcast_to(t, W.shape))
 
 
 def resonant_integration_family(ensemble: PathEnsemble, n_values):
@@ -480,7 +475,8 @@ def resonant_integration_family(ensemble: PathEnsemble, n_values):
     uniformly but with variation of order n, and X_n = W + cos(2 pi n^2 t)/
     sqrt(n) rides the resonance, W the first Brownian component; the coupled
     integrals do not converge.  Each member stores one row: X_n is a
-    ShiftedPaths over the shared W, H_n a broadcast row.
+    ShiftedPaths over the shared W, H_n a broadcast row.  An n that is not
+    an integer >= 1 is refused (stochastic_engine.member_index).
 
     A member with 2 n^2 T >= n_steps has no more steps than half-periods, so
     the grid aliases it (on 512 steps over [0, 1], n = 16 samples sin(pi j),
@@ -490,15 +486,13 @@ def resonant_integration_family(ensemble: PathEnsemble, n_values):
     t = grid.nodes
     n_steps = t.size - 1
     W = ensemble.W[:, :, 0]
-    n_values = [int(n) for n in n_values]
+    n_values = [member_index(n) for n in n_values]
     aliased = [f"n={n} needs at least {math.floor(2 * n * n * grid.T) + 1} steps"
                for n in n_values if 2 * n * n * grid.T >= n_steps]
     if aliased:
         log.warning("resonant members alias on %d steps (2 n^2 T >= n_steps): %s",
                     n_steps, ", ".join(aliased))
-    X_list, H_list = [], []
-    for n in n_values:
-        H = np.sin(2 * np.pi * n * n * t) / (4 * np.pi * n)
-        X_list.append(ShiftedPaths(W, np.cos(2 * np.pi * n * n * t) / np.sqrt(n)))
-        H_list.append(np.broadcast_to(H, W.shape))
+    X_list = [ShiftedPaths(W, np.cos(2 * np.pi * n * n * t) / np.sqrt(n)) for n in n_values]
+    H_list = [np.broadcast_to(np.sin(2 * np.pi * n * n * t) / (4 * np.pi * n), W.shape)
+              for n in n_values]
     return X_list, H_list, W, np.broadcast_to(np.zeros_like(t), W.shape)

@@ -15,7 +15,7 @@ Layout: ensembles are C order, W as (n_paths, n_nodes, d) and A as
 (n_paths, n_nodes), except that a deterministic A is a read-only broadcast
 of its one row over the paths; code reads the rows an A stores through
 path_calculus.stored_rows.  A RegressionPlan's sweep arrays are node-major
-(path_calculus.node_major_zeros).
+(path_calculus.node_major).
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import GridAlignmentError, MonotonicityError, SingularSystemError
-from .path_calculus import (TimeGrid, delay_fits_horizon, node_major_zeros,
-                            stored_rows)
+from .path_calculus import TimeGrid, delay_fits_horizon, node_major, stored_rows
 
 __all__ = [
     "PathEnsemble",
@@ -42,6 +41,8 @@ __all__ = [
     "RegressionPlan",
     "is_integer",
     "is_number",
+    "member_index",
+    "oscillation",
     "simulate_brownian",
     "realize_increasing_process",
     "omega_delta",
@@ -152,6 +153,20 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def member_index(n):
+    """n, a family member's index; ValueError unless an integer >= 1, not a bool."""
+    if not is_integer(n, 1):
+        raise ValueError(f"a member index n must be an integer >= 1, got {n!r}")
+    return n
+
+
+def oscillation(n, t: np.ndarray, T: float) -> np.ndarray:
+    """p_n(t) = T sin(2 pi n t / T) / (4 pi n), the vanishing oscillation of
+    member n (member_index) of an oscillatory A or integration family."""
+    n = member_index(n)
+    return T * np.sin(2 * np.pi * n * t / T) / (4 * np.pi * n)
+
+
 PROCESS_KINDS = ("deterministic", "running_max", "time_integral", "oscillatory")
 # the kinds whose params name a function: the key, its default and registry
 _NAMED = {"deterministic": ("shape", "identity", _DET_SHAPES),
@@ -178,7 +193,7 @@ class IncreasingProcessSpec:
     Kinds: "deterministic" (a named or callable shape of t),
     "running_max" (running maximum of one Brownian component),
     "time_integral" (integral of a positive functional of W, left sums),
-    "oscillatory" (a base spec plus T*sin(2 pi n t / T)/(4 pi n)).
+    "oscillatory" (a base spec plus the oscillation p_n, ``oscillation``).
     Every kind is a functional of the driving W or of time alone, which is
     what keeps A adapted; arbitrary exogenous processes are not accepted.
     A kind outside PROCESS_KINDS, an unregistered shape or functional name, or
@@ -255,9 +270,7 @@ def _realize_A(spec: IncreasingProcessSpec, ensemble: PathEnsemble) -> np.ndarra
         np.cumsum(rates * grid.steps()[None, :], axis=1, out=A[:, 1:])
         return A
     # "oscillatory", the one kind left
-    n = spec.params["n"]
-    T = grid.T
-    bump = T * np.sin(2 * np.pi * n * nodes / T) / (4 * np.pi * n)
+    bump = oscillation(spec.params["n"], nodes, grid.T)
     return _realize_A(spec.params["base"], ensemble) + bump[None, :]
 
 
@@ -390,16 +403,6 @@ def fit_least_squares(design: np.ndarray, targets: np.ndarray,
     return _solve_normal(_normal_matrix(design, ridge), design, targets)
 
 
-def _node_major(X: np.ndarray) -> np.ndarray:
-    """Read-only copy of the stored rows of a path stack (n_paths, n_nodes,
-    ...), laid out as node_major_zeros so that X[:, i] is one contiguous block."""
-    X = stored_rows(X)
-    out = node_major_zeros(X.shape)
-    out[...] = X
-    out.flags.writeable = False
-    return out
-
-
 def _regression_state(ensemble: PathEnsemble) -> tuple:
     """(W, A) that a RegressionPlan regresses on: the ensemble's W, and its A
     when A is random (``A_spec.is_random``), else None."""
@@ -454,7 +457,7 @@ class RegressionPlan:
     @functools.cached_property
     def W_by_node(self) -> np.ndarray:
         """W as (n_paths, n_nodes, d), read-only, laid out node-major."""
-        return _node_major(self._state[0])
+        return node_major(self._state[0])
 
     @functools.cached_property
     def A_by_node(self) -> np.ndarray:
@@ -462,7 +465,7 @@ class RegressionPlan:
         node-major; ValueError when the state holds none."""
         if not self.reads_A:
             raise ValueError("the regression state holds no random A")
-        return _node_major(self._state[1])
+        return node_major(self._state[1])
 
     def design(self, step: int) -> np.ndarray:
         extras = [self.A_by_node[:, step]] if self.reads_A else None

@@ -757,6 +757,23 @@ def test_one_refusal_rule(tmp_path, capsys, check):
             else "check-assumptions: FAIL (1 failures)") in text
 
 
+def test_forced_solve_without_a_contracting_lambda_reports_mu_lambda_nan(tmp_path, capsys):
+    # the lambda check alone fails, so no mu_lambda exists; forced, the solve
+    # converges and its contraction is judged against the unit bound
+    config = base_config()
+    config["problem"].update(REFUSALS["lambda"][0])
+    config["solver"]["force"] = True
+    out = tmp_path / "out"
+    code = cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(out), "--paths", "200"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "contraction: PASS" in captured.out and "mu_lambda=nan" in captured.out
+    assert "Traceback" not in captured.err
+    _, cols = read_csv_dict(out / "diagnostics.csv")
+    assert cols["mu_lambda"].size and np.all(np.isnan(cols["mu_lambda"]))
+
+
 def test_hellybray_command(tmp_path, capsys):
     config_path = write_config(tmp_path, base_config())
     out = tmp_path / "out"
@@ -857,11 +874,19 @@ def test_threads_flag_reexecs_cleanly(tmp_path):
     assert (out / "solution_Y.csv").exists()
 
 
-def test_thread_count_validation(monkeypatch):
+def test_thread_count_validation(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert cli.thread_count(["solve", "--config", "c.json"]) is None
-    assert cli.thread_count(["solve", "--threads", "1"]) == 1
-    assert cli.thread_count(["solve", "--threads=4"]) == 4
+    parse = cli.build_parser().parse_args
+    assert parse(["solve", "--config", "c.json"]).threads is None
+    assert parse(["solve", "--config", "c.json", "--threads", "1"]).threads == 1
+    assert parse(["solve", "--config", "c.json", "--threads=4"]).threads == 4
+    config_path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
     for bad in ("0", "-2", "5", "two", "1.5", ""):
-        with pytest.raises(ValueError, match="--threads"):
-            cli.thread_count(["solve", "--threads", bad])
+        # refused by the parser, before a re-exec or any output
+        assert cli.run(["solve", "--config", config_path, "--out", str(out),
+                        "--threads", bad]) == 1
+        err = capsys.readouterr().err
+        assert f"argument --threads: must be an integer from 1 to 4, got {bad!r}" in err
+        assert "Traceback" not in err
+        assert not out.exists()

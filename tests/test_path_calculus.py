@@ -8,6 +8,7 @@ antiderivatives for the oscillatory families.
 import numpy as np
 import pytest
 
+from delaybsde import path_calculus
 from delaybsde.errors import GridAlignmentError
 from delaybsde.path_calculus import (
     BVFunction,
@@ -17,6 +18,7 @@ from delaybsde.path_calculus import (
     cumulative_stieltjes,
     delayed_segment,
     helly_bray_distance,
+    node_major,
     node_major_zeros,
     read_csv,
     step_approximation,
@@ -359,6 +361,51 @@ def test_node_major_zeros_keeps_each_node_contiguous(shape):
     assert all(X[:, i].flags.c_contiguous for i in range(shape[1]))
     # the node blocks follow one another in memory
     assert X.strides[1] == X[:, 0].nbytes
+
+
+def plain_node_major(X):
+    """The stored rows of X in a node_major_zeros array, in one assignment."""
+    X = stored_rows(X)
+    out = node_major_zeros(X.shape)
+    out[...] = X
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.strides == b.strides and \
+        np.ascontiguousarray(a).view(np.uint64).tobytes() == \
+        np.ascontiguousarray(b).view(np.uint64).tobytes()
+
+
+# a C-order W with a -0.0 and a NaN, a random A, a broadcast one-row A
+NODE_MAJOR_CASES = {
+    "W": lambda rng: np.where(rng.random((300, 21, 2)) < 0.01, -0.0,
+                              rng.standard_normal((300, 21, 2))),
+    "W-nan": lambda rng: np.where(rng.random((300, 21, 2)) < 0.01, np.nan,
+                                  rng.standard_normal((300, 21, 2))),
+    "random-A": lambda rng: np.cumsum(rng.exponential(size=(300, 21)), axis=1),
+    "broadcast-A": lambda rng: np.broadcast_to(np.linspace(0.0, 1.0, 21), (300, 21)),
+}
+
+
+# tiles of 128 paths end on a partial tile of 44 at 300 paths
+@pytest.mark.parametrize("tile", [None, 128])
+@pytest.mark.parametrize("case", sorted(NODE_MAJOR_CASES))
+def test_node_major_copies_the_stored_rows_bit_for_bit(monkeypatch, case, tile):
+    if tile is not None:
+        monkeypatch.setattr(path_calculus, "_TILE", tile)
+    X = NODE_MAJOR_CASES[case](np.random.default_rng(3))
+    copy = node_major(X)
+    assert same_bits(copy, plain_node_major(X))
+    assert copy.shape == stored_rows(X).shape and not copy.flags.writeable
+    assert all(copy[:, i].flags.c_contiguous for i in range(21))
+    # into a node-major buffer, such as the transposed one the Helly-Bray
+    # check reads: the same bits, the buffer stays writable
+    rows = stored_rows(X)
+    buffer = np.full((21, rows.shape[0]) + rows.shape[2:], 7.0)
+    into = node_major(X, out=buffer.swapaxes(0, 1))
+    assert into.base is buffer and into.flags.writeable
+    assert same_bits(into, plain_node_major(X))
 
 
 def test_delayed_segment_needs_delta():

@@ -487,8 +487,23 @@ def spy_on_node_major_zeros(monkeypatch):
         shapes.append(tuple(shape))
         return node_major_zeros(shape)
 
-    for module in (path_calculus, picard_solver, stochastic_engine):
+    for module in (path_calculus, picard_solver, model):
         monkeypatch.setattr(module, "node_major_zeros", spy)
+    return shapes
+
+
+def spy_on_node_major(monkeypatch):
+    """Shapes of the stacks every path_calculus.node_major call copies from
+    here on."""
+    shapes = []
+    node_major_copy = path_calculus.node_major
+
+    def spy(X, out=None):
+        shapes.append(X.shape)
+        return node_major_copy(X, out)
+
+    for module in (path_calculus, picard_solver, stochastic_engine):
+        monkeypatch.setattr(module, "node_major", spy)
     return shapes
 
 
@@ -533,20 +548,24 @@ def test_sweep_without_F_reads_no_window(monkeypatch):
     assert [s for s in shapes if s[1] != 21] == []
 
 
-def test_solve_copies_one_row_of_a_deterministic_A(monkeypatch):
+def test_solve_makes_no_node_major_copy_of_a_deterministic_A(monkeypatch):
+    # the norm weights and dA come from the one row A stores, as it is
     shapes = spy_on_node_major_zeros(monkeypatch)
+    copies = spy_on_node_major(monkeypatch)
     prob = make_problem(F=registry.build_F({"name": "linear", "params": {"a_y": 0.2}}),
                         G=registry.build_G({"name": "linear", "params": {"b": 0.1}}),
                         xi=registry.build_terminal({"name": "brownian", "params": {}}))
     sol = solve(prob, make_ensemble(70, n_steps=20, seed=6))
     assert sol.diagnostics.iterations >= 2
-    assert (1, 21) in shapes and (70, 21) not in shapes
+    assert (1, 21) not in shapes and (70, 21) not in shapes
+    assert copies == [(70, 21, 1)]   # the plan's W_by_node alone
 
 
 def test_solve_copies_a_random_A_node_major_once(monkeypatch):
     # the plan's one node-major copy of A serves the design's A column, the
     # norm weights and dA
     shapes = spy_on_node_major_zeros(monkeypatch)
+    copies = spy_on_node_major(monkeypatch)
     spec = IncreasingProcessSpec("time_integral", {"functional": "inv_quadratic"})
     prob = make_problem(F=registry.build_F({"name": "linear", "params": {"a_y": 0.2}}),
                         G=registry.build_G({"name": "linear", "params": {"b": 0.1}}),
@@ -555,6 +574,7 @@ def test_solve_copies_a_random_A_node_major_once(monkeypatch):
     sol = solve(prob, make_ensemble(70, n_steps=20, seed=6, spec=spec))
     assert sol.diagnostics.iterations >= 2
     assert shapes.count((70, 21)) == 1 and (1, 21) not in shapes
+    assert sorted(copies) == [(70, 21), (70, 21, 1)]   # A_by_node and W_by_node
 
 
 def test_solve_builds_B_once_when_G_ignores_the_iterate(monkeypatch):
@@ -653,14 +673,7 @@ def test_solve_matches_pass_by_pass_replay():
 
 
 def test_conditional_expectation_makes_no_node_major_copy(monkeypatch):
-    copies = []
-    node_major_copy = stochastic_engine._node_major
-
-    def spy(X):
-        copies.append(X.shape)
-        return node_major_copy(X)
-
-    monkeypatch.setattr(stochastic_engine, "_node_major", spy)
+    copies = spy_on_node_major(monkeypatch)
     ens = make_ensemble(20_000, n_steps=20, seed=8)
     basis = RegressionBasis()
     targets = ens.W[:, -1, 0] ** 2
@@ -755,6 +768,30 @@ def test_constant_map_sweeps_once_with_the_bits_of_the_full_loop(monkeypatch, ca
 def test_solve_refuses_a_tolerance_that_cannot_be_met(tol):
     with pytest.raises(ValueError, match="tol must be a number >= 0"):
         solve(make_problem(), make_ensemble(20), tol=tol)
+
+
+@pytest.mark.parametrize("settings, match", [
+    ({"max_iter": 0}, "max_iter must be an integer >= 1, got 0"),
+    ({"max_iter": 2.5}, "max_iter must be an integer >= 1, got 2.5"),
+    ({"max_iter": True}, "max_iter must be an integer >= 1, got True"),
+    ({"scheme": "midpoint"}, "scheme must be 'explicit' or 'implicit'"),
+    ({"tol": -1.0}, "tol must be a number >= 0"),
+])
+def test_solve_refuses_bad_sweep_settings_before_its_preflight(monkeypatch, settings, match):
+    calls = []
+    checks = picard_solver.preflight
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return checks(*args, **kwargs)
+
+    monkeypatch.setattr(picard_solver, "preflight", spy)
+    prob, ens = make_problem(), make_ensemble(20)
+    with pytest.raises(ValueError, match=match):
+        solve(prob, ens, **settings)
+    assert calls == []
+    solve(prob, ens, max_iter=1)   # the spy sees a solve that runs
+    assert calls == [1]
 
 
 def test_solve_takes_a_plan_that_serves_its_ensemble():
@@ -978,7 +1015,7 @@ def residuals_on_the_iterate(problem, solution):
     grid = ens.grid
     k, steps = grid.delta_index_offset, grid.steps()
     plan = stochastic_engine.RegressionPlan(RegressionBasis(), ens)
-    A = plan.A_by_node if plan.reads_A else stochastic_engine._node_major(ens.A)
+    A = plan.A_by_node if plan.reads_A else ens.A
     dA = model.norm_weights(A, grid, problem.alpha, problem.beta)[1]
     W, Y, Z = plan.W_by_node, node_major(solution.Y), node_major(solution.Z)
     y_win, z_win = delay_windows(Y, k), delay_windows(Z, k, "control")

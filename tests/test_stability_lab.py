@@ -21,7 +21,7 @@ import pytest
 from dataclasses import replace
 from scipy.stats import ks_2samp
 
-from delaybsde import registry, stability_lab, stochastic_engine
+from delaybsde import path_calculus, registry, stability_lab, stochastic_engine
 from delaybsde.errors import FamilyInvalidError
 from delaybsde.model import ProblemSpec
 from delaybsde.path_calculus import BVFunction, GridFunction, TimeGrid
@@ -329,7 +329,7 @@ def read_only(a):
 def test_helly_bray_check_matches_whole_stack_integrals(monkeypatch, block_bytes, tile):
     if block_bytes is not None:
         monkeypatch.setattr(stability_lab, "BLOCK_BYTES", block_bytes)
-        monkeypatch.setattr(stability_lab, "_TILE", tile)
+        monkeypatch.setattr(path_calculus, "_TILE", tile)
     grid = TimeGrid.uniform(1.0, 64)
     ens = simulate_brownian(grid, 300, d=2, seed=13)
     rng = np.random.default_rng(13)
@@ -433,3 +433,52 @@ def test_helly_bray_input_validation():
         helly_bray_stochastic_check([t[:, :5]], [t[:, :5]], t[:, :5], t[:, :5], grid)
     with pytest.raises(ValueError, match="no paths"):
         helly_bray_stochastic_check([t[:0]], [t], t, t, grid)
+
+
+@pytest.mark.parametrize("family", [oscillatory_integration_family,
+                                    resonant_integration_family])
+@pytest.mark.parametrize("n", [2.5, 0, -2, True])
+def test_integration_families_refuse_a_member_index_below_1_or_not_an_integer(family, n):
+    ens = simulate_brownian(TimeGrid.uniform(1.0, 64), 10, seed=3)
+    with pytest.raises(ValueError, match=f"member index n must be an integer >= 1, got {n!r}"):
+        family(ens, [n, 4])
+    # numpy integers are integers
+    X_list, H_list, _, _ = family(ens, np.array([2, 4]))
+    assert len(X_list) == len(H_list) == 2
+
+
+def test_oscillatory_family_and_oscillatory_A_share_one_oscillation():
+    # H_n = t + p_n and the oscillatory A over A = t carry the same p_n, bit for bit
+    grid = TimeGrid.uniform(2.0, 64)
+    ens = simulate_brownian(grid, 4, seed=3)
+    _, H_list, _, _ = oscillatory_integration_family(ens, [1, 3, 8])
+    for n, H in zip([1, 3, 8], H_list):
+        spec = IncreasingProcessSpec("oscillatory", {"base": IDENTITY_A, "n": n})
+        A = stochastic_engine.realize_increasing_process(spec, ens).A
+        p = grid.T * np.sin(2 * np.pi * n * grid.nodes / grid.T) / (4 * np.pi * n)
+        assert np.array_equal(A[0], H[0]) and np.array_equal(H[0], grid.nodes + p)
+
+
+@pytest.mark.parametrize("labels", [["a"], ["a", "b", "c", "d"]])
+def test_helly_bray_check_refuses_labels_of_the_wrong_length_before_integrating(
+        monkeypatch, labels):
+    copies = []
+    copy = stability_lab.node_major
+
+    def spy(X, out=None):
+        copies.append(X.shape)
+        return copy(X, out)
+
+    monkeypatch.setattr(stability_lab, "node_major", spy)
+    grid = TimeGrid.uniform(1.0, 32)
+    inputs = oscillatory_integration_family(simulate_brownian(grid, 20, seed=4), [2, 4, 8])
+    with pytest.raises(ValueError, match="one label per member"):
+        helly_bray_stochastic_check(*inputs, grid, labels=labels)
+    assert copies == []
+    report = helly_bray_stochastic_check(*inputs, grid, labels=["a", "b", "c"])
+    assert [row.label for row in report.rows] == ["a", "b", "c"] and copies
+    # the family formats its labels by the same rule
+    with pytest.raises(ValueError, match="one label per member"):
+        PerturbationFamily(base=make_base(), members=[make_base()] * 3, labels=labels)
+    family = PerturbationFamily(base=make_base(), members=[make_base()] * 3, labels=[2, 4.0, "x"])
+    assert [family.label_of(i) for i in range(3)] == ["2", "4.0", "x"]
