@@ -528,16 +528,15 @@ def _apply_threads(argv, threads):
     os.execve(sys.executable, [sys.executable, "-m", "delaybsde.cli"] + list(argv), env)
 
 
-def run(argv=None):
-    """Parse arguments and dispatch; returns the process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
+def _parse(argv):
+    """argv's arguments, or the exit code when argparse exits (--help, a refusal)."""
     try:
-        args = build_parser().parse_args(argv)
+        return build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    _apply_threads(argv, args.threads)
 
+
+def _dispatch(args):
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -548,8 +547,20 @@ def run(argv=None):
         return 1
 
 
+def run(argv=None):
+    """Parse arguments and dispatch; returns the process exit code.  It never
+    re-executes, so in-process --threads pins no pool: main() does that."""
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    return args if isinstance(args, int) else _dispatch(args)
+
+
 def main():
-    sys.exit(run())
+    """The console entry point: run, after _apply_threads' re-exec for --threads."""
+    args = _parse(sys.argv[1:])
+    if isinstance(args, int):
+        sys.exit(args)
+    _apply_threads(sys.argv[1:], args.threads)
+    sys.exit(_dispatch(args))
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
 """Backward scheme and outer fixed-point iteration.
 
-One outer step freezes the delayed arguments at the previous iterate (U, V),
-absorbs the Stieltjes term into the running integral
-B(t) = int_0^t G(s, U(s), U_s) dA(s), and solves the resulting standard
-backward equation for Yhat = Y + B by least-squares regression on a backward
-sweep.  Iterating this map contracts in the weighted norm whenever the
+One outer step freezes the delayed arguments at the previous iterate (U, V)
+and solves the resulting standard backward equation for Y by least-squares
+regression on a backward sweep, which adds the Stieltjes increment
+G(t_i, U(t_i), U_{t_i}) dA_i, known at t_i, to the value it projects at node
+i.  Iterating this map contracts in the weighted norm whenever the
 smallness conditions hold; the solver tracks the contraction empirically and
 compares it with the theoretical factor mu_lambda.
 
@@ -50,7 +50,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-BLOWUP_THRESHOLD = 1e8  # |Y + B| above this at a node raises BlowupError
+BLOWUP_THRESHOLD = 1e8  # |Y| above this at a node raises BlowupError
 # ends solve's refusal; a caller that takes no force setting drops it
 FORCE_HINT = "; pass force=True to run anyway"
 SCHEMES = ("explicit", "implicit")  # how a sweep advances the value, see gamma_step
@@ -67,16 +67,6 @@ def _windows(X: np.ndarray, k: int, read: bool, kind: str = "state"):
     """delay_windows(X, k, kind) for a window the driver reads, else a reader
     of None: a read before node k would fill a head that nothing reads."""
     return delay_windows(X, k, kind) if read else lambda i: None
-
-
-def _iterate_reads(problem: ProblemSpec) -> frozenset:
-    """What the outer map reads of the previous iterate (U, V), by
-    model.generator_reads: "B" when G reads y or y_seg, since B is then built
-    along U, and whichever of its "y_seg" and "z_seg" windows F reads.  F's y
-    and z come from the current sweep, so with none of these the map is
-    constant."""
-    reads = generator_reads(problem.F) & {"y_seg", "z_seg"}
-    return reads | {"B"} if generator_reads(problem.G) & {"y", "y_seg"} else reads
 
 
 def _plan_for(ensemble: PathEnsemble, plan: RegressionPlan | None,
@@ -111,31 +101,31 @@ def _check_fit(problem: ProblemSpec, ensemble: PathEnsemble) -> None:
     ensemble.realized_A()
 
 
-def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
-            U: np.ndarray, *, dA: np.ndarray | None = None) -> np.ndarray:
+def _g_increment(problem: ProblemSpec, ctx, U_in: np.ndarray, i: int, seg, dA: np.ndarray):
+    """G(t_i, U(t_i), U_{t_i}) dA_i, known at t_i: build_B sums it, gamma_step adds
+    it to its target.  A non-finite G raises GeneratorEvaluationError."""
+    g = evaluate_generator(problem.G, "G", ctx, U_in[:, i], None, seg, None, finite=True)
+    return np.multiply(g, dA[:, i, None])
+
+
+def build_B(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray) -> np.ndarray:
     """Left-point running integral of G against A along the frozen iterate,
-    as (n_paths, n_nodes, m) laid out node-major; ``dA`` (a solve's norm
-    weights hold it) defaults to the increments of ensemble.A's stored rows.
-    Refuses an ensemble that does not fit (_check_fit) or a non-finite G."""
+    as (n_paths, n_nodes, m) laid out node-major: the running sum of
+    gamma_step's increments.  Refuses an ensemble that does not fit
+    (_check_fit) or a non-finite G."""
     _check_fit(problem, ensemble)
     grid = ensemble.grid
     n, n_nodes, m = ensemble.n_paths, grid.nodes.size, problem.m
     B = node_major_zeros((n, n_nodes, m))
     if problem.G is None:
         return B
-    k = grid.delta_index_offset
-    if dA is None:
-        dA = np.diff(stored_rows(ensemble.A), axis=1)
+    dA = np.diff(stored_rows(ensemble.A), axis=1)
     U_in = _read_only(U)
-    u_windows = _windows(U, k, "y_seg" in generator_reads(problem.G))
+    u_windows = _windows(U, grid.delta_index_offset, "y_seg" in generator_reads(problem.G))
     for j in range(n_nodes - 1):
-        t = float(grid.nodes[j])
-        ctx = problem.context(grid, t, ensemble.W[:, j, :])
-        g = evaluate_generator(problem.G, "G", ctx, U_in[:, j], None, u_windows(j), None,
-                               finite=True)
-        # left sums B(t_{j+1}) = B(t_j) + g dA_j in cumsum's order, one
-        # contiguous node block at a time
-        np.multiply(g, dA[:, j, None], out=B[:, j + 1])
+        ctx = problem.context(grid, float(grid.nodes[j]), ensemble.W[:, j, :])
+        # B(t_{j+1}) = B(t_j) + g dA_j in cumsum's order, one node block at a time
+        B[:, j + 1] = _g_increment(problem, ctx, U_in, j, u_windows(j), dA)
         if j:
             B[:, j + 1] += B[:, j]
     return B
@@ -143,22 +133,23 @@ def build_B(problem: ProblemSpec, ensemble: PathEnsemble,
 
 def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
                U: np.ndarray, V: np.ndarray, *, scheme: str = "explicit",
-               plan: RegressionPlan | None = None, B: np.ndarray | None = None):
-    """One application of the outer map: (U, V) -> (Y, Z, B).
+               plan: RegressionPlan | None = None, dA: np.ndarray | None = None):
+    """One application of the outer map: (U, V) -> (Y, Z).
 
-    Backward in time: project the next shifted value on the regression
-    state, read the control from the centered increment correlation, then
-    advance the value either explicitly (driver at the next value) or
-    implicitly (per-path fixed point, driver at the current value).
+    Backward in time: add the Stieltjes increment G(U_i) dA_i, known at t_i,
+    to the next value, project that target on the regression state, read
+    the control from the centered increment correlation, then advance the
+    value either explicitly (F at the next value) or implicitly (per-path
+    fixed point, F at the current value).
 
     ``plan`` (default RegressionPlan(RegressionBasis(), ensemble)) sets the
     regression, its basis, ridge and state, and carries the work that does
     not depend on (U, V) across calls on the same regression state; a plan
     that does not serve the ensemble (RegressionPlan.serves) raises
-    ValueError.  ``B``, build_B's running integral along U, may be passed
-    in; it is read, never written.  Without one, the step builds it from U,
-    and returns the B it used.  F and G get read-only arguments.  It refuses
-    an ensemble that does not fit the problem (_check_fit); a value iterate
+    ValueError.  ``dA`` (a solve's norm weights hold it) defaults to the
+    increments of ensemble.A's stored rows.  F and G get read-only
+    arguments.  It refuses an ensemble that does not fit the problem
+    (_check_fit) or a non-finite G (GeneratorEvaluationError); a value
     above BLOWUP_THRESHOLD or not finite raises BlowupError.  Y and Z come
     back node-major whatever the layout of U and V.
     """
@@ -167,49 +158,51 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     grid = ensemble.grid
     plan = _plan_for(ensemble, plan)
     k = grid.delta_index_offset
-    n, m, d = ensemble.n_paths, problem.m, problem.d
-    n_nodes = grid.nodes.size
+    n, m, d, n_nodes = ensemble.n_paths, problem.m, problem.d, grid.nodes.size
     steps = grid.steps()
     W = plan.W_by_node
+    if dA is None:
+        dA = np.diff(stored_rows(ensemble.A), axis=1)
 
-    if B is None:
-        B = build_B(problem, ensemble, U)
     xi = np.asarray(problem.xi(ensemble), dtype=float).reshape(n, m)
     if not np.all(np.isfinite(xi)):
         raise GeneratorEvaluationError("terminal values are not finite")
 
-    Yhat = node_major_zeros((n, n_nodes, m))
+    Y = node_major_zeros((n, n_nodes, m))
     Z = node_major_zeros((n, n_nodes, m, d))
-    Z_in = _read_only(Z)
-    Yhat[:, -1] = xi + B[:, -1]
+    Y_in, Z_in, U_in = _read_only(Y), _read_only(Z), _read_only(U)
+    Y[:, -1] = xi
     f_reads = generator_reads(problem.F)
-    u_windows = _windows(U, k, "y_seg" in f_reads)
+    u_windows = _windows(U, k, "y_seg" in (f_reads | generator_reads(problem.G)))
     v_windows = _windows(V, k, "z_seg" in f_reads, kind="control")
 
     for i in range(n_nodes - 2, -1, -1):
         dt = float(steps[i])
         dW = W[:, i + 1] - W[:, i]
         design = plan.design(i)
-        nxt = Yhat[:, i + 1]
+        nxt = Y_in[:, i + 1]
+        ctx = problem.context(grid, float(grid.nodes[i]), W[:, i])
+        seg_y = u_windows(i)
+        tgt = nxt
+        if problem.G is not None:
+            tgt = _g_increment(problem, ctx, U_in, i, seg_y, dA)
+            tgt += nxt
 
-        mean_fit, _ = plan.fit(i, design, nxt)
-        z_target = (nxt - mean_fit)[:, :, None] * dW[:, None, :] / dt
+        mean_fit, _ = plan.fit(i, design, tgt)
+        z_target = (tgt - mean_fit)[:, :, None] * dW[:, None, :] / dt
         z_fit, _ = plan.fit(i, design, z_target.reshape(n, m * d))
         Z[:, i] = z_fit.reshape(n, m, d)
 
-        t = float(grid.nodes[i])
-        ctx = problem.context(grid, t, W[:, i])
         if problem.F is None:
             cur = mean_fit
         elif scheme == "explicit":
-            drv = evaluate_generator(problem.F, "F", ctx, _read_only(nxt - B[:, i + 1]),
-                                     Z_in[:, i], u_windows(i), v_windows(i))
-            cur, _ = plan.fit(i, design, nxt + dt * drv)
+            drv = evaluate_generator(problem.F, "F", ctx, nxt, Z_in[:, i], seg_y, v_windows(i))
+            cur, _ = plan.fit(i, design, tgt + dt * drv)
         else:
-            seg_y, seg_z = u_windows(i), v_windows(i)
+            seg_z = v_windows(i)
             cur = mean_fit.copy()
             for _ in range(20):
-                drv = evaluate_generator(problem.F, "F", ctx, _read_only(cur - B[:, i]),
+                drv = evaluate_generator(problem.F, "F", ctx, _read_only(cur),
                                          Z_in[:, i], seg_y, seg_z)
                 new = mean_fit + dt * drv
                 gap = float(np.max(np.abs(new - cur))) if np.all(np.isfinite(new)) else np.inf
@@ -217,14 +210,12 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
                 if gap < 1e-12:
                     break
         if not np.all(np.isfinite(cur)) or np.max(np.abs(cur)) > BLOWUP_THRESHOLD:
-            raise BlowupError(f"value iterate exploded at node {i} (t={t:.6g})")
-        Yhat[:, i] = cur
+            raise BlowupError(f"value iterate exploded at node {i} (t={ctx.t:.6g})")
+        Y[:, i] = cur
         del design  # free it before the next node builds its own
 
     Z[:, -1] = Z[:, -2]
-    Y = np.subtract(Yhat, B, out=Yhat)
-    Y[:, -1] = xi
-    return Y, Z, B
+    return Y, Z
 
 
 @dataclass(frozen=True)
@@ -308,12 +299,11 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     solve's: a random A's come from the plan's A_by_node, a deterministic
     A's from the one row it stores, which is not copied.
 
-    The map reads the previous iterate only through B, when G reads y or
-    y_seg, and through F's delay windows (model.generator_reads).  When G
-    reads neither, B is built once and every pass reuses it.  When the map
-    reads no iterate at all, pass 2 would repeat pass 1 bit for bit, so it
-    is skipped (logged at INFO) and recorded as what it would give: the
-    distance 0.0, the ratio 0.0, iterations == 2 and converged.  This needs
+    The map reads the previous iterate only through G's y and y_seg and
+    F's delay windows (model.generator_reads).  When it reads none of them,
+    pass 2 would repeat pass 1 bit for bit, so it is skipped (logged at
+    INFO) and recorded as what it would give: the distance 0.0, the ratio
+    0.0, iterations == 2 and converged.  This needs
     max_iter >= 2 and a pass 1 that did not converge.  A generator without
     ``reads`` counts as reading everything and keeps the full loop.
     Raises NonContractionError when the iteration budget is spent while the
@@ -352,9 +342,9 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     # weights in the sweep's layout: from the plan's node-major copy of a
     # random A, from the one row a deterministic A stores
     weights = norm_weights(plan.A_by_node if plan.reads_A else ensemble.A, grid, alpha, beta)
-    dA = weights[1]  # the one dA of the solve
-    reads = _iterate_reads(problem)
-    B = None if "B" in reads else _read_only(build_B(problem, ensemble, U, dA=dA))
+    # what the map reads of its previous iterate; F's y and z are the sweep's
+    reads = (generator_reads(problem.F) & {"y_seg", "z_seg"}
+             | generator_reads(problem.G) & {"y", "y_seg"})
 
     for it in range(1, max_iter + 1):
         if it == 2 and not reads:
@@ -364,8 +354,7 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
             ratios.append(0.0)
             converged = True
             break
-        B_it = build_B(problem, ensemble, U, dA=dA) if B is None else B
-        Y, Z, _ = gamma_step(problem, ensemble, U, V, scheme=scheme, plan=plan, B=B_it)
+        Y, Z = gamma_step(problem, ensemble, U, V, scheme=scheme, plan=plan, dA=weights[1])
         # the distances overwrite the previous iterate, which is not read again
         step_norm = equivalent_norm(np.subtract(Y, U, out=U), np.subtract(Z, V, out=V),
                                     ensemble.A, grid, alpha=alpha, beta=beta, a=a, b=b,

@@ -874,6 +874,24 @@ def test_threads_flag_reexecs_cleanly(tmp_path):
     assert (out / "solution_Y.csv").exists()
 
 
+def test_run_with_threads_returns_to_its_caller(tmp_path):
+    # an in-process run used to replace its caller through the re-exec, so
+    # the caller's next line never ran
+    config_path = write_config(tmp_path, base_config())
+    out = tmp_path / "out"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("DELAYBSDE_")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import sys\nfrom delaybsde import cli\n"
+              "code = cli.run(['solve', '--config', sys.argv[1], '--paths', '50',"
+              " '--out', sys.argv[2], '--threads', '1'])\nprint('returned', code)\n")
+    proc = subprocess.run([sys.executable, "-c", script, config_path, str(out)],
+                          capture_output=True, text=True, env=env, cwd=str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "returned 0"
+    assert (out / "solution_Y.csv").exists()
+
+
 def test_thread_count_validation(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     parse = cli.build_parser().parse_args

@@ -20,7 +20,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from delaybsde import model, path_calculus, picard_solver, registry, stochastic_engine
+from delaybsde import (model, path_calculus, picard_solver, registry, stability_lab,
+                       stochastic_engine)
 from delaybsde.errors import (BlowupError, ConstraintViolationError,
                               GeneratorEvaluationError, GridAlignmentError,
                               NonContractionError, SingularSystemError)
@@ -241,6 +242,9 @@ def test_build_B_rejects_bad_generator():
     prob = make_problem(G=bad)
     with pytest.raises(GeneratorEvaluationError):
         build_B(prob, ens, np.zeros((2, 11, 1)))
+    # the sweep evaluates G at its own node and refuses it the same way
+    with pytest.raises(GeneratorEvaluationError, match="G returned a non-finite value"):
+        gamma_step(prob, ens, np.zeros((2, 11, 1)), np.zeros((2, 11, 1, 1)))
 
 
 # --------------------------------------------------------------- gamma_step
@@ -250,12 +254,11 @@ def test_gamma_step_martingale_case():
     prob = make_problem(xi=registry.build_terminal({"name": "brownian", "params": {}}))
     U = np.zeros((20000, 21, 1))
     V = np.zeros((20000, 21, 1, 1))
-    Y, Z, B = gamma_step(prob, ens, U, V)
+    Y, Z = gamma_step(prob, ens, U, V)
     assert np.array_equal(Y[:, -1, 0], ens.W[:, -1, 0])
     err = np.sqrt(np.mean((Y[:, :, 0] - ens.W[:, :, 0]) ** 2))
     assert err < 0.02
     assert np.sqrt(np.mean((Z - 1.0) ** 2)) < 0.05
-    assert np.all(B == 0.0)
 
 
 def test_gamma_step_two_dimensional_value():
@@ -268,7 +271,7 @@ def test_gamma_step_two_dimensional_value():
     prob = make_problem(xi=xi, m=2)
     U = np.zeros((4000, 11, 2))
     V = np.zeros((4000, 11, 2, 1))
-    Y, Z, _ = gamma_step(prob, ens, U, V)
+    Y, Z = gamma_step(prob, ens, U, V)
     assert np.sqrt(np.mean((Y[:, :, 0] - ens.W[:, :, 0]) ** 2)) < 0.05
     assert np.sqrt(np.mean((Y[:, :, 1] + ens.W[:, :, 0]) ** 2)) < 0.05
     assert abs(np.mean(Z[:, :-1, 0, 0]) - 1.0) < 0.05
@@ -282,7 +285,7 @@ def test_gamma_step_deterministic_stieltjes_exact():
     prob = make_problem(G=registry.build_G({"name": "constant", "params": {"value": 1.0}}))
     U = np.zeros((50, 101, 1))
     V = np.zeros((50, 101, 1, 1))
-    Y, Z, _ = gamma_step(prob, ens, U, V)
+    Y, Z = gamma_step(prob, ens, U, V)
     want = (1.0 - ens.grid.nodes ** 2)[None, :]
     # float + ridge noise only (the 1e-10 ridge perturbs each of the 100 fits)
     assert np.max(np.abs(Y[:, :, 0] - want)) < 1e-8
@@ -304,10 +307,10 @@ def test_gamma_step_affine_in_frozen_arguments():
     U2 = rng.normal(size=(200, 11, 1))
     V2 = rng.normal(size=(200, 11, 1, 1))
     lam = 0.3
-    Y1, Z1, _ = gamma_step(prob, ens, U1, V1)
-    Y2, Z2, _ = gamma_step(prob, ens, U2, V2)
-    Ym, Zm, _ = gamma_step(prob, ens, lam * U1 + (1 - lam) * U2,
-                           lam * V1 + (1 - lam) * V2)
+    Y1, Z1 = gamma_step(prob, ens, U1, V1)
+    Y2, Z2 = gamma_step(prob, ens, U2, V2)
+    Ym, Zm = gamma_step(prob, ens, lam * U1 + (1 - lam) * U2,
+                        lam * V1 + (1 - lam) * V2)
     assert np.allclose(Ym, lam * Y1 + (1 - lam) * Y2, atol=1e-9)
     assert np.allclose(Zm, lam * Z1 + (1 - lam) * Z2, atol=1e-9)
 
@@ -319,8 +322,8 @@ def test_gamma_step_schemes_agree_to_first_order():
         xi=registry.build_terminal({"name": "brownian", "params": {}}))
     U = np.zeros((2000, 51, 1))
     V = np.zeros((2000, 51, 1, 1))
-    Ye, _, _ = gamma_step(prob, ens, U, V, scheme="explicit")
-    Yi, _, _ = gamma_step(prob, ens, U, V, scheme="implicit")
+    Ye, _ = gamma_step(prob, ens, U, V, scheme="explicit")
+    Yi, _ = gamma_step(prob, ens, U, V, scheme="implicit")
     assert np.max(np.abs(Ye[:, 0] - Yi[:, 0])) < 0.05
     with pytest.raises(ValueError):
         gamma_step(prob, ens, U, V, scheme="midpoint")
@@ -417,7 +420,7 @@ def test_gamma_step_singular_design_without_ridge():
     plan = stochastic_engine.RegressionPlan(RegressionBasis(ridge=0.0), ens)
     with pytest.raises(SingularSystemError):
         gamma_step(prob, ens, U, V, plan=plan)
-    Y, _, _ = gamma_step(prob, ens, U, V)
+    Y, _ = gamma_step(prob, ens, U, V)
     assert np.all(np.isfinite(Y))
 
 
@@ -435,6 +438,67 @@ def test_gamma_step_rejects_plan_of_another_ensemble():
     with pytest.raises(ValueError, match="another ensemble"):
         gamma_step(make_problem(A_spec=spec), realize_increasing_process(spec, ens),
                    np.zeros((20, 11, 1)), np.zeros((20, 11, 1, 1)), plan=plan)
+
+
+# ----------------------------------------- Stieltjes feedback, product oracle
+
+def product_factors(A_row, dt, b, a_y, scheme):
+    """c_i of the sweep's fixed point Y_i = c_i W_i for F = a_y y, G = b y and
+    xi = W(T): c_N = 1 and c_i = c_{i+1} (1 + a_y dt)/(1 - b dA_i) explicit,
+    c_{i+1}/(1 - b dA_i - a_y dt) implicit."""
+    dA = np.diff(A_row)
+    step = ((1 + a_y * dt) / (1 - b * dA) if scheme == "explicit"
+            else 1 / (1 - b * dA - a_y * dt))
+    return np.append(np.cumprod(step[::-1])[::-1], 1.0)
+
+
+@pytest.mark.parametrize("seed", [23, 7])
+@pytest.mark.parametrize("a_y, scheme", [(0.0, "explicit"), (0.3, "explicit"),
+                                         (0.3, "implicit")])
+def test_feedback_G_paths_match_the_product_oracle(seed, a_y, scheme):
+    # G = 0.5y makes the running integral of G a path functional that no
+    # polynomial in W(t_i) represents; regressing it with the target left
+    # a path RMSE of 0.11-0.16 here
+    F = registry.build_F({"name": "linear", "params": {"a_y": a_y}}) if a_y else None
+    prob = make_problem(F=F, G=registry.build_G({"name": "linear", "params": {"b": 0.5}}),
+                        xi=registry.build_terminal({"name": "brownian", "params": {}}))
+    ens = make_ensemble(2000, n_steps=50, seed=seed)
+    sol = solve(prob, ens, basis=RegressionBasis(degree=2), scheme=scheme)
+    assert sol.diagnostics.converged
+    c = product_factors(stored_rows(ens.A)[0], 1 / 50, 0.5, a_y, scheme)
+    rmse = float(np.sqrt(np.mean((sol.Y[:, :, 0] - c * ens.W[:, :, 0]) ** 2)))
+    assert rmse <= 0.06
+
+
+@pytest.mark.parametrize("seed", [23, 5])
+def test_feedback_family_errors_match_their_closed_form(seed):
+    # run_stability's error per member, E sup|Y_n - Y|^2 + E int |Z_n - Z|^2
+    # dt, against the same functional of the exact fixed points Y_i = c_i W_i,
+    # Z_i = c_{i+1} on the same W; the family's verdict passed either way
+    n_values, n_paths, n_steps = (1, 2, 4, 8, 16), 2000, 100
+    base = make_problem(G=registry.build_G({"name": "linear", "params": {"b": 0.5}}),
+                        xi=registry.build_terminal({"name": "brownian", "params": {}}),
+                        K=0.0, K_tilde=0.0)
+    family = stability_lab.oscillatory_A_family(base, n_values)
+    report = stability_lab.run_stability(family, n_paths=n_paths, n_steps=n_steps,
+                                         seed=seed, basis=RegressionBasis(degree=2))
+    grid = TimeGrid.uniform(1.0, n_steps, delta=0.1)
+    driving = simulate_brownian(grid, n_paths, seed=seed)
+
+    def exact(problem):
+        """(Y, Z, A) of problem's fixed point on the driving paths."""
+        A = realize_increasing_process(problem.A_spec, driving).A
+        c = product_factors(stored_rows(A)[0], 1 / n_steps, 0.5, 0.0, "explicit")
+        Z = np.broadcast_to(np.append(c[1:], 1.0)[None, :, None, None],
+                            (n_paths, n_steps + 1, 1, 1))
+        return c[None, :, None] * driving.W, Z, A
+
+    Y0, Z0, A0 = exact(base)
+    for member, row in zip(family.members, report.rows):
+        Yn, Zn, _ = exact(member)
+        want = equivalent_norm(Yn - Y0, Zn - Z0, A0, grid, alpha=0.0, beta=0.0,
+                               a=0.0, b=1.0).total
+        assert 0.9 <= row.error / want <= 1.1, (member.A_spec.params["n"], row.error / want)
 
 
 # ------------------------------------------------------------------- layout
@@ -469,13 +533,36 @@ def test_gamma_step_and_build_B_ignore_input_layout(scheme):
     V = rng.normal(size=(300, 21, 1, 1))
     B = build_B(prob, ens, U)
     assert np.array_equal(build_B(prob, ens, node_major(U)), B)
-    Y, Z, B1 = gamma_step(prob, ens, U, V, scheme=scheme)
-    Y2, Z2, B2 = gamma_step(prob, ens, node_major(U), node_major(V), scheme=scheme)
+    Y, Z = gamma_step(prob, ens, U, V, scheme=scheme)
+    Y2, Z2 = gamma_step(prob, ens, node_major(U), node_major(V), scheme=scheme)
     assert np.array_equal(Y2, Y) and np.array_equal(Z2, Z)
-    assert np.array_equal(B2, B1) and np.array_equal(B1, B)
     # the sweep's layout: path-major shape, each node one contiguous block
     assert Y.shape == (300, 21, 1) and Z.shape == (300, 21, 1, 1)
     assert all(Y[:, i].flags.c_contiguous and Z[:, i].flags.c_contiguous for i in range(21))
+
+
+def test_build_B_is_the_running_sum_of_gamma_steps_increments(monkeypatch):
+    # both read G's increment through _g_increment; this ties the node, the
+    # context and the dA each one hands it
+    prob = segment_problem()
+    ens = make_ensemble(300, n_steps=20, seed=6, spec=prob.A_spec)
+    rng = np.random.default_rng(10)
+    U = rng.normal(size=(300, 21, 1))
+    V = rng.normal(size=(300, 21, 1, 1))
+    increments = {}
+    g_increment = picard_solver._g_increment
+
+    def spy(problem, ctx, U_in, i, seg, dA):
+        increments[i] = g_increment(problem, ctx, U_in, i, seg, dA)
+        return increments[i].copy()  # gamma_step adds its next value in place
+
+    monkeypatch.setattr(picard_solver, "_g_increment", spy)
+    gamma_step(prob, ens, U, V)
+    monkeypatch.undo()
+    assert sorted(increments) == list(range(20))
+    running = np.cumsum(np.stack([increments[i] for i in range(20)], axis=1), axis=1)
+    B = build_B(prob, ens, U)
+    assert np.array_equal(B[:, 1:], running) and not B[:, 0].any()
 
 
 def spy_on_node_major_zeros(monkeypatch):
@@ -561,6 +648,23 @@ def test_solve_makes_no_node_major_copy_of_a_deterministic_A(monkeypatch):
     assert copies == [(70, 21, 1)]   # the plan's W_by_node alone
 
 
+def test_each_pass_allocates_only_its_Y_and_Z_stacks(monkeypatch):
+    # G reads y, so a pass used to build a third stack, the running integral
+    # of G along its iterate
+    shapes = spy_on_node_major_zeros(monkeypatch)
+    copies = spy_on_node_major(monkeypatch)
+    prob = make_problem(F=registry.build_F({"name": "linear", "params": {"a_y": 0.2}}),
+                        G=registry.build_G({"name": "linear", "params": {"b": 0.1}}),
+                        xi=registry.build_terminal({"name": "brownian", "params": {}}))
+    sol = solve(prob, make_ensemble(70, n_steps=20, seed=6), tol=1e-30, max_iter=3)
+    assert sol.diagnostics.iterations == 3
+    Y, Z = (70, 21, 1), (70, 21, 1, 1)
+    # the zero iterate, the plan's W_by_node on pass 1's first design, then
+    # each pass's Y and Z
+    assert copies == [(70, 21, 1)]
+    assert shapes == [Y, Z, (70, 21, 1)] + [Y, Z] * 3
+
+
 def test_solve_copies_a_random_A_node_major_once(monkeypatch):
     # the plan's one node-major copy of A serves the design's A column, the
     # norm weights and dA
@@ -577,7 +681,10 @@ def test_solve_copies_a_random_A_node_major_once(monkeypatch):
     assert sorted(copies) == [(70, 21), (70, 21, 1)]   # A_by_node and W_by_node
 
 
-def test_solve_builds_B_once_when_G_ignores_the_iterate(monkeypatch):
+def test_solve_builds_no_B_and_a_constant_G_needs_no_reads_flag(monkeypatch):
+    # the sweep adds G's increment at its own node, so no solve builds the
+    # running integral, and a G that declares it reads nothing gives the bits
+    # of one that declares nothing (and so counts as reading the iterate)
     calls = []
     build = picard_solver.build_B
 
@@ -594,19 +701,17 @@ def test_solve_builds_B_once_when_G_ignores_the_iterate(monkeypatch):
     F = registry.build_F({"name": "linear_plus_rho",
                           "params": {"a_y": 0.2, "a_z": 0.1, "kappa_rho": 0.3}})
     xi = registry.build_terminal({"name": "brownian", "params": {}})
-    # (G, build_B calls in a three-pass solve): a G without a reads flag
-    # counts as reading the iterate
     cases = {
-        "constant": (registry.build_G({"name": "constant", "params": {"value": 1.0}}), 1),
-        "hand-written": (hand_written_constant, 3),
-        "linear": (registry.build_G({"name": "linear", "params": {"b": 0.1}}), 3),
+        "constant": registry.build_G({"name": "constant", "params": {"value": 1.0}}),
+        "hand-written": hand_written_constant,
+        "linear": registry.build_G({"name": "linear", "params": {"b": 0.1}}),
     }
     sols = {}
-    for name, (G, want) in cases.items():
-        calls.clear()
+    for name, G in cases.items():
         sols[name] = solve(make_problem(F=F, G=G, xi=xi), ens, tol=1e-30, max_iter=3,
                            force=True)
-        assert sols[name].diagnostics.iterations == 3 and len(calls) == want, name
+        assert sols[name].diagnostics.iterations == 3, name
+    assert calls == []
     once, per_pass = sols["constant"], sols["hand-written"]
     assert np.array_equal(once.Y, per_pass.Y) and np.array_equal(once.Z, per_pass.Z)
     assert once.diagnostics.deltas == per_pass.diagnostics.deltas
@@ -664,7 +769,7 @@ def test_solve_matches_pass_by_pass_replay():
     deltas = []
     for _ in range(diag.iterations):
         # a fresh regression plan and norm weights on every pass
-        Y, Z, _ = gamma_step(prob, ens, U, V)
+        Y, Z = gamma_step(prob, ens, U, V)
         deltas.append(equivalent_norm(Y - U, Z - V, ens.A, ens.grid, alpha=diag.alpha,
                                       beta=diag.beta, a=diag.a, b=diag.b).total)
         U, V = Y, Z
@@ -1083,8 +1188,8 @@ def test_replay_frozen_coefficients():
         xi=registry.build_terminal({"name": "brownian", "params": {}}), A_spec=spec)
     n = ens.n_paths
     plan = RegressionPlan(RegressionBasis(), ens)
-    Y, _, _ = gamma_step(prob, ens, np.zeros((n, 21, 1)), np.zeros((n, 21, 1, 1)),
-                         plan=plan)
+    Y, _ = gamma_step(prob, ens, np.zeros((n, 21, 1)), np.zeros((n, 21, 1, 1)),
+                      plan=plan)
 
     split = 10
     perm = np.random.default_rng(0).permutation(n)
