@@ -35,6 +35,7 @@ __all__ = [
     "weighted_norm",
     "equivalent_norm",
     "norm_weights",
+    "norm_power",
     "c_threshold",
     "c_admissible",
     "effective_c",
@@ -236,7 +237,9 @@ class NormReport:
 
 
 def _as_paths(values, n_nodes, trailing):
-    """Normalize to (n_paths, n_nodes, *trailing)."""
+    """Normalize to (n_paths, n_nodes, *trailing); None stays None."""
+    if values is None:
+        return None
     values = np.asarray(values, dtype=float)
     want = 2 + len(trailing)
     while values.ndim < want:
@@ -256,6 +259,11 @@ def _sq_size(values):
     return sq
 
 
+def _node_major(X, n: int) -> bool:
+    """Whether X holds n paths and X[:, i] is one contiguous block."""
+    return X.shape[0] == n and X[:, 0].flags.c_contiguous
+
+
 def norm_weights(A, grid: TimeGrid, alpha: float, beta: float):
     """(w, dA): the norm weights w = e^{alpha t + beta A(t)}, (rows, n_nodes),
     and the increments of A, (rows, n_steps), on the rows A stores
@@ -273,32 +281,132 @@ def norm_weights(A, grid: TimeGrid, alpha: float, beta: float):
     return w, np.subtract(A[:, 1:], A[:, :-1])
 
 
-def _assemble_norm(Y, Z, A, grid: TimeGrid, *, p: float, alpha: float,
-                   beta: float, a: float, b: float, weights=None) -> NormReport:
-    """Terms of E sup w|Y|^p, (E int w|Y|^2 dA)^{p/2} and (E int w|Z|^2 dt)^{p/2}
-    with weights w = e^{alpha t + beta A(t)}, by left-point sums.  ``weights``
-    is norm_weights(A, grid, alpha, beta), built here when not given; they
-    multiply into |Y|^2 and |Z|^2 in place (products commute exactly)."""
-    w, dA = norm_weights(A, grid, alpha, beta) if weights is None else weights
-    sup_term = dA_term = dt_term = 0.0
+def _array_terms(Y, Z, w, dA, dt, p):
+    """Per-path (sup w|Y|^p, sum w|Y|^2 dA, sum w|Z|^2 dt) over whole stacks;
+    w multiplies into |Y|^2 and |Z|^2 in place (products commute exactly).
+    A term whose stack is None is None."""
+    top = y_int = z_int = None
     if Y is not None:
-        Y = _as_paths(Y, grid.nodes.size, ("m",))
         ysq = _sq_size(Y)
         top = w * ysq ** (p / 2.0) if p != 2.0 else None
         ysq *= w  # w|Y|^2, which is w|Y|^p for p = 2
-        sup_term = float(np.mean(np.max(ysq if top is None else top, axis=1)))
-        wy = np.multiply(ysq[:, :-1], dA, out=ysq[:, :-1])
-        dA_term = float(np.mean(np.sum(wy, axis=1))) ** (p / 2.0)
+        top = np.max(ysq if top is None else top, axis=1)
+        y_int = np.sum(np.multiply(ysq[:, :-1], dA, out=ysq[:, :-1]), axis=1)
     if Z is not None:
-        Z = _as_paths(Z, grid.nodes.size, ("m", "d"))
         zsq = _sq_size(Z)[:, :-1]
         zsq *= w[:, :-1]
-        dt_term = float(np.mean(np.sum(np.multiply(zsq, grid.steps(), out=zsq), axis=1))) ** (p / 2.0)
+        z_int = np.sum(np.multiply(zsq, dt, out=zsq), axis=1)
+    return top, y_int, z_int
+
+
+def _node_sq(X, U, i, e, sq):
+    """|X_i - U_i|^2 per path (|X_i|^2 when U is None) from the contiguous
+    blocks X[:, i] and U[:, i], components added in index order; e, (n, k)
+    for k components, and sq, (n,), are scratch, one of which holds the
+    result."""
+    n = X.shape[0]
+    x = X[:, i].reshape(n, -1)
+    if U is None:
+        np.square(x, out=e)
+    else:
+        np.square(np.subtract(x, U[:, i].reshape(n, -1), out=e), out=e)
+    if e.shape[1] == 1:
+        return e[:, 0]
+    np.add(e[:, 0], e[:, 1], out=sq)
+    for j in range(2, e.shape[1]):
+        sq += e[:, j]
+    return sq
+
+
+def _walk_terms(Y, U, Z, V, w, dA, dt, p):
+    """_array_terms of Y - U and Z - V (U, V may be None) for node-major
+    stacks, by one forward walk over the nodes with scratch of one node's
+    size: each product is formed in the same order, and numpy sums a
+    node-major stack along its node axis one node at a time, so the bits
+    are the same."""
+    n, n_nodes = (Y if Z is None else Z).shape[:2]
+    top = y_int = z_int = None
+    scratch = np.empty(n)
+    if Y is not None:
+        ey = np.empty((n, Y[0, 0].size))
+        top, y_int = np.full(n, -np.inf), np.zeros(n)
+    if Z is not None:
+        ez = np.empty((n, Z[0, 0].size))
+        z_int = np.zeros(n)
+    for i in range(n_nodes):
+        last = i == n_nodes - 1
+        if Y is not None:
+            sq = _node_sq(Y, U, i, ey, scratch)
+            if p != 2.0:
+                t = sq ** (p / 2.0)
+                np.maximum(top, np.multiply(t, w[:, i], out=t), out=top)
+            sq *= w[:, i]
+            if p == 2.0:
+                np.maximum(top, sq, out=top)
+            if not last:
+                sq *= dA[:, i]
+                y_int += sq
+        if Z is not None and not last:
+            sq = _node_sq(Z, V, i, ez, scratch)
+            sq *= w[:, i]
+            sq *= dt[i]
+            z_int += sq
+    return top, y_int, z_int
+
+
+def _assemble_norm(Y, Z, A, grid: TimeGrid, *, p: float, alpha: float,
+                   beta: float, a: float, b: float, weights=None,
+                   minus=None) -> NormReport:
+    """Terms of E sup w|Y|^p, (E int w|Y|^2 dA)^{p/2} and (E int w|Z|^2 dt)^{p/2}
+    with weights w = e^{alpha t + beta A(t)}, by left-point sums.  ``weights``
+    is norm_weights(A, grid, alpha, beta), built here when not given.
+    ``minus`` = (U, V) measures Y - U and Z - V instead, either may be None.
+
+    When every stack it reads (Y, Z, U, V, and w, dA unless they hold one
+    row) is node-major with more than one path, the per-path terms come from
+    one walk over the nodes (_walk_terms) with no temporary the size of a
+    stack: it reads each stack once, where the whole-array code passes over
+    it about ten times.  Any other layout (C order, one path, a broadcast
+    stack) forms Y - U and Z - V and takes the whole-array code
+    (_array_terms): numpy sums a C-contiguous row, and so a single path,
+    pairwise, which a walk in node order would not reproduce, and on C-order
+    stacks the walk, striding across every row, is no faster."""
+    w, dA = norm_weights(A, grid, alpha, beta) if weights is None else weights
+    n_nodes, dt = grid.nodes.size, grid.steps()
+    U, V = (None, None) if minus is None else minus
+    Y, U = (_as_paths(X, n_nodes, ("m",)) for X in (Y, U))
+    Z, V = (_as_paths(X, n_nodes, ("m", "d")) for X in (Z, V))
+    stacks = [X for X in (Y, U, Z, V) if X is not None]
+    n = stacks[0].shape[0] if stacks else 0
+    if w.shape[0] > 1:
+        stacks += [w, dA]
+    if n > 1 and all(_node_major(X, n) for X in stacks):
+        top, y_int, z_int = _walk_terms(Y, U, Z, V, w, dA, dt, p)
+    else:
+        if Y is not None and U is not None:
+            Y = np.subtract(Y, U)
+        if Z is not None and V is not None:
+            Z = np.subtract(Z, V)
+        top, y_int, z_int = _array_terms(Y, Z, w, dA, dt, p)
+    sup_term = dA_term = dt_term = 0.0
+    if Y is not None:
+        sup_term = float(np.mean(top))
+        dA_term = float(np.mean(y_int)) ** (p / 2.0)
+    if Z is not None:
+        dt_term = float(np.mean(z_int)) ** (p / 2.0)
     report = NormReport(sup_term=sup_term, dA_term=dA_term, dt_term=dt_term,
                         p=p, beta=beta, alpha=alpha, a=a, b=b)
     if not np.isfinite(report.total):
         raise NumericOverflowError("weighted norm is not finite")
     return report
+
+
+def norm_power(p):
+    """p, a norm's power; ValueError unless a real number >= 2 (a NaN or an
+    infinity is not)."""
+    if not (is_number(p) and 2 <= p < np.inf):
+        raise ValueError(f"the norm power p must be a number >= 2, got {p!r}")
+    return p
 
 
 def weighted_norm(Y, Z, A, grid: TimeGrid, p: float = 2.0,
@@ -308,25 +416,28 @@ def weighted_norm(Y, Z, A, grid: TimeGrid, p: float = 2.0,
     sup term   E[ sup_t e^{beta A}|Y|^p ]
     dA term    E[ int_0^T e^{beta A}|Y|^2 dA ]^{p/2}
     dt term    E[ int_0^T e^{beta A}|Z|^2 dt ]^{p/2}
-    Left-point sums; the terminal node never enters the integrals.
+    Left-point sums; the terminal node never enters the integrals.  A p
+    that is not a real number >= 2 raises ValueError (norm_power).
     """
-    if p < 2:
-        raise ValueError("p >= 2 required")
-    return _assemble_norm(Y, Z, A, grid, p=p, alpha=0.0, beta=beta, a=1.0, b=1.0)
+    return _assemble_norm(Y, Z, A, grid, p=norm_power(p), alpha=0.0, beta=beta,
+                          a=1.0, b=1.0)
 
 
 def equivalent_norm(dY, dZ, A, grid: TimeGrid, alpha: float, beta: float,
-                    a: float, b: float, *, weights=None) -> NormReport:
+                    a: float, b: float, *, weights=None, minus=None) -> NormReport:
     """Squared contraction norm with weights e^{alpha t + beta A(t)}:
 
     E sup e^{alpha t + beta A}|dY|^2 + a E int e^..|dY|^2 dA
                                      + b E int e^..|dZ|^2 dt.
 
     ``weights`` may pass norm_weights(A, grid, alpha, beta) built once for
-    many norms against the same A.
+    many norms against the same A.  ``minus`` = (U, V) takes dY - U and
+    dZ - V as the distances without forming them: on node-major stacks the
+    norm walks the nodes once and allocates nothing the size of a stack (the
+    layout rule is _assemble_norm's).
     """
     return _assemble_norm(dY, dZ, A, grid, p=2.0, alpha=alpha, beta=beta, a=a, b=b,
-                          weights=weights)
+                          weights=weights, minus=minus)
 
 
 # ----------------------------------------------------------------- constants

@@ -10,7 +10,8 @@ compares it with the theoretical factor mu_lambda.
 
 Layout: path stacks are (n_paths, n_nodes, ...); sweep arrays, the Picard
 iterate and a random A's norm weights included, are node-major
-(path_calculus.node_major_zeros), and solve returns C order.
+(path_calculus.node_major_zeros), so the Picard distance walks them node by
+node (model.equivalent_norm's minus), and solve returns C order.
 """
 
 from __future__ import annotations
@@ -355,10 +356,8 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
             converged = True
             break
         Y, Z = gamma_step(problem, ensemble, U, V, scheme=scheme, plan=plan, dA=weights[1])
-        # the distances overwrite the previous iterate, which is not read again
-        step_norm = equivalent_norm(np.subtract(Y, U, out=U), np.subtract(Z, V, out=V),
-                                    ensemble.A, grid, alpha=alpha, beta=beta, a=a, b=b,
-                                    weights=weights)
+        step_norm = equivalent_norm(Y, Z, ensemble.A, grid, alpha=alpha, beta=beta,
+                                    a=a, b=b, weights=weights, minus=(U, V))
         deltas.append(step_norm.total)
         if len(deltas) >= 2:
             prev = deltas[-2]

@@ -20,7 +20,7 @@ from scipy.stats import ks_2samp, spearmanr
 
 from .errors import ConstraintViolationError, FamilyInvalidError
 from .model import (ProblemSpec, argument_clouds, effective_c, equivalent_norm,
-                    evaluate_generator, weighted_norm)
+                    evaluate_generator, norm_power, weighted_norm)
 # unused here (solve's preflight calls them); bench/tracing.py looks them up here
 from .model import check_H1, check_H2  # noqa: F401
 from .path_calculus import BLOCK_BYTES, TimeGrid, node_major, stored_rows
@@ -54,7 +54,9 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PerturbationFamily:
-    """A reference problem and perturbed members, coarsest perturbation first."""
+    """A reference problem and perturbed members, coarsest perturbation first.
+    ``p``, the power of the members' sanity norms, must be a real number
+    >= 2 (model.norm_power), or the family raises ValueError."""
 
     base: ProblemSpec
     members: list
@@ -62,6 +64,7 @@ class PerturbationFamily:
     p: float = 2.0
 
     def __post_init__(self):
+        norm_power(self.p)
         if not self.members:
             raise ValueError("family needs at least one member")
         for i, member in enumerate(self.members):
@@ -219,9 +222,8 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
         H = stored_rows(ens_n.A) - stored_rows(ens_base.A)
         sup_A = float(np.mean(per_path(np.max(np.abs(H), axis=1))))
         bv_H = float(np.mean(per_path(np.sum(np.abs(np.diff(H, axis=1)), axis=1))))
-        err = equivalent_norm(sol_n.Y - sol_base.Y, sol_n.Z - sol_base.Z,
-                              ens_base.A, grid, alpha=0.0, beta=0.0,
-                              a=0.0, b=1.0)
+        err = equivalent_norm(sol_n.Y, sol_n.Z, ens_base.A, grid, alpha=0.0,
+                              beta=0.0, a=0.0, b=1.0, minus=(sol_base.Y, sol_base.Z))
         sanity = weighted_norm(sol_n.Y, sol_n.Z, ens_n.A, grid,
                                p=family.p, beta=member.beta)
         rows.append(StabilityRow(

@@ -18,6 +18,7 @@ Oracle notes (derived before the implementations were trusted):
 import importlib.util
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,15 @@ def test_weighted_norm_rejects_small_p_and_overflow():
         weighted_norm(Y, None, A, grid, p=2.0, beta=800.0)
 
 
+@pytest.mark.parametrize("p", [float("nan"), 1.0, "4", None, True, np.inf, -np.inf])
+def test_weighted_norm_refuses_a_power_that_is_not_a_number_at_least_2(p):
+    # a NaN fails p >= 2 and p < 2 alike, so the rule must test p >= 2
+    grid = TimeGrid.uniform(1.0, 4)
+    with pytest.raises(ValueError, match="norm power p"):
+        weighted_norm(np.ones((2, 5)), None, grid.nodes[None, :], grid, p=p, beta=1.0)
+    assert model.norm_power(np.float64(2.0)) == 2.0
+
+
 def test_equivalent_norm_closed_form():
     grid = TimeGrid.uniform(1.0, 2000)
     n = grid.nodes.size
@@ -354,6 +364,98 @@ def test_norm_terms_equal_three_product_sums_bitwise(p, layout):
             rep = equivalent_norm(Y, Z, A_arg, grid, alpha=1.3, beta=0.6, a=5.0, b=2.0,
                                   weights=weights)
             assert (rep.sup_term, rep.dA_term, rep.dt_term) == expected(1.3, 0.6)
+
+
+def layout_terms(dY, dZ, w, dA, dt, p):
+    """The norm's per-path terms from whole-array expressions in the stacks'
+    own layout, (w|e|^2) dA with components added in index order, reduced
+    by numpy along the node axis, then averaged."""
+    def sq(X):
+        flat = X.reshape(X.shape[0], X.shape[1], -1)
+        out = flat[..., 0] ** 2
+        for j in range(1, flat.shape[2]):
+            out = out + flat[..., j] ** 2
+        return out
+    terms = [0.0, 0.0, 0.0]
+    if dY is not None:
+        ysq = sq(dY)
+        terms[0] = float(np.mean(np.max(w * ysq ** (p / 2.0), axis=1)))
+        terms[1] = float(np.mean(np.sum(w[:, :-1] * ysq[:, :-1] * dA, axis=1))) ** (p / 2.0)
+    if dZ is not None:
+        zsq = sq(dZ)
+        terms[2] = float(np.mean(np.sum(w[:, :-1] * zsq[:, :-1] * dt, axis=1))) ** (p / 2.0)
+    return tuple(terms)
+
+
+@pytest.mark.parametrize("which", ["both", "Y", "Z"])
+@pytest.mark.parametrize("A_kind", ["one_row", "random"])
+@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("n", [300, 2, 1])
+def test_node_walk_terms_equal_whole_array_bits(n, p, A_kind, which):
+    # node-major stacks (m = 2, d = 3) are measured by one walk over the nodes;
+    # its terms must be those of the whole-array expressions bit for bit, with
+    # minus= giving what the explicit difference gives.  One path is not
+    # walked: it keeps the pairwise sums of its C-contiguous row
+    rng = np.random.default_rng(31)
+    n_steps = 40
+    grid = TimeGrid.uniform(1.0, n_steps)
+    Y, U = (node_major(rng.normal(size=(n, n_steps + 1, 2))) for _ in range(2))
+    Z, V = (node_major(rng.normal(size=(n, n_steps + 1, 2, 3))) for _ in range(2))
+    rows = 1 if A_kind == "one_row" else n
+    A = np.concatenate([np.zeros((rows, 1)), np.cumsum(
+        rng.uniform(0, 0.1, size=(rows, n_steps)), axis=1)], axis=1)
+    A = node_major(A) if rows > 1 else A
+    if which == "Y":
+        Z = V = None
+    elif which == "Z":
+        Y = U = None
+    dY = None if Y is None else Y - U
+    dZ = None if Z is None else Z - V
+    w, dA = weights = norm_weights(A, grid, 1.3, 0.6)
+    if p == 2.0:
+        want = layout_terms(dY, dZ, w, dA, grid.steps(), p)
+        for rep in (equivalent_norm(Y, Z, A, grid, 1.3, 0.6, 5.0, 2.0, weights=weights,
+                                    minus=(U, V)),
+                    equivalent_norm(dY, dZ, A, grid, 1.3, 0.6, 5.0, 2.0)):
+            assert (rep.sup_term, rep.dA_term, rep.dt_term) == want
+    else:
+        rep = weighted_norm(Y, Z, A, grid, p=p, beta=0.6)
+        w0, dA0 = norm_weights(A, grid, 0.0, 0.6)
+        assert (rep.sup_term, rep.dA_term, rep.dt_term) == layout_terms(
+            Y, Z, w0, dA0, grid.steps(), p)
+    if n == 1 and dY is not None:
+        # the pairwise sum of the single row is not the node-by-node sum, so
+        # the comparison above tells the two apart
+        row = (w[:, :-1] * np.sum(dY[:, :-1] ** 2, axis=2) * dA)[0]
+        assert np.sum(row) != sum(row[1:], row[0])
+
+
+def test_norm_of_no_stack_is_zero():
+    grid = TimeGrid.uniform(1.0, 4)
+    rep = equivalent_norm(None, None, grid.nodes[None, :], grid, 1.3, 0.6, 5.0, 2.0)
+    assert (rep.sup_term, rep.dA_term, rep.dt_term) == (0.0, 0.0, 0.0)
+
+
+def test_node_walk_allocates_nothing_stack_sized():
+    # the Picard distance of node-major iterates: no temporary near the size
+    # of a stack, so no Y - U, |Y - U|^2 or w|Y - U|^2 dA is ever formed
+    rng = np.random.default_rng(37)
+    n, n_steps = 4000, 50
+    grid = TimeGrid.uniform(1.0, n_steps)
+    Y, U = (node_major(rng.normal(size=(n, n_steps + 1, 1))) for _ in range(2))
+    Z, V = (node_major(rng.normal(size=(n, n_steps + 1, 1, 1))) for _ in range(2))
+    A = node_major(np.concatenate([np.zeros((n, 1)), np.cumsum(
+        rng.uniform(0, 0.1, size=(n, n_steps)), axis=1)], axis=1))
+    weights = norm_weights(A, grid, 1.3, 0.6)
+    tracemalloc.start()
+    try:
+        rep = equivalent_norm(Y, Z, A, grid, 1.3, 0.6, 5.0, 2.0, weights=weights,
+                              minus=(U, V))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < Y.nbytes / 4
+    assert rep.total == equivalent_norm(Y - U, Z - V, A, grid, 1.3, 0.6, 5.0, 2.0).total
 
 
 def is_node_major(X):
