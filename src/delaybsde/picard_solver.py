@@ -6,7 +6,14 @@ regression on a backward sweep, which adds the Stieltjes increment
 G(t_i, U(t_i), U_{t_i}) dA_i, known at t_i, to the value it projects at node
 i.  Iterating this map contracts in the weighted norm whenever the
 smallness conditions hold; the solver tracks the contraction empirically and
-compares it with the theoretical factor mu_lambda.
+compares it with the theoretical factor mu_lambda.  When the map reads no
+delay window, only G's y through a G affine in y, and A is deterministic,
+the fixed point at node i, Y_i = P_i[Y_{i+1} + dt F] + G(Y_i) dA_i,
+involves node i and later nodes alone, so one sweep that solves G's
+equation at its own node, per path, gives it (the implicit-in-y backward
+scheme of Bouchard & Touzi, SPA 2004, and Gobet, Lemor & Warin, AAP 2005);
+the Picard loop is what a delayed driver, a G nonlinear in y or a random A
+needs.
 
 Layout: path stacks are (n_paths, n_nodes, ...); sweep arrays, the Picard
 iterate and a random A's norm weights included, are node-major
@@ -52,6 +59,12 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 BLOWUP_THRESHOLD = 1e8  # |Y| above this at a node raises BlowupError
+# a node's per-path fixed point (the implicit F's, or G's at its own node)
+# stops once no path moves by NODE_GAP in a pass; from NODE_PASSES passes on
+# its moves must keep shrinking, and NODE_PASS_LIMIT passes end it
+NODE_PASSES = 20
+NODE_GAP = 1e-12
+NODE_PASS_LIMIT = 1000
 # ends solve's refusal; a caller that takes no force setting drops it
 FORCE_HINT = "; pass force=True to run anyway"
 SCHEMES = ("explicit", "implicit")  # how a sweep advances the value, see gamma_step
@@ -102,11 +115,61 @@ def _check_fit(problem: ProblemSpec, ensemble: PathEnsemble) -> None:
     ensemble.realized_A()
 
 
-def _g_increment(problem: ProblemSpec, ctx, U_in: np.ndarray, i: int, seg, dA: np.ndarray):
-    """G(t_i, U(t_i), U_{t_i}) dA_i, known at t_i: build_B sums it, gamma_step adds
-    it to its target.  A non-finite G raises GeneratorEvaluationError."""
-    g = evaluate_generator(problem.G, "G", ctx, U_in[:, i], None, seg, None, finite=True)
-    return np.multiply(g, dA[:, i, None])
+def _g_increment(problem: ProblemSpec, ctx, y: np.ndarray, seg, dA_i: np.ndarray):
+    """G(t_i, y, y_seg) dA_i, known at t_i, with dA_i a column: build_B sums it
+    along the iterate, the outer map adds it to its target, and the one-sweep
+    path adds it, at the value it solves for, to that value.  A non-finite G
+    raises GeneratorEvaluationError."""
+    g = evaluate_generator(problem.G, "G", ctx, y, None, seg, None, finite=True)
+    return np.multiply(g, dA_i)
+
+
+def _iterate_reads(problem: ProblemSpec) -> frozenset:
+    """What the outer map reads of its previous iterate: G's y and y_seg and
+    F's delay windows (model.generator_reads); F's y and z are the sweep's."""
+    return (generator_reads(problem.F) & {"y_seg", "z_seg"}
+            | generator_reads(problem.G) & {"y", "y_seg"})
+
+
+def _solved_at_its_node(problem: ProblemSpec, plan: RegressionPlan, dA: np.ndarray) -> bool:
+    """Whether one sweep that solves G's equation at its own node gives the
+    map's fixed point: G's y is all the map reads of its iterate, G is
+    affine in y with coefficients known at t (its ``affine_in_y``, which
+    the registry's "linear" G sets), so that it keeps a value in the
+    regression span, and A is deterministic (no random A in the plan's
+    state, one stored row of dA)."""
+    return (_iterate_reads(problem) == {"y"} and getattr(problem.G, "affine_in_y", False)
+            and not plan.reads_A and dA.shape[0] == 1)
+
+
+def _node_fixed_point(step, start: np.ndarray, i: int, t: float) -> tuple:
+    """(value, passes) of value = step(value), per path, from start.  It
+    stops once no path moves by NODE_GAP, or at a value that is not finite.
+    From NODE_PASSES passes on it also stops once each path moves by less
+    than NODE_GAP times max(1, |value|) (a value above 1 may move by its
+    rounding error for ever) or at a value above BLOWUP_THRESHOLD (the
+    caller raises BlowupError), and it raises NonContractionError, naming
+    node i, t and the gap, once the largest move has not shrunk over two
+    passes, as solve's distances, or after NODE_PASS_LIMIT passes."""
+    cur, gaps = start, []
+    for passes in range(1, NODE_PASS_LIMIT + 1):
+        new = step(cur)
+        if not np.all(np.isfinite(new)):
+            return new, passes
+        move = np.abs(new - cur)
+        gaps.append(float(np.max(move)))
+        if gaps[-1] < NODE_GAP:
+            return new, passes
+        if passes >= NODE_PASSES:
+            if (np.all(move < NODE_GAP * np.maximum(1.0, np.abs(cur)))
+                    or np.max(np.abs(new)) > BLOWUP_THRESHOLD):
+                return new, passes
+            if gaps[-1] >= gaps[-2] >= gaps[-3]:
+                break
+        cur = new
+    raise NonContractionError(
+        f"the fixed point at node {i} (t={t:.6g}) still moves by {gaps[-1]:.3e} after "
+        f"{passes} passes, above the gap {NODE_GAP:g}")
 
 
 def build_B(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray) -> np.ndarray:
@@ -126,7 +189,7 @@ def build_B(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray) -> np.n
     for j in range(n_nodes - 1):
         ctx = problem.context(grid, float(grid.nodes[j]), ensemble.W[:, j, :])
         # B(t_{j+1}) = B(t_j) + g dA_j in cumsum's order, one node block at a time
-        B[:, j + 1] = _g_increment(problem, ctx, U_in, j, u_windows(j), dA)
+        B[:, j + 1] = _g_increment(problem, ctx, U_in[:, j], u_windows(j), dA[:, j, None])
         if j:
             B[:, j + 1] += B[:, j]
     return B
@@ -141,7 +204,7 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     to the next value, project that target on the regression state, read
     the control from the centered increment correlation, then advance the
     value either explicitly (F at the next value) or implicitly (per-path
-    fixed point, F at the current value).
+    fixed point, F at the current value, _node_fixed_point).
 
     ``plan`` (default RegressionPlan(RegressionBasis(), ensemble)) sets the
     regression, its basis, ridge and state, and carries the work that does
@@ -151,9 +214,26 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     increments of ensemble.A's stored rows.  F and G get read-only
     arguments.  It refuses an ensemble that does not fit the problem
     (_check_fit) or a non-finite G (GeneratorEvaluationError); a value
-    above BLOWUP_THRESHOLD or not finite raises BlowupError.  Y and Z come
-    back node-major whatever the layout of U and V.
+    above BLOWUP_THRESHOLD or not finite raises BlowupError, and an
+    implicit fixed point that does not settle NonContractionError.  Y and Z
+    come back node-major whatever the layout of U and V.
     """
+    Y, Z, _ = _sweep(problem, ensemble, U, V, scheme, plan, dA, node_g=False)
+    return Y, Z
+
+
+def _sweep(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray, V: np.ndarray,
+           scheme: str, plan: RegressionPlan | None, dA: np.ndarray | None, *,
+           node_g: bool) -> tuple:
+    """(Y, Z, passes): gamma_step's backward sweep, and with node_g solve's
+    one sweep, with passes the most a node's fixed point took (0 without
+    node_g).  With node_g, G's increment leaves the regressed target, so the
+    mean fit, Z and the explicit F come from the next value alone, and each
+    node solves Y_i = base + G(Y_i) dA_i per path, with base the explicit
+    fit of the next value plus dt F, or, implicitly, Y_i = P_i[Y_{i+1}] +
+    dt F(Y_i, Z_i) + G(Y_i) dA_i; U and V are then not read.  That is the
+    map's fixed point only under _solved_at_its_node, and any other problem
+    raises ValueError."""
     _check_scheme(scheme)
     _check_fit(problem, ensemble)
     grid = ensemble.grid
@@ -164,6 +244,9 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     W = plan.W_by_node
     if dA is None:
         dA = np.diff(stored_rows(ensemble.A), axis=1)
+    if node_g and not _solved_at_its_node(problem, plan, dA):
+        raise ValueError("G is solved at its own node only when G's y is all the map "
+                         "reads of its iterate, G is affine in y and A is deterministic")
 
     xi = np.asarray(problem.xi(ensemble), dtype=float).reshape(n, m)
     if not np.all(np.isfinite(xi)):
@@ -176,6 +259,8 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     f_reads = generator_reads(problem.F)
     u_windows = _windows(U, k, "y_seg" in (f_reads | generator_reads(problem.G)))
     v_windows = _windows(V, k, "z_seg" in f_reads, kind="control")
+    implicit_f = scheme == "implicit" and problem.F is not None
+    most = 0
 
     for i in range(n_nodes - 2, -1, -1):
         dt = float(steps[i])
@@ -185,8 +270,8 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
         ctx = problem.context(grid, float(grid.nodes[i]), W[:, i])
         seg_y = u_windows(i)
         tgt = nxt
-        if problem.G is not None:
-            tgt = _g_increment(problem, ctx, U_in, i, seg_y, dA)
+        if problem.G is not None and not node_g:
+            tgt = _g_increment(problem, ctx, U_in[:, i], seg_y, dA[:, i, None])
             tgt += nxt
 
         mean_fit, _ = plan.fit(i, design, tgt)
@@ -194,29 +279,32 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
         z_fit, _ = plan.fit(i, design, z_target.reshape(n, m * d))
         Z[:, i] = z_fit.reshape(n, m, d)
 
-        if problem.F is None:
-            cur = mean_fit
-        elif scheme == "explicit":
+        cur = mean_fit
+        if problem.F is not None and not implicit_f:
             drv = evaluate_generator(problem.F, "F", ctx, nxt, Z_in[:, i], seg_y, v_windows(i))
             cur, _ = plan.fit(i, design, tgt + dt * drv)
-        else:
-            seg_z = v_windows(i)
-            cur = mean_fit.copy()
-            for _ in range(20):
-                drv = evaluate_generator(problem.F, "F", ctx, _read_only(cur),
-                                         Z_in[:, i], seg_y, seg_z)
-                new = mean_fit + dt * drv
-                gap = float(np.max(np.abs(new - cur))) if np.all(np.isfinite(new)) else np.inf
-                cur = new
-                if gap < 1e-12:
-                    break
+        if implicit_f or node_g:
+            seg_z, dA_i, base = v_windows(i), dA[:, i, None], cur
+
+            def step(y):
+                y = _read_only(y)
+                new = base
+                if implicit_f:
+                    new = base + dt * evaluate_generator(problem.F, "F", ctx, y,
+                                                         Z_in[:, i], seg_y, seg_z)
+                if node_g:
+                    new = new + _g_increment(problem, ctx, y, None, dA_i)
+                return new
+
+            cur, passes = _node_fixed_point(step, base, i, ctx.t)
+            most = max(most, passes)
         if not np.all(np.isfinite(cur)) or np.max(np.abs(cur)) > BLOWUP_THRESHOLD:
             raise BlowupError(f"value iterate exploded at node {i} (t={ctx.t:.6g})")
         Y[:, i] = cur
         del design  # free it before the next node builds its own
 
     Z[:, -1] = Z[:, -2]
-    return Y, Z
+    return Y, Z, most if node_g else 0
 
 
 @dataclass(frozen=True)
@@ -233,6 +321,7 @@ class SolverDiagnostics:
     b: float
     scheme: str
     preflight: Preflight | None = None
+    node_passes: int = 0  # the one sweep's most passes at a node; 0 on the loop path
 
 
 @dataclass(frozen=True)
@@ -301,12 +390,20 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     A's from the one row it stores, which is not copied.
 
     The map reads the previous iterate only through G's y and y_seg and
-    F's delay windows (model.generator_reads).  When it reads none of them,
-    pass 2 would repeat pass 1 bit for bit, so it is skipped (logged at
-    INFO) and recorded as what it would give: the distance 0.0, the ratio
-    0.0, iterations == 2 and converged.  This needs
-    max_iter >= 2 and a pass 1 that did not converge.  A generator without
-    ``reads`` counts as reading everything and keeps the full loop.
+    F's delay windows (model.generator_reads).  Two kinds of problem sweep
+    once, since the result of one sweep is the fixed point: a map that reads
+    none of them, whose pass 2 would repeat pass 1 bit for bit, and one that
+    reads G's y alone, through a G affine in y (its ``affine_in_y``), with a
+    deterministic A, whose fixed point at node i involves node i and later
+    nodes only, so that pass 1 solves G's equation at its own node
+    (_sweep's node_g; a G nonlinear in y or reading the context's w leaves
+    the regression span and keeps the loop).  Pass 2 is then skipped
+    (logged at INFO with the most passes a node took, kept as
+    diagnostics.node_passes) and recorded as what it would give: the
+    distance 0.0, the ratio 0.0, iterations == 2 and converged.  This needs
+    max_iter >= 2 and a pass 1 that did not converge.  A random A and every
+    delayed driver keep the Picard loop, and so does a generator without
+    ``reads``, which counts as reading everything.
     Raises NonContractionError when the iteration budget is spent while the
     distances have stopped shrinking.  F and G are evaluated only in the
     passes and the preflight; consistency_residuals gives the residuals.
@@ -343,19 +440,23 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     # weights in the sweep's layout: from the plan's node-major copy of a
     # random A, from the one row a deterministic A stores
     weights = norm_weights(plan.A_by_node if plan.reads_A else ensemble.A, grid, alpha, beta)
-    # what the map reads of its previous iterate; F's y and z are the sweep's
-    reads = (generator_reads(problem.F) & {"y_seg", "z_seg"}
-             | generator_reads(problem.G) & {"y", "y_seg"})
+    node_g = _solved_at_its_node(problem, plan, weights[1])
+    one_sweep = node_g or not _iterate_reads(problem)
+    node_passes = 0
 
     for it in range(1, max_iter + 1):
-        if it == 2 and not reads:
-            log.info("outer step 2 skipped: the map reads no iterate, so it would "
-                     "repeat step 1 at squared distance 0")
+        if it == 2 and one_sweep:
+            log.info("outer step 2 skipped: step 1 gave the fixed point, so it would "
+                     "repeat step 1 at squared distance 0; node passes %d", node_passes)
             deltas.append(0.0)
             ratios.append(0.0)
             converged = True
             break
-        Y, Z = gamma_step(problem, ensemble, U, V, scheme=scheme, plan=plan, dA=weights[1])
+        if node_g:
+            Y, Z, node_passes = _sweep(problem, ensemble, U, V, scheme, plan, weights[1],
+                                       node_g=True)
+        else:
+            Y, Z = gamma_step(problem, ensemble, U, V, scheme=scheme, plan=plan, dA=weights[1])
         step_norm = equivalent_norm(Y, Z, ensemble.A, grid, alpha=alpha, beta=beta,
                                     a=a, b=b, weights=weights, minus=(U, V))
         deltas.append(step_norm.total)
@@ -377,7 +478,7 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     diag = SolverDiagnostics(
         deltas=deltas, ratios=ratios, tol=tol, converged=converged,
         iterations=len(deltas), alpha=alpha, beta=beta, mu_lambda=mu, a=a, b=b,
-        scheme=scheme, preflight=checks)
+        scheme=scheme, preflight=checks, node_passes=node_passes)
     if not converged:
         log.warning("iteration budget spent at squared distance %.3e > tol %.3e",
                     deltas[-1], tol)

@@ -5,7 +5,10 @@ from names round-trips through JSON.  Hand-written callables work everywhere
 else in the package but cannot be serialized.  Built F and G also carry
 ``reads``, the frozenset of the arguments ("y", "z", "y_seg", "z_seg") they
 read; a generator without it, hand-written or from a registered builder that
-sets none, counts as reading every argument (model.generator_reads).  A
+sets none, counts as reading every argument (model.generator_reads).  The
+"linear" G also carries ``affine_in_y``: it is affine in y with coefficients
+known at t, so it keeps a value in the regression span, which lets the solver
+sweep once (picard_solver.solve).  A
 built "brownian" terminal carries ``component``, the component of W(T) it
 reads, which ProblemSpec checks against d.
 """
@@ -157,6 +160,7 @@ def _G_linear(params):
 
     def G(t, y, y_seg, ctx):
         return b * y
+    G.affine_in_y = True
     return _reading(G, "y")
 
 

@@ -759,9 +759,11 @@ def test_one_refusal_rule(tmp_path, capsys, check):
 
 def test_forced_solve_without_a_contracting_lambda_reports_mu_lambda_nan(tmp_path, capsys):
     # the lambda check alone fails, so no mu_lambda exists; forced, the solve
-    # converges and its contraction is judged against the unit bound
+    # converges and its contraction is judged against the unit bound.  A
+    # random A (the running max of W) keeps the Picard loop
     config = base_config()
     config["problem"].update(REFUSALS["lambda"][0])
+    config["problem"]["A"] = {"kind": "running_max", "params": {}}
     config["solver"]["force"] = True
     out = tmp_path / "out"
     code = cli.run(["solve", "--config", write_config(tmp_path, config),
@@ -772,6 +774,15 @@ def test_forced_solve_without_a_contracting_lambda_reports_mu_lambda_nan(tmp_pat
     assert "Traceback" not in captured.err
     _, cols = read_csv_dict(out / "diagnostics.csv")
     assert cols["mu_lambda"].size and np.all(np.isnan(cols["mu_lambda"]))
+    # with A = t the same problem sweeps once, which certifies no contraction
+    # and still passes
+    config["problem"]["A"] = base_config()["problem"]["A"]
+    code = cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "one-sweep"), "--paths", "200"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    for line in ("iterations=2", "contraction: INCONCLUSIVE", "mu_lambda=nan", "solve: PASS"):
+        assert line in captured.out
 
 
 def test_hellybray_command(tmp_path, capsys):

@@ -333,8 +333,9 @@ def node_major(X):
 @pytest.mark.parametrize("p", [2.0, 4.0])
 def test_norm_terms_equal_three_product_sums_bitwise(p, layout):
     # the norm multiplies its weights into |Y|^2 and |Z|^2 in place; the terms
-    # must be those of the three-product expressions on C-ordered arrays, bit
-    # for bit, whatever the layout of the inputs
+    # must be those of the three-product expressions on arrays in the inputs'
+    # own layout, bit for bit: numpy sums a C-order row pairwise and a
+    # node-major stack node by node, so the two layouts give different bits
     rng = np.random.default_rng(19)
     n, n_steps = 400, 30
     grid = TimeGrid.uniform(1.0, n_steps)
@@ -342,6 +343,9 @@ def test_norm_terms_equal_three_product_sums_bitwise(p, layout):
     Z = rng.normal(size=(n, n_steps + 1, 1, 2))
     A = np.concatenate([np.zeros((n, 1)),
                         np.cumsum(rng.uniform(0, 0.1, size=(n, n_steps)), axis=1)], axis=1)
+    A_by_path = A
+    if layout == "node_major":
+        Y, Z, A = node_major(Y), node_major(Z), node_major(A)
     ysq, zsq = model._sq_size(Y), model._sq_size(Z)
     dA, dt = np.diff(A, axis=1), grid.steps()[None, :]
 
@@ -351,9 +355,6 @@ def test_norm_terms_equal_three_product_sums_bitwise(p, layout):
                 float(np.mean(np.sum(w[:, :-1] * ysq[:, :-1] * dA, axis=1))) ** (p / 2.0),
                 float(np.mean(np.sum(w[:, :-1] * zsq[:, :-1] * dt, axis=1))) ** (p / 2.0))
 
-    A_by_path = A
-    if layout == "node_major":
-        Y, Z, A = node_major(Y), node_major(Z), node_major(A)
     rep = weighted_norm(Y, Z, A, grid, p=p, beta=0.6)
     assert (rep.sup_term, rep.dA_term, rep.dt_term) == expected(0.0, 0.6)
     if p == 2.0:

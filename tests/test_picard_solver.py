@@ -356,6 +356,9 @@ def call_the_map(fn, problem, ens):
 
 
 LINEAR_G = registry.build_G({"name": "linear", "params": {"b": 0.1}})
+# reads its window as well as y (K1 = gamma^2 = 1e-4 <= make_problem's
+# K_tilde), so the map reads a window of its iterate and solve loops
+LINEAR_RHO_G = registry.build_G({"name": "linear_plus_rho", "params": {"b": 0.1, "gamma": 0.01}})
 
 
 def test_build_B_refuses_a_grid_without_a_delay():
@@ -552,8 +555,9 @@ def test_build_B_is_the_running_sum_of_gamma_steps_increments(monkeypatch):
     increments = {}
     g_increment = picard_solver._g_increment
 
-    def spy(problem, ctx, U_in, i, seg, dA):
-        increments[i] = g_increment(problem, ctx, U_in, i, seg, dA)
+    def spy(problem, ctx, y, seg, dA_i):
+        i = ens.grid.nodes.tolist().index(ctx.t)
+        increments[i] = g_increment(problem, ctx, y, seg, dA_i)
         return increments[i].copy()  # gamma_step adds its next value in place
 
     monkeypatch.setattr(picard_solver, "_g_increment", spy)
@@ -649,20 +653,26 @@ def test_solve_makes_no_node_major_copy_of_a_deterministic_A(monkeypatch):
 
 
 def test_each_pass_allocates_only_its_Y_and_Z_stacks(monkeypatch):
-    # G reads y, so a pass used to build a third stack, the running integral
-    # of G along its iterate
+    # G reads y and its window, so the loop runs, and a pass used to build a
+    # third stack, the running integral of G along its iterate
     shapes = spy_on_node_major_zeros(monkeypatch)
     copies = spy_on_node_major(monkeypatch)
     prob = make_problem(F=registry.build_F({"name": "linear", "params": {"a_y": 0.2}}),
-                        G=registry.build_G({"name": "linear", "params": {"b": 0.1}}),
+                        G=LINEAR_RHO_G,
                         xi=registry.build_terminal({"name": "brownian", "params": {}}))
     sol = solve(prob, make_ensemble(70, n_steps=20, seed=6), tol=1e-30, max_iter=3)
     assert sol.diagnostics.iterations == 3
-    Y, Z = (70, 21, 1), (70, 21, 1, 1)
+    Y, Z, head = (70, 21, 1), (70, 21, 1, 1), (70, 4, 1)
     # the zero iterate, the plan's W_by_node on pass 1's first design, then
-    # each pass's Y and Z
+    # each pass's Y and Z and the head of G's window of the iterate (k = 2)
     assert copies == [(70, 21, 1)]
-    assert shapes == [Y, Z, (70, 21, 1)] + [Y, Z] * 3
+    assert shapes == [Y, Z, (70, 21, 1)] + [Y, Z, head] * 3
+    # the README problem (G = 0.1y) sweeps once: one Y and one Z
+    shapes.clear()
+    sol = solve(replace(prob, G=LINEAR_G), make_ensemble(70, n_steps=20, seed=6),
+                tol=1e-30, max_iter=3)
+    assert sol.diagnostics.iterations == 2 and sol.diagnostics.deltas[1] == 0.0
+    assert shapes == [Y, Z, (70, 21, 1), Y, Z]
 
 
 def test_solve_copies_a_random_A_node_major_once(monkeypatch):
@@ -810,16 +820,23 @@ def test_solve_builds_each_gram_once(monkeypatch):
 
     monkeypatch.setattr(stochastic_engine, "_normal_matrix", spy_normal_matrix)
     monkeypatch.setattr(RegressionBasis, "design", spy_design)
-    # G reads y, so the map reads the iterate and both passes sweep
+    # G reads y and its window, so the map reads the iterate and both passes sweep
     prob = make_problem(
         F=registry.build_F({"name": "linear", "params": {"a_y": 0.2, "a_z": 0.1}}),
-        G=registry.build_G({"name": "linear", "params": {"b": 0.1}}),
+        G=LINEAR_RHO_G,
         xi=registry.build_terminal({"name": "brownian", "params": {}}))
     sol = solve(prob, ens, tol=1e-30, max_iter=2)
-    assert sol.diagnostics.iterations == 2
+    assert sol.diagnostics.iterations == 2 and sol.diagnostics.deltas[1] > 0
     # nodes 1..19 regress on a nontrivial state; node 0 takes the plain mean
     assert sorted(gram_nodes) == list(range(1, 20))
     assert len(design_calls) == 2 * 20
+    # with G = 0.1y, G's equation is solved at its own node in one sweep
+    gram_nodes.clear()
+    design_calls.clear()
+    sol = solve(replace(prob, G=LINEAR_G), ens, tol=1e-30, max_iter=2)
+    assert sol.diagnostics.iterations == 2 and sol.diagnostics.deltas[1] == 0.0
+    assert sorted(gram_nodes) == list(range(1, 20))
+    assert len(design_calls) == 20
 
 
 @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
@@ -941,30 +958,202 @@ def test_solve_linear_closed_form():
     sol = solve(prob, ens, tol=1e-10, max_iter=20)
     d = sol.diagnostics
     assert d.converged
+    # G reads y alone and A = t: one sweep solves G's equation at its node
+    assert d.iterations == 2 and d.deltas[1] == 0.0 and 2 <= d.node_passes <= 20
     y0_true = np.exp(0.3) * 0.1
     assert sol.initial_value[0] == pytest.approx(y0_true, rel=0.05)
     z0 = float(np.mean(sol.Z[:, 0, 0, 0]))
     assert z0 == pytest.approx(np.exp(0.3), rel=0.05)
     assert np.array_equal(sol.Y[:, -1, 0], ens.W[:, -1, 0])
-    # contraction: every ratio after the warm-up step is well below one
-    assert all(r < 0.5 for r in d.ratios[1:])
     mtg, rms = consistency_residuals(prob, sol)
     assert mtg < 0.02
     assert np.isfinite(rms) and rms < 1.0
+    # contraction, on the same problem with G reading its window, which loops:
+    # every ratio after the warm-up step is well below one
+    d = solve(replace(prob, G=LINEAR_RHO_G), ens, tol=1e-10, max_iter=20).diagnostics
+    assert d.converged and d.iterations >= 3 and d.node_passes == 0
+    assert all(r < 0.5 for r in d.ratios[1:])
     assert contraction_report(d).passed
 
 
 def test_solve_stieltjes_exponential():
-    # dY = -0.5 Y dA with xi = 1 integrates to e^{0.5} at t = 0
+    # dY = -0.5 Y dA with xi = 1 integrates to e^{0.5} at t = 0, in one sweep
     ens = make_ensemble(16, n_steps=100)
     prob = make_problem(
         G=registry.build_G({"name": "linear", "params": {"b": 0.5}}),
         xi=registry.build_terminal({"name": "constant", "params": {"value": 1.0}}),
         L_tilde=1.0)
-    sol = solve(prob, ens, tol=1e-12, max_iter=30)
-    assert sol.diagnostics.converged
-    assert sol.initial_value[0] == pytest.approx(np.exp(0.5), rel=0.01)
-    assert np.max(np.abs(sol.Z)) < 1e-6
+    for scheme in ("explicit", "implicit"):
+        sol = solve(prob, ens, tol=1e-12, max_iter=30, scheme=scheme)
+        assert sol.diagnostics.converged
+        assert sol.diagnostics.iterations == 2 and sol.diagnostics.deltas[1] == 0.0
+        assert sol.initial_value[0] == pytest.approx(np.exp(0.5), rel=0.01)
+        assert np.max(np.abs(sol.Z)) < 1e-6
+
+
+def readme_problem(**overrides):
+    """The README problem: F = 0.2y + 0.1z, G = 0.1y, xi = W(T), A = t."""
+    fields = dict(F=registry.build_F({"name": "linear", "params": {"a_y": 0.2, "a_z": 0.1}}),
+                  G=LINEAR_G, xi=registry.build_terminal({"name": "brownian", "params": {}}))
+    return make_problem(**{**fields, **overrides})
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+def test_one_sweep_is_a_fixed_point_of_the_outer_map(caplog, scheme):
+    # G reads y alone and A = t, so solve sweeps once, solving G's equation
+    # at its own node; one more pass of the outer map barely moves the result
+    ens = make_ensemble(2000, n_steps=50, seed=24)
+    prob = readme_problem()
+    with caplog.at_level(logging.INFO, logger=picard_solver.__name__):
+        sol = solve(prob, ens, scheme=scheme)
+    d = sol.diagnostics
+    assert d.converged and d.iterations == 2 and d.deltas[1] == 0.0 and d.ratios == [0.0]
+    assert 2 <= d.node_passes <= picard_solver.NODE_PASSES
+    assert "outer step 2 skipped: step 1 gave the fixed point" in caplog.text
+    assert f"node passes {d.node_passes}" in caplog.text
+    Y, Z = gamma_step(prob, ens, sol.Y, sol.Z, scheme=scheme)
+    moved = equivalent_norm(Y - sol.Y, Z - sol.Z, ens.A, ens.grid, alpha=d.alpha,
+                            beta=d.beta, a=d.a, b=d.b).total
+    assert moved <= d.tol
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+def test_one_sweep_matches_ten_picard_passes(scheme):
+    # the README problem at 2,000 x 50: ten passes of the outer map from
+    # (0, 0) reach the fixed point that the one sweep gives
+    ens = make_ensemble(2000, n_steps=50, seed=25)
+    prob = readme_problem()
+    sol = solve(prob, ens, scheme=scheme)
+    assert sol.diagnostics.iterations == 2 and sol.diagnostics.node_passes >= 2
+    U, V = np.zeros((2000, 51, 1)), np.zeros((2000, 51, 1, 1))
+    for _ in range(10):
+        U, V = gamma_step(prob, ens, U, V, scheme=scheme)
+    assert np.max(np.abs(U - sol.Y)) <= 1e-6 and np.max(np.abs(V - sol.Z)) <= 1e-6
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+def test_a_node_fixed_point_that_misses_its_gap_is_refused(scheme):
+    # G = 60y on 50 steps: b dA = 1.2, so G's equation at node 49 moves more
+    # on every pass, and solve refuses it instead of returning the last pass
+    ens = make_ensemble(50, n_steps=50, seed=26)
+    prob = readme_problem(G=registry.build_G({"name": "linear", "params": {"b": 60.0}}))
+    with pytest.raises(NonContractionError,
+                       match=r"node 49 \(t=0\.98\) still moves by .* after 20 passes"):
+        solve(prob, ens, scheme=scheme, force=True)
+    # G = -0.1y from xi = 1e5 alternates around its fixed point by rounding
+    # errors of 1.5e-11 for ever: a fixed point to the last bits, not refused
+    # (the ridge of the regressions moves the value by about 1e-10)
+    prob = make_problem(G=registry.build_G({"name": "linear", "params": {"b": -0.1}}),
+                        xi=registry.build_terminal({"name": "constant", "params": {"value": 1e5}}))
+    sol = solve(prob, ens, scheme=scheme)
+    assert sol.diagnostics.node_passes == picard_solver.NODE_PASSES
+    assert sol.initial_value[0] == pytest.approx(1e5 / (1 + 0.1 * 0.02) ** 50, rel=1e-9)
+
+
+def test_the_implicit_loop_that_misses_its_gap_is_refused():
+    # dt F_y = 1.5: the implicit per-path fixed point diverges, below the
+    # blowup threshold after 20 passes; the outer map used to return it
+    ens = make_ensemble(50, n_steps=20, seed=27)
+    prob = make_problem(F=registry.build_F({"name": "linear", "params": {"a_y": 30.0}}),
+                        xi=registry.build_terminal({"name": "constant", "params": {"value": 1.0}}))
+    U, V = np.zeros((50, 21, 1)), np.zeros((50, 21, 1, 1))
+    with pytest.raises(NonContractionError, match=r"node 19 \(t=0\.95\)"):
+        gamma_step(prob, ens, U, V, scheme="implicit")
+    Y, _ = gamma_step(prob, ens, U, V)   # the explicit scheme solves no fixed point
+    assert np.all(np.isfinite(Y))
+    # dt F_y = 0.3: the moves shrink by 0.3 a pass, more than 20 passes reach
+    # the gap, and the loop keeps going to Y_i = Y_{i+1} / 0.7 (up to the
+    # regressions' ridge, about 1e-10)
+    prob = replace(prob, F=registry.build_F({"name": "linear", "params": {"a_y": 6.0}}))
+    Y, _ = gamma_step(prob, ens, U, V, scheme="implicit")
+    assert np.allclose(Y[:, :, 0], 0.7 ** -(20 - np.arange(21.0)), rtol=1e-9, atol=0)
+
+
+def test_the_node_path_refuses_a_map_that_reads_a_window_or_a_random_A():
+    ens = make_ensemble(50, n_steps=20, seed=28)
+    U, V = np.zeros((50, 21, 1)), np.zeros((50, 21, 1, 1))
+    picard_solver._sweep(readme_problem(), ens, U, V, "explicit", None, None, node_g=True)
+    spec = IncreasingProcessSpec("running_max", {})
+    for prob, e in ((readme_problem(G=LINEAR_RHO_G), ens),
+                    (readme_problem(G=sine_G()), ens),
+                    (readme_problem(A_spec=spec), make_ensemble(50, n_steps=20, seed=28,
+                                                                 spec=spec))):
+        with pytest.raises(ValueError, match="solved at its own node"):
+            picard_solver._sweep(prob, e, U, V, "explicit", None, None, node_g=True)
+
+
+def sine_G():
+    """G = 0.1 sin(y): it reads y alone, but leaves the regression span."""
+    def G(t, y, y_seg, ctx):
+        return 0.1 * np.sin(y)
+    G.reads = frozenset({"y"})
+    return G
+
+
+def w_G():
+    """G = 0.1 y cos(w): affine in y, with a coefficient that reads the
+    context's w, so it leaves the regression span too."""
+    def G(t, y, y_seg, ctx):
+        return 0.1 * y * np.cos(ctx.w[:, :1])
+    G.reads = frozenset({"y"})
+    return G
+
+
+@pytest.mark.parametrize("builder", [sine_G, w_G], ids=["sin-y", "y-cos-w"])
+def test_a_G_that_leaves_the_regression_span_keeps_the_loop(monkeypatch, builder):
+    # one sweep is the map's fixed point only when P_i[G(Y_i) dA_i] is
+    # G(Y_i) dA_i; a registered G that reads y alone but is nonlinear in y
+    # or reads w has no affine_in_y, so solve runs the Picard loop, and one
+    # more pass moves its result by at most tol
+    monkeypatch.setattr(registry, "_G_BUILDERS", dict(registry._G_BUILDERS))
+    registry.register_G("leaves_span", lambda params: builder())
+    G = registry.build_G({"name": "leaves_span", "params": {}})
+    ens = make_ensemble(500, n_steps=20, seed=30)
+    prob = readme_problem(G=G)
+    for scheme in ("explicit", "implicit"):
+        sol = solve(prob, ens, scheme=scheme)
+        d = sol.diagnostics
+        assert d.converged and d.iterations >= 3 and d.deltas[1] > 0 and d.node_passes == 0
+        Y, Z = gamma_step(prob, ens, sol.Y, sol.Z, scheme=scheme)
+        moved = equivalent_norm(Y - sol.Y, Z - sol.Z, ens.A, ens.grid, alpha=d.alpha,
+                                beta=d.beta, a=d.a, b=d.b).total
+        assert moved <= d.tol
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+def test_a_slowly_contracting_node_fixed_point_is_solved(scheme):
+    # G = 3y on 10 steps of A = t: b dA = 0.3, so a node's moves shrink by 0.3
+    # a pass and need more than 20 passes to reach the gap; the one sweep
+    # keeps going while they shrink and gives the outer map's fixed point
+    ens = make_ensemble(200, n_steps=10, seed=31)
+    prob = readme_problem(G=registry.build_G({"name": "linear", "params": {"b": 3.0}}),
+                          L_tilde=3.0, beta=10.0)
+    sol = solve(prob, ens, scheme=scheme)
+    d = sol.diagnostics
+    assert d.converged and d.iterations == 2 and d.node_passes > picard_solver.NODE_PASSES
+    U, V = np.zeros((200, 11, 1)), np.zeros((200, 11, 1, 1))
+    for _ in range(60):
+        U, V = gamma_step(prob, ens, U, V, scheme=scheme)
+    assert np.max(np.abs(U - sol.Y)) <= 1e-9 and np.max(np.abs(V - sol.Z)) <= 1e-9
+
+
+def test_a_node_fixed_point_takes_each_paths_own_scale():
+    # path 0 sits at 1e4, path 1 near 1 still moves by about 1e-9 after 20
+    # passes: the size of path 0 must not let path 1 stop there
+    def step(y):
+        return np.array([[1e4], [1.0 + 0.9 * (y[1, 0] - 1.0)]])
+
+    start = np.array([[1e4], [1.0 + 1e-8 / 0.9 ** 20]])
+    value, passes = picard_solver._node_fixed_point(step, start, 3, 0.5)
+    assert passes > picard_solver.NODE_PASSES and abs(value[1, 0] - 1.0) < 1e-11
+
+
+def test_a_node_fixed_point_that_shrinks_too_slowly_is_refused():
+    # moves that shrink by 1e-4 a pass would take some 276,000 passes
+    with pytest.raises(NonContractionError,
+                       match=rf"node 3 \(t=0\.5\) still moves by .* after "
+                             rf"{picard_solver.NODE_PASS_LIMIT} passes"):
+        picard_solver._node_fixed_point(lambda y: 0.9999 * y, np.ones((4, 1)), 3, 0.5)
 
 
 def test_solve_drift_exponential():
@@ -1035,9 +1224,10 @@ def test_solve_noncontraction_detected_under_force():
 
 
 def test_solve_budget_exhausted_while_contracting():
+    # G reads its window as well as y, so the Picard loop runs
     ens = make_ensemble(16, n_steps=50)
     prob = make_problem(
-        G=registry.build_G({"name": "linear", "params": {"b": 0.5}}),
+        G=registry.build_G({"name": "linear_plus_rho", "params": {"b": 0.5, "gamma": 0.01}}),
         xi=registry.build_terminal({"name": "constant", "params": {"value": 1.0}}))
     sol = solve(prob, ens, tol=1e-24, max_iter=3)
     assert not sol.diagnostics.converged
@@ -1072,23 +1262,26 @@ def test_solve_realizes_A_when_missing():
 # ------------------------------------------------------- consistency residuals
 
 def counting(gen, rows, calls):
-    """gen, reads included, appending to calls whether each call has `rows`
+    """gen, its attributes (reads, affine_in_y) included, appending to calls whether each call has `rows`
     argument sets: the ensemble's paths, not a preflight probe's cloud."""
     def counted(*args):
         calls.append(args[1].shape[0] == rows)
         return gen(*args)
-    counted.reads = gen.reads
+    counted.__dict__.update(gen.__dict__)
     return counted
 
 
 @pytest.mark.parametrize("G", [
     pytest.param({"name": "constant", "params": {"value": 1.0}}, id="one-sweep"),
-    pytest.param({"name": "linear", "params": {"b": 0.1}}, id="full-loop"),
+    pytest.param({"name": "linear_plus_rho", "params": {"b": 0.1, "gamma": 0.01}},
+                 id="full-loop"),
+    pytest.param({"name": "linear", "params": {"b": 0.1}}, id="node-sweep"),
 ])
 def test_solve_evaluates_the_generators_only_in_its_passes(G):
-    # one pass evaluates the explicit F once per step, and B, which a
-    # constant G lets solve build once, G once per step; with F reading no
-    # window and G = 1 the map reads no iterate, so solve sweeps once
+    # one pass evaluates the explicit F and G once per step; with F reading
+    # no window and G = 1 the map reads no iterate, so solve sweeps once, and
+    # with G = 0.1y it sweeps once too, calling G once per pass of each
+    # node's fixed point (at least two, at most node_passes)
     n, n_steps = 200, 20
     calls = {"F": [], "G": []}
     prob = make_problem(
@@ -1098,14 +1291,22 @@ def test_solve_evaluates_the_generators_only_in_its_passes(G):
         xi=registry.build_terminal({"name": "brownian", "params": {}}))
     ens = make_ensemble(n, n_steps=n_steps, seed=14)
     sol = solve(prob, ens)
-    passes = 1 if G["name"] == "constant" else sol.diagnostics.iterations
-    assert sol.diagnostics.iterations >= 2
+    diag = sol.diagnostics
+    passes = diag.iterations if G["name"] == "linear_plus_rho" else 1
+    assert diag.iterations >= 2
     in_solve = {which: (sum(c), len(c) - sum(c)) for which, c in calls.items()}
     for c in calls.values():
         c.clear()
     model.preflight(prob, ens)
     probes = {which: len(c) for which, c in calls.items()}
-    assert in_solve == {which: (passes * n_steps, probes[which]) for which in calls}
+    g_calls = passes * n_steps
+    if G["name"] == "linear":
+        assert diag.iterations == 2 and diag.deltas[1] == 0.0
+        g_calls = in_solve["G"][0]
+        assert 2 * n_steps <= g_calls <= diag.node_passes * n_steps
+    else:
+        assert diag.node_passes == 0
+    assert in_solve == {"F": (passes * n_steps, probes["F"]), "G": (g_calls, probes["G"])}
     # asked for, the residuals evaluate each generator once more per step
     for c in calls.values():
         c.clear()
