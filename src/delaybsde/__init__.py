@@ -17,7 +17,7 @@ from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
                                 realize_increasing_process,
                                 register_deterministic_shape,
                                 register_positive_functional, save_ensemble,
-                                simulate_brownian, splice_future)
+                                simulate_brownian)
 from .model import (AtomMeasure, ConditionReport, GenContext, NormReport,
                     Preflight, ProblemSpec, c_threshold, check_H1, check_H2,
                     check_integrability, effective_c, equivalent_norm,

@@ -18,7 +18,8 @@ needs.
 Layout: path stacks are (n_paths, n_nodes, ...); sweep arrays, the Picard
 iterate and a random A's norm weights included, are node-major
 (path_calculus.node_major_zeros), so the Picard distance walks them node by
-node (model.equivalent_norm's minus), and solve returns C order.
+node (model.equivalent_norm's minus), and solve returns the node-major
+stacks it swept, which consistency_residuals reads in place.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (BlowupError, ConstraintViolationError,
 from .model import (Preflight, ProblemSpec, equivalent_norm,
                     evaluate_generator, generator_reads, norm_weights,
                     preflight)
-from .path_calculus import delay_windows, node_major, node_major_zeros, stored_rows
+from .path_calculus import delay_windows, node_major_zeros, stored_rows
 from .stochastic_engine import (PathEnsemble, RegressionBasis, RegressionPlan,
                                 is_integer, realize_increasing_process)
 # not called here (model.preflight calls the checks, the solver reads windows
@@ -60,8 +61,9 @@ log = logging.getLogger(__name__)
 
 BLOWUP_THRESHOLD = 1e8  # |Y| above this at a node raises BlowupError
 # a node's per-path fixed point (the implicit F's, or G's at its own node)
-# stops once no path moves by NODE_GAP in a pass; from NODE_PASSES passes on
-# its moves must keep shrinking, and NODE_PASS_LIMIT passes end it
+# stops once each path moves by less than NODE_GAP times max(1, |value|) in
+# a pass; from NODE_PASSES passes on its moves must keep shrinking, and
+# NODE_PASS_LIMIT passes end it
 NODE_PASSES = 20
 NODE_GAP = 1e-12
 NODE_PASS_LIMIT = 1000
@@ -144,25 +146,24 @@ def _solved_at_its_node(problem: ProblemSpec, plan: RegressionPlan, dA: np.ndarr
 
 def _node_fixed_point(step, start: np.ndarray, i: int, t: float) -> tuple:
     """(value, passes) of value = step(value), per path, from start.  It
-    stops once no path moves by NODE_GAP, or at a value that is not finite.
-    From NODE_PASSES passes on it also stops once each path moves by less
-    than NODE_GAP times max(1, |value|) (a value above 1 may move by its
-    rounding error for ever) or at a value above BLOWUP_THRESHOLD (the
-    caller raises BlowupError), and it raises NonContractionError, naming
-    node i, t and the gap, once the largest move has not shrunk over two
-    passes, as solve's distances, or after NODE_PASS_LIMIT passes."""
+    stops once each path moves by less than NODE_GAP times max(1, |value|)
+    (a value above 1 may move by its rounding error for ever), or at a value
+    that is not finite.  From NODE_PASSES passes on it also stops at a value
+    above BLOWUP_THRESHOLD (the caller raises BlowupError), and it raises
+    NonContractionError, naming node i, t and the gap, once the largest
+    move has not shrunk over two passes, as solve's distances, or after
+    NODE_PASS_LIMIT passes."""
     cur, gaps = start, []
     for passes in range(1, NODE_PASS_LIMIT + 1):
         new = step(cur)
         if not np.all(np.isfinite(new)):
             return new, passes
         move = np.abs(new - cur)
-        gaps.append(float(np.max(move)))
-        if gaps[-1] < NODE_GAP:
+        if np.all(move < NODE_GAP * np.maximum(1.0, np.abs(cur))):
             return new, passes
+        gaps.append(float(np.max(move)))
         if passes >= NODE_PASSES:
-            if (np.all(move < NODE_GAP * np.maximum(1.0, np.abs(cur)))
-                    or np.max(np.abs(new)) > BLOWUP_THRESHOLD):
+            if np.max(np.abs(new)) > BLOWUP_THRESHOLD:
                 return new, passes
             if gaps[-1] >= gaps[-2] >= gaps[-3]:
                 break
@@ -326,6 +327,10 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True)
 class Solution:
+    """Y as (n_paths, n_nodes, m) and Z as (n_paths, n_nodes, m, d), the
+    node-major stacks solve swept: Y[:, i] is one contiguous block, and
+    np.ascontiguousarray(Y) gives contiguous per-path rows."""
+
     Y: np.ndarray
     Z: np.ndarray
     diagnostics: SolverDiagnostics
@@ -340,18 +345,20 @@ def consistency_residuals(problem: ProblemSpec, solution: Solution) -> tuple:
     """(martingale_residual, self_consistency_rms), which solve does not
     compute: the largest |path mean| and the RMS of the residuals R_i =
     Y_{i+1} - Y_i + F dt + G dA_i - Z_i dW_i in solution's scheme, from F and
-    G at every node of read-only node-major copies of Y, Z and W, dA from A's
-    stored rows, and R reduced in C order.  Refuses an unfit problem (_check_fit)."""
+    G at every node of read-only views of Y, Z and W in the layout they
+    have (every read is per node, so any layout gives the same bits), dA
+    from A's stored rows, and R built and reduced in C order.  Refuses an
+    unfit problem (_check_fit)."""
     ensemble, scheme = solution.ensemble, solution.diagnostics.scheme
     _check_fit(problem, ensemble)
     grid = ensemble.grid
     k, steps = grid.delta_index_offset, grid.steps()
-    Y, Z, W = (node_major(X) for X in (solution.Y, solution.Z, ensemble.W))
+    Y, Z, W = (_read_only(X) for X in (solution.Y, solution.Z, ensemble.W))
     dA = np.diff(stored_rows(ensemble.A), axis=1)
     f_reads = generator_reads(problem.F)
     y_windows = _windows(Y, k, "y_seg" in (f_reads | generator_reads(problem.G)))
     z_windows = _windows(Z, k, "z_seg" in f_reads, kind="control")
-    R = node_major_zeros((Y.shape[0], grid.n_steps, Y.shape[2]))
+    R = np.zeros((Y.shape[0], grid.n_steps, Y.shape[2]))
     for i in range(grid.n_steps):
         dt = float(steps[i])
         ctx = problem.context(grid, float(grid.nodes[i]), W[:, i])
@@ -364,7 +371,6 @@ def consistency_residuals(problem: ProblemSpec, solution: Solution) -> tuple:
             acc = acc + dA[:, i, None] * evaluate_generator(
                 problem.G, "G", ctx, Y[:, i], None, y_windows(i), None)
         R[:, i] = acc - np.einsum("nmd,nd->nm", Z[:, i], W[:, i + 1] - W[:, i], optimize=False)
-    R = np.ascontiguousarray(R)
     return float(np.max(np.abs(R.mean(axis=0)))), float(np.sqrt(np.mean(R ** 2)))
 
 
@@ -482,8 +488,7 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     if not converged:
         log.warning("iteration budget spent at squared distance %.3e > tol %.3e",
                     deltas[-1], tol)
-    return Solution(Y=np.ascontiguousarray(U), Z=np.ascontiguousarray(V),
-                    diagnostics=diag, ensemble=ensemble)
+    return Solution(Y=U, Z=V, diagnostics=diag, ensemble=ensemble)
 
 
 @dataclass(frozen=True)

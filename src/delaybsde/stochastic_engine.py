@@ -48,7 +48,6 @@ __all__ = [
     "omega_delta",
     "conditional_expectation",
     "fit_least_squares",
-    "splice_future",
     "save_ensemble",
     "load_ensemble",
     "register_deterministic_shape",
@@ -510,25 +509,6 @@ def conditional_expectation(targets: np.ndarray, basis: RegressionBasis,
     design = basis.design(ensemble.W[:, step, :], extra_features)
     fitted, theta = plan.fit(step, design, targets)
     return (fitted, theta) if return_coefficients else fitted
-
-
-def splice_future(ensemble: PathEnsemble, step: int,
-                  permutation: np.ndarray) -> PathEnsemble:
-    """Swap Brownian increments strictly after t_step among paths.
-
-    Test harness for adaptedness: anything measurable at or before t_step
-    must not change.  The spliced paths are rebuilt from the permuted
-    increments, and any realized A is re-derived from its spec.
-    """
-    permutation = np.asarray(permutation)
-    dW = ensemble.increments().copy()
-    dW[:, step:, :] = dW[permutation, step:, :]
-    W = np.zeros_like(ensemble.W)
-    np.cumsum(dW, axis=1, out=W[:, 1:, :])
-    out = PathEnsemble(grid=ensemble.grid, W=W, seed=ensemble.seed)
-    if ensemble.A_spec is not None:
-        out = realize_increasing_process(ensemble.A_spec, out)
-    return out
 
 
 # ----------------------------------------------------------- persistence

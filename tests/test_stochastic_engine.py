@@ -25,8 +25,9 @@ from delaybsde.stochastic_engine import (
     register_positive_functional,
     save_ensemble,
     simulate_brownian,
-    splice_future,
 )
+
+from splicing import splice_future
 
 GRID = TimeGrid.uniform(1.0, 32)
 
