@@ -249,21 +249,6 @@ def _as_paths(values, n_nodes, trailing):
     return values
 
 
-def _sq_size(values):
-    """Squared Euclidean size over all trailing axes -> (n_paths, n_nodes), in
-    the input's memory layout; components add in index order."""
-    flat = values.reshape(values.shape[0], values.shape[1], -1)
-    sq = np.square(flat[..., 0])
-    for j in range(1, flat.shape[2]):
-        sq += np.square(flat[..., j])
-    return sq
-
-
-def _node_major(X, n: int) -> bool:
-    """Whether X holds n paths and X[:, i] is one contiguous block."""
-    return X.shape[0] == n and X[:, 0].flags.c_contiguous
-
-
 def norm_weights(A, grid: TimeGrid, alpha: float, beta: float):
     """(w, dA): the norm weights w = e^{alpha t + beta A(t)}, (rows, n_nodes),
     and the increments of A, (rows, n_steps), on the rows A stores
@@ -281,27 +266,9 @@ def norm_weights(A, grid: TimeGrid, alpha: float, beta: float):
     return w, np.subtract(A[:, 1:], A[:, :-1])
 
 
-def _array_terms(Y, Z, w, dA, dt, p):
-    """Per-path (sup w|Y|^p, sum w|Y|^2 dA, sum w|Z|^2 dt) over whole stacks;
-    w multiplies into |Y|^2 and |Z|^2 in place (products commute exactly).
-    A term whose stack is None is None."""
-    top = y_int = z_int = None
-    if Y is not None:
-        ysq = _sq_size(Y)
-        top = w * ysq ** (p / 2.0) if p != 2.0 else None
-        ysq *= w  # w|Y|^2, which is w|Y|^p for p = 2
-        top = np.max(ysq if top is None else top, axis=1)
-        y_int = np.sum(np.multiply(ysq[:, :-1], dA, out=ysq[:, :-1]), axis=1)
-    if Z is not None:
-        zsq = _sq_size(Z)[:, :-1]
-        zsq *= w[:, :-1]
-        z_int = np.sum(np.multiply(zsq, dt, out=zsq), axis=1)
-    return top, y_int, z_int
-
-
 def _node_sq(X, U, i, e, sq):
-    """|X_i - U_i|^2 per path (|X_i|^2 when U is None) from the contiguous
-    blocks X[:, i] and U[:, i], components added in index order; e, (n, k)
+    """|X_i - U_i|^2 per path (|X_i|^2 when U is None) from the node blocks
+    X[:, i] and U[:, i], components added in index order; e, (n, k)
     for k components, and sq, (n,), are scratch, one of which holds the
     result."""
     n = X.shape[0]
@@ -319,11 +286,12 @@ def _node_sq(X, U, i, e, sq):
 
 
 def _walk_terms(Y, U, Z, V, w, dA, dt, p):
-    """_array_terms of Y - U and Z - V (U, V may be None) for node-major
-    stacks, by one forward walk over the nodes with scratch of one node's
-    size: each product is formed in the same order, and numpy sums a
-    node-major stack along its node axis one node at a time, so the bits
-    are the same."""
+    """Per-path (sup w|Y - U|^p, sum w|Y - U|^2 dA, sum w|Z - V|^2 dt), U and
+    V may be None and a term whose stack is None is None, by one forward
+    walk over the nodes with scratch of one node's size: w multiplies into
+    each |.|^2 in place (products commute exactly), and each sum adds its
+    nodes in order, one elementwise step per node, so the bits do not depend
+    on the stacks' layout."""
     n, n_nodes = (Y if Z is None else Z).shape[:2]
     top = y_int = z_int = None
     scratch = np.empty(n)
@@ -361,33 +329,27 @@ def _assemble_norm(Y, Z, A, grid: TimeGrid, *, p: float, alpha: float,
     with weights w = e^{alpha t + beta A(t)}, by left-point sums.  ``weights``
     is norm_weights(A, grid, alpha, beta), built here when not given.
     ``minus`` = (U, V) measures Y - U and Z - V instead, either may be None.
+    Y, Z, U and V must hold one number of paths n, and the weights (A's
+    stored rows) one row or n; anything else raises ValueError naming the
+    shapes.
 
-    When every stack it reads (Y, Z, U, V, and w, dA unless they hold one
-    row) is node-major with more than one path, the per-path terms come from
-    one walk over the nodes (_walk_terms) with no temporary the size of a
-    stack: it reads each stack once, where the whole-array code passes over
-    it about ten times.  Any other layout (C order, one path, a broadcast
-    stack) forms Y - U and Z - V and takes the whole-array code
-    (_array_terms): numpy sums a C-contiguous row, and so a single path,
-    pairwise, which a walk in node order would not reproduce, and on C-order
-    stacks the walk, striding across every row, is no faster."""
+    The per-path terms come from one walk over the nodes (_walk_terms),
+    which forms no temporary the size of a stack and adds in node order
+    whatever the layout, so a norm's bits do not depend on the layout of its
+    inputs.  On node-major stacks, those of every ensemble and solution,
+    each node it reads is one contiguous block."""
     w, dA = norm_weights(A, grid, alpha, beta) if weights is None else weights
     n_nodes, dt = grid.nodes.size, grid.steps()
     U, V = (None, None) if minus is None else minus
     Y, U = (_as_paths(X, n_nodes, ("m",)) for X in (Y, U))
     Z, V = (_as_paths(X, n_nodes, ("m", "d")) for X in (Z, V))
-    stacks = [X for X in (Y, U, Z, V) if X is not None]
-    n = stacks[0].shape[0] if stacks else 0
-    if w.shape[0] > 1:
-        stacks += [w, dA]
-    if n > 1 and all(_node_major(X, n) for X in stacks):
-        top, y_int, z_int = _walk_terms(Y, U, Z, V, w, dA, dt, p)
-    else:
-        if Y is not None and U is not None:
-            Y = np.subtract(Y, U)
-        if Z is not None and V is not None:
-            Z = np.subtract(Z, V)
-        top, y_int, z_int = _array_terms(Y, Z, w, dA, dt, p)
+    stacks = {name: X for name, X in zip("YUZV", (Y, U, Z, V)) if X is not None}
+    # one path count over the stacks, which the weights share unless they hold one row
+    if len({X.shape[0] for X in stacks.values()} | ({w.shape[0]} - {1})) > 1:
+        shapes = ", ".join(f"{name} {X.shape}" for name, X in stacks.items())
+        raise ValueError(f"the norm needs stacks of one path count and A of one row or "
+                         f"that many: {shapes}, A rows {w.shape[0]}")
+    top, y_int, z_int = _walk_terms(Y, U, Z, V, w, dA, dt, p) if stacks else (None,) * 3
     sup_term = dA_term = dt_term = 0.0
     if Y is not None:
         sup_term = float(np.mean(top))
@@ -432,9 +394,10 @@ def equivalent_norm(dY, dZ, A, grid: TimeGrid, alpha: float, beta: float,
 
     ``weights`` may pass norm_weights(A, grid, alpha, beta) built once for
     many norms against the same A.  ``minus`` = (U, V) takes dY - U and
-    dZ - V as the distances without forming them: on node-major stacks the
-    norm walks the nodes once and allocates nothing the size of a stack (the
-    layout rule is _assemble_norm's).
+    dZ - V as the distances without forming them: the norm walks the nodes
+    once and allocates nothing the size of a stack, with the same bits on
+    any layout (_assemble_norm, which also refuses stacks whose path counts
+    disagree).
     """
     return _assemble_norm(dY, dZ, A, grid, p=2.0, alpha=alpha, beta=beta, a=a, b=b,
                           weights=weights, minus=minus)

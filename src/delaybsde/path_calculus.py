@@ -267,16 +267,15 @@ def node_major_zeros(shape) -> np.ndarray:
     return np.zeros((shape[1], shape[0]) + tuple(shape[2:])).swapaxes(0, 1)
 
 
-def node_major(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def node_major(X: np.ndarray) -> np.ndarray:
     """The stored rows of a path stack (n_paths, n_nodes, ...) copied in
-    tiles of _TILE paths into out, which has their shape and is laid out
-    node-major, or else into a fresh node_major_zeros array made read-only."""
+    tiles of _TILE paths into a fresh node_major_zeros array, made read-only."""
     X = stored_rows(X)
-    into = node_major_zeros(X.shape) if out is None else out
+    out = node_major_zeros(X.shape)
     for p in range(0, X.shape[0], _TILE):
-        into[p:p + _TILE] = X[p:p + _TILE]
-    into.flags.writeable = out is not None
-    return into
+        out[p:p + _TILE] = X[p:p + _TILE]
+    out.flags.writeable = False
+    return out
 
 
 def delay_windows(X: np.ndarray, k: int, kind: str = "state"):

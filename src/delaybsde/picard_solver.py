@@ -15,11 +15,13 @@ scheme of Bouchard & Touzi, SPA 2004, and Gobet, Lemor & Warin, AAP 2005);
 the Picard loop is what a delayed driver, a G nonlinear in y or a random A
 needs.
 
-Layout: path stacks are (n_paths, n_nodes, ...); sweep arrays, the Picard
-iterate and a random A's norm weights included, are node-major
-(path_calculus.node_major_zeros), so the Picard distance walks them node by
-node (model.equivalent_norm's minus), and solve returns the node-major
-stacks it swept, which consistency_residuals reads in place.
+Layout: path stacks are (n_paths, n_nodes, ...) and node-major
+(path_calculus.node_major_zeros): the ensemble's W and random A, as
+PathEnsemble keeps them, the sweep arrays, the Picard iterate and a random
+A's norm weights.  The sweep reads each node of W and A in place, the
+Picard distance walks the stacks node by node (model.equivalent_norm's
+minus), and solve returns the node-major stacks it swept, which
+consistency_residuals reads in place.
 """
 
 from __future__ import annotations
@@ -242,7 +244,7 @@ def _sweep(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray, V: np.nd
     k = grid.delta_index_offset
     n, m, d, n_nodes = ensemble.n_paths, problem.m, problem.d, grid.nodes.size
     steps = grid.steps()
-    W = plan.W_by_node
+    W = ensemble.W
     if dA is None:
         dA = np.diff(stored_rows(ensemble.A), axis=1)
     if node_g and not _solved_at_its_node(problem, plan, dA):
@@ -392,8 +394,8 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     not fit the problem (_check_fit), then runs model.preflight and refuses
     when any of its checks fails, unless force=True; the record is kept as
     diagnostics.preflight either way.  dA and the norm weights are the
-    solve's: a random A's come from the plan's A_by_node, a deterministic
-    A's from the one row it stores, which is not copied.
+    solve's, built once from ensemble.A: node-major for a random A, one row
+    for a deterministic A, whose row is not copied.
 
     The map reads the previous iterate only through G's y and y_seg and
     F's delay windows (model.generator_reads).  Two kinds of problem sweep
@@ -443,9 +445,8 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     ratios: list[float] = []
     converged = False
     plan = _plan_for(ensemble, plan, basis)
-    # weights in the sweep's layout: from the plan's node-major copy of a
-    # random A, from the one row a deterministic A stores
-    weights = norm_weights(plan.A_by_node if plan.reads_A else ensemble.A, grid, alpha, beta)
+    # in A's layout: node-major for a random A, one row for a deterministic A
+    weights = norm_weights(ensemble.A, grid, alpha, beta)
     node_g = _solved_at_its_node(problem, plan, weights[1])
     one_sweep = node_g or not _iterate_reads(problem)
     node_passes = 0

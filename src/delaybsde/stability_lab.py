@@ -23,7 +23,7 @@ from .model import (ProblemSpec, argument_clouds, effective_c, equivalent_norm,
                     evaluate_generator, norm_power, weighted_norm)
 # unused here (solve's preflight calls them); bench/tracing.py looks them up here
 from .model import check_H1, check_H2  # noqa: F401
-from .path_calculus import BLOCK_BYTES, TimeGrid, node_major, stored_rows
+from .path_calculus import BLOCK_BYTES, TimeGrid, stored_rows
 # unused here (the check keeps its own running sums); bench/tracing.py looks it up here
 from .path_calculus import cumulative_stieltjes  # noqa: F401
 from .picard_solver import FORCE_HINT, solve
@@ -293,26 +293,6 @@ class HellyBrayReport:
         return "\n".join(lines)
 
 
-def _node_major_reader(chunk: int):
-    """Reader (a, lo, hi) -> a[:, lo:hi].T for a stack of stored rows: a view
-    of a single row, else a path_calculus.node_major copy, once per distinct
-    stack and node range, into one buffer of chunk + 1 nodes per stack."""
-    copies = {}
-
-    def read(a, lo: int, hi: int):
-        if a.shape[0] == 1:
-            return a[0, lo:hi, None]
-        key = (a.__array_interface__["data"][0], a.shape, a.strides)
-        out, at = copies.get(key, (None, None))
-        if at != (lo, hi):
-            out = np.empty((chunk + 1, a.shape[0])) if out is None else out
-            node_major(a[:, lo:hi], out=out[:hi - lo].T)
-            copies[key] = out, (lo, hi)
-        return out[:hi - lo]
-
-    return read
-
-
 def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
                                 grid: TimeGrid, *,
                                 nu_ladder=(0.25, 0.5, 1.0, 2.0),
@@ -323,14 +303,16 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
 
     All processes are path stacks on one grid that broadcast against each
     other: arrays, or ShiftedPaths, which the check reads as its base plus
-    its row.  The check streams over chunks of nodes: per chunk it reads each
-    distinct integrand base node-major once, forms the left-point increments
-    x dH of the limit and every member in one (nodes, stacks, paths) buffer
-    of about BLOCK_BYTES, takes the running sums with one vector add per
-    node, carried from chunk to chunk, and folds |I_n - I| into per-path
-    sups.  Each path adds the same increments in the same order as
-    path_calculus.cumulative_stieltjes, so the bits are those of whole-stack
-    integrals; no member-sized stack is ever held, a broadcast integrator is
+    its row.  The check streams over chunks of nodes: per chunk it reads the
+    nodes of each stack in place (the view a.T[lo:hi] of its stored rows,
+    one contiguous block per node for the node-major stacks of an
+    ensemble), forms the left-point increments x dH of the limit and every
+    member in one (nodes, stacks, paths) buffer of about BLOCK_BYTES, takes
+    the running sums with one vector add per node, carried from chunk to
+    chunk, and folds |I_n - I| into per-path sups.  Each path adds the same
+    increments in the same order as path_calculus.cumulative_stieltjes, so
+    the bits are those of whole-stack integrals, whatever the layout; no
+    member-sized stack is ever held or copied, a broadcast integrator is
     differenced on its stored rows, and no input is written.
     Reports, per member, the coupled distance E sup_t |I_n(t) - I(t)|, its
     truncations E[min(sup..., nu)] over the ladder, and the two-sample
@@ -361,22 +343,21 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
     stacks = [(X_limit, H_limit)] + members
     n_paths = paths_of(*(a for pair in stacks for a in pair))
     chunk = max(1, BLOCK_BYTES // (8 * len(stacks) * n_paths))
-    read = _node_major_reader(chunk)
 
     def increments(X, H):
-        """Reader (lo, hi) -> the increments x dH of steps lo..hi-1, node-major."""
+        """Writer (lo, hi, out) of the increments x dH of steps lo..hi-1 into
+        out, node-major; a.T[lo:hi] is nodes lo..hi-1 of the stored rows a."""
         base, row = (X.base, X.row[:, None]) if isinstance(X, ShiftedPaths) else (X, None)
         base, H = (stored_rows(np.asarray(a, dtype=float)) for a in (base, H))
         dH = np.diff(H[0])[:, None] if H.shape[0] == 1 else None
 
         def inc(lo, hi, out):
-            x = read(base, lo, hi)
             if row is None:
-                np.copyto(out, x)
+                np.copyto(out, base.T[lo:hi])
             else:
-                np.add(x, row[lo:hi], out=out)
+                np.add(base.T[lo:hi], row[lo:hi], out=out)
             return np.multiply(out, dH[lo:hi] if dH is not None
-                               else np.diff(read(H, lo, hi + 1), axis=0), out=out)
+                               else np.diff(H.T[lo:hi + 1], axis=0), out=out)
         return inc
 
     readers = [increments(X, H) for X, H in stacks]
@@ -432,8 +413,8 @@ class ShiftedPaths:
     ``shape``/``ndim``, row slicing (``X[rows]`` is the fresh array
     ``base[rows] + row``), and ``np.asarray(X)``/``X.copy()``, which build
     the whole stack.  helly_bray_stochastic_check slices none of these: it
-    reads ``base`` node-major, once per chunk of nodes for every stack that
-    shares it, and adds ``row`` there.
+    reads the nodes of ``base`` in place, a chunk of nodes at a time, and
+    adds ``row`` there.
     """
 
     __slots__ = ("base", "row")

@@ -11,16 +11,18 @@ regression state alone (W, plus a random A): it builds each node's ridged
 Gram matrix once and reuses it for every later fit at that node, whatever the
 targets and whichever ensemble on that state they come from.
 
-Layout: ensembles are C order, W as (n_paths, n_nodes, d) and A as
-(n_paths, n_nodes), except that a deterministic A is a read-only broadcast
-of its one row over the paths; code reads the rows an A stores through
-path_calculus.stored_rows.  A RegressionPlan's sweep arrays are node-major
-(path_calculus.node_major).
+Layout: ensembles are node-major, W as (n_paths, n_nodes, d) and a random A
+as (n_paths, n_nodes) with each node X[:, i] one contiguous block
+(path_calculus.node_major_zeros), so that every reader, the backward sweep,
+the norms and the Helly-Bray check among them, takes a node at a time in
+place.  A deterministic A is a read-only broadcast of its one row over the
+paths; code reads the rows an A stores through path_calculus.stored_rows.
+simulate_brownian and realize_increasing_process build their stacks
+node-major, and PathEnsemble copies any other layout once.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import numbers
@@ -31,7 +33,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import GridAlignmentError, MonotonicityError, SingularSystemError
-from .path_calculus import TimeGrid, delay_fits_horizon, node_major, stored_rows
+from .path_calculus import (TimeGrid, delay_fits_horizon, node_major,
+                            node_major_zeros, stored_rows)
 
 __all__ = [
     "PathEnsemble",
@@ -60,9 +63,12 @@ class PathEnsemble:
     """Simulated paths on a shared grid.
 
     W has shape (n_paths, n_nodes, d); A, when realized, (n_paths, n_nodes).
-    A deterministic A is a read-only broadcast of its one row (stride 0 over
-    the paths; path_calculus.stored_rows reads it); W and any other A are C order.
-    Arrays are frozen after construction.
+    Both are node-major: each X[:, i] is one contiguous block.  The one
+    layout rule: a stack in that layout, or a broadcast over the paths (a
+    deterministic A's one row, stride 0; path_calculus.stored_rows reads
+    it), is kept as it is, and any other (a C-order stack of more than one
+    path) is copied once with path_calculus.node_major.  Arrays are frozen
+    after construction.
     """
 
     grid: TimeGrid
@@ -72,18 +78,18 @@ class PathEnsemble:
     A_spec: "IncreasingProcessSpec | None" = None
 
     def __post_init__(self):
-        W = np.ascontiguousarray(self.W, dtype=float)
+        W = np.asarray(self.W, dtype=float)
         if W.ndim != 3 or W.shape[1] != self.grid.nodes.size:
             raise ValueError(f"W of shape {self.W.shape} does not fit the grid")
-        object.__setattr__(self, "W", W)
-        W.flags.writeable = False
-        if self.A is not None:
-            A = np.asarray(self.A, dtype=float)
-            if A.shape != W.shape[:2]:
-                raise ValueError("A must be (n_paths, n_nodes)")
-            A = A if A.strides[0] == 0 else np.ascontiguousarray(A)
-            object.__setattr__(self, "A", A)
-            A.flags.writeable = False
+        A = None if self.A is None else np.asarray(self.A, dtype=float)
+        if A is not None and A.shape != W.shape[:2]:
+            raise ValueError("A must be (n_paths, n_nodes)")
+        for name, X in (("W", W), ("A", A)):
+            if X is not None:
+                if X.strides[0] != 0 and not X[:, 0].flags.c_contiguous:
+                    X = node_major(X)
+                object.__setattr__(self, name, X)
+                X.flags.writeable = False
 
     @property
     def n_paths(self) -> int:
@@ -92,9 +98,6 @@ class PathEnsemble:
     @property
     def d(self) -> int:
         return self.W.shape[2]
-
-    def increments(self) -> np.ndarray:
-        return np.diff(self.W, axis=1)
 
     def realized_A(self) -> np.ndarray:
         """A, or ValueError when the ensemble carries none."""
@@ -111,7 +114,8 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, d: int = 1,
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     z = rng.standard_normal((n_paths, grid.n_steps, d))
     z *= np.sqrt(grid.steps())[None, :, None]
-    W = np.zeros((n_paths, grid.nodes.size, d))
+    # the draws stay in path-major order; the sums run along each path
+    W = node_major_zeros((n_paths, grid.nodes.size, d))
     np.cumsum(z, axis=1, out=W[:, 1:, :])
     return PathEnsemble(grid=grid, W=W, seed=int(seed))
 
@@ -256,16 +260,17 @@ def _realize_A(spec: IncreasingProcessSpec, ensemble: PathEnsemble) -> np.ndarra
             raise ValueError("deterministic shape must return one value per node")
         return np.broadcast_to(vals, (ensemble.n_paths, nodes.size)).copy()
     if spec.kind == "running_max":
-        return np.maximum.accumulate(W[:, :, spec.params.get("component", 0)], axis=1)
+        return np.maximum.accumulate(W[:, :, spec.params.get("component", 0)], axis=1,
+                                     out=node_major_zeros(W.shape[:2]))
     if spec.kind == "time_integral":
         fn = _named_function(spec)
-        rates = np.empty((ensemble.n_paths, grid.n_steps))
+        rates = node_major_zeros((ensemble.n_paths, grid.n_steps))
         for i in range(grid.n_steps):
             r = np.asarray(fn(W[:, i, :], spec.params), dtype=float)
             if np.any(r < 0):
                 raise MonotonicityError("time_integral functional went negative")
             rates[:, i] = r
-        A = np.zeros((ensemble.n_paths, nodes.size))
+        A = node_major_zeros(W.shape[:2])
         np.cumsum(rates * grid.steps()[None, :], axis=1, out=A[:, 1:])
         return A
     # "oscillatory", the one kind left
@@ -277,8 +282,9 @@ def realize_increasing_process(spec: IncreasingProcessSpec,
                                ensemble: PathEnsemble) -> PathEnsemble:
     """Attach a realized A to the ensemble; checks d, A(0)=0 and monotonicity.
 
-    A deterministic A is realized once, on the first path alone, and
-    attached as a read-only broadcast of that row over every path."""
+    A random A is built node-major, as W is.  A deterministic A is realized
+    once, on the first path alone, and attached as a read-only broadcast of
+    that row over every path."""
     spec.check_dimension(ensemble.d)
     source = ensemble if spec.is_random else replace(ensemble, W=ensemble.W[:1], A=None)
     A = np.broadcast_to(_realize_A(spec, source), ensemble.W.shape[:2])
@@ -432,10 +438,9 @@ class RegressionPlan:
     LAPACK routine directly (_lapack_solve), for the same bits.  Designs are
     not kept: ``design(step)`` rebuilds one on each call, and the caller
     hands it back to ``fit`` for every regression at that node.
-    ``W_by_node`` and, for a random A, ``A_by_node`` are node-major copies
-    of the state, built on first use, from which a backward sweep reads one
-    node at a time; ``design`` reads the state there, and ``fit`` reduces
-    along the path axis of the column-major design.
+    ``design`` reads the state's node in place, one contiguous block of
+    the node-major ensemble, and ``fit`` reduces along the path axis of the
+    column-major design.
     """
 
     def __init__(self, basis: RegressionBasis, ensemble: PathEnsemble):
@@ -453,22 +458,9 @@ class RegressionPlan:
         """Whether ensemble holds this plan's regression state."""
         return all(a is b for a, b in zip(_regression_state(ensemble), self._state))
 
-    @functools.cached_property
-    def W_by_node(self) -> np.ndarray:
-        """W as (n_paths, n_nodes, d), read-only, laid out node-major."""
-        return node_major(self._state[0])
-
-    @functools.cached_property
-    def A_by_node(self) -> np.ndarray:
-        """The state's random A, (n_paths, n_nodes), read-only, laid out
-        node-major; ValueError when the state holds none."""
-        if not self.reads_A:
-            raise ValueError("the regression state holds no random A")
-        return node_major(self._state[1])
-
     def design(self, step: int) -> np.ndarray:
-        extras = [self.A_by_node[:, step]] if self.reads_A else None
-        return self.basis.design(self.W_by_node[:, step], extras)
+        W, A = self._state
+        return self.basis.design(W[:, step], None if A is None else [A[:, step]])
 
     def fit(self, step: int, design: np.ndarray, targets: np.ndarray):
         """(fitted, coefficients) of E[targets | F_{t_step}] on the design

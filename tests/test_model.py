@@ -17,6 +17,7 @@ Oracle notes (derived before the implementations were trusted):
 
 import importlib.util
 import pathlib
+import re
 import sys
 import tracemalloc
 
@@ -35,6 +36,8 @@ from delaybsde.path_calculus import TimeGrid, stored_rows
 from delaybsde.stochastic_engine import (IncreasingProcessSpec, omega_delta,
                                          realize_increasing_process,
                                          simulate_brownian)
+
+from layouts import is_node_major, node_major
 
 E = float(np.e)
 
@@ -209,7 +212,7 @@ def test_segment_integral_bits_ignore_memory_layout(atoms):
     # solver's sweep holds it: every window must reduce to the same bits
     n, n_nodes, k = 2500, 101, 50
     X = np.random.default_rng(11).normal(size=(n, n_nodes, 1))
-    X_node_major = np.ascontiguousarray(np.swapaxes(X, 0, 1)).swapaxes(0, 1)
+    X_node_major = node_major(X)
     if atoms == "three":
         w = np.zeros(k + 1)
         w[[0, k // 2, k]] = 1.0 / 3.0
@@ -324,18 +327,23 @@ def test_equivalent_norm_matches_bruteforce():
     assert rep.total == pytest.approx(sup + 5.0 * da + 2.0 * dt, rel=1e-12)
 
 
-def node_major(X):
-    """X with the same shape, laid out node-major in memory."""
-    return np.ascontiguousarray(np.swapaxes(X, 0, 1)).swapaxes(0, 1)
+def squares(X):
+    """|X|^2 over the trailing axes, (n_paths, n_nodes) in X's layout,
+    components added in index order."""
+    flat = X.reshape(X.shape[0], X.shape[1], -1)
+    out = flat[..., 0] ** 2
+    for j in range(1, flat.shape[2]):
+        out = out + flat[..., j] ** 2
+    return out
 
 
 @pytest.mark.parametrize("layout", ["C", "node_major"])
 @pytest.mark.parametrize("p", [2.0, 4.0])
 def test_norm_terms_equal_three_product_sums_bitwise(p, layout):
-    # the norm multiplies its weights into |Y|^2 and |Z|^2 in place; the terms
-    # must be those of the three-product expressions on arrays in the inputs'
-    # own layout, bit for bit: numpy sums a C-order row pairwise and a
-    # node-major stack node by node, so the two layouts give different bits
+    # the norm multiplies its weights into |Y|^2 and |Z|^2 in place and adds
+    # each path's nodes in order, whatever the inputs' layout: the terms must
+    # be those of the three-product expressions on node-major copies, which
+    # numpy sums node by node, bit for bit (a C-order row it sums pairwise)
     rng = np.random.default_rng(19)
     n, n_steps = 400, 30
     grid = TimeGrid.uniform(1.0, n_steps)
@@ -343,48 +351,45 @@ def test_norm_terms_equal_three_product_sums_bitwise(p, layout):
     Z = rng.normal(size=(n, n_steps + 1, 1, 2))
     A = np.concatenate([np.zeros((n, 1)),
                         np.cumsum(rng.uniform(0, 0.1, size=(n, n_steps)), axis=1)], axis=1)
-    A_by_path = A
-    if layout == "node_major":
-        Y, Z, A = node_major(Y), node_major(Z), node_major(A)
-    ysq, zsq = model._sq_size(Y), model._sq_size(Z)
-    dA, dt = np.diff(A, axis=1), grid.steps()[None, :]
+    A_by_path, A_by_node = A, node_major(A)
+    ysq, zsq = squares(node_major(Y)), squares(node_major(Z))
+    dA, dt = np.diff(A_by_node, axis=1), grid.steps()[None, :]
 
     def expected(alpha, beta):
-        w = np.exp(alpha * grid.nodes[None, :] + beta * A)
+        w = np.exp(alpha * grid.nodes[None, :] + beta * A_by_node)
         return (float(np.mean(np.max(w * ysq ** (p / 2.0), axis=1))),
                 float(np.mean(np.sum(w[:, :-1] * ysq[:, :-1] * dA, axis=1))) ** (p / 2.0),
                 float(np.mean(np.sum(w[:, :-1] * zsq[:, :-1] * dt, axis=1))) ** (p / 2.0))
 
+    if layout == "node_major":
+        Y, Z, A = node_major(Y), node_major(Z), A_by_node
     rep = weighted_norm(Y, Z, A, grid, p=p, beta=0.6)
     assert (rep.sup_term, rep.dA_term, rep.dt_term) == expected(0.0, 0.6)
     if p == 2.0:
-        # solve's mix in the node-major case: a C-ordered A beside weights
-        # built from a node-major copy of it
+        # A beside weights built from it, and beside weights built from a
+        # copy of it in either layout
         for A_arg, weights in ((A, None), (A, norm_weights(A, grid, 1.3, 0.6)),
-                               (A_by_path, norm_weights(node_major(A_by_path), grid, 1.3, 0.6))):
+                               (A_by_path, norm_weights(A_by_node, grid, 1.3, 0.6)),
+                               (A_by_node, norm_weights(A_by_path, grid, 1.3, 0.6))):
             rep = equivalent_norm(Y, Z, A_arg, grid, alpha=1.3, beta=0.6, a=5.0, b=2.0,
                                   weights=weights)
             assert (rep.sup_term, rep.dA_term, rep.dt_term) == expected(1.3, 0.6)
 
 
-def layout_terms(dY, dZ, w, dA, dt, p):
-    """The norm's per-path terms from whole-array expressions in the stacks'
-    own layout, (w|e|^2) dA with components added in index order, reduced
-    by numpy along the node axis, then averaged."""
-    def sq(X):
-        flat = X.reshape(X.shape[0], X.shape[1], -1)
-        out = flat[..., 0] ** 2
-        for j in range(1, flat.shape[2]):
-            out = out + flat[..., j] ** 2
-        return out
+def node_order_terms(dY, dZ, w, dA, dt, p):
+    """The norm's per-path terms from whole-array expressions, (w|e|^2) dA
+    with components added in index order, each path's nodes added in order
+    (the last of its running sums), then averaged."""
+    def node_sum(X):
+        return np.cumsum(X, axis=1)[:, -1]
     terms = [0.0, 0.0, 0.0]
     if dY is not None:
-        ysq = sq(dY)
+        ysq = squares(dY)
         terms[0] = float(np.mean(np.max(w * ysq ** (p / 2.0), axis=1)))
-        terms[1] = float(np.mean(np.sum(w[:, :-1] * ysq[:, :-1] * dA, axis=1))) ** (p / 2.0)
+        terms[1] = float(np.mean(node_sum(w[:, :-1] * ysq[:, :-1] * dA))) ** (p / 2.0)
     if dZ is not None:
-        zsq = sq(dZ)
-        terms[2] = float(np.mean(np.sum(w[:, :-1] * zsq[:, :-1] * dt, axis=1))) ** (p / 2.0)
+        zsq = squares(dZ)
+        terms[2] = float(np.mean(node_sum(w[:, :-1] * zsq[:, :-1] * dt))) ** (p / 2.0)
     return tuple(terms)
 
 
@@ -394,9 +399,10 @@ def layout_terms(dY, dZ, w, dA, dt, p):
 @pytest.mark.parametrize("n", [300, 2, 1])
 def test_node_walk_terms_equal_whole_array_bits(n, p, A_kind, which):
     # node-major stacks (m = 2, d = 3) are measured by one walk over the nodes;
-    # its terms must be those of the whole-array expressions bit for bit, with
-    # minus= giving what the explicit difference gives.  One path is not
-    # walked: it keeps the pairwise sums of its C-contiguous row
+    # its terms must be those of the whole-array expressions, each path's
+    # nodes added in order, bit for bit, with minus= giving what the explicit
+    # difference gives.  One path is walked too: its row is not summed
+    # pairwise, as numpy sums a C-contiguous row
     rng = np.random.default_rng(31)
     n_steps = 40
     grid = TimeGrid.uniform(1.0, n_steps)
@@ -414,7 +420,7 @@ def test_node_walk_terms_equal_whole_array_bits(n, p, A_kind, which):
     dZ = None if Z is None else Z - V
     w, dA = weights = norm_weights(A, grid, 1.3, 0.6)
     if p == 2.0:
-        want = layout_terms(dY, dZ, w, dA, grid.steps(), p)
+        want = node_order_terms(dY, dZ, w, dA, grid.steps(), p)
         for rep in (equivalent_norm(Y, Z, A, grid, 1.3, 0.6, 5.0, 2.0, weights=weights,
                                     minus=(U, V)),
                     equivalent_norm(dY, dZ, A, grid, 1.3, 0.6, 5.0, 2.0)):
@@ -422,13 +428,66 @@ def test_node_walk_terms_equal_whole_array_bits(n, p, A_kind, which):
     else:
         rep = weighted_norm(Y, Z, A, grid, p=p, beta=0.6)
         w0, dA0 = norm_weights(A, grid, 0.0, 0.6)
-        assert (rep.sup_term, rep.dA_term, rep.dt_term) == layout_terms(
+        assert (rep.sup_term, rep.dA_term, rep.dt_term) == node_order_terms(
             Y, Z, w0, dA0, grid.steps(), p)
     if n == 1 and dY is not None:
         # the pairwise sum of the single row is not the node-by-node sum, so
         # the comparison above tells the two apart
         row = (w[:, :-1] * np.sum(dY[:, :-1] ** 2, axis=2) * dA)[0]
         assert np.sum(row) != sum(row[1:], row[0])
+
+
+def norm_terms(rep):
+    return rep.sup_term, rep.dA_term, rep.dt_term
+
+
+@pytest.mark.parametrize("A_kind", ["one_row", "random"])
+@pytest.mark.parametrize("n", [300, 2, 1])
+def test_norm_terms_do_not_depend_on_the_layout(n, A_kind):
+    # C-order and node-major copies of the same stacks give the same terms,
+    # bit for bit: weighted_norm at p = 2 and 4, and equivalent_norm's minus
+    rng = np.random.default_rng(41)
+    n_steps = 40
+    grid = TimeGrid.uniform(1.0, n_steps)
+    Y, U = (rng.normal(size=(n, n_steps + 1, 2)) for _ in range(2))
+    Z, V = (rng.normal(size=(n, n_steps + 1, 2, 3)) for _ in range(2))
+    rows = 1 if A_kind == "one_row" else n
+    A = np.concatenate([np.zeros((rows, 1)), np.cumsum(
+        rng.uniform(0, 0.1, size=(rows, n_steps)), axis=1)], axis=1)
+    terms = []
+    for layout in (np.ascontiguousarray, node_major):
+        Y_, U_, Z_, V_, A_ = (layout(X) for X in (Y, U, Z, V, A))
+        terms.append([norm_terms(weighted_norm(Y_, Z_, A_, grid, p=p, beta=0.6))
+                      for p in (2.0, 4.0)]
+                     + [norm_terms(equivalent_norm(Y_, Z_, A_, grid, 1.3, 0.6, 5.0, 2.0,
+                                                   minus=(U_, V_)))])
+    assert terms[0] == terms[1]
+
+
+def test_norm_refuses_stacks_whose_path_counts_disagree():
+    # Y, Z, U and V hold one path count, and A one row or that many
+    rng = np.random.default_rng(43)
+    grid = TimeGrid.uniform(1.0, 10)
+    t = grid.nodes[None, :]
+    Y, Z = rng.normal(size=(5, 11, 1)), rng.normal(size=(5, 11, 1, 1))
+
+    def random_A(rows):
+        return np.concatenate([np.zeros((rows, 1)), np.cumsum(
+            rng.uniform(0, 0.1, size=(rows, 10)), axis=1)], axis=1)
+
+    with pytest.raises(ValueError, match=re.escape("Y (5, 11, 1), Z (3, 11, 1, 1), A rows 1")):
+        weighted_norm(Y, rng.normal(size=(3, 11, 1, 1)), t, grid)
+    with pytest.raises(ValueError, match=re.escape("Y (5, 11, 1), U (1, 11, 1), A rows 1")):
+        equivalent_norm(Y, None, t, grid, 1.3, 0.6, 5.0, 2.0,
+                        minus=(rng.normal(size=(1, 11, 1)), None))
+    with pytest.raises(ValueError, match=re.escape("Y (5, 11, 1), Z (5, 11, 1, 1), A rows 4")):
+        weighted_norm(Y, Z, random_A(4), grid)
+    with pytest.raises(ValueError, match="one path count"):
+        equivalent_norm(Y[:1], Z[:1], random_A(5), grid, 1.3, 0.6, 5.0, 2.0)
+    # one row, a broadcast row and one row per path are all measured
+    for A in (t, np.broadcast_to(t, (5, 11)), random_A(5)):
+        assert weighted_norm(Y, Z, A, grid).total > 0
+    assert weighted_norm(Y[:1], Z[:1], t, grid).total > 0
 
 
 def test_norm_of_no_stack_is_zero():
@@ -459,14 +518,10 @@ def test_node_walk_allocates_nothing_stack_sized():
     assert rep.total == equivalent_norm(Y - U, Z - V, A, grid, 1.3, 0.6, 5.0, 2.0).total
 
 
-def is_node_major(X):
-    return all(X[:, i].flags.c_contiguous for i in range(X.shape[1]))
-
-
 @pytest.mark.parametrize("layout", ["C", "node_major"])
 def test_norm_inputs_keep_their_layout(layout):
-    # w and dA come back in A's layout and |Y|^2 in Y's, so that the norm of
-    # a node-major iterate never mixes layouts; the values do not depend on it
+    # w and dA come back in A's layout, so that the norm of a node-major
+    # iterate reads node-major weights; the values do not depend on it
     rng = np.random.default_rng(23)
     n, n_steps = 50, 12
     grid = TimeGrid.uniform(1.0, n_steps)
@@ -478,12 +533,7 @@ def test_norm_inputs_keep_their_layout(layout):
     assert np.array_equal(A_in, A)
     assert np.array_equal(w, np.exp(1.3 * grid.nodes[None, :] + 0.6 * A))
     assert np.array_equal(dA, np.diff(A, axis=1))
-    stacks = [rng.normal(size=(n, n_steps + 1, 2)), rng.normal(size=(n, n_steps + 1, 2, 3))]
-    sizes = [model._sq_size(node_major(X) if layout == "node_major" else X) for X in stacks]
-    for X, sq in zip(stacks, sizes):
-        assert np.array_equal(sq, model._sq_size(X))
-        assert sq == pytest.approx(np.sum(X.reshape(n, n_steps + 1, -1) ** 2, axis=2), rel=1e-15)
-    for X in [w, dA] + sizes:
+    for X in (w, dA):
         if layout == "node_major":
             assert is_node_major(X)
         else:

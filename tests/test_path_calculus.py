@@ -28,6 +28,8 @@ from delaybsde.path_calculus import (
     write_csv,
 )
 
+from layouts import plain_node_major
+
 
 # ---------------------------------------------------------------- oracles
 
@@ -363,14 +365,6 @@ def test_node_major_zeros_keeps_each_node_contiguous(shape):
     assert X.strides[1] == X[:, 0].nbytes
 
 
-def plain_node_major(X):
-    """The stored rows of X in a node_major_zeros array, in one assignment."""
-    X = stored_rows(X)
-    out = node_major_zeros(X.shape)
-    out[...] = X
-    return out
-
-
 def same_bits(a, b):
     return a.shape == b.shape and a.strides == b.strides and \
         np.ascontiguousarray(a).view(np.uint64).tobytes() == \
@@ -399,13 +393,6 @@ def test_node_major_copies_the_stored_rows_bit_for_bit(monkeypatch, case, tile):
     assert same_bits(copy, plain_node_major(X))
     assert copy.shape == stored_rows(X).shape and not copy.flags.writeable
     assert all(copy[:, i].flags.c_contiguous for i in range(21))
-    # into a node-major buffer, such as the transposed one the Helly-Bray
-    # check reads: the same bits, the buffer stays writable
-    rows = stored_rows(X)
-    buffer = np.full((21, rows.shape[0]) + rows.shape[2:], 7.0)
-    into = node_major(X, out=buffer.swapaxes(0, 1))
-    assert into.base is buffer and into.flags.writeable
-    assert same_bits(into, plain_node_major(X))
 
 
 def test_delayed_segment_needs_delta():

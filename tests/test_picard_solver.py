@@ -37,6 +37,8 @@ from delaybsde.stochastic_engine import (IncreasingProcessSpec,
                                          realize_increasing_process,
                                          simulate_brownian)
 
+from layouts import LAYOUT_SPECS, is_node_major, node_major, relaid, spy_on_node_major
+
 E = float(np.e)
 IDENTITY_A = IncreasingProcessSpec("deterministic", {"shape": "identity"})
 
@@ -506,13 +508,6 @@ def test_feedback_family_errors_match_their_closed_form(seed):
 
 # ------------------------------------------------------------------- layout
 
-def node_major(X):
-    """X with its values laid out node-major: same shape, X[:, i] contiguous."""
-    out = np.ascontiguousarray(np.swapaxes(X, 0, 1)).swapaxes(0, 1)
-    assert not out.flags.c_contiguous and out[:, 3].flags.c_contiguous
-    return out
-
-
 def segment_problem(delta=0.1):
     """F and G read (y, z) and their delay segments; A is random, so the
     regressions carry the extra A(t_i) column."""
@@ -583,21 +578,6 @@ def spy_on_node_major_zeros(monkeypatch):
     return shapes
 
 
-def spy_on_node_major(monkeypatch):
-    """Shapes of the stacks every path_calculus.node_major call copies from
-    here on."""
-    shapes = []
-    node_major_copy = path_calculus.node_major
-
-    def spy(X, out=None):
-        shapes.append(X.shape)
-        return node_major_copy(X, out)
-
-    for module in (path_calculus, stochastic_engine):
-        monkeypatch.setattr(module, "node_major", spy)
-    return shapes
-
-
 def test_sweep_builds_no_window_copies(monkeypatch):
     shapes = spy_on_node_major_zeros(monkeypatch)
     rng = np.random.default_rng(11)
@@ -640,55 +620,53 @@ def test_sweep_without_F_reads_no_window(monkeypatch):
 
 
 def test_solve_makes_no_node_major_copy_of_a_deterministic_A(monkeypatch):
-    # the norm weights and dA come from the one row A stores, as it is
+    # the norm weights and dA come from the one row A stores, as it is, and
+    # the sweep reads the ensemble's node-major W in place
+    ens = make_ensemble(70, n_steps=20, seed=6)
     shapes = spy_on_node_major_zeros(monkeypatch)
-    copies = spy_on_node_major(monkeypatch)
     prob = make_problem(F=registry.build_F({"name": "linear", "params": {"a_y": 0.2}}),
                         G=registry.build_G({"name": "linear", "params": {"b": 0.1}}),
                         xi=registry.build_terminal({"name": "brownian", "params": {}}))
-    sol = solve(prob, make_ensemble(70, n_steps=20, seed=6))
+    sol = solve(prob, ens)
     assert sol.diagnostics.iterations >= 2
     assert (1, 21) not in shapes and (70, 21) not in shapes
-    assert copies == [(70, 21, 1)]   # the plan's W_by_node alone
 
 
 def test_each_pass_allocates_only_its_Y_and_Z_stacks(monkeypatch):
     # G reads y and its window, so the loop runs, and a pass used to build a
     # third stack, the running integral of G along its iterate
+    ens = make_ensemble(70, n_steps=20, seed=6)
     shapes = spy_on_node_major_zeros(monkeypatch)
-    copies = spy_on_node_major(monkeypatch)
     prob = make_problem(F=registry.build_F({"name": "linear", "params": {"a_y": 0.2}}),
                         G=LINEAR_RHO_G,
                         xi=registry.build_terminal({"name": "brownian", "params": {}}))
-    sol = solve(prob, make_ensemble(70, n_steps=20, seed=6), tol=1e-30, max_iter=3)
+    sol = solve(prob, ens, tol=1e-30, max_iter=3)
     assert sol.diagnostics.iterations == 3
     Y, Z, head = (70, 21, 1), (70, 21, 1, 1), (70, 4, 1)
-    # the zero iterate, the plan's W_by_node on pass 1's first design, then
-    # each pass's Y and Z and the head of G's window of the iterate (k = 2)
-    assert copies == [(70, 21, 1)]
-    assert shapes == [Y, Z, (70, 21, 1)] + [Y, Z, head] * 3
+    # the zero iterate, then each pass's Y and Z and the head of G's window
+    # of the iterate (k = 2); the sweep reads W where the ensemble holds it
+    assert shapes == [Y, Z] + [Y, Z, head] * 3
     # the README problem (G = 0.1y) sweeps once: one Y and one Z
     shapes.clear()
-    sol = solve(replace(prob, G=LINEAR_G), make_ensemble(70, n_steps=20, seed=6),
-                tol=1e-30, max_iter=3)
+    sol = solve(replace(prob, G=LINEAR_G), ens, tol=1e-30, max_iter=3)
     assert sol.diagnostics.iterations == 2 and sol.diagnostics.deltas[1] == 0.0
-    assert shapes == [Y, Z, (70, 21, 1), Y, Z]
+    assert shapes == [Y, Z, Y, Z]
 
 
-def test_solve_copies_a_random_A_node_major_once(monkeypatch):
-    # the plan's one node-major copy of A serves the design's A column, the
-    # norm weights and dA
-    shapes = spy_on_node_major_zeros(monkeypatch)
-    copies = spy_on_node_major(monkeypatch)
+def test_solve_reads_a_random_A_in_place(monkeypatch):
+    # the ensemble's node-major A serves the design's A column, the norm
+    # weights and dA, with no stack of A's shape allocated
     spec = IncreasingProcessSpec("time_integral", {"functional": "inv_quadratic"})
+    ens = make_ensemble(70, n_steps=20, seed=6, spec=spec)
+    assert is_node_major(ens.A)
+    shapes = spy_on_node_major_zeros(monkeypatch)
     prob = make_problem(F=registry.build_F({"name": "linear", "params": {"a_y": 0.2}}),
                         G=registry.build_G({"name": "linear", "params": {"b": 0.1}}),
                         xi=registry.build_terminal({"name": "brownian", "params": {}}),
                         A_spec=spec)
-    sol = solve(prob, make_ensemble(70, n_steps=20, seed=6, spec=spec))
+    sol = solve(prob, ens)
     assert sol.diagnostics.iterations >= 2
-    assert shapes.count((70, 21)) == 1 and (1, 21) not in shapes
-    assert sorted(copies) == [(70, 21), (70, 21, 1)]   # A_by_node and W_by_node
+    assert (70, 21) not in shapes and (1, 21) not in shapes
 
 
 def test_solve_builds_no_B_and_a_constant_G_needs_no_reads_flag(monkeypatch):
@@ -747,6 +725,29 @@ def test_reloaded_ensemble_keeps_its_stored_rows(tmp_path, spec):
     assert consistency_residuals(prob, one) == consistency_residuals(prob, two)
 
 
+@pytest.mark.parametrize("spec", LAYOUT_SPECS, ids=lambda spec: spec.kind)
+def test_solve_same_bits_on_every_layout_of_the_ensemble(tmp_path, spec):
+    # W from a C-order copy and W (d = 2) from a reload are copied
+    # node-major once, so both schemes give the bits of simulate_brownian's
+    # ensemble; G reads its window, so every A keeps the Picard loop
+    grid = TimeGrid.uniform(1.0, 20, delta=0.1)
+    ens = realize_increasing_process(spec, simulate_brownian(grid, 200, d=2, seed=29))
+    prob = make_problem(
+        d=2, A_spec=spec, G=LINEAR_RHO_G,
+        F=registry.build_F({"name": "linear_plus_rho",
+                            "params": {"a_y": 0.2, "a_z": 0.1, "kappa_rho": 0.1}}),
+        xi=registry.build_terminal({"name": "brownian", "params": {}}))
+    others = relaid(ens, tmp_path)
+    assert all(is_node_major(e.W) and np.array_equal(e.W, ens.W) for e in others)
+    for scheme in ("explicit", "implicit"):
+        want = solve(prob, ens, tol=1e-30, max_iter=3, scheme=scheme, force=True)
+        assert want.diagnostics.iterations == 3
+        for other in others:
+            got = solve(prob, other, tol=1e-30, max_iter=3, scheme=scheme, force=True)
+            assert np.array_equal(got.Y, want.Y) and np.array_equal(got.Z, want.Z)
+            assert got.diagnostics.deltas == want.diagnostics.deltas
+
+
 @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
 def test_solve_same_bits_on_broadcast_and_full_A(scheme):
     # a full copy of a deterministic A, as a hand-built ensemble may hold it
@@ -754,7 +755,7 @@ def test_solve_same_bits_on_broadcast_and_full_A(scheme):
     prob = replace(segment_problem(), A_spec=spec)
     ens = make_ensemble(300, n_steps=20, seed=10, spec=spec)
     full = replace(ens, A=np.array(ens.A))
-    assert stored_rows(ens.A).shape == (1, 21) and full.A.flags.c_contiguous
+    assert stored_rows(ens.A).shape == (1, 21) and stored_rows(full.A).shape == (300, 21)
     one, two = (solve(prob, e, tol=1e-30, max_iter=4, scheme=scheme, force=True)
                 for e in (ens, full))
     assert np.array_equal(one.Y, two.Y) and np.array_equal(one.Z, two.Z)
@@ -789,18 +790,15 @@ def test_solve_matches_pass_by_pass_replay():
     assert np.array_equal(U, sol.Y) and np.array_equal(V, sol.Z)
 
 
-def test_conditional_expectation_makes_no_node_major_copy(monkeypatch):
-    copies = spy_on_node_major(monkeypatch)
+def test_conditional_expectation_fits_what_a_sweeps_plan_fits():
     ens = make_ensemble(20_000, n_steps=20, seed=8)
     basis = RegressionBasis()
     targets = ens.W[:, -1, 0] ** 2
     fit = stochastic_engine.conditional_expectation(targets, basis, ens, 10)
-    assert copies == []
-    # a sweep's plan copies W once, on its first design, and reuses the copy
+    # a sweep's plan reads the same node of W, on every design
     plan = stochastic_engine.RegressionPlan(basis, ens)
     for _ in range(2):
         assert np.array_equal(plan.fit(10, plan.design(10), targets)[0], fit)
-    assert copies == [ens.W.shape]
 
 
 # -------------------------------------------------------------------- solve
@@ -1320,14 +1318,12 @@ def test_solve_evaluates_the_generators_only_in_its_passes(G):
 
 def residuals_on_the_iterate(problem, solution):
     """The residuals on the solution's own node-major stacks, with the
-    plan's W_by_node and the dA of the solve's norm weights."""
+    ensemble's node-major W and the dA of the solve's norm weights."""
     ens, scheme = solution.ensemble, solution.diagnostics.scheme
     grid = ens.grid
     k, steps = grid.delta_index_offset, grid.steps()
-    plan = stochastic_engine.RegressionPlan(RegressionBasis(), ens)
-    A = plan.A_by_node if plan.reads_A else ens.A
-    dA = model.norm_weights(A, grid, problem.alpha, problem.beta)[1]
-    W, Y, Z = plan.W_by_node, solution.Y, solution.Z
+    dA = model.norm_weights(ens.A, grid, problem.alpha, problem.beta)[1]
+    W, Y, Z = ens.W, solution.Y, solution.Z
     y_win, z_win = delay_windows(Y, k), delay_windows(Z, k, "control")
     R = path_calculus.node_major_zeros((Y.shape[0], grid.n_steps, Y.shape[2]))
     for i in range(grid.n_steps):
@@ -1350,8 +1346,8 @@ def residuals_on_the_iterate(problem, solution):
     pytest.param(segment_problem, id="random-A-segments"),
 ])
 def test_consistency_residuals_have_the_bits_of_the_iterate(problem, scheme):
-    # from the solution's node-major stacks, the C-order W and the stored
-    # rows of A, the residuals on the plan's node-major W and the solve's
+    # from the solution's node-major stacks, the ensemble's W and the stored
+    # rows of A, the residuals on the same node-major stacks and the solve's
     # dA, bit for bit
     prob = problem()
     ens = make_ensemble(300, n_steps=20, seed=19, spec=prob.A_spec)

@@ -21,7 +21,7 @@ import pytest
 from dataclasses import replace
 from scipy.stats import ks_2samp
 
-from delaybsde import path_calculus, registry, stability_lab, stochastic_engine
+from delaybsde import registry, stability_lab, stochastic_engine
 from delaybsde.errors import FamilyInvalidError
 from delaybsde.model import ProblemSpec
 from delaybsde.path_calculus import BVFunction, GridFunction, TimeGrid
@@ -33,8 +33,13 @@ from delaybsde.stability_lab import (HellyBrayRow, PerturbationFamily, ShiftedPa
                                      oscillatory_integration_family,
                                      resonant_integration_family,
                                      run_stability, xi_shift_family)
-from delaybsde.stochastic_engine import (IncreasingProcessSpec,
+from delaybsde.picard_solver import solve
+from delaybsde.stochastic_engine import (IncreasingProcessSpec, RegressionBasis,
+                                         conditional_expectation,
+                                         realize_increasing_process,
                                          simulate_brownian)
+
+from layouts import LAYOUT_SPECS, relaid, spy_on_node_major
 
 IDENTITY_A = IncreasingProcessSpec("deterministic", {"shape": "identity"})
 
@@ -136,6 +141,49 @@ def test_run_stability_same_rows_on_broadcast_and_full_A(monkeypatch):
     full = run_stability(family, **kwargs)
     assert broadcast.rows == full.rows
     assert str(broadcast) == str(full)
+
+
+def layout_family(spec, d=1):
+    """A family on a base with the given A and d: two terminal shifts and a
+    member with a random A of its own, so that bv_H reads two full stacks."""
+    base = make_base(
+        A_spec=spec, d=d, xi=registry.build_terminal({"name": "brownian", "params": {}}),
+        F=registry.build_F({"name": "linear", "params": {"a_y": 0.2, "a_z": 0.1}}),
+        G=registry.build_G({"name": "constant", "params": {"value": 1.0}}))
+    other_A = IncreasingProcessSpec("time_integral", {"functional": "inv_quadratic", "scale": 0.5})
+    return PerturbationFamily(base=base, members=xi_shift_family(base, [0.5, 0.25]).members
+                              + [replace(base, A_spec=other_A)])
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS, ids=lambda spec: spec.kind)
+def test_run_stability_same_rows_on_every_layout_of_the_ensemble(monkeypatch, tmp_path, spec):
+    # the driving ensemble from a C-order copy of W and from a reload (d = 2)
+    # is copied node-major once, so the rows are those of simulate_brownian's
+    family = layout_family(spec, d=2)
+    kwargs = dict(n_paths=64, n_steps=40, seed=3, final_threshold=1.0)
+    want = run_stability(family, **kwargs)
+    grid = TimeGrid.uniform(1.0, 40, delta=0.1)
+    others = relaid(simulate_brownian(grid, 64, d=2, seed=3), tmp_path)
+    for other in others:
+        monkeypatch.setattr(stability_lab, "simulate_brownian", lambda *args, **kw: other)
+        assert run_stability(family, **kwargs).rows == want.rows
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS + [IncreasingProcessSpec(
+    "oscillatory", {"base": IDENTITY_A, "n": 2})], ids=lambda spec: spec.kind)
+def test_no_node_major_copy_from_simulation_to_the_helly_bray_check(monkeypatch, spec):
+    # simulate_brownian and realize_increasing_process build node-major
+    # stacks, which every later step reads in place
+    copies = spy_on_node_major(monkeypatch)
+    grid = TimeGrid.uniform(1.0, 40, delta=0.1)
+    ens = realize_increasing_process(spec, simulate_brownian(grid, 64, seed=3))
+    conditional_expectation(ens.W[:, -1, 0] ** 2, RegressionBasis(), ens, 20)
+    family = layout_family(spec)
+    solve(family.base, ens, tol=1e-8)
+    run_stability(family, n_paths=64, n_steps=40, seed=3, final_threshold=1.0)
+    X_list, H_list, X_lim, H_lim = oscillatory_integration_family(ens, [2, 4])
+    helly_bray_stochastic_check(X_list + [ens.W[:, :, 0]], H_list + [ens.A], X_lim, H_lim, grid)
+    assert copies == []
 
 
 def test_family_shares_one_plan_among_the_members_it_serves(monkeypatch):
@@ -326,14 +374,12 @@ def read_only(a):
     return a
 
 
-# (BLOCK_BYTES, paths per tile): every node a chunk of its own; chunks of 7
-# nodes, so that 64 steps end on a partial chunk, and tiles of 128 paths, so
-# that 300 paths end on a partial tile; the default
-@pytest.mark.parametrize("block_bytes, tile", [(1, 512), (7 * 8 * 6 * 300, 128), (None, None)])
-def test_helly_bray_check_matches_whole_stack_integrals(monkeypatch, block_bytes, tile):
+# BLOCK_BYTES: every node a chunk of its own; chunks of 7 nodes, so that 64
+# steps end on a partial chunk; the default
+@pytest.mark.parametrize("block_bytes", [1, 7 * 8 * 6 * 300, None])
+def test_helly_bray_check_matches_whole_stack_integrals(monkeypatch, block_bytes):
     if block_bytes is not None:
         monkeypatch.setattr(stability_lab, "BLOCK_BYTES", block_bytes)
-        monkeypatch.setattr(path_calculus, "_TILE", tile)
     grid = TimeGrid.uniform(1.0, 64)
     ens = simulate_brownian(grid, 300, d=2, seed=13)
     rng = np.random.default_rng(13)
@@ -466,14 +512,15 @@ def test_oscillatory_family_and_oscillatory_A_share_one_oscillation():
 @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c", "d"]])
 def test_helly_bray_check_refuses_labels_of_the_wrong_length_before_integrating(
         monkeypatch, labels):
+    # the check reads each stack's stored rows before it integrates it
     copies = []
-    copy = stability_lab.node_major
+    read = stability_lab.stored_rows
 
-    def spy(X, out=None):
+    def spy(X):
         copies.append(X.shape)
-        return copy(X, out)
+        return read(X)
 
-    monkeypatch.setattr(stability_lab, "node_major", spy)
+    monkeypatch.setattr(stability_lab, "stored_rows", spy)
     grid = TimeGrid.uniform(1.0, 32)
     inputs = oscillatory_integration_family(simulate_brownian(grid, 20, seed=4), [2, 4, 8])
     with pytest.raises(ValueError, match="one label per member"):

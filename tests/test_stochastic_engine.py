@@ -27,7 +27,8 @@ from delaybsde.stochastic_engine import (
     simulate_brownian,
 )
 
-from splicing import splice_future
+from layouts import is_node_major, node_major, spy_on_node_major
+from splicing import increments, splice_future
 
 GRID = TimeGrid.uniform(1.0, 32)
 
@@ -41,7 +42,7 @@ def det(shape, **params):
 def test_brownian_starts_at_zero_with_gaussian_increments():
     ens = simulate_brownian(GRID, 20000, d=2, seed=11)
     assert np.all(ens.W[:, 0, :] == 0.0)
-    dW = ens.increments()
+    dW = increments(ens)
     dt = GRID.steps()[None, :, None]
     # CLT bounds at 3 sigma for the frozen seed
     z = dW / np.sqrt(dt)
@@ -145,7 +146,8 @@ def test_deterministic_A_is_one_stored_row(spec, random):
     out = realize_increasing_process(spec, ens)
     assert out.A.shape == (40, 33) and not out.A.flags.writeable
     if random:
-        assert out.A.flags.c_contiguous
+        # built node-major, as W is
+        assert is_node_major(out.A) and not out.A.flags.c_contiguous
         return
     row = stored_rows(out.A)
     assert row.shape == (1, 33) and not row.flags.writeable
@@ -162,12 +164,35 @@ def test_ensemble_keeps_a_broadcast_A_and_copies_any_other_layout():
     row = np.linspace(0.0, 1.0, 33)
     broadcast = np.broadcast_to(row, (5, 33))
     assert PathEnsemble(GRID, ens.W, 7, A=broadcast).A is broadcast
-    strided = np.asfortranarray(np.tile(row, (5, 1)))
-    kept = PathEnsemble(GRID, ens.W, 7, A=strided).A
-    assert kept.flags.c_contiguous and not kept.flags.writeable
-    assert np.array_equal(kept, strided)
+    # a node-major stack is kept as it is, a C-order one copied node-major
+    by_node = node_major(np.tile(row, (5, 1)))
+    assert PathEnsemble(GRID, ens.W, 7, A=by_node).A is by_node
+    by_path = np.tile(row, (5, 1))
+    kept = PathEnsemble(GRID, ens.W, 7, A=by_path).A
+    assert is_node_major(kept) and not kept.flags.writeable
+    assert np.array_equal(kept, by_path)
     with pytest.raises(ValueError, match="n_paths, n_nodes"):
         PathEnsemble(GRID, ens.W, 7, A=np.broadcast_to(row, (4, 33)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_ensemble_is_node_major_from_birth(monkeypatch, d):
+    # simulate_brownian builds W node-major with the bits of a C-order fill
+    # (the draws in path-major order, each path's cumulative sum), and the
+    # ensemble keeps it; a C-order W of more than one path is copied once
+    copies = spy_on_node_major(monkeypatch)
+    ens = simulate_brownian(GRID, 300, d=d, seed=8)
+    assert is_node_major(ens.W) and not ens.W.flags.writeable and copies == []
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(8)))
+    z = rng.standard_normal((300, GRID.n_steps, d)) * np.sqrt(GRID.steps())[None, :, None]
+    by_path = np.zeros((300, GRID.nodes.size, d))
+    np.cumsum(z, axis=1, out=by_path[:, 1:])
+    assert np.array_equal(ens.W.view(np.uint64), by_path.view(np.uint64))
+    copied = PathEnsemble(GRID, by_path, 8)
+    assert copies == [(300, 33, d)] and is_node_major(copied.W)
+    assert np.array_equal(copied.W, ens.W)
+    # one path is node-major in either layout
+    assert PathEnsemble(GRID, by_path[:1], 8).W.base is by_path and len(copies) == 1
 
 
 def test_monotonicity_violations_raise(monkeypatch):
@@ -404,18 +429,19 @@ def test_plan_fit_matches_conditional_expectation(step, width, random_A):
     assert design.shape[1] == 6 + random_A
 
 
-def test_plan_copies_are_node_major_blocks_of_the_ensemble():
+def test_plan_designs_read_node_major_blocks_of_the_ensemble():
     ens = realize_increasing_process(IncreasingProcessSpec("running_max", {}),
                                      simulate_brownian(GRID, 300, d=2, seed=16))
     plan = RegressionPlan(RegressionBasis(2), ens)
-    W, A = plan.W_by_node, plan.A_by_node
-    # a solve's dA: the increments its norm weights take of the plan's copy
+    W, A = ens.W, ens.A
+    # a solve's dA: the increments its norm weights take of the ensemble's A
     dA = norm_weights(A, GRID, 0.0, 0.0)[1]
-    assert W.shape == ens.W.shape and A.shape == ens.A.shape
     assert not (W.flags.writeable or A.flags.writeable)
     for i in range(GRID.n_steps):
-        assert W[:, i].flags.c_contiguous and np.array_equal(W[:, i], ens.W[:, i])
-        assert A[:, i].flags.c_contiguous and np.array_equal(A[:, i], ens.A[:, i])
+        assert W[:, i].flags.c_contiguous and A[:, i].flags.c_contiguous
+        # 1, the two components of W(t_i), their three products, then A(t_i)
+        design = plan.design(i)
+        assert np.array_equal(design[:, 1:3], W[:, i]) and np.array_equal(design[:, -1], A[:, i])
         assert dA[:, i].flags.c_contiguous
         assert np.array_equal(dA[:, i], ens.A[:, i + 1] - ens.A[:, i])
 
@@ -430,8 +456,6 @@ def test_plan_serves_the_ensembles_that_hold_its_regression_state():
         IncreasingProcessSpec("oscillatory", {"base": det("identity"), "n": 2}), driving)
     assert not plan.reads_A
     assert plan.serves(det_A) and plan.serves(other_det_A) and plan.serves(driving)
-    with pytest.raises(ValueError, match="no random A"):
-        plan.A_by_node
     # another W object, even with the same values, or a random A
     assert not plan.serves(PathEnsemble(grid=GRID, W=driving.W.copy(), seed=30))
     random_A = realize_increasing_process(running_max, driving)
