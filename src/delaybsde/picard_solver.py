@@ -20,8 +20,9 @@ Layout: path stacks are (n_paths, n_nodes, ...) and node-major
 PathEnsemble keeps them, the sweep arrays, the Picard iterate and a random
 A's norm weights.  The sweep reads each node of W and A in place, the
 Picard distance walks the stacks node by node (model.equivalent_norm's
-minus), and solve returns the node-major stacks it swept, which
-consistency_residuals reads in place.
+minus, which pass 1, measured from the zero iterate, does without), and
+solve returns the node-major stacks it swept, which consistency_residuals
+reads in place.
 """
 
 from __future__ import annotations
@@ -464,8 +465,10 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
                                        node_g=True)
         else:
             Y, Z = gamma_step(problem, ensemble, U, V, scheme=scheme, plan=plan, dA=weights[1])
+        # pass 1 starts from the zero iterate, and x - 0.0 == x
         step_norm = equivalent_norm(Y, Z, ensemble.A, grid, alpha=alpha, beta=beta,
-                                    a=a, b=b, weights=weights, minus=(U, V))
+                                    a=a, b=b, weights=weights,
+                                    minus=None if it == 1 else (U, V))
         deltas.append(step_norm.total)
         if len(deltas) >= 2:
             prev = deltas[-2]

@@ -1,7 +1,9 @@
 """Path simulation and regression-based conditional expectations.
 
 Brownian ensembles use a counter-based Philox stream filled in path-major
-order, so path p's draw never depends on how many paths follow it.  Increasing
+order, so path p's draw never depends on how many paths follow it.  The draws
+stream in blocks of paths of about path_calculus.BLOCK_BYTES, each continuing
+the one stream, so W's bits do not depend on the block.  Increasing
 integrator processes A are realized as functionals of the same Brownian data
 (or deterministically) and are checked node-by-node for monotonicity.
 Designs are column-major, and the least-squares cross products are numpy-core
@@ -18,7 +20,8 @@ the norms and the Helly-Bray check among them, takes a node at a time in
 place.  A deterministic A is a read-only broadcast of its one row over the
 paths; code reads the rows an A stores through path_calculus.stored_rows.
 simulate_brownian and realize_increasing_process build their stacks
-node-major, and PathEnsemble copies any other layout once.
+node-major, each holding that one stack and scratch of about a block or a
+node beside it, and PathEnsemble copies any other layout once.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import GridAlignmentError, MonotonicityError, SingularSystemError
-from .path_calculus import (TimeGrid, delay_fits_horizon, node_major,
+from .errors import MonotonicityError, SingularSystemError
+from .path_calculus import (BLOCK_BYTES, TimeGrid, delay_fits_horizon, node_major,
                             node_major_zeros, stored_rows)
 
 __all__ = [
@@ -108,15 +111,24 @@ class PathEnsemble:
 
 def simulate_brownian(grid: TimeGrid, n_paths: int, d: int = 1,
                       seed: int = 0) -> PathEnsemble:
-    """d-dimensional Brownian paths started at 0, exact Gaussian increments."""
+    """d-dimensional Brownian paths started at 0, exact Gaussian increments.
+
+    The draws stream in blocks of about BLOCK_BYTES of paths: each block
+    continues the one Philox stream (the Generator fills in C order), is
+    scaled, and is summed along each path into its rows of the node-major
+    W, so W holds the bits of one path-major draw of every path while the
+    call holds W and one block."""
     if n_paths < 1 or d < 1:
         raise ValueError("need n_paths >= 1 and d >= 1")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-    z = rng.standard_normal((n_paths, grid.n_steps, d))
-    z *= np.sqrt(grid.steps())[None, :, None]
-    # the draws stay in path-major order; the sums run along each path
+    scale = np.sqrt(grid.steps())[None, :, None]
     W = node_major_zeros((n_paths, grid.nodes.size, d))
-    np.cumsum(z, axis=1, out=W[:, 1:, :])
+    block = max(1, BLOCK_BYTES // (8 * grid.n_steps * d))
+    z_block = np.empty((min(block, n_paths), grid.n_steps, d))
+    for p in range(0, n_paths, block):
+        z = rng.standard_normal(out=z_block[:n_paths - p])
+        z *= scale
+        np.cumsum(z, axis=1, out=W[p:p + z.shape[0], 1:, :])
     return PathEnsemble(grid=grid, W=W, seed=int(seed))
 
 
@@ -264,25 +276,29 @@ def _realize_A(spec: IncreasingProcessSpec, ensemble: PathEnsemble) -> np.ndarra
                                      out=node_major_zeros(W.shape[:2]))
     if spec.kind == "time_integral":
         fn = _named_function(spec)
-        rates = node_major_zeros((ensemble.n_paths, grid.n_steps))
-        for i in range(grid.n_steps):
+        A = node_major_zeros(W.shape[:2])
+        # each node's left sum, in cumsum's order: A_1 = r_0 dt_0 (a -0.0
+        # stays -0.0) and A_{i+1} = r_i dt_i + A_i
+        for i, dt_i in enumerate(grid.steps()):
             r = np.asarray(fn(W[:, i, :], spec.params), dtype=float)
             if np.any(r < 0):
                 raise MonotonicityError("time_integral functional went negative")
-            rates[:, i] = r
-        A = node_major_zeros(W.shape[:2])
-        np.cumsum(rates * grid.steps()[None, :], axis=1, out=A[:, 1:])
+            np.multiply(r, dt_i, out=A[:, i + 1])
+            if i:
+                A[:, i + 1] += A[:, i]
         return A
-    # "oscillatory", the one kind left
-    bump = oscillation(spec.params["n"], nodes, grid.T)
-    return _realize_A(spec.params["base"], ensemble) + bump[None, :]
+    # "oscillatory", the one kind left; every kind returns a fresh stack
+    A = _realize_A(spec.params["base"], ensemble)
+    A += oscillation(spec.params["n"], nodes, grid.T)[None, :]
+    return A
 
 
 def realize_increasing_process(spec: IncreasingProcessSpec,
                                ensemble: PathEnsemble) -> PathEnsemble:
     """Attach a realized A to the ensemble; checks d, A(0)=0 and monotonicity.
 
-    A random A is built node-major, as W is.  A deterministic A is realized
+    A random A is built node-major, as W is, in one stack: no stack of
+    rates, increments or differences is formed.  A deterministic A is realized
     once, on the first path alone, and attached as a read-only broadcast of
     that row over every path."""
     spec.check_dimension(ensemble.d)
@@ -291,7 +307,9 @@ def realize_increasing_process(spec: IncreasingProcessSpec,
     rows = stored_rows(A)  # every path of A is one of these rows
     if np.any(rows[:, 0] != 0.0):
         raise MonotonicityError(f"A(0) != 0 for kind {spec.kind!r}")
-    if np.any(np.diff(rows, axis=1) < 0.0):
+    # a drop between neighbours a, b is b < a: the verdict of b - a < 0 for
+    # every pair of doubles
+    if np.any(rows[:, 1:] < rows[:, :-1]):
         raise MonotonicityError(f"kind {spec.kind!r} produced a decreasing path")
     return replace(ensemble, A=A, A_spec=spec)
 

@@ -769,10 +769,23 @@ def test_solve_same_bits_on_broadcast_and_full_A(scheme):
     assert all(est.n == 300 for est in moments[0].values())
 
 
-def test_solve_matches_pass_by_pass_replay():
+def test_solve_matches_pass_by_pass_replay(monkeypatch):
     prob = segment_problem()
     ens = make_ensemble(400, n_steps=20, seed=7, spec=prob.A_spec)
+    # pass 1 measures its iterate from zero with no minus; every later pass
+    # measures it from the iterate before
+    minus, iterates = [], []
+    norm = picard_solver.equivalent_norm
+
+    def spy(Y, Z, *args, **kwargs):
+        minus.append(kwargs["minus"])
+        iterates.append((Y, Z))
+        return norm(Y, Z, *args, **kwargs)
+
+    monkeypatch.setattr(picard_solver, "equivalent_norm", spy)
     sol = solve(prob, ens, tol=1e-30, max_iter=4, force=True)
+    assert minus[0] is None and len(minus) == sol.diagnostics.iterations
+    assert all(m[0] is U and m[1] is V for m, (U, V) in zip(minus[1:], iterates))
     # the node-major stacks the last pass swept, not a copy
     assert all(sol.Y[:, i].flags.c_contiguous and sol.Z[:, i].flags.c_contiguous
                for i in range(21))

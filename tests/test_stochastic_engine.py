@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from delaybsde import stochastic_engine
 from delaybsde.errors import MonotonicityError, SingularSystemError
 from delaybsde.model import norm_weights
-from delaybsde.path_calculus import TimeGrid, stored_rows
+from delaybsde.path_calculus import BLOCK_BYTES, TimeGrid, stored_rows
 from delaybsde.stochastic_engine import (
     IncreasingProcessSpec,
     PathEnsemble,
@@ -20,6 +21,7 @@ from delaybsde.stochastic_engine import (
     fit_least_squares,
     load_ensemble,
     omega_delta,
+    oscillation,
     realize_increasing_process,
     register_deterministic_shape,
     register_positive_functional,
@@ -35,6 +37,16 @@ GRID = TimeGrid.uniform(1.0, 32)
 
 def det(shape, **params):
     return IncreasingProcessSpec("deterministic", {"shape": shape, **params})
+
+
+def one_shot_brownian(grid, n, d, seed):
+    """The C-order W of one path-major draw of every path: all the normals
+    at once, scaled, then summed along each path."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    z = rng.standard_normal((n, grid.n_steps, d)) * np.sqrt(grid.steps())[None, :, None]
+    W = np.zeros((n, grid.nodes.size, d))
+    np.cumsum(z, axis=1, out=W[:, 1:])
+    return W
 
 
 # ---------------------------------------------------------------- Brownian
@@ -59,6 +71,40 @@ def test_brownian_reproducible_and_path_major():
     c = simulate_brownian(GRID, 80, d=2, seed=3)
     assert np.array_equal(c.W[:50], a.W)
     assert not np.array_equal(simulate_brownian(GRID, 50, d=2, seed=4).W, a.W)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n, block_paths", [(10, 3), (4100, None)])
+def test_brownian_draws_stream_in_path_blocks(monkeypatch, d, n, block_paths):
+    # blocks of 3 paths, the last one short; and the default block, which on
+    # 32 steps holds 4096 // d paths, so 4100 paths take two or three blocks
+    if block_paths is not None:
+        monkeypatch.setattr(stochastic_engine, "BLOCK_BYTES", block_paths * 8 * GRID.n_steps * d)
+    W = simulate_brownian(GRID, n, d=d, seed=21).W
+    assert np.array_equal(W.view(np.uint64), one_shot_brownian(GRID, n, d, 21).view(np.uint64))
+
+
+@pytest.mark.parametrize("spec", [
+    None,
+    IncreasingProcessSpec("running_max", {}),
+    IncreasingProcessSpec("time_integral", {"functional": "inv_quadratic"}),
+    IncreasingProcessSpec("oscillatory", {
+        "base": IncreasingProcessSpec("time_integral", {"functional": "constant"}), "n": 2})])
+def test_builders_hold_one_stack(spec):
+    # W (spec None) or a random A peaks at its own stack plus scratch of about
+    # a block: no second stack of draws, rates, increments or differences
+    grid = TimeGrid.uniform(1.0, 256)
+    ens = None if spec is None else simulate_brownian(grid, 4000, seed=3)
+    tracemalloc.start()
+    try:
+        if spec is None:
+            built = simulate_brownian(grid, 4000, seed=3).W
+        else:
+            built = realize_increasing_process(spec, ens).A
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < built.nbytes + 2 * BLOCK_BYTES
 
 
 def test_ensemble_arrays_frozen():
@@ -126,6 +172,29 @@ def test_registered_positive_functional_drives_a_time_integral():
         IncreasingProcessSpec("time_integral", {"functional": "test_squared_first"})
 
 
+def test_random_A_kinds_keep_the_bits_of_their_stacked_expressions():
+    # a time_integral A is cumsum(rates dt) over the stack of rates, and an
+    # oscillatory A on a random base is that base plus the bump
+    ens = simulate_brownian(GRID, 300, d=2, seed=12)
+    params = {"functional": "inv_quadratic", "scale": 50.0}
+    rates = np.stack([stochastic_engine._POS_FUNCTIONALS["inv_quadratic"](ens.W[:, i], params)
+                      for i in range(GRID.n_steps)], axis=1)
+    base = np.zeros((300, GRID.nodes.size))
+    np.cumsum(rates * GRID.steps()[None, :], axis=1, out=base[:, 1:])
+    spec = IncreasingProcessSpec("time_integral", params)
+    oscillatory = IncreasingProcessSpec("oscillatory", {"base": spec, "n": 3})
+    # a rate of -0.0 passes the sign check and keeps cumsum's signed zeros
+    signed_zero = IncreasingProcessSpec("time_integral", {"functional": "constant",
+                                                          "value": -0.0})
+    zeros = np.zeros((300, GRID.nodes.size))
+    zeros[:, 1:] = -0.0
+    for kind, want in ((spec, base),
+                       (oscillatory, base + oscillation(3, GRID.nodes, GRID.T)[None, :]),
+                       (signed_zero, zeros)):
+        got = realize_increasing_process(kind, ens).A
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_oscillatory_sup_distance_closed_form():
     # sup_t |A_n - base| = T/(4 pi n); the grid holds a peak node for n=4, M=32
     ens = simulate_brownian(GRID, 2, seed=0)
@@ -183,10 +252,7 @@ def test_ensemble_is_node_major_from_birth(monkeypatch, d):
     copies = spy_on_node_major(monkeypatch)
     ens = simulate_brownian(GRID, 300, d=d, seed=8)
     assert is_node_major(ens.W) and not ens.W.flags.writeable and copies == []
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(8)))
-    z = rng.standard_normal((300, GRID.n_steps, d)) * np.sqrt(GRID.steps())[None, :, None]
-    by_path = np.zeros((300, GRID.nodes.size, d))
-    np.cumsum(z, axis=1, out=by_path[:, 1:])
+    by_path = one_shot_brownian(GRID, 300, d, 8)
     assert np.array_equal(ens.W.view(np.uint64), by_path.view(np.uint64))
     copied = PathEnsemble(GRID, by_path, 8)
     assert copies == [(300, 33, d)] and is_node_major(copied.W)
@@ -207,11 +273,21 @@ def test_monotonicity_violations_raise(monkeypatch):
         register_deterministic_shape(name, shape)
         with pytest.raises(MonotonicityError):
             realize_increasing_process(det(name), ens)
-    # an oscillation too strong for its base slope
-    weak = det("linear", rate=0.25)
-    with pytest.raises(MonotonicityError):
-        realize_increasing_process(
-            IncreasingProcessSpec("oscillatory", {"base": weak, "n": 4}), ens)
+    # an oscillation too strong for its base slope, deterministic or random
+    for weak in (det("linear", rate=0.25),
+                 IncreasingProcessSpec("time_integral", {"functional": "constant",
+                                                         "value": 0.25})):
+        with pytest.raises(MonotonicityError, match="decreasing path"):
+            realize_increasing_process(
+                IncreasingProcessSpec("oscillatory", {"base": weak, "n": 4}), ens)
+    # the check compares neighbours, b < a, which is b - a < 0 for every pair
+    # of doubles, infinities, NaN, signed zeros and subnormals among them
+    tiny = np.nextafter(0.0, 1.0)
+    specials = np.array([-np.inf, -1.0, -tiny, -0.0, 0.0, tiny, 2 * tiny, 1.0,
+                         np.finfo(float).max, np.inf, np.nan])
+    a, b = np.meshgrid(specials, specials)
+    with np.errstate(invalid="ignore"):
+        assert np.array_equal(b < a, b - a < 0.0)
 
 
 def test_spec_roundtrip():
