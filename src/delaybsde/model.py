@@ -19,8 +19,8 @@ from scipy.stats import qmc
 
 from .errors import (ConstraintViolationError, GeneratorEvaluationError,
                      NumericOverflowError)
-from .path_calculus import (BLOCK_BYTES, TimeGrid, delay_fits_horizon,
-                            node_major_zeros, stored_rows)
+from .path_calculus import (TimeGrid, delay_fits_horizon, node_major_zeros,
+                            stored_rows)
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble, is_integer,
                                 is_number, omega_delta)
 
@@ -210,6 +210,15 @@ class ProblemSpec:
     def context(self, grid: TimeGrid, t: float, w: np.ndarray) -> GenContext:
         theta, rho, rho_tilde = self.delay_weights(grid.delta_index_offset)
         return GenContext(t=t, w=w, theta=theta, rho=rho, rho_tilde=rho_tilde)
+
+    def terminal(self, ensemble: PathEnsemble) -> np.ndarray:
+        """xi on the ensemble as (n_paths, m) floats; any other shape raises
+        GeneratorEvaluationError naming both."""
+        xi, want = np.asarray(self.xi(ensemble), dtype=float), (ensemble.n_paths, self.m)
+        if xi.shape != want:
+            raise GeneratorEvaluationError(f"the terminal has shape {xi.shape}, but the "
+                                           f"problem needs {want} (n_paths, m)")
+        return xi
 
 
 # ----------------------------------------------------------------- norms
@@ -772,12 +781,14 @@ def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
 
     Reports, per sample-mean entry, whether all samples were finite and
     whether the top 1% of samples carries more than half the estimate
-    (a heavy-tail warning: the plain average is then untrustworthy).
+    (a heavy-tail warning: the plain average is then untrustworthy).  Each
+    integral adds each path's terms in node order, as the norms do, and a
+    one-row operand (a deterministic A, an absent generator) broadcasts.
     """
     grid = ensemble.grid
     A = stored_rows(ensemble.realized_A())
     n, nodes = ensemble.n_paths, grid.nodes
-    xi = np.asarray(problem.xi(ensemble), dtype=float).reshape(n, -1)
+    xi = problem.terminal(ensemble)
     xi_sq = np.einsum("nm,nm->n", xi, xi, optimize=False)
     with np.errstate(over="ignore"):
         eA = np.exp(problem.beta * A)
@@ -803,24 +814,11 @@ def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
         return vals
 
     eA_steps, dA, dt = eA[:, :-1], np.diff(A, axis=1), grid.steps()[None, :]
-    step = max(1, BLOCK_BYTES // (8 * dt.size))
-    block = np.empty((min(step, n), dt.size))
 
     def integral(sq, d):
-        """Per path, the sum over steps of e^{beta A} sq d, on blocks of
-        paths copied to C order, so that each row is summed pairwise as a
-        whole stack's would be; one row serves every path when e^{beta A}
-        and sq store one."""
-        stored = max(eA.shape[0], sq.shape[0])
-        total = np.empty(stored)
-        for lo in range(0, stored, step):
-            hi = min(lo + step, stored)
-            # a one-row stack serves every block
-            e, x, dx = (a[lo:hi] if a.shape[0] > 1 else a for a in (eA_steps, sq[:, :-1], d))
-            out = np.multiply(e, x, out=block[:hi - lo])
-            out *= dx
-            np.sum(out, axis=1, out=total[lo:hi])
-        return total if stored == n else np.full(n, total[0])
+        """Per path, the sum over steps of e^{beta A} sq d, by one einsum."""
+        return np.broadcast_to(
+            np.einsum("ni,ni,ni->n", eA_steps, sq[:, :-1], d, optimize=False), (n,))
 
     F0_sq = squares_at_zero(problem.F, "F")
     G0_sq = squares_at_zero(problem.G, "G")

@@ -252,7 +252,7 @@ def _sweep(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray, V: np.nd
         raise ValueError("G is solved at its own node only when G's y is all the map "
                          "reads of its iterate, G is affine in y and A is deterministic")
 
-    xi = np.asarray(problem.xi(ensemble), dtype=float).reshape(n, m)
+    xi = problem.terminal(ensemble)
     if not np.all(np.isfinite(xi)):
         raise GeneratorEvaluationError("terminal values are not finite")
 

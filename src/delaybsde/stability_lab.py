@@ -204,7 +204,7 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
     ens_base = realize_increasing_process(base.A_spec, driving)
     plan = RegressionPlan(basis or RegressionBasis(), ens_base)
     sol_base = solve_or_refuse(base, ens_base, "base problem")
-    xi_base = np.asarray(base.xi(ens_base), dtype=float).reshape(n_paths, -1)
+    xi_base = base.terminal(ens_base)
 
     rows = []
     for i, member in enumerate(family.members):
@@ -212,7 +212,7 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
         ens_n = realize_increasing_process(member.A_spec, driving)
         sol_n = solve_or_refuse(member, ens_n, f"member {i} (label {label})")
 
-        xi_n = np.asarray(member.xi(ens_n), dtype=float).reshape(n_paths, -1)
+        xi_n = member.terminal(ens_n)
         gap = xi_n - xi_base
         delta_xi = float(np.mean(np.sum(gap ** 2, axis=1) ** family.p))
         delta_F = generator_gap(member.F, base.F, base, which="F", seed=seed)

@@ -692,6 +692,21 @@ def test_probe_failing_readme_config_fails_every_command(tmp_path, capsys):
     assert "force=True" not in str(exc.value)
 
 
+
+def test_terminal_of_another_width_is_one_error_in_every_command(tmp_path, capsys):
+    # the README's brownian terminal has one column, so m = 2 cannot use it
+    config = readme_config()
+    config["problem"]["m"] = 2
+    config_path = write_config(tmp_path, config)
+    for cmd in ("check-assumptions", "solve", "stability"):
+        code = cli.run([cmd, "--config", config_path, "--out", str(tmp_path / cmd),
+                        "--paths", "200"])
+        assert code == 1, cmd
+        assert capsys.readouterr().err == (
+            "error: GeneratorEvaluationError: the terminal has shape (200, 1), but the "
+            "problem needs (200, 2) (n_paths, m)\n"), cmd
+        assert not (tmp_path / cmd).exists(), cmd
+
 @pytest.mark.parametrize("error", ["NonContractionError", "BlowupError"])
 def test_stability_maps_solver_failures_like_solve(tmp_path, capsys, monkeypatch, error):
     from delaybsde import errors, stability_lab

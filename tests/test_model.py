@@ -266,6 +266,14 @@ def test_weighted_norm_p4_closed_form():
     assert rep.dt_term == 0.0
 
 
+def test_weighted_norm_refuses_a_total_that_is_not_finite():
+    # the weights are finite, but |Y|^2 overflows
+    grid = TimeGrid.uniform(1.0, 4)
+    with pytest.raises(NumericOverflowError, match="^weighted norm is not finite$"), \
+            np.errstate(over="ignore"):
+        weighted_norm(np.full((3, 5), 1e200), None, grid.nodes, grid)
+
+
 def test_weighted_norm_homogeneity():
     rng = np.random.default_rng(12)
     grid = TimeGrid.uniform(1.0, 16)
@@ -838,9 +846,25 @@ def test_integrability_requires_A():
         check_integrability(base_problem(), ens)
 
 
-def integrability_by_whole_stacks(problem, ensemble, p=2.0):
-    """check_integrability's entries by the formula it had before it read
-    its generators node-major: path-major squares and whole-stack products."""
+def both_components(ensemble):
+    """A 2-column terminal: W(T) of a 2-dimensional ensemble."""
+    return ensemble.W[:, -1, :]
+
+
+def test_integrability_refuses_a_terminal_of_another_width():
+    grid = TimeGrid.uniform(1.0, 20, delta=0.1)
+    ens = realize_increasing_process(IncreasingProcessSpec("deterministic", {}),
+                                     simulate_brownian(grid, 10, d=2, seed=7))
+    with pytest.raises(GeneratorEvaluationError,
+                       match=r"^the terminal has shape \(10, 2\), but the problem needs "
+                             r"\(10, 1\) \(n_paths, m\)$"):
+        check_integrability(base_problem(xi=both_components, d=2), ens)
+
+
+def integrability_in_node_order(problem, ensemble, p=2.0):
+    """check_integrability's entries from path-major squares and whole-stack
+    products, each integral a running sum over the steps, so that each path's
+    terms are added in node order."""
     grid = ensemble.grid
     A = stored_rows(ensemble.realized_A())
     n, nodes = ensemble.n_paths, grid.nodes
@@ -867,9 +891,9 @@ def integrability_by_whole_stacks(problem, ensemble, p=2.0):
     F0_sq, G0_sq = gen_at_zero(problem.F, "F"), gen_at_zero(problem.G, "G")
     dA, dt = np.diff(A, axis=1), grid.steps()[None, :]
     with np.errstate(invalid="ignore"):
-        int_F = np.sum(eA[:, :-1] * F0_sq[:, :-1] * dt, axis=1)
-        int_G_dA = np.sum(eA[:, :-1] * G0_sq[:, :-1] * dA, axis=1)
-        int_G_dt = np.sum(eA[:, :-1] * G0_sq[:, :-1] * dt, axis=1)
+        int_F = np.cumsum(eA[:, :-1] * F0_sq[:, :-1] * dt, axis=1)[:, -1]
+        int_G_dA = np.cumsum(eA[:, :-1] * G0_sq[:, :-1] * dA, axis=1)[:, -1]
+        int_G_dt = np.cumsum(eA[:, :-1] * G0_sq[:, :-1] * dt, axis=1)[:, -1]
     with np.errstate(over="ignore", invalid="ignore"):
         entries = {
             "A0": model._moment(eAT * (1.0 + xi_sq)),
@@ -899,11 +923,10 @@ def test_integrability_same_entries_on_every_checked_workload_pair(name):
     for seed in (workload.default_seed, workload.heldout_seed):
         for problem, ensemble in workload.setup(seed).checked:
             report = check_integrability(problem, ensemble)
-            assert report.entries == integrability_by_whole_stacks(problem, ensemble)
+            assert report.entries == integrability_in_node_order(problem, ensemble)
 
 
 def test_integrability_same_entries_as_whole_stacks():
-    # 69 steps put 1,899 paths in a block, so 5,000 paths end on a partial one
     linear_F = registry.build_F({"name": "linear", "params": {"a_y": 0.3, "a_z": 0.2}})
     constant_G = registry.build_G({"name": "constant", "params": {"value": 1.5}})
     brownian = registry.build_terminal({"name": "brownian", "params": {}})
@@ -918,7 +941,7 @@ def test_integrability_same_entries_as_whole_stacks():
         (dict(F=linear_F, G=constant_G, xi=brownian, A_spec=random_A), driving),
         (dict(F=None, G=constant_G, A_spec=random_A), driving),
         (dict(F=linear_F, G=registry.build_G({"name": "linear", "params": {"b": 0.4}}),
-              xi=brownian, m=2, d=2), driving_2d),
+              xi=both_components, m=2, d=2), driving_2d),
         # e^{beta A} overflows, and its zero-generator products are NaN
         (dict(F=None, G=constant_G, beta=800.0), driving),
         (dict(F=linear_F, G=None, beta=800.0, A_spec=random_A), driving),
@@ -928,7 +951,7 @@ def test_integrability_same_entries_as_whole_stacks():
         ensemble = realize_increasing_process(problem.A_spec, ensemble)
         with np.errstate(over="ignore", invalid="ignore"):
             entries = check_integrability(problem, ensemble).entries
-        assert entries == integrability_by_whole_stacks(problem, ensemble), fields
+        assert entries == integrability_in_node_order(problem, ensemble), fields
         if fields.get("beta"):
             assert not entries["A1_F"].finite
 

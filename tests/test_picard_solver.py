@@ -346,6 +346,29 @@ def test_gamma_step_blowup():
             gamma_step(prob, ens, U, V, scheme=scheme)
 
 
+
+def test_gamma_step_refuses_a_terminal_that_is_not_finite():
+    ens = make_ensemble(50, seed=5)
+
+    def xi(ensemble):
+        return np.full((ensemble.n_paths, 1), np.inf)
+
+    with pytest.raises(GeneratorEvaluationError, match="^terminal values are not finite$"):
+        gamma_step(make_problem(xi=xi), ens, np.zeros((50, 21, 1)), np.zeros((50, 21, 1, 1)))
+
+
+def test_implicit_fixed_point_that_is_not_finite_blows_up():
+    # the node's fixed point stops at its first non-finite pass, and the
+    # sweep refuses the value it returns
+    ens = make_ensemble(50, seed=5)
+
+    def infinite(t, y, z, y_seg, z_seg, ctx):
+        return np.full_like(y, np.inf)
+
+    with pytest.raises(BlowupError, match="^value iterate exploded at node 19 "):
+        gamma_step(make_problem(F=infinite), ens, np.zeros((50, 21, 1)),
+                   np.zeros((50, 21, 1, 1)), scheme="implicit")
+
 def call_the_map(fn, problem, ens):
     """build_B, gamma_step or solve of problem on ens from a zero iterate."""
     n, n_nodes = ens.n_paths, ens.grid.nodes.size

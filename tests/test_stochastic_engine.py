@@ -290,6 +290,24 @@ def test_monotonicity_violations_raise(monkeypatch):
         assert np.array_equal(b < a, b - a < 0.0)
 
 
+
+def test_time_integral_refuses_a_negative_functional():
+    spec = IncreasingProcessSpec("time_integral",
+                                 {"functional": lambda w, p: np.full(w.shape[0], -1.0)})
+    with pytest.raises(MonotonicityError, match="^time_integral functional went negative$"):
+        realize_increasing_process(spec, simulate_brownian(GRID, 2, seed=0))
+
+
+def test_deterministic_shape_needs_one_value_per_node():
+    with pytest.raises(ValueError, match="^deterministic shape must return one value per node$"):
+        realize_increasing_process(det(lambda t, p: t[:-1]), simulate_brownian(GRID, 2, seed=0))
+
+
+@pytest.mark.parametrize("n_paths, d", [(0, 1), (1, 0)])
+def test_simulate_brownian_needs_a_path_and_a_dimension(n_paths, d):
+    with pytest.raises(ValueError, match="^need n_paths >= 1 and d >= 1$"):
+        simulate_brownian(GRID, n_paths, d=d)
+
 def test_spec_roundtrip():
     spec = IncreasingProcessSpec("oscillatory", {"base": det("power", exponent=2.0), "n": 3})
     back = IncreasingProcessSpec.from_dict(spec.to_dict())
