@@ -6,17 +6,16 @@ from .errors import (BlowupError, ConfigError, ConstraintViolationError,
                      GeneratorEvaluationError, GridAlignmentError,
                      MonotonicityError, NonContractionError,
                      NumericOverflowError, SingularSystemError)
-from .path_calculus import (BVFunction, GridFunction, TimeGrid, bv_norm,
-                            cumulative_stieltjes, delayed_segment,
-                            helly_bray_distance, read_csv, step_approximation,
-                            stieltjes_integral, total_variation, write_csv)
+from .path_calculus import (BVFunction, GridFunction, TimeGrid,
+                            cumulative_stieltjes, helly_bray_distance,
+                            step_approximation, stieltjes_integral,
+                            total_variation)
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
                                 RegressionBasis, RegressionPlan,
                                 conditional_expectation, fit_least_squares,
-                                load_ensemble, omega_delta,
-                                realize_increasing_process,
+                                omega_delta, realize_increasing_process,
                                 register_deterministic_shape,
-                                register_positive_functional, save_ensemble,
+                                register_positive_functional,
                                 simulate_brownian)
 from .model import (AtomMeasure, ConditionReport, GenContext, NormReport,
                     Preflight, ProblemSpec, c_threshold, check_H1, check_H2,

@@ -138,8 +138,8 @@ class ProblemSpec:
     are the nonnegative delay-kernel bounds: scalars, per-node arrays, or
     callables (grid, ensemble) -> per-path-per-node arrays.  T, beta, L,
     L_tilde > 0 and 0 < delta <= T must be numbers (kept as floats); these,
-    or an A or terminal (``component``) reading a component of W that d
-    lacks, raise ValueError.
+    an A or terminal (``component``) reading a component of W that d lacks,
+    or a terminal whose declared ``width`` is not m, raise ValueError.
     """
 
     T: float
@@ -178,6 +178,10 @@ class ProblemSpec:
         if component is not None and component >= self.d:
             raise ValueError(f"the terminal reads component {component} of W(T), "
                              f"so needs d > {component}, got d={self.d}")
+        width = getattr(self.xi, "width", self.m)
+        if width != self.m:
+            raise ValueError(f"the terminal has {width} column(s), so needs m = {width}, "
+                             f"got m={self.m}")
         if self.c is not None and not (is_number(self.c) and self.c > 0):
             raise ValueError(f"c must be a positive number when given, got {self.c!r}")
         for name in ("K", "K_tilde"):
@@ -213,7 +217,8 @@ class ProblemSpec:
 
     def terminal(self, ensemble: PathEnsemble) -> np.ndarray:
         """xi on the ensemble as (n_paths, m) floats; any other shape raises
-        GeneratorEvaluationError naming both."""
+        GeneratorEvaluationError naming both.  A registry terminal's width
+        is checked at construction; this check serves hand-written ones."""
         xi, want = np.asarray(self.xi(ensemble), dtype=float), (ensemble.n_paths, self.m)
         if xi.shape != want:
             raise GeneratorEvaluationError(f"the terminal has shape {xi.shape}, but the "

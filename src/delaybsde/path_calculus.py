@@ -1,14 +1,14 @@
 """Deterministic calculus on grid-sampled paths.
 
 Grid functions, total variation, Lebesgue-Stieltjes sums against increasing or
-bounded-variation integrators, delayed path segments, and the step-function
-approximation used by the Helly-Bray convergence check.  Everything here is
-deterministic: stochastic objects enter only as arrays of per-path samples.
+bounded-variation integrators, the delay windows of path stacks, and the
+step-function approximation used by the Helly-Bray convergence check.
+Everything here is deterministic: stochastic objects enter only as arrays of
+per-path samples.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,9 +21,7 @@ __all__ = [
     "delay_fits_horizon",
     "GridFunction",
     "BVFunction",
-    "DelayedSegment",
     "total_variation",
-    "bv_norm",
     "stieltjes_integral",
     "cumulative_stieltjes",
     "stored_rows",
@@ -31,11 +29,8 @@ __all__ = [
     "node_major",
     "delay_windows",
     "delay_window",
-    "delayed_segment",
     "step_approximation",
     "helly_bray_distance",
-    "write_csv",
-    "read_csv",
 ]
 
 
@@ -191,13 +186,6 @@ def total_variation(eta: BVFunction | GridFunction, s: float | None = None,
     return _variation(eta.values, i0, i1)
 
 
-def bv_norm(eta: BVFunction | GridFunction) -> float:
-    """|eta(0)| + total variation over the whole grid."""
-    v0 = eta.values[0]
-    head = float(np.sqrt(np.sum(v0 * v0))) if np.ndim(v0) else abs(float(v0))
-    return head + total_variation(eta)
-
-
 def _eval_points(x_values: np.ndarray, policy: str) -> np.ndarray:
     """Integrand values at each step's evaluation point, node axis last."""
     if policy == "left":
@@ -322,27 +310,6 @@ def delay_window(X: np.ndarray, i: int, k: int, kind: str = "state") -> np.ndarr
     return delay_windows(X, k, kind)(i)
 
 
-def delayed_segment(x: GridFunction, t: float, kind: str = "state") -> "DelayedSegment":
-    """Path segment theta |-> x(t + theta) for theta in [-delta, 0], with
-    values before time zero prolonged as in ``delay_windows``."""
-    grid = x.grid
-    if grid.delta is None:
-        raise GridAlignmentError("grid carries no delay span")
-    k = grid.delta_index_offset
-    values = delay_window(x.values[None], grid.index_of(t), k, kind)[0]
-    return DelayedSegment(theta=np.linspace(-grid.delta, 0.0, k + 1),
-                          values=values, kind=kind)
-
-
-@dataclass(frozen=True)
-class DelayedSegment:
-    """Sampled delayed path: values[j] = x(t + theta[j]), theta in [-delta, 0]."""
-
-    theta: np.ndarray
-    values: np.ndarray
-    kind: str = "state"
-
-
 def step_approximation(x: GridFunction, partition: np.ndarray) -> GridFunction:
     """Right-endpoint step approximant of x along a coarser partition.
 
@@ -383,26 +350,3 @@ def helly_bray_distance(x_seq: list[GridFunction], eta_seq: list[BVFunction],
             raise GridAlignmentError("all members must share the limit grid")
         out[j] = float(np.max(np.abs(running(xn, en) - base)))
     return out
-
-
-def write_csv(fn: GridFunction, path: str) -> None:
-    """Serialize to CSV with header t,v_1,...,v_d at 17 significant digits."""
-    values = fn.values if fn.values.ndim == 2 else fn.values[:, None]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"v_{j + 1}" for j in range(values.shape[1])])
-        for t, row in zip(fn.grid.nodes, values):
-            writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in row])
-
-
-def read_csv(path: str, delta: float | None = None) -> GridFunction:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][0] != "t":
-        raise ValueError(f"{path} is not a grid-function CSV")
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    grid = TimeGrid(data[:, 0], delta)
-    values = data[:, 1:]
-    if values.shape[1] == 1:
-        values = values[:, 0]
-    return GridFunction(grid=grid, values=values)

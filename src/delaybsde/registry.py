@@ -8,9 +8,11 @@ read; a generator without it, hand-written or from a registered builder that
 sets none, counts as reading every argument (model.generator_reads).  The
 "linear" G also carries ``affine_in_y``: it is affine in y with coefficients
 known at t, so it keeps a value in the regression span, which lets the solver
-sweep once (picard_solver.solve).  A
-built "brownian" terminal carries ``component``, the component of W(T) it
-reads, which ProblemSpec checks against d.
+sweep once (picard_solver.solve).  The
+built terminals carry ``width``, the number of columns of xi, which
+ProblemSpec checks against m; a built "brownian" terminal also carries
+``component``, the component of W(T) it reads, which ProblemSpec checks
+against d.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ def _terminal_constant(params):
 
     def xi(ensemble):
         return np.full((ensemble.n_paths, 1), value)
+    xi.width = 1
     return xi
 
 
@@ -58,7 +61,7 @@ def _terminal_brownian(params):
 
     def xi(ensemble):
         return coeff * ensemble.W[:, -1, component:component + 1]
-    xi.component = component
+    xi.component, xi.width = component, 1
     return xi
 
 
@@ -68,6 +71,7 @@ def _terminal_process_total(params):
 
     def xi(ensemble):
         return coeff * ensemble.A[:, -1:]
+    xi.width = 1
     return xi
 
 

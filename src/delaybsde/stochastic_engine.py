@@ -27,9 +27,7 @@ node beside it, and PathEnsemble copies any other layout once.
 from __future__ import annotations
 
 import itertools
-import json
 import numbers
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,8 +52,6 @@ __all__ = [
     "omega_delta",
     "conditional_expectation",
     "fit_least_squares",
-    "save_ensemble",
-    "load_ensemble",
     "register_deterministic_shape",
     "register_positive_functional",
 ]
@@ -69,9 +65,11 @@ class PathEnsemble:
     Both are node-major: each X[:, i] is one contiguous block.  The one
     layout rule: a stack in that layout, or a broadcast over the paths (a
     deterministic A's one row, stride 0; path_calculus.stored_rows reads
-    it), is kept as it is, and any other (a C-order stack of more than one
-    path) is copied once with path_calculus.node_major.  Arrays are frozen
-    after construction.
+    it), is kept as it is, and any other (a caller's C-order stack of more
+    than one path) is copied once with path_calculus.node_major.  Arrays are
+    frozen after construction.  The seed, grid and A_spec rebuild the
+    ensemble bit for bit through simulate_brownian and
+    realize_increasing_process.
     """
 
     grid: TimeGrid
@@ -117,9 +115,12 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, d: int = 1,
     continues the one Philox stream (the Generator fills in C order), is
     scaled, and is summed along each path into its rows of the node-major
     W, so W holds the bits of one path-major draw of every path while the
-    call holds W and one block."""
-    if n_paths < 1 or d < 1:
-        raise ValueError("need n_paths >= 1 and d >= 1")
+    call holds W and one block.  n_paths >= 1, d >= 1 and the seed, a
+    Philox key in [0, 2**64), must be integers (is_integer), else ValueError."""
+    if not (is_integer(n_paths, 1) and is_integer(d, 1)
+            and is_integer(seed, 0) and seed < 2 ** 64):
+        raise ValueError(f"need integers n_paths >= 1, d >= 1 and 0 <= seed < 2**64, "
+                         f"got n_paths={n_paths!r}, d={d!r}, seed={seed!r}")
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     scale = np.sqrt(grid.steps())[None, :, None]
     W = node_major_zeros((n_paths, grid.nodes.size, d))
@@ -345,16 +346,18 @@ class RegressionBasis:
     ``degree``, then any caller-supplied columns (a RegressionPlan passes a
     random A's column).
     ``ridge`` is added to the diagonal of every normal matrix on this basis;
-    with ridge = 0 a singular system raises SingularSystemError.  A negative
-    degree or ridge raises ValueError.  Designs are column-major (n_paths, p).
+    with ridge = 0 a singular system raises SingularSystemError.  A degree
+    that is not an integer >= 0 (is_integer), or a negative ridge, raises
+    ValueError.  Designs are column-major (n_paths, p).
     """
 
     degree: int = 2
     ridge: float = 1e-10
 
     def __post_init__(self):
-        if not (self.degree >= 0 and self.ridge >= 0):
-            raise ValueError(f"need degree >= 0 and ridge >= 0, got degree={self.degree!r}, "
+        if not (is_integer(self.degree, 0) and self.ridge >= 0):
+            raise ValueError(f"need an integer degree >= 0 and ridge >= 0, "
+                             f"got degree={self.degree!r}, "
                              f"ridge={self.ridge!r}")
 
     def design(self, w_t: np.ndarray, extras: list[np.ndarray] | None = None) -> np.ndarray:
@@ -519,42 +522,3 @@ def conditional_expectation(targets: np.ndarray, basis: RegressionBasis,
     design = basis.design(ensemble.W[:, step, :], extra_features)
     fitted, theta = plan.fit(step, design, targets)
     return (fitted, theta) if return_coefficients else fitted
-
-
-# ----------------------------------------------------------- persistence
-
-def save_ensemble(ensemble: PathEnsemble, directory: str) -> None:
-    """Dump paths plus a manifest recording seed, grid and A spec.  A is
-    stored as the rows it holds: one row for a deterministic A."""
-    os.makedirs(directory, exist_ok=True)
-    arrays = {"W": ensemble.W, "nodes": ensemble.grid.nodes}
-    if ensemble.A is not None:
-        arrays["A"] = stored_rows(ensemble.A)
-    np.savez(os.path.join(directory, "paths.npz"), **arrays)
-    manifest = {
-        "seed": ensemble.seed,
-        "n_paths": ensemble.n_paths,
-        "d": ensemble.d,
-        "n_steps": ensemble.grid.n_steps,
-        "T": ensemble.grid.T,
-        "delta": ensemble.grid.delta,
-        "A_spec": ensemble.A_spec.to_dict() if ensemble.A_spec else None,
-    }
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-
-
-def load_ensemble(directory: str) -> PathEnsemble:
-    """The ensemble save_ensemble wrote; a one-row A comes back as a
-    read-only broadcast of that row over the manifest's n_paths."""
-    with open(os.path.join(directory, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    data = np.load(os.path.join(directory, "paths.npz"))
-    grid = TimeGrid(data["nodes"], manifest.get("delta"))
-    spec = manifest.get("A_spec")
-    A = None
-    if "A" in data.files:
-        A = np.broadcast_to(data["A"], (manifest["n_paths"], grid.nodes.size))
-    return PathEnsemble(
-        grid=grid, W=data["W"], seed=manifest["seed"], A=A,
-        A_spec=IncreasingProcessSpec.from_dict(spec) if spec else None)

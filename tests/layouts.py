@@ -2,13 +2,14 @@
 result does not depend on the layout of its inputs, and the one spy on the
 package's node-major copies."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from delaybsde import path_calculus, stochastic_engine
 from delaybsde.path_calculus import node_major_zeros, stored_rows
 from delaybsde.stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
-                                         load_ensemble, realize_increasing_process,
-                                         save_ensemble)
+                                         realize_increasing_process)
 
 # a deterministic A (one stored row) and the two random kinds (a full stack)
 LAYOUT_SPECS = [
@@ -51,12 +52,13 @@ def spy_on_node_major(monkeypatch):
     return shapes
 
 
-def relaid(ensemble, directory):
-    """The ensemble's values reached by two other routes: an ensemble built
-    from a C-order copy of W (with A realized again from its spec), and a
-    save_ensemble/load_ensemble round trip through directory."""
+def relaid(ensemble):
+    """The ensemble's values reached by other routes, each a C-order stack
+    that PathEnsemble copies node-major: an ensemble built from a C-order
+    copy of W (with A realized again from its spec) and, when the ensemble
+    holds an A, the ensemble with a C-order copy of that A."""
     by_path = PathEnsemble(ensemble.grid, np.ascontiguousarray(ensemble.W), ensemble.seed)
-    if ensemble.A_spec is not None:
-        by_path = realize_increasing_process(ensemble.A_spec, by_path)
-    save_ensemble(ensemble, str(directory))
-    return by_path, load_ensemble(str(directory))
+    if ensemble.A_spec is None:
+        return [by_path]
+    return [realize_increasing_process(ensemble.A_spec, by_path),
+            replace(ensemble, A=np.ascontiguousarray(ensemble.A))]

@@ -694,17 +694,19 @@ def test_probe_failing_readme_config_fails_every_command(tmp_path, capsys):
 
 
 def test_terminal_of_another_width_is_one_error_in_every_command(tmp_path, capsys):
-    # the README's brownian terminal has one column, so m = 2 cannot use it
+    # the README's brownian terminal has one column, so m = 2 cannot use it:
+    # the config check says so, before any probe runs or the terminal is read
     config = readme_config()
     config["problem"]["m"] = 2
     config_path = write_config(tmp_path, config)
+    message = "problem: the terminal has 1 column(s), so needs m = 1, got m=2"
+    assert cli.validate(config) == [{"level": "error", "code": "domain", "message": message}]
+    line = f"error: [domain] {message}\n"
     for cmd in ("check-assumptions", "solve", "stability"):
         code = cli.run([cmd, "--config", config_path, "--out", str(tmp_path / cmd),
                         "--paths", "200"])
-        assert code == 1, cmd
-        assert capsys.readouterr().err == (
-            "error: GeneratorEvaluationError: the terminal has shape (200, 1), but the "
-            "problem needs (200, 2) (n_paths, m)\n"), cmd
+        assert code == 2, cmd
+        assert capsys.readouterr() == (line, ""), cmd
         assert not (tmp_path / cmd).exists(), cmd
 
 @pytest.mark.parametrize("error", ["NonContractionError", "BlowupError"])

@@ -148,9 +148,37 @@ def test_problem_refuses_a_terminal_component_beyond_d():
     assert np.array_equal(problem.xi(ens), ens.W[:, -1, 1:2])
 
 
-def test_problem_from_dict_keeps_m_and_d_as_given():
+def two_columns(params):
+    """A registry terminal builder of width 2: W(T) of a 2-d ensemble."""
+    def xi(ensemble):
+        return ensemble.W[:, -1, :2]
+    xi.width = 2
+    return xi
+
+
+def test_problem_refuses_a_terminal_of_another_width(monkeypatch):
+    # every registry terminal declares its width, so m is checked with d,
+    # before any terminal is read
+    for name in ("constant", "brownian", "process_total"):
+        xi = registry.build_terminal({"name": name, "params": {}})
+        assert xi.width == 1
+        with pytest.raises(ValueError,
+                           match=r"^the terminal has 1 column\(s\), so needs m = 1, got m=2$"):
+            base_problem(xi=xi, m=2, d=2)
+    monkeypatch.setitem(registry._TERMINALS, "two_columns", two_columns)
+    pair = registry.build_terminal({"name": "two_columns", "params": {}})
+    with pytest.raises(ValueError, match="has 2 column.*needs m = 2, got m=1$"):
+        base_problem(xi=pair, d=2)
+    assert base_problem(xi=pair, m=2, d=2).m == 2
+    # a hand-written terminal declares no width, so ProblemSpec.terminal checks it
+    assert base_problem(xi=both_components, m=1, d=2).m == 1
+
+
+def test_problem_from_dict_keeps_m_and_d_as_given(monkeypatch):
     # at m = 1.7 problem_from_dict would build m = 1
-    config = registry.problem_to_dict(base_problem(m=2, d=2))
+    monkeypatch.setitem(registry._TERMINALS, "two_columns", two_columns)
+    config = registry.problem_to_dict(base_problem(
+        m=2, d=2, xi=registry.build_terminal({"name": "two_columns", "params": {}})))
     assert (registry.problem_from_dict(config).m, registry.problem_from_dict(config).d) == (2, 2)
     with pytest.raises(ValueError, match="m=1.7"):
         registry.problem_from_dict({**config, "m": 1.7})
@@ -1075,7 +1103,7 @@ def test_declared_reads_are_true(which, name, params, declared):
     build = registry.build_F if which == "F" else registry.build_G
     gen = build({"name": name, "params": params})
     assert model.generator_reads(gen) == declared
-    problem = base_problem(m=2, d=2, rho=AtomMeasure.uniform(0.1, 3),
+    problem = base_problem(m=2, d=2, xi=both_components, rho=AtomMeasure.uniform(0.1, 3),
                            rho_tilde=AtomMeasure.uniform(0.1, 2))
     cloud, = model.argument_clouds(problem, 64, seed=5)
     args = {"y": cloud.y, "z": cloud.z, "y_seg": cloud.y_seg, "z_seg": cloud.z_seg}

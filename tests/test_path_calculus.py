@@ -1,4 +1,4 @@
-"""Grid-path calculus: variation, Stieltjes sums, segments, step approximants.
+"""Grid-path calculus: variation, Stieltjes sums, delay windows, step approximants.
 
 Expected values come from independent oracles written here: brute-force
 partition loops, refining Riemann-Stieltjes sums, and closed-form
@@ -14,18 +14,15 @@ from delaybsde.path_calculus import (
     BVFunction,
     GridFunction,
     TimeGrid,
-    bv_norm,
     cumulative_stieltjes,
-    delayed_segment,
+    delay_windows,
     helly_bray_distance,
     node_major,
     node_major_zeros,
-    read_csv,
     step_approximation,
     stieltjes_integral,
     stored_rows,
     total_variation,
-    write_csv,
 )
 
 from layouts import plain_node_major
@@ -144,24 +141,29 @@ def test_total_variation_vector_euclidean():
     assert total_variation(eta) == pytest.approx(13.0, abs=1e-12)
 
 
+def bv_size(eta):
+    """|eta(0)| + total variation over the whole grid, for scalar eta."""
+    return abs(float(eta.values[0])) + total_variation(eta)
+
+
 def test_bv_norm():
     g = TimeGrid.uniform(1.0, 10)
     eta = BVFunction(g, np.linspace(2.0, 3.0, 11))
-    assert bv_norm(eta) == pytest.approx(3.0, abs=1e-12)
+    assert bv_size(eta) == pytest.approx(3.0, abs=1e-12)
     const = BVFunction(g, np.full(11, -1.5))
-    assert bv_norm(const) == pytest.approx(1.5, abs=1e-12)
+    assert bv_size(const) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_bv_norm_lower_semicontinuous_on_families():
-    # eta_n -> eta uniformly, bv_norm(eta) <= min over tail + 1e-9
+    # eta_n -> eta uniformly, |eta(0)| + TV(eta) <= min over tail + 1e-9
     for make, limit in [
         (lambda n, t: t + np.sin(2 * np.pi * n * t) / (4 * np.pi * n), lambda t: t),
         (lambda n, t: np.sin(2 * np.pi * n * t) / (4 * np.pi * n), lambda t: 0 * t),
         (lambda n, t: t ** 2 + np.sin(2 * np.pi * t) / n, lambda t: t ** 2),
     ]:
         g = TimeGrid.uniform(1.0, 2048)
-        tail = [bv_norm(BVFunction(g, make(n, g.nodes))) for n in (8, 16, 32)]
-        lim = bv_norm(BVFunction(g, limit(g.nodes)))
+        tail = [bv_size(BVFunction(g, make(n, g.nodes))) for n in (8, 16, 32)]
+        lim = bv_size(BVFunction(g, limit(g.nodes)))
         assert lim <= min(tail) + 1e-9
 
 
@@ -340,20 +342,27 @@ def test_cumulative_stieltjes_leaves_its_inputs_alone():
 
 # ---------------------------------------------------------------- segments
 
+def window_at(x, t, kind="state"):
+    """x's delay window x(t + theta), theta in [-delta, 0], as delay_windows
+    reads it."""
+    grid = x.grid
+    return delay_windows(x.values[None], grid.delta_index_offset, kind)(grid.index_of(t))[0]
+
+
 def test_delayed_segment_interior():
     x = grid_fn(1.0, 10, lambda t: t, delta=0.2)
-    seg = delayed_segment(x, 0.5)
-    assert np.allclose(seg.theta, [-0.2, -0.1, 0.0], atol=1e-12)
-    assert np.allclose(seg.values, [0.3, 0.4, 0.5], atol=1e-12)
-    assert seg.values[-1] == pytest.approx(0.5)
+    values = window_at(x, 0.5)
+    assert x.grid.delta_index_offset == 2
+    assert np.allclose(values, [0.3, 0.4, 0.5], atol=1e-12)
+    assert values[-1] == pytest.approx(0.5)
 
 
 def test_delayed_segment_prolongation_conventions():
     x = grid_fn(1.0, 10, lambda t: 1.0 + t, delta=0.3)
-    state = delayed_segment(x, 0.1, kind="state")
-    assert np.allclose(state.values, [1.0, 1.0, 1.0, 1.1], atol=1e-12)
-    control = delayed_segment(x, 0.0, kind="control")
-    assert np.allclose(control.values, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
+    state = window_at(x, 0.1, kind="state")
+    assert np.allclose(state, [1.0, 1.0, 1.0, 1.1], atol=1e-12)
+    control = window_at(x, 0.0, kind="control")
+    assert np.allclose(control, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (7, 5, 2), (7, 5, 2, 3)])
@@ -393,12 +402,6 @@ def test_node_major_copies_the_stored_rows_bit_for_bit(monkeypatch, case, tile):
     assert same_bits(copy, plain_node_major(X))
     assert copy.shape == stored_rows(X).shape and not copy.flags.writeable
     assert all(copy[:, i].flags.c_contiguous for i in range(21))
-
-
-def test_delayed_segment_needs_delta():
-    x = grid_fn(1.0, 10, lambda t: t)
-    with pytest.raises(GridAlignmentError):
-        delayed_segment(x, 0.5)
 
 
 # ---------------------------------------------------------------- steps
@@ -470,26 +473,3 @@ def test_helly_bray_distance_oscillatory_matches_antiderivative():
         closed = t * osc(n, t) + (np.cos(2 * np.pi * n * t) - 1) / (8 * np.pi ** 2 * n ** 2)
         assert dn == pytest.approx(np.max(np.abs(closed)), abs=5e-4)
     assert np.all(np.diff(d) < 0)
-
-
-# ---------------------------------------------------------------- CSV
-
-def test_csv_roundtrip_exact(tmp_path):
-    g = TimeGrid.uniform(1.0, 17)
-    vals = np.stack([np.sin(g.nodes) * 1e-7, np.exp(g.nodes)], axis=1)
-    fn = GridFunction(g, vals)
-    p = str(tmp_path / "fn.csv")
-    write_csv(fn, p)
-    back = read_csv(p)
-    assert np.array_equal(back.grid.nodes, g.nodes)
-    assert np.array_equal(back.values, vals)
-
-
-def test_csv_scalar_roundtrip(tmp_path):
-    g = TimeGrid.uniform(2.0, 9)
-    fn = GridFunction(g, np.cos(g.nodes))
-    p = str(tmp_path / "s.csv")
-    write_csv(fn, p)
-    back = read_csv(p)
-    assert back.values.ndim == 1
-    assert np.array_equal(back.values, fn.values)

@@ -728,31 +728,11 @@ def test_solve_builds_no_B_and_a_constant_G_needs_no_reads_flag(monkeypatch):
     assert once.diagnostics.deltas == per_pass.diagnostics.deltas
 
 
-@pytest.mark.parametrize("spec", [IDENTITY_A, IncreasingProcessSpec("running_max", {})])
-def test_reloaded_ensemble_keeps_its_stored_rows(tmp_path, spec):
-    ens = make_ensemble(150, n_steps=20, seed=13, spec=spec)
-    rows = 1 if not spec.is_random else 150
-    stochastic_engine.save_ensemble(ens, str(tmp_path))
-    with np.load(tmp_path / "paths.npz") as data:
-        assert data["A"].shape == (rows, 21)
-    back = stochastic_engine.load_ensemble(str(tmp_path))
-    assert back.A.shape == (150, 21) and stored_rows(back.A).shape == (rows, 21)
-    assert np.array_equal(back.A, ens.A)
-    prob = make_problem(F=registry.build_F({"name": "linear", "params": {"a_y": 0.2}}),
-                        G=registry.build_G({"name": "linear", "params": {"b": 0.1}}),
-                        xi=registry.build_terminal({"name": "brownian", "params": {}}),
-                        A_spec=spec)
-    one, two = (solve(prob, e, tol=1e-30, max_iter=3, force=True) for e in (ens, back))
-    assert np.array_equal(one.Y, two.Y) and np.array_equal(one.Z, two.Z)
-    assert one.diagnostics.deltas == two.diagnostics.deltas
-    assert consistency_residuals(prob, one) == consistency_residuals(prob, two)
-
-
 @pytest.mark.parametrize("spec", LAYOUT_SPECS, ids=lambda spec: spec.kind)
-def test_solve_same_bits_on_every_layout_of_the_ensemble(tmp_path, spec):
-    # W from a C-order copy and W (d = 2) from a reload are copied
-    # node-major once, so both schemes give the bits of simulate_brownian's
-    # ensemble; G reads its window, so every A keeps the Picard loop
+def test_solve_same_bits_on_every_layout_of_the_ensemble(spec):
+    # W (d = 2) and A from C-order copies are copied node-major once, so
+    # both schemes give the bits of simulate_brownian's ensemble; G reads
+    # its window, so every A keeps the Picard loop
     grid = TimeGrid.uniform(1.0, 20, delta=0.1)
     ens = realize_increasing_process(spec, simulate_brownian(grid, 200, d=2, seed=29))
     prob = make_problem(
@@ -760,8 +740,9 @@ def test_solve_same_bits_on_every_layout_of_the_ensemble(tmp_path, spec):
         F=registry.build_F({"name": "linear_plus_rho",
                             "params": {"a_y": 0.2, "a_z": 0.1, "kappa_rho": 0.1}}),
         xi=registry.build_terminal({"name": "brownian", "params": {}}))
-    others = relaid(ens, tmp_path)
+    others = relaid(ens)
     assert all(is_node_major(e.W) and np.array_equal(e.W, ens.W) for e in others)
+    assert is_node_major(others[1].A) and np.array_equal(others[1].A, ens.A)
     for scheme in ("explicit", "implicit"):
         want = solve(prob, ens, tol=1e-30, max_iter=3, scheme=scheme, force=True)
         assert want.diagnostics.iterations == 3

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -19,13 +20,11 @@ from delaybsde.stochastic_engine import (
     RegressionPlan,
     conditional_expectation,
     fit_least_squares,
-    load_ensemble,
     omega_delta,
     oscillation,
     realize_increasing_process,
     register_deterministic_shape,
     register_positive_functional,
-    save_ensemble,
     simulate_brownian,
 )
 
@@ -303,10 +302,30 @@ def test_deterministic_shape_needs_one_value_per_node():
         realize_increasing_process(det(lambda t, p: t[:-1]), simulate_brownian(GRID, 2, seed=0))
 
 
+def simulation_refusal(n_paths=3, d=1, seed=0):
+    return re.escape(f"need integers n_paths >= 1, d >= 1 and 0 <= seed < 2**64, "
+                     f"got n_paths={n_paths!r}, d={d!r}, seed={seed!r}")
+
+
 @pytest.mark.parametrize("n_paths, d", [(0, 1), (1, 0)])
 def test_simulate_brownian_needs_a_path_and_a_dimension(n_paths, d):
-    with pytest.raises(ValueError, match="^need n_paths >= 1 and d >= 1$"):
+    with pytest.raises(ValueError, match=f"^{simulation_refusal(n_paths, d)}$"):
         simulate_brownian(GRID, n_paths, d=d)
+
+
+# a fractional seed used to run as its floor, a seed outside the Philox key
+# range raised OverflowError and a fractional n_paths TypeError
+@pytest.mark.parametrize("kwargs", [{"seed": 1.5}, {"seed": -1}, {"seed": 2 ** 64},
+                                    {"seed": True}, {"n_paths": 2.5}], ids=repr)
+def test_simulate_brownian_refuses_what_is_not_an_integer(kwargs):
+    with pytest.raises(ValueError, match=f"^{simulation_refusal(**kwargs)}$"):
+        simulate_brownian(GRID, **{"n_paths": 3, **kwargs})
+
+
+def test_simulate_brownian_takes_every_philox_key():
+    for seed in (np.int64(5), np.uint64(2 ** 64 - 1), 2 ** 64 - 1):
+        ens = simulate_brownian(GRID, 3, seed=seed)
+        assert ens.seed == int(seed) and type(ens.seed) is int
 
 def test_spec_roundtrip():
     spec = IncreasingProcessSpec("oscillatory", {"base": det("power", exponent=2.0), "n": 3})
@@ -449,6 +468,14 @@ def test_singular_design_raises_without_ridge():
         RegressionBasis(1, ridge=-1e-10)
     with pytest.raises(ValueError, match="degree >= 0"):
         RegressionBasis(-1)
+
+
+# a fractional degree used to raise TypeError in the first design, and True
+# ran as degree 1
+@pytest.mark.parametrize("degree", [2.5, True])
+def test_regression_basis_refuses_a_degree_that_is_not_an_integer(degree):
+    with pytest.raises(ValueError, match=re.escape(f"integer degree >= 0 and ridge >= 0, got degree={degree!r},")):
+        RegressionBasis(degree)
 
 
 def test_residuals_orthogonal_to_features():
@@ -659,17 +686,3 @@ def test_regression_evaluation_invariant_under_future_splice():
     spliced = splice_future(ens, step, np.random.default_rng(1).permutation(400))
     replayed = basis.design(spliced.W[:, step, :]) @ theta
     assert np.array_equal(replayed, fitted)
-
-
-# ---------------------------------------------------------------- persistence
-
-def test_save_load_roundtrip(tmp_path):
-    ens = simulate_brownian(TimeGrid.uniform(1.0, 8, delta=0.25), 12, d=2, seed=31)
-    ens = realize_increasing_process(det("power", exponent=2.0), ens)
-    save_ensemble(ens, str(tmp_path / "dump"))
-    back = load_ensemble(str(tmp_path / "dump"))
-    assert np.array_equal(back.W, ens.W)
-    assert np.array_equal(back.A, ens.A)
-    assert back.seed == ens.seed
-    assert back.grid.delta == 0.25
-    assert back.A_spec.kind == "deterministic"
