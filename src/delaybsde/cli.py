@@ -50,12 +50,12 @@ _OVERRIDES = {"out": ("OUT", "output directory"), "seed": ("SEED", "simulation s
 _ENSEMBLE_KEYS = ("seed", "n_paths", "n_steps")
 
 
-def _integer(low=None):
-    """A cast to an integer >= low; it refuses a bool or a fraction."""
+def _integer(low=None, high=None):
+    """A cast to an integer >= low and < high; it refuses a bool or a fraction."""
     def cast(value):
-        if not is_integer(value, low):
-            raise ValueError(f"must be an integer{'' if low is None else f' >= {low}'}, "
-                             f"got {value!r}")
+        if not (is_integer(value, low) and (high is None or value < high)):
+            raise ValueError(f"must be an integer{'' if low is None else f' >= {low}'}"
+                             f"{'' if high is None else f' and < {high}'}, got {value!r}")
         return int(value)
     return cast
 
@@ -103,7 +103,8 @@ def _basis(key, cast):
 
 _FAMILIES = {"oscillatory": oscillatory_integration_family,
              "resonant": resonant_integration_family}
-_ENSEMBLE = {"seed": (0, _integer(0)), "n_paths": (2000, _integer(1))}
+# a seed is a Philox key, in [0, 2**64) as simulate_brownian checks
+_ENSEMBLE = {"seed": (0, _integer(0, 2 ** 64)), "n_paths": (2000, _integer(1))}
 _SWEEP = {"max_iter": (25, _integer(1)), "scheme": ("explicit", _choice(*SCHEMES))}
 # every setting a command reads: section -> key -> (default, cast); None is the root
 SETTINGS = {
@@ -416,7 +417,8 @@ def cmd_solve(args):
 
     report = contraction_report(diag)
     y0 = ", ".join(_format(v) for v in solution.initial_value)
-    print(f"solve: converged={diag.converged} iterations={diag.iterations} Y(0)=[{y0}]")
+    print(f"solve: converged={diag.converged} iterations={diag.iterations} "
+          f"node_passes={diag.node_passes} Y(0)=[{y0}]")
     print(f"contraction: {report.verdict} tail_max={report.tail_max:.6g} "
           f"mu_lambda={np.nan if diag.mu_lambda is None else diag.mu_lambda:.6g}")
     mtg, rms = consistency_residuals(problem, solution)

@@ -11,7 +11,8 @@ delay window, only G's y through a G affine in y, and A is deterministic,
 the fixed point at node i, Y_i = P_i[Y_{i+1} + dt F] + G(Y_i) dA_i,
 involves node i and later nodes alone, so one sweep that solves G's
 equation at its own node, per path, gives it (the implicit-in-y backward
-scheme of Bouchard & Touzi, SPA 2004, and Gobet, Lemor & Warin, AAP 2005);
+scheme of Bouchard & Touzi, SPA 2004, and Gobet, Lemor & Warin, AAP 2005):
+in one step, as the equation is affine, unless the implicit F joins it;
 the Picard loop is what a delayed driver, a G nonlinear in y or a random A
 needs.
 
@@ -63,10 +64,10 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 BLOWUP_THRESHOLD = 1e8  # |Y| above this at a node raises BlowupError
-# a node's per-path fixed point (the implicit F's, or G's at its own node)
-# stops once each path moves by less than NODE_GAP times max(1, |value|) in
-# a pass; from NODE_PASSES passes on its moves must keep shrinking, and
-# NODE_PASS_LIMIT passes end it
+# the implicit F's per-path fixed point at a node (with G's equation there
+# on the one sweep) stops once each path moves by less than NODE_GAP times
+# max(1, |value|) in a pass; from NODE_PASSES passes on its moves must keep
+# shrinking, and NODE_PASS_LIMIT passes end it
 NODE_PASSES = 20
 NODE_GAP = 1e-12
 NODE_PASS_LIMIT = 1000
@@ -176,6 +177,24 @@ def _node_fixed_point(step, start: np.ndarray, i: int, t: float) -> tuple:
         f"{passes} passes, above the gap {NODE_GAP:g}")
 
 
+def _affine_node_solve(problem: ProblemSpec, ctx, probes: np.ndarray, dA_i: np.ndarray,
+                       base: np.ndarray, i: int) -> np.ndarray:
+    """Y = base + G(Y) dA_i per path, for a G affine in y, in one step: with
+    g0 = G(0) dA_i and S's column j G(e_j) dA_i - g0 (probes holds 0 and
+    the e_j), Y = (I - S)^-1 (base + g0), one division for m = 1.  A path
+    whose S has spectral radius >= 1, where iterating the equation cannot
+    contract, raises NonContractionError naming node i, t and the factor."""
+    g0, *cols = (_g_increment(problem, ctx, y, None, dA_i) for y in probes)
+    S, rhs, m = np.stack(cols, axis=-1) - g0[:, :, None], base + g0, len(cols)
+    factor = np.max(np.abs(S if m == 1 else np.linalg.eigvals(S)))
+    if not factor < 1.0:
+        raise NonContractionError(f"G's equation at node {i} (t={ctx.t:.6g}) has factor "
+                                  f"{factor:.3e} >= 1 on some path, so iterating it cannot contract")
+    if m == 1:
+        return rhs / (1.0 - S[:, 0])
+    return np.linalg.solve(np.eye(m) - S, rhs[:, :, None])[:, :, 0]
+
+
 def build_B(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray) -> np.ndarray:
     """Left-point running integral of G against A along the frozen iterate,
     as (n_paths, n_nodes, m) laid out node-major: the running sum of
@@ -233,11 +252,12 @@ def _sweep(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray, V: np.nd
     one sweep, with passes the most a node's fixed point took (0 without
     node_g).  With node_g, G's increment leaves the regressed target, so the
     mean fit, Z and the explicit F come from the next value alone, and each
-    node solves Y_i = base + G(Y_i) dA_i per path, with base the explicit
-    fit of the next value plus dt F, or, implicitly, Y_i = P_i[Y_{i+1}] +
-    dt F(Y_i, Z_i) + G(Y_i) dA_i; U and V are then not read.  That is the
-    map's fixed point only under _solved_at_its_node, and any other problem
-    raises ValueError."""
+    node solves Y_i = base + G(Y_i) dA_i per path in one step
+    (_affine_node_solve, 1 pass), with base the explicit fit of the next
+    value plus dt F, or, with the implicit F, iterates Y_i = P_i[Y_{i+1}] +
+    dt F(Y_i, Z_i) + G(Y_i) dA_i (_node_fixed_point); U and V are then not
+    read.  That is the map's fixed point only under _solved_at_its_node,
+    and any other problem raises ValueError."""
     _check_scheme(scheme)
     _check_fit(problem, ensemble)
     grid = ensemble.grid
@@ -264,6 +284,8 @@ def _sweep(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray, V: np.nd
     u_windows = _windows(U, k, "y_seg" in (f_reads | generator_reads(problem.G)))
     v_windows = _windows(V, k, "z_seg" in f_reads, kind="control")
     implicit_f = scheme == "implicit" and problem.F is not None
+    if node_g:  # G's arguments in its affine solve: 0, then each e_j
+        probes = np.broadcast_to(np.eye(m + 1, m, -1)[:, None], (m + 1, n, m))
     most = 0
 
     for i in range(n_nodes - 2, -1, -1):
@@ -287,21 +309,21 @@ def _sweep(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray, V: np.nd
         if problem.F is not None and not implicit_f:
             drv = evaluate_generator(problem.F, "F", ctx, nxt, Z_in[:, i], seg_y, v_windows(i))
             cur, _ = plan.fit(i, design, tgt + dt * drv)
-        if implicit_f or node_g:
+        if implicit_f:
             seg_z, dA_i, base = v_windows(i), dA[:, i, None], cur
 
             def step(y):
                 y = _read_only(y)
-                new = base
-                if implicit_f:
-                    new = base + dt * evaluate_generator(problem.F, "F", ctx, y,
-                                                         Z_in[:, i], seg_y, seg_z)
+                new = base + dt * evaluate_generator(problem.F, "F", ctx, y,
+                                                     Z_in[:, i], seg_y, seg_z)
                 if node_g:
                     new = new + _g_increment(problem, ctx, y, None, dA_i)
                 return new
 
             cur, passes = _node_fixed_point(step, base, i, ctx.t)
             most = max(most, passes)
+        elif node_g:
+            cur, most = _affine_node_solve(problem, ctx, probes, dA[:, i, None], cur, i), 1
         if not np.all(np.isfinite(cur)) or np.max(np.abs(cur)) > BLOWUP_THRESHOLD:
             raise BlowupError(f"value iterate exploded at node {i} (t={ctx.t:.6g})")
         Y[:, i] = cur
@@ -325,7 +347,9 @@ class SolverDiagnostics:
     b: float
     scheme: str
     preflight: Preflight | None = None
-    node_passes: int = 0  # the one sweep's most passes at a node; 0 on the loop path
+    # the one sweep's most passes at a node: 1 for G's one-step solve, more
+    # where the implicit F's node equation iterates; 0 on the loop path
+    node_passes: int = 0
 
 
 @dataclass(frozen=True)
@@ -406,13 +430,16 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     deterministic A, whose fixed point at node i involves node i and later
     nodes only, so that pass 1 solves G's equation at its own node
     (_sweep's node_g; a G nonlinear in y or reading the context's w leaves
-    the regression span and keeps the loop).  Pass 2 is then skipped
-    (logged at INFO with the most passes a node took, kept as
-    diagnostics.node_passes) and recorded as what it would give: the
-    distance 0.0, the ratio 0.0, iterations == 2 and converged.  This needs
-    max_iter >= 2 and a pass 1 that did not converge.  A random A and every
-    delayed driver keep the Picard loop, and so does a generator without
-    ``reads``, which counts as reading everything.
+    the regression span and keeps the loop): in one step in the explicit
+    scheme or with no F, where a node whose equation cannot contract raises
+    NonContractionError, and by iterating the implicit F's node equation
+    otherwise.  Pass 2 is then skipped (logged at INFO with the most passes
+    a node took, kept as diagnostics.node_passes) and recorded as what it
+    would give: the distance 0.0, the ratio 0.0, iterations == 2 and
+    converged.  This needs max_iter >= 2 and a pass 1 that did not
+    converge.  A random A and every delayed driver keep the Picard loop, and
+    so does a generator without ``reads``, which counts as reading
+    everything.
     Raises NonContractionError when the iteration budget is spent while the
     distances have stopped shrinking.  F and G are evaluated only in the
     passes and the preflight; consistency_residuals gives the residuals.

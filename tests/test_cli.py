@@ -393,6 +393,30 @@ def test_validate_warns_on_zero_delay_bound():
     warnings = [d for d in cli.validate(config) if d["level"] == "warning"]
     assert any(d["code"] == "bounds" for d in warnings)
 
+@pytest.mark.parametrize("source", ["config", "flag", "environment"])
+def test_a_seed_outside_the_philox_key_range_is_a_schema_error(tmp_path, capsys, monkeypatch,
+                                                                source):
+    # 2**64 is one past the largest Philox key: refused with one [schema]
+    # line from each source, not a traceback from simulate_brownian
+    config, flags, where = base_config(), [], "solver.seed"
+    if source == "config":
+        config["solver"]["seed"] = 2 ** 64
+    elif source == "flag":
+        flags, where = ["--seed", str(2 ** 64)], "--seed"
+    else:
+        monkeypatch.setenv("DELAYBSDE_SEED", str(2 ** 64))
+        where = "DELAYBSDE_SEED"
+    code = cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out")] + flags)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: [schema] {where}: must be an integer >= 0 and "
+                            f"< {2 ** 64}, got {2 ** 64}\n")
+    assert not (tmp_path / "out").exists()
+    # the largest key runs
+    assert cli.read_settings({"solver": {"seed": 2 ** 64 - 1}}, "solver")["seed"] == 2 ** 64 - 1
+
+
 
 # ------------------------------------------------------------- precedence
 

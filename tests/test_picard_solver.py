@@ -975,8 +975,9 @@ def test_solve_linear_closed_form():
     sol = solve(prob, ens, tol=1e-10, max_iter=20)
     d = sol.diagnostics
     assert d.converged
-    # G reads y alone and A = t: one sweep solves G's equation at its node
-    assert d.iterations == 2 and d.deltas[1] == 0.0 and 2 <= d.node_passes <= 20
+    # G reads y alone and A = t: one sweep solves G's affine equation at its
+    # node in one step
+    assert d.iterations == 2 and d.deltas[1] == 0.0 and d.node_passes == 1
     y0_true = np.exp(0.3) * 0.1
     assert sol.initial_value[0] == pytest.approx(y0_true, rel=0.05)
     z0 = float(np.mean(sol.Z[:, 0, 0, 0]))
@@ -1018,14 +1019,18 @@ def readme_problem(**overrides):
 @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
 def test_one_sweep_is_a_fixed_point_of_the_outer_map(caplog, scheme):
     # G reads y alone and A = t, so solve sweeps once, solving G's equation
-    # at its own node; one more pass of the outer map barely moves the result
+    # at its own node (in one step, explicitly; with the implicit F's, by
+    # iterating); one more pass of the outer map barely moves the result
     ens = make_ensemble(2000, n_steps=50, seed=24)
     prob = readme_problem()
     with caplog.at_level(logging.INFO, logger=picard_solver.__name__):
         sol = solve(prob, ens, scheme=scheme)
     d = sol.diagnostics
     assert d.converged and d.iterations == 2 and d.deltas[1] == 0.0 and d.ratios == [0.0]
-    assert 2 <= d.node_passes <= picard_solver.NODE_PASSES
+    if scheme == "explicit":
+        assert d.node_passes == 1
+    else:
+        assert 2 <= d.node_passes <= picard_solver.NODE_PASSES
     assert "outer step 2 skipped: step 1 gave the fixed point" in caplog.text
     assert f"node passes {d.node_passes}" in caplog.text
     Y, Z = gamma_step(prob, ens, sol.Y, sol.Z, scheme=scheme)
@@ -1041,7 +1046,8 @@ def test_one_sweep_matches_ten_picard_passes(scheme):
     ens = make_ensemble(2000, n_steps=50, seed=25)
     prob = readme_problem()
     sol = solve(prob, ens, scheme=scheme)
-    assert sol.diagnostics.iterations == 2 and sol.diagnostics.node_passes >= 2
+    d = sol.diagnostics
+    assert d.iterations == 2 and (d.node_passes == 1 if scheme == "explicit" else d.node_passes >= 2)
     U, V = np.zeros((2000, 51, 1)), np.zeros((2000, 51, 1, 1))
     for _ in range(10):
         U, V = gamma_step(prob, ens, U, V, scheme=scheme)
@@ -1050,22 +1056,24 @@ def test_one_sweep_matches_ten_picard_passes(scheme):
 
 @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
 def test_a_node_fixed_point_that_misses_its_gap_is_refused(scheme):
-    # G = 60y on 50 steps: b dA = 1.2, so G's equation at node 49 moves more
-    # on every pass, and solve refuses it instead of returning the last pass
+    # G = 60y on 50 steps: b dA = 1.2, so iterating G's equation at node 49
+    # moves more on every pass, and solve refuses it instead of returning a
+    # value: the one-step solve by its factor, the implicit F's iteration
+    # after 20 passes
     ens = make_ensemble(50, n_steps=50, seed=26)
     prob = readme_problem(G=registry.build_G({"name": "linear", "params": {"b": 60.0}}))
-    with pytest.raises(NonContractionError,
-                       match=r"node 49 \(t=0\.98\) still moves by .* after 20 passes"):
+    refusal = {"explicit": r"G's equation at node 49 \(t=0\.98\) has factor 1\.200e\+00 >= 1",
+               "implicit": r"node 49 \(t=0\.98\) still moves by .* after 20 passes"}
+    with pytest.raises(NonContractionError, match=refusal[scheme]):
         solve(prob, ens, scheme=scheme, force=True)
-    # G = -0.1y from xi = 1e5 alternates around its fixed point by rounding
-    # errors of 1.5e-11 for ever: a fixed point to the last bits, neither
-    # refused nor run to NODE_PASSES, since each path stops within 1e-12
-    # times its size (the ridge of the regressions moves the value by about
-    # 1e-10)
+    # G = -0.1y from xi = 1e5, with no F, in either scheme: iterated, it
+    # would alternate around its fixed point by rounding errors of 1.5e-11
+    # for ever; solved in one step it is the fixed point to the last bits
+    # (the ridge of the regressions moves the value by about 1e-10)
     prob = make_problem(G=registry.build_G({"name": "linear", "params": {"b": -0.1}}),
                         xi=registry.build_terminal({"name": "constant", "params": {"value": 1e5}}))
     sol = solve(prob, ens, scheme=scheme)
-    assert 2 <= sol.diagnostics.node_passes < picard_solver.NODE_PASSES
+    assert sol.diagnostics.node_passes == 1
     assert sol.initial_value[0] == pytest.approx(1e5 / (1 + 0.1 * 0.02) ** 50, rel=1e-9)
 
 
@@ -1141,19 +1149,98 @@ def test_a_G_that_leaves_the_regression_span_keeps_the_loop(monkeypatch, builder
 
 @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
 def test_a_slowly_contracting_node_fixed_point_is_solved(scheme):
-    # G = 3y on 10 steps of A = t: b dA = 0.3, so a node's moves shrink by 0.3
-    # a pass and need more than 20 passes to reach the gap; the one sweep
-    # keeps going while they shrink and gives the outer map's fixed point
+    # G = 3y on 10 steps of A = t: b dA = 0.3, so iterating a node's equation
+    # shrinks its moves by 0.3 a pass, which needs more than 20 passes to
+    # reach the gap; the implicit F's iteration keeps going while they
+    # shrink, the explicit one-step solve needs none, and either sweep gives
+    # the outer map's fixed point
     ens = make_ensemble(200, n_steps=10, seed=31)
     prob = readme_problem(G=registry.build_G({"name": "linear", "params": {"b": 3.0}}),
                           L_tilde=3.0, beta=10.0)
     sol = solve(prob, ens, scheme=scheme)
     d = sol.diagnostics
-    assert d.converged and d.iterations == 2 and d.node_passes > picard_solver.NODE_PASSES
+    assert d.converged and d.iterations == 2
+    assert (d.node_passes == 1 if scheme == "explicit"
+            else d.node_passes > picard_solver.NODE_PASSES)
     U, V = np.zeros((200, 11, 1)), np.zeros((200, 11, 1, 1))
     for _ in range(60):
         U, V = gamma_step(prob, ens, U, V, scheme=scheme)
     assert np.max(np.abs(U - sol.Y)) <= 1e-9 and np.max(np.abs(V - sol.Z)) <= 1e-9
+
+
+def test_a_barely_contracting_node_equation_is_solved_in_one_step():
+    # G = 9.9y on 3 steps of A = t to T = 0.3: b dA = 0.99, so iterating G's
+    # equation at a node shrinks its moves by only 0.99 a pass and is refused
+    # after NODE_PASS_LIMIT passes; solved in one step, the node's value is
+    # Y_{i+1} / (1 - b dA) and Y_i = (1 - b dA)^-(N - i)
+    ens = make_ensemble(20, n_steps=3, T=0.3, seed=32)
+    prob = make_problem(T=0.3, G=registry.build_G({"name": "linear", "params": {"b": 9.9}}),
+                        xi=registry.build_terminal({"name": "constant", "params": {"value": 1.0}}))
+    sol = solve(prob, ens, force=True)
+    assert sol.diagnostics.iterations == 2 and sol.diagnostics.node_passes == 1
+    want = (1.0 - 9.9 * 0.1) ** -(3 - np.arange(4.0))
+    assert np.allclose(sol.Y[:, :, 0], want, rtol=1e-10, atol=0)
+
+
+def mixing_G(M_of_t, c=(0.0, 0.0)):
+    """G(t, y) = M(t) y + c, affine in y with a coefficient known at t, whose
+    matrix mixes the two components of y."""
+    def G(t, y, y_seg, ctx):
+        return y @ np.asarray(M_of_t(t)).T + np.asarray(c)
+    G.reads, G.affine_in_y = frozenset({"y"}), True
+    return G
+
+
+def two_column_terminal(ensemble):
+    w = ensemble.W[:, -1, 0]
+    return np.stack([w, 1.0 - 0.5 * w], axis=1)
+
+
+def test_a_two_component_node_equation_matches_the_picard_passes():
+    # m = 2, G = M y + c with M mixing the components: each node solves
+    # (I - M dA) Y_i = base + c dA, calling G at 0 and at e_1, e_2, and the
+    # one sweep is the outer map's fixed point, which 60 passes reach
+    calls = []
+    G = counting(mixing_G(lambda t: [[0.5, 1.0], [-1.0, 0.5]], c=(0.3, -0.2)), 400, calls)
+    prob = make_problem(G=G, xi=two_column_terminal, m=2, L_tilde=1.2)
+    ens = make_ensemble(400, n_steps=10, seed=33)
+    for scheme in ("explicit", "implicit"):
+        calls.clear()
+        sol = solve(prob, ens, scheme=scheme)
+        d = sol.diagnostics
+        assert d.converged and d.iterations == 2 and d.node_passes == 1
+        assert sum(calls) == 3 * 10
+        U, V = np.zeros((400, 11, 2)), np.zeros((400, 11, 2, 1))
+        for _ in range(60):
+            U, V = gamma_step(prob, ens, U, V, scheme=scheme)
+        assert np.max(np.abs(U - sol.Y)) <= 1e-9 and np.max(np.abs(V - sol.Z)) <= 1e-9
+
+
+def test_a_two_component_node_equation_that_cannot_contract_is_refused():
+    # from t = 0.4 down, M dA = [[0, 2], [0.6, 0]]: no entry on its diagonal,
+    # but eigenvalues +-1.095, so iterating the node's equation diverges and
+    # the one-step solve refuses node 4, after solving nodes 9 to 5
+    big, small = [[0.0, 20.0], [6.0, 0.0]], [[0.0, 2.0], [0.6, 0.0]]
+    prob = make_problem(G=mixing_G(lambda t: big if t < 0.45 else small),
+                        xi=two_column_terminal, m=2)
+    ens = make_ensemble(100, n_steps=10, seed=34)
+    with pytest.raises(NonContractionError,
+                       match=r"G's equation at node 4 \(t=0\.4\) has factor 1\.095e\+00 >= 1"):
+        solve(prob, ens, force=True)
+
+
+def test_the_one_step_solve_keeps_the_sweeps_refusals():
+    # a non-finite G is refused where it is evaluated, at 0 and the e_j, and
+    # a value that passes BLOWUP_THRESHOLD by the sweep: G = 9.99y on 10 steps
+    # multiplies the value by 1,000 a node, to 1e9 at node 7
+    ens = make_ensemble(20, n_steps=10, seed=35)
+    one = registry.build_terminal({"name": "constant", "params": {"value": 1.0}})
+    nan_G = mixing_G(lambda t: [[0.5]], c=(np.nan,))
+    with pytest.raises(GeneratorEvaluationError, match="G returned a non-finite value"):
+        solve(make_problem(G=nan_G, xi=one), ens, force=True)
+    prob = make_problem(G=registry.build_G({"name": "linear", "params": {"b": 9.99}}), xi=one)
+    with pytest.raises(BlowupError, match=r"value iterate exploded at node 7 \(t=0\.7\)"):
+        solve(prob, ens, force=True)
 
 
 def test_a_node_fixed_point_takes_each_paths_own_scale():
@@ -1299,8 +1386,8 @@ def counting(gen, rows, calls):
 def test_solve_evaluates_the_generators_only_in_its_passes(G):
     # one pass evaluates the explicit F and G once per step; with F reading
     # no window and G = 1 the map reads no iterate, so solve sweeps once, and
-    # with G = 0.1y it sweeps once too, calling G once per pass of each
-    # node's fixed point (at least two, at most node_passes)
+    # with G = 0.1y it sweeps once too, solving each node's affine equation
+    # from G at 0 and at the m unit vectors: m + 1 calls a node
     n, n_steps = 200, 20
     calls = {"F": [], "G": []}
     prob = make_problem(
@@ -1321,8 +1408,8 @@ def test_solve_evaluates_the_generators_only_in_its_passes(G):
     g_calls = passes * n_steps
     if G["name"] == "linear":
         assert diag.iterations == 2 and diag.deltas[1] == 0.0
-        g_calls = in_solve["G"][0]
-        assert 2 * n_steps <= g_calls <= diag.node_passes * n_steps
+        g_calls = (prob.m + 1) * n_steps
+        assert diag.node_passes == 1
     else:
         assert diag.node_passes == 0
     assert in_solve == {"F": (passes * n_steps, probes["F"]), "G": (g_calls, probes["G"])}
