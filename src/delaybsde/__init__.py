@@ -14,17 +14,13 @@ from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
                                 RegressionBasis, RegressionPlan,
                                 conditional_expectation, fit_least_squares,
                                 omega_delta, realize_increasing_process,
-                                register_deterministic_shape,
-                                register_positive_functional,
                                 simulate_brownian)
 from .model import (AtomMeasure, ConditionReport, GenContext, NormReport,
                     Preflight, ProblemSpec, c_threshold, check_H1, check_H2,
                     check_integrability, effective_c, equivalent_norm,
                     mu_lambda, preflight, probe_lipschitz, segment_integral,
                     select_lambda, weighted_norm)
-from .registry import (build_F, build_G, build_terminal, problem_from_dict,
-                       problem_to_dict, register_F, register_G,
-                       register_terminal)
+from .registry import build_F, build_G, build_terminal, problem_from_dict
 from .picard_solver import (ContractionReport, Solution, SolverDiagnostics,
                             build_B, consistency_residuals, contraction_report,
                             gamma_step, node_segment, solve)

@@ -199,26 +199,23 @@ def suggest_aligned_steps(T, delta, n_steps):
 def validate(config, n_steps=None):
     """Check a config dict without running anything.
 
-    Returns a list of diagnostics, each ``{"level", "code", "message"}`` with
-    level "error" or "warning".  An empty list means the config is runnable.
-    Only the problem section is checked (_problem_errors); the grid check
-    runs at n_steps, by default the solver section's, read by read_settings
-    (a refusal of which is a schema diagnostic, and no warnings follow one).
+    Returns (diagnostics, problem).  Each diagnostic is ``{"level", "code",
+    "message"}`` with level "error" or "warning"; no error means the config
+    is runnable.  problem is the ProblemSpec the check built, so that a
+    command builds each part of its problem once, or None when the check
+    finds an error.  Only the problem section is checked (_problem_errors);
+    the grid check runs at n_steps, by default the solver section's, read by
+    read_settings (a refusal of which is a schema diagnostic, and no
+    warnings follow one).
     """
-    return _validated(config, n_steps)[0]
-
-
-def _validated(config, n_steps=None):
-    """(validate's diagnostics, the ProblemSpec the check built), the
-    problem None when the check finds an error, so that a command builds
-    each part of its problem once."""
     problem = config.get("problem")
     errors, spec = (_problem_errors(problem, config, n_steps) if isinstance(problem, dict)
                     else ([("schema", "config must contain a 'problem' object")], None))
     diags = [{"level": "error", "code": code, "message": message} for code, message in errors]
     if all(code != "schema" for code, _ in errors):
         for key, gen in (("K", "F"), ("K_tilde", "G")):
-            if problem.get(key, 0.0) == 0.0 and problem.get(gen) is not None:
+            bound = problem.get(key, 0.0)
+            if is_number(bound) and bound == 0.0 and problem.get(gen) is not None:
                 diags.append({"level": "warning", "code": "bounds", "message": (
                     f"{gen} is set but {key} is 0; the smallness checks will treat "
                     f"{gen} as undelayed")})
@@ -305,7 +302,7 @@ def _prepare(args, config):
     when the config check, whose diagnostics it prints, finds an error."""
     solver = read_settings(config, "solver", args)
     out_dir = read_settings(config, None, args)["out"]
-    diags, problem = _validated(config, n_steps=solver["n_steps"])
+    diags, problem = validate(config, n_steps=solver["n_steps"])
     for diag in diags:
         print(f"{diag['level']}: [{diag['code']}] {diag['message']}")
     if problem is None:

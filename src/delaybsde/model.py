@@ -511,6 +511,10 @@ def check_H2(problem: ProblemSpec, ensemble: PathEnsemble, c: float) -> Conditio
     return _condition_report("H2", lhs, c, notes)
 
 
+# the constant of the Burkholder-Davis-Gundy bound in mu_lambda
+BDG_CONSTANT = 144.0
+
+
 @dataclass(frozen=True)
 class LambdaSelection:
     lam: float
@@ -520,40 +524,36 @@ class LambdaSelection:
     c: float
     beta: float
     L_tilde: float
-    bdg_constant: float = 144.0
 
 
-def mu_lambda(lam: float, c: float, beta: float, L_tilde: float,
-              bdg_constant: float = 144.0) -> float:
-    """max{c(2+lam), 8 Lt^2 (2+lam)/(lam beta^2), 2c(2+lam)/(lam - 2 bdg)}."""
+def mu_lambda(lam: float, c: float, beta: float, L_tilde: float) -> float:
+    """max{c(2+lam), 8 Lt^2 (2+lam)/(lam beta^2), 2c(2+lam)/(lam - 2 BDG_CONSTANT)}."""
     lam = np.asarray(lam, dtype=float)
     out = np.maximum.reduce([
         c * (2.0 + lam),
         8.0 * L_tilde ** 2 * (2.0 + lam) / (lam * beta ** 2),
-        2.0 * c * (2.0 + lam) / (lam - 2.0 * bdg_constant),
+        2.0 * c * (2.0 + lam) / (lam - 2.0 * BDG_CONSTANT),
     ])
     return float(out) if out.ndim == 0 else out
 
 
-def select_lambda(c: float, beta: float, L_tilde: float,
-                  bdg_constant: float = 144.0) -> LambdaSelection:
+def select_lambda(c: float, beta: float, L_tilde: float) -> LambdaSelection:
     """Pick lambda minimizing mu_lambda on a 200-point log scan.
 
     Requires 0 < c < c_threshold(beta, L_tilde); the returned factor is
     below one there in exact arithmetic.  Below about 3e-308, 1/(2c)
     overflows and the scan reads NaN, which is refused like a factor of one
-    or more.  b = lam/2 - bdg_constant keeps the printed
-    value with its default 144; pass 72 to see the alternative bookkeeping.
+    or more.  The norm weights are a = lam beta/2 and b = lam/2 - BDG_CONSTANT.
     """
     admissible, threshold = c_admissible(c, beta, L_tilde)
     if not admissible:
         raise ConstraintViolationError(
             f"c={c} leaves no contraction margin (needs 0 < c < {threshold:.6g})")
-    lo = 2.0 * bdg_constant * (1.0 + 1e-6)
+    lo = 2.0 * BDG_CONSTANT * (1.0 + 1e-6)
     with np.errstate(over="ignore", invalid="ignore"):
-        hi = 10.0 * max(2.0 * bdg_constant, 1.0 / (2.0 * c) - 2.0)
+        hi = 10.0 * max(2.0 * BDG_CONSTANT, 1.0 / (2.0 * c) - 2.0)
         lams = np.geomspace(lo, hi, 200)
-        mus = mu_lambda(lams, c, beta, L_tilde, bdg_constant)
+        mus = mu_lambda(lams, c, beta, L_tilde)
     j = int(np.argmin(mus))
     lam, mu = float(lams[j]), float(mus[j])
     if not mu < 1.0:
@@ -561,8 +561,8 @@ def select_lambda(c: float, beta: float, L_tilde: float,
             f"no scanned lambda contracts (best mu={mu:.4f}); "
             "beta or c are too close to their limits")
     return LambdaSelection(lam=lam, mu_lambda=mu, a=lam * beta / 2.0,
-                           b=lam / 2.0 - bdg_constant, c=c, beta=beta,
-                           L_tilde=L_tilde, bdg_constant=bdg_constant)
+                           b=lam / 2.0 - BDG_CONSTANT, c=c, beta=beta,
+                           L_tilde=L_tilde)
 
 
 # ----------------------------------------------------------------- probes
@@ -627,8 +627,9 @@ GENERATOR_ARGUMENTS = frozenset({"y", "z", "y_seg", "z_seg"})
 
 def generator_reads(gen) -> frozenset:
     """The arguments an F or G reads: its ``reads`` attribute, which the
-    registry's builders set; GENERATOR_ARGUMENTS for a generator without
-    one, and none for an absent generator."""
+    registry's builders set and a hand-written generator may set;
+    GENERATOR_ARGUMENTS for a generator without one, and none for an absent
+    generator."""
     if gen is None:
         return frozenset()
     return getattr(gen, "reads", GENERATOR_ARGUMENTS)

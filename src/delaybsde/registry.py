@@ -1,15 +1,18 @@
-"""Named builders for terminals and generators, and problem (de)serialization.
+"""Named builders for terminals and generators, and the reader of a config's
+problem section.
 
-Built callables carry a ``spec_dict`` attribute so a ProblemSpec assembled
-from names round-trips through JSON.  Hand-written callables work everywhere
-else in the package but cannot be serialized.  Built F and G also carry
-``reads``, the frozenset of the arguments ("y", "z", "y_seg", "z_seg") they
-read; a generator without it, hand-written or from a registered builder that
-sets none, counts as reading every argument (model.generator_reads).  The
-"linear" G also carries ``affine_in_y``: it is affine in y with coefficients
-known at t, so it keeps a value in the regression span, which lets the solver
-sweep once (picard_solver.solve).  The
-built terminals carry ``width``, the number of columns of xi, which
+Each table of names is closed: a config names a part, and the one way to
+supply another is a hand-written callable handed to ProblemSpec.  Every
+param a builder reads, and every number problem_from_dict reads that
+ProblemSpec does not check itself (K, K_tilde and the delay measures'
+entries), must be a number (stochastic_engine.is_number), not a string or a
+bool; anything else raises ValueError.  Built F and G carry ``reads``, the
+frozenset of the arguments ("y", "z", "y_seg", "z_seg") they read; a
+generator without it counts as reading every argument
+(model.generator_reads).  The "linear" G also carries ``affine_in_y``: it is
+affine in y with coefficients known at t, so it keeps a value in the
+regression span, which lets the solver sweep once (picard_solver.solve).
+The built terminals carry ``width``, the number of columns of xi, which
 ProblemSpec checks against m; a built "brownian" terminal also carries
 ``component``, the component of W(T) it reads, which ProblemSpec checks
 against d.
@@ -21,30 +24,29 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import AtomMeasure, ProblemSpec, segment_integral
-from .stochastic_engine import IncreasingProcessSpec, is_integer
+from .stochastic_engine import IncreasingProcessSpec, is_integer, is_number
 
 __all__ = [
     "build_terminal",
     "build_F",
     "build_G",
-    "register_terminal",
-    "register_F",
-    "register_G",
     "problem_from_dict",
-    "problem_to_dict",
 ]
 
 
-def _tag(fn, kind, name, params):
-    fn.spec_dict = {"name": name, "params": dict(params)}
-    fn.__name__ = f"{kind}_{name}"
-    return fn
+def _number(entries, key, default):
+    """entries[key], default when absent, as a float; ValueError unless it
+    is a number (is_number)."""
+    value = entries.get(key, default)
+    if not is_number(value):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 # ----------------------------------------------------------------- terminals
 
 def _terminal_constant(params):
-    value = float(params.get("value", 0.0))
+    value = _number(params, "value", 0.0)
 
     def xi(ensemble):
         return np.full((ensemble.n_paths, 1), value)
@@ -57,7 +59,7 @@ def _terminal_brownian(params):
     if not is_integer(component, 0):
         raise ValueError(f"brownian terminal needs an integer component >= 0, "
                          f"got {component!r}")
-    coeff = float(params.get("coeff", 1.0))
+    coeff = _number(params, "coeff", 1.0)
 
     def xi(ensemble):
         return coeff * ensemble.W[:, -1, component:component + 1]
@@ -67,7 +69,7 @@ def _terminal_brownian(params):
 
 def _terminal_process_total(params):
     # terminal value of the realized increasing process
-    coeff = float(params.get("coeff", 1.0))
+    coeff = _number(params, "coeff", 1.0)
 
     def xi(ensemble):
         return coeff * ensemble.A[:, -1:]
@@ -96,8 +98,8 @@ def _F_zero(params):
 
 
 def _F_linear(params):
-    a_y = float(params.get("a_y", 0.0))
-    a_z = float(params.get("a_z", 0.0))
+    a_y = _number(params, "a_y", 0.0)
+    a_z = _number(params, "a_z", 0.0)
 
     def F(t, y, z, y_seg, z_seg, ctx):
         return a_y * y + a_z * np.sum(z, axis=2)
@@ -106,7 +108,7 @@ def _F_linear(params):
 
 def _F_delayed_linear(params):
     # kappa * y_segment(-delta), the pure lagged-state driver
-    kappa = float(params.get("kappa", 0.0))
+    kappa = _number(params, "kappa", 0.0)
 
     def F(t, y, z, y_seg, z_seg, ctx):
         return kappa * y_seg[:, 0, :]
@@ -114,7 +116,7 @@ def _F_delayed_linear(params):
 
 
 def _F_rho_integral(params):
-    kappa = float(params.get("kappa", 0.0))
+    kappa = _number(params, "kappa", 0.0)
 
     def F(t, y, z, y_seg, z_seg, ctx):
         return kappa * segment_integral(y_seg, ctx.rho)
@@ -122,10 +124,10 @@ def _F_rho_integral(params):
 
 
 def _F_linear_plus_rho(params):
-    a_y = float(params.get("a_y", 0.0))
-    a_z = float(params.get("a_z", 0.0))
-    kappa_rho = float(params.get("kappa_rho", 0.0))
-    kappa_z_rho = float(params.get("kappa_z_rho", 0.0))
+    a_y = _number(params, "a_y", 0.0)
+    a_z = _number(params, "a_z", 0.0)
+    kappa_rho = _number(params, "kappa_rho", 0.0)
+    kappa_z_rho = _number(params, "kappa_z_rho", 0.0)
 
     def F(t, y, z, y_seg, z_seg, ctx):
         out = a_y * y + a_z * np.sum(z, axis=2) \
@@ -152,7 +154,7 @@ def _G_zero(params):
 
 
 def _G_constant(params):
-    value = float(params.get("value", 1.0))
+    value = _number(params, "value", 1.0)
 
     def G(t, y, y_seg, ctx):
         return np.full_like(y, value)
@@ -160,7 +162,7 @@ def _G_constant(params):
 
 
 def _G_linear(params):
-    b = float(params.get("b", 0.0))
+    b = _number(params, "b", 0.0)
 
     def G(t, y, y_seg, ctx):
         return b * y
@@ -169,7 +171,7 @@ def _G_linear(params):
 
 
 def _G_rho_integral(params):
-    gamma = float(params.get("gamma", 0.0))
+    gamma = _number(params, "gamma", 0.0)
 
     def G(t, y, y_seg, ctx):
         return gamma * segment_integral(y_seg, ctx.rho_tilde)
@@ -177,8 +179,8 @@ def _G_rho_integral(params):
 
 
 def _G_linear_plus_rho(params):
-    b = float(params.get("b", 0.0))
-    gamma = float(params.get("gamma", 0.0))
+    b = _number(params, "b", 0.0)
+    gamma = _number(params, "gamma", 0.0)
 
     def G(t, y, y_seg, ctx):
         return b * y + gamma * segment_integral(y_seg, ctx.rho_tilde)
@@ -194,18 +196,6 @@ _G_BUILDERS = {
 }
 
 
-def register_terminal(name, builder):
-    _TERMINALS[name] = builder
-
-
-def register_F(name, builder):
-    _F_BUILDERS[name] = builder
-
-
-def register_G(name, builder):
-    _G_BUILDERS[name] = builder
-
-
 def _build(kind, table, entry):
     if entry is None:
         return None
@@ -214,8 +204,9 @@ def _build(kind, table, entry):
     name = entry.get("name")
     if name not in table:
         raise ConfigError(f"unknown {kind} '{name}'; known: {sorted(table)}")
-    params = entry.get("params", {})
-    return _tag(table[name](params), kind, name, params)
+    fn = table[name](entry.get("params", {}))
+    fn.__name__ = f"{kind}_{name}"
+    return fn
 
 
 def build_terminal(entry):
@@ -234,17 +225,19 @@ def build_G(entry):
 
 # ----------------------------------------------------------------- configs
 
-def _measure_from(entry):
+def _measure_from(config, key):
+    """The AtomMeasure of config[key], None when absent; ValueError unless
+    its thetas and weights are numbers or lists of numbers."""
+    entry = config.get(key)
     if entry is None:
         return None
-    return AtomMeasure(np.asarray(entry["thetas"], dtype=float),
-                       np.asarray(entry["weights"], dtype=float))
-
-
-def _measure_to(measure):
-    if measure is None:
-        return None
-    return {"thetas": measure.thetas.tolist(), "weights": measure.weights.tolist()}
+    arrays = []
+    for part in ("thetas", "weights"):
+        values = entry[part]
+        if not all(map(is_number, values if isinstance(values, list) else [values])):
+            raise ValueError(f"{key} {part} must be numbers, got {values!r}")
+        arrays.append(np.asarray(values, dtype=float))
+    return AtomMeasure(*arrays)
 
 
 def problem_from_dict(config: dict, built: dict | None = None) -> ProblemSpec:
@@ -275,42 +268,13 @@ def problem_from_dict(config: dict, built: dict | None = None) -> ProblemSpec:
             d=config.get("d", 1),
             F=part("F", build_F),
             G=part("G", build_G),
-            K=float(config.get("K", 0.0)),
-            K_tilde=float(config.get("K_tilde", 0.0)),
-            rho=_measure_from(config.get("rho")),
-            rho_tilde=_measure_from(config.get("rho_tilde")),
+            K=_number(config, "K", 0.0),
+            K_tilde=_number(config, "K_tilde", 0.0),
+            rho=_measure_from(config, "rho"),
+            rho_tilde=_measure_from(config, "rho_tilde"),
             c=config.get("c"),
             label=str(config.get("label", "")),
         )
     except KeyError as exc:
         raise ConfigError(f"missing required problem key: {exc}") from None
 
-
-def problem_to_dict(problem: ProblemSpec) -> dict:
-    def spec_of(fn, kind):
-        if fn is None:
-            return None
-        spec = getattr(fn, "spec_dict", None)
-        if spec is None:
-            raise ConfigError(f"{kind} was not built from the registry; "
-                              "register a builder to serialize it")
-        return spec
-
-    if callable(problem.K) or callable(problem.K_tilde):
-        raise ConfigError("callable kernel bounds cannot be serialized")
-    out = {
-        "T": problem.T, "delta": problem.delta,
-        "m": problem.m, "d": problem.d,
-        "beta": problem.beta, "L": problem.L, "L_tilde": problem.L_tilde,
-        "K": float(np.max(problem.K)), "K_tilde": float(np.max(problem.K_tilde)),
-        "terminal": spec_of(problem.xi, "terminal"),
-        "F": spec_of(problem.F, "F"),
-        "G": spec_of(problem.G, "G"),
-        "A": problem.A_spec.to_dict(),
-        "rho": _measure_to(problem.rho),
-        "rho_tilde": _measure_to(problem.rho_tilde),
-        "label": problem.label,
-    }
-    if problem.c is not None:
-        out["c"] = problem.c
-    return out

@@ -409,12 +409,10 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
 class ShiftedPaths:
     """The path stack base + row, formed only where it is read.
 
-    Stores the shared (n_paths, n_nodes) base and one node row.  Supports
-    ``shape``/``ndim``, row slicing (``X[rows]`` is the fresh array
-    ``base[rows] + row``), and ``np.asarray(X)``/``X.copy()``, which build
-    the whole stack.  helly_bray_stochastic_check slices none of these: it
-    reads the nodes of ``base`` in place, a chunk of nodes at a time, and
-    adds ``row`` there.
+    Stores the shared (n_paths, n_nodes) base and one node row, and has the
+    ``shape`` and ``ndim`` of base.  helly_bray_stochastic_check reads the
+    nodes of ``base`` in place, a chunk of nodes at a time, and adds ``row``
+    there.
     """
 
     __slots__ = ("base", "row")
@@ -430,15 +428,6 @@ class ShiftedPaths:
     @property
     def ndim(self) -> int:
         return self.base.ndim
-
-    def __getitem__(self, rows):
-        return self.base[rows] + self.row
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self[:], dtype=dtype)
-
-    def copy(self) -> np.ndarray:
-        return self[:]
 
 
 def oscillatory_integration_family(ensemble: PathEnsemble, n_values):

@@ -52,8 +52,6 @@ __all__ = [
     "omega_delta",
     "conditional_expectation",
     "fit_least_squares",
-    "register_deterministic_shape",
-    "register_positive_functional",
 ]
 
 
@@ -148,16 +146,6 @@ _POS_FUNCTIONALS: dict[str, object] = {
 }
 
 
-def register_deterministic_shape(name: str, fn) -> None:
-    """Plugin hook: fn(nodes, params) -> nondecreasing values with fn(0)=0."""
-    _DET_SHAPES[name] = fn
-
-
-def register_positive_functional(name: str, fn) -> None:
-    """Plugin hook: fn(W_t (n,d), params) -> nonnegative rates (n,)."""
-    _POS_FUNCTIONALS[name] = fn
-
-
 def is_integer(value, low=None) -> bool:
     """Whether value is an integer, not a bool, and at least low when given."""
     return (is_number(value) and isinstance(value, numbers.Integral)
@@ -193,13 +181,20 @@ _INTEGER_PARAMS = {"running_max": ("component", 0), "oscillatory": ("n", 1)}
 
 def _named_function(spec: "IncreasingProcessSpec"):
     """The shape or functional of a spec of a kind in _NAMED: its callable, or
-    the registered function of its name; ValueError for any other name."""
+    the function of its name; ValueError for any other name, or for a named
+    function's param that is not a number (is_number)."""
     key, default, known = _NAMED[spec.kind]
     fn = spec.params.get(key, default)
-    if isinstance(fn, str) and fn not in known:
+    if not isinstance(fn, str):
+        return fn
+    if fn not in known:
         raise ValueError(f"unknown {spec.kind} {key} {fn!r}; "
                          f"expected one of {sorted(known)} or a callable")
-    return known[fn] if isinstance(fn, str) else fn
+    for name, value in spec.params.items():
+        if name != key and not is_number(value):
+            raise ValueError(f"the {spec.kind} {key} {fn!r} takes numbers, "
+                             f"got {name}={value!r}")
+    return known[fn]
 
 
 @dataclass(frozen=True)
@@ -212,8 +207,9 @@ class IncreasingProcessSpec:
     "oscillatory" (a base spec plus the oscillation p_n, ``oscillation``).
     Every kind is a functional of the driving W or of time alone, which is
     what keeps A adapted; arbitrary exogenous processes are not accepted.
-    A kind outside PROCESS_KINDS, an unregistered shape or functional name, or
-    an integer param (_INTEGER_PARAMS) that is not an integer >= its least
+    A kind outside PROCESS_KINDS, an unknown shape or functional name, a
+    param of a named shape or functional that is not a number, or an
+    integer param (_INTEGER_PARAMS) that is not an integer >= its least
     value, here or down an oscillatory base chain, raises ValueError.
     """
 
@@ -252,12 +248,6 @@ class IncreasingProcessSpec:
         if self.kind == "running_max" and self.params.get("component", 0) >= d:
             raise ValueError(f"running_max A reads component {self.params['component']}, "
                              f"so needs d > {self.params['component']}, got d={d}")
-
-    def to_dict(self) -> dict:
-        params = dict(self.params)
-        if self.kind == "oscillatory":
-            params["base"] = params["base"].to_dict()
-        return {"kind": self.kind, "params": params}
 
     @classmethod
     def from_dict(cls, data: dict) -> "IncreasingProcessSpec":

@@ -50,12 +50,14 @@ def read_csv_dict(path):
 # ----------------------------------------------------------------- validate
 
 def test_validate_clean_config():
-    diags = cli.validate(base_config())
+    diags, problem = cli.validate(base_config())
     assert [d for d in diags if d["level"] == "error"] == []
+    assert problem.label == "cli test"
 
 
 def test_validate_missing_problem():
-    diags = cli.validate({"solver": {}})
+    diags, problem = cli.validate({"solver": {}})
+    assert problem is None
     assert diags[0]["level"] == "error"
     assert diags[0]["code"] == "schema"
 
@@ -63,28 +65,28 @@ def test_validate_missing_problem():
 def test_validate_missing_required_key():
     config = base_config()
     del config["problem"]["beta"]
-    codes = {d["code"] for d in cli.validate(config)}
+    codes = {d["code"] for d in cli.validate(config)[0]}
     assert "schema" in codes
 
 
 def test_validate_beta_below_contraction_range():
     config = base_config()
     config["problem"]["beta"] = 2.0
-    codes = {d["code"] for d in cli.validate(config) if d["level"] == "error"}
+    codes = {d["code"] for d in cli.validate(config)[0] if d["level"] == "error"}
     assert "beta-range" in codes
 
 
 def test_validate_c_out_of_range():
     config = base_config()
     config["problem"]["c"] = 0.1
-    codes = {d["code"] for d in cli.validate(config) if d["level"] == "error"}
+    codes = {d["code"] for d in cli.validate(config)[0] if d["level"] == "error"}
     assert "c-range" in codes
 
 
 def test_validate_unknown_generator_name():
     config = base_config()
     config["problem"]["F"] = {"name": "nosuch", "params": {}}
-    codes = {d["code"] for d in cli.validate(config) if d["level"] == "error"}
+    codes = {d["code"] for d in cli.validate(config)[0] if d["level"] == "error"}
     assert "registry" in codes
 
 
@@ -92,7 +94,7 @@ def test_validate_misaligned_delta_suggests_steps():
     config = base_config()
     config["problem"]["delta"] = 1.0 / 3.0
     config["solver"]["n_steps"] = 100
-    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    errors = [d for d in cli.validate(config)[0] if d["level"] == "error"]
     assert len(errors) == 1
     assert errors[0]["code"] == "grid-alignment"
     assert "99" in errors[0]["message"]
@@ -111,7 +113,7 @@ def test_validate_accepts_full_window_delta_with_rounding():
     T = 39.56073760172803
     config["problem"].update(T=T, delta=T * 105 / 105)
     assert config["problem"]["delta"] > T
-    errors = [d for d in cli.validate(config, n_steps=105) if d["level"] == "error"]
+    errors = [d for d in cli.validate(config, n_steps=105)[0] if d["level"] == "error"]
     assert errors == []
 
 
@@ -121,7 +123,7 @@ def test_validate_refuses_delta_the_grid_refuses(tmp_path, capsys):
     config = base_config()
     config["problem"]["delta"] = 0.5 + 2e-10
     config["solver"]["n_steps"] = 2000
-    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    errors = [d for d in cli.validate(config)[0] if d["level"] == "error"]
     assert [d["code"] for d in errors] == ["grid-alignment"]
     code = cli.run(["solve", "--config", write_config(tmp_path, config),
                     "--out", str(tmp_path / "out")])
@@ -141,7 +143,7 @@ def test_validate_refuses_oscillatory_A_over_unknown_base(tmp_path, capsys):
     config = base_config()
     config["problem"]["A"] = {"kind": "oscillatory",
                               "params": {"n": 2, "base": {"kind": "nosuch", "params": {}}}}
-    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    errors = [d for d in cli.validate(config)[0] if d["level"] == "error"]
     assert [d["code"] for d in errors] == ["registry"]
     assert "nosuch" in errors[0]["message"]
     code = cli.run(["solve", "--config", write_config(tmp_path, config),
@@ -159,7 +161,7 @@ def test_validate_refuses_oscillatory_A_over_unknown_base(tmp_path, capsys):
 def test_validate_refuses_unknown_A_names(tmp_path, capsys, A):
     config = base_config()
     config["problem"]["A"] = A
-    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    errors = [d for d in cli.validate(config)[0] if d["level"] == "error"]
     assert [d["code"] for d in errors] == ["registry"]
     assert "'bogus'" in errors[0]["message"]
     code = cli.run(["solve", "--config", write_config(tmp_path, config),
@@ -180,7 +182,7 @@ def test_validate_refuses_integer_A_params_out_of_range(tmp_path, capsys, A):
     # without the check, component 3 with d = 1 ends the solve in an IndexError
     config = base_config()
     config["problem"]["A"] = A
-    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    errors = [d for d in cli.validate(config)[0] if d["level"] == "error"]
     assert [d["code"] for d in errors] == ["registry"]
     code = cli.run(["solve", "--config", write_config(tmp_path, config),
                     "--out", str(tmp_path / "out")])
@@ -198,7 +200,7 @@ def test_validate_refuses_a_brownian_terminal_component_out_of_range(tmp_path, c
     # with d = 1 ends the solve in a reshape traceback
     config = base_config()
     config["problem"]["terminal"] = {"name": "brownian", "params": {"component": component}}
-    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    errors = [d for d in cli.validate(config)[0] if d["level"] == "error"]
     assert [d["code"] for d in errors] == [code]
     assert repr(component) in errors[0]["message"]
     rc = cli.run(["solve", "--config", write_config(tmp_path, config),
@@ -213,7 +215,7 @@ def test_validate_refuses_a_brownian_terminal_component_out_of_range(tmp_path, c
 def test_validate_refuses_non_integer_dimensions(tmp_path, capsys, key, value):
     config = base_config()
     config["problem"][key] = value
-    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    errors = [d for d in cli.validate(config)[0] if d["level"] == "error"]
     assert [d["code"] for d in errors] == ["domain"]
     assert f"{key}={value!r}" in errors[0]["message"]
     code = cli.run(["solve", "--config", write_config(tmp_path, config),
@@ -228,7 +230,7 @@ def test_validate_reports_what_the_problem_refuses_of_its_numbers(tmp_path, caps
     # ProblemSpec holds the one rule; a bool used to pass as 1
     config = base_config()
     config["problem"][key] = value
-    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    errors = [d for d in cli.validate(config)[0] if d["level"] == "error"]
     assert [d["code"] for d in errors] == ["domain"]
     rule = "satisfy 0 < delta <= T" if key == "delta" else "be a positive number"
     assert errors[0]["message"] == f"problem: {key} must {rule}, got {value!r}"
@@ -243,13 +245,13 @@ def test_validate_reports_what_the_problem_refuses_of_its_numbers(tmp_path, caps
 def test_validate_reports_a_c_that_is_no_positive_number_as_domain(c):
     config = base_config()
     config["problem"]["c"] = c
-    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    errors = [d for d in cli.validate(config)[0] if d["level"] == "error"]
     assert [(d["code"], d["message"]) for d in errors] == [
         ("domain", f"problem: c must be a positive number when given, got {c!r}")]
 
 
 def test_validate_reports_a_solver_section_it_cannot_read():
-    errors = [d for d in cli.validate(base_config(solver="fast")) if d["level"] == "error"]
+    errors = [d for d in cli.validate(base_config(solver="fast"))[0] if d["level"] == "error"]
     assert [(d["code"], d["message"]) for d in errors] == [
         ("schema", "solver: must be an object, got 'fast'")]
 
@@ -340,7 +342,7 @@ def test_validate_refuses_what_the_registry_builders_refuse(tmp_path, capsys,
                                                             section, entry):
     config = base_config()
     config["problem"][section] = entry
-    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    errors = [d for d in cli.validate(config)[0] if d["level"] == "error"]
     assert [d["code"] for d in errors] == ["registry"]
     assert errors[0]["message"].startswith(f"{section}:")
     code = cli.run(["solve", "--config", write_config(tmp_path, config),
@@ -359,12 +361,57 @@ def test_validate_refuses_what_the_registry_builders_refuse(tmp_path, capsys,
 def test_validate_refuses_malformed_delay_measures_and_bounds(tmp_path, capsys, key, value):
     config = base_config()
     config["problem"][key] = value
-    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    errors = [d for d in cli.validate(config)[0] if d["level"] == "error"]
     assert [d["code"] for d in errors] == ["domain"]
     code = cli.run(["solve", "--config", write_config(tmp_path, config),
                     "--out", str(tmp_path / "out")])
     assert code == 2
     assert "[domain]" in capsys.readouterr().out
+
+
+A_KINDS = "A must be an increasing process of a kind in " \
+    "['deterministic', 'oscillatory', 'running_max', 'time_integral']: "
+
+
+# (problem key, value, code, message): each number of the problem section
+# must be a JSON number; a string or a bool used to be read as one (or to
+# end in a traceback, as the A's rate did)
+NOT_A_NUMBER = [
+    ("A", {"kind": "deterministic", "params": {"shape": "linear", "rate": "2"}}, "registry",
+     A_KINDS + "the deterministic shape 'linear' takes numbers, got rate='2'"),
+    ("A", {"kind": "time_integral", "params": {"functional": "inv_quadratic", "scale": True}},
+     "registry", A_KINDS + "the time_integral functional 'inv_quadratic' takes numbers, "
+                           "got scale=True"),
+    ("G", {"name": "linear", "params": {"b": True}}, "registry",
+     "G: b must be a number, got True"),
+    ("F", {"name": "linear", "params": {"a_y": "0.2", "a_z": 0.1}}, "registry",
+     "F: a_y must be a number, got '0.2'"),
+    ("terminal", {"name": "brownian", "params": {"coeff": True}}, "registry",
+     "terminal: coeff must be a number, got True"),
+    ("K", True, "domain", "problem: K must be a number, got True"),
+    # and no warning that F is set while K is 0
+    ("K", False, "domain", "problem: K must be a number, got False"),
+    ("K_tilde", "0.0002", "domain", "problem: K_tilde must be a number, got '0.0002'"),
+    ("rho", {"thetas": [-0.1, 0.0], "weights": [True, False]}, "domain",
+     "problem: rho weights must be numbers, got [True, False]"),
+    ("rho_tilde", {"thetas": ["-0.1"], "weights": [1.0]}, "domain",
+     "problem: rho_tilde thetas must be numbers, got ['-0.1']"),
+]
+
+
+@pytest.mark.parametrize("key, value, code, message", NOT_A_NUMBER,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(NOT_A_NUMBER)])
+def test_a_number_of_the_problem_section_must_be_a_json_number(tmp_path, capsys,
+                                                                 key, value, code, message):
+    config = base_config()
+    config["problem"][key] = value
+    assert cli.validate(config) == ([{"level": "error", "code": code, "message": message}],
+                                    None)
+    out = tmp_path / "out"
+    assert cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(out)]) == 2
+    assert capsys.readouterr() == (f"error: [{code}] {message}\n", "")
+    assert not out.exists()
 
 
 def readme_config():
@@ -378,7 +425,7 @@ def readme_config():
 def test_validate_refuses_negative_or_nan_kernel_bounds(tmp_path, capsys, key, value):
     config = readme_config()
     config["problem"][key] = value
-    errors = [d for d in cli.validate(config) if d["level"] == "error"]
+    errors = [d for d in cli.validate(config)[0] if d["level"] == "error"]
     assert [d["code"] for d in errors] == ["domain"]
     assert key in errors[0]["message"]
     code = cli.run(["solve", "--config", write_config(tmp_path, config),
@@ -390,7 +437,7 @@ def test_validate_refuses_negative_or_nan_kernel_bounds(tmp_path, capsys, key, v
 def test_validate_warns_on_zero_delay_bound():
     config = base_config()
     config["problem"]["K"] = 0.0
-    warnings = [d for d in cli.validate(config) if d["level"] == "warning"]
+    warnings = [d for d in cli.validate(config)[0] if d["level"] == "warning"]
     assert any(d["code"] == "bounds" for d in warnings)
 
 @pytest.mark.parametrize("source", ["config", "flag", "environment"])
@@ -724,7 +771,8 @@ def test_terminal_of_another_width_is_one_error_in_every_command(tmp_path, capsy
     config["problem"]["m"] = 2
     config_path = write_config(tmp_path, config)
     message = "problem: the terminal has 1 column(s), so needs m = 1, got m=2"
-    assert cli.validate(config) == [{"level": "error", "code": "domain", "message": message}]
+    assert cli.validate(config) == ([{"level": "error", "code": "domain", "message": message}],
+                                    None)
     line = f"error: [domain] {message}\n"
     for cmd in ("check-assumptions", "solve", "stability"):
         code = cli.run([cmd, "--config", config_path, "--out", str(tmp_path / cmd),

@@ -1127,16 +1127,13 @@ def w_G():
 
 
 @pytest.mark.parametrize("builder", [sine_G, w_G], ids=["sin-y", "y-cos-w"])
-def test_a_G_that_leaves_the_regression_span_keeps_the_loop(monkeypatch, builder):
+def test_a_G_that_leaves_the_regression_span_keeps_the_loop(builder):
     # one sweep is the map's fixed point only when P_i[G(Y_i) dA_i] is
-    # G(Y_i) dA_i; a registered G that reads y alone but is nonlinear in y
-    # or reads w has no affine_in_y, so solve runs the Picard loop, and one
-    # more pass moves its result by at most tol
-    monkeypatch.setattr(registry, "_G_BUILDERS", dict(registry._G_BUILDERS))
-    registry.register_G("leaves_span", lambda params: builder())
-    G = registry.build_G({"name": "leaves_span", "params": {}})
+    # G(Y_i) dA_i; a G that reads y alone but is nonlinear in y or reads w
+    # has no affine_in_y, so solve runs the Picard loop, and one more pass
+    # moves its result by at most tol
     ens = make_ensemble(500, n_steps=20, seed=30)
-    prob = readme_problem(G=G)
+    prob = readme_problem(G=builder())
     for scheme in ("explicit", "implicit"):
         sol = solve(prob, ens, scheme=scheme)
         d = sol.diagnostics

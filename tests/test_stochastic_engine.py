@@ -23,8 +23,6 @@ from delaybsde.stochastic_engine import (
     omega_delta,
     oscillation,
     realize_increasing_process,
-    register_deterministic_shape,
-    register_positive_functional,
     simulate_brownian,
 )
 
@@ -154,13 +152,8 @@ def test_registered_positive_functional_drives_a_time_integral():
         return params.get("scale", 1.0) * w[:, 0] ** 2
 
     ens = simulate_brownian(GRID, 16, d=2, seed=8)
-    register_positive_functional("test_squared_first", squared_first)
-    try:
-        spec = IncreasingProcessSpec("time_integral",
-                                     {"functional": "test_squared_first", "scale": 1.5})
-        out = realize_increasing_process(spec, ens)
-    finally:
-        del stochastic_engine._POS_FUNCTIONALS["test_squared_first"]
+    spec = IncreasingProcessSpec("time_integral", {"functional": squared_first, "scale": 1.5})
+    out = realize_increasing_process(spec, ens)
     # left sums of f(W) dt, accumulated by hand
     expected = np.zeros((16, GRID.nodes.size))
     for i, dt in enumerate(GRID.steps()):
@@ -266,10 +259,9 @@ def test_monotonicity_violations_raise(monkeypatch):
         realize_increasing_process(det(lambda t, p: -t), ens)
     with pytest.raises(MonotonicityError):
         realize_increasing_process(det(lambda t, p: t + 1.0), ens)
-    # the same through the registry; setitem removes the names afterwards
+    # the same through a named shape; setitem removes the names afterwards
     for name, shape in (("falling", lambda t, p: -t), ("lifted", lambda t, p: t + 1.0)):
-        monkeypatch.setitem(stochastic_engine._DET_SHAPES, name, None)
-        register_deterministic_shape(name, shape)
+        monkeypatch.setitem(stochastic_engine._DET_SHAPES, name, shape)
         with pytest.raises(MonotonicityError):
             realize_increasing_process(det(name), ens)
     # an oscillation too strong for its base slope, deterministic or random
@@ -326,13 +318,6 @@ def test_simulate_brownian_takes_every_philox_key():
     for seed in (np.int64(5), np.uint64(2 ** 64 - 1), 2 ** 64 - 1):
         ens = simulate_brownian(GRID, 3, seed=seed)
         assert ens.seed == int(seed) and type(ens.seed) is int
-
-def test_spec_roundtrip():
-    spec = IncreasingProcessSpec("oscillatory", {"base": det("power", exponent=2.0), "n": 3})
-    back = IncreasingProcessSpec.from_dict(spec.to_dict())
-    assert back.kind == "oscillatory"
-    assert back.params["n"] == 3
-    assert back.params["base"].params["shape"] == "power"
 
 
 def test_spec_refuses_unknown_kinds_down_the_base_chain():
@@ -394,7 +379,6 @@ def test_spec_dict_base_becomes_a_spec():
     assert spec.is_random and inner.is_random
     assert not IncreasingProcessSpec("oscillatory", {"n": 2, "base": det("identity")}).is_random
     assert IncreasingProcessSpec("time_integral", {}).is_random
-    assert IncreasingProcessSpec.from_dict(spec.to_dict()) == spec
 
 
 # ---------------------------------------------------------------- omega_delta
