@@ -8,8 +8,7 @@ from .errors import (BlowupError, ConfigError, ConstraintViolationError,
                      NumericOverflowError, SingularSystemError)
 from .path_calculus import (BVFunction, GridFunction, TimeGrid,
                             cumulative_stieltjes, helly_bray_distance,
-                            step_approximation, stieltjes_integral,
-                            total_variation)
+                            stieltjes_integral, total_variation)
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
                                 RegressionBasis, RegressionPlan,
                                 conditional_expectation, fit_least_squares,
@@ -19,7 +18,7 @@ from .model import (AtomMeasure, ConditionReport, GenContext, NormReport,
                     Preflight, ProblemSpec, c_threshold, check_H1, check_H2,
                     check_integrability, effective_c, equivalent_norm,
                     mu_lambda, preflight, probe_lipschitz, segment_integral,
-                    select_lambda, weighted_norm)
+                    select_lambda)
 from .registry import build_F, build_G, build_terminal, problem_from_dict
 from .picard_solver import (ContractionReport, Solution, SolverDiagnostics,
                             build_B, consistency_residuals, contraction_report,

@@ -392,7 +392,12 @@ def cmd_solve(args):
     try:
         solution = solve(problem, ensemble, basis=basis,
                          **{key: solver[key] for key in ("tol", "max_iter", "scheme", "force")})
-    except (ConstraintViolationError, NonContractionError, BlowupError) as exc:
+    except ConstraintViolationError as exc:
+        # solve's refusal: its cause names the failed checks, and a config overrides it by key
+        print(f'solve: FAIL ({exc.__cause__ or exc}; set "force": true in the solver '
+              f'section to run anyway)')
+        return 2
+    except (NonContractionError, BlowupError) as exc:
         print(f"solve: FAIL ({exc})")
         return 2
 

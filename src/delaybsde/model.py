@@ -1,4 +1,4 @@
-"""Problem data, weighted norms and well-posedness arithmetic.
+"""Problem data, the squared weighted norm and well-posedness arithmetic.
 
 A problem couples terminal data xi, a driver F(t, y, z, y_segment, z_segment),
 a Stieltjes driver G(t, y, y_segment) integrated against an increasing process
@@ -32,10 +32,8 @@ __all__ = [
     "ConditionReport",
     "LambdaSelection",
     "segment_integral",
-    "weighted_norm",
     "equivalent_norm",
     "norm_weights",
-    "norm_power",
     "c_threshold",
     "c_admissible",
     "effective_c",
@@ -230,12 +228,11 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class NormReport:
-    """Terms of a weighted norm of (Y, Z); ``total`` is the p-th power."""
+    """Terms of the squared weighted norm of (Y, Z), added up as ``total``."""
 
     sup_term: float
     dA_term: float
     dt_term: float
-    p: float
     beta: float
     alpha: float = 0.0
     a: float = 1.0
@@ -244,10 +241,6 @@ class NormReport:
     @property
     def total(self) -> float:
         return self.sup_term + self.a * self.dA_term + self.b * self.dt_term
-
-    @property
-    def norm(self) -> float:
-        return self.total ** (1.0 / self.p)
 
 
 def _as_paths(values, n_nodes, trailing):
@@ -299,8 +292,8 @@ def _node_sq(X, U, i, e, sq):
     return sq
 
 
-def _walk_terms(Y, U, Z, V, w, dA, dt, p):
-    """Per-path (sup w|Y - U|^p, sum w|Y - U|^2 dA, sum w|Z - V|^2 dt), U and
+def _walk_terms(Y, U, Z, V, w, dA, dt):
+    """Per-path (sup w|Y - U|^2, sum w|Y - U|^2 dA, sum w|Z - V|^2 dt), U and
     V may be None and a term whose stack is None is None, by one forward
     walk over the nodes with scratch of one node's size: w multiplies into
     each |.|^2 in place (products commute exactly), and each sum adds its
@@ -319,12 +312,8 @@ def _walk_terms(Y, U, Z, V, w, dA, dt, p):
         last = i == n_nodes - 1
         if Y is not None:
             sq = _node_sq(Y, U, i, ey, scratch)
-            if p != 2.0:
-                t = sq ** (p / 2.0)
-                np.maximum(top, np.multiply(t, w[:, i], out=t), out=top)
             sq *= w[:, i]
-            if p == 2.0:
-                np.maximum(top, sq, out=top)
+            np.maximum(top, sq, out=top)
             if not last:
                 sq *= dA[:, i]
                 y_int += sq
@@ -336,16 +325,20 @@ def _walk_terms(Y, U, Z, V, w, dA, dt, p):
     return top, y_int, z_int
 
 
-def _assemble_norm(Y, Z, A, grid: TimeGrid, *, p: float, alpha: float,
-                   beta: float, a: float, b: float, weights=None,
-                   minus=None) -> NormReport:
-    """Terms of E sup w|Y|^p, (E int w|Y|^2 dA)^{p/2} and (E int w|Z|^2 dt)^{p/2}
-    with weights w = e^{alpha t + beta A(t)}, by left-point sums.  ``weights``
-    is norm_weights(A, grid, alpha, beta), built here when not given.
-    ``minus`` = (U, V) measures Y - U and Z - V instead, either may be None.
-    Y, Z, U and V must hold one number of paths n, and the weights (A's
-    stored rows) one row or n; anything else raises ValueError naming the
-    shapes.
+def equivalent_norm(Y, Z, A, grid: TimeGrid, alpha: float, beta: float,
+                    a: float, b: float, *, weights=None, minus=None) -> NormReport:
+    """Squared weighted norm of (Y, Z) with weights w = e^{alpha t + beta A(t)}:
+
+    E sup w|Y|^2 + a E int w|Y|^2 dA + b E int w|Z|^2 dt,
+
+    by left-point sums, so the terminal node never enters the integrals.
+    alpha = 0 and a = b = 1 give the solution norm; the solver's contraction
+    norm takes its lambda selection's a and b.  ``weights`` may pass
+    norm_weights(A, grid, alpha, beta) built once for many norms against the
+    same A.  ``minus`` = (U, V) measures Y - U and Z - V instead, either may
+    be None.  Y, Z, U and V must hold one number of paths n, and the weights
+    (A's stored rows) one row or n; anything else raises ValueError naming
+    the shapes, and a total that is not finite raises NumericOverflowError.
 
     The per-path terms come from one walk over the nodes (_walk_terms),
     which forms no temporary the size of a stack and adds in node order
@@ -363,58 +356,17 @@ def _assemble_norm(Y, Z, A, grid: TimeGrid, *, p: float, alpha: float,
         shapes = ", ".join(f"{name} {X.shape}" for name, X in stacks.items())
         raise ValueError(f"the norm needs stacks of one path count and A of one row or "
                          f"that many: {shapes}, A rows {w.shape[0]}")
-    top, y_int, z_int = _walk_terms(Y, U, Z, V, w, dA, dt, p) if stacks else (None,) * 3
+    top, y_int, z_int = _walk_terms(Y, U, Z, V, w, dA, dt) if stacks else (None,) * 3
     sup_term = dA_term = dt_term = 0.0
     if Y is not None:
-        sup_term = float(np.mean(top))
-        dA_term = float(np.mean(y_int)) ** (p / 2.0)
+        sup_term, dA_term = float(np.mean(top)), float(np.mean(y_int))
     if Z is not None:
-        dt_term = float(np.mean(z_int)) ** (p / 2.0)
+        dt_term = float(np.mean(z_int))
     report = NormReport(sup_term=sup_term, dA_term=dA_term, dt_term=dt_term,
-                        p=p, beta=beta, alpha=alpha, a=a, b=b)
+                        beta=beta, alpha=alpha, a=a, b=b)
     if not np.isfinite(report.total):
         raise NumericOverflowError("weighted norm is not finite")
     return report
-
-
-def norm_power(p):
-    """p, a norm's power; ValueError unless a real number >= 2 (a NaN or an
-    infinity is not)."""
-    if not (is_number(p) and 2 <= p < np.inf):
-        raise ValueError(f"the norm power p must be a number >= 2, got {p!r}")
-    return p
-
-
-def weighted_norm(Y, Z, A, grid: TimeGrid, p: float = 2.0,
-                  beta: float = 0.0) -> NormReport:
-    """Monte Carlo estimate of the p-th power of the solution norm.
-
-    sup term   E[ sup_t e^{beta A}|Y|^p ]
-    dA term    E[ int_0^T e^{beta A}|Y|^2 dA ]^{p/2}
-    dt term    E[ int_0^T e^{beta A}|Z|^2 dt ]^{p/2}
-    Left-point sums; the terminal node never enters the integrals.  A p
-    that is not a real number >= 2 raises ValueError (norm_power).
-    """
-    return _assemble_norm(Y, Z, A, grid, p=norm_power(p), alpha=0.0, beta=beta,
-                          a=1.0, b=1.0)
-
-
-def equivalent_norm(dY, dZ, A, grid: TimeGrid, alpha: float, beta: float,
-                    a: float, b: float, *, weights=None, minus=None) -> NormReport:
-    """Squared contraction norm with weights e^{alpha t + beta A(t)}:
-
-    E sup e^{alpha t + beta A}|dY|^2 + a E int e^..|dY|^2 dA
-                                     + b E int e^..|dZ|^2 dt.
-
-    ``weights`` may pass norm_weights(A, grid, alpha, beta) built once for
-    many norms against the same A.  ``minus`` = (U, V) takes dY - U and
-    dZ - V as the distances without forming them: the norm walks the nodes
-    once and allocates nothing the size of a stack, with the same bits on
-    any layout (_assemble_norm, which also refuses stacks whose path counts
-    disagree).
-    """
-    return _assemble_norm(dY, dZ, A, grid, p=2.0, alpha=alpha, beta=beta, a=a, b=b,
-                          weights=weights, minus=minus)
 
 
 # ----------------------------------------------------------------- constants
@@ -760,7 +712,6 @@ class MomentEstimate:
 @dataclass(frozen=True)
 class IntegrabilityReport:
     entries: dict
-    p: float
 
     @property
     def all_finite(self) -> bool:
@@ -780,15 +731,15 @@ def _moment(samples) -> MomentEstimate:
                           n=int(samples.size))
 
 
-def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
-                        p: float = 2.0) -> IntegrabilityReport:
+def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble) -> IntegrabilityReport:
     """Monte Carlo moment estimates behind the standing assumptions, the
     exponential moments E e^{r A(T)} at r = 1, 2, 4 and 8 among them.
 
     Reports, per sample-mean entry, whether all samples were finite and
     whether the top 1% of samples carries more than half the estimate
-    (a heavy-tail warning: the plain average is then untrustworthy).  Each
-    integral adds each path's terms in node order, as the norms do, and a
+    (a heavy-tail warning: the plain average is then untrustworthy).  The
+    "p" entries are the squares of their samples' terms (power p = 2).  Each
+    integral adds each path's terms in node order, as the norm does, and a
     one-row operand (a deterministic A, an absent generator) broadcasts.
     """
     grid = ensemble.grid
@@ -836,10 +787,10 @@ def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
         "A0": _moment(eAT * (1.0 + xi_sq)),
         "A1_F": _moment(int_F),
         "A1_G": _moment(int_G_dA),
-        "A0p": _moment(eAT ** p * xi_sq ** p),
-        "A1p_F": _moment(int_F ** p),
-        "A1p_G": _moment(int_G_dt ** p),
-        "A1sup_G": _moment(np.broadcast_to(np.max(G0_sq, axis=1), (n,)) ** p),
+        "A0p": _moment(eAT ** 2.0 * xi_sq ** 2.0),
+        "A1p_F": _moment(int_F ** 2.0),
+        "A1p_G": _moment(int_G_dt ** 2.0),
+        "A1sup_G": _moment(np.broadcast_to(np.max(G0_sq, axis=1), (n,)) ** 2.0),
     }
     for r in (1.0, 2.0, 4.0, 8.0):
         with np.errstate(over="ignore"):
@@ -848,4 +799,4 @@ def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble,
         if est.heavy_tail:
             log.warning("moment %s dominated by its top samples "
                         "(estimate %.3e unreliable)", name, est.value)
-    return IntegrabilityReport(entries=entries, p=p)
+    return IntegrabilityReport(entries=entries)

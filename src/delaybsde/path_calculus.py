@@ -1,8 +1,7 @@
 """Deterministic calculus on grid-sampled paths.
 
 Grid functions, total variation, Lebesgue-Stieltjes sums against increasing or
-bounded-variation integrators, the delay windows of path stacks, and the
-step-function approximation used by the Helly-Bray convergence check.
+bounded-variation integrators, and the delay windows of path stacks.
 Everything here is deterministic: stochastic objects enter only as arrays of
 per-path samples.
 """
@@ -29,7 +28,6 @@ __all__ = [
     "node_major",
     "delay_windows",
     "delay_window",
-    "step_approximation",
     "helly_bray_distance",
 ]
 
@@ -192,36 +190,31 @@ def _eval_points(x_values: np.ndarray, policy: str) -> np.ndarray:
         return x_values[..., :-1]
     if policy == "jump":
         return x_values[..., 1:]
-    if policy == "midpoint":
-        return 0.5 * (x_values[..., :-1] + x_values[..., 1:])
     raise ValueError(f"unknown evaluation policy {policy!r}")
 
 
-def _resolve_policy(eta, eval_point: str | None = None) -> str:
-    if eval_point is not None:
-        return eval_point
+def _resolve_policy(eta) -> str:
     if isinstance(eta, BVFunction) and eta.mode == "step":
         # mass of (t_i, t_{i+1}] under a right-continuous step sits at t_{i+1}
         return "jump"
     return "left"
 
 
-def stieltjes_integral(x: GridFunction, eta: BVFunction | GridFunction, *,
-                       eval_point: str | None = None) -> float:
+def stieltjes_integral(x: GridFunction, eta: BVFunction | GridFunction) -> float:
     """Grid Stieltjes sum of x against deta over the whole grid [0, T];
     cumulative_stieltjes gives the running values.
 
     Vector-valued pairs are contracted componentwise, sum_i int x_i deta_i.
-    The evaluation point defaults to the left node (the adapted choice);
-    step-mode integrators default to the jump node instead, which makes the
-    sum exact for piecewise-constant integrators.
+    The evaluation point is the left node (the adapted choice), or the jump
+    node for a step-mode integrator, which makes the sum exact for
+    piecewise-constant integrators.
     """
     if x.grid.nodes.shape != eta.grid.nodes.shape or \
             np.any(x.grid.nodes != eta.grid.nodes):
         raise GridAlignmentError("x and eta must share one grid")
     if x.values.ndim != eta.values.ndim or x.values.shape != eta.values.shape:
         raise ValueError("x and eta must have matching shapes")
-    xs = _eval_points(x.values.T, _resolve_policy(eta, eval_point))
+    xs = _eval_points(x.values.T, _resolve_policy(eta))
     return float(np.sum(xs * np.diff(eta.values.T, axis=-1)))
 
 
@@ -229,9 +222,9 @@ def cumulative_stieltjes(x_values: np.ndarray, eta_values: np.ndarray,
                          policy: str = "left") -> np.ndarray:
     """Running grid sums t |-> sum_{t_i < t} x(tau_i) (eta(t_{i+1}) - eta(t_i)).
 
-    Works on stacked arrays with the node axis last (shape (..., M+1)) that
-    broadcast against each other; a broadcast integrator is differenced
-    once, on its stored rows.
+    tau_i is t_i for policy "left" and t_{i+1} for "jump".  Works on stacked
+    arrays with the node axis last (shape (..., M+1)) that broadcast against
+    each other; a broadcast integrator is differenced once, on its stored rows.
     """
     x_values = np.asarray(x_values, dtype=float)
     eta_values = np.asarray(eta_values, dtype=float)
@@ -310,31 +303,10 @@ def delay_window(X: np.ndarray, i: int, k: int, kind: str = "state") -> np.ndarr
     return delay_windows(X, k, kind)(i)
 
 
-def step_approximation(x: GridFunction, partition: np.ndarray) -> GridFunction:
-    """Right-endpoint step approximant of x along a coarser partition.
-
-    x^N(0) = x(0) and x^N(s) = x(p_j) for s in (p_{j-1}, p_j].  The partition
-    must be nested in x's grid (first node 0, last node T), and the result is
-    sampled back on the original grid.
-    """
-    grid = x.grid
-    partition = np.asarray(partition, dtype=float)
-    if partition.ndim != 1 or partition.size < 2:
-        raise GridAlignmentError("partition needs at least two nodes")
-    p_idx = np.array([grid.index_of(p) for p in partition])
-    if p_idx[0] != 0 or p_idx[-1] != grid.n_steps or np.any(np.diff(p_idx) <= 0):
-        raise GridAlignmentError("partition must be nested, increasing, 0 to T")
-    # s = 0 maps to the first partition node (= 0); s in (p_{j-1}, p_j] to p_j
-    owner = np.searchsorted(grid.nodes[p_idx], grid.nodes, side="left")
-    owner[0] = 0
-    values = x.values[p_idx[owner]]
-    return GridFunction(grid=grid, values=values)
-
-
 def helly_bray_distance(x_seq: list[GridFunction], eta_seq: list[BVFunction],
                         x: GridFunction, eta: BVFunction) -> np.ndarray:
     """sup_t |int_0^t x_n deta_n - int_0^t x deta| for each member n, each
-    integral at its integrator's default evaluation point."""
+    integral at its integrator's evaluation point (stieltjes_integral)."""
     if len(x_seq) != len(eta_seq):
         raise ValueError("x_seq and eta_seq must pair up")
 

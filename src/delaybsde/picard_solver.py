@@ -71,8 +71,6 @@ BLOWUP_THRESHOLD = 1e8  # |Y| above this at a node raises BlowupError
 NODE_PASSES = 20
 NODE_GAP = 1e-12
 NODE_PASS_LIMIT = 1000
-# ends solve's refusal; a caller that takes no force setting drops it
-FORCE_HINT = "; pass force=True to run anyway"
 SCHEMES = ("explicit", "implicit")  # how a sweep advances the value, see gamma_step
 
 
@@ -417,10 +415,11 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     passing both raises ValueError.  ``c`` overrides the problem's
     smallness budget.  Realizes A if need be, refuses an ensemble that does
     not fit the problem (_check_fit), then runs model.preflight and refuses
-    when any of its checks fails, unless force=True; the record is kept as
-    diagnostics.preflight either way.  dA and the norm weights are the
-    solve's, built once from ensemble.A: node-major for a random A, one row
-    for a deterministic A, whose row is not copied.
+    when any of its checks fails, unless force=True, with a
+    ConstraintViolationError whose cause is one naming the failed checks
+    alone; the record is kept as diagnostics.preflight either way.  dA and
+    the norm weights are the solve's, built once from ensemble.A: node-major
+    for a random A, one row for a deterministic A, whose row is not copied.
 
     The map reads the previous iterate only through G's y and y_seg and
     F's delay windows (model.generator_reads).  Two kinds of problem sweep
@@ -458,8 +457,9 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
 
     checks = preflight(problem, ensemble, c)
     if checks.failures and not force:
-        raise ConstraintViolationError(
-            "; ".join(checks.failures.values()) + FORCE_HINT)
+        # the cause holds the failed checks alone, for a front end that words its own hint
+        failed = ConstraintViolationError("; ".join(checks.failures.values()))
+        raise ConstraintViolationError(f"{failed}; pass force=True to run anyway") from failed
     sel = checks.selection
     mu, a, b = (None, 1.0, 1.0) if sel is None else (sel.mu_lambda, sel.a, sel.b)
     if sel is None:

@@ -227,10 +227,12 @@ def build_G(entry):
 
 def _measure_from(config, key):
     """The AtomMeasure of config[key], None when absent; ValueError unless
-    its thetas and weights are numbers or lists of numbers."""
+    it is an object whose thetas and weights are numbers or lists of numbers."""
     entry = config.get(key)
     if entry is None:
         return None
+    if not (isinstance(entry, dict) and {"thetas", "weights"} <= entry.keys()):
+        raise ValueError(f"{key} must be an object with thetas and weights, got {entry!r}")
     arrays = []
     for part in ("thetas", "weights"):
         values = entry[part]

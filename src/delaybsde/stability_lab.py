@@ -20,13 +20,13 @@ from scipy.stats import ks_2samp, spearmanr
 
 from .errors import ConstraintViolationError, FamilyInvalidError
 from .model import (ProblemSpec, argument_clouds, effective_c, equivalent_norm,
-                    evaluate_generator, norm_power, weighted_norm)
+                    evaluate_generator)
 # unused here (solve's preflight calls them); bench/tracing.py looks them up here
 from .model import check_H1, check_H2  # noqa: F401
 from .path_calculus import BLOCK_BYTES, TimeGrid, stored_rows
 # unused here (the check keeps its own running sums); bench/tracing.py looks it up here
 from .path_calculus import cumulative_stieltjes  # noqa: F401
-from .picard_solver import FORCE_HINT, solve
+from .picard_solver import solve
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
                                 RegressionBasis, RegressionPlan, member_index,
                                 oscillation, realize_increasing_process,
@@ -54,17 +54,13 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PerturbationFamily:
-    """A reference problem and perturbed members, coarsest perturbation first.
-    ``p``, the power of the members' sanity norms, must be a real number
-    >= 2 (model.norm_power), or the family raises ValueError."""
+    """A reference problem and perturbed members, coarsest perturbation first."""
 
     base: ProblemSpec
     members: list
     labels: list | None = None
-    p: float = 2.0
 
     def __post_init__(self):
-        norm_power(self.p)
         if not self.members:
             raise ValueError("family needs at least one member")
         for i, member in enumerate(self.members):
@@ -196,7 +192,7 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
                          max_iter=max_iter, scheme=scheme, plan=own)
         except ConstraintViolationError as exc:
             raise FamilyInvalidError(
-                f"{name} fails: {str(exc).removesuffix(FORCE_HINT)}") from None
+                f"{name} fails: {exc.__cause__ or exc}") from None
 
     def per_path(values):
         return np.ascontiguousarray(np.broadcast_to(values, (n_paths,)))
@@ -214,7 +210,7 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
 
         xi_n = member.terminal(ens_n)
         gap = xi_n - xi_base
-        delta_xi = float(np.mean(np.sum(gap ** 2, axis=1) ** family.p))
+        delta_xi = float(np.mean(np.sum(gap ** 2, axis=1) ** 2.0))
         delta_F = generator_gap(member.F, base.F, base, which="F", seed=seed)
         delta_G = generator_gap(member.G, base.G, base, which="G", seed=seed)
         # H on the stored rows; per_path makes each mean add what it adds
@@ -224,8 +220,8 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
         bv_H = float(np.mean(per_path(np.sum(np.abs(np.diff(H, axis=1)), axis=1))))
         err = equivalent_norm(sol_n.Y, sol_n.Z, ens_base.A, grid, alpha=0.0,
                               beta=0.0, a=0.0, b=1.0, minus=(sol_base.Y, sol_base.Z))
-        sanity = weighted_norm(sol_n.Y, sol_n.Z, ens_n.A, grid,
-                               p=family.p, beta=member.beta)
+        sanity = equivalent_norm(sol_n.Y, sol_n.Z, ens_n.A, grid, alpha=0.0,
+                                 beta=member.beta, a=1.0, b=1.0)
         rows.append(StabilityRow(
             label=label, delta_xi=delta_xi, delta_F=delta_F, delta_G=delta_G,
             sup_A_diff=sup_A, bv_H=bv_H, error=err.total,

@@ -251,6 +251,12 @@ class IncreasingProcessSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "IncreasingProcessSpec":
+        """The spec of a config entry; ValueError unless it is an object with
+        a kind and, if any, a params object."""
+        if not (isinstance(data, dict) and "kind" in data
+                and isinstance(data.get("params", {}), dict)):
+            raise ValueError(f"an A entry must be an object with a kind and a params "
+                             f"object, got {data!r}")
         return cls(kind=data["kind"], params=dict(data.get("params", {})))
 
 
@@ -305,25 +311,17 @@ def realize_increasing_process(spec: IncreasingProcessSpec,
     return replace(ensemble, A=A, A_spec=spec)
 
 
-def omega_delta(A: np.ndarray | PathEnsemble, delta: float,
-                grid: TimeGrid | None = None):
-    """Largest A-increment over any delay window: sup_t (A(t+delta) - A(t)).
-
-    Returns one value per path, or a scalar for a single path; the gaps
-    are taken on the rows A stores (path_calculus.stored_rows).
-    """
-    if isinstance(A, PathEnsemble):
-        grid, A = A.grid, A.realized_A()
-    if grid is None:
-        raise ValueError("need the grid that samples A")
+def omega_delta(ensemble: PathEnsemble, delta: float) -> np.ndarray:
+    """Largest A-increment over any delay window, sup_t (A(t+delta) - A(t)),
+    one value per path of the ensemble; the gaps are taken on the rows A
+    stores (path_calculus.stored_rows).  A delta outside (0, T] raises
+    ValueError."""
+    grid, A = ensemble.grid, ensemble.realized_A()
     if not delay_fits_horizon(delta, grid.T):
         raise ValueError(f"delta={delta} outside (0, T={grid.T}]")
-    work = np.atleast_2d(np.asarray(A, dtype=float))
-    rows = stored_rows(work)
+    rows = stored_rows(A)
     k = TimeGrid(grid.nodes, delta).delta_index_offset
-    gaps = rows[:, k:] - rows[:, :-k]
-    out = np.broadcast_to(gaps.max(axis=1), work.shape[:1])
-    return float(out[0]) if np.asarray(A).ndim == 1 else out
+    return np.broadcast_to((rows[:, k:] - rows[:, :-k]).max(axis=1), A.shape[:1])
 
 
 # ----------------------------------------------------------- regression

@@ -192,6 +192,44 @@ def test_validate_refuses_integer_A_params_out_of_range(tmp_path, capsys, A):
     assert not (tmp_path / "out").exists()
 
 
+def _measure_message(key, value):
+    return f"problem: {key} must be an object with thetas and weights, got {value!r}"
+
+
+def _A_message(value):
+    return ("A must be an increasing process of a kind in ['deterministic', 'oscillatory', "
+            "'running_max', 'time_integral']: an A entry must be an object with a kind and "
+            f"a params object, got {value!r}")
+
+
+@pytest.mark.parametrize("key, value, code, message", [
+    pytest.param("rho", [0.5], "domain", _measure_message("rho", [0.5]), id="rho-list"),
+    pytest.param("rho", {"thetas": [0.0]}, "domain",
+                 _measure_message("rho", {"thetas": [0.0]}), id="rho-no-weights"),
+    pytest.param("rho_tilde", "x", "domain", _measure_message("rho_tilde", "x"),
+                 id="rho_tilde-string"),
+    pytest.param("A", "deterministic", "registry", _A_message("deterministic"), id="A-string"),
+    pytest.param("A", {"params": {}}, "registry", _A_message({"params": {}}), id="A-no-kind"),
+    pytest.param("A", {"kind": "deterministic", "params": [1]}, "registry",
+                 _A_message({"kind": "deterministic", "params": [1]}), id="A-params-list"),
+    pytest.param("A", {"kind": "oscillatory", "params": {"n": 2, "base": {"params": {}}}},
+                 "registry", _A_message({"params": {}}), id="A-base-no-kind"),
+])
+def test_validate_names_an_entry_that_is_not_an_object(tmp_path, capsys, key, value, code,
+                                                       message):
+    # an entry that is not an object, or lacks a key it needs, is named with
+    # what it must be, not with Python's message of the failed lookup
+    config = base_config()
+    config["problem"][key] = value
+    assert cli.validate(config) == ([{"level": "error", "code": code, "message": message}],
+                                    None)
+    exit_code = cli.run(["check-assumptions", "--config", write_config(tmp_path, config),
+                         "--out", str(tmp_path / "out")])
+    assert exit_code == 2
+    assert capsys.readouterr() == (f"error: [{code}] {message}\n", "")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("component, code", [
     (0.7, "registry"), (-1, "registry"), (True, "registry"), (1, "domain"), (3, "domain")])
 def test_validate_refuses_a_brownian_terminal_component_out_of_range(tmp_path, capsys,
@@ -754,14 +792,36 @@ def test_probe_failing_readme_config_fails_every_command(tmp_path, capsys):
         text = capsys.readouterr().out
         assert code == 2, cmd
         assert f"{cmd}: FAIL" in text
-        # only solve takes a force setting, so only solve offers it
-        assert ("force=True" in text) == (cmd == "solve"), cmd
+        # only solve takes a force setting, so only solve offers it, by its config key
+        assert ('"force": true in the solver section' in text) == (cmd == "solve"), cmd
+        assert "force=True" not in text, cmd
     family = oscillatory_A_family(
         problem_from_dict(probe_failing_readme_config()["problem"]), [2, 4, 8, 16])
     with pytest.raises(FamilyInvalidError, match="base problem.*declared constants of G") as exc:
         run_stability(family, n_paths=200, n_steps=50, seed=7)
     assert "force=True" not in str(exc.value)
 
+
+def test_cli_solve_refusal_names_the_config_key_and_the_library_its_keyword(tmp_path, capsys):
+    # a command-line user cannot pass force=True; their switch is the solver
+    # section's "force" key, while solve() keeps its keyword for library callers
+    from delaybsde.errors import ConstraintViolationError
+    from delaybsde.path_calculus import TimeGrid
+    from delaybsde.picard_solver import solve
+    from delaybsde.stochastic_engine import simulate_brownian
+
+    config = probe_failing_readme_config()
+    code = cli.run(["solve", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out"), "--paths", "200"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.startswith("solve: FAIL (declared constants of G are below the empirical ones")
+    assert out.endswith('; set "force": true in the solver section to run anyway)\n')
+    _, problem = cli.validate(config)
+    grid = TimeGrid.uniform(problem.T, 20, delta=problem.delta)
+    with pytest.raises(ConstraintViolationError,
+                       match=r"^declared constants of G .*; pass force=True to run anyway$"):
+        solve(problem, simulate_brownian(grid, 200, seed=3))
 
 
 def test_terminal_of_another_width_is_one_error_in_every_command(tmp_path, capsys):

@@ -12,7 +12,8 @@ Oracle notes (derived before the implementations were trusted):
   max{0.302, 2416/4800, 0.604/12} = 2416/4800 = 0.50333...
 * equivalent norm of dY=1, dZ=0 with alpha=0, beta=1, a=2, b=1, A=t on [0,1]:
   e + 2(e-1) = 3e-2 = 6.15484548...
-* weighted norm terms of Y=1, Z=1, beta=1, A=t, p=2: sup e, both integrals e-1.
+* solution norm terms (alpha=0, a=b=1) of Y=1, Z=1, beta=1, A=t: sup e, both
+  integrals e-1.
 """
 
 import importlib.util
@@ -30,11 +31,10 @@ from delaybsde.errors import (BlowupError, ConfigError, ConstraintViolationError
 from delaybsde.model import (AtomMeasure, ProblemSpec, c_threshold, check_H1,
                              check_H2, check_integrability, effective_c,
                              equivalent_norm, mu_lambda, norm_weights,
-                             probe_lipschitz, segment_integral, select_lambda,
-                             weighted_norm)
+                             probe_lipschitz, segment_integral, select_lambda)
 from delaybsde.path_calculus import TimeGrid, stored_rows
-from delaybsde.stochastic_engine import (IncreasingProcessSpec, omega_delta,
-                                         realize_increasing_process,
+from delaybsde.stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
+                                         omega_delta, realize_increasing_process,
                                          simulate_brownian)
 
 from layouts import is_node_major, node_major
@@ -44,28 +44,8 @@ E = float(np.e)
 
 # ------------------------------------------------------------------ oracles
 
-def weighted_norm_bruteforce(Y, Z, A, nodes, p, beta):
-    """Per-path python loops over nodes; left-point sums."""
-    sup_vals, da_vals, dt_vals = [], [], []
-    for path in range(Y.shape[0]):
-        best, acc_a, acc_t = 0.0, 0.0, 0.0
-        for i in range(len(nodes)):
-            w = np.exp(beta * A[path, i])
-            ysq = float(np.sum(np.asarray(Y[path, i]) ** 2))
-            best = max(best, w * ysq ** (p / 2.0))
-            if i < len(nodes) - 1:
-                acc_a += w * ysq * (A[path, i + 1] - A[path, i])
-                acc_t += w * float(np.sum(np.asarray(Z[path, i]) ** 2)) \
-                    * (nodes[i + 1] - nodes[i])
-        sup_vals.append(best)
-        da_vals.append(acc_a)
-        dt_vals.append(acc_t)
-    return (float(np.mean(sup_vals)),
-            float(np.mean(da_vals)) ** (p / 2.0),
-            float(np.mean(dt_vals)) ** (p / 2.0))
-
-
 def equivalent_norm_bruteforce(dY, dZ, A, nodes, alpha, beta):
+    """Per-path python loops over nodes; left-point sums."""
     sup_vals, da_vals, dt_vals = [], [], []
     for path in range(dY.shape[0]):
         best, acc_a, acc_t = 0.0, 0.0, 0.0
@@ -264,16 +244,14 @@ def test_weighted_norm_closed_form():
     Y = np.ones((1, n))
     Z = np.ones((1, n))
     A = grid.nodes[None, :].copy()
-    rep = weighted_norm(Y, Z, A, grid, p=2.0, beta=1.0)
+    rep = equivalent_norm(Y, Z, A, grid, alpha=0.0, beta=1.0, a=1.0, b=1.0)
     assert rep.sup_term == pytest.approx(E, rel=1e-12)
     assert rep.dA_term == pytest.approx(E - 1.0, abs=1e-3)
     assert rep.dt_term == pytest.approx(E - 1.0, abs=1e-3)
     assert rep.total == pytest.approx(rep.sup_term + rep.dA_term + rep.dt_term)
-    assert rep.norm == pytest.approx(np.sqrt(rep.total))
 
 
-@pytest.mark.parametrize("p", [2.0, 4.0])
-def test_weighted_norm_matches_bruteforce(p):
+def test_weighted_norm_matches_bruteforce():
     rng = np.random.default_rng(11)
     nodes = np.array([0.0, 0.1, 0.25, 0.3, 0.55, 0.7, 0.9, 1.0])
     grid = TimeGrid(nodes)
@@ -281,22 +259,11 @@ def test_weighted_norm_matches_bruteforce(p):
     Z = rng.normal(size=(3, 8, 2, 2))
     A = np.concatenate([np.zeros((3, 1)),
                         np.cumsum(rng.uniform(0, 0.3, size=(3, 7)), axis=1)], axis=1)
-    rep = weighted_norm(Y, Z, A, grid, p=p, beta=0.7)
-    sup, da, dt = weighted_norm_bruteforce(Y, Z, A, nodes, p, 0.7)
+    rep = equivalent_norm(Y, Z, A, grid, alpha=0.0, beta=0.7, a=1.0, b=1.0)
+    sup, da, dt = equivalent_norm_bruteforce(Y, Z, A, nodes, 0.0, 0.7)
     assert rep.sup_term == pytest.approx(sup, rel=1e-12)
     assert rep.dA_term == pytest.approx(da, rel=1e-12)
     assert rep.dt_term == pytest.approx(dt, rel=1e-12)
-
-
-def test_weighted_norm_p4_closed_form():
-    grid = TimeGrid.uniform(1.0, 1000)
-    n = grid.nodes.size
-    Y = np.ones((1, n))
-    A = grid.nodes[None, :].copy()
-    rep = weighted_norm(Y, None, A, grid, p=4.0, beta=1.0)
-    assert rep.sup_term == pytest.approx(E, rel=1e-12)
-    assert rep.dA_term == pytest.approx((E - 1.0) ** 2, rel=2e-3)
-    assert rep.dt_term == 0.0
 
 
 def test_weighted_norm_refuses_a_total_that_is_not_finite():
@@ -304,7 +271,8 @@ def test_weighted_norm_refuses_a_total_that_is_not_finite():
     grid = TimeGrid.uniform(1.0, 4)
     with pytest.raises(NumericOverflowError, match="^weighted norm is not finite$"), \
             np.errstate(over="ignore"):
-        weighted_norm(np.full((3, 5), 1e200), None, grid.nodes, grid)
+        equivalent_norm(np.full((3, 5), 1e200), None, grid.nodes, grid,
+                        alpha=0.0, beta=0.0, a=1.0, b=1.0)
 
 
 def test_weighted_norm_homogeneity():
@@ -314,29 +282,18 @@ def test_weighted_norm_homogeneity():
     Z = rng.normal(size=(5, 17))
     A = np.concatenate([np.zeros((5, 1)),
                         np.cumsum(np.abs(rng.normal(size=(5, 16))), axis=1)], axis=1)
-    base = weighted_norm(Y, Z, A, grid, p=2.0, beta=0.5)
-    scaled = weighted_norm(2.5 * Y, 2.5 * Z, A, grid, p=2.0, beta=0.5)
+    base = equivalent_norm(Y, Z, A, grid, alpha=0.0, beta=0.5, a=1.0, b=1.0)
+    scaled = equivalent_norm(2.5 * Y, 2.5 * Z, A, grid, alpha=0.0, beta=0.5, a=1.0, b=1.0)
     assert scaled.total == pytest.approx(2.5 ** 2 * base.total, rel=1e-12)
-    assert scaled.norm == pytest.approx(2.5 * base.norm, rel=1e-12)
+    assert np.sqrt(scaled.total) == pytest.approx(2.5 * np.sqrt(base.total), rel=1e-12)
 
 
-def test_weighted_norm_rejects_small_p_and_overflow():
+def test_weighted_norm_refuses_weights_that_overflow():
     grid = TimeGrid.uniform(1.0, 4)
     Y = np.ones((1, 5))
     A = grid.nodes[None, :].copy()
-    with pytest.raises(ValueError):
-        weighted_norm(Y, None, A, grid, p=1.0, beta=1.0)
     with pytest.raises(NumericOverflowError):
-        weighted_norm(Y, None, A, grid, p=2.0, beta=800.0)
-
-
-@pytest.mark.parametrize("p", [float("nan"), 1.0, "4", None, True, np.inf, -np.inf])
-def test_weighted_norm_refuses_a_power_that_is_not_a_number_at_least_2(p):
-    # a NaN fails p >= 2 and p < 2 alike, so the rule must test p >= 2
-    grid = TimeGrid.uniform(1.0, 4)
-    with pytest.raises(ValueError, match="norm power p"):
-        weighted_norm(np.ones((2, 5)), None, grid.nodes[None, :], grid, p=p, beta=1.0)
-    assert model.norm_power(np.float64(2.0)) == 2.0
+        equivalent_norm(Y, None, A, grid, alpha=0.0, beta=800.0, a=1.0, b=1.0)
 
 
 def test_equivalent_norm_closed_form():
@@ -379,8 +336,7 @@ def squares(X):
 
 
 @pytest.mark.parametrize("layout", ["C", "node_major"])
-@pytest.mark.parametrize("p", [2.0, 4.0])
-def test_norm_terms_equal_three_product_sums_bitwise(p, layout):
+def test_norm_terms_equal_three_product_sums_bitwise(layout):
     # the norm multiplies its weights into |Y|^2 and |Z|^2 in place and adds
     # each path's nodes in order, whatever the inputs' layout: the terms must
     # be those of the three-product expressions on node-major copies, which
@@ -398,26 +354,25 @@ def test_norm_terms_equal_three_product_sums_bitwise(p, layout):
 
     def expected(alpha, beta):
         w = np.exp(alpha * grid.nodes[None, :] + beta * A_by_node)
-        return (float(np.mean(np.max(w * ysq ** (p / 2.0), axis=1))),
-                float(np.mean(np.sum(w[:, :-1] * ysq[:, :-1] * dA, axis=1))) ** (p / 2.0),
-                float(np.mean(np.sum(w[:, :-1] * zsq[:, :-1] * dt, axis=1))) ** (p / 2.0))
+        return (float(np.mean(np.max(w * ysq, axis=1))),
+                float(np.mean(np.sum(w[:, :-1] * ysq[:, :-1] * dA, axis=1))),
+                float(np.mean(np.sum(w[:, :-1] * zsq[:, :-1] * dt, axis=1))))
 
     if layout == "node_major":
         Y, Z, A = node_major(Y), node_major(Z), A_by_node
-    rep = weighted_norm(Y, Z, A, grid, p=p, beta=0.6)
+    rep = equivalent_norm(Y, Z, A, grid, alpha=0.0, beta=0.6, a=1.0, b=1.0)
     assert (rep.sup_term, rep.dA_term, rep.dt_term) == expected(0.0, 0.6)
-    if p == 2.0:
-        # A beside weights built from it, and beside weights built from a
-        # copy of it in either layout
-        for A_arg, weights in ((A, None), (A, norm_weights(A, grid, 1.3, 0.6)),
-                               (A_by_path, norm_weights(A_by_node, grid, 1.3, 0.6)),
-                               (A_by_node, norm_weights(A_by_path, grid, 1.3, 0.6))):
-            rep = equivalent_norm(Y, Z, A_arg, grid, alpha=1.3, beta=0.6, a=5.0, b=2.0,
-                                  weights=weights)
-            assert (rep.sup_term, rep.dA_term, rep.dt_term) == expected(1.3, 0.6)
+    # A beside weights built from it, and beside weights built from a copy of
+    # it in either layout
+    for A_arg, weights in ((A, None), (A, norm_weights(A, grid, 1.3, 0.6)),
+                           (A_by_path, norm_weights(A_by_node, grid, 1.3, 0.6)),
+                           (A_by_node, norm_weights(A_by_path, grid, 1.3, 0.6))):
+        rep = equivalent_norm(Y, Z, A_arg, grid, alpha=1.3, beta=0.6, a=5.0, b=2.0,
+                              weights=weights)
+        assert (rep.sup_term, rep.dA_term, rep.dt_term) == expected(1.3, 0.6)
 
 
-def node_order_terms(dY, dZ, w, dA, dt, p):
+def node_order_terms(dY, dZ, w, dA, dt):
     """The norm's per-path terms from whole-array expressions, (w|e|^2) dA
     with components added in index order, each path's nodes added in order
     (the last of its running sums), then averaged."""
@@ -426,19 +381,18 @@ def node_order_terms(dY, dZ, w, dA, dt, p):
     terms = [0.0, 0.0, 0.0]
     if dY is not None:
         ysq = squares(dY)
-        terms[0] = float(np.mean(np.max(w * ysq ** (p / 2.0), axis=1)))
-        terms[1] = float(np.mean(node_sum(w[:, :-1] * ysq[:, :-1] * dA))) ** (p / 2.0)
+        terms[0] = float(np.mean(np.max(w * ysq, axis=1)))
+        terms[1] = float(np.mean(node_sum(w[:, :-1] * ysq[:, :-1] * dA)))
     if dZ is not None:
         zsq = squares(dZ)
-        terms[2] = float(np.mean(node_sum(w[:, :-1] * zsq[:, :-1] * dt))) ** (p / 2.0)
+        terms[2] = float(np.mean(node_sum(w[:, :-1] * zsq[:, :-1] * dt)))
     return tuple(terms)
 
 
 @pytest.mark.parametrize("which", ["both", "Y", "Z"])
 @pytest.mark.parametrize("A_kind", ["one_row", "random"])
-@pytest.mark.parametrize("p", [2.0, 4.0])
 @pytest.mark.parametrize("n", [300, 2, 1])
-def test_node_walk_terms_equal_whole_array_bits(n, p, A_kind, which):
+def test_node_walk_terms_equal_whole_array_bits(n, A_kind, which):
     # node-major stacks (m = 2, d = 3) are measured by one walk over the nodes;
     # its terms must be those of the whole-array expressions, each path's
     # nodes added in order, bit for bit, with minus= giving what the explicit
@@ -460,17 +414,11 @@ def test_node_walk_terms_equal_whole_array_bits(n, p, A_kind, which):
     dY = None if Y is None else Y - U
     dZ = None if Z is None else Z - V
     w, dA = weights = norm_weights(A, grid, 1.3, 0.6)
-    if p == 2.0:
-        want = node_order_terms(dY, dZ, w, dA, grid.steps(), p)
-        for rep in (equivalent_norm(Y, Z, A, grid, 1.3, 0.6, 5.0, 2.0, weights=weights,
-                                    minus=(U, V)),
-                    equivalent_norm(dY, dZ, A, grid, 1.3, 0.6, 5.0, 2.0)):
-            assert (rep.sup_term, rep.dA_term, rep.dt_term) == want
-    else:
-        rep = weighted_norm(Y, Z, A, grid, p=p, beta=0.6)
-        w0, dA0 = norm_weights(A, grid, 0.0, 0.6)
-        assert (rep.sup_term, rep.dA_term, rep.dt_term) == node_order_terms(
-            Y, Z, w0, dA0, grid.steps(), p)
+    want = node_order_terms(dY, dZ, w, dA, grid.steps())
+    for rep in (equivalent_norm(Y, Z, A, grid, 1.3, 0.6, 5.0, 2.0, weights=weights,
+                                minus=(U, V)),
+                equivalent_norm(dY, dZ, A, grid, 1.3, 0.6, 5.0, 2.0)):
+        assert (rep.sup_term, rep.dA_term, rep.dt_term) == want
     if n == 1 and dY is not None:
         # the pairwise sum of the single row is not the node-by-node sum, so
         # the comparison above tells the two apart
@@ -486,7 +434,7 @@ def norm_terms(rep):
 @pytest.mark.parametrize("n", [300, 2, 1])
 def test_norm_terms_do_not_depend_on_the_layout(n, A_kind):
     # C-order and node-major copies of the same stacks give the same terms,
-    # bit for bit: weighted_norm at p = 2 and 4, and equivalent_norm's minus
+    # bit for bit: the solution norm (alpha = 0, a = b = 1) and equivalent_norm's minus
     rng = np.random.default_rng(41)
     n_steps = 40
     grid = TimeGrid.uniform(1.0, n_steps)
@@ -498,10 +446,9 @@ def test_norm_terms_do_not_depend_on_the_layout(n, A_kind):
     terms = []
     for layout in (np.ascontiguousarray, node_major):
         Y_, U_, Z_, V_, A_ = (layout(X) for X in (Y, U, Z, V, A))
-        terms.append([norm_terms(weighted_norm(Y_, Z_, A_, grid, p=p, beta=0.6))
-                      for p in (2.0, 4.0)]
-                     + [norm_terms(equivalent_norm(Y_, Z_, A_, grid, 1.3, 0.6, 5.0, 2.0,
-                                                   minus=(U_, V_)))])
+        terms.append([norm_terms(equivalent_norm(Y_, Z_, A_, grid, 0.0, 0.6, 1.0, 1.0)),
+                      norm_terms(equivalent_norm(Y_, Z_, A_, grid, 1.3, 0.6, 5.0, 2.0,
+                                                 minus=(U_, V_)))])
     assert terms[0] == terms[1]
 
 
@@ -517,18 +464,18 @@ def test_norm_refuses_stacks_whose_path_counts_disagree():
             rng.uniform(0, 0.1, size=(rows, 10)), axis=1)], axis=1)
 
     with pytest.raises(ValueError, match=re.escape("Y (5, 11, 1), Z (3, 11, 1, 1), A rows 1")):
-        weighted_norm(Y, rng.normal(size=(3, 11, 1, 1)), t, grid)
+        equivalent_norm(Y, rng.normal(size=(3, 11, 1, 1)), t, grid, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError, match=re.escape("Y (5, 11, 1), U (1, 11, 1), A rows 1")):
         equivalent_norm(Y, None, t, grid, 1.3, 0.6, 5.0, 2.0,
                         minus=(rng.normal(size=(1, 11, 1)), None))
     with pytest.raises(ValueError, match=re.escape("Y (5, 11, 1), Z (5, 11, 1, 1), A rows 4")):
-        weighted_norm(Y, Z, random_A(4), grid)
+        equivalent_norm(Y, Z, random_A(4), grid, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError, match="one path count"):
         equivalent_norm(Y[:1], Z[:1], random_A(5), grid, 1.3, 0.6, 5.0, 2.0)
     # one row, a broadcast row and one row per path are all measured
     for A in (t, np.broadcast_to(t, (5, 11)), random_A(5)):
-        assert weighted_norm(Y, Z, A, grid).total > 0
-    assert weighted_norm(Y[:1], Z[:1], t, grid).total > 0
+        assert equivalent_norm(Y, Z, A, grid, 0.0, 0.0, 1.0, 1.0).total > 0
+    assert equivalent_norm(Y[:1], Z[:1], t, grid, 0.0, 0.0, 1.0, 1.0).total > 0
 
 
 def test_norm_of_no_stack_is_zero():
@@ -595,7 +542,7 @@ def test_norm_weights_refuse_overflow_and_nan(fault, layout):
     with pytest.raises(NumericOverflowError):
         norm_weights(A, grid, 0.0, beta)
     with pytest.raises(NumericOverflowError):
-        weighted_norm(np.ones((3, 5)), None, A, grid, p=2.0, beta=beta)
+        equivalent_norm(np.ones((3, 5)), None, A, grid, alpha=0.0, beta=beta, a=1.0, b=1.0)
 
 
 # ---------------------------------------------------------------- constants
@@ -822,7 +769,7 @@ def test_integrability_frozen_values():
         F=registry.build_F({"name": "zero", "params": {}}),
         G=registry.build_G({"name": "constant", "params": {"value": 1.0}}),
         beta=1.0)
-    rep = check_integrability(prob, ens, p=2.0)
+    rep = check_integrability(prob, ens)
     assert rep.all_finite
     assert rep.entries["A0"].value == pytest.approx(2.0 * E, rel=0.05)
     assert rep.entries["A1_F"].value == 0.0
@@ -843,7 +790,7 @@ def test_integrability_heavy_tail_flagged():
         return np.exp(3.0 * ensemble.W[:, -1, :1])
 
     prob = base_problem(xi=xi, beta=1.0)
-    rep = check_integrability(prob, ens, p=2.0)
+    rep = check_integrability(prob, ens)
     assert rep.entries["A0p"].heavy_tail
     assert rep.entries["A0p"].finite
 
@@ -887,10 +834,10 @@ def test_integrability_refuses_a_terminal_of_another_width():
         check_integrability(base_problem(xi=both_components, d=2), ens)
 
 
-def integrability_in_node_order(problem, ensemble, p=2.0):
+def integrability_in_node_order(problem, ensemble):
     """check_integrability's entries from path-major squares and whole-stack
     products, each integral a running sum over the steps, so that each path's
-    terms are added in node order."""
+    terms are added in node order; the "p" entries at the power p = 2."""
     grid = ensemble.grid
     A = stored_rows(ensemble.realized_A())
     n, nodes = ensemble.n_paths, grid.nodes
@@ -925,10 +872,10 @@ def integrability_in_node_order(problem, ensemble, p=2.0):
             "A0": model._moment(eAT * (1.0 + xi_sq)),
             "A1_F": model._moment(int_F),
             "A1_G": model._moment(int_G_dA),
-            "A0p": model._moment(eAT ** p * xi_sq ** p),
-            "A1p_F": model._moment(int_F ** p),
-            "A1p_G": model._moment(int_G_dt ** p),
-            "A1sup_G": model._moment(np.max(G0_sq, axis=1) ** p),
+            "A0p": model._moment(eAT ** 2.0 * xi_sq ** 2.0),
+            "A1p_F": model._moment(int_F ** 2.0),
+            "A1p_G": model._moment(int_G_dt ** 2.0),
+            "A1sup_G": model._moment(np.max(G0_sq, axis=1) ** 2.0),
         }
         for r in (1.0, 2.0, 4.0, 8.0):
             entries[f"A0r_r{r:g}"] = model._moment(np.exp(r * ensemble.A[:, -1]))
@@ -1027,7 +974,8 @@ def test_full_window_delta_with_rounding_accepted():
     assert delta > T
     prob = base_problem(T=T, delta=delta)
     grid = TimeGrid.uniform(prob.T, n, delta=prob.delta)
-    assert omega_delta(grid.nodes.copy(), delta, grid) == grid.T
+    carrying_t = PathEnsemble(grid, np.zeros((1, n + 1, 1)), seed=0, A=grid.nodes[None, :])
+    assert np.array_equal(omega_delta(carrying_t, delta), [grid.T])
     with pytest.raises(ValueError):
         base_problem(T=T, delta=T * (1 + 1e-9))
 

@@ -19,7 +19,6 @@ from delaybsde.path_calculus import (
     helly_bray_distance,
     node_major,
     node_major_zeros,
-    step_approximation,
     stieltjes_integral,
     stored_rows,
     total_variation,
@@ -41,12 +40,7 @@ def tv_bruteforce(values):
 def stieltjes_bruteforce(x_vals, eta_vals, policy="left"):
     tot = 0.0
     for i in range(len(x_vals) - 1):
-        if policy == "left":
-            xv = x_vals[i]
-        elif policy == "jump":
-            xv = x_vals[i + 1]
-        else:
-            xv = 0.5 * (x_vals[i] + x_vals[i + 1])
+        xv = x_vals[i] if policy == "left" else x_vals[i + 1]
         tot += xv * (eta_vals[i + 1] - eta_vals[i])
     return tot
 
@@ -190,20 +184,14 @@ def test_stieltjes_t_against_t_squared():
     assert abs(errs[2]) < 1e-3
 
 
-def test_stieltjes_midpoint_policy_high_accuracy():
-    x = grid_fn(1.0, 1000, lambda t: t)
-    eta = bv_fn(1.0, 1000, lambda t: t ** 2)
-    val = stieltjes_integral(x, eta, eval_point="midpoint")
-    assert val == pytest.approx(2.0 / 3.0, abs=1e-6)
-
-
 def test_stieltjes_jump_measure_picks_jump_node():
     # eta right-continuous unit step at 0.5: the measure is a point mass there
     x = grid_fn(1.0, 10, lambda t: t)
     eta = bv_fn(1.0, 10, lambda t: (t >= 0.5).astype(float), mode="step")
     assert stieltjes_integral(x, eta) == pytest.approx(0.5, abs=1e-15)
-    # left policy, if forced, lands one node early
-    assert stieltjes_integral(x, eta, eval_point="left") == pytest.approx(0.4, abs=1e-15)
+    # the left policy lands one node early
+    assert cumulative_stieltjes(x.values, eta.values, policy="left")[-1] == \
+        pytest.approx(0.4, abs=1e-15)
 
 
 def test_stieltjes_exact_for_step_integrator_many_jumps():
@@ -272,7 +260,7 @@ def test_cumulative_matches_scalar_calls():
     rng = np.random.default_rng(12)
     single = (np.sin(g.nodes), g.nodes ** 2)
     stack = (rng.normal(size=(3, 26)), np.cumsum(rng.random((3, 26)), axis=1))
-    for policy in ("left", "jump", "midpoint"):
+    for policy in ("left", "jump"):
         for xv, ev in (single, stack):
             run = cumulative_stieltjes(xv, ev, policy=policy)
             assert run.shape == xv.shape
@@ -302,7 +290,7 @@ def _broadcast_cases():
 
 
 @pytest.mark.parametrize("case", range(7))
-@pytest.mark.parametrize("policy", ["left", "jump", "midpoint"])
+@pytest.mark.parametrize("policy", ["left", "jump"])
 def test_cumulative_stieltjes_same_bits_on_broadcast_inputs(case, policy):
     X, H = _broadcast_cases()[case]
     run = cumulative_stieltjes(X, H, policy)
@@ -332,7 +320,7 @@ def test_cumulative_stieltjes_leaves_its_inputs_alone():
         if H.flags.writeable:
             H.flags.writeable = False
         X0, H0 = X.copy(), H.copy()
-        for policy in ("left", "jump", "midpoint"):
+        for policy in ("left", "jump"):
             run = cumulative_stieltjes(X, H, policy)
             assert run.flags.writeable
             assert not np.shares_memory(run, X) and not np.shares_memory(run, H)
@@ -402,37 +390,6 @@ def test_node_major_copies_the_stored_rows_bit_for_bit(monkeypatch, case, tile):
     assert same_bits(copy, plain_node_major(X))
     assert copy.shape == stored_rows(X).shape and not copy.flags.writeable
     assert all(copy[:, i].flags.c_contiguous for i in range(21))
-
-
-# ---------------------------------------------------------------- steps
-
-def test_step_approximation_constant_idempotent():
-    x = grid_fn(1.0, 16, lambda t: np.full_like(t, 2.5))
-    out = step_approximation(x, np.array([0.0, 0.5, 1.0]))
-    assert np.array_equal(out.values, x.values)
-
-
-def test_step_approximation_right_endpoint_convention():
-    x = grid_fn(1.0, 4, lambda t: t)
-    out = step_approximation(x, np.array([0.0, 0.5, 1.0]))
-    # x^N(0)=x(0); (0,0.5] -> x(0.5); (0.5,1] -> x(1)
-    assert np.allclose(out.values, [0.0, 0.5, 0.5, 1.0, 1.0], atol=1e-15)
-
-
-def test_step_approximation_sup_error_dyadic():
-    # x = t, partition mesh 1/N, fine mesh h: direct sup oracle gives 1/N - h
-    N, M = 4, 64
-    x = grid_fn(1.0, M, lambda t: t)
-    part = np.linspace(0.0, 1.0, N + 1)
-    out = step_approximation(x, part)
-    sup = np.max(np.abs(out.values - x.values))
-    assert sup == 1.0 / N - 1.0 / M
-
-
-def test_step_approximation_rejects_non_nested():
-    x = grid_fn(1.0, 10, lambda t: t)
-    with pytest.raises(GridAlignmentError):
-        step_approximation(x, np.array([0.0, 0.33, 1.0]))
 
 
 # ---------------------------------------------------------------- Helly-Bray

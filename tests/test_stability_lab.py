@@ -65,10 +65,6 @@ def test_family_validation():
         PerturbationFamily(base=base, members=[replace(base, delta=0.2)])
     with pytest.raises(ValueError, match="label"):
         PerturbationFamily(base=base, members=[base], labels=["a", "b"])
-    # the norm power is checked before anything is solved
-    for p in (1.0, float("nan"), "2"):
-        with pytest.raises(ValueError, match="norm power p"):
-            PerturbationFamily(base=base, members=[base], p=p)
 
 
 def test_identical_members_are_degenerate():

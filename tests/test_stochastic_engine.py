@@ -385,19 +385,24 @@ def test_spec_dict_base_becomes_a_spec():
 
 def test_omega_delta_values():
     g = TimeGrid.uniform(1.0, 10)
-    assert omega_delta(g.nodes.copy(), 0.3, g) == pytest.approx(0.3, abs=1e-12)
-    assert omega_delta(np.zeros(11), 0.3, g) == 0.0
+
+    def carrying(A):
+        """An ensemble (W = 0) whose paths carry the rows of A."""
+        A = np.atleast_2d(A)
+        return PathEnsemble(g, np.zeros(A.shape + (1,)), seed=0, A=A)
+
+    assert omega_delta(carrying(g.nodes), 0.3) == pytest.approx([0.3], abs=1e-12)
+    assert np.array_equal(omega_delta(carrying(np.zeros(11)), 0.3), [0.0])
     # A = t^2: window increment 0.6 t + 0.09 peaks at t = 0.7
-    assert omega_delta(g.nodes ** 2, 0.3, g) == pytest.approx(0.51, abs=1e-12)
-    two = np.stack([g.nodes, g.nodes ** 2])
-    out = omega_delta(two, 0.3, g)
-    assert out.shape == (2,)
+    assert omega_delta(carrying(g.nodes ** 2), 0.3) == pytest.approx([0.51], abs=1e-12)
+    out = omega_delta(carrying(np.stack([g.nodes, g.nodes ** 2])), 0.3)
+    assert out == pytest.approx([0.3, 0.51], abs=1e-12)
     # a broadcast A: one gap per path, as from the full stack
     broadcast = np.broadcast_to(g.nodes ** 2, (3, 11))
-    assert np.array_equal(omega_delta(broadcast, 0.3, g),
-                          omega_delta(np.array(broadcast), 0.3, g))
+    assert np.array_equal(omega_delta(carrying(broadcast), 0.3),
+                          omega_delta(carrying(np.array(broadcast)), 0.3))
     with pytest.raises(ValueError):
-        omega_delta(g.nodes, 1.5, g)
+        omega_delta(carrying(g.nodes), 1.5)
 
 
 # ---------------------------------------------------------------- regression
