@@ -251,19 +251,38 @@ def test_weighted_norm_closed_form():
     assert rep.total == pytest.approx(rep.sup_term + rep.dA_term + rep.dt_term)
 
 
-def test_weighted_norm_matches_bruteforce():
+@pytest.mark.parametrize("rows", [3, 1])
+def test_weighted_norm_matches_bruteforce(rows):
+    # A with a row per path, and one row that every path shares
     rng = np.random.default_rng(11)
     nodes = np.array([0.0, 0.1, 0.25, 0.3, 0.55, 0.7, 0.9, 1.0])
     grid = TimeGrid(nodes)
     Y = rng.normal(size=(3, 8, 2))
     Z = rng.normal(size=(3, 8, 2, 2))
-    A = np.concatenate([np.zeros((3, 1)),
-                        np.cumsum(rng.uniform(0, 0.3, size=(3, 7)), axis=1)], axis=1)
+    A = np.concatenate([np.zeros((rows, 1)),
+                        np.cumsum(rng.uniform(0, 0.3, size=(rows, 7)), axis=1)], axis=1)
     rep = equivalent_norm(Y, Z, A, grid, alpha=0.0, beta=0.7, a=1.0, b=1.0)
-    sup, da, dt = equivalent_norm_bruteforce(Y, Z, A, nodes, 0.0, 0.7)
+    sup, da, dt = equivalent_norm_bruteforce(Y, Z, np.broadcast_to(A, (3, 8)), nodes,
+                                             0.0, 0.7)
     assert rep.sup_term == pytest.approx(sup, rel=1e-12)
     assert rep.dA_term == pytest.approx(da, rel=1e-12)
     assert rep.dt_term == pytest.approx(dt, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 1.0)])
+def test_equivalent_norm_of_Z_alone_closed_form(alpha, beta):
+    # Z = 1, A = t: the weight e^t from either alpha or beta, so the dt term
+    # is int_0^1 e^t dt = e - 1 by left sums (below it by under h(e-1)/2),
+    # b scales it alone, and no Y leaves the sup and dA terms at 0
+    grid = TimeGrid.uniform(1.0, 1000)
+    n = grid.nodes.size
+    A = grid.nodes[None, :].copy()
+    rep = equivalent_norm(None, np.ones((1, n)), A, grid, alpha=alpha, beta=beta,
+                          a=5.0, b=2.0)
+    assert rep.sup_term == 0.0 and rep.dA_term == 0.0
+    assert rep.dt_term == pytest.approx(E - 1.0, abs=1e-3)
+    assert rep.dt_term < E - 1.0
+    assert rep.total == 2.0 * rep.dt_term
 
 
 def test_weighted_norm_refuses_a_total_that_is_not_finite():
@@ -336,16 +355,18 @@ def squares(X):
 
 
 @pytest.mark.parametrize("layout", ["C", "node_major"])
-def test_norm_terms_equal_three_product_sums_bitwise(layout):
+@pytest.mark.parametrize("dims", [(1, 2), ()])
+def test_norm_terms_equal_three_product_sums_bitwise(dims, layout):
     # the norm multiplies its weights into |Y|^2 and |Z|^2 in place and adds
     # each path's nodes in order, whatever the inputs' layout: the terms must
     # be those of the three-product expressions on node-major copies, which
-    # numpy sums node by node, bit for bit (a C-order row it sums pairwise)
+    # numpy sums node by node, bit for bit (a C-order row it sums pairwise),
+    # for stacks with (m, d) axes and for scalar (n_paths, n_nodes) stacks
     rng = np.random.default_rng(19)
     n, n_steps = 400, 30
     grid = TimeGrid.uniform(1.0, n_steps)
-    Y = rng.normal(size=(n, n_steps + 1, 1))
-    Z = rng.normal(size=(n, n_steps + 1, 1, 2))
+    Y = rng.normal(size=(n, n_steps + 1) + dims[:1])
+    Z = rng.normal(size=(n, n_steps + 1) + dims)
     A = np.concatenate([np.zeros((n, 1)),
                         np.cumsum(rng.uniform(0, 0.1, size=(n, n_steps)), axis=1)], axis=1)
     A_by_path, A_by_node = A, node_major(A)
@@ -389,15 +410,23 @@ def node_order_terms(dY, dZ, w, dA, dt):
     return tuple(terms)
 
 
+# (alpha, beta, a, b); each beta makes the single path's pairwise and
+# node-by-node sums differ, as the last check asks
+NORMS = {"contraction": (1.3, 0.6, 5.0, 2.0), "solution": (0.0, 0.7, 1.0, 1.0)}
+
+
 @pytest.mark.parametrize("which", ["both", "Y", "Z"])
 @pytest.mark.parametrize("A_kind", ["one_row", "random"])
+@pytest.mark.parametrize("norm", sorted(NORMS))
 @pytest.mark.parametrize("n", [300, 2, 1])
-def test_node_walk_terms_equal_whole_array_bits(n, A_kind, which):
+def test_node_walk_terms_equal_whole_array_bits(n, norm, A_kind, which):
     # node-major stacks (m = 2, d = 3) are measured by one walk over the nodes;
     # its terms must be those of the whole-array expressions, each path's
     # nodes added in order, bit for bit, with minus= giving what the explicit
-    # difference gives.  One path is walked too: its row is not summed
-    # pairwise, as numpy sums a C-contiguous row
+    # difference gives, for the contraction norm's weights and the solution
+    # norm's (alpha = 0, a = b = 1).  One path is walked too: its row is not
+    # summed pairwise, as numpy sums a C-contiguous row
+    alpha, beta, a, b = NORMS[norm]
     rng = np.random.default_rng(31)
     n_steps = 40
     grid = TimeGrid.uniform(1.0, n_steps)
@@ -413,11 +442,11 @@ def test_node_walk_terms_equal_whole_array_bits(n, A_kind, which):
         Y = U = None
     dY = None if Y is None else Y - U
     dZ = None if Z is None else Z - V
-    w, dA = weights = norm_weights(A, grid, 1.3, 0.6)
+    w, dA = weights = norm_weights(A, grid, alpha, beta)
     want = node_order_terms(dY, dZ, w, dA, grid.steps())
-    for rep in (equivalent_norm(Y, Z, A, grid, 1.3, 0.6, 5.0, 2.0, weights=weights,
+    for rep in (equivalent_norm(Y, Z, A, grid, alpha, beta, a, b, weights=weights,
                                 minus=(U, V)),
-                equivalent_norm(dY, dZ, A, grid, 1.3, 0.6, 5.0, 2.0)):
+                equivalent_norm(dY, dZ, A, grid, alpha, beta, a, b)):
         assert (rep.sup_term, rep.dA_term, rep.dt_term) == want
     if n == 1 and dY is not None:
         # the pairwise sum of the single row is not the node-by-node sum, so

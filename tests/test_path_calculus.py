@@ -127,6 +127,18 @@ def test_total_variation_additive_over_intervals():
     assert split == pytest.approx(whole, abs=1e-12)
 
 
+def test_total_variation_of_an_interval_needs_node_ends_in_order():
+    vals = np.random.default_rng(6).standard_normal(11)
+    eta = BVFunction(TimeGrid.uniform(1.0, 10), vals)
+    assert total_variation(eta, 0.3, 0.7) == pytest.approx(tv_bruteforce(vals[3:8]),
+                                                           abs=1e-12)
+    assert total_variation(eta, 0.4, 0.4) == 0.0
+    with pytest.raises(GridAlignmentError, match="not a node"):
+        total_variation(eta, 0.0, 0.33)
+    with pytest.raises(ValueError, match="s <= t"):
+        total_variation(eta, 0.5, 0.2)
+
+
 def test_total_variation_vector_euclidean():
     g = TimeGrid.uniform(1.0, 4)
     vals = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [0.0, 0.0], [3.0, 0.0]])
@@ -297,6 +309,27 @@ def test_cumulative_stieltjes_same_bits_on_broadcast_inputs(case, policy):
     assert np.array_equal(run, cumulative_stieltjes(X, H.copy(), policy))
     assert np.array_equal(run, cumulative_stieltjes(X.copy(), H.copy(), policy))
     assert run.shape == np.broadcast_shapes(X.shape, H.shape)
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_cumulative_stieltjes_matches_the_loop_oracle_on_broadcast_inputs(case):
+    # every row of the broadcast pair, left and jump, against the python loop
+    X, H = _broadcast_cases()[case]
+    shape = np.broadcast_shapes(X.shape, H.shape)
+    rows = zip(np.broadcast_to(X, shape).reshape(-1, 26),
+               np.broadcast_to(H, shape).reshape(-1, 26))
+    for x, h in rows:
+        for policy in ("left", "jump"):
+            run = cumulative_stieltjes(x, h, policy)
+            want = [stieltjes_bruteforce(x[:k + 1], h[:k + 1], policy) for k in range(26)]
+            assert run == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("policy", ["midpoint", "right", "Left"])
+def test_cumulative_stieltjes_refuses_an_unknown_policy(policy):
+    x = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match=f"unknown evaluation policy '{policy}'"):
+        cumulative_stieltjes(x, x ** 2, policy)
 
 
 def test_stored_rows_cuts_only_leading_stride_zero_axes():
