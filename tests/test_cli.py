@@ -738,6 +738,20 @@ def test_stability_command(tmp_path, capsys):
     assert np.all(np.diff(cols["error"]) < 0)
 
 
+def test_xi_shift_stability_writes_the_squared_terminal_gap(tmp_path):
+    # delta_xi is E|xi_n - xi|^2, the scale of each row's squared error; it
+    # used to be the fourth moment, 0.0625 for the shift 0.5
+    shifts = [0.5, 0.25, 0.0625]
+    config = base_config(stability={"kind": "xi_shift", "shifts": shifts,
+                                    "final_threshold": 0.01})
+    out = tmp_path / "out"
+    assert cli.run(["stability", "--config", write_config(tmp_path, config),
+                    "--out", str(out)]) == 0
+    _, cols = read_csv_dict(out / "stability.csv")
+    assert cols["label"].tolist() == shifts
+    assert cols["delta_xi"].tolist() == pytest.approx([s ** 2 for s in shifts], rel=1e-12)
+
+
 def test_stability_regresses_on_the_solver_sections_basis(tmp_path):
     # stability used to read degree and ridge and then solve on the default basis
     tables = {}

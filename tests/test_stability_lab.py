@@ -3,7 +3,7 @@
 Oracle notes:
 
 * terminal shifts with no drivers: Y_n = 1 + s identically, so the coupled
-  error is exactly s^2 and the xi gap is s^{2p} = s^4 at p = 2.
+  error is exactly s^2, and so is the xi gap E|xi_n - xi|^2.
 * oscillatory integrator with G = 1, F = 0, xi = 0: Y_n(t) = A_n(T) - A_n(t)
   node-exactly, so the error equals max over grid nodes of p_n(t)^2 with
   p_n(t) = sin(2 pi n t) / (4 pi n); the variation of p_n stays near 1/pi
@@ -15,6 +15,7 @@ Oracle notes:
 
 import logging
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -84,7 +85,7 @@ def test_xi_shift_family_exact_errors():
                            final_threshold=0.01)
     for row, s in zip(report.rows, shifts):
         assert row.error == pytest.approx(s ** 2, rel=1e-6)
-        assert row.delta_xi == pytest.approx(s ** 4, rel=1e-9)
+        assert row.delta_xi == pytest.approx(s ** 2, rel=1e-9)
         assert row.delta_F == 0.0 and row.delta_G == 0.0
         assert row.sup_A_diff == 0.0 and row.bv_H == 0.0
     assert report.spearman_rho == pytest.approx(1.0)
@@ -328,7 +329,7 @@ def whole_stack_rows(X_list, H_list, X_lim, H_lim, nu_ladder=(0.25, 0.5, 1.0, 2.
         sup = np.max(np.abs(I_n - I_lim), axis=1)
         terminal = I_n[:, -1]
         ks = ks_2samp(terminal, I_lim[:, -1], method="asymp").statistic \
-            if terminal.size > 1 else abs(terminal[0] - I_lim[0, -1])
+            if terminal.size > 1 or I_lim.shape[0] > 1 else abs(terminal[0] - I_lim[0, -1])
         rows.append(HellyBrayRow(
             label=str(j), sup_distance=float(np.mean(sup)),
             phi={nu: float(np.mean(np.minimum(sup, nu))) for nu in nu_ladder},
@@ -412,6 +413,47 @@ def test_helly_bray_check_matches_whole_stack_integrals(monkeypatch, block_bytes
     paths = [[a[5:6] if a.shape[0] > 1 else a for a in stacks] for stacks in (dense_X, H_list)]
     report = helly_bray_stochastic_check(*paths, X_lim[5:6], H_lim[5:6], grid)
     assert report.rows == whole_stack_rows(*paths, X_lim[5:6], H_lim[5:6])
+
+
+def test_helly_bray_one_path_member_against_many_reads_the_statistic():
+    # the check used to report |x - x_lim| against the limit's first path,
+    # 0.7013 here
+    grid = TimeGrid.uniform(1.0, 50)
+    ens = simulate_brownian(grid, 400, seed=3)
+    t, W = grid.nodes, ens.W[:, :, 0]
+    report = helly_bray_stochastic_check([np.sin(t)[None]], [t[None]], W,
+                                         np.broadcast_to(t, W.shape), grid)
+    terminal = cumulative_stieltjes(np.sin(t), t)[-1]
+    oracle = ks_2samp([terminal], cumulative_stieltjes(W, t)[:, -1], method="asymp")
+    assert report.rows[0].ks_statistic == oracle.statistic
+    assert report.rows[0].ks_statistic == pytest.approx(0.7975, abs=1e-12)
+
+
+KS_RNG = np.random.default_rng(31)
+KS_A, KS_B = KS_RNG.standard_normal(300), KS_RNG.standard_normal(300)
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    (np.round(KS_A, 1), np.round(KS_B, 1), None),                 # ties within and across
+    (KS_A[:37], KS_B, None),                                      # unequal sizes
+    (KS_A[:1], KS_B, None),                                       # one path against many
+    (KS_A, KS_B[:1], None),                                       # many against one
+    (KS_A, KS_A[::-1].copy(), 0.0),                               # identical samples
+    (KS_A, KS_A + 100.0, 1.0),                                    # disjoint, either order
+    (KS_A + 100.0, KS_A, 1.0),
+    (np.r_[KS_A[:50], np.inf, -np.inf], np.r_[KS_B[:80], np.inf], None),
+    (np.r_[KS_A[:50], np.nan], KS_B, float("nan")),               # a NaN in either sample
+    (KS_A, np.r_[np.nan, KS_B[:80]], float("nan")),
+], ids=["ties", "unequal", "one-many", "many-one", "identical", "disjoint",
+        "disjoint-reversed", "inf", "nan-sample", "nan-other"])
+def test_ks_statistic_is_scipys_bit_for_bit(a, b, expected):
+    with warnings.catch_warnings():   # scipy's p-value of a one-path sample divides by 0
+        warnings.simplefilter("ignore", RuntimeWarning)
+        oracle = float(ks_2samp(a, b, method="asymp").statistic)
+    statistic = stability_lab._ks_statistic(a, np.sort(b))
+    assert repr(statistic) == repr(oracle)   # NaN for NaN, +0.0 for +0.0
+    if expected is not None:
+        assert repr(statistic) == repr(expected)
 
 
 MEMBER_STACK = 5_000 * 513 * 8   # one member's integrand or integral, bytes
