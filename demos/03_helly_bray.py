@@ -2,7 +2,9 @@
 
 Part 1, deterministic: eta_n(t) = t + sin(2 pi n t)/(4 pi n) converges to t
 uniformly with uniformly bounded variation, so int x deta_n converges for
-any continuous x. The distance decays like 1/n.
+any continuous x. The Helly-Bray check on one-path stacks reads the distance
+sup_t |int_0^t x deta_n - int_0^t x deta| as its sup_distance; it decays
+like 1/n.
 
 Part 2, stochastic: the coupled pairs X_n = W + p_n, H_n = t + p_n carry the
 same conclusion in distribution; truncation-ladder and Kolmogorov-Smirnov
@@ -16,8 +18,7 @@ checker reports INCONCLUSIVE (tightness violated) rather than pretending.
 
 import numpy as np
 
-from delaybsde import (BVFunction, GridFunction, TimeGrid,
-                       helly_bray_distance, helly_bray_stochastic_check,
+from delaybsde import (TimeGrid, helly_bray_stochastic_check,
                        oscillatory_integration_family,
                        resonant_integration_family, simulate_brownian)
 
@@ -25,11 +26,11 @@ n_values = [2, 4, 8, 16, 32]
 
 grid = TimeGrid.uniform(1.0, 2048)
 t = grid.nodes
-x = GridFunction(grid, t)
-eta = BVFunction(grid, t)
-eta_seq = [BVFunction(grid, t + np.sin(2 * np.pi * n * t) / (4 * np.pi * n))
-           for n in n_values]
-dist = helly_bray_distance([x] * len(n_values), eta_seq, x, eta)
+eta_seq = [t + np.sin(2 * np.pi * n * t) / (4 * np.pi * n) for n in n_values]
+deterministic = helly_bray_stochastic_check([t[None]] * len(n_values),
+                                            [eta[None] for eta in eta_seq],
+                                            t[None], t[None], grid)
+dist = [row.sup_distance for row in deterministic.rows]
 
 print("deterministic family: sup_t |int_0^t x deta_n - int_0^t x deta|")
 for n, d in zip(n_values, dist):

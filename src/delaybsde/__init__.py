@@ -6,9 +6,7 @@ from .errors import (BlowupError, ConfigError, ConstraintViolationError,
                      GeneratorEvaluationError, GridAlignmentError,
                      MonotonicityError, NonContractionError,
                      NumericOverflowError, SingularSystemError)
-from .path_calculus import (BVFunction, GridFunction, TimeGrid,
-                            cumulative_stieltjes, helly_bray_distance,
-                            stieltjes_integral, total_variation)
+from .path_calculus import TimeGrid, cumulative_stieltjes, total_variation
 from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble,
                                 RegressionBasis, RegressionPlan,
                                 conditional_expectation, fit_least_squares,

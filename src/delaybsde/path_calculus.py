@@ -1,9 +1,9 @@
 """Deterministic calculus on grid-sampled paths.
 
-Grid functions, total variation, Lebesgue-Stieltjes sums against increasing or
-bounded-variation integrators, and the delay windows of path stacks.
-Everything here is deterministic: stochastic objects enter only as arrays of
-per-path samples.
+Time grids, the total variation of path stacks, running Lebesgue-Stieltjes
+sums against increasing or bounded-variation integrators, and the delay
+windows of path stacks.  Everything here is deterministic: stochastic
+objects enter only as arrays of per-path samples.
 """
 
 from __future__ import annotations
@@ -18,17 +18,13 @@ __all__ = [
     "BLOCK_BYTES",
     "TimeGrid",
     "delay_fits_horizon",
-    "GridFunction",
-    "BVFunction",
     "total_variation",
-    "stieltjes_integral",
     "cumulative_stieltjes",
     "stored_rows",
     "node_major_zeros",
     "node_major",
     "delay_windows",
     "delay_window",
-    "helly_bray_distance",
 ]
 
 
@@ -68,8 +64,8 @@ class TimeGrid:
         if nodes[0] != 0.0:
             raise GridAlignmentError("grid must start at t = 0")
         steps = np.diff(nodes)
-        if np.any(steps <= 0):
-            raise GridAlignmentError("grid nodes must be strictly increasing")
+        if not (np.all(np.isfinite(nodes)) and np.all(steps > 0)):
+            raise GridAlignmentError("grid nodes must be finite and strictly increasing")
         object.__setattr__(self, "nodes", nodes)
         nodes.flags.writeable = False
         if self.delta is not None:
@@ -117,71 +113,14 @@ class TimeGrid:
         raise GridAlignmentError(f"t={t} is not a node of this grid")
 
 
-def _check_values(grid: TimeGrid, values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if values.shape[0] != grid.nodes.size or values.ndim not in (1, 2):
-        raise GridAlignmentError(
-            f"values of shape {values.shape} do not match a grid with "
-            f"{grid.nodes.size} nodes")
-    return values
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Values of a (possibly vector-valued) function at the grid nodes."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _check_values(self.grid, self.values))
-
-
-@dataclass(frozen=True)
-class BVFunction:
-    """Grid function intended as an integrator.
-
-    mode "linear" means the sampled function is interpreted as continuous
-    (piecewise linear between nodes); mode "step" means piecewise constant and
-    right-continuous, with its jump at each node.  The distinction only
-    affects the default evaluation point of Stieltjes sums.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-    mode: str = "linear"
-
-    def __post_init__(self):
-        if self.mode not in ("linear", "step"):
-            raise ValueError(f"unknown BV mode {self.mode!r}")
-        object.__setattr__(self, "values", _check_values(self.grid, self.values))
-
-
-def _variation(values: np.ndarray, i0: int, i1: int) -> float:
-    if i1 <= i0:
-        return 0.0
-    inc = np.diff(values[i0:i1 + 1], axis=0)
-    if inc.ndim == 2:
-        sizes = np.sqrt(np.einsum("ij,ij->i", inc, inc, optimize=False))
-    else:
-        sizes = np.abs(inc)
-    return float(np.sum(sizes))
-
-
-def total_variation(eta: BVFunction | GridFunction, s: float | None = None,
-                    t: float | None = None) -> float:
-    """Partition sum sup_pi sum |eta(t_i) - eta(t_{i-1})| over nodes in [s, t].
-
-    On a fixed grid the supremum is the sum over consecutive nodes (refining
-    never decreases it, and the grid is the finest partition available).
-    Vector increments are measured in the Euclidean norm.
-    """
-    grid = eta.grid
-    i0 = 0 if s is None else grid.index_of(s)
-    i1 = grid.n_steps if t is None else grid.index_of(t)
-    if i1 < i0:
-        raise ValueError("need s <= t")
-    return _variation(eta.values, i0, i1)
+def total_variation(rows: np.ndarray) -> np.ndarray:
+    """Grid variation sum_i |eta(t_{i+1}) - eta(t_i)| of each stored row of a
+    stack of scalar rows, node axis last; a broadcast stack is differenced
+    once, on its stored rows.  On a fixed grid this is the supremum over
+    partitions (refining never decreases it, and the grid is the finest
+    partition available)."""
+    rows = stored_rows(np.asarray(rows, dtype=float))
+    return np.sum(np.abs(np.diff(rows, axis=-1)), axis=-1)
 
 
 def _eval_points(x_values: np.ndarray, policy: str) -> np.ndarray:
@@ -191,31 +130,6 @@ def _eval_points(x_values: np.ndarray, policy: str) -> np.ndarray:
     if policy == "jump":
         return x_values[..., 1:]
     raise ValueError(f"unknown evaluation policy {policy!r}")
-
-
-def _resolve_policy(eta) -> str:
-    if isinstance(eta, BVFunction) and eta.mode == "step":
-        # mass of (t_i, t_{i+1}] under a right-continuous step sits at t_{i+1}
-        return "jump"
-    return "left"
-
-
-def stieltjes_integral(x: GridFunction, eta: BVFunction | GridFunction) -> float:
-    """Grid Stieltjes sum of x against deta over the whole grid [0, T];
-    cumulative_stieltjes gives the running values.
-
-    Vector-valued pairs are contracted componentwise, sum_i int x_i deta_i.
-    The evaluation point is the left node (the adapted choice), or the jump
-    node for a step-mode integrator, which makes the sum exact for
-    piecewise-constant integrators.
-    """
-    if x.grid.nodes.shape != eta.grid.nodes.shape or \
-            np.any(x.grid.nodes != eta.grid.nodes):
-        raise GridAlignmentError("x and eta must share one grid")
-    if x.values.ndim != eta.values.ndim or x.values.shape != eta.values.shape:
-        raise ValueError("x and eta must have matching shapes")
-    xs = _eval_points(x.values.T, _resolve_policy(eta))
-    return float(np.sum(xs * np.diff(eta.values.T, axis=-1)))
 
 
 def cumulative_stieltjes(x_values: np.ndarray, eta_values: np.ndarray,
@@ -302,23 +216,3 @@ def delay_window(X: np.ndarray, i: int, k: int, kind: str = "state") -> np.ndarr
     """Delay window of a path stack at node i, as ``delay_windows`` reads it."""
     return delay_windows(X, k, kind)(i)
 
-
-def helly_bray_distance(x_seq: list[GridFunction], eta_seq: list[BVFunction],
-                        x: GridFunction, eta: BVFunction) -> np.ndarray:
-    """sup_t |int_0^t x_n deta_n - int_0^t x deta| for each member n, each
-    integral at its integrator's evaluation point (stieltjes_integral)."""
-    if len(x_seq) != len(eta_seq):
-        raise ValueError("x_seq and eta_seq must pair up")
-
-    def running(xf, ef):
-        # vector values: one row of running sums per component, then added up
-        run = cumulative_stieltjes(xf.values.T, ef.values.T, policy=_resolve_policy(ef))
-        return run.sum(axis=0) if xf.values.ndim == 2 else run
-
-    base = running(x, eta)
-    out = np.empty(len(x_seq))
-    for j, (xn, en) in enumerate(zip(x_seq, eta_seq)):
-        if np.any(xn.grid.nodes != x.grid.nodes):
-            raise GridAlignmentError("all members must share the limit grid")
-        out[j] = float(np.max(np.abs(running(xn, en) - base)))
-    return out

@@ -23,7 +23,7 @@ from .model import (ProblemSpec, argument_clouds, effective_c, equivalent_norm,
                     evaluate_generator)
 # unused here (solve's preflight calls them); bench/tracing.py looks them up here
 from .model import check_H1, check_H2  # noqa: F401
-from .path_calculus import BLOCK_BYTES, TimeGrid, stored_rows
+from .path_calculus import BLOCK_BYTES, TimeGrid, stored_rows, total_variation
 # unused here (the check keeps its own running sums); bench/tracing.py looks it up here
 from .path_calculus import cumulative_stieltjes  # noqa: F401
 from .picard_solver import solve
@@ -217,7 +217,7 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
         # over a full H
         H = stored_rows(ens_n.A) - stored_rows(ens_base.A)
         sup_A = float(np.mean(per_path(np.max(np.abs(H), axis=1))))
-        bv_H = float(np.mean(per_path(np.sum(np.abs(np.diff(H, axis=1)), axis=1))))
+        bv_H = float(np.mean(per_path(total_variation(H))))
         err = equivalent_norm(sol_n.Y, sol_n.Z, ens_base.A, grid, alpha=0.0,
                               beta=0.0, a=0.0, b=1.0, minus=(sol_base.Y, sol_base.Z))
         sanity = equivalent_norm(sol_n.Y, sol_n.Z, ens_n.A, grid, alpha=0.0,
@@ -248,12 +248,10 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
 # ------------------------------------------------- integral convergence
 
 def bv_tail_curve(H_list, levels=(0.5, 1.0, 2.0, 4.0, 8.0)) -> dict:
-    """For each level nu: worst-case P(variation of H_n > nu) over members;
-    a broadcast H_n is differenced once, on its stored rows."""
-    variations = []
-    for H in H_list:
-        H = stored_rows(np.atleast_2d(np.asarray(H, dtype=float)))
-        variations.append(np.sum(np.abs(np.diff(H, axis=1)), axis=1))
+    """For each level nu: worst-case P(variation of H_n > nu) over members,
+    the variation of each path by path_calculus.total_variation (which
+    differences a broadcast H_n once, on its stored rows)."""
+    variations = [total_variation(H) for H in H_list]
     return {float(nu): max((float(np.mean(v > nu)) for v in variations), default=0.0)
             for nu in levels}
 

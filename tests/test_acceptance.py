@@ -14,15 +14,13 @@ import time
 
 import numpy as np
 
-from delaybsde import (AtomMeasure, BVFunction, GridFunction,
-                       IncreasingProcessSpec, ProblemSpec, RegressionBasis,
-                       TimeGrid, c_threshold, check_H1, check_H2, effective_c,
-                       helly_bray_distance, helly_bray_stochastic_check,
-                       mu_lambda, oscillatory_A_family,
-                       oscillatory_integration_family,
+from delaybsde import (AtomMeasure, IncreasingProcessSpec, ProblemSpec,
+                       RegressionBasis, TimeGrid, c_threshold, check_H1,
+                       check_H2, cumulative_stieltjes, effective_c,
+                       helly_bray_stochastic_check, mu_lambda,
+                       oscillatory_A_family, oscillatory_integration_family,
                        realize_increasing_process, run_stability, select_lambda,
-                       simulate_brownian, solve, stieltjes_integral,
-                       total_variation)
+                       simulate_brownian, solve, total_variation)
 from delaybsde.registry import build_F, build_G, build_terminal
 
 A_IDENTITY = IncreasingProcessSpec("deterministic", {"shape": "identity"})
@@ -195,20 +193,19 @@ def test_criterion_4_contraction_diagnostics(capfd):
 def test_criterion_5_deterministic_helly_bray(capfd):
     grid = TimeGrid.uniform(1.0, 4096)
     t = grid.nodes
-    x = GridFunction(grid, t)
     n_values = [1, 2, 4, 8, 16, 32]
-    eta = BVFunction(grid, t)
-    eta_seq = [BVFunction(grid, t + np.sin(2 * np.pi * n * t) / (4 * np.pi * n))
-               for n in n_values]
-    dist = helly_bray_distance([x] * len(n_values), eta_seq, x, eta)
+    eta_seq = np.stack([t + np.sin(2 * np.pi * n * t) / (4 * np.pi * n) for n in n_values])
+    # one-path stacks: the check's distance is the deterministic sup_t gap
+    hb = helly_bray_stochastic_check([t[None]] * len(n_values), [eta[None] for eta in eta_seq],
+                                     t[None], t[None], grid)
+    dist = np.array([row.sup_distance for row in hb.rows])
 
     decreasing = bool(np.all(np.diff(dist) < 0))
     scale_bound = 1.0 / (2 * np.pi * 32)
     final_ok = dist[-1] <= scale_bound and dist[-1] <= 0.05
 
     # variation is lower-semicontinuous along the family
-    lsc = all(total_variation(eta) <= total_variation(en) + 1e-12
-              for en in eta_seq)
+    lsc = bool(np.all(total_variation(t) <= total_variation(eta_seq) + 1e-12))
 
     # partition-sum oracle on step-function integrators
     rng = np.random.Generator(np.random.Philox(key=np.uint64(5)))
@@ -220,11 +217,11 @@ def test_criterion_5_deterministic_helly_bray(capfd):
         values = np.zeros(65)
         for i, s in zip(jump_at, sizes):
             values[i:] += s
-        eta_step = BVFunction(small, values, mode="step")
-        x_fn = GridFunction(small, np.cos(3.0 * small.nodes))
+        # a right-continuous step puts the mass of (t_i, t_{i+1}] at t_{i+1}
+        integral = cumulative_stieltjes(np.cos(3.0 * small.nodes), values, policy="jump")[-1]
         oracle = float(sum(np.cos(3.0 * small.nodes[i]) * s
                            for i, s in zip(jump_at, sizes)))
-        step_ok = step_ok and abs(stieltjes_integral(x_fn, eta_step) - oracle) <= 1e-12
+        step_ok = step_ok and abs(integral - oracle) <= 1e-12
 
     ok = decreasing and final_ok and lsc and step_ok
     report(capfd, "acceptance 5 deterministic Helly-Bray", ok,

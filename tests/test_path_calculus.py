@@ -1,8 +1,7 @@
-"""Grid-path calculus: variation, Stieltjes sums, delay windows, step approximants.
+"""Grid-path calculus: grids, variation, Stieltjes sums, delay windows.
 
 Expected values come from independent oracles written here: brute-force
-partition loops, refining Riemann-Stieltjes sums, and closed-form
-antiderivatives for the oscillatory families.
+partition loops and refining Riemann-Stieltjes sums.
 """
 
 import numpy as np
@@ -11,15 +10,11 @@ import pytest
 from delaybsde import path_calculus
 from delaybsde.errors import GridAlignmentError
 from delaybsde.path_calculus import (
-    BVFunction,
-    GridFunction,
     TimeGrid,
     cumulative_stieltjes,
     delay_windows,
-    helly_bray_distance,
     node_major,
     node_major_zeros,
-    stieltjes_integral,
     stored_rows,
     total_variation,
 )
@@ -45,14 +40,9 @@ def stieltjes_bruteforce(x_vals, eta_vals, policy="left"):
     return tot
 
 
-def grid_fn(T, M, f, delta=None):
-    g = TimeGrid.uniform(T, M, delta)
-    return GridFunction(g, f(g.nodes))
-
-
-def bv_fn(T, M, f, mode="linear"):
-    g = TimeGrid.uniform(T, M)
-    return BVFunction(g, f(g.nodes), mode=mode)
+def on_grid(T, M, f):
+    """f at the nodes of the uniform grid of M steps on [0, T]."""
+    return f(TimeGrid.uniform(T, M).nodes)
 
 
 # ---------------------------------------------------------------- grids
@@ -62,6 +52,10 @@ def test_grid_requires_zero_start_and_increase():
         TimeGrid(np.array([0.1, 0.5, 1.0]))
     with pytest.raises(GridAlignmentError):
         TimeGrid(np.array([0.0, 0.5, 0.5, 1.0]))
+    # a NaN step compares False both ways, and an infinite node gives T = inf
+    for nodes in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
+        with pytest.raises(GridAlignmentError, match="finite and strictly increasing"):
+            TimeGrid(np.array(nodes))
 
 
 def test_grid_delta_alignment():
@@ -91,105 +85,84 @@ def test_index_of():
 # ---------------------------------------------------------------- variation
 
 def test_total_variation_monotone_is_endpoint_difference():
-    eta = bv_fn(1.0, 137, lambda t: t ** 2)
-    assert total_variation(eta) == pytest.approx(1.0, abs=1e-12)
+    assert total_variation(on_grid(1.0, 137, lambda t: t ** 2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_total_variation_constant_is_zero():
-    eta = bv_fn(1.0, 64, lambda t: np.full_like(t, 3.25))
-    assert total_variation(eta) == 0.0
+    assert total_variation(on_grid(1.0, 64, lambda t: np.full_like(t, 3.25))) == 0.0
 
 
 def test_total_variation_sine_refines_to_four():
     # grid holding the extrema 0.25 and 0.75 hits the limit exactly
-    eta = bv_fn(1.0, 100, lambda t: np.sin(2 * np.pi * t))
-    assert total_variation(eta) == pytest.approx(4.0, abs=1e-12)
+    sine = lambda t: np.sin(2 * np.pi * t)
+    assert total_variation(on_grid(1.0, 100, sine)) == pytest.approx(4.0, abs=1e-12)
     # refinement is monotone nondecreasing toward 4
     prev = 0.0
     for M in (7, 23, 101, 1001):
-        v = total_variation(bv_fn(1.0, M, lambda t: np.sin(2 * np.pi * t)))
+        v = total_variation(on_grid(1.0, M, sine))
         assert v >= prev - 1e-12
         prev = v
     assert prev == pytest.approx(4.0, abs=1e-4)
 
 
 def test_total_variation_matches_bruteforce():
+    # one row, and each row of a stack
     rng = np.random.default_rng(5)
     vals = rng.standard_normal(41)
-    eta = BVFunction(TimeGrid.uniform(1.0, 40), vals)
-    assert total_variation(eta) == pytest.approx(tv_bruteforce(vals), abs=1e-12)
+    assert total_variation(vals) == pytest.approx(tv_bruteforce(vals), abs=1e-12)
+    stack = rng.standard_normal((3, 2, 41))
+    got = total_variation(stack)
+    assert got.shape == (3, 2)
+    for idx in np.ndindex(3, 2):
+        assert got[idx] == pytest.approx(tv_bruteforce(stack[idx]), abs=1e-12)
 
 
 def test_total_variation_additive_over_intervals():
-    eta = bv_fn(2.0, 80, lambda t: np.sin(3 * t) + 0.5 * t)
-    whole = total_variation(eta, 0.0, 2.0)
-    split = total_variation(eta, 0.0, 0.75) + total_variation(eta, 0.75, 2.0)
-    assert split == pytest.approx(whole, abs=1e-12)
-
-
-def test_total_variation_of_an_interval_needs_node_ends_in_order():
-    vals = np.random.default_rng(6).standard_normal(11)
-    eta = BVFunction(TimeGrid.uniform(1.0, 10), vals)
-    assert total_variation(eta, 0.3, 0.7) == pytest.approx(tv_bruteforce(vals[3:8]),
-                                                           abs=1e-12)
-    assert total_variation(eta, 0.4, 0.4) == 0.0
-    with pytest.raises(GridAlignmentError, match="not a node"):
-        total_variation(eta, 0.0, 0.33)
-    with pytest.raises(ValueError, match="s <= t"):
-        total_variation(eta, 0.5, 0.2)
-
-
-def test_total_variation_vector_euclidean():
-    g = TimeGrid.uniform(1.0, 4)
-    vals = np.array([[0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [0.0, 0.0], [3.0, 0.0]])
-    eta = BVFunction(g, vals)
-    # increments have Euclidean sizes 5, 0, 5, 3
-    assert total_variation(eta) == pytest.approx(13.0, abs=1e-12)
+    g = TimeGrid.uniform(2.0, 80)
+    vals = np.sin(3 * g.nodes) + 0.5 * g.nodes
+    i = g.index_of(0.75)
+    split = total_variation(vals[:i + 1]) + total_variation(vals[i:])
+    assert split == pytest.approx(total_variation(vals), abs=1e-12)
 
 
 def bv_size(eta):
-    """|eta(0)| + total variation over the whole grid, for scalar eta."""
-    return abs(float(eta.values[0])) + total_variation(eta)
+    """|eta(0)| + total variation over the whole grid, for a scalar row."""
+    return abs(float(eta[0])) + total_variation(eta)
 
 
 def test_bv_norm():
-    g = TimeGrid.uniform(1.0, 10)
-    eta = BVFunction(g, np.linspace(2.0, 3.0, 11))
-    assert bv_size(eta) == pytest.approx(3.0, abs=1e-12)
-    const = BVFunction(g, np.full(11, -1.5))
-    assert bv_size(const) == pytest.approx(1.5, abs=1e-12)
+    assert bv_size(np.linspace(2.0, 3.0, 11)) == pytest.approx(3.0, abs=1e-12)
+    assert bv_size(np.full(11, -1.5)) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_bv_norm_lower_semicontinuous_on_families():
     # eta_n -> eta uniformly, |eta(0)| + TV(eta) <= min over tail + 1e-9
+    t = TimeGrid.uniform(1.0, 2048).nodes
     for make, limit in [
         (lambda n, t: t + np.sin(2 * np.pi * n * t) / (4 * np.pi * n), lambda t: t),
         (lambda n, t: np.sin(2 * np.pi * n * t) / (4 * np.pi * n), lambda t: 0 * t),
         (lambda n, t: t ** 2 + np.sin(2 * np.pi * t) / n, lambda t: t ** 2),
     ]:
-        g = TimeGrid.uniform(1.0, 2048)
-        tail = [bv_size(BVFunction(g, make(n, g.nodes))) for n in (8, 16, 32)]
-        lim = bv_size(BVFunction(g, limit(g.nodes)))
-        assert lim <= min(tail) + 1e-9
+        tail = [bv_size(make(n, t)) for n in (8, 16, 32)]
+        assert bv_size(limit(t)) <= min(tail) + 1e-9
 
 
 # ---------------------------------------------------------------- Stieltjes
 
 def test_stieltjes_constant_integrand_telescopes():
-    x = grid_fn(1.0, 57, lambda t: np.ones_like(t))
-    eta = bv_fn(1.0, 57, lambda t: np.exp(t) - 1.0)
-    assert stieltjes_integral(x, eta) == pytest.approx(np.e - 1.0, abs=1e-12)
+    x = on_grid(1.0, 57, lambda t: np.ones_like(t))
+    eta = on_grid(1.0, 57, lambda t: np.exp(t) - 1.0)
+    assert cumulative_stieltjes(x, eta)[-1] == pytest.approx(np.e - 1.0, abs=1e-12)
 
 
 def test_stieltjes_t_against_t_squared():
     # refining left sums approach int_0^1 t d(t^2) = 2/3 from below, O(1/M)
     errs = []
     for M in (100, 400, 1600):
-        x = grid_fn(1.0, M, lambda t: t)
-        eta = bv_fn(1.0, M, lambda t: t ** 2)
-        val = stieltjes_integral(x, eta)
-        assert val == pytest.approx(
-            stieltjes_bruteforce(x.values, eta.values), abs=1e-12)
+        x = on_grid(1.0, M, lambda t: t)
+        eta = on_grid(1.0, M, lambda t: t ** 2)
+        val = cumulative_stieltjes(x, eta)[-1]
+        assert val == pytest.approx(stieltjes_bruteforce(x, eta), abs=1e-12)
         errs.append(2.0 / 3.0 - val)
     assert all(e > 0 for e in errs)
     assert errs[2] < errs[0] / 3.0
@@ -198,69 +171,51 @@ def test_stieltjes_t_against_t_squared():
 
 def test_stieltjes_jump_measure_picks_jump_node():
     # eta right-continuous unit step at 0.5: the measure is a point mass there
-    x = grid_fn(1.0, 10, lambda t: t)
-    eta = bv_fn(1.0, 10, lambda t: (t >= 0.5).astype(float), mode="step")
-    assert stieltjes_integral(x, eta) == pytest.approx(0.5, abs=1e-15)
+    x = on_grid(1.0, 10, lambda t: t)
+    eta = on_grid(1.0, 10, lambda t: (t >= 0.5).astype(float))
+    assert cumulative_stieltjes(x, eta, policy="jump")[-1] == pytest.approx(0.5, abs=1e-15)
     # the left policy lands one node early
-    assert cumulative_stieltjes(x.values, eta.values, policy="left")[-1] == \
-        pytest.approx(0.4, abs=1e-15)
+    assert cumulative_stieltjes(x, eta, policy="left")[-1] == pytest.approx(0.4, abs=1e-15)
 
 
 def test_stieltjes_exact_for_step_integrator_many_jumps():
-    g = TimeGrid.uniform(1.0, 20)
-    x = GridFunction(g, np.cos(g.nodes))
+    t = TimeGrid.uniform(1.0, 20).nodes
     jumps = {5: 0.75, 12: -0.25, 20: 1.5}
     vals = np.zeros(21)
     for j, s in jumps.items():
         vals[j:] += s
-    eta = BVFunction(g, vals, mode="step")
-    expected = sum(s * np.cos(g.nodes[j]) for j, s in jumps.items())
-    assert stieltjes_integral(x, eta) == pytest.approx(expected, abs=1e-14)
+    expected = sum(s * np.cos(t[j]) for j, s in jumps.items())
+    assert cumulative_stieltjes(np.cos(t), vals, policy="jump")[-1] == \
+        pytest.approx(expected, abs=1e-14)
 
 
 def test_stieltjes_bilinear():
-    g = TimeGrid.uniform(1.0, 33)
-    x1 = GridFunction(g, np.sin(g.nodes))
-    x2 = GridFunction(g, g.nodes ** 2)
-    eta1 = BVFunction(g, np.exp(g.nodes) - 1)
-    eta2 = BVFunction(g, np.cos(g.nodes) - 1)
-    lhs = stieltjes_integral(GridFunction(g, 2.0 * x1.values - 3.0 * x2.values), eta1)
-    rhs = 2.0 * stieltjes_integral(x1, eta1) - 3.0 * stieltjes_integral(x2, eta1)
+    t = TimeGrid.uniform(1.0, 33).nodes
+    x1, x2 = np.sin(t), t ** 2
+    eta1, eta2 = np.exp(t) - 1, np.cos(t) - 1
+    lhs = cumulative_stieltjes(2.0 * x1 - 3.0 * x2, eta1)[-1]
+    rhs = 2.0 * cumulative_stieltjes(x1, eta1)[-1] - 3.0 * cumulative_stieltjes(x2, eta1)[-1]
     assert lhs == pytest.approx(rhs, abs=1e-12)
-    combo = BVFunction(g, eta1.values + 0.5 * eta2.values)
-    lhs2 = stieltjes_integral(x1, combo)
-    rhs2 = stieltjes_integral(x1, eta1) + 0.5 * stieltjes_integral(x1, eta2)
+    lhs2 = cumulative_stieltjes(x1, eta1 + 0.5 * eta2)[-1]
+    rhs2 = cumulative_stieltjes(x1, eta1)[-1] + 0.5 * cumulative_stieltjes(x1, eta2)[-1]
     assert lhs2 == pytest.approx(rhs2, abs=1e-12)
 
 
 def test_stieltjes_vector_componentwise_sum():
-    g = TimeGrid.uniform(1.0, 50)
-    xv = np.stack([g.nodes, np.ones_like(g.nodes)], axis=1)
-    ev = np.stack([g.nodes ** 2, 2.0 * g.nodes], axis=1)
-    x = GridFunction(g, xv)
-    eta = BVFunction(g, ev)
-    expected = stieltjes_bruteforce(xv[:, 0], ev[:, 0]) + \
-        stieltjes_bruteforce(xv[:, 1], ev[:, 1])
-    assert stieltjes_integral(x, eta) == pytest.approx(expected, abs=1e-12)
-
-
-def test_stieltjes_shape_and_grid_mismatch():
-    x = grid_fn(1.0, 10, lambda t: t)
-    eta = bv_fn(1.0, 20, lambda t: t)
-    with pytest.raises(GridAlignmentError):
-        stieltjes_integral(x, eta)
+    # a vector pair as a stack of component rows: sum_i int x_i deta_i
+    t = TimeGrid.uniform(1.0, 50).nodes
+    xv = np.stack([t, np.ones_like(t)])
+    ev = np.stack([t ** 2, 2.0 * t])
+    expected = stieltjes_bruteforce(xv[0], ev[0]) + stieltjes_bruteforce(xv[1], ev[1])
+    assert cumulative_stieltjes(xv, ev)[..., -1].sum() == pytest.approx(expected, abs=1e-12)
 
 
 def test_refinement_consistency_bound():
     # |coarse - fine| <= modulus of x on the coarse mesh * variation of eta
-    fine = TimeGrid.uniform(1.0, 1024)
-    coarse = TimeGrid.uniform(1.0, 32)
     f = lambda t: np.sin(2 * np.pi * t)
     e = lambda t: t ** 2
-    i_fine = stieltjes_integral(GridFunction(fine, f(fine.nodes)),
-                                BVFunction(fine, e(fine.nodes)))
-    i_coarse = stieltjes_integral(GridFunction(coarse, f(coarse.nodes)),
-                                  BVFunction(coarse, e(coarse.nodes)))
+    i_fine = cumulative_stieltjes(on_grid(1.0, 1024, f), on_grid(1.0, 1024, e))[-1]
+    i_coarse = cumulative_stieltjes(on_grid(1.0, 32, f), on_grid(1.0, 32, e))[-1]
     modulus = 2 * np.pi / 32  # sup |f'| * coarse mesh
     variation = 1.0
     assert abs(i_fine - i_coarse) <= modulus * variation + 1e-12
@@ -309,6 +264,11 @@ def test_cumulative_stieltjes_same_bits_on_broadcast_inputs(case, policy):
     assert np.array_equal(run, cumulative_stieltjes(X, H.copy(), policy))
     assert np.array_equal(run, cumulative_stieltjes(X.copy(), H.copy(), policy))
     assert run.shape == np.broadcast_shapes(X.shape, H.shape)
+    # total_variation differences the stored rows alone, with a copy's bits
+    for stack in (X, H):
+        tv = total_variation(stack)
+        assert tv.shape == stored_rows(stack).shape[:-1]
+        assert np.array_equal(np.broadcast_to(tv, stack.shape[:-1]), total_variation(stack.copy()))
 
 
 @pytest.mark.parametrize("case", range(7))
@@ -359,30 +319,34 @@ def test_cumulative_stieltjes_leaves_its_inputs_alone():
             assert not np.shares_memory(run, X) and not np.shares_memory(run, H)
             assert np.all(run[..., 0] == 0.0)
             assert np.array_equal(X, X0) and np.array_equal(H, H0)
+        for stack in (X, H):
+            tv = total_variation(stack)
+            assert tv.flags.writeable and not np.shares_memory(tv, stack)
+            assert np.array_equal(X, X0) and np.array_equal(H, H0)
 
 
 # ---------------------------------------------------------------- segments
 
-def window_at(x, t, kind="state"):
-    """x's delay window x(t + theta), theta in [-delta, 0], as delay_windows
-    reads it."""
-    grid = x.grid
-    return delay_windows(x.values[None], grid.delta_index_offset, kind)(grid.index_of(t))[0]
+def window_at(grid, x, t, kind="state"):
+    """The delay window x(t + theta), theta in [-delta, 0], of a row x on
+    grid, as delay_windows reads it."""
+    return delay_windows(x[None], grid.delta_index_offset, kind)(grid.index_of(t))[0]
 
 
 def test_delayed_segment_interior():
-    x = grid_fn(1.0, 10, lambda t: t, delta=0.2)
-    values = window_at(x, 0.5)
-    assert x.grid.delta_index_offset == 2
+    g = TimeGrid.uniform(1.0, 10, delta=0.2)
+    values = window_at(g, g.nodes, 0.5)
+    assert g.delta_index_offset == 2
     assert np.allclose(values, [0.3, 0.4, 0.5], atol=1e-12)
     assert values[-1] == pytest.approx(0.5)
 
 
 def test_delayed_segment_prolongation_conventions():
-    x = grid_fn(1.0, 10, lambda t: 1.0 + t, delta=0.3)
-    state = window_at(x, 0.1, kind="state")
+    g = TimeGrid.uniform(1.0, 10, delta=0.3)
+    x = 1.0 + g.nodes
+    state = window_at(g, x, 0.1, kind="state")
     assert np.allclose(state, [1.0, 1.0, 1.0, 1.1], atol=1e-12)
-    control = window_at(x, 0.0, kind="control")
+    control = window_at(g, x, 0.0, kind="control")
     assert np.allclose(control, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
 
@@ -424,42 +388,3 @@ def test_node_major_copies_the_stored_rows_bit_for_bit(monkeypatch, case, tile):
     assert copy.shape == stored_rows(X).shape and not copy.flags.writeable
     assert all(copy[:, i].flags.c_contiguous for i in range(21))
 
-
-# ---------------------------------------------------------------- Helly-Bray
-
-def osc(n, t):
-    return np.sin(2 * np.pi * n * t) / (4 * np.pi * n)
-
-
-def test_helly_bray_distance_identical_is_zero():
-    g = TimeGrid.uniform(1.0, 128)
-    x = GridFunction(g, g.nodes)
-    eta = BVFunction(g, g.nodes ** 2)
-    d = helly_bray_distance([x, x], [eta, eta], x, eta)
-    assert np.all(d == 0.0)
-
-
-def test_helly_bray_distance_constant_shift_exact():
-    # x_n = x + 1/n against a monotone eta with unit variation: distance 1/n
-    g = TimeGrid.uniform(1.0, 200)
-    x = GridFunction(g, np.sin(g.nodes))
-    eta = BVFunction(g, g.nodes)
-    ns = [1, 2, 4, 8]
-    xs = [GridFunction(g, x.values + 1.0 / n) for n in ns]
-    d = helly_bray_distance(xs, [eta] * len(ns), x, eta)
-    assert np.allclose(d, [1.0 / n for n in ns], atol=1e-12)
-
-
-def test_helly_bray_distance_oscillatory_matches_antiderivative():
-    # closed form: int_0^t s d(osc_n) = t*osc_n(t) + (cos(2pi n t)-1)/(8 pi^2 n^2)
-    g = TimeGrid.uniform(1.0, 4096)
-    t = g.nodes
-    x = GridFunction(g, t)
-    eta = BVFunction(g, t)
-    ns = [1, 2, 4, 8, 16, 32]
-    etas = [BVFunction(g, t + osc(n, t)) for n in ns]
-    d = helly_bray_distance([x] * len(ns), etas, x, eta)
-    for n, dn in zip(ns, d):
-        closed = t * osc(n, t) + (np.cos(2 * np.pi * n * t) - 1) / (8 * np.pi ** 2 * n ** 2)
-        assert dn == pytest.approx(np.max(np.abs(closed)), abs=5e-4)
-    assert np.all(np.diff(d) < 0)

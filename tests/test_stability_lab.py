@@ -25,8 +25,7 @@ from scipy.stats import ks_2samp
 from delaybsde import registry, stability_lab, stochastic_engine
 from delaybsde.errors import FamilyInvalidError
 from delaybsde.model import ProblemSpec
-from delaybsde.path_calculus import BVFunction, GridFunction, TimeGrid
-from delaybsde.path_calculus import cumulative_stieltjes, helly_bray_distance
+from delaybsde.path_calculus import TimeGrid, cumulative_stieltjes
 from delaybsde.stability_lab import (HellyBrayRow, PerturbationFamily, ShiftedPaths,
                                      bv_tail_curve, generator_gap,
                                      helly_bray_stochastic_check,
@@ -278,10 +277,46 @@ def test_helly_bray_check_reduces_to_deterministic_distance():
     report = helly_bray_stochastic_check(
         [x[None, :]], [(t + p4)[None, :]], x[None, :], t[None, :], grid,
         bv_levels=(4.0,))
-    det = helly_bray_distance(
-        [GridFunction(grid, x)], [BVFunction(grid, t + p4)],
-        GridFunction(grid, x), BVFunction(grid, t))
-    assert report.rows[0].sup_distance == pytest.approx(det[0], abs=1e-15)
+    det = np.max(np.abs(cumulative_stieltjes(x, t + p4) - cumulative_stieltjes(x, t)))
+    assert report.rows[0].sup_distance == pytest.approx(det, abs=1e-15)
+
+
+def one_path_sup_distances(grid, x_rows, eta_rows, x, eta):
+    """The check's sup_distance of each one-path member (x_n, eta_n)
+    against the one-path limit (x, eta): sup_t |int x_n deta_n - int x deta|."""
+    report = helly_bray_stochastic_check([r[None] for r in x_rows], [r[None] for r in eta_rows],
+                                         x[None], eta[None], grid)
+    return np.array([row.sup_distance for row in report.rows])
+
+
+def test_helly_bray_one_path_identical_is_zero():
+    grid = TimeGrid.uniform(1.0, 128)
+    t = grid.nodes
+    d = one_path_sup_distances(grid, [t, t], [t ** 2, t ** 2], t, t ** 2)
+    assert np.all(d == 0.0)
+
+
+def test_helly_bray_one_path_constant_shift_exact():
+    # x_n = x + 1/n against a monotone eta with unit variation: distance 1/n
+    grid = TimeGrid.uniform(1.0, 200)
+    t = grid.nodes
+    ns = [1, 2, 4, 8]
+    d = one_path_sup_distances(grid, [np.sin(t) + 1.0 / n for n in ns], [t] * len(ns),
+                               np.sin(t), t)
+    assert np.allclose(d, [1.0 / n for n in ns], atol=1e-12)
+
+
+def test_helly_bray_one_path_oscillatory_matches_antiderivative():
+    # closed form: int_0^t s d(osc_n) = t*osc_n(t) + (cos(2pi n t)-1)/(8 pi^2 n^2)
+    grid = TimeGrid.uniform(1.0, 4096)
+    t = grid.nodes
+    ns = [1, 2, 4, 8, 16, 32]
+    osc = [np.sin(2 * np.pi * n * t) / (4 * np.pi * n) for n in ns]
+    d = one_path_sup_distances(grid, [t] * len(ns), [t + p for p in osc], t, t)
+    for n, p, dn in zip(ns, osc, d):
+        closed = t * p + (np.cos(2 * np.pi * n * t) - 1) / (8 * np.pi ** 2 * n ** 2)
+        assert dn == pytest.approx(np.max(np.abs(closed)), abs=5e-4)
+    assert np.all(np.diff(d) < 0)
 
 
 def test_helly_bray_oscillatory_family_passes():
