@@ -125,6 +125,16 @@ def test_total_variation_additive_over_intervals():
     assert split == pytest.approx(total_variation(vals), abs=1e-12)
 
 
+def test_total_variation_of_a_node_slice():
+    # the variation over [t_3, t_7] is that of the slice of nodes 3 .. 7;
+    # a one-node slice (s = t) has none, on one row and on a stack
+    vals = np.random.default_rng(6).standard_normal((3, 11))
+    for row in vals:
+        assert total_variation(row[3:8]) == pytest.approx(tv_bruteforce(row[3:8]), abs=1e-12)
+    assert total_variation(vals[0, 4:5]) == 0.0
+    assert np.array_equal(total_variation(vals[:, 4:5]), np.zeros(3))
+
+
 def bv_size(eta):
     """|eta(0)| + total variation over the whole grid, for a scalar row."""
     return abs(float(eta[0])) + total_variation(eta)
@@ -283,6 +293,17 @@ def test_cumulative_stieltjes_matches_the_loop_oracle_on_broadcast_inputs(case):
             run = cumulative_stieltjes(x, h, policy)
             want = [stieltjes_bruteforce(x[:k + 1], h[:k + 1], policy) for k in range(26)]
             assert run == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_stieltjes_refuses_a_grid_mismatch():
+    # integrand and integrator on grids of different sizes do not pair up
+    x = on_grid(1.0, 10, lambda t: t)
+    eta = on_grid(1.0, 20, lambda t: t)
+    for policy in ("left", "jump"):
+        with pytest.raises(ValueError):
+            cumulative_stieltjes(x, eta, policy)
+        with pytest.raises(ValueError):
+            cumulative_stieltjes(eta, x, policy)
 
 
 @pytest.mark.parametrize("policy", ["midpoint", "right", "Left"])
