@@ -30,7 +30,7 @@ from . import __version__, stability_lab
 from .errors import (BlowupError, ConfigError, ConstraintViolationError,
                      DelayBsdeError, FamilyInvalidError, GridAlignmentError,
                      NonContractionError)
-from .model import c_admissible, check_integrability, preflight
+from .model import c_admissible, check_integrability, generator_reads, preflight
 from .path_calculus import TimeGrid
 from .picard_solver import SCHEMES, consistency_residuals, contraction_report, solve
 from .registry import build_F, build_G, build_terminal, problem_from_dict
@@ -42,7 +42,6 @@ from .stochastic_engine import (PROCESS_KINDS, IncreasingProcessSpec,
                                 realize_increasing_process, simulate_brownian)
 
 ENV_PREFIX = "DELAYBSDE_"
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 # the settings a flag and a DELAYBSDE_* variable override: key -> (name, flag help)
 _OVERRIDES = {"out": ("OUT", "output directory"), "seed": ("SEED", "simulation seed"),
               "n_paths": ("PATHS", "number of Monte Carlo paths"),
@@ -116,14 +115,14 @@ SETTINGS = {
     "stability": {"kind": ("oscillatory_A", _choice("oscillatory_A", "xi_shift")),
                   "n_values": ([2, 4, 8, 16], _list_of(_integer(1))),
                   "shifts": ([1.0, 0.5, 0.25, 0.125], _list_of(_number())),
-                  "final_threshold": (1e-3, _number()), "tol": (1e-8, _number(0)), **_SWEEP},
+                  "final_threshold": (1e-3, _number(0)), "tol": (1e-8, _number(0)), **_SWEEP},
     "hellybray": {**_ENSEMBLE, "n_steps": (200, _integer(1)),
                   "family": ("oscillatory", _choice(*_FAMILIES)),
                   "T": (1.0, _number(0, strict=True)),
                   "n_values": ([2, 4, 8, 16, 32], _list_of(_integer(1))),
-                  "nu_ladder": ([0.25, 0.5, 1.0, 2.0], _list_of(_number())),
-                  "ks_threshold": (0.02, _number()),
-                  "bv_levels": ([0.5, 1.0, 2.0, 4.0, 8.0], _list_of(_number()))},
+                  "nu_ladder": ([0.25, 0.5, 1.0, 2.0], _list_of(_number(0, strict=True))),
+                  "ks_threshold": (0.02, _number(0)),
+                  "bv_levels": ([0.5, 1.0, 2.0, 4.0, 8.0], _list_of(_number(0, strict=True)))},
 }
 
 
@@ -205,20 +204,21 @@ def validate(config, n_steps=None):
     command builds each part of its problem once, or None when the check
     finds an error.  Only the problem section is checked (_problem_errors);
     the grid check runs at n_steps, by default the solver section's, read by
-    read_settings (a refusal of which is a schema diagnostic, and no
-    warnings follow one).
+    read_settings (a refusal of which is a schema diagnostic).  Once there is
+    no error, a "bounds" warning names each of F and G that reads its delay
+    window (model.generator_reads) under a zero K or K_tilde.
     """
     problem = config.get("problem")
     errors, spec = (_problem_errors(problem, config, n_steps) if isinstance(problem, dict)
                     else ([("schema", "config must contain a 'problem' object")], None))
     diags = [{"level": "error", "code": code, "message": message} for code, message in errors]
-    if all(code != "schema" for code, _ in errors):
+    if spec is not None:
         for key, gen in (("K", "F"), ("K_tilde", "G")):
-            bound = problem.get(key, 0.0)
-            if is_number(bound) and bound == 0.0 and problem.get(gen) is not None:
+            if (getattr(spec, key) == 0.0
+                    and generator_reads(getattr(spec, gen)) & {"y_seg", "z_seg"}):
                 diags.append({"level": "warning", "code": "bounds", "message": (
-                    f"{gen} is set but {key} is 0; the smallness checks will treat "
-                    f"{gen} as undelayed")})
+                    f"{gen} reads its delay window but {key} is 0; the smallness "
+                    f"checks will treat {gen} as undelayed")})
     return diags, spec
 
 
@@ -493,8 +493,6 @@ def build_parser():
         p.add_argument("--config", required=True, help="path to a JSON config file")
         for name, text in _OVERRIDES.values():
             p.add_argument(f"--{name.lower()}", help=f"{text} (env {ENV_PREFIX}{name})")
-        p.add_argument("--threads", type=_threads,
-                       help="pin BLAS thread pools to this count (re-executes the process)")
 
     for name, func, text in (
             ("check-assumptions", cmd_check, "validate a config and run the well-posedness checks"),
@@ -507,40 +505,15 @@ def build_parser():
     return parser
 
 
-def _threads(text):
-    """The --threads cast: an integer from 1 to the machine's CPU count."""
-    limit = os.cpu_count() or 1
-    if not (text.isdecimal() and 1 <= int(text) <= limit):
-        raise argparse.ArgumentTypeError(f"must be an integer from 1 to {limit}, got {text!r}")
-    return int(text)
-
-
-def _apply_threads(argv, threads):
-    """Honor --threads by re-executing with BLAS pools pinned.
-
-    Thread counts are read by the BLAS runtime at import, which happens before
-    argument parsing, so the only reliable way to apply the flag is a re-exec
-    with the environment set.  Results do not depend on the count; this is a
-    performance control.
-    """
-    if threads is None or os.environ.get(ENV_PREFIX + "THREADS_APPLIED"):
-        return
-    env = dict(os.environ)
-    for var in _THREAD_VARS:
-        env[var] = str(threads)
-    env[ENV_PREFIX + "THREADS_APPLIED"] = "1"
-    os.execve(sys.executable, [sys.executable, "-m", "delaybsde.cli"] + list(argv), env)
-
-
-def _parse(argv):
-    """argv's arguments, or the exit code when argparse exits (--help, a refusal)."""
+def run(argv=None):
+    """Parse argv (by default sys.argv[1:]), run its command in this process
+    and return the exit code.  BLAS pools are as the process started them:
+    OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS size them, and
+    results do not depend on their size (acceptance criterion 9)."""
     try:
-        return build_parser().parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    except SystemExit as exc:    # --help, or a refusal argparse has printed
         return 0 if exc.code in (0, None) else 1
-
-
-def _dispatch(args):
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -551,20 +524,9 @@ def _dispatch(args):
         return 1
 
 
-def run(argv=None):
-    """Parse arguments and dispatch; returns the process exit code.  It never
-    re-executes, so in-process --threads pins no pool: main() does that."""
-    args = _parse(sys.argv[1:] if argv is None else argv)
-    return args if isinstance(args, int) else _dispatch(args)
-
-
 def main():
-    """The console entry point: run, after _apply_threads' re-exec for --threads."""
-    args = _parse(sys.argv[1:])
-    if isinstance(args, int):
-        sys.exit(args)
-    _apply_threads(sys.argv[1:], args.threads)
-    sys.exit(_dispatch(args))
+    """The console entry point: run's exit code is the process's."""
+    sys.exit(run())
 
 
 if __name__ == "__main__":

@@ -603,11 +603,14 @@ def evaluate_generator(gen, which: str, ctx: GenContext, y, z, y_seg, z_seg, *,
     return out
 
 
-def probe_lipschitz(problem: ProblemSpec, which: str = "F",
-                    n_samples: int = 2048, seed: int = 0) -> LipschitzProbe:
+PROBE_SAMPLES = 2048
+
+
+def probe_lipschitz(problem: ProblemSpec, which: str = "F", seed: int = 0) -> LipschitzProbe:
     """Empirical Lipschitz/kernel constants from low-discrepancy sampling.
 
-    Pairs two argument clouds in the box [-3, 3] (see argument_clouds): moving only (y, z) gives the pointwise
+    Pairs two argument clouds of PROBE_SAMPLES points in the box [-3, 3]
+    (see argument_clouds): moving only (y, z) gives the pointwise
     constant, moving only the delayed segments the kernel constant
     K1 = sup |dGen|^2 / int (|dy_seg|^2 + |dz_seg|^2) drho, both over the
     clouds' time ladder; a non-finite generator value makes both infinite.
@@ -624,7 +627,7 @@ def probe_lipschitz(problem: ProblemSpec, which: str = "F",
         return LipschitzProbe(which, 0.0, 0.0, declared_L, declared_K,
                               False, False, 0)
 
-    a, b = argument_clouds(problem, n_samples, seed, count=2)
+    a, b = argument_clouds(problem, PROBE_SAMPLES, seed, count=2)
     n = a.y.shape[0]
     weights = a.contexts[0].rho if which == "F" else a.contexts[0].rho_tilde
     gap = np.linalg.norm(a.y - b.y, axis=1)

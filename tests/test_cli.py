@@ -1,7 +1,5 @@
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -327,6 +325,17 @@ def test_validate_reports_a_solver_section_it_cannot_read():
     ("stability", "stability", "tol", float("nan")),
     ("helly-bray", "hellybray", "T", 0.0),
     ("helly-bray", "hellybray", "T", -1.0),
+    # thresholds and ladders under which no run could pass
+    ("stability", "stability", "final_threshold", -1e-3),
+    ("stability", "stability", "final_threshold", float("nan")),
+    ("helly-bray", "hellybray", "ks_threshold", -0.02),
+    ("helly-bray", "hellybray", "ks_threshold", float("nan")),
+    ("helly-bray", "hellybray", "nu_ladder", [0.25, -0.5]),
+    ("helly-bray", "hellybray", "nu_ladder", [0.0, 1.0]),
+    ("helly-bray", "hellybray", "nu_ladder", [float("nan")]),
+    ("helly-bray", "hellybray", "bv_levels", [0.5, -1.0]),
+    ("helly-bray", "hellybray", "bv_levels", [0.0]),
+    ("helly-bray", "hellybray", "bv_levels", [float("nan")]),
 ])
 def test_malformed_section_value_is_a_schema_error(tmp_path, capsys, command, section,
                                                    key, value):
@@ -472,11 +481,21 @@ def test_validate_refuses_negative_or_nan_kernel_bounds(tmp_path, capsys, key, v
     assert "[domain]" in capsys.readouterr().out
 
 
-def test_validate_warns_on_zero_delay_bound():
+@pytest.mark.parametrize("F, warnings", [
+    ({"name": "rho_integral", "params": {"kappa": 0.02}},
+     [{"level": "warning", "code": "bounds", "message": (
+         "F reads its delay window but K is 0; the smallness checks will treat F as "
+         "undelayed")}]),
+    # the linear F and G read no delay window, so K = K_tilde = 0 is right
+    # for them; both used to draw a [bounds] warning
+    ({"name": "linear", "params": {"a_y": 0.2, "a_z": 0.1}}, []),
+], ids=["window", "no-window"])
+def test_validate_warns_on_zero_delay_bound(F, warnings):
     config = base_config()
-    config["problem"]["K"] = 0.0
-    warnings = [d for d in cli.validate(config)[0] if d["level"] == "warning"]
-    assert any(d["code"] == "bounds" for d in warnings)
+    config["problem"].update(K=0.0, K_tilde=0.0, F=F)
+    diags, problem = cli.validate(config)
+    assert diags == warnings and problem is not None
+
 
 @pytest.mark.parametrize("source", ["config", "flag", "environment"])
 def test_a_seed_outside_the_philox_key_range_is_a_schema_error(tmp_path, capsys, monkeypatch,
@@ -1031,54 +1050,3 @@ def test_same_seed_same_bytes(tmp_path):
     assert cli.run(["solve", "--config", config_path, "--out", str(out2)]) == 0
     for name in ("solution_Y.csv", "solution_Z.csv", "diagnostics.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-
-def test_threads_flag_reexecs_cleanly(tmp_path):
-    config_path = write_config(tmp_path, base_config())
-    out = tmp_path / "out"
-    env = {k: v for k, v in os.environ.items() if not k.startswith("DELAYBSDE_")}
-    # the child runs in tmp_path, so the package path must be absolute
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "delaybsde.cli", "solve", "--config", config_path,
-         "--out", str(out), "--threads", "2"],
-        capture_output=True, text=True, env=env, cwd=str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert (out / "solution_Y.csv").exists()
-
-
-def test_run_with_threads_returns_to_its_caller(tmp_path):
-    # an in-process run used to replace its caller through the re-exec, so
-    # the caller's next line never ran
-    config_path = write_config(tmp_path, base_config())
-    out = tmp_path / "out"
-    env = {k: v for k, v in os.environ.items() if not k.startswith("DELAYBSDE_")}
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    script = ("import sys\nfrom delaybsde import cli\n"
-              "code = cli.run(['solve', '--config', sys.argv[1], '--paths', '50',"
-              " '--out', sys.argv[2], '--threads', '1'])\nprint('returned', code)\n")
-    proc = subprocess.run([sys.executable, "-c", script, config_path, str(out)],
-                          capture_output=True, text=True, env=env, cwd=str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "returned 0"
-    assert (out / "solution_Y.csv").exists()
-
-
-def test_thread_count_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    parse = cli.build_parser().parse_args
-    assert parse(["solve", "--config", "c.json"]).threads is None
-    assert parse(["solve", "--config", "c.json", "--threads", "1"]).threads == 1
-    assert parse(["solve", "--config", "c.json", "--threads=4"]).threads == 4
-    config_path = write_config(tmp_path, base_config())
-    out = tmp_path / "out"
-    for bad in ("0", "-2", "5", "two", "1.5", ""):
-        # refused by the parser, before a re-exec or any output
-        assert cli.run(["solve", "--config", config_path, "--out", str(out),
-                        "--threads", bad]) == 1
-        err = capsys.readouterr().err
-        assert f"argument --threads: must be an integer from 1 to 4, got {bad!r}" in err
-        assert "Traceback" not in err
-        assert not out.exists()

@@ -689,24 +689,24 @@ def test_select_lambda_rejects_large_c():
 def test_probe_linear_driver():
     F = registry.build_F({"name": "linear", "params": {"a_y": 1.0, "a_z": 0.5}})
     prob = base_problem(F=F, L=1.01)
-    probe = probe_lipschitz(prob, which="F", n_samples=2048, seed=0)
+    probe = probe_lipschitz(prob, which="F", seed=0)
     assert 0.9 <= probe.empirical_L <= 1.0 + 1e-9
     assert not probe.exceeds_L
     assert probe.empirical_K1 == 0.0 and not probe.exceeds_K1
 
     under = base_problem(F=F, L=0.5)
-    probe = probe_lipschitz(under, which="F", n_samples=2048, seed=0)
+    probe = probe_lipschitz(under, which="F", seed=0)
     assert probe.exceeds_L
 
 
 def test_probe_delayed_driver_kernel():
     F = registry.build_F({"name": "rho_integral", "params": {"kappa": 1.0}})
     prob = base_problem(F=F, K=1.0)
-    probe = probe_lipschitz(prob, which="F", n_samples=2048, seed=1)
+    probe = probe_lipschitz(prob, which="F", seed=1)
     assert 0.8 <= probe.empirical_K1 <= 1.0 + 1e-9
     assert not probe.exceeds_K1
     under = base_problem(F=F, K=0.5)
-    probe = probe_lipschitz(under, which="F", n_samples=2048, seed=1)
+    probe = probe_lipschitz(under, which="F", seed=1)
     assert probe.exceeds_K1
 
 
@@ -715,7 +715,7 @@ def test_probe_stieltjes_driver():
                           "params": {"b": 0.25, "gamma": 0.1}})
     prob = base_problem(G=G, L_tilde=1.0, K_tilde=0.011,
                         rho_tilde=AtomMeasure.uniform(0.1, 5))
-    probe = probe_lipschitz(prob, which="G", n_samples=2048, seed=2)
+    probe = probe_lipschitz(prob, which="G", seed=2)
     assert probe.empirical_L == pytest.approx(0.25, rel=1e-9)
     # Cauchy-Schwarz caps the kernel constant at gamma^2
     assert 0.005 <= probe.empirical_K1 <= 0.01 + 1e-9
@@ -779,7 +779,7 @@ def test_generator_cannot_write_into_argument_clouds(which, arg):
     gen = F if which == "F" else G
     prob = base_problem(**{which: gen})
     with pytest.raises(ValueError, match="read-only"):
-        probe_lipschitz(prob, which=which, n_samples=64)
+        probe_lipschitz(prob, which=which)
     with pytest.raises(ValueError, match="read-only"):
         stability_lab.generator_gap(gen, None, prob, which=which)
     with pytest.raises(ValueError, match="read-only"):
