@@ -60,8 +60,8 @@ def _integer(low=None, high=None):
 
 
 def _number(low=None, strict=False):
-    """A cast to a float >= low (> low when strict); it refuses a bool, and
-    a NaN once low is given."""
+    """A cast to a float >= low (> low when strict); it refuses what
+    is_number refuses: a bool, a NaN and an infinity."""
     def cast(value):
         if not is_number(value):
             raise ValueError(f"must be a number, got {value!r}")

@@ -135,7 +135,8 @@ class ProblemSpec:
     G(t, y, y_seg, ctx) -> (n, m); either may be None (zero).  K and K_tilde
     are the nonnegative delay-kernel bounds: scalars, per-node arrays, or
     callables (grid, ensemble) -> per-path-per-node arrays.  T, beta, L,
-    L_tilde > 0 and 0 < delta <= T must be numbers (kept as floats); these,
+    L_tilde > 0, 0 < delta <= T, a given c > 0 and each entry >= 0 of a K or
+    K_tilde not callable must be numbers (is_number: finite); these,
     an A or terminal (``component``) reading a component of W that d lacks,
     or a terminal whose declared ``width`` is not m, raise ValueError.
     """
@@ -184,8 +185,9 @@ class ProblemSpec:
             raise ValueError(f"c must be a positive number when given, got {self.c!r}")
         for name in ("K", "K_tilde"):
             bound = getattr(self, name)
-            if not callable(bound) and not np.all(np.asarray(bound, dtype=float) >= 0):
-                raise ValueError(f"kernel bound {name} must be nonnegative, got {bound!r}")
+            if not callable(bound) and not all(is_number(v) and v >= 0
+                                               for v in np.ravel(bound).tolist()):
+                raise ValueError(f"kernel bound {name} must hold numbers >= 0, got {bound!r}")
         for meas in filter(None, (self.rho, self.rho_tilde)):
             meas.check_window(self.delta)
 
@@ -243,25 +245,12 @@ class NormReport:
         return self.sup_term + self.a * self.dA_term + self.b * self.dt_term
 
 
-def _as_paths(values, n_nodes, trailing):
-    """Normalize to (n_paths, n_nodes, *trailing); None stays None."""
-    if values is None:
-        return None
-    values = np.asarray(values, dtype=float)
-    want = 2 + len(trailing)
-    while values.ndim < want:
-        values = values[..., None]
-    if values.shape[1] != n_nodes:
-        raise ValueError(f"node axis mismatch: {values.shape} vs {n_nodes} nodes")
-    return values
-
-
 def norm_weights(A, grid: TimeGrid, alpha: float, beta: float):
-    """(w, dA): the norm weights w = e^{alpha t + beta A(t)}, (rows, n_nodes),
-    and the increments of A, (rows, n_steps), on the rows A stores
-    (path_calculus.stored_rows) and in A's memory layout.  Both depend on A
+    """(w, dA) of A as (rows, n_nodes): the weights e^{alpha t + beta A(t)},
+    (rows, n_nodes), and the increments of A, (rows, n_steps), on the rows A
+    stores (path_calculus.stored_rows) and in A's memory layout.  Both depend on A
     alone, so a caller taking many norms builds them once."""
-    A = stored_rows(np.atleast_2d(np.asarray(A, dtype=float)))
+    A = stored_rows(np.asarray(A, dtype=float))
     with np.errstate(over="ignore"):
         w = np.multiply(beta, A)
         w += alpha * grid.nodes
@@ -294,34 +283,25 @@ def _node_sq(X, U, i, e, sq):
 
 def _walk_terms(Y, U, Z, V, w, dA, dt):
     """Per-path (sup w|Y - U|^2, sum w|Y - U|^2 dA, sum w|Z - V|^2 dt), U and
-    V may be None and a term whose stack is None is None, by one forward
-    walk over the nodes with scratch of one node's size: w multiplies into
-    each |.|^2 in place (products commute exactly), and each sum adds its
-    nodes in order, one elementwise step per node, so the bits do not depend
-    on the stacks' layout."""
-    n, n_nodes = (Y if Z is None else Z).shape[:2]
-    top = y_int = z_int = None
-    scratch = np.empty(n)
-    if Y is not None:
-        ey = np.empty((n, Y[0, 0].size))
-        top, y_int = np.full(n, -np.inf), np.zeros(n)
-    if Z is not None:
-        ez = np.empty((n, Z[0, 0].size))
-        z_int = np.zeros(n)
+    V may be None, by one forward walk over the nodes with scratch of one
+    node's size: w multiplies into each |.|^2 in place (products commute
+    exactly), and each sum adds its nodes in order, one elementwise step per
+    node, so the bits do not depend on the stacks' layout."""
+    n, n_nodes = Y.shape[:2]
+    scratch, ey, ez = np.empty(n), np.empty((n, Y[0, 0].size)), np.empty((n, Z[0, 0].size))
+    top, y_int, z_int = np.full(n, -np.inf), np.zeros(n), np.zeros(n)
     for i in range(n_nodes):
-        last = i == n_nodes - 1
-        if Y is not None:
-            sq = _node_sq(Y, U, i, ey, scratch)
-            sq *= w[:, i]
-            np.maximum(top, sq, out=top)
-            if not last:
-                sq *= dA[:, i]
-                y_int += sq
-        if Z is not None and not last:
-            sq = _node_sq(Z, V, i, ez, scratch)
-            sq *= w[:, i]
-            sq *= dt[i]
-            z_int += sq
+        sq = _node_sq(Y, U, i, ey, scratch)
+        sq *= w[:, i]
+        np.maximum(top, sq, out=top)
+        if i == n_nodes - 1:
+            break
+        sq *= dA[:, i]
+        y_int += sq
+        sq = _node_sq(Z, V, i, ez, scratch)
+        sq *= w[:, i]
+        sq *= dt[i]
+        z_int += sq
     return top, y_int, z_int
 
 
@@ -335,10 +315,12 @@ def equivalent_norm(Y, Z, A, grid: TimeGrid, alpha: float, beta: float,
     alpha = 0 and a = b = 1 give the solution norm; the solver's contraction
     norm takes its lambda selection's a and b.  ``weights`` may pass
     norm_weights(A, grid, alpha, beta) built once for many norms against the
-    same A.  ``minus`` = (U, V) measures Y - U and Z - V instead, either may
-    be None.  Y, Z, U and V must hold one number of paths n, and the weights
-    (A's stored rows) one row or n; anything else raises ValueError naming
-    the shapes, and a total that is not finite raises NumericOverflowError.
+    same A.  Y and Z are whole stacks, (n, n_nodes, m) and (n, n_nodes, m, d);
+    ``minus`` = (U, V), stacks of the same shapes, either of which may be
+    None, measures Y - U and Z - V instead.  The stacks must hold one number
+    of paths n on the grid's nodes, and the weights (A's stored rows) one
+    row or n; anything else raises ValueError naming the shapes, and a total
+    that is not finite raises NumericOverflowError.
 
     The per-path terms come from one walk over the nodes (_walk_terms),
     which forms no temporary the size of a stack and adds in node order
@@ -346,24 +328,21 @@ def equivalent_norm(Y, Z, A, grid: TimeGrid, alpha: float, beta: float,
     inputs.  On node-major stacks, those of every ensemble and solution,
     each node it reads is one contiguous block."""
     w, dA = norm_weights(A, grid, alpha, beta) if weights is None else weights
-    n_nodes, dt = grid.nodes.size, grid.steps()
+    n_nodes = grid.nodes.size
     U, V = (None, None) if minus is None else minus
-    Y, U = (_as_paths(X, n_nodes, ("m",)) for X in (Y, U))
-    Z, V = (_as_paths(X, n_nodes, ("m", "d")) for X in (Z, V))
     stacks = {name: X for name, X in zip("YUZV", (Y, U, Z, V)) if X is not None}
-    # one path count over the stacks, which the weights share unless they hold one row
-    if len({X.shape[0] for X in stacks.values()} | ({w.shape[0]} - {1})) > 1:
+    # whole stacks on the grid's nodes, of one path count that A shares unless one row
+    whole = {"Y", "Z"} <= stacks.keys() and all(
+        X.ndim == (3 if name in "YU" else 4) and X.shape[1] == n_nodes
+        for name, X in stacks.items())
+    if not whole or len({X.shape[0] for X in stacks.values()} | ({w.shape[0]} - {1})) > 1:
         shapes = ", ".join(f"{name} {X.shape}" for name, X in stacks.items())
-        raise ValueError(f"the norm needs stacks of one path count and A of one row or "
+        raise ValueError(f"the norm needs Y (n, {n_nodes}, m) and Z (n, {n_nodes}, m, d), U and "
+                         f"V as Y and Z when given, of one path count and A of one row or "
                          f"that many: {shapes}, A rows {w.shape[0]}")
-    top, y_int, z_int = _walk_terms(Y, U, Z, V, w, dA, dt) if stacks else (None,) * 3
-    sup_term = dA_term = dt_term = 0.0
-    if Y is not None:
-        sup_term, dA_term = float(np.mean(top)), float(np.mean(y_int))
-    if Z is not None:
-        dt_term = float(np.mean(z_int))
-    report = NormReport(sup_term=sup_term, dA_term=dA_term, dt_term=dt_term,
-                        beta=beta, alpha=alpha, a=a, b=b)
+    top, y_int, z_int = _walk_terms(Y, U, Z, V, w, dA, grid.steps())
+    report = NormReport(sup_term=float(np.mean(top)), dA_term=float(np.mean(y_int)),
+                        dt_term=float(np.mean(z_int)), beta=beta, alpha=alpha, a=a, b=b)
     if not np.isfinite(report.total):
         raise NumericOverflowError("weighted norm is not finite")
     return report
@@ -528,7 +507,6 @@ class LipschitzProbe:
     declared_K1: float
     exceeds_L: bool
     exceeds_K1: bool
-    n_samples: int
 
 
 @dataclass(frozen=True)
@@ -624,8 +602,7 @@ def probe_lipschitz(problem: ProblemSpec, which: str = "F", seed: int = 0) -> Li
     declared_K = float("inf") if callable(declared_K_raw) \
         else float(np.max(np.asarray(declared_K_raw, dtype=float)))
     if gen is None:
-        return LipschitzProbe(which, 0.0, 0.0, declared_L, declared_K,
-                              False, False, 0)
+        return LipschitzProbe(which, 0.0, 0.0, declared_L, declared_K, False, False)
 
     a, b = argument_clouds(problem, PROBE_SAMPLES, seed, count=2)
     n = a.y.shape[0]
@@ -654,8 +631,7 @@ def probe_lipschitz(problem: ProblemSpec, which: str = "F", seed: int = 0) -> Li
         which=which, empirical_L=emp_L, empirical_K1=emp_K,
         declared_L=declared_L, declared_K1=declared_K,
         exceeds_L=emp_L > declared_L + 1e-9,
-        exceeds_K1=emp_K > declared_K + 1e-9,
-        n_samples=n)
+        exceeds_K1=emp_K > declared_K + 1e-9)
     if probe.exceeds_L or probe.exceeds_K1:
         log.warning("declared constants for %s are too small: %s", which, probe)
     return probe
@@ -676,13 +652,13 @@ class Preflight:
     failures: dict
 
 
-def preflight(problem: ProblemSpec, ensemble: PathEnsemble,
-              c: float | None = None) -> Preflight:
-    """(H1) and (H2) at budget c (default effective_c), the lambda selection
-    and the fixed-seed Lipschitz probes of F and G, failing as "H1", "H2",
-    "lambda", "F" and "G": the conditions use the declared constants, so a
-    declared constant below its probe makes them prove nothing."""
-    c = effective_c(problem) if c is None else c
+def preflight(problem: ProblemSpec, ensemble: PathEnsemble) -> Preflight:
+    """(H1) and (H2) at the problem's own budget c (effective_c), the lambda
+    selection and the fixed-seed Lipschitz probes of F and G, failing as
+    "H1", "H2", "lambda", "F" and "G": the conditions use the declared
+    constants, so a declared constant below its probe makes them prove
+    nothing."""
+    c = effective_c(problem)
     h1, h2 = check_H1(problem, ensemble, c), check_H2(problem, ensemble, c)
     failures = {rep.name: f"smallness condition fails: {rep}"
                 for rep in (h1, h2) if not rep.passed}
@@ -709,7 +685,6 @@ class MomentEstimate:
     value: float
     finite: bool
     heavy_tail: bool
-    n: int
 
 
 @dataclass(frozen=True)
@@ -730,8 +705,7 @@ def _moment(samples) -> MomentEstimate:
         srt = np.sort(samples)[::-1]
         top = srt[: max(1, int(np.ceil(0.01 * samples.size)))]
         heavy = bool(top.sum() > 0.5 * samples.sum())
-    return MomentEstimate(value=value, finite=finite, heavy_tail=heavy,
-                          n=int(samples.size))
+    return MomentEstimate(value=value, finite=finite, heavy_tail=heavy)
 
 
 def check_integrability(problem: ProblemSpec, ensemble: PathEnsemble) -> IntegrabilityReport:

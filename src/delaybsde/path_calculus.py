@@ -103,15 +103,6 @@ class TimeGrid:
     def steps(self) -> np.ndarray:
         return np.diff(self.nodes)
 
-    def index_of(self, t: float) -> int:
-        """Index of the node equal to t, within a small absolute tolerance."""
-        atol = min(1e-9 * max(1.0, self.T), 0.25 * float(np.min(np.diff(self.nodes))))
-        i = int(np.searchsorted(self.nodes, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j <= self.n_steps and abs(self.nodes[j] - t) <= atol:
-                return j
-        raise GridAlignmentError(f"t={t} is not a node of this grid")
-
 
 def total_variation(rows: np.ndarray) -> np.ndarray:
     """Grid variation sum_i |eta(t_{i+1}) - eta(t_i)| of each stored row of a

@@ -41,7 +41,7 @@ from .model import (Preflight, ProblemSpec, equivalent_norm,
                     preflight)
 from .path_calculus import delay_windows, node_major_zeros, stored_rows
 from .stochastic_engine import (PathEnsemble, RegressionBasis, RegressionPlan,
-                                is_integer, realize_increasing_process)
+                                is_integer, is_number, realize_increasing_process)
 # not called here (model.preflight calls the checks, the solver reads windows
 # through delay_windows); bench/tracing.py looks these names up here
 from .model import check_H1, check_H2, select_lambda  # noqa: F401
@@ -403,18 +403,18 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
           basis: RegressionBasis | None = None,
           plan: RegressionPlan | None = None, tol: float = 1e-6,
           max_iter: int = 25, scheme: str = "explicit",
-          c: float | None = None, force: bool = False) -> Solution:
+          force: bool = False) -> Solution:
     """Iterate the outer map from (0, 0) until the successive squared
     distance in the contraction norm is at most tol or max_iter passes have
-    run.  A tol that is not a number >= 0, a max_iter that is not an integer
-    >= 1 or a scheme outside SCHEMES raises ValueError before anything runs.
+    run.  A tol not a finite number >= 0, a max_iter not an integer >= 1 or
+    a scheme outside SCHEMES raises ValueError before anything runs.
 
     ``plan`` sets the regression as in gamma_step and may be shared by the
     solves on one regression state (RegressionPlan.serves); ``basis`` is
     short for RegressionPlan(basis, ensemble) on the realized ensemble, and
-    passing both raises ValueError.  ``c`` overrides the problem's
-    smallness budget.  Realizes A if need be, refuses an ensemble that does
-    not fit the problem (_check_fit), then runs model.preflight and refuses
+    passing both raises ValueError.  Realizes A if need be, refuses an
+    ensemble that does not fit the problem (_check_fit), then runs
+    model.preflight at the problem's own budget (effective_c) and refuses
     when any of its checks fails, unless force=True, with a
     ConstraintViolationError whose cause is one naming the failed checks
     alone; the record is kept as diagnostics.preflight either way.  dA and
@@ -443,7 +443,7 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     distances have stopped shrinking.  F and G are evaluated only in the
     passes and the preflight; consistency_residuals gives the residuals.
     """
-    if not tol >= 0:
+    if not (is_number(tol) and tol >= 0):
         raise ValueError(f"tol must be a number >= 0, got {tol!r}")
     if not is_integer(max_iter, 1):
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
@@ -455,7 +455,7 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     _check_fit(problem, ensemble)
     grid = ensemble.grid
 
-    checks = preflight(problem, ensemble, c)
+    checks = preflight(problem, ensemble)
     if checks.failures and not force:
         # the cause holds the failed checks alone, for a front end that words its own hint
         failed = ConstraintViolationError("; ".join(checks.failures.values()))

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import spearmanr
 
 from .errors import ConstraintViolationError, FamilyInvalidError
-from .model import (ProblemSpec, argument_clouds, effective_c, equivalent_norm,
+from .model import (ProblemSpec, argument_clouds, equivalent_norm,
                     evaluate_generator)
 # unused here (solve's preflight calls them); bench/tracing.py looks them up here
 from .model import check_H1, check_H2  # noqa: F401
@@ -170,26 +170,26 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
     """Solve the base and every member on one Brownian ensemble and relate
     solution error to perturbation size.
 
-    Every member must pass solve's preflight with the family's single
-    budget c (taken from the base problem); a problem that solve refuses
-    stops the run with FamilyInvalidError naming it.  The error per member is
-    E sup_t |Y_n - Y|^2 + E int |Z_n - Z|^2 dt on coupled paths.  One
+    Each problem is judged by its own budget c (effective_c; the families
+    built here copy the base's c into every member): a problem that solve
+    refuses stops the run with FamilyInvalidError naming it and the failed
+    checks.  The error per member is E sup_t |Y_n - Y|^2 +
+    E int |Z_n - Z|^2 dt on coupled paths.  One
     RegressionPlan on ``basis`` (default RegressionBasis()) is built on the
     base ensemble and shared by every member it serves, those whose A is
     deterministic when the base's is, so its Gram matrices are built once
     for all of them; any other member gets its own plan.  solve refuses a
-    tol that is not a number >= 0 with ValueError.
+    tol that is not a finite number >= 0 with ValueError.
     """
     base = family.base
     grid = TimeGrid.uniform(base.T, n_steps, delta=base.delta)
     driving = simulate_brownian(grid, n_paths, d=base.d, seed=seed)
-    c_family = effective_c(base)
 
     def solve_or_refuse(problem, ensemble, name):
         own = plan if plan.serves(ensemble) else RegressionPlan(plan.basis, ensemble)
         try:
-            return solve(problem, ensemble, c=c_family, tol=tol,
-                         max_iter=max_iter, scheme=scheme, plan=own)
+            return solve(problem, ensemble, tol=tol, max_iter=max_iter,
+                         scheme=scheme, plan=own)
         except ConstraintViolationError as exc:
             raise FamilyInvalidError(
                 f"{name} fails: {exc.__cause__ or exc}") from None

@@ -27,6 +27,7 @@ node beside it, and PathEnsemble copies any other layout once.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
 from dataclasses import dataclass, replace
 
@@ -153,8 +154,10 @@ def is_integer(value, low=None) -> bool:
 
 
 def is_number(value) -> bool:
-    """Whether value is a real number, not a bool (a NaN is one)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """Whether value is a finite real number, not a bool: the one number
+    rule, so a NaN or an infinity (JSON's NaN and Infinity) is none."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 def member_index(n):
@@ -335,15 +338,15 @@ class RegressionBasis:
     random A's column).
     ``ridge`` is added to the diagonal of every normal matrix on this basis;
     with ridge = 0 a singular system raises SingularSystemError.  A degree
-    that is not an integer >= 0 (is_integer), or a negative ridge, raises
-    ValueError.  Designs are column-major (n_paths, p).
+    not an integer >= 0 (is_integer), or a ridge not a number >= 0
+    (is_number), raises ValueError.  Designs are column-major (n_paths, p).
     """
 
     degree: int = 2
     ridge: float = 1e-10
 
     def __post_init__(self):
-        if not (is_integer(self.degree, 0) and self.ridge >= 0):
+        if not (is_integer(self.degree, 0) and is_number(self.ridge) and self.ridge >= 0):
             raise ValueError(f"need an integer degree >= 0 and ridge >= 0, "
                              f"got degree={self.degree!r}, "
                              f"ridge={self.ridge!r}")

@@ -336,6 +336,19 @@ def test_validate_reports_a_solver_section_it_cannot_read():
     ("helly-bray", "hellybray", "bv_levels", [0.5, -1.0]),
     ("helly-bray", "hellybray", "bv_levels", [0.0]),
     ("helly-bray", "hellybray", "bv_levels", [float("nan")]),
+    # JSON's Infinity and NaN are no numbers: an infinite tol stops after
+    # pass 1, an infinite level makes every family tight, and a NaN shift
+    # fails only after the base solve
+    ("solve", "solver", "tol", float("inf")),
+    ("solve", "solver", "ridge", float("inf")),
+    ("stability", "stability", "tol", float("inf")),
+    ("stability", "stability", "final_threshold", float("inf")),
+    ("stability", "stability", "shifts", [1.0, float("nan")]),
+    ("stability", "stability", "shifts", [float("inf")]),
+    ("helly-bray", "hellybray", "T", float("inf")),
+    ("helly-bray", "hellybray", "ks_threshold", float("inf")),
+    ("helly-bray", "hellybray", "nu_ladder", [0.25, float("inf")]),
+    ("helly-bray", "hellybray", "bv_levels", [0.5, float("inf")]),
 ])
 def test_malformed_section_value_is_a_schema_error(tmp_path, capsys, command, section,
                                                    key, value):
@@ -463,7 +476,8 @@ def test_a_number_of_the_problem_section_must_be_a_json_number(tmp_path, capsys,
 
 def readme_config():
     """The JSON block under "### Config file" in README.md."""
-    text = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        text = fh.read()
     block = text.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     return json.loads(block)
 

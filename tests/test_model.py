@@ -241,8 +241,8 @@ def test_segment_integral_bits_ignore_memory_layout(atoms):
 def test_weighted_norm_closed_form():
     grid = TimeGrid.uniform(1.0, 2000)
     n = grid.nodes.size
-    Y = np.ones((1, n))
-    Z = np.ones((1, n))
+    Y = np.ones((1, n, 1))
+    Z = np.ones((1, n, 1, 1))
     A = grid.nodes[None, :].copy()
     rep = equivalent_norm(Y, Z, A, grid, alpha=0.0, beta=1.0, a=1.0, b=1.0)
     assert rep.sup_term == pytest.approx(E, rel=1e-12)
@@ -273,12 +273,12 @@ def test_weighted_norm_matches_bruteforce(rows):
 def test_equivalent_norm_of_Z_alone_closed_form(alpha, beta):
     # Z = 1, A = t: the weight e^t from either alpha or beta, so the dt term
     # is int_0^1 e^t dt = e - 1 by left sums (below it by under h(e-1)/2),
-    # b scales it alone, and no Y leaves the sup and dA terms at 0
+    # b scales it alone, and Y = 0 leaves the sup and dA terms at 0
     grid = TimeGrid.uniform(1.0, 1000)
     n = grid.nodes.size
     A = grid.nodes[None, :].copy()
-    rep = equivalent_norm(None, np.ones((1, n)), A, grid, alpha=alpha, beta=beta,
-                          a=5.0, b=2.0)
+    rep = equivalent_norm(np.zeros((1, n, 1)), np.ones((1, n, 1, 1)), A, grid,
+                          alpha=alpha, beta=beta, a=5.0, b=2.0)
     assert rep.sup_term == 0.0 and rep.dA_term == 0.0
     assert rep.dt_term == pytest.approx(E - 1.0, abs=1e-3)
     assert rep.dt_term < E - 1.0
@@ -290,15 +290,15 @@ def test_weighted_norm_refuses_a_total_that_is_not_finite():
     grid = TimeGrid.uniform(1.0, 4)
     with pytest.raises(NumericOverflowError, match="^weighted norm is not finite$"), \
             np.errstate(over="ignore"):
-        equivalent_norm(np.full((3, 5), 1e200), None, grid.nodes, grid,
-                        alpha=0.0, beta=0.0, a=1.0, b=1.0)
+        equivalent_norm(np.full((3, 5, 1), 1e200), np.zeros((3, 5, 1, 1)),
+                        grid.nodes[None, :], grid, alpha=0.0, beta=0.0, a=1.0, b=1.0)
 
 
 def test_weighted_norm_homogeneity():
     rng = np.random.default_rng(12)
     grid = TimeGrid.uniform(1.0, 16)
-    Y = rng.normal(size=(5, 17))
-    Z = rng.normal(size=(5, 17))
+    Y = rng.normal(size=(5, 17, 1))
+    Z = rng.normal(size=(5, 17, 1, 1))
     A = np.concatenate([np.zeros((5, 1)),
                         np.cumsum(np.abs(rng.normal(size=(5, 16))), axis=1)], axis=1)
     base = equivalent_norm(Y, Z, A, grid, alpha=0.0, beta=0.5, a=1.0, b=1.0)
@@ -309,17 +309,17 @@ def test_weighted_norm_homogeneity():
 
 def test_weighted_norm_refuses_weights_that_overflow():
     grid = TimeGrid.uniform(1.0, 4)
-    Y = np.ones((1, 5))
+    Y, Z = np.ones((1, 5, 1)), np.ones((1, 5, 1, 1))
     A = grid.nodes[None, :].copy()
     with pytest.raises(NumericOverflowError):
-        equivalent_norm(Y, None, A, grid, alpha=0.0, beta=800.0, a=1.0, b=1.0)
+        equivalent_norm(Y, Z, A, grid, alpha=0.0, beta=800.0, a=1.0, b=1.0)
 
 
 def test_equivalent_norm_closed_form():
     grid = TimeGrid.uniform(1.0, 2000)
     n = grid.nodes.size
-    dY = np.ones((1, n))
-    dZ = np.zeros((1, n))
+    dY = np.ones((1, n, 1))
+    dZ = np.zeros((1, n, 1, 1))
     A = grid.nodes[None, :].copy()
     rep = equivalent_norm(dY, dZ, A, grid, alpha=0.0, beta=1.0, a=2.0, b=1.0)
     assert rep.total == pytest.approx(3.0 * E - 2.0, abs=2e-3)
@@ -355,13 +355,13 @@ def squares(X):
 
 
 @pytest.mark.parametrize("layout", ["C", "node_major"])
-@pytest.mark.parametrize("dims", [(1, 2), ()])
+@pytest.mark.parametrize("dims", [(1, 2), (1, 1)])
 def test_norm_terms_equal_three_product_sums_bitwise(dims, layout):
     # the norm multiplies its weights into |Y|^2 and |Z|^2 in place and adds
     # each path's nodes in order, whatever the inputs' layout: the terms must
     # be those of the three-product expressions on node-major copies, which
     # numpy sums node by node, bit for bit (a C-order row it sums pairwise),
-    # for stacks with (m, d) axes and for scalar (n_paths, n_nodes) stacks
+    # for a Z of two components and for stacks of one component each
     rng = np.random.default_rng(19)
     n, n_steps = 400, 30
     grid = TimeGrid.uniform(1.0, n_steps)
@@ -399,15 +399,10 @@ def node_order_terms(dY, dZ, w, dA, dt):
     (the last of its running sums), then averaged."""
     def node_sum(X):
         return np.cumsum(X, axis=1)[:, -1]
-    terms = [0.0, 0.0, 0.0]
-    if dY is not None:
-        ysq = squares(dY)
-        terms[0] = float(np.mean(np.max(w * ysq, axis=1)))
-        terms[1] = float(np.mean(node_sum(w[:, :-1] * ysq[:, :-1] * dA)))
-    if dZ is not None:
-        zsq = squares(dZ)
-        terms[2] = float(np.mean(node_sum(w[:, :-1] * zsq[:, :-1] * dt)))
-    return tuple(terms)
+    ysq, zsq = squares(dY), squares(dZ)
+    return (float(np.mean(np.max(w * ysq, axis=1))),
+            float(np.mean(node_sum(w[:, :-1] * ysq[:, :-1] * dA))),
+            float(np.mean(node_sum(w[:, :-1] * zsq[:, :-1] * dt))))
 
 
 # (alpha, beta, a, b); each beta makes the single path's pairwise and
@@ -425,7 +420,8 @@ def test_node_walk_terms_equal_whole_array_bits(n, norm, A_kind, which):
     # nodes added in order, bit for bit, with minus= giving what the explicit
     # difference gives, for the contraction norm's weights and the solution
     # norm's (alpha = 0, a = b = 1).  One path is walked too: its row is not
-    # summed pairwise, as numpy sums a C-contiguous row
+    # summed pairwise, as numpy sums a C-contiguous row.  which = Y (Z) lets
+    # only Y - U (Z - V) differ from 0, so the other stack's terms are 0.0
     alpha, beta, a, b = NORMS[norm]
     rng = np.random.default_rng(31)
     n_steps = 40
@@ -437,18 +433,20 @@ def test_node_walk_terms_equal_whole_array_bits(n, norm, A_kind, which):
         rng.uniform(0, 0.1, size=(rows, n_steps)), axis=1)], axis=1)
     A = node_major(A) if rows > 1 else A
     if which == "Y":
-        Z = V = None
+        V = Z
     elif which == "Z":
-        Y = U = None
-    dY = None if Y is None else Y - U
-    dZ = None if Z is None else Z - V
+        U = Y
+    dY, dZ = Y - U, Z - V
     w, dA = weights = norm_weights(A, grid, alpha, beta)
     want = node_order_terms(dY, dZ, w, dA, grid.steps())
+    zero = {"both": (), "Y": (2,), "Z": (0, 1)}[which]
+    assert all(want[k] == 0.0 for k in zero) and all(
+        want[k] > 0.0 for k in range(3) if k not in zero)
     for rep in (equivalent_norm(Y, Z, A, grid, alpha, beta, a, b, weights=weights,
                                 minus=(U, V)),
                 equivalent_norm(dY, dZ, A, grid, alpha, beta, a, b)):
         assert (rep.sup_term, rep.dA_term, rep.dt_term) == want
-    if n == 1 and dY is not None:
+    if n == 1 and which != "Z":
         # the pairwise sum of the single row is not the node-by-node sum, so
         # the comparison above tells the two apart
         row = (w[:, :-1] * np.sum(dY[:, :-1] ** 2, axis=2) * dA)[0]
@@ -494,8 +492,9 @@ def test_norm_refuses_stacks_whose_path_counts_disagree():
 
     with pytest.raises(ValueError, match=re.escape("Y (5, 11, 1), Z (3, 11, 1, 1), A rows 1")):
         equivalent_norm(Y, rng.normal(size=(3, 11, 1, 1)), t, grid, 0.0, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError, match=re.escape("Y (5, 11, 1), U (1, 11, 1), A rows 1")):
-        equivalent_norm(Y, None, t, grid, 1.3, 0.6, 5.0, 2.0,
+    with pytest.raises(ValueError, match=re.escape(
+            "Y (5, 11, 1), U (1, 11, 1), Z (5, 11, 1, 1), A rows 1")):
+        equivalent_norm(Y, Z, t, grid, 1.3, 0.6, 5.0, 2.0,
                         minus=(rng.normal(size=(1, 11, 1)), None))
     with pytest.raises(ValueError, match=re.escape("Y (5, 11, 1), Z (5, 11, 1, 1), A rows 4")):
         equivalent_norm(Y, Z, random_A(4), grid, 0.0, 0.0, 1.0, 1.0)
@@ -507,10 +506,25 @@ def test_norm_refuses_stacks_whose_path_counts_disagree():
     assert equivalent_norm(Y[:1], Z[:1], t, grid, 0.0, 0.0, 1.0, 1.0).total > 0
 
 
-def test_norm_of_no_stack_is_zero():
-    grid = TimeGrid.uniform(1.0, 4)
-    rep = equivalent_norm(None, None, grid.nodes[None, :], grid, 1.3, 0.6, 5.0, 2.0)
-    assert (rep.sup_term, rep.dA_term, rep.dt_term) == (0.0, 0.0, 0.0)
+def test_norm_refuses_stacks_that_are_not_whole():
+    # Y (n, nodes, m) and Z (n, nodes, m, d), both given, U and V shaped as
+    # they are: a 2-D stack is not padded, an absent Z is not left out, and a
+    # stack on other nodes is one more fault of shape
+    rng = np.random.default_rng(47)
+    grid = TimeGrid.uniform(1.0, 10)
+    t = grid.nodes[None, :]
+    Y, Z = rng.normal(size=(5, 11, 1)), rng.normal(size=(5, 11, 1, 1))
+    for stacks, shapes in (((Y[..., 0], Z), "Y (5, 11), Z (5, 11, 1, 1)"),
+                           ((Y, None), "Y (5, 11, 1), A rows 1"),
+                           ((None, Z), "Z (5, 11, 1, 1), A rows 1"),
+                           ((Y, Z[..., 0]), "Y (5, 11, 1), Z (5, 11, 1)"),
+                           ((Y[:, :10], Z[:, :10]), "Y (5, 10, 1), Z (5, 10, 1, 1)")):
+        with pytest.raises(ValueError, match=re.escape(
+                "needs Y (n, 11, m) and Z (n, 11, m, d), U and V as Y and Z") + ".*"
+                + re.escape(shapes)):
+            equivalent_norm(*stacks, t, grid, 0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape("Y (5, 11, 1), U (5, 11), Z (5, 11, 1, 1)")):
+        equivalent_norm(Y, Z, t, grid, 0.0, 0.0, 1.0, 1.0, minus=(Y[..., 0], None))
 
 
 def test_node_walk_allocates_nothing_stack_sized():
@@ -976,6 +990,9 @@ def test_problem_validation():
     ("K", np.array([0.001, -0.001])), ("K_tilde", np.array([0.001, np.nan])),
     ("beta", np.nan), ("L", np.nan), ("L_tilde", np.nan), ("c", np.nan),
     ("T", np.nan),
+    # an infinity is no number either
+    ("T", np.inf), ("beta", np.inf), ("L", np.inf), ("L_tilde", np.inf), ("c", np.inf),
+    ("K", np.inf), ("K_tilde", np.inf), ("K", np.array([0.001, np.inf])),
 ])
 def test_problem_refuses_negative_or_nan_constants(key, value):
     with pytest.raises(ValueError):

@@ -74,14 +74,6 @@ def test_grid_accepts_full_window_delta_with_rounding():
     assert TimeGrid.uniform(T, n, delta=T * n / n).delta_index_offset == n
 
 
-def test_index_of():
-    g = TimeGrid.uniform(2.0, 40)
-    assert g.index_of(0.0) == 0
-    assert g.index_of(1.05) == 21
-    with pytest.raises(GridAlignmentError):
-        g.index_of(1.02)
-
-
 # ---------------------------------------------------------------- variation
 
 def test_total_variation_monotone_is_endpoint_difference():
@@ -120,7 +112,7 @@ def test_total_variation_matches_bruteforce():
 def test_total_variation_additive_over_intervals():
     g = TimeGrid.uniform(2.0, 80)
     vals = np.sin(3 * g.nodes) + 0.5 * g.nodes
-    i = g.index_of(0.75)
+    i = 30   # t_30 = 0.75
     split = total_variation(vals[:i + 1]) + total_variation(vals[i:])
     assert split == pytest.approx(total_variation(vals), abs=1e-12)
 
@@ -348,15 +340,15 @@ def test_cumulative_stieltjes_leaves_its_inputs_alone():
 
 # ---------------------------------------------------------------- segments
 
-def window_at(grid, x, t, kind="state"):
-    """The delay window x(t + theta), theta in [-delta, 0], of a row x on
+def window_at(grid, x, i, kind="state"):
+    """The delay window x(t_i + theta), theta in [-delta, 0], of a row x on
     grid, as delay_windows reads it."""
-    return delay_windows(x[None], grid.delta_index_offset, kind)(grid.index_of(t))[0]
+    return delay_windows(x[None], grid.delta_index_offset, kind)(i)[0]
 
 
 def test_delayed_segment_interior():
     g = TimeGrid.uniform(1.0, 10, delta=0.2)
-    values = window_at(g, g.nodes, 0.5)
+    values = window_at(g, g.nodes, 5)   # t_5 = 0.5
     assert g.delta_index_offset == 2
     assert np.allclose(values, [0.3, 0.4, 0.5], atol=1e-12)
     assert values[-1] == pytest.approx(0.5)
@@ -365,9 +357,9 @@ def test_delayed_segment_interior():
 def test_delayed_segment_prolongation_conventions():
     g = TimeGrid.uniform(1.0, 10, delta=0.3)
     x = 1.0 + g.nodes
-    state = window_at(g, x, 0.1, kind="state")
+    state = window_at(g, x, 1, kind="state")   # t_1 = 0.1
     assert np.allclose(state, [1.0, 1.0, 1.0, 1.1], atol=1e-12)
-    control = window_at(g, x, 0.0, kind="control")
+    control = window_at(g, x, 0, kind="control")
     assert np.allclose(control, [0.0, 0.0, 0.0, 1.0], atol=1e-12)
 
 

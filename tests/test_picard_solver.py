@@ -756,7 +756,7 @@ def test_solve_same_bits_on_every_layout_of_the_ensemble(spec):
 
 
 @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
-def test_solve_same_bits_on_broadcast_and_full_A(scheme):
+def test_solve_same_bits_on_broadcast_and_full_A(monkeypatch, scheme):
     # a full copy of a deterministic A, as a hand-built ensemble may hold it
     spec = IncreasingProcessSpec("oscillatory", {"base": IDENTITY_A, "n": 3})
     prob = replace(segment_problem(), A_spec=spec)
@@ -771,9 +771,17 @@ def test_solve_same_bits_on_broadcast_and_full_A(scheme):
     assert consistency_residuals(prob, one) == consistency_residuals(prob, two)
     for rep1, rep2 in ((d1.preflight.h1, d2.preflight.h1), (d1.preflight.h2, d2.preflight.h2)):
         assert rep1.lhs.shape == (300,) and np.array_equal(rep1.lhs, rep2.lhs)
+    # every moment averages one sample per path, the one-row A's included
+    sizes, moment = [], model._moment
+
+    def counted(samples):
+        sizes.append(np.size(samples))
+        return moment(samples)
+
+    monkeypatch.setattr(model, "_moment", counted)
     moments = [check_integrability(prob, e).entries for e in (ens, full)]
     assert moments[0] == moments[1]
-    assert all(est.n == 300 for est in moments[0].values())
+    assert sizes == [300] * 2 * len(moments[0])
 
 
 def test_solve_matches_pass_by_pass_replay(monkeypatch):
@@ -918,6 +926,8 @@ def test_solve_refuses_a_tolerance_that_cannot_be_met(tol):
     ({"max_iter": True}, "max_iter must be an integer >= 1, got True"),
     ({"scheme": "midpoint"}, "scheme must be 'explicit' or 'implicit'"),
     ({"tol": -1.0}, "tol must be a number >= 0"),
+    # an infinite tol would stop after pass 1
+    ({"tol": float("inf")}, "tol must be a number >= 0, got inf"),
 ])
 def test_solve_refuses_bad_sweep_settings_before_its_preflight(monkeypatch, settings, match):
     calls = []

@@ -231,6 +231,17 @@ def test_family_member_failing_conditions_is_named():
         run_stability(family, n_paths=16, n_steps=20)
 
 
+def test_member_is_judged_by_its_own_budget():
+    # (H2)'s left side is 2e-4 e^{1.25} = 6.98e-4 here: within the base's
+    # c = 1.5e-3, not within a member's declared c = 1e-4, which solve refuses
+    # on its own and so must the run, not solve it at the base's budget
+    base = make_base(K_tilde=2e-4)
+    run_stability(PerturbationFamily(base=base, members=[base]), n_paths=16, n_steps=20)
+    family = PerturbationFamily(base=base, members=[replace(base, c=1e-4)])
+    with pytest.raises(FamilyInvalidError, match=r"^member 0 \(label 0\) fails: .*\(H2\) FAIL"):
+        run_stability(family, n_paths=16, n_steps=20)
+
+
 def test_invalid_base_is_reported():
     base = make_base(
         G=registry.build_G({"name": "rho_integral", "params": {"gamma": 2.0}}),

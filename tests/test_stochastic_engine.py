@@ -453,8 +453,9 @@ def test_singular_design_raises_without_ridge():
     out = conditional_expectation(ens.W[:, -1, 0], RegressionBasis(1, ridge=1e-10),
                                   ens, 5, extra_features=[dup])
     assert np.all(np.isfinite(out))
-    with pytest.raises(ValueError, match="ridge >= 0"):
-        RegressionBasis(1, ridge=-1e-10)
+    for ridge in (-1e-10, np.inf):
+        with pytest.raises(ValueError, match="ridge >= 0"):
+            RegressionBasis(1, ridge=ridge)
     with pytest.raises(ValueError, match="degree >= 0"):
         RegressionBasis(-1)
 
