@@ -31,14 +31,13 @@ from .errors import (BlowupError, ConfigError, ConstraintViolationError,
                      DelayBsdeError, FamilyInvalidError, GridAlignmentError,
                      NonContractionError)
 from .model import c_admissible, check_integrability, generator_reads, preflight
-from .path_calculus import TimeGrid
-from .picard_solver import SCHEMES, consistency_residuals, contraction_report, solve
+from .path_calculus import TimeGrid, is_integer, is_number
+from .picard_solver import consistency_residuals, contraction_report, solve
 from .registry import build_F, build_G, build_terminal, problem_from_dict
 from .stability_lab import (helly_bray_stochastic_check, oscillatory_A_family,
                             oscillatory_integration_family,
                             resonant_integration_family, xi_shift_family)
-from .stochastic_engine import (PROCESS_KINDS, IncreasingProcessSpec,
-                                RegressionBasis, is_integer, is_number,
+from .stochastic_engine import (PROCESS_KINDS, IncreasingProcessSpec, RegressionBasis,
                                 realize_increasing_process, simulate_brownian)
 
 ENV_PREFIX = "DELAYBSDE_"
@@ -64,9 +63,9 @@ def _number(low=None, strict=False):
     is_number refuses: a bool, a NaN and an infinity."""
     def cast(value):
         if not is_number(value):
-            raise ValueError(f"must be a number, got {value!r}")
+            raise ValueError(f"must be a finite number, got {value!r}")
         if low is not None and not (value > low if strict else value >= low):
-            raise ValueError(f"must be a number {'>' if strict else '>='} {low}, "
+            raise ValueError(f"must be a finite number {'>' if strict else '>='} {low}, "
                              f"got {value!r}")
         return float(value)
     return cast
@@ -104,18 +103,18 @@ _FAMILIES = {"oscillatory": oscillatory_integration_family,
              "resonant": resonant_integration_family}
 # a seed is a Philox key, in [0, 2**64) as simulate_brownian checks
 _ENSEMBLE = {"seed": (0, _integer(0, 2 ** 64)), "n_paths": (2000, _integer(1))}
-_SWEEP = {"max_iter": (25, _integer(1)), "scheme": ("explicit", _choice(*SCHEMES))}
 # every setting a command reads: section -> key -> (default, cast); None is the root
 SETTINGS = {
     None: {"out": ("delaybsde-out", _text)},
-    "solver": {**_ENSEMBLE, "n_steps": (50, _integer(1)), "tol": (1e-6, _number(0)), **_SWEEP,
-               "force": (False, _choice(False, True)),
+    "solver": {**_ENSEMBLE, "n_steps": (50, _integer(1)), "tol": (1e-6, _number(0)),
+               "max_iter": (25, _integer(1)), "force": (False, _choice(False, True)),
                "degree": (RegressionBasis.degree, _basis("degree", _integer())),
                "ridge": (RegressionBasis.ridge, _basis("ridge", _number()))},
     "stability": {"kind": ("oscillatory_A", _choice("oscillatory_A", "xi_shift")),
                   "n_values": ([2, 4, 8, 16], _list_of(_integer(1))),
                   "shifts": ([1.0, 0.5, 0.25, 0.125], _list_of(_number())),
-                  "final_threshold": (1e-3, _number(0)), "tol": (1e-8, _number(0)), **_SWEEP},
+                  "final_threshold": (1e-3, _number(0)), "tol": (1e-8, _number(0)),
+                  "max_iter": (25, _integer(1))},
     "hellybray": {**_ENSEMBLE, "n_steps": (200, _integer(1)),
                   "family": ("oscillatory", _choice(*_FAMILIES)),
                   "T": (1.0, _number(0, strict=True)),
@@ -131,13 +130,22 @@ def read_settings(config, section, args=None):
 
     seed, n_paths, n_steps and out resolve as flag > DELAYBSDE_* environment
     variable > config value > default, the first two only when args is given.
-    A section that is not an object, or a value its cast refuses, raises
-    ConfigError("[schema] <where>: ..."), where <where> is section.key, the
-    flag or the environment variable.
+    A section that is not an object, a key it does not list (at the root,
+    any key but out, problem and the section names), or a value its cast
+    refuses, raises ConfigError("[schema] <where>: ..."), where <where> is
+    section.key, the flag or the environment variable.
     """
     cfg = config if section is None else config.get(section, {})
     if not isinstance(cfg, dict):
         raise ConfigError(f"[schema] {section}: must be an object, got {cfg!r}")
+    known = set(SETTINGS[section])
+    if section is None:    # the root also holds the problem and the sections
+        known |= {"problem", *SETTINGS} - {None}
+    for key in cfg:
+        if key not in known:
+            where = key if section is None else f"{section}.{key}"
+            raise ConfigError(f"[schema] {where}: unknown key; {section or 'the root'} "
+                              f"takes {', '.join(sorted(known))}")
     values = {}
     for key, (default, cast) in SETTINGS[section].items():
         where, value = key if section is None else f"{section}.{key}", cfg.get(key, default)
@@ -391,7 +399,7 @@ def cmd_solve(args):
     ensemble = _ensemble(problem, solver)
     try:
         solution = solve(problem, ensemble, basis=basis,
-                         **{key: solver[key] for key in ("tol", "max_iter", "scheme", "force")})
+                         **{key: solver[key] for key in ("tol", "max_iter", "force")})
     except ConstraintViolationError as exc:
         # solve's refusal: its cause names the failed checks, and a config overrides it by key
         print(f'solve: FAIL ({exc.__cause__ or exc}; set "force": true in the solver '
@@ -442,7 +450,7 @@ def cmd_stability(args):
     try:
         report = stability_lab.run_stability(
             family, basis=basis, **{key: solver[key] for key in _ENSEMBLE_KEYS},
-            **{key: stab[key] for key in ("final_threshold", "tol", "max_iter", "scheme")})
+            **{key: stab[key] for key in ("final_threshold", "tol", "max_iter")})
     except (FamilyInvalidError, NonContractionError, BlowupError) as exc:
         print(f"stability: FAIL ({exc})")
         return 2

@@ -19,10 +19,9 @@ from scipy.stats import qmc
 
 from .errors import (ConstraintViolationError, GeneratorEvaluationError,
                      NumericOverflowError)
-from .path_calculus import (TimeGrid, delay_fits_horizon, node_major_zeros,
-                            stored_rows)
-from .stochastic_engine import (IncreasingProcessSpec, PathEnsemble, is_integer,
-                                is_number, omega_delta)
+from .path_calculus import (TimeGrid, delay_fits_horizon, is_integer, is_number,
+                            node_major_zeros, stored_rows)
+from .stochastic_engine import IncreasingProcessSpec, PathEnsemble, omega_delta
 
 __all__ = [
     "AtomMeasure",
@@ -249,8 +248,13 @@ def norm_weights(A, grid: TimeGrid, alpha: float, beta: float):
     """(w, dA) of A as (rows, n_nodes): the weights e^{alpha t + beta A(t)},
     (rows, n_nodes), and the increments of A, (rows, n_steps), on the rows A
     stores (path_calculus.stored_rows) and in A's memory layout.  Both depend on A
-    alone, so a caller taking many norms builds them once."""
-    A = stored_rows(np.asarray(A, dtype=float))
+    alone, so a caller taking many norms builds them once.  An A of any other
+    shape raises ValueError naming it."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[1] != grid.nodes.size:
+        raise ValueError(f"A must be (rows, {grid.nodes.size}) on the grid's nodes, "
+                         f"got shape {A.shape}")
+    A = stored_rows(A)
     with np.errstate(over="ignore"):
         w = np.multiply(beta, A)
         w += alpha * grid.nodes

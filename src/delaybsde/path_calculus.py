@@ -1,13 +1,16 @@
 """Deterministic calculus on grid-sampled paths.
 
-Time grids, the total variation of path stacks, running Lebesgue-Stieltjes
-sums against increasing or bounded-variation integrators, and the delay
-windows of path stacks.  Everything here is deterministic: stochastic
-objects enter only as arrays of per-path samples.
+The one number and integer rules (is_number, is_integer), time grids, the
+total variation of path stacks, running Lebesgue-Stieltjes sums against
+increasing or bounded-variation integrators, and the delay windows of path
+stacks.  Everything here is deterministic: stochastic objects enter only as
+arrays of per-path samples.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +19,8 @@ from .errors import GridAlignmentError
 
 __all__ = [
     "BLOCK_BYTES",
+    "is_integer",
+    "is_number",
     "TimeGrid",
     "delay_fits_horizon",
     "total_variation",
@@ -36,6 +41,19 @@ __all__ = [
 BLOCK_BYTES = 1 << 20
 # Paths per tile of a node-major copy, so that a tile's strided reads stay in cache.
 _TILE = 512
+
+
+def is_number(value) -> bool:
+    """Whether value is a finite real number, not a bool: the one number
+    rule, so a NaN or an infinity (JSON's NaN and Infinity) is none."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
+
+
+def is_integer(value, low=None) -> bool:
+    """Whether value is an integer, not a bool, and at least low when given."""
+    return (is_number(value) and isinstance(value, numbers.Integral)
+            and (low is None or value >= low))
 
 
 def delay_fits_horizon(delta: float, T: float) -> bool:
@@ -85,7 +103,11 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, T: float, n_steps: int, delta: float | None = None) -> "TimeGrid":
-        return cls(np.linspace(0.0, float(T), int(n_steps) + 1), delta)
+        """n_steps equal steps on [0, T]; an n_steps that is not an integer
+        >= 1 (is_integer: 20.5 and True are none) raises ValueError."""
+        if not is_integer(n_steps, 1):
+            raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+        return cls(np.linspace(0.0, float(T), n_steps + 1), delta)
 
     @property
     def T(self) -> float:

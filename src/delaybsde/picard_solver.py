@@ -2,19 +2,17 @@
 
 One outer step freezes the delayed arguments at the previous iterate (U, V)
 and solves the resulting standard backward equation for Y by least-squares
-regression on a backward sweep, which adds the Stieltjes increment
-G(t_i, U(t_i), U_{t_i}) dA_i, known at t_i, to the value it projects at node
-i.  Iterating this map contracts in the weighted norm whenever the
-smallness conditions hold; the solver tracks the contraction empirically and
-compares it with the theoretical factor mu_lambda.  When the map reads no
-delay window, only G's y through a G affine in y, and A is deterministic,
-the fixed point at node i, Y_i = P_i[Y_{i+1} + dt F] + G(Y_i) dA_i,
-involves node i and later nodes alone, so one sweep that solves G's
-equation at its own node, per path, gives it (the implicit-in-y backward
-scheme of Bouchard & Touzi, SPA 2004, and Gobet, Lemor & Warin, AAP 2005):
-in one step, as the equation is affine, unless the implicit F joins it;
-the Picard loop is what a delayed driver, a G nonlinear in y or a random A
-needs.
+regression on one explicit backward sweep (Gobet, Lemor & Warin, AAP 2005),
+which adds the Stieltjes increment G(t_i, U(t_i), U_{t_i}) dA_i, known at
+t_i, to the value it projects at node i and evaluates F at the next value.
+Iterating this map contracts in the weighted norm whenever the smallness
+conditions hold; the solver tracks the contraction empirically and compares
+it with the theoretical factor mu_lambda.  When the map reads no delay
+window, only G's y through a G affine in y, and A is deterministic, the
+fixed point at node i, Y_i = P_i[Y_{i+1} + dt F] + G(Y_i) dA_i, involves
+node i and later nodes alone, so one sweep that solves G's affine equation
+at its own node, per path and in one step, gives it; the Picard loop is
+what a delayed driver, a G nonlinear in y or a random A needs.
 
 Layout: path stacks are (n_paths, n_nodes, ...) and node-major
 (path_calculus.node_major_zeros): the ensemble's W and random A, as
@@ -39,9 +37,10 @@ from .errors import (BlowupError, ConstraintViolationError,
 from .model import (Preflight, ProblemSpec, equivalent_norm,
                     evaluate_generator, generator_reads, norm_weights,
                     preflight)
-from .path_calculus import delay_windows, node_major_zeros, stored_rows
+from .path_calculus import (delay_windows, is_integer, is_number, node_major_zeros,
+                            stored_rows)
 from .stochastic_engine import (PathEnsemble, RegressionBasis, RegressionPlan,
-                                is_integer, is_number, realize_increasing_process)
+                                realize_increasing_process)
 # not called here (model.preflight calls the checks, the solver reads windows
 # through delay_windows); bench/tracing.py looks these names up here
 from .model import check_H1, check_H2, select_lambda  # noqa: F401
@@ -49,7 +48,6 @@ from .path_calculus import delay_window as node_segment
 from .stochastic_engine import conditional_expectation  # noqa: F401
 
 __all__ = [
-    "SCHEMES",
     "SolverDiagnostics",
     "Solution",
     "ContractionReport",
@@ -64,14 +62,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 BLOWUP_THRESHOLD = 1e8  # |Y| above this at a node raises BlowupError
-# the implicit F's per-path fixed point at a node (with G's equation there
-# on the one sweep) stops once each path moves by less than NODE_GAP times
-# max(1, |value|) in a pass; from NODE_PASSES passes on its moves must keep
-# shrinking, and NODE_PASS_LIMIT passes end it
-NODE_PASSES = 20
-NODE_GAP = 1e-12
-NODE_PASS_LIMIT = 1000
-SCHEMES = ("explicit", "implicit")  # how a sweep advances the value, see gamma_step
 
 
 def _read_only(X: np.ndarray) -> np.ndarray:
@@ -97,11 +87,6 @@ def _plan_for(ensemble: PathEnsemble, plan: RegressionPlan | None,
         raise ValueError("the regression plan was built for another ensemble, "
                          "whose W or random A is not this one's")
     return plan
-
-
-def _check_scheme(scheme) -> None:
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be {' or '.join(map(repr, SCHEMES))}")
 
 
 def _check_fit(problem: ProblemSpec, ensemble: PathEnsemble) -> None:
@@ -146,35 +131,6 @@ def _solved_at_its_node(problem: ProblemSpec, plan: RegressionPlan, dA: np.ndarr
             and not plan.reads_A and dA.shape[0] == 1)
 
 
-def _node_fixed_point(step, start: np.ndarray, i: int, t: float) -> tuple:
-    """(value, passes) of value = step(value), per path, from start.  It
-    stops once each path moves by less than NODE_GAP times max(1, |value|)
-    (a value above 1 may move by its rounding error for ever), or at a value
-    that is not finite.  From NODE_PASSES passes on it also stops at a value
-    above BLOWUP_THRESHOLD (the caller raises BlowupError), and it raises
-    NonContractionError, naming node i, t and the gap, once the largest
-    move has not shrunk over two passes, as solve's distances, or after
-    NODE_PASS_LIMIT passes."""
-    cur, gaps = start, []
-    for passes in range(1, NODE_PASS_LIMIT + 1):
-        new = step(cur)
-        if not np.all(np.isfinite(new)):
-            return new, passes
-        move = np.abs(new - cur)
-        if np.all(move < NODE_GAP * np.maximum(1.0, np.abs(cur))):
-            return new, passes
-        gaps.append(float(np.max(move)))
-        if passes >= NODE_PASSES:
-            if np.max(np.abs(new)) > BLOWUP_THRESHOLD:
-                return new, passes
-            if gaps[-1] >= gaps[-2] >= gaps[-3]:
-                break
-        cur = new
-    raise NonContractionError(
-        f"the fixed point at node {i} (t={t:.6g}) still moves by {gaps[-1]:.3e} after "
-        f"{passes} passes, above the gap {NODE_GAP:g}")
-
-
 def _affine_node_solve(problem: ProblemSpec, ctx, probes: np.ndarray, dA_i: np.ndarray,
                        base: np.ndarray, i: int) -> np.ndarray:
     """Y = base + G(Y) dA_i per path, for a G affine in y, in one step: with
@@ -217,15 +173,14 @@ def build_B(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray) -> np.n
 
 
 def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
-               U: np.ndarray, V: np.ndarray, *, scheme: str = "explicit",
+               U: np.ndarray, V: np.ndarray, *,
                plan: RegressionPlan | None = None, dA: np.ndarray | None = None):
     """One application of the outer map: (U, V) -> (Y, Z).
 
     Backward in time: add the Stieltjes increment G(U_i) dA_i, known at t_i,
     to the next value, project that target on the regression state, read
     the control from the centered increment correlation, then advance the
-    value either explicitly (F at the next value) or implicitly (per-path
-    fixed point, F at the current value, _node_fixed_point).
+    value by projecting the target plus dt F, with F at the next value.
 
     ``plan`` (default RegressionPlan(RegressionBasis(), ensemble)) sets the
     regression, its basis, ridge and state, and carries the work that does
@@ -235,28 +190,21 @@ def gamma_step(problem: ProblemSpec, ensemble: PathEnsemble,
     increments of ensemble.A's stored rows.  F and G get read-only
     arguments.  It refuses an ensemble that does not fit the problem
     (_check_fit) or a non-finite G (GeneratorEvaluationError); a value
-    above BLOWUP_THRESHOLD or not finite raises BlowupError, and an
-    implicit fixed point that does not settle NonContractionError.  Y and Z
-    come back node-major whatever the layout of U and V.
+    above BLOWUP_THRESHOLD or not finite raises BlowupError.  Y and Z come
+    back node-major whatever the layout of U and V.
     """
-    Y, Z, _ = _sweep(problem, ensemble, U, V, scheme, plan, dA, node_g=False)
-    return Y, Z
+    return _sweep(problem, ensemble, U, V, plan, dA, node_g=False)
 
 
 def _sweep(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray, V: np.ndarray,
-           scheme: str, plan: RegressionPlan | None, dA: np.ndarray | None, *,
-           node_g: bool) -> tuple:
-    """(Y, Z, passes): gamma_step's backward sweep, and with node_g solve's
-    one sweep, with passes the most a node's fixed point took (0 without
-    node_g).  With node_g, G's increment leaves the regressed target, so the
-    mean fit, Z and the explicit F come from the next value alone, and each
-    node solves Y_i = base + G(Y_i) dA_i per path in one step
-    (_affine_node_solve, 1 pass), with base the explicit fit of the next
-    value plus dt F, or, with the implicit F, iterates Y_i = P_i[Y_{i+1}] +
-    dt F(Y_i, Z_i) + G(Y_i) dA_i (_node_fixed_point); U and V are then not
-    read.  That is the map's fixed point only under _solved_at_its_node,
-    and any other problem raises ValueError."""
-    _check_scheme(scheme)
+           plan: RegressionPlan | None, dA: np.ndarray | None, *, node_g: bool) -> tuple:
+    """(Y, Z): gamma_step's backward sweep, and with node_g solve's one
+    sweep.  With node_g, G's increment leaves the regressed target, so the
+    mean fit, Z and F come from the next value alone, and each node solves
+    Y_i = base + G(Y_i) dA_i per path in one step (_affine_node_solve), with
+    base the fit of the next value plus dt F; U and V are then not read.
+    That is the map's fixed point only under _solved_at_its_node, and any
+    other problem raises ValueError."""
     _check_fit(problem, ensemble)
     grid = ensemble.grid
     plan = _plan_for(ensemble, plan)
@@ -281,10 +229,8 @@ def _sweep(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray, V: np.nd
     f_reads = generator_reads(problem.F)
     u_windows = _windows(U, k, "y_seg" in (f_reads | generator_reads(problem.G)))
     v_windows = _windows(V, k, "z_seg" in f_reads, kind="control")
-    implicit_f = scheme == "implicit" and problem.F is not None
     if node_g:  # G's arguments in its affine solve: 0, then each e_j
         probes = np.broadcast_to(np.eye(m + 1, m, -1)[:, None], (m + 1, n, m))
-    most = 0
 
     for i in range(n_nodes - 2, -1, -1):
         dt = float(steps[i])
@@ -304,35 +250,26 @@ def _sweep(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray, V: np.nd
         Z[:, i] = z_fit.reshape(n, m, d)
 
         cur = mean_fit
-        if problem.F is not None and not implicit_f:
+        if problem.F is not None:
             drv = evaluate_generator(problem.F, "F", ctx, nxt, Z_in[:, i], seg_y, v_windows(i))
             cur, _ = plan.fit(i, design, tgt + dt * drv)
-        if implicit_f:
-            seg_z, dA_i, base = v_windows(i), dA[:, i, None], cur
-
-            def step(y):
-                y = _read_only(y)
-                new = base + dt * evaluate_generator(problem.F, "F", ctx, y,
-                                                     Z_in[:, i], seg_y, seg_z)
-                if node_g:
-                    new = new + _g_increment(problem, ctx, y, None, dA_i)
-                return new
-
-            cur, passes = _node_fixed_point(step, base, i, ctx.t)
-            most = max(most, passes)
-        elif node_g:
-            cur, most = _affine_node_solve(problem, ctx, probes, dA[:, i, None], cur, i), 1
+        if node_g:
+            cur = _affine_node_solve(problem, ctx, probes, dA[:, i, None], cur, i)
         if not np.all(np.isfinite(cur)) or np.max(np.abs(cur)) > BLOWUP_THRESHOLD:
             raise BlowupError(f"value iterate exploded at node {i} (t={ctx.t:.6g})")
         Y[:, i] = cur
         del design  # free it before the next node builds its own
 
     Z[:, -1] = Z[:, -2]
-    return Y, Z, most if node_g else 0
+    return Y, Z
 
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
+    """What solve recorded: each pass's squared distance and ratio, tol,
+    converged and iterations, the norm's alpha, beta, a, b and mu_lambda
+    (None without a contracting lambda), and the preflight record."""
+
     deltas: list
     ratios: list
     tol: float
@@ -343,10 +280,8 @@ class SolverDiagnostics:
     mu_lambda: float | None
     a: float
     b: float
-    scheme: str
     preflight: Preflight | None = None
-    # the one sweep's most passes at a node: 1 for G's one-step solve, more
-    # where the implicit F's node equation iterates; 0 on the loop path
+    # 1 when the one sweep solved G's equation at its own node, 0 otherwise
     node_passes: int = 0
 
 
@@ -369,12 +304,12 @@ class Solution:
 def consistency_residuals(problem: ProblemSpec, solution: Solution) -> tuple:
     """(martingale_residual, self_consistency_rms), which solve does not
     compute: the largest |path mean| and the RMS of the residuals R_i =
-    Y_{i+1} - Y_i + F dt + G dA_i - Z_i dW_i in solution's scheme, from F and
-    G at every node of read-only views of Y, Z and W in the layout they
+    Y_{i+1} - Y_i + F dt + G dA_i - Z_i dW_i, with F at Y_{i+1} as the
+    sweep evaluates it, from F and G at every node of read-only views of Y, Z and W in the layout they
     have (every read is per node, so any layout gives the same bits), dA
     from A's stored rows, and R built and reduced in C order.  Refuses an
     unfit problem (_check_fit)."""
-    ensemble, scheme = solution.ensemble, solution.diagnostics.scheme
+    ensemble = solution.ensemble
     _check_fit(problem, ensemble)
     grid = ensemble.grid
     k, steps = grid.delta_index_offset, grid.steps()
@@ -389,9 +324,8 @@ def consistency_residuals(problem: ProblemSpec, solution: Solution) -> tuple:
         ctx = problem.context(grid, float(grid.nodes[i]), W[:, i])
         acc = Y[:, i + 1] - Y[:, i]
         if problem.F is not None:
-            y_arg = Y[:, i + 1] if scheme == "explicit" else Y[:, i]
             acc = acc + dt * evaluate_generator(
-                problem.F, "F", ctx, y_arg, Z[:, i], y_windows(i), z_windows(i))
+                problem.F, "F", ctx, Y[:, i + 1], Z[:, i], y_windows(i), z_windows(i))
         if problem.G is not None:
             acc = acc + dA[:, i, None] * evaluate_generator(
                 problem.G, "G", ctx, Y[:, i], None, y_windows(i), None)
@@ -402,12 +336,11 @@ def consistency_residuals(problem: ProblemSpec, solution: Solution) -> tuple:
 def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
           basis: RegressionBasis | None = None,
           plan: RegressionPlan | None = None, tol: float = 1e-6,
-          max_iter: int = 25, scheme: str = "explicit",
-          force: bool = False) -> Solution:
+          max_iter: int = 25, force: bool = False) -> Solution:
     """Iterate the outer map from (0, 0) until the successive squared
     distance in the contraction norm is at most tol or max_iter passes have
-    run.  A tol not a finite number >= 0, a max_iter not an integer >= 1 or
-    a scheme outside SCHEMES raises ValueError before anything runs.
+    run.  A tol not a finite number >= 0 or a max_iter not an integer >= 1
+    raises ValueError before anything runs.
 
     ``plan`` sets the regression as in gamma_step and may be shared by the
     solves on one regression state (RegressionPlan.serves); ``basis`` is
@@ -429,13 +362,11 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     deterministic A, whose fixed point at node i involves node i and later
     nodes only, so that pass 1 solves G's equation at its own node
     (_sweep's node_g; a G nonlinear in y or reading the context's w leaves
-    the regression span and keeps the loop): in one step in the explicit
-    scheme or with no F, where a node whose equation cannot contract raises
-    NonContractionError, and by iterating the implicit F's node equation
-    otherwise.  Pass 2 is then skipped (logged at INFO with the most passes
-    a node took, kept as diagnostics.node_passes) and recorded as what it
-    would give: the distance 0.0, the ratio 0.0, iterations == 2 and
-    converged.  This needs max_iter >= 2 and a pass 1 that did not
+    the regression span and keeps the loop), in one step, where a node
+    whose equation cannot contract raises NonContractionError, and
+    diagnostics.node_passes is 1.  Pass 2 is then skipped (logged at INFO)
+    and recorded as what it would give: the distance 0.0, the ratio 0.0,
+    iterations == 2 and converged.  This needs max_iter >= 2 and a pass 1 that did not
     converge.  A random A and every delayed driver keep the Picard loop, and
     so does a generator without ``reads``, which counts as reading
     everything.
@@ -444,10 +375,9 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     passes and the preflight; consistency_residuals gives the residuals.
     """
     if not (is_number(tol) and tol >= 0):
-        raise ValueError(f"tol must be a number >= 0, got {tol!r}")
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     if not is_integer(max_iter, 1):
         raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-    _check_scheme(scheme)
     if basis is not None and plan is not None:
         raise ValueError("pass basis or plan, not both")
     if ensemble.A is None:
@@ -477,7 +407,7 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     weights = norm_weights(ensemble.A, grid, alpha, beta)
     node_g = _solved_at_its_node(problem, plan, weights[1])
     one_sweep = node_g or not _iterate_reads(problem)
-    node_passes = 0
+    node_passes = int(node_g)
 
     for it in range(1, max_iter + 1):
         if it == 2 and one_sweep:
@@ -488,10 +418,9 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
             converged = True
             break
         if node_g:
-            Y, Z, node_passes = _sweep(problem, ensemble, U, V, scheme, plan, weights[1],
-                                       node_g=True)
+            Y, Z = _sweep(problem, ensemble, U, V, plan, weights[1], node_g=True)
         else:
-            Y, Z = gamma_step(problem, ensemble, U, V, scheme=scheme, plan=plan, dA=weights[1])
+            Y, Z = gamma_step(problem, ensemble, U, V, plan=plan, dA=weights[1])
         # pass 1 starts from the zero iterate, and x - 0.0 == x
         step_norm = equivalent_norm(Y, Z, ensemble.A, grid, alpha=alpha, beta=beta,
                                     a=a, b=b, weights=weights,
@@ -515,7 +444,7 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     diag = SolverDiagnostics(
         deltas=deltas, ratios=ratios, tol=tol, converged=converged,
         iterations=len(deltas), alpha=alpha, beta=beta, mu_lambda=mu, a=a, b=b,
-        scheme=scheme, preflight=checks, node_passes=node_passes)
+        preflight=checks, node_passes=node_passes)
     if not converged:
         log.warning("iteration budget spent at squared distance %.3e > tol %.3e",
                     deltas[-1], tol)

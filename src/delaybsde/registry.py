@@ -5,7 +5,7 @@ Each table of names is closed: a config names a part, and the one way to
 supply another is a hand-written callable handed to ProblemSpec.  Every
 param a builder reads, and every number problem_from_dict reads that
 ProblemSpec does not check itself (K, K_tilde and the delay measures'
-entries), must be a number (stochastic_engine.is_number), not a string or a
+entries), must be a finite number (path_calculus.is_number), not a string or a
 bool; anything else raises ValueError.  Built F and G carry ``reads``, the
 frozenset of the arguments ("y", "z", "y_seg", "z_seg") they read; a
 generator without it counts as reading every argument
@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import AtomMeasure, ProblemSpec, segment_integral
-from .stochastic_engine import IncreasingProcessSpec, is_integer, is_number
+from .path_calculus import is_integer, is_number
+from .stochastic_engine import IncreasingProcessSpec
 
 __all__ = [
     "build_terminal",
@@ -39,7 +40,7 @@ def _number(entries, key, default):
     is a number (is_number)."""
     value = entries.get(key, default)
     if not is_number(value):
-        raise ValueError(f"{key} must be a number, got {value!r}")
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
     return float(value)
 
 

@@ -165,8 +165,7 @@ class StabilityReport:
 def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
                   n_steps: int = 50, seed: int = 0,
                   final_threshold: float = 1e-3, tol: float = 1e-8,
-                  max_iter: int = 25, scheme: str = "explicit",
-                  basis=None) -> StabilityReport:
+                  max_iter: int = 25, basis=None) -> StabilityReport:
     """Solve the base and every member on one Brownian ensemble and relate
     solution error to perturbation size.
 
@@ -179,7 +178,8 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
     base ensemble and shared by every member it serves, those whose A is
     deterministic when the base's is, so its Gram matrices are built once
     for all of them; any other member gets its own plan.  solve refuses a
-    tol that is not a finite number >= 0 with ValueError.
+    tol that is not a finite number >= 0, and TimeGrid.uniform an n_steps
+    that is not an integer >= 1, with ValueError.
     """
     base = family.base
     grid = TimeGrid.uniform(base.T, n_steps, delta=base.delta)
@@ -188,8 +188,7 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
     def solve_or_refuse(problem, ensemble, name):
         own = plan if plan.serves(ensemble) else RegressionPlan(plan.basis, ensemble)
         try:
-            return solve(problem, ensemble, tol=tol, max_iter=max_iter,
-                         scheme=scheme, plan=own)
+            return solve(problem, ensemble, tol=tol, max_iter=max_iter, plan=own)
         except ConstraintViolationError as exc:
             raise FamilyInvalidError(
                 f"{name} fails: {exc.__cause__ or exc}") from None

@@ -27,16 +27,14 @@ node beside it, and PathEnsemble copies any other layout once.
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import MonotonicityError, SingularSystemError
-from .path_calculus import (BLOCK_BYTES, TimeGrid, delay_fits_horizon, node_major,
-                            node_major_zeros, stored_rows)
+from .path_calculus import (BLOCK_BYTES, TimeGrid, delay_fits_horizon, is_integer,
+                            is_number, node_major, node_major_zeros, stored_rows)
 
 __all__ = [
     "PathEnsemble",
@@ -44,8 +42,6 @@ __all__ = [
     "PROCESS_KINDS",
     "RegressionBasis",
     "RegressionPlan",
-    "is_integer",
-    "is_number",
     "member_index",
     "oscillation",
     "simulate_brownian",
@@ -145,19 +141,6 @@ _POS_FUNCTIONALS: dict[str, object] = {
     "inv_quadratic": lambda w, params: params.get("scale", 1.0)
     / (1.0 + np.einsum("nd,nd->n", w, w, optimize=False)),
 }
-
-
-def is_integer(value, low=None) -> bool:
-    """Whether value is an integer, not a bool, and at least low when given."""
-    return (is_number(value) and isinstance(value, numbers.Integral)
-            and (low is None or value >= low))
-
-
-def is_number(value) -> bool:
-    """Whether value is a finite real number, not a bool: the one number
-    rule, so a NaN or an infinity (JSON's NaN and Infinity) is none."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and (isinstance(value, numbers.Integral) or math.isfinite(value)))
 
 
 def member_index(n):

@@ -296,7 +296,6 @@ def test_validate_reports_a_solver_section_it_cannot_read():
     ("solve", "solver", "tol", "abc"),
     ("solve", "solver", "max_iter", [25]),
     ("solve", "solver", "force", "false"),
-    ("stability", "stability", "scheme", "midpoint"),
     ("stability", "stability", "n_values", 4),
     ("stability", "stability", "kind", "bogus"),
     ("helly-bray", "hellybray", "n_values", ["x"]),
@@ -309,7 +308,16 @@ def test_validate_reports_a_solver_section_it_cannot_read():
     ("solve", "solver", None, []),
     ("solve", "solver", None, "fast"),
     ("solve", "solver", None, None),
-    ("solve", "solver", "scheme", "midpoint"),
+    # a key its section does not list: the retired scheme, which would
+    # otherwise run explicitly whatever it said, and misspelled keys, which
+    # would otherwise run at their defaults
+    ("stability", "stability", "scheme", "implicit"),
+    ("solve", "solver", "scheme", "implicit"),
+    ("stability", "solver", "scheme", "explicit"),
+    ("solve", "solver", "n_path", 10),
+    ("check-assumptions", "solver", "n_path", 10),
+    ("stability", "stability", "n_value", [2, 4]),
+    ("helly-bray", "hellybray", "ks_treshold", 0.5),
     ("check-assumptions", "solver", "n_paths", "abc"),
     ("solve", "solver", "seed", "x"),
     ("solve", "solver", "n_steps", 20.5),
@@ -366,6 +374,21 @@ def test_malformed_section_value_is_a_schema_error(tmp_path, capsys, command, se
     assert captured.err.count("\n") == 1
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["check-assumptions", "solve", "stability", "helly-bray"])
+@pytest.mark.parametrize("key", ["output", "stabilty"])
+def test_an_unknown_root_key_is_a_schema_error(tmp_path, capsys, command, key):
+    # a misspelled out or section name would otherwise be a default in disguise
+    config = base_config()
+    config[key] = str(tmp_path / "elsewhere") if key == "output" else {"tol": 1e-3}
+    code = cli.run([command, "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == (f"error: [schema] {key}: unknown key; the root takes "
+                            "hellybray, out, problem, solver, stability\n")
+    assert not (tmp_path / "out").exists() and not (tmp_path / "elsewhere").exists()
 
 
 @pytest.mark.parametrize("flags, env, where", [
@@ -443,15 +466,15 @@ NOT_A_NUMBER = [
      "registry", A_KINDS + "the time_integral functional 'inv_quadratic' takes numbers, "
                            "got scale=True"),
     ("G", {"name": "linear", "params": {"b": True}}, "registry",
-     "G: b must be a number, got True"),
+     "G: b must be a finite number, got True"),
     ("F", {"name": "linear", "params": {"a_y": "0.2", "a_z": 0.1}}, "registry",
-     "F: a_y must be a number, got '0.2'"),
+     "F: a_y must be a finite number, got '0.2'"),
     ("terminal", {"name": "brownian", "params": {"coeff": True}}, "registry",
-     "terminal: coeff must be a number, got True"),
-    ("K", True, "domain", "problem: K must be a number, got True"),
+     "terminal: coeff must be a finite number, got True"),
+    ("K", True, "domain", "problem: K must be a finite number, got True"),
     # and no warning that F is set while K is 0
-    ("K", False, "domain", "problem: K must be a number, got False"),
-    ("K_tilde", "0.0002", "domain", "problem: K_tilde must be a number, got '0.0002'"),
+    ("K", False, "domain", "problem: K must be a finite number, got False"),
+    ("K_tilde", "0.0002", "domain", "problem: K_tilde must be a finite number, got '0.0002'"),
     ("rho", {"thetas": [-0.1, 0.0], "weights": [True, False]}, "domain",
      "problem: rho weights must be numbers, got [True, False]"),
     ("rho_tilde", {"thetas": ["-0.1"], "weights": [1.0]}, "domain",
@@ -678,8 +701,7 @@ def test_solve_prints_the_residuals_of_its_solution(tmp_path, capsys):
     ensemble = realize_increasing_process(
         problem.A_spec, simulate_brownian(grid, 400, d=problem.d, seed=settings["seed"]))
     solution = solve(problem, ensemble, basis=RegressionBasis(degree=settings["degree"]),
-                     tol=settings["tol"], max_iter=settings["max_iter"],
-                     scheme=settings["scheme"])
+                     tol=settings["tol"], max_iter=settings["max_iter"])
     mtg, rms = consistency_residuals(problem, solution)
     assert lines[-2] == f"martingale residual={mtg:.3e} self consistency rms={rms:.3e}"
 

@@ -525,6 +525,15 @@ def test_norm_refuses_stacks_that_are_not_whole():
             equivalent_norm(*stacks, t, grid, 0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError, match=re.escape("Y (5, 11, 1), U (5, 11), Z (5, 11, 1, 1)")):
         equivalent_norm(Y, Z, t, grid, 0.0, 0.0, 1.0, 1.0, minus=(Y[..., 0], None))
+    # and A is (rows, nodes): a 1-D A used to fail by an IndexError, and an A
+    # on 10 of the 11 nodes by a broadcast error
+    for A in (grid.nodes, t[:, :10]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"A must be (rows, 11) on the grid's nodes, got shape {A.shape}")):
+            equivalent_norm(Y, Z, A, grid, 0.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape("A must be (rows, 5) on the grid's nodes, "
+                                                   "got shape (1, 4)")):
+        model.norm_weights(t[:, :4], TimeGrid.uniform(1.0, 4), 0.0, 1.0)
 
 
 def test_node_walk_allocates_nothing_stack_sized():

@@ -67,6 +67,13 @@ def test_grid_delta_alignment():
         TimeGrid.uniform(1.0, 50, delta=1.5)
 
 
+@pytest.mark.parametrize("n_steps", [20.5, 20.0, True, 0, -3, "20"])
+def test_uniform_grid_refuses_a_step_count_that_is_not_an_integer(n_steps):
+    # 20.5 and True used to be truncated to 20 steps and 1 step, and "20" read
+    with pytest.raises(ValueError, match=f"^n_steps must be an integer >= 1, got {n_steps!r}$"):
+        TimeGrid.uniform(1.0, n_steps, delta=0.1)
+
+
 def test_grid_accepts_full_window_delta_with_rounding():
     # T * n / n rounds one ulp above T here; the window is still n steps
     T, n = 39.56073760172803, 105

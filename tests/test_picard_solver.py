@@ -11,7 +11,7 @@ Oracle notes:
 * pure Stieltjes coupling G = 0.5 y, A = t, xi = 1: Y(t) = e^{0.5 (1 - t)};
   the discrete fixed point is prod (1 - 0.5 dt)^{-1} = e^{0.5} + O(dt).
 * martingale case (no drivers, xi = W(T)): Y = W, Z = 1 exactly.
-* delayed drift F = kappa y(t - delta) with xi = W(T): the explicit scheme's
+* delayed drift F = kappa y(t - delta) with xi = W(T): the sweep's
   Y paths, linear in W, from the coefficient-space fixed point in oracles.py.
 """
 
@@ -63,12 +63,12 @@ def make_ensemble(n_paths, n_steps=20, T=1.0, delta=0.1, seed=0, spec=IDENTITY_A
     return realize_increasing_process(spec, ens)
 
 
-def diagnostics(scheme):
-    """Diagnostics of a hand-built Solution; consistency_residuals reads only
-    the scheme."""
+def diagnostics():
+    """Diagnostics of a hand-built Solution, which consistency_residuals
+    does not read."""
     return picard_solver.SolverDiagnostics(
         deltas=[], ratios=[], tol=0.0, converged=True, iterations=0, alpha=0.0,
-        beta=0.0, mu_lambda=None, a=1.0, b=1.0, scheme=scheme)
+        beta=0.0, mu_lambda=None, a=1.0, b=1.0)
 
 
 # ------------------------------------------------------------------ oracles
@@ -205,7 +205,7 @@ def test_generator_cannot_write_into_iterate(which, arg):
     V = np.ones((16, 21, 1, 1))
     with pytest.raises(ValueError, match="read-only"):
         gamma_step(prob, ens, U, V)
-    sol = picard_solver.Solution(Y=U, Z=V, diagnostics=diagnostics("explicit"), ensemble=ens)
+    sol = picard_solver.Solution(Y=U, Z=V, diagnostics=diagnostics(), ensemble=ens)
     with pytest.raises(ValueError, match="read-only"):
         consistency_residuals(prob, sol)
     assert np.all(U == 1.0) and np.all(V == 1.0)
@@ -320,20 +320,6 @@ def test_gamma_step_affine_in_frozen_arguments():
     assert np.allclose(Zm, lam * Z1 + (1 - lam) * Z2, atol=1e-9)
 
 
-def test_gamma_step_schemes_agree_to_first_order():
-    ens = make_ensemble(2000, n_steps=50, seed=4)
-    prob = make_problem(
-        F=registry.build_F({"name": "linear", "params": {"a_y": 0.5, "a_z": 0.2}}),
-        xi=registry.build_terminal({"name": "brownian", "params": {}}))
-    U = np.zeros((2000, 51, 1))
-    V = np.zeros((2000, 51, 1, 1))
-    Ye, _ = gamma_step(prob, ens, U, V, scheme="explicit")
-    Yi, _ = gamma_step(prob, ens, U, V, scheme="implicit")
-    assert np.max(np.abs(Ye[:, 0] - Yi[:, 0])) < 0.05
-    with pytest.raises(ValueError):
-        gamma_step(prob, ens, U, V, scheme="midpoint")
-
-
 def test_gamma_step_blowup():
     ens = make_ensemble(100, n_steps=20, seed=5)
 
@@ -344,9 +330,8 @@ def test_gamma_step_blowup():
         {"name": "constant", "params": {"value": 1.0}}))
     U = np.zeros((100, 21, 1))
     V = np.zeros((100, 21, 1, 1))
-    for scheme in ("explicit", "implicit"):
-        with pytest.raises(BlowupError):
-            gamma_step(prob, ens, U, V, scheme=scheme)
+    with pytest.raises(BlowupError):
+        gamma_step(prob, ens, U, V)
 
 
 
@@ -359,18 +344,6 @@ def test_gamma_step_refuses_a_terminal_that_is_not_finite():
     with pytest.raises(GeneratorEvaluationError, match="^terminal values are not finite$"):
         gamma_step(make_problem(xi=xi), ens, np.zeros((50, 21, 1)), np.zeros((50, 21, 1, 1)))
 
-
-def test_implicit_fixed_point_that_is_not_finite_blows_up():
-    # the node's fixed point stops at its first non-finite pass, and the
-    # sweep refuses the value it returns
-    ens = make_ensemble(50, seed=5)
-
-    def infinite(t, y, z, y_seg, z_seg, ctx):
-        return np.full_like(y, np.inf)
-
-    with pytest.raises(BlowupError, match="^value iterate exploded at node 19 "):
-        gamma_step(make_problem(F=infinite), ens, np.zeros((50, 21, 1)),
-                   np.zeros((50, 21, 1, 1)), scheme="implicit")
 
 def call_the_map(fn, problem, ens):
     """build_B, gamma_step or solve of problem on ens from a zero iterate."""
@@ -473,20 +446,16 @@ def test_gamma_step_rejects_plan_of_another_ensemble():
 
 # ----------------------------------------- Stieltjes feedback, product oracle
 
-def product_factors(A_row, dt, b, a_y, scheme):
+def product_factors(A_row, dt, b, a_y):
     """c_i of the sweep's fixed point Y_i = c_i W_i for F = a_y y, G = b y and
-    xi = W(T): c_N = 1 and c_i = c_{i+1} (1 + a_y dt)/(1 - b dA_i) explicit,
-    c_{i+1}/(1 - b dA_i - a_y dt) implicit."""
-    dA = np.diff(A_row)
-    step = ((1 + a_y * dt) / (1 - b * dA) if scheme == "explicit"
-            else 1 / (1 - b * dA - a_y * dt))
+    xi = W(T): c_N = 1 and c_i = c_{i+1} (1 + a_y dt)/(1 - b dA_i)."""
+    step = (1 + a_y * dt) / (1 - b * np.diff(A_row))
     return np.append(np.cumprod(step[::-1])[::-1], 1.0)
 
 
 @pytest.mark.parametrize("seed", [23, 7])
-@pytest.mark.parametrize("a_y, scheme", [(0.0, "explicit"), (0.3, "explicit"),
-                                         (0.3, "implicit")])
-def test_feedback_G_paths_match_the_product_oracle(seed, a_y, scheme):
+@pytest.mark.parametrize("a_y", [0.0, 0.3])
+def test_feedback_G_paths_match_the_product_oracle(seed, a_y):
     # G = 0.5y makes the running integral of G a path functional that no
     # polynomial in W(t_i) represents; regressing it with the target left
     # a path RMSE of 0.11-0.16 here
@@ -494,9 +463,9 @@ def test_feedback_G_paths_match_the_product_oracle(seed, a_y, scheme):
     prob = make_problem(F=F, G=registry.build_G({"name": "linear", "params": {"b": 0.5}}),
                         xi=registry.build_terminal({"name": "brownian", "params": {}}))
     ens = make_ensemble(2000, n_steps=50, seed=seed)
-    sol = solve(prob, ens, basis=RegressionBasis(degree=2), scheme=scheme)
+    sol = solve(prob, ens, basis=RegressionBasis(degree=2))
     assert sol.diagnostics.converged
-    c = product_factors(stored_rows(ens.A)[0], 1 / 50, 0.5, a_y, scheme)
+    c = product_factors(stored_rows(ens.A)[0], 1 / 50, 0.5, a_y)
     rmse = float(np.sqrt(np.mean((sol.Y[:, :, 0] - c * ens.W[:, :, 0]) ** 2)))
     assert rmse <= 0.06
 
@@ -519,7 +488,7 @@ def test_feedback_family_errors_match_their_closed_form(seed):
     def exact(problem):
         """(Y, Z, A) of problem's fixed point on the driving paths."""
         A = realize_increasing_process(problem.A_spec, driving).A
-        c = product_factors(stored_rows(A)[0], 1 / n_steps, 0.5, 0.0, "explicit")
+        c = product_factors(stored_rows(A)[0], 1 / n_steps, 0.5, 0.0)
         Z = np.broadcast_to(np.append(c[1:], 1.0)[None, :, None, None],
                             (n_paths, n_steps + 1, 1, 1))
         return c[None, :, None] * driving.W, Z, A
@@ -548,8 +517,7 @@ def segment_problem(delta=0.1):
         A_spec=IncreasingProcessSpec("time_integral", {"functional": "inv_quadratic"}))
 
 
-@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
-def test_gamma_step_and_build_B_ignore_input_layout(scheme):
+def test_gamma_step_and_build_B_ignore_input_layout():
     prob = segment_problem()
     ens = make_ensemble(300, n_steps=20, seed=6, spec=prob.A_spec)
     rng = np.random.default_rng(10)
@@ -557,8 +525,8 @@ def test_gamma_step_and_build_B_ignore_input_layout(scheme):
     V = rng.normal(size=(300, 21, 1, 1))
     B = build_B(prob, ens, U)
     assert np.array_equal(build_B(prob, ens, node_major(U)), B)
-    Y, Z = gamma_step(prob, ens, U, V, scheme=scheme)
-    Y2, Z2 = gamma_step(prob, ens, node_major(U), node_major(V), scheme=scheme)
+    Y, Z = gamma_step(prob, ens, U, V)
+    Y2, Z2 = gamma_step(prob, ens, node_major(U), node_major(V))
     assert np.array_equal(Y2, Y) and np.array_equal(Z2, Z)
     # the sweep's layout: path-major shape, each node one contiguous block
     assert Y.shape == (300, 21, 1) and Z.shape == (300, 21, 1, 1)
@@ -734,7 +702,7 @@ def test_solve_builds_no_B_and_a_constant_G_needs_no_reads_flag(monkeypatch):
 @pytest.mark.parametrize("spec", LAYOUT_SPECS, ids=lambda spec: spec.kind)
 def test_solve_same_bits_on_every_layout_of_the_ensemble(spec):
     # W (d = 2) and A from C-order copies are copied node-major once, so
-    # both schemes give the bits of simulate_brownian's ensemble; G reads
+    # solve gives the bits of simulate_brownian's ensemble; G reads
     # its window, so every A keeps the Picard loop
     grid = TimeGrid.uniform(1.0, 20, delta=0.1)
     ens = realize_increasing_process(spec, simulate_brownian(grid, 200, d=2, seed=29))
@@ -746,24 +714,22 @@ def test_solve_same_bits_on_every_layout_of_the_ensemble(spec):
     others = relaid(ens)
     assert all(is_node_major(e.W) and np.array_equal(e.W, ens.W) for e in others)
     assert is_node_major(others[1].A) and np.array_equal(others[1].A, ens.A)
-    for scheme in ("explicit", "implicit"):
-        want = solve(prob, ens, tol=1e-30, max_iter=3, scheme=scheme, force=True)
-        assert want.diagnostics.iterations == 3
-        for other in others:
-            got = solve(prob, other, tol=1e-30, max_iter=3, scheme=scheme, force=True)
-            assert np.array_equal(got.Y, want.Y) and np.array_equal(got.Z, want.Z)
-            assert got.diagnostics.deltas == want.diagnostics.deltas
+    want = solve(prob, ens, tol=1e-30, max_iter=3, force=True)
+    assert want.diagnostics.iterations == 3
+    for other in others:
+        got = solve(prob, other, tol=1e-30, max_iter=3, force=True)
+        assert np.array_equal(got.Y, want.Y) and np.array_equal(got.Z, want.Z)
+        assert got.diagnostics.deltas == want.diagnostics.deltas
 
 
-@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
-def test_solve_same_bits_on_broadcast_and_full_A(monkeypatch, scheme):
+def test_solve_same_bits_on_broadcast_and_full_A(monkeypatch):
     # a full copy of a deterministic A, as a hand-built ensemble may hold it
     spec = IncreasingProcessSpec("oscillatory", {"base": IDENTITY_A, "n": 3})
     prob = replace(segment_problem(), A_spec=spec)
     ens = make_ensemble(300, n_steps=20, seed=10, spec=spec)
     full = replace(ens, A=np.array(ens.A))
     assert stored_rows(ens.A).shape == (1, 21) and stored_rows(full.A).shape == (300, 21)
-    one, two = (solve(prob, e, tol=1e-30, max_iter=4, scheme=scheme, force=True)
+    one, two = (solve(prob, e, tol=1e-30, max_iter=4, force=True)
                 for e in (ens, full))
     assert np.array_equal(one.Y, two.Y) and np.array_equal(one.Z, two.Z)
     d1, d2 = one.diagnostics, two.diagnostics
@@ -867,9 +833,7 @@ def test_solve_builds_each_gram_once(monkeypatch):
     assert len(design_calls) == 20
 
 
-@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
-def test_constant_map_sweeps_once_with_the_bits_of_the_full_loop(monkeypatch, caplog,
-                                                                  scheme):
+def test_constant_map_sweeps_once_with_the_bits_of_the_full_loop(monkeypatch, caplog):
     # F reads y and z, which the current sweep gives, and G = 1 reads
     # nothing, so the map reads no iterate; the same F without a reads flag
     # counts as reading its windows and runs the full loop
@@ -896,7 +860,7 @@ def test_constant_map_sweeps_once_with_the_bits_of_the_full_loop(monkeypatch, ca
         calls.clear()
         caplog.clear()
         with caplog.at_level(logging.INFO, logger=picard_solver.__name__):
-            sols[name] = solve(prob, ens, scheme=scheme)
+            sols[name] = solve(prob, ens)
         sweeps[name] = (len(calls), "outer step 2 skipped" in caplog.text)
     assert sweeps == {"constant": (1, True), "full": (2, False)}
     once, full = sols["constant"], sols["full"]
@@ -909,14 +873,14 @@ def test_constant_map_sweeps_once_with_the_bits_of_the_full_loop(monkeypatch, ca
         consistency_residuals(probs["full"], full)
     # one pass is all a budget of one allows, skipped or not
     calls.clear()
-    capped = solve(make_problem(F=F, G=G, xi=xi), ens, scheme=scheme, max_iter=1)
+    capped = solve(make_problem(F=F, G=G, xi=xi), ens, max_iter=1)
     assert len(calls) == 1 and capped.diagnostics.iterations == 1
     assert not capped.diagnostics.converged and capped.diagnostics.deltas == d1.deltas[:1]
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan")])
 def test_solve_refuses_a_tolerance_that_cannot_be_met(tol):
-    with pytest.raises(ValueError, match="tol must be a number >= 0"):
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
         solve(make_problem(), make_ensemble(20), tol=tol)
 
 
@@ -924,10 +888,9 @@ def test_solve_refuses_a_tolerance_that_cannot_be_met(tol):
     ({"max_iter": 0}, "max_iter must be an integer >= 1, got 0"),
     ({"max_iter": 2.5}, "max_iter must be an integer >= 1, got 2.5"),
     ({"max_iter": True}, "max_iter must be an integer >= 1, got True"),
-    ({"scheme": "midpoint"}, "scheme must be 'explicit' or 'implicit'"),
-    ({"tol": -1.0}, "tol must be a number >= 0"),
+    ({"tol": -1.0}, "tol must be a finite number >= 0"),
     # an infinite tol would stop after pass 1
-    ({"tol": float("inf")}, "tol must be a number >= 0, got inf"),
+    ({"tol": float("inf")}, "tol must be a finite number >= 0, got inf"),
 ])
 def test_solve_refuses_bad_sweep_settings_before_its_preflight(monkeypatch, settings, match):
     calls = []
@@ -1014,12 +977,11 @@ def test_solve_stieltjes_exponential():
         G=registry.build_G({"name": "linear", "params": {"b": 0.5}}),
         xi=registry.build_terminal({"name": "constant", "params": {"value": 1.0}}),
         L_tilde=1.0)
-    for scheme in ("explicit", "implicit"):
-        sol = solve(prob, ens, tol=1e-12, max_iter=30, scheme=scheme)
-        assert sol.diagnostics.converged
-        assert sol.diagnostics.iterations == 2 and sol.diagnostics.deltas[1] == 0.0
-        assert sol.initial_value[0] == pytest.approx(np.exp(0.5), rel=0.01)
-        assert np.max(np.abs(sol.Z)) < 1e-6
+    sol = solve(prob, ens, tol=1e-12, max_iter=30)
+    assert sol.diagnostics.converged
+    assert sol.diagnostics.iterations == 2 and sol.diagnostics.deltas[1] == 0.0
+    assert sol.initial_value[0] == pytest.approx(np.exp(0.5), rel=0.01)
+    assert np.max(np.abs(sol.Z)) < 1e-6
 
 
 def readme_problem(**overrides):
@@ -1029,97 +991,70 @@ def readme_problem(**overrides):
     return make_problem(**{**fields, **overrides})
 
 
-@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
-def test_one_sweep_is_a_fixed_point_of_the_outer_map(caplog, scheme):
+def test_one_sweep_is_a_fixed_point_of_the_outer_map(caplog):
     # G reads y alone and A = t, so solve sweeps once, solving G's equation
-    # at its own node (in one step, explicitly; with the implicit F's, by
-    # iterating); one more pass of the outer map barely moves the result
+    # at its own node in one step; one more pass of the outer map barely
+    # moves the result
     ens = make_ensemble(2000, n_steps=50, seed=24)
     prob = readme_problem()
     with caplog.at_level(logging.INFO, logger=picard_solver.__name__):
-        sol = solve(prob, ens, scheme=scheme)
+        sol = solve(prob, ens)
     d = sol.diagnostics
     assert d.converged and d.iterations == 2 and d.deltas[1] == 0.0 and d.ratios == [0.0]
-    if scheme == "explicit":
-        assert d.node_passes == 1
-    else:
-        assert 2 <= d.node_passes <= picard_solver.NODE_PASSES
+    assert d.node_passes == 1
     assert "outer step 2 skipped: step 1 gave the fixed point" in caplog.text
     assert f"node passes {d.node_passes}" in caplog.text
-    Y, Z = gamma_step(prob, ens, sol.Y, sol.Z, scheme=scheme)
+    Y, Z = gamma_step(prob, ens, sol.Y, sol.Z)
     moved = equivalent_norm(Y - sol.Y, Z - sol.Z, ens.A, ens.grid, alpha=d.alpha,
                             beta=d.beta, a=d.a, b=d.b).total
     assert moved <= d.tol
 
 
-@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
-def test_one_sweep_matches_ten_picard_passes(scheme):
+def test_one_sweep_matches_ten_picard_passes():
     # the README problem at 2,000 x 50: ten passes of the outer map from
     # (0, 0) reach the fixed point that the one sweep gives
     ens = make_ensemble(2000, n_steps=50, seed=25)
     prob = readme_problem()
-    sol = solve(prob, ens, scheme=scheme)
+    sol = solve(prob, ens)
     d = sol.diagnostics
-    assert d.iterations == 2 and (d.node_passes == 1 if scheme == "explicit" else d.node_passes >= 2)
+    assert d.iterations == 2 and d.node_passes == 1
     U, V = np.zeros((2000, 51, 1)), np.zeros((2000, 51, 1, 1))
     for _ in range(10):
-        U, V = gamma_step(prob, ens, U, V, scheme=scheme)
+        U, V = gamma_step(prob, ens, U, V)
     assert np.max(np.abs(U - sol.Y)) <= 1e-6 and np.max(np.abs(V - sol.Z)) <= 1e-6
 
 
-@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
-def test_a_node_fixed_point_that_misses_its_gap_is_refused(scheme):
+def test_a_node_fixed_point_that_misses_its_gap_is_refused():
     # G = 60y on 50 steps: b dA = 1.2, so iterating G's equation at node 49
-    # moves more on every pass, and solve refuses it instead of returning a
-    # value: the one-step solve by its factor, the implicit F's iteration
-    # after 20 passes
+    # would move more on every pass, and the one-step solve refuses it by its
+    # factor instead of returning a value
     ens = make_ensemble(50, n_steps=50, seed=26)
     prob = readme_problem(G=registry.build_G({"name": "linear", "params": {"b": 60.0}}))
-    refusal = {"explicit": r"G's equation at node 49 \(t=0\.98\) has factor 1\.200e\+00 >= 1",
-               "implicit": r"node 49 \(t=0\.98\) still moves by .* after 20 passes"}
-    with pytest.raises(NonContractionError, match=refusal[scheme]):
-        solve(prob, ens, scheme=scheme, force=True)
-    # G = -0.1y from xi = 1e5, with no F, in either scheme: iterated, it
+    with pytest.raises(NonContractionError,
+                       match=r"G's equation at node 49 \(t=0\.98\) has factor 1\.200e\+00 >= 1"):
+        solve(prob, ens, force=True)
+    # G = -0.1y from xi = 1e5, with no F: iterated, it
     # would alternate around its fixed point by rounding errors of 1.5e-11
     # for ever; solved in one step it is the fixed point to the last bits
     # (the ridge of the regressions moves the value by about 1e-10)
     prob = make_problem(G=registry.build_G({"name": "linear", "params": {"b": -0.1}}),
                         xi=registry.build_terminal({"name": "constant", "params": {"value": 1e5}}))
-    sol = solve(prob, ens, scheme=scheme)
+    sol = solve(prob, ens)
     assert sol.diagnostics.node_passes == 1
     assert sol.initial_value[0] == pytest.approx(1e5 / (1 + 0.1 * 0.02) ** 50, rel=1e-9)
-
-
-def test_the_implicit_loop_that_misses_its_gap_is_refused():
-    # dt F_y = 1.5: the implicit per-path fixed point diverges, below the
-    # blowup threshold after 20 passes; the outer map used to return it
-    ens = make_ensemble(50, n_steps=20, seed=27)
-    prob = make_problem(F=registry.build_F({"name": "linear", "params": {"a_y": 30.0}}),
-                        xi=registry.build_terminal({"name": "constant", "params": {"value": 1.0}}))
-    U, V = np.zeros((50, 21, 1)), np.zeros((50, 21, 1, 1))
-    with pytest.raises(NonContractionError, match=r"node 19 \(t=0\.95\)"):
-        gamma_step(prob, ens, U, V, scheme="implicit")
-    Y, _ = gamma_step(prob, ens, U, V)   # the explicit scheme solves no fixed point
-    assert np.all(np.isfinite(Y))
-    # dt F_y = 0.3: the moves shrink by 0.3 a pass, more than 20 passes reach
-    # the gap, and the loop keeps going to Y_i = Y_{i+1} / 0.7 (up to the
-    # regressions' ridge, about 1e-10)
-    prob = replace(prob, F=registry.build_F({"name": "linear", "params": {"a_y": 6.0}}))
-    Y, _ = gamma_step(prob, ens, U, V, scheme="implicit")
-    assert np.allclose(Y[:, :, 0], 0.7 ** -(20 - np.arange(21.0)), rtol=1e-9, atol=0)
 
 
 def test_the_node_path_refuses_a_map_that_reads_a_window_or_a_random_A():
     ens = make_ensemble(50, n_steps=20, seed=28)
     U, V = np.zeros((50, 21, 1)), np.zeros((50, 21, 1, 1))
-    picard_solver._sweep(readme_problem(), ens, U, V, "explicit", None, None, node_g=True)
+    picard_solver._sweep(readme_problem(), ens, U, V, None, None, node_g=True)
     spec = IncreasingProcessSpec("running_max", {})
     for prob, e in ((readme_problem(G=LINEAR_RHO_G), ens),
                     (readme_problem(G=sine_G()), ens),
                     (readme_problem(A_spec=spec), make_ensemble(50, n_steps=20, seed=28,
                                                                  spec=spec))):
         with pytest.raises(ValueError, match="solved at its own node"):
-            picard_solver._sweep(prob, e, U, V, "explicit", None, None, node_g=True)
+            picard_solver._sweep(prob, e, U, V, None, None, node_g=True)
 
 
 def sine_G():
@@ -1147,41 +1082,35 @@ def test_a_G_that_leaves_the_regression_span_keeps_the_loop(builder):
     # moves its result by at most tol
     ens = make_ensemble(500, n_steps=20, seed=30)
     prob = readme_problem(G=builder())
-    for scheme in ("explicit", "implicit"):
-        sol = solve(prob, ens, scheme=scheme)
-        d = sol.diagnostics
-        assert d.converged and d.iterations >= 3 and d.deltas[1] > 0 and d.node_passes == 0
-        Y, Z = gamma_step(prob, ens, sol.Y, sol.Z, scheme=scheme)
-        moved = equivalent_norm(Y - sol.Y, Z - sol.Z, ens.A, ens.grid, alpha=d.alpha,
-                                beta=d.beta, a=d.a, b=d.b).total
-        assert moved <= d.tol
+    sol = solve(prob, ens)
+    d = sol.diagnostics
+    assert d.converged and d.iterations >= 3 and d.deltas[1] > 0 and d.node_passes == 0
+    Y, Z = gamma_step(prob, ens, sol.Y, sol.Z)
+    moved = equivalent_norm(Y - sol.Y, Z - sol.Z, ens.A, ens.grid, alpha=d.alpha,
+                            beta=d.beta, a=d.a, b=d.b).total
+    assert moved <= d.tol
 
 
-@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
-def test_a_slowly_contracting_node_fixed_point_is_solved(scheme):
+def test_a_slowly_contracting_node_fixed_point_is_solved():
     # G = 3y on 10 steps of A = t: b dA = 0.3, so iterating a node's equation
-    # shrinks its moves by 0.3 a pass, which needs more than 20 passes to
-    # reach the gap; the implicit F's iteration keeps going while they
-    # shrink, the explicit one-step solve needs none, and either sweep gives
-    # the outer map's fixed point
+    # would shrink its moves by only 0.3 a pass; the one-step solve needs no
+    # pass and gives the outer map's fixed point
     ens = make_ensemble(200, n_steps=10, seed=31)
     prob = readme_problem(G=registry.build_G({"name": "linear", "params": {"b": 3.0}}),
                           L_tilde=3.0, beta=10.0)
-    sol = solve(prob, ens, scheme=scheme)
+    sol = solve(prob, ens)
     d = sol.diagnostics
-    assert d.converged and d.iterations == 2
-    assert (d.node_passes == 1 if scheme == "explicit"
-            else d.node_passes > picard_solver.NODE_PASSES)
+    assert d.converged and d.iterations == 2 and d.node_passes == 1
     U, V = np.zeros((200, 11, 1)), np.zeros((200, 11, 1, 1))
     for _ in range(60):
-        U, V = gamma_step(prob, ens, U, V, scheme=scheme)
+        U, V = gamma_step(prob, ens, U, V)
     assert np.max(np.abs(U - sol.Y)) <= 1e-9 and np.max(np.abs(V - sol.Z)) <= 1e-9
 
 
 def test_a_barely_contracting_node_equation_is_solved_in_one_step():
     # G = 9.9y on 3 steps of A = t to T = 0.3: b dA = 0.99, so iterating G's
-    # equation at a node shrinks its moves by only 0.99 a pass and is refused
-    # after NODE_PASS_LIMIT passes; solved in one step, the node's value is
+    # equation at a node would shrink its moves by only 0.99 a pass; solved
+    # in one step, the node's value is
     # Y_{i+1} / (1 - b dA) and Y_i = (1 - b dA)^-(N - i)
     ens = make_ensemble(20, n_steps=3, T=0.3, seed=32)
     prob = make_problem(T=0.3, G=registry.build_G({"name": "linear", "params": {"b": 9.9}}),
@@ -1214,16 +1143,14 @@ def test_a_two_component_node_equation_matches_the_picard_passes():
     G = counting(mixing_G(lambda t: [[0.5, 1.0], [-1.0, 0.5]], c=(0.3, -0.2)), 400, calls)
     prob = make_problem(G=G, xi=two_column_terminal, m=2, L_tilde=1.2)
     ens = make_ensemble(400, n_steps=10, seed=33)
-    for scheme in ("explicit", "implicit"):
-        calls.clear()
-        sol = solve(prob, ens, scheme=scheme)
-        d = sol.diagnostics
-        assert d.converged and d.iterations == 2 and d.node_passes == 1
-        assert sum(calls) == 3 * 10
-        U, V = np.zeros((400, 11, 2)), np.zeros((400, 11, 2, 1))
-        for _ in range(60):
-            U, V = gamma_step(prob, ens, U, V, scheme=scheme)
-        assert np.max(np.abs(U - sol.Y)) <= 1e-9 and np.max(np.abs(V - sol.Z)) <= 1e-9
+    sol = solve(prob, ens)
+    d = sol.diagnostics
+    assert d.converged and d.iterations == 2 and d.node_passes == 1
+    assert sum(calls) == 3 * 10
+    U, V = np.zeros((400, 11, 2)), np.zeros((400, 11, 2, 1))
+    for _ in range(60):
+        U, V = gamma_step(prob, ens, U, V)
+    assert np.max(np.abs(U - sol.Y)) <= 1e-9 and np.max(np.abs(V - sol.Z)) <= 1e-9
 
 
 def test_a_two_component_node_equation_that_cannot_contract_is_refused():
@@ -1253,25 +1180,6 @@ def test_the_one_step_solve_keeps_the_sweeps_refusals():
         solve(prob, ens, force=True)
 
 
-def test_a_node_fixed_point_takes_each_paths_own_scale():
-    # path 0 sits at 1e4, path 1 near 1 still moves by about 1e-9 after 20
-    # passes: the size of path 0 must not let path 1 stop there
-    def step(y):
-        return np.array([[1e4], [1.0 + 0.9 * (y[1, 0] - 1.0)]])
-
-    start = np.array([[1e4], [1.0 + 1e-8 / 0.9 ** 20]])
-    value, passes = picard_solver._node_fixed_point(step, start, 3, 0.5)
-    assert passes > picard_solver.NODE_PASSES and abs(value[1, 0] - 1.0) < 1e-11
-
-
-def test_a_node_fixed_point_that_shrinks_too_slowly_is_refused():
-    # moves that shrink by 1e-4 a pass would take some 276,000 passes
-    with pytest.raises(NonContractionError,
-                       match=rf"node 3 \(t=0\.5\) still moves by .* after "
-                             rf"{picard_solver.NODE_PASS_LIMIT} passes"):
-        picard_solver._node_fixed_point(lambda y: 0.9999 * y, np.ones((4, 1)), 3, 0.5)
-
-
 def test_solve_drift_exponential():
     # dY = -0.5 Y dt with xi = 1 integrates to e^{0.5} at t = 0
     ens = make_ensemble(16, n_steps=100)
@@ -1282,15 +1190,14 @@ def test_solve_drift_exponential():
     assert sol.initial_value[0] == pytest.approx(np.exp(0.5), rel=0.01)
 
 
-@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
-def test_solve_delayed_driver_against_ode_oracle(scheme):
+def test_solve_delayed_driver_against_ode_oracle():
     kappa = 0.03
     ens = make_ensemble(50, n_steps=50)
     prob = make_problem(
         F=registry.build_F({"name": "delayed_linear", "params": {"kappa": kappa}}),
         xi=registry.build_terminal({"name": "constant", "params": {"value": 1.0}}),
         K=kappa ** 2)
-    sol = solve(prob, ens, tol=1e-14, max_iter=30, scheme=scheme)
+    sol = solve(prob, ens, tol=1e-14, max_iter=30)
     oracle = delay_ode_oracle(1.0, 0.1, kappa, 1.0)
     assert sol.initial_value[0] == pytest.approx(oracle[0], rel=0.01)
     # the whole path, not only the initial value
@@ -1433,7 +1340,7 @@ def test_solve_evaluates_the_generators_only_in_its_passes(G):
 def residuals_on_the_iterate(problem, solution):
     """The residuals on the solution's own node-major stacks, with the
     ensemble's node-major W and the dA of the solve's norm weights."""
-    ens, scheme = solution.ensemble, solution.diagnostics.scheme
+    ens = solution.ensemble
     grid = ens.grid
     k, steps = grid.delta_index_offset, grid.steps()
     dA = model.norm_weights(ens.A, grid, problem.alpha, problem.beta)[1]
@@ -1442,8 +1349,8 @@ def residuals_on_the_iterate(problem, solution):
     R = path_calculus.node_major_zeros((Y.shape[0], grid.n_steps, Y.shape[2]))
     for i in range(grid.n_steps):
         ctx = problem.context(grid, float(grid.nodes[i]), W[:, i])
-        y_arg = Y[:, i + 1] if scheme == "explicit" else Y[:, i]
-        f = model.evaluate_generator(problem.F, "F", ctx, y_arg, Z[:, i], y_win(i), z_win(i))
+        f = model.evaluate_generator(problem.F, "F", ctx, Y[:, i + 1], Z[:, i], y_win(i),
+                                     z_win(i))
         g = model.evaluate_generator(problem.G, "G", ctx, Y[:, i], None, y_win(i), None)
         R[:, i] = (Y[:, i + 1] - Y[:, i] + float(steps[i]) * f + dA[:, i, None] * g
                    - np.einsum("nmd,nd->nm", Z[:, i], W[:, i + 1] - W[:, i], optimize=False))
@@ -1451,7 +1358,6 @@ def residuals_on_the_iterate(problem, solution):
     return float(np.max(np.abs(R.mean(axis=0)))), float(np.sqrt(np.mean(R ** 2)))
 
 
-@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
 @pytest.mark.parametrize("problem", [
     pytest.param(lambda: make_problem(
         F=registry.build_F({"name": "linear", "params": {"a_y": 0.2, "a_z": 0.1}}),
@@ -1459,13 +1365,13 @@ def residuals_on_the_iterate(problem, solution):
         xi=registry.build_terminal({"name": "brownian", "params": {}})), id="deterministic-A"),
     pytest.param(segment_problem, id="random-A-segments"),
 ])
-def test_consistency_residuals_have_the_bits_of_the_iterate(problem, scheme):
+def test_consistency_residuals_have_the_bits_of_the_iterate(problem):
     # from the solution's node-major stacks, the ensemble's W and the stored
     # rows of A, the residuals on the same node-major stacks and the solve's
     # dA, bit for bit
     prob = problem()
     ens = make_ensemble(300, n_steps=20, seed=19, spec=prob.A_spec)
-    sol = solve(prob, ens, tol=1e-30, max_iter=3, scheme=scheme, force=True)
+    sol = solve(prob, ens, tol=1e-30, max_iter=3, force=True)
     assert sol.Y[:, 0].flags.c_contiguous and sol.Z[:, 0].flags.c_contiguous
     mtg, rms = consistency_residuals(prob, sol)
     assert (mtg, rms) == residuals_on_the_iterate(prob, sol)
@@ -1474,15 +1380,13 @@ def test_consistency_residuals_have_the_bits_of_the_iterate(problem, scheme):
         consistency_residuals(replace(prob, delta=0.2), sol)
 
 
-@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
-def test_solve_returns_its_node_major_stacks_and_residuals_read_them_in_place(
-        monkeypatch, scheme):
+def test_solve_returns_its_node_major_stacks_and_residuals_read_them_in_place(monkeypatch):
     # solve hands back the stacks it swept, and consistency_residuals reads
     # them, and the ensemble's W, with no node-major copy; on a C-order copy
     # of the solution the residuals keep their bits
     prob = segment_problem()
     ens = make_ensemble(300, n_steps=20, seed=19, spec=prob.A_spec)
-    sol = solve(prob, ens, tol=1e-30, max_iter=3, scheme=scheme, force=True)
+    sol = solve(prob, ens, tol=1e-30, max_iter=3, force=True)
     assert sol.Y.shape == (300, 21, 1) and sol.Z.shape == (300, 21, 1, 1)
     assert not sol.Y.flags.c_contiguous and not sol.Z.flags.c_contiguous
     assert all(sol.Y[:, i].flags.c_contiguous and sol.Z[:, i].flags.c_contiguous
@@ -1500,7 +1404,7 @@ def test_contraction_report_verdicts():
         return SolverDiagnostics(
             deltas=deltas, ratios=ratios, tol=1e-6, converged=True,
             iterations=len(deltas), alpha=8.5, beta=4.0, mu_lambda=mu,
-            a=1000.0, b=106.0, scheme="explicit")
+            a=1000.0, b=106.0)
 
     rep = contraction_report(diag([4.0, 0.4, 0.04, 0.004], [0.1, 0.1, 0.1], 0.5))
     assert rep.passed and rep.tail_max == pytest.approx(0.1)

@@ -217,8 +217,15 @@ def test_family_shares_one_plan_among_the_members_it_serves(monkeypatch):
 @pytest.mark.parametrize("tol", [-1e-8, float("nan")])
 def test_run_stability_refuses_a_tolerance_that_cannot_be_met(tol):
     family = xi_shift_family(make_base(), [1.0, 0.5])
-    with pytest.raises(ValueError, match="tol must be a number >= 0"):
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
         run_stability(family, n_paths=16, n_steps=20, tol=tol)
+
+
+def test_run_stability_refuses_a_step_count_that_is_not_an_integer():
+    # 50.5 steps used to run at 50
+    family = xi_shift_family(make_base(), [1.0, 0.5])
+    with pytest.raises(ValueError, match="n_steps must be an integer >= 1, got 50.5"):
+        run_stability(family, n_paths=16, n_steps=50.5)
 
 
 def test_family_member_failing_conditions_is_named():
