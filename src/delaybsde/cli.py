@@ -235,10 +235,14 @@ def _problem_errors(problem, config, n_steps):
     the errors are none: "registry" for what the registry builders and
     IncreasingProcessSpec refuse; once nothing is, "domain" for what building
     the ProblemSpec from those parts refuses, and "beta-range" or "c-range"
-    for what c_threshold refuses of beta, or c_admissible of c."""
+    for what c_threshold refuses of beta, or c_admissible of c; first, "schema"
+    for a missing required key or one registry.problem_from_dict does not read."""
+    required = ("T", "delta", "beta", "L", "L_tilde", "terminal", "A")
+    known = {*required, "m", "d", "F", "G", "K", "K_tilde", "rho", "rho_tilde", "c", "label"}
     errors = [("schema", f"problem section is missing required key '{key}'")
-              for key in ("T", "delta", "beta", "L", "L_tilde", "terminal", "A")
-              if key not in problem]
+              for key in required if key not in problem]
+    errors += [("schema", f"problem.{key}: unknown key; the problem takes "
+                          f"{', '.join(sorted(known))}") for key in problem if key not in known]
     if errors:
         return errors, None
     built = {}

@@ -19,8 +19,8 @@ from scipy.stats import qmc
 
 from .errors import (ConstraintViolationError, GeneratorEvaluationError,
                      NumericOverflowError)
-from .path_calculus import (TimeGrid, delay_fits_horizon, is_integer, is_number,
-                            node_major_zeros, stored_rows)
+from .path_calculus import (BLOCK_BYTES, TimeGrid, delay_fits_horizon, is_integer,
+                            is_number, node_major_zeros, stored_rows)
 from .stochastic_engine import IncreasingProcessSpec, PathEnsemble, omega_delta
 
 __all__ = [
@@ -266,46 +266,47 @@ def norm_weights(A, grid: TimeGrid, alpha: float, beta: float):
     return w, np.subtract(A[:, 1:], A[:, :-1])
 
 
-def _node_sq(X, U, i, e, sq):
-    """|X_i - U_i|^2 per path (|X_i|^2 when U is None) from the node blocks
-    X[:, i] and U[:, i], components added in index order; e, (n, k)
-    for k components, and sq, (n,), are scratch, one of which holds the
-    result."""
-    n = X.shape[0]
-    x = X[:, i].reshape(n, -1)
-    if U is None:
-        np.square(x, out=e)
-    else:
-        np.square(np.subtract(x, U[:, i].reshape(n, -1), out=e), out=e)
-    if e.shape[1] == 1:
-        return e[:, 0]
-    np.add(e[:, 0], e[:, 1], out=sq)
-    for j in range(2, e.shape[1]):
-        sq += e[:, j]
-    return sq
-
-
 def _walk_terms(Y, U, Z, V, w, dA, dt):
     """Per-path (sup w|Y - U|^2, sum w|Y - U|^2 dA, sum w|Z - V|^2 dt), U and
-    V may be None, by one forward walk over the nodes with scratch of one
-    node's size: w multiplies into each |.|^2 in place (products commute
-    exactly), and each sum adds its nodes in order, one elementwise step per
-    node, so the bits do not depend on the stacks' layout."""
+    V may be None, by one forward walk over slabs of nodes, each at most
+    BLOCK_BYTES of scratch and an eighth of the nodes: |.|^2 (components
+    added in index order) and its w, dA and dt products are whole-slab ufuncs
+    into one scratch (products commute exactly), the sup is one max over the
+    slab's nodes, and each sum adds the slab's node rows one at a time in
+    node order, so the bits do not depend on the stacks' layout or the slab."""
     n, n_nodes = Y.shape[:2]
-    scratch, ey, ez = np.empty(n), np.empty((n, Y[0, 0].size)), np.empty((n, Z[0, 0].size))
+    width = max(Y[0, 0].size, Z[0, 0].size)
+    size = max(1, min(BLOCK_BYTES // (8 * n * width), n_nodes // 8))
+    scratch = np.empty(size * n * width)
     top, y_int, z_int = np.full(n, -np.inf), np.zeros(n), np.zeros(n)
-    for i in range(n_nodes):
-        sq = _node_sq(Y, U, i, ey, scratch)
-        sq *= w[:, i]
-        np.maximum(top, sq, out=top)
-        if i == n_nodes - 1:
+
+    def slab_sq(X, U, lo, hi):  # |X_i - U_i|^2 at nodes lo .. hi - 1, as (hi - lo, n)
+        x = X.swapaxes(0, 1)[lo:hi].reshape(hi - lo, n, -1)
+        e = scratch[:x.size].reshape(x.shape)
+        if U is not None:
+            x = np.subtract(x, U.swapaxes(0, 1)[lo:hi].reshape(x.shape), out=e)
+        sq = np.square(x, out=e)[..., 0]
+        for j in range(1, e.shape[2]):
+            sq += e[..., j]
+        return sq
+
+    for lo in range(0, n_nodes, size):
+        hi = min(lo + size, n_nodes)
+        end = min(hi, n_nodes - 1)  # the integrals stop before the terminal node
+        sq = slab_sq(Y, U, lo, hi)
+        sq *= w.T[lo:hi]
+        np.maximum(top, sq.max(axis=0), out=top)
+        if end == lo:
             break
-        sq *= dA[:, i]
-        y_int += sq
-        sq = _node_sq(Z, V, i, ez, scratch)
-        sq *= w[:, i]
-        sq *= dt[i]
-        z_int += sq
+        sq = sq[:end - lo]
+        sq *= dA.T[lo:end]
+        for row in sq:
+            y_int += row
+        sq = slab_sq(Z, V, lo, end)
+        sq *= w.T[lo:end]
+        sq *= dt[lo:end, None]
+        for row in sq:
+            z_int += row
     return top, y_int, z_int
 
 
@@ -326,11 +327,11 @@ def equivalent_norm(Y, Z, A, grid: TimeGrid, alpha: float, beta: float,
     row or n; anything else raises ValueError naming the shapes, and a total
     that is not finite raises NumericOverflowError.
 
-    The per-path terms come from one walk over the nodes (_walk_terms),
+    The per-path terms come from one walk over slabs of nodes (_walk_terms),
     which forms no temporary the size of a stack and adds in node order
-    whatever the layout, so a norm's bits do not depend on the layout of its
-    inputs.  On node-major stacks, those of every ensemble and solution,
-    each node it reads is one contiguous block."""
+    whatever the layout or slab, so a norm's bits do not depend on the
+    layout of its inputs.  On node-major stacks, those of every ensemble and
+    solution, each slab it reads is one contiguous block."""
     w, dA = norm_weights(A, grid, alpha, beta) if weights is None else weights
     n_nodes = grid.nodes.size
     U, V = (None, None) if minus is None else minus
@@ -580,7 +581,7 @@ def evaluate_generator(gen, which: str, ctx: GenContext, y, z, y_seg, z_seg, *,
     out = gen(ctx.t, y, z, y_seg, z_seg, ctx) if which == "F" \
         else gen(ctx.t, y, y_seg, ctx)
     out = np.asarray(out, dtype=float).reshape(n, m)
-    if finite and not np.all(np.isfinite(out)):
+    if finite and not np.isfinite(out).all():
         raise GeneratorEvaluationError(f"{which} returned a non-finite value at t={ctx.t:.6g}")
     return out
 

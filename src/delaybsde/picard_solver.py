@@ -139,13 +139,15 @@ def _affine_node_solve(problem: ProblemSpec, ctx, probes: np.ndarray, dA_i: np.n
     whose S has spectral radius >= 1, where iterating the equation cannot
     contract, raises NonContractionError naming node i, t and the factor."""
     g0, *cols = (_g_increment(problem, ctx, y, None, dA_i) for y in probes)
-    S, rhs, m = np.stack(cols, axis=-1) - g0[:, :, None], base + g0, len(cols)
-    factor = np.max(np.abs(S if m == 1 else np.linalg.eigvals(S)))
+    m = len(cols)  # for m = 1, S is (n, 1), each path's entry its own spectral radius
+    S = np.subtract(cols[0], g0, out=cols[0]) if m == 1 else np.stack(cols, -1) - g0[:, :, None]
+    factor = np.abs(S if m == 1 else np.linalg.eigvals(S)).max()
     if not factor < 1.0:
         raise NonContractionError(f"G's equation at node {i} (t={ctx.t:.6g}) has factor "
                                   f"{factor:.3e} >= 1 on some path, so iterating it cannot contract")
+    rhs = np.add(g0, base, out=g0)
     if m == 1:
-        return rhs / (1.0 - S[:, 0])
+        return np.divide(rhs, np.subtract(1.0, S, out=S), out=rhs)
     return np.linalg.solve(np.eye(m) - S, rhs[:, :, None])[:, :, 0]
 
 
@@ -204,7 +206,9 @@ def _sweep(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray, V: np.nd
     Y_i = base + G(Y_i) dA_i per path in one step (_affine_node_solve), with
     base the fit of the next value plus dt F; U and V are then not read.
     That is the map's fixed point only under _solved_at_its_node, and any
-    other problem raises ValueError."""
+    other problem raises ValueError.  Each node forms its Z target in one
+    scratch of the sweep and tests for blow-up with one reduction, max |Y_i|
+    <= BLOWUP_THRESHOLD, which a NaN or an infinity on any path fails."""
     _check_fit(problem, ensemble)
     grid = ensemble.grid
     plan = _plan_for(ensemble, plan)
@@ -231,6 +235,7 @@ def _sweep(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray, V: np.nd
     v_windows = _windows(V, k, "z_seg" in f_reads, kind="control")
     if node_g:  # G's arguments in its affine solve: 0, then each e_j
         probes = np.broadcast_to(np.eye(m + 1, m, -1)[:, None], (m + 1, n, m))
+    z_target = np.empty((n, m, d))  # each node's Z target, formed in place
 
     for i in range(n_nodes - 2, -1, -1):
         dt = float(steps[i])
@@ -245,7 +250,9 @@ def _sweep(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray, V: np.nd
             tgt += nxt
 
         mean_fit, _ = plan.fit(i, design, tgt)
-        z_target = (tgt - mean_fit)[:, :, None] * dW[:, None, :] / dt
+        np.subtract(tgt[:, :, None], mean_fit[:, :, None], out=z_target)
+        z_target *= dW[:, None, :]
+        z_target /= dt
         z_fit, _ = plan.fit(i, design, z_target.reshape(n, m * d))
         Z[:, i] = z_fit.reshape(n, m, d)
 
@@ -255,7 +262,7 @@ def _sweep(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray, V: np.nd
             cur, _ = plan.fit(i, design, tgt + dt * drv)
         if node_g:
             cur = _affine_node_solve(problem, ctx, probes, dA[:, i, None], cur, i)
-        if not np.all(np.isfinite(cur)) or np.max(np.abs(cur)) > BLOWUP_THRESHOLD:
+        if not np.abs(cur).max() <= BLOWUP_THRESHOLD:  # a NaN on any path fails it too
             raise BlowupError(f"value iterate exploded at node {i} (t={ctx.t:.6g})")
         Y[:, i] = cur
         del design  # free it before the next node builds its own

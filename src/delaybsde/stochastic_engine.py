@@ -26,6 +26,7 @@ node beside it, and PathEnsemble copies any other layout once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -312,6 +313,13 @@ def omega_delta(ensemble: PathEnsemble, delta: float) -> np.ndarray:
 
 # ----------------------------------------------------------- regression
 
+@functools.cache
+def _monomials(degree: int, d: int) -> tuple:
+    """The design's monomials of d components, as index tuples by degree."""
+    return tuple(combo for deg in range(1, degree + 1)
+                 for combo in itertools.combinations_with_replacement(range(d), deg))
+
+
 @dataclass(frozen=True)
 class RegressionBasis:
     """Polynomial design in the Brownian state plus optional extra columns.
@@ -337,8 +345,7 @@ class RegressionBasis:
     def design(self, w_t: np.ndarray, extras: list[np.ndarray] | None = None) -> np.ndarray:
         w_t = np.atleast_2d(np.asarray(w_t, dtype=float))
         n, d = w_t.shape
-        combos = [combo for deg in range(1, self.degree + 1)
-                  for combo in itertools.combinations_with_replacement(range(d), deg)]
+        combos = _monomials(self.degree, d)
         extras = [np.asarray(extra, dtype=float).reshape(n, -1) for extra in extras or []]
         out = np.empty((n, 1 + len(combos) + sum(e.shape[1] for e in extras)), order="F")
         out[:, 0] = 1.0

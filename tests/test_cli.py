@@ -497,6 +497,26 @@ def test_a_number_of_the_problem_section_must_be_a_json_number(tmp_path, capsys,
     assert not out.exists()
 
 
+PROBLEM_KEYS = ("A, F, G, K, K_tilde, L, L_tilde, T, beta, c, d, delta, label, m, rho, "
+                "rho_tilde, terminal")
+
+
+@pytest.mark.parametrize("command", ["check-assumptions", "solve", "stability"])
+def test_an_unknown_problem_key_is_a_schema_error(tmp_path, capsys, command):
+    # a misspelled K_tilde would otherwise leave K_tilde at its declared
+    # value, and check-assumptions would print PASS for it
+    config = readme_config()
+    config["problem"]["K_tild"] = 0.5
+    message = f"problem.K_tild: unknown key; the problem takes {PROBLEM_KEYS}"
+    assert cli.validate(config) == ([{"level": "error", "code": "schema", "message": message}],
+                                    None)
+    out = tmp_path / "out"
+    assert cli.run([command, "--config", write_config(tmp_path, config), "--out", str(out),
+                    "--paths", "200"]) == 2
+    assert capsys.readouterr() == (f"error: [schema] {message}\n", "")
+    assert not out.exists()
+
+
 def readme_config():
     """The JSON block under "### Config file" in README.md."""
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:

@@ -413,15 +413,18 @@ NORMS = {"contraction": (1.3, 0.6, 5.0, 2.0), "solution": (0.0, 0.7, 1.0, 1.0)}
 @pytest.mark.parametrize("which", ["both", "Y", "Z"])
 @pytest.mark.parametrize("A_kind", ["one_row", "random"])
 @pytest.mark.parametrize("norm", sorted(NORMS))
-@pytest.mark.parametrize("n", [300, 2, 1])
+@pytest.mark.parametrize("n", [5000, 300, 2, 1])
 def test_node_walk_terms_equal_whole_array_bits(n, norm, A_kind, which):
-    # node-major stacks (m = 2, d = 3) are measured by one walk over the nodes;
-    # its terms must be those of the whole-array expressions, each path's
-    # nodes added in order, bit for bit, with minus= giving what the explicit
-    # difference gives, for the contraction norm's weights and the solution
-    # norm's (alpha = 0, a = b = 1).  One path is walked too: its row is not
-    # summed pairwise, as numpy sums a C-contiguous row.  which = Y (Z) lets
-    # only Y - U (Z - V) differ from 0, so the other stack's terms are 0.0
+    # node-major stacks (m = 2, d = 3) are measured by one walk over slabs of
+    # nodes; its terms must be those of the whole-array expressions, each
+    # path's nodes added in order, bit for bit, with minus= giving what the
+    # explicit difference gives, for the contraction norm's weights and the
+    # solution norm's (alpha = 0, a = b = 1).  One path is walked too: its
+    # row is not summed pairwise, as numpy sums a C-contiguous row.  At 5,000
+    # paths the slab's bytes, not its share of the nodes, set its size (4 of
+    # the 41 nodes), so the terminal node sits alone in the last slab.
+    # which = Y (Z) lets only Y - U (Z - V) differ from 0, so the other
+    # stack's terms are 0.0
     alpha, beta, a, b = NORMS[norm]
     rng = np.random.default_rng(31)
     n_steps = 40

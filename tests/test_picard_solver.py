@@ -334,6 +334,24 @@ def test_gamma_step_blowup():
         gamma_step(prob, ens, U, V)
 
 
+def test_a_value_that_is_nan_on_one_path_blows_up_at_its_node():
+    # the blow-up check fails a node where one path alone is NaN, not only a
+    # node where every path is: the fit at node 6 returns NaN on path 17
+    ens = make_ensemble(50, n_steps=10, seed=36)
+
+    class OneNaN(stochastic_engine.RegressionPlan):
+        def fit(self, step, design, targets):
+            fitted, theta = super().fit(step, design, targets)
+            if step == 6:
+                fitted[17] = np.nan
+            return fitted, theta
+
+    prob = make_problem(xi=registry.build_terminal({"name": "brownian", "params": {}}))
+    U, V = np.zeros((50, 11, 1)), np.zeros((50, 11, 1, 1))
+    with pytest.raises(BlowupError, match=r"value iterate exploded at node 6 \(t=0\.6\)"):
+        gamma_step(prob, ens, U, V, plan=OneNaN(RegressionBasis(), ens))
+
+
 
 def test_gamma_step_refuses_a_terminal_that_is_not_finite():
     ens = make_ensemble(50, seed=5)
