@@ -33,12 +33,11 @@ from .errors import (BlowupError, ConfigError, ConstraintViolationError,
 from .model import c_admissible, check_integrability, generator_reads, preflight
 from .path_calculus import TimeGrid, is_integer, is_number
 from .picard_solver import consistency_residuals, contraction_report, solve
-from .registry import build_F, build_G, build_terminal, problem_from_dict
+from .registry import problem_from_dict
 from .stability_lab import (helly_bray_stochastic_check, oscillatory_A_family,
                             oscillatory_integration_family,
                             resonant_integration_family, xi_shift_family)
-from .stochastic_engine import (PROCESS_KINDS, IncreasingProcessSpec, RegressionBasis,
-                                realize_increasing_process, simulate_brownian)
+from .stochastic_engine import RegressionBasis, realize_increasing_process, simulate_brownian
 
 ENV_PREFIX = "DELAYBSDE_"
 # the settings a flag and a DELAYBSDE_* variable override: key -> (name, flag help)
@@ -210,11 +209,11 @@ def validate(config, n_steps=None):
     "message"}`` with level "error" or "warning"; no error means the config
     is runnable.  problem is the ProblemSpec the check built, so that a
     command builds each part of its problem once, or None when the check
-    finds an error.  Only the problem section is checked (_problem_errors);
-    the grid check runs at n_steps, by default the solver section's, read by
-    read_settings (a refusal of which is a schema diagnostic).  Once there is
-    no error, a "bounds" warning names each of F and G that reads its delay
-    window (model.generator_reads) under a zero K or K_tilde.
+    finds an error.  Only the problem section is checked, by the rules of
+    registry.problem_from_dict and then _problem_errors' (the grid at
+    n_steps, by default the solver section's).  Once there is no error, a
+    "bounds" warning names each of F and G that reads its delay window
+    (model.generator_reads) under a zero K or K_tilde.
     """
     problem = config.get("problem")
     errors, spec = (_problem_errors(problem, config, n_steps) if isinstance(problem, dict)
@@ -231,43 +230,15 @@ def validate(config, n_steps=None):
 
 
 def _problem_errors(problem, config, n_steps):
-    """validate's (code, message) errors and the ProblemSpec, None unless
-    the errors are none: "registry" for what the registry builders and
-    IncreasingProcessSpec refuse; once nothing is, "domain" for what building
-    the ProblemSpec from those parts refuses, and "beta-range" or "c-range"
-    for what c_threshold refuses of beta, or c_admissible of c; first, "schema"
-    for a missing required key or one registry.problem_from_dict does not read."""
-    required = ("T", "delta", "beta", "L", "L_tilde", "terminal", "A")
-    known = {*required, "m", "d", "F", "G", "K", "K_tilde", "rho", "rho_tilde", "c", "label"}
-    errors = [("schema", f"problem section is missing required key '{key}'")
-              for key in required if key not in problem]
-    errors += [("schema", f"problem.{key}: unknown key; the problem takes "
-                          f"{', '.join(sorted(known))}") for key in problem if key not in known]
-    if errors:
-        return errors, None
-    built = {}
-    for section, build in (("terminal", build_terminal), ("F", build_F), ("G", build_G)):
-        try:
-            built[section] = build(problem.get(section))
-        except (ConfigError, TypeError, ValueError) as exc:
-            errors.append(("registry", f"{section}: {exc}"))
+    """validate's (code, message) errors and the ProblemSpec, None unless the
+    errors are none: registry.problem_from_dict's, then "c-range" for a c
+    c_admissible refuses, "schema" for a solver section read_settings
+    refuses and "grid-alignment" for a delta TimeGrid refuses at n_steps."""
     try:
-        built["A"] = IncreasingProcessSpec.from_dict(problem["A"])
-        if is_integer(problem.get("d", 1), 1):    # any other d is a [domain] error below
-            built["A"].check_dimension(problem.get("d", 1))
-    except (KeyError, TypeError, ValueError) as exc:
-        errors.append(("registry", f"A must be an increasing process of a kind in "
-                                   f"{sorted(PROCESS_KINDS)}: {exc}"))
-    if errors:
-        return errors, None
-
-    try:
-        spec = problem_from_dict(problem, built)
-        admissible, cap = c_admissible(spec.c, spec.beta, spec.L_tilde)
-    except ConstraintViolationError as exc:
-        return [("beta-range", str(exc))], None
-    except (ConfigError, TypeError, ValueError) as exc:
-        return [("domain", f"problem: {exc}")], None
+        spec = problem_from_dict(problem)
+    except ConfigError as exc:
+        return exc.errors, None
+    admissible, cap = c_admissible(spec.c, spec.beta, spec.L_tilde)
     if spec.c is not None and not admissible:
         return [("c-range", f"c={spec.c!r} must lie in (0, {cap:.6g}) "
                             f"for beta={spec.beta}, L_tilde={spec.L_tilde}")], None

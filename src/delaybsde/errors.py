@@ -42,4 +42,9 @@ class FamilyInvalidError(DelayBsdeError):
 
 
 class ConfigError(DelayBsdeError):
-    """An experiment configuration cannot be used."""
+    """An experiment configuration cannot be used; ``errors`` holds a refused
+    problem section's (code, message) faults (registry.problem_from_dict)."""
+
+    def __init__(self, message="", errors=()):
+        self.errors = list(errors)
+        super().__init__(message or "; ".join(text for _, text in self.errors))

@@ -323,7 +323,7 @@ def equivalent_norm(Y, Z, A, grid: TimeGrid, alpha: float, beta: float,
     same A.  Y and Z are whole stacks, (n, n_nodes, m) and (n, n_nodes, m, d);
     ``minus`` = (U, V), stacks of the same shapes, either of which may be
     None, measures Y - U and Z - V instead.  The stacks must hold one number
-    of paths n on the grid's nodes, and the weights (A's stored rows) one
+    of paths n > 0 on the grid's nodes, and the weights (A's stored rows) one
     row or n; anything else raises ValueError naming the shapes, and a total
     that is not finite raises NumericOverflowError.
 
@@ -336,14 +336,14 @@ def equivalent_norm(Y, Z, A, grid: TimeGrid, alpha: float, beta: float,
     n_nodes = grid.nodes.size
     U, V = (None, None) if minus is None else minus
     stacks = {name: X for name, X in zip("YUZV", (Y, U, Z, V)) if X is not None}
-    # whole stacks on the grid's nodes, of one path count that A shares unless one row
+    # whole stacks on the grid's nodes, of one path count n > 0 that A shares unless one row
     whole = {"Y", "Z"} <= stacks.keys() and all(
-        X.ndim == (3 if name in "YU" else 4) and X.shape[1] == n_nodes
+        X.ndim == (3 if name in "YU" else 4) and X.shape[0] > 0 and X.shape[1] == n_nodes
         for name, X in stacks.items())
     if not whole or len({X.shape[0] for X in stacks.values()} | ({w.shape[0]} - {1})) > 1:
         shapes = ", ".join(f"{name} {X.shape}" for name, X in stacks.items())
         raise ValueError(f"the norm needs Y (n, {n_nodes}, m) and Z (n, {n_nodes}, m, d), U and "
-                         f"V as Y and Z when given, of one path count and A of one row or "
+                         f"V as Y and Z when given, of one path count n > 0 and A of one row or "
                          f"that many: {shapes}, A rows {w.shape[0]}")
     top, y_int, z_int = _walk_terms(Y, U, Z, V, w, dA, grid.steps())
     report = NormReport(sup_term=float(np.mean(top)), dA_term=float(np.mean(y_int)),

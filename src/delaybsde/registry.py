@@ -1,41 +1,36 @@
-"""Named builders for terminals and generators, and the reader of a config's
-problem section.
+"""Named builders for terminals and generators, and the problem schema: the
+table of a config's problem keys and their reader, problem_from_dict.
 
 Each table of names is closed: a config names a part, and the one way to
-supply another is a hand-written callable handed to ProblemSpec.  Every
-param a builder reads, and every number problem_from_dict reads that
-ProblemSpec does not check itself (K, K_tilde and the delay measures'
-entries), must be a finite number (path_calculus.is_number), not a string or a
-bool; anything else raises ValueError.  Built F and G carry ``reads``, the
-frozenset of the arguments ("y", "z", "y_seg", "z_seg") they read; a
-generator without it counts as reading every argument
+supply another is a hand-written callable handed to ProblemSpec.  An entry
+key other than name and params, or a param its builder does not read, is a
+ConfigError.  Every param a builder reads, and every number problem_from_dict
+reads that ProblemSpec does not check itself (K, K_tilde and the delay
+measures' entries), must be a finite number (path_calculus.is_number), not a
+string or a bool; anything else raises ValueError.  Built F and G carry
+``reads``, the frozenset of the arguments ("y", "z", "y_seg", "z_seg") they
+read; a generator without it counts as reading every argument
 (model.generator_reads).  The "linear" G also carries ``affine_in_y``: it is
 affine in y with coefficients known at t, so it keeps a value in the
 regression span, which lets the solver sweep once (picard_solver.solve).
-The built terminals carry ``width``, the number of columns of xi, which
-ProblemSpec checks against m; a built "brownian" terminal also carries
-``component``, the component of W(T) it reads, which ProblemSpec checks
-against d.
+Built terminals carry ``width``, the number of columns of xi, which
+ProblemSpec checks against m; a "brownian" one also ``component``, the
+component of W(T) it reads, which ProblemSpec checks against d.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
-from .model import AtomMeasure, ProblemSpec, segment_integral
+from .errors import ConfigError, ConstraintViolationError
+from .model import AtomMeasure, ProblemSpec, c_threshold, segment_integral
 from .path_calculus import is_integer, is_number
-from .stochastic_engine import IncreasingProcessSpec
+from .stochastic_engine import PROCESS_KINDS, IncreasingProcessSpec
 
-__all__ = [
-    "build_terminal",
-    "build_F",
-    "build_G",
-    "problem_from_dict",
-]
+__all__ = ["build_terminal", "build_F", "build_G", "problem_from_dict"]
 
 
-def _number(entries, key, default):
+def _number(entries, key, default=None):
     """entries[key], default when absent, as a float; ValueError unless it
     is a number (is_number)."""
     value = entries.get(key, default)
@@ -197,15 +192,35 @@ _G_BUILDERS = {
 }
 
 
+class _Params(dict):
+    """An entry's params, whose get records each key read in ``read``."""
+    read = frozenset()
+
+    def get(self, key, default=None):
+        self.read |= {key}
+        return super().get(key, default)
+
+
 def _build(kind, table, entry):
+    """table's builder of entry's name on its params, None for no entry;
+    ConfigError for an entry that is not an object of a name and a params
+    object, a name the table lacks, or a param the builder does not read."""
     if entry is None:
         return None
     if not isinstance(entry, dict) or not isinstance(entry.get("params", {}), dict):
         raise ConfigError(f"a {kind} entry must be an object with a params object")
+    for key in entry:
+        if key not in ("name", "params"):
+            raise ConfigError(f"a {kind} entry takes only name and params, got {key!r}")
     name = entry.get("name")
     if name not in table:
         raise ConfigError(f"unknown {kind} '{name}'; known: {sorted(table)}")
-    fn = table[name](entry.get("params", {}))
+    params = _Params(entry.get("params", {}))
+    fn = table[name](params)
+    unread = [key for key in params if key not in params.read]
+    if unread:
+        raise ConfigError(f"the {kind} '{name}' reads no param {unread[0]!r}; it reads "
+                          f"{', '.join(sorted(params.read)) or 'none'}")
     fn.__name__ = f"{kind}_{name}"
     return fn
 
@@ -226,6 +241,12 @@ def build_G(entry):
 
 # ----------------------------------------------------------------- configs
 
+# the problem section's keys: those a config must give, then the others with their defaults
+_REQUIRED = ("T", "delta", "beta", "L", "L_tilde", "terminal", "A")
+_PROBLEM_KEYS = {**dict.fromkeys(_REQUIRED), "m": 1, "d": 1, "F": None, "G": None,
+                 "K": 0.0, "K_tilde": 0.0, "rho": None, "rho_tilde": None, "c": None, "label": ""}
+
+
 def _measure_from(config, key):
     """The AtomMeasure of config[key], None when absent; ValueError unless
     it is an object whose thetas and weights are numbers or lists of numbers."""
@@ -243,41 +264,43 @@ def _measure_from(config, key):
     return AtomMeasure(*arrays)
 
 
-def problem_from_dict(config: dict, built: dict | None = None) -> ProblemSpec:
-    """Assemble a ProblemSpec from a JSON-able dictionary of named parts.
-
-    ``built`` may map the sections "terminal", "A", "F" and "G" to their parts
-    already built from config, as cli.validate builds them to name a section
-    at fault; a part given there is not built again.
-    """
-    built = built or {}
-
-    def part(section, build, required=False):
-        if section in built:
-            return built[section]
-        return build(config[section] if required else config.get(section))
-
+def problem_from_dict(config: dict) -> ProblemSpec:
+    """The ProblemSpec of a problem section, or a ConfigError whose ``errors``
+    hold each (code, message) fault of the first stage to find any, as
+    cli.validate reports them: "schema", each key missing or not in
+    _PROBLEM_KEYS; "registry", each of terminal, F, G and A (with its
+    check_dimension against d) that its builder refuses; "domain", what
+    ProblemSpec or the reading of K, K_tilde, rho and rho_tilde refuses;
+    "beta-range", a beta that leaves model.c_threshold no admissible c."""
+    errors = [("schema", f"problem section is missing required key '{key}'")
+              for key in _REQUIRED if key not in config]
+    errors += [("schema", f"problem.{key}: unknown key; the problem takes "
+                          f"{', '.join(sorted(_PROBLEM_KEYS))}")
+               for key in config if key not in _PROBLEM_KEYS]
+    if errors:
+        raise ConfigError(errors=errors)
+    value = {key: config.get(key, default) for key, default in _PROBLEM_KEYS.items()}
+    for section, build in (("terminal", build_terminal), ("F", build_F), ("G", build_G),
+                           ("A", IncreasingProcessSpec.from_dict)):
+        try:
+            value[section] = build(value[section])
+            if section == "A" and is_integer(value["d"], 1):    # any other d is a domain fault
+                value["A"].check_dimension(value["d"])
+        except (ConfigError, KeyError, TypeError, ValueError) as exc:
+            where = (f"A must be an increasing process of a kind in {sorted(PROCESS_KINDS)}"
+                     if section == "A" else section)
+            errors.append(("registry", f"{where}: {exc}"))
+    if errors:
+        raise ConfigError(errors=errors)
     try:
-        xi = part("terminal", build_terminal, required=True)
-        return ProblemSpec(
-            T=config["T"],
-            delta=config["delta"],
-            xi=xi,
-            A_spec=part("A", IncreasingProcessSpec.from_dict, required=True),
-            beta=config["beta"],
-            L=config["L"],
-            L_tilde=config["L_tilde"],
-            m=config.get("m", 1),
-            d=config.get("d", 1),
-            F=part("F", build_F),
-            G=part("G", build_G),
-            K=_number(config, "K", 0.0),
-            K_tilde=_number(config, "K_tilde", 0.0),
-            rho=_measure_from(config, "rho"),
-            rho_tilde=_measure_from(config, "rho_tilde"),
-            c=config.get("c"),
-            label=str(config.get("label", "")),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"missing required problem key: {exc}") from None
-
+        value.update(K=_number(value, "K"), K_tilde=_number(value, "K_tilde"),
+                     rho=_measure_from(value, "rho"), rho_tilde=_measure_from(value, "rho_tilde"),
+                     label=str(value["label"]))
+        spec = ProblemSpec(xi=value.pop("terminal"), A_spec=value.pop("A"), **value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(errors=[("domain", f"problem: {exc}")]) from None
+    try:
+        c_threshold(spec.beta, spec.L_tilde)
+    except ConstraintViolationError as exc:
+        raise ConfigError(errors=[("beta-range", str(exc))]) from None
+    return spec

@@ -1,4 +1,4 @@
-"""Oracles on the Y paths of a solve, written independently of the solver.
+"""Oracles on the Y and Z paths of a solve, written independently of the solver.
 
 delayed_linear_coefficients: for F = kappa y(t - delta) (``delayed_linear``),
 xi = W(T), A = t and no G, the explicit scheme's fixed point is linear in the
@@ -9,6 +9,8 @@ and the "state" prolongation reads Y_0 before time zero, so
     C[N] = e_N,    C[i] = fold_i(C[i+1]) + dt kappa C[max(i - k, 0)].
 
 The delayed term makes this a fixed point in C, found by Picard sweeps.
+Z_i, E_i[Y_{i+1} dW_i] / dt, is then the W_{i+1} coefficient of Y_{i+1},
+C[i+1, i+1], the same on every path.
 """
 
 import numpy as np

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -501,28 +502,170 @@ PROBLEM_KEYS = ("A, F, G, K, K_tilde, L, L_tilde, T, beta, c, d, delta, label, m
                 "rho_tilde, terminal")
 
 
-@pytest.mark.parametrize("command", ["check-assumptions", "solve", "stability"])
-def test_an_unknown_problem_key_is_a_schema_error(tmp_path, capsys, command):
-    # a misspelled K_tilde would otherwise leave K_tilde at its declared
-    # value, and check-assumptions would print PASS for it
-    config = readme_config()
-    config["problem"]["K_tild"] = 0.5
-    message = f"problem.K_tild: unknown key; the problem takes {PROBLEM_KEYS}"
-    assert cli.validate(config) == ([{"level": "error", "code": "schema", "message": message}],
-                                    None)
-    out = tmp_path / "out"
-    assert cli.run([command, "--config", write_config(tmp_path, config), "--out", str(out),
-                    "--paths", "200"]) == 2
-    assert capsys.readouterr() == (f"error: [schema] {message}\n", "")
-    assert not out.exists()
-
-
 def readme_config():
     """The JSON block under "### Config file" in README.md."""
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         text = fh.read()
     block = text.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     return json.loads(block)
+
+
+def readme_runs(name, edits, commands, code, out, err=(), written=False,
+                flags=("--paths", "200"), env=None):
+    """One row of README_RUNS per command, each with its id name-command."""
+    return [pytest.param(edits, command, flags, env or {}, code, out, err, written,
+                         id=f"{name}-{command}") for command in commands]
+
+
+PREFLIGHT = ("check-assumptions", "solve", "stability")
+A_KINDS_LINE = "error: [registry] " + A_KINDS
+PROBE_G = ("declared constants for G are too small: LipschitzProbe(which='G', empirical_L=2.0, "
+           "empirical_K1=0.0, declared_L=1.0, declared_K1=0.0002, exceeds_L=True, "
+           "exceeds_K1=False)")
+G_BELOW = ("declared constants of G are below the empirical ones (L=1 vs 2, K1=0.0002 vs 0), "
+           "so the smallness conditions prove nothing")
+NO_LAMBDA = "no scanned lambda contracts (best mu=nan); beta or c are too close to their limits"
+FORCE = '; set "force": true in the solver section to run anyway)'
+PROBE_FAIL = {"problem.G": {"name": "linear", "params": {"b": 2.0}}}
+# below about 3e-308, 1/(2c) overflows and only the lambda check fails
+TINY_C = {"problem.c": 1e-320, "problem.K": 0.0, "problem.K_tilde": 0.0}
+SEED_RANGE = f"must be an integer >= 0 and < {2 ** 64}"
+
+# (README config edits "section.key": value, command, flags, environment,
+# exit code, stdout lines, stderr lines, whether the output directory is
+# written), for test_readme_config_and_its_edits
+README_RUNS = [
+    # G reads y alone against A = t, so solve sweeps once and solves G's
+    # affine equation in one step; a fallback to the Picard loop would print
+    # more iterations, or node_passes=0
+    *readme_runs("readme", {}, ["solve"], 0, [
+        "solve: converged=True iterations=2 node_passes=1 Y(0)=[...]", "...", "solve: PASS"],
+        written=True, flags=("--paths", "2000")),
+    # G = 2y against the declared L_tilde = 1 fails the G probe, so each
+    # command that runs the preflight refuses it; solve names its override
+    # as the solver section's key
+    *readme_runs("probe-fail", PROBE_FAIL, ["check-assumptions"], 2, [
+        "...", "lipschitz probe G: FAIL empirical_L=2 declared_L=1 empirical_K1=0 "
+        "declared_K1=0.0002", "...", "check-assumptions: FAIL (1 failures)"],
+        [PROBE_G], written=True),
+    *readme_runs("probe-fail", PROBE_FAIL, ["solve"], 2, [f"solve: FAIL ({G_BELOW}{FORCE}"],
+                 [PROBE_G]),
+    *readme_runs("probe-fail", PROBE_FAIL, ["stability"], 2, [
+        f"stability: FAIL (base problem fails: {G_BELOW})"], [PROBE_G]),
+    # the lambda check alone fails; forced, the solve converges, prints
+    # mu_lambda=nan (there is no contracting lambda) and passes
+    *readme_runs("tiny-c", TINY_C, ["check-assumptions"], 2, [
+        "...", f"lambda selection: FAIL ({NO_LAMBDA})", "...",
+        "check-assumptions: FAIL (1 failures)"], written=True),
+    *readme_runs("tiny-c", TINY_C, ["solve"], 2, [f"solve: FAIL ({NO_LAMBDA}{FORCE}"]),
+    *readme_runs("tiny-c-force", {**TINY_C, "solver.force": True}, ["solve"], 0, [
+        "solve: converged=True ...", "contraction: INCONCLUSIVE tail_max=nan mu_lambda=nan",
+        "...", "solve: PASS"],
+        ["no contraction budget for c=1e-320; tracking with unit weights"], written=True),
+    # the config check refuses the problem: each command prints the one
+    # line and exits 2, before any probe runs or anything is written
+    *readme_runs("m2", {"problem.m": 2}, PREFLIGHT, 2, [
+        "error: [domain] problem: the terminal has 1 column(s), so needs m = 1, got m=2"]),
+    # numbers given as text and as a bool, and entries that are not objects
+    *readme_runs("rate-text", {"problem.A": {"kind": "deterministic",
+                                             "params": {"shape": "linear", "rate": "2"}}},
+                 PREFLIGHT, 2, [A_KINDS_LINE + "the deterministic shape 'linear' takes numbers, "
+                                               "got rate='2'"]),
+    *readme_runs("b-bool", {"problem.G": {"name": "linear", "params": {"b": True}}}, PREFLIGHT,
+                 2, ["error: [registry] G: b must be a finite number, got True"]),
+    *readme_runs("rho-list", {"problem.rho": [0.5]}, PREFLIGHT, 2, [
+        "error: [domain] problem: rho must be an object with thetas and weights, got [0.5]"]),
+    *readme_runs("A-string", {"problem.A": "deterministic"}, PREFLIGHT, 2, [
+        A_KINDS_LINE + "an A entry must be an object with a kind and a params object, "
+                       "got 'deterministic'"]),
+    # JSON's Infinity is no number
+    *readme_runs("T-inf", {"problem.T": float("inf")}, PREFLIGHT, 2, [
+        "error: [domain] problem: T must be a positive number, got inf"]),
+    # a misspelled K_tilde would otherwise leave K_tilde at its declared
+    # value, and check-assumptions would print PASS for it
+    *readme_runs("K-tild", {"problem.K_tild": 0.5}, PREFLIGHT, 2, [
+        f"error: [schema] problem.K_tild: unknown key; the problem takes {PROBLEM_KEYS}"]),
+    # a setting that cannot be read, from a section, a flag or the
+    # environment, or a key its section does not list: one [schema] line,
+    # exit 1; the retired scheme would otherwise run explicitly whatever it
+    # says, a misspelled n_path leave n_paths at its default, and tol = inf
+    # stop after pass 1
+    *readme_runs("stability-scheme", {"stability.scheme": "implicit"}, ["stability"], 1, [], [
+        "error: [schema] stability.scheme: unknown key; stability takes final_threshold, kind, "
+        "max_iter, n_values, shifts, tol"]),
+    *readme_runs("n-path", {"solver.n_path": 10}, ["solve"], 1, [], [
+        "error: [schema] solver.n_path: unknown key; solver takes degree, force, max_iter, "
+        "n_paths, n_steps, ridge, seed, tol"]),
+    *readme_runs("ks-negative", {"hellybray.ks_threshold": -0.02}, ["helly-bray"], 1, [], [
+        "error: [schema] hellybray.ks_threshold: must be a finite number >= 0, got -0.02"]),
+    *readme_runs("tol-inf", {"solver.tol": float("inf")}, ["solve"], 1, [], [
+        "error: [schema] solver.tol: must be a finite number, got inf"]),
+    *readme_runs("paths-0", {}, ["solve"], 1, [], [
+        "error: [schema] --paths: must be an integer >= 1, got 0"], flags=("--paths", "0")),
+    *readme_runs("seed-negative", {}, ["solve"], 1, [], [
+        f"error: [schema] DELAYBSDE_SEED: {SEED_RANGE}, got -1"], env={"DELAYBSDE_SEED": "-1"}),
+    # one past the largest Philox key
+    *readme_runs("seed-2**64", {}, ["solve"], 1, [], [
+        f"error: [schema] DELAYBSDE_SEED: {SEED_RANGE}, got {2 ** 64}"],
+        env={"DELAYBSDE_SEED": str(2 ** 64)}),
+    # an entry key or a builder param the registry does not read: each used
+    # to be read as its default, "bb" and "parms" leaving b = 0
+    *readme_runs("G-param", {"problem.G": {"name": "linear", "params": {"bb": 2.0}}}, ["solve"],
+                 2, ["error: [registry] G: the G 'linear' reads no param 'bb'; it reads b"]),
+    *readme_runs("G-entry", {"problem.G": {"name": "linear", "parms": {"b": 2.0}}}, ["solve"],
+                 2, ["error: [registry] G: a G entry takes only name and params, got 'parms'"]),
+    *readme_runs("F-param", {"problem.F": {"name": "linear",
+                                           "params": {"a_y": 0.2, "a_zz": 0.1}}}, ["solve"],
+                 2, ["error: [registry] F: the F 'linear' reads no param 'a_zz'; "
+                     "it reads a_y, a_z"]),
+    *readme_runs("F-zero", {"problem.F": {"name": "zero", "params": {"a_y": 0.2}}}, ["solve"],
+                 2, ["error: [registry] F: the F 'zero' reads no param 'a_y'; it reads none"]),
+    *readme_runs("F-entry", {"problem.F": {"name": "linear", "param": {"a_y": 0.2}}}, ["solve"],
+                 2, ["error: [registry] F: a F entry takes only name and params, got 'param'"]),
+    *readme_runs("terminal-param", {"problem.terminal": {"name": "brownian",
+                                                         "params": {"coef": 2.0}}}, ["solve"],
+                 2, ["error: [registry] terminal: the terminal 'brownian' reads no param "
+                     "'coef'; it reads coeff, component"]),
+    *readme_runs("terminal-entry", {"problem.terminal": {"name": "constant", "value": 1.0}},
+                 ["solve"], 2, ["error: [registry] terminal: a terminal entry takes only name "
+                                "and params, got 'value'"]),
+]
+
+
+def output_pattern(lines):
+    """A regex of output lines: each literal but for "...", which stands for
+    any text within a line and, as a line of its own, for any lines."""
+    return "".join(r"(?:.*\n)*" if line == "..." else
+                   ".*".join(map(re.escape, line.split("..."))) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("edits, command, flags, env, code, out, err, written", README_RUNS)
+def test_readme_config_and_its_edits(tmp_path, capsys, caplog, monkeypatch, edits, command,
+                                     flags, env, code, out, err, written):
+    # stderr is what the process writes there: the log warnings (logging's
+    # last-resort handler), then its error line
+    config = readme_config()
+    for where, value in edits.items():
+        section, key = where.split(".")
+        config[section][key] = value
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    out_dir = tmp_path / "out"
+    assert cli.run([command, "--config", write_config(tmp_path, config),
+                    "--out", str(out_dir), *flags]) == code
+    captured = capsys.readouterr()
+    assert re.fullmatch(output_pattern(out), captured.out), captured.out
+    assert caplog.messages + captured.err.splitlines() == list(err)
+    assert out_dir.exists() == written
+    # only solve takes a force setting, so only its pinned lines offer it,
+    # by its config key
+    assert "force=True" not in captured.out
+    assert ('"force": true in the solver section' in captured.out) == any(
+        '"force": true in the solver section' in line for line in out)
+    if out and out[0].startswith("error: ["):    # the config check's one diagnostic
+        diag, message = out[0].removeprefix("error: [").split("] ", 1)
+        assert cli.validate(config) == (
+            [{"level": "error", "code": diag, "message": message}], None)
 
 
 @pytest.mark.parametrize("key, value", [("K", -1.0), ("K_tilde", float("nan"))])
@@ -869,21 +1012,12 @@ def probe_failing_readme_config():
     return config
 
 
-def test_probe_failing_readme_config_fails_every_command(tmp_path, capsys):
+def test_probe_failing_readme_problem_fails_run_stability():
+    # each command's refusal of it is a row of test_readme_config_and_its_edits
     from delaybsde.errors import FamilyInvalidError
     from delaybsde.registry import problem_from_dict
     from delaybsde.stability_lab import oscillatory_A_family, run_stability
 
-    config_path = write_config(tmp_path, probe_failing_readme_config())
-    for cmd in ("check-assumptions", "solve", "stability"):
-        code = cli.run([cmd, "--config", config_path, "--out", str(tmp_path / cmd),
-                        "--paths", "200"])
-        text = capsys.readouterr().out
-        assert code == 2, cmd
-        assert f"{cmd}: FAIL" in text
-        # only solve takes a force setting, so only solve offers it, by its config key
-        assert ('"force": true in the solver section' in text) == (cmd == "solve"), cmd
-        assert "force=True" not in text, cmd
     family = oscillatory_A_family(
         problem_from_dict(probe_failing_readme_config()["problem"]), [2, 4, 8, 16])
     with pytest.raises(FamilyInvalidError, match="base problem.*declared constants of G") as exc:
@@ -912,23 +1046,6 @@ def test_cli_solve_refusal_names_the_config_key_and_the_library_its_keyword(tmp_
                        match=r"^declared constants of G .*; pass force=True to run anyway$"):
         solve(problem, simulate_brownian(grid, 200, seed=3))
 
-
-def test_terminal_of_another_width_is_one_error_in_every_command(tmp_path, capsys):
-    # the README's brownian terminal has one column, so m = 2 cannot use it:
-    # the config check says so, before any probe runs or the terminal is read
-    config = readme_config()
-    config["problem"]["m"] = 2
-    config_path = write_config(tmp_path, config)
-    message = "problem: the terminal has 1 column(s), so needs m = 1, got m=2"
-    assert cli.validate(config) == ([{"level": "error", "code": "domain", "message": message}],
-                                    None)
-    line = f"error: [domain] {message}\n"
-    for cmd in ("check-assumptions", "solve", "stability"):
-        code = cli.run([cmd, "--config", config_path, "--out", str(tmp_path / cmd),
-                        "--paths", "200"])
-        assert code == 2, cmd
-        assert capsys.readouterr() == (line, ""), cmd
-        assert not (tmp_path / cmd).exists(), cmd
 
 @pytest.mark.parametrize("error", ["NonContractionError", "BlowupError"])
 def test_stability_maps_solver_failures_like_solve(tmp_path, capsys, monkeypatch, error):

@@ -107,7 +107,7 @@ def test_problem_refuses_a_string_or_bool_for_a_number(key, value):
     rule = "satisfy 0 < delta <= T" if key == "delta" else "be a positive number"
     with pytest.raises(ValueError, match=f"^{key} must {rule}, got {value!r}$"):
         base_problem(**{key: value})
-    with pytest.raises(ValueError, match=f"^{key} must"):
+    with pytest.raises(ConfigError, match=f"^problem: {key} must"):
         registry.problem_from_dict(base_config(**{key: value}))
 
 
@@ -165,7 +165,7 @@ def test_problem_from_dict_keeps_m_and_d_as_given(monkeypatch):
     monkeypatch.setitem(registry._TERMINALS, "two_columns", two_columns)
     config = base_config(m=2, d=2, terminal={"name": "two_columns", "params": {}})
     assert (registry.problem_from_dict(config).m, registry.problem_from_dict(config).d) == (2, 2)
-    with pytest.raises(ValueError, match="m=1.7"):
+    with pytest.raises(ConfigError, match="m=1.7"):
         registry.problem_from_dict({**config, "m": 1.7})
 
 
@@ -507,6 +507,15 @@ def test_norm_refuses_stacks_whose_path_counts_disagree():
     for A in (t, np.broadcast_to(t, (5, 11)), random_A(5)):
         assert equivalent_norm(Y, Z, A, grid, 0.0, 0.0, 1.0, 1.0).total > 0
     assert equivalent_norm(Y[:1], Z[:1], t, grid, 0.0, 0.0, 1.0, 1.0).total > 0
+
+
+def test_norm_refuses_stacks_of_no_paths():
+    # zero-path stacks used to end in an IndexError from the walk's Y[0, 0]
+    grid = TimeGrid.uniform(1.0, 10)
+    with pytest.raises(ValueError, match=re.escape("one path count n > 0") + ".*" + re.escape(
+            ": Y (0, 11, 1), Z (0, 11, 1, 1), A rows 1")):
+        equivalent_norm(np.zeros((0, 11, 1)), np.zeros((0, 11, 1, 1)), grid.nodes[None, :],
+                        grid, 0.0, 0.0, 1.0, 1.0)
 
 
 def test_norm_refuses_stacks_that_are_not_whole():
@@ -1133,3 +1142,35 @@ def test_problem_config_errors():
            "A": {"kind": "deterministic", "params": {}}}
     with pytest.raises(ConfigError, match="unknown terminal"):
         registry.problem_from_dict(cfg)
+
+
+# the key list is pinned literally, as the CLI prints it, in test_cli
+PROBLEM_KEYS = ", ".join(sorted(registry._PROBLEM_KEYS))
+
+
+@pytest.mark.parametrize("config, errors", [
+    # a misspelled K_tilde used to leave K_tilde at its default
+    (base_config(K_tild=0.5),
+     [("schema", f"problem.K_tild: unknown key; the problem takes {PROBLEM_KEYS}")]),
+    ({"T": 1.0, "L_tild": 1.0},
+     [("schema", f"problem section is missing required key '{key}'")
+      for key in ("delta", "beta", "L", "L_tilde", "terminal", "A")]
+     + [("schema", f"problem.L_tild: unknown key; the problem takes {PROBLEM_KEYS}")]),
+    # every builder that refuses is named, A with d
+    (base_config(F={"name": "nope"}, G={"name": "linear", "params": {"b": "1"}}, d=1,
+                 A={"kind": "running_max", "params": {"component": 1}}),
+     [("registry", "F: unknown F 'nope'; known: ['delayed_linear', 'linear', "
+                   "'linear_plus_rho', 'rho_integral', 'zero']"),
+      ("registry", "G: b must be a finite number, got '1'"),
+      ("registry", "A must be an increasing process of a kind in ['deterministic', "
+                   "'oscillatory', 'running_max', 'time_integral']: running_max A reads "
+                   "component 1, so needs d > 1, got d=1")]),
+    (base_config(K=-1.0), [("domain", "problem: kernel bound K must hold numbers >= 0, "
+                                      "got -1.0")]),
+    (base_config(beta=2.0), [("beta-range", "beta=2.0 must exceed 2*sqrt(2)*L_tilde=2.82843")]),
+], ids=["unknown", "missing", "registry", "domain", "beta-range"])
+def test_problem_from_dict_names_each_fault_with_its_code(config, errors):
+    with pytest.raises(ConfigError) as refused:
+        registry.problem_from_dict(config)
+    assert refused.value.errors == errors
+    assert str(refused.value) == "; ".join(message for _, message in errors)

@@ -1465,11 +1465,9 @@ def test_replay_frozen_coefficients():
             assert not np.allclose(spliced.design(i) @ theta, Y[:, i])
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_delayed_linear_Y_paths_match_the_coefficient_oracle(seed):
-    # criterion 4's first problem; the bound stands on the measured mean
-    # per-node RMSE of 0.016 (seed 1) and 0.012 (seed 2) at degree 2, and a
-    # regression on the constant alone (0.66, 0.65) must miss it
+def delayed_linear_case(seed):
+    """Criterion 4's first problem on 4,000 paths x 50 steps, its ensemble
+    and the coefficient oracle C (oracles.delayed_linear_coefficients)."""
     kappa = 0.03
     problem = ProblemSpec(
         T=1.0, delta=0.1, xi=registry.build_terminal({"name": "brownian"}),
@@ -1480,6 +1478,15 @@ def test_delayed_linear_Y_paths_match_the_coefficient_oracle(seed):
     ens = realize_increasing_process(IDENTITY_A, simulate_brownian(grid, 4000, seed=seed))
     C = delayed_linear_coefficients(kappa, grid.n_steps, grid.delta_index_offset,
                                     float(grid.steps()[0]))
+    return problem, ens, C
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_delayed_linear_Y_paths_match_the_coefficient_oracle(seed):
+    # the bound stands on the measured mean per-node RMSE of 0.016 (seed 1)
+    # and 0.012 (seed 2) at degree 2, and a regression on the constant alone
+    # (0.66, 0.65) must miss it
+    problem, ens, C = delayed_linear_case(seed)
     oracle = ens.W[:, :, 0] @ C.T
 
     def mean_rmse(degree):
@@ -1488,3 +1495,19 @@ def test_delayed_linear_Y_paths_match_the_coefficient_oracle(seed):
 
     assert mean_rmse(2) <= 0.03
     assert mean_rmse(0) > 0.03
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_delayed_linear_Z_paths_match_the_coefficient_oracle(seed):
+    # Z_i = C[i+1, i+1] at nodes 0..N-1, the W_{i+1} coefficient of Y_{i+1};
+    # the bound stands on the measured mean per-node RMSE of 0.044 (seed 1)
+    # and 0.037 (seed 2) at degree 2, and the constant alone (0.99) must miss it
+    problem, ens, C = delayed_linear_case(seed)
+    oracle = np.diag(C)[1:]
+
+    def mean_rmse(degree):
+        Z = solve(problem, ens, basis=RegressionBasis(degree=degree), tol=1e-8).Z
+        return float(np.mean(np.sqrt(np.mean((Z[:, :-1, 0, 0] - oracle) ** 2, axis=0))))
+
+    assert mean_rmse(2) <= 0.06
+    assert mean_rmse(0) > 0.06
