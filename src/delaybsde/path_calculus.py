@@ -34,8 +34,9 @@ __all__ = [
 
 
 # Bytes a blockwise pass over path stacks holds at a time, about 1 MiB, so
-# that its block stays in cache: stochastic_engine.simulate_brownian draws
-# that many bytes of normals per block of paths, and the Helly-Bray check
+# that its block stays in cache: stochastic_engine.simulate_brownian holds
+# that many bytes of normals in two half-blocks of paths, one drawn while the
+# other is summed into W, and the Helly-Bray check
 # (stability_lab) holds that many bytes of running integrals, limit and
 # members together, per chunk of nodes.
 BLOCK_BYTES = 1 << 20

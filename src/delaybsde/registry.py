@@ -7,7 +7,8 @@ key other than name and params, or a param its builder does not read, is a
 ConfigError.  Every param a builder reads, and every number problem_from_dict
 reads that ProblemSpec does not check itself (K, K_tilde and the delay
 measures' entries), must be a finite number (path_calculus.is_number), not a
-string or a bool; anything else raises ValueError.  Built F and G carry
+string or a bool; anything else raises ValueError, as does a delay measure's
+entry key other than thetas and weights.  Built F and G carry
 ``reads``, the frozenset of the arguments ("y", "z", "y_seg", "z_seg") they
 read; a generator without it counts as reading every argument
 (model.generator_reads).  The "linear" G also carries ``affine_in_y``: it is
@@ -249,12 +250,16 @@ _PROBLEM_KEYS = {**dict.fromkeys(_REQUIRED), "m": 1, "d": 1, "F": None, "G": Non
 
 def _measure_from(config, key):
     """The AtomMeasure of config[key], None when absent; ValueError unless
-    it is an object whose thetas and weights are numbers or lists of numbers."""
+    it is an object of thetas and weights alone, each numbers or lists of
+    numbers."""
     entry = config.get(key)
     if entry is None:
         return None
     if not (isinstance(entry, dict) and {"thetas", "weights"} <= entry.keys()):
         raise ValueError(f"{key} must be an object with thetas and weights, got {entry!r}")
+    for part in entry:
+        if part not in ("thetas", "weights"):
+            raise ValueError(f"{key} takes only thetas and weights, got {part!r}")
     arrays = []
     for part in ("thetas", "weights"):
         values = entry[part]

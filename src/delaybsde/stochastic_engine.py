@@ -2,10 +2,14 @@
 
 Brownian ensembles use a counter-based Philox stream filled in path-major
 order, so path p's draw never depends on how many paths follow it.  The draws
-stream in blocks of paths of about path_calculus.BLOCK_BYTES, each continuing
-the one stream, so W's bits do not depend on the block.  Increasing
-integrator processes A are realized as functionals of the same Brownian data
-(or deterministically) and are checked node-by-node for monotonicity.
+stream in half-blocks of paths, two of which fill path_calculus.BLOCK_BYTES,
+each continuing the one stream, so W's bits do not depend on the block.
+While the calling thread draws one half-block, one worker thread, joined
+before simulate_brownian returns, sums the other into the rows of its paths,
+which no other half-block writes, so the bits do not depend on scheduling
+either.  Increasing integrator processes A are realized as functionals of
+the same Brownian data (or deterministically) and are checked node-by-node
+for monotonicity.
 Designs are column-major, and the least-squares cross products are numpy-core
 reductions along their path axis: no BLAS, so no dependence on thread counts.
 A RegressionPlan holds the part of the regressions that depends on the
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,12 +112,17 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, d: int = 1,
                       seed: int = 0) -> PathEnsemble:
     """d-dimensional Brownian paths started at 0, exact Gaussian increments.
 
-    The draws stream in blocks of about BLOCK_BYTES of paths: each block
-    continues the one Philox stream (the Generator fills in C order), is
-    scaled, and is summed along each path into its rows of the node-major
-    W, so W holds the bits of one path-major draw of every path while the
-    call holds W and one block.  n_paths >= 1, d >= 1 and the seed, a
-    Philox key in [0, 2**64), must be integers (is_integer), else ValueError."""
+    The draws stream in half-blocks of paths, two of which hold about
+    BLOCK_BYTES: each half-block continues the one Philox stream (the
+    Generator fills in C order), is scaled, and is summed along each path
+    into its rows of the node-major W, so W holds the bits of one path-major
+    draw of every path while the call holds W and one block.  The calling
+    thread draws half b into one buffer while one worker thread scales and
+    sums half b - 1 from the other; the worker is joined before the call
+    returns, an error in it is raised here, and since each half writes rows
+    no other touches, W's bits do not depend on how the two threads are
+    scheduled.  n_paths >= 1, d >= 1 and the seed, a Philox key in
+    [0, 2**64), must be integers (is_integer), else ValueError."""
     if not (is_integer(n_paths, 1) and is_integer(d, 1)
             and is_integer(seed, 0) and seed < 2 ** 64):
         raise ValueError(f"need integers n_paths >= 1, d >= 1 and 0 <= seed < 2**64, "
@@ -120,12 +130,21 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, d: int = 1,
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     scale = np.sqrt(grid.steps())[None, :, None]
     W = node_major_zeros((n_paths, grid.nodes.size, d))
-    block = max(1, BLOCK_BYTES // (8 * grid.n_steps * d))
-    z_block = np.empty((min(block, n_paths), grid.n_steps, d))
-    for p in range(0, n_paths, block):
-        z = rng.standard_normal(out=z_block[:n_paths - p])
+    half = max(1, BLOCK_BYTES // (16 * grid.n_steps * d))
+    halves = np.empty((2, min(half, n_paths), grid.n_steps, d))
+
+    def add_up(z, rows):
         z *= scale
-        np.cumsum(z, axis=1, out=W[p:p + z.shape[0], 1:, :])
+        np.cumsum(z, axis=1, out=rows)
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        summed = None
+        for b, p in enumerate(range(0, n_paths, half)):
+            z = rng.standard_normal(out=halves[b % 2, :n_paths - p])
+            if summed is not None:    # half b - 1; half b + 1 reuses its buffer
+                summed.result()
+            summed = worker.submit(add_up, z, W[p:p + z.shape[0], 1:, :])
+        summed.result()
     return PathEnsemble(grid=grid, W=W, seed=int(seed))
 
 
@@ -136,12 +155,16 @@ _DET_SHAPES: dict[str, object] = {
     "linear": lambda t, params: params.get("rate", 1.0) * t,
     "power": lambda t, params: t ** params.get("exponent", 2.0),
 }
+# the params each named shape reads (a name not here reads none)
+_SHAPE_PARAMS = {"identity": (), "linear": ("rate",), "power": ("exponent",)}
 
 _POS_FUNCTIONALS: dict[str, object] = {
     "constant": lambda w, params: np.full(w.shape[0], params.get("value", 1.0)),
     "inv_quadratic": lambda w, params: params.get("scale", 1.0)
     / (1.0 + np.einsum("nd,nd->n", w, w, optimize=False)),
 }
+# the params each named functional reads (a name not here reads none)
+_FUNCTIONAL_PARAMS = {"constant": ("value",), "inv_quadratic": ("scale",)}
 
 
 def member_index(n):
@@ -158,10 +181,15 @@ def oscillation(n, t: np.ndarray, T: float) -> np.ndarray:
     return T * np.sin(2 * np.pi * n * t / T) / (4 * np.pi * n)
 
 
-PROCESS_KINDS = ("deterministic", "running_max", "time_integral", "oscillatory")
-# the kinds whose params name a function: the key, its default and registry
-_NAMED = {"deterministic": ("shape", "identity", _DET_SHAPES),
-          "time_integral": ("functional", "constant", _POS_FUNCTIONALS)}
+# each kind and the params it reads itself; a kind in _NAMED also reads those
+# of its named shape or functional, and a callable one takes any params
+_KIND_PARAMS = {"deterministic": ("shape",), "running_max": ("component",),
+                "time_integral": ("functional",), "oscillatory": ("base", "n")}
+PROCESS_KINDS = tuple(_KIND_PARAMS)
+# the kinds whose params name a function: the key, its default, registry and
+# the params each name reads
+_NAMED = {"deterministic": ("shape", "identity", _DET_SHAPES, _SHAPE_PARAMS),
+          "time_integral": ("functional", "constant", _POS_FUNCTIONALS, _FUNCTIONAL_PARAMS)}
 # the kinds with an integer param: the key and its least value
 _INTEGER_PARAMS = {"running_max": ("component", 0), "oscillatory": ("n", 1)}
 
@@ -170,7 +198,7 @@ def _named_function(spec: "IncreasingProcessSpec"):
     """The shape or functional of a spec of a kind in _NAMED: its callable, or
     the function of its name; ValueError for any other name, or for a named
     function's param that is not a number (is_number)."""
-    key, default, known = _NAMED[spec.kind]
+    key, default, known, _ = _NAMED[spec.kind]
     fn = spec.params.get(key, default)
     if not isinstance(fn, str):
         return fn
@@ -184,6 +212,23 @@ def _named_function(spec: "IncreasingProcessSpec"):
     return known[fn]
 
 
+def _check_reads(spec: "IncreasingProcessSpec") -> None:
+    """ValueError naming a param of spec that neither its kind nor its named
+    shape or functional reads, with the params they do; a callable shape or
+    functional takes any params."""
+    reads, reader = _KIND_PARAMS[spec.kind], f"the {spec.kind} A"
+    if spec.kind in _NAMED:
+        key, default, _, params_of = _NAMED[spec.kind]
+        name = spec.params.get(key, default)
+        if not isinstance(name, str):
+            return
+        reads, reader = reads + params_of.get(name, ()), f"the {spec.kind} {key} {name!r}"
+    for key in spec.params:
+        if key not in reads:
+            raise ValueError(f"{reader} reads no param {key!r}; "
+                             f"it reads {', '.join(sorted(reads))}")
+
+
 @dataclass(frozen=True)
 class IncreasingProcessSpec:
     """Recipe for the integrator process A.
@@ -195,9 +240,11 @@ class IncreasingProcessSpec:
     Every kind is a functional of the driving W or of time alone, which is
     what keeps A adapted; arbitrary exogenous processes are not accepted.
     A kind outside PROCESS_KINDS, an unknown shape or functional name, a
-    param of a named shape or functional that is not a number, or an
-    integer param (_INTEGER_PARAMS) that is not an integer >= its least
-    value, here or down an oscillatory base chain, raises ValueError.
+    param of a named shape or functional that is not a number, a param that
+    neither the kind nor its named shape or functional reads (_KIND_PARAMS,
+    _SHAPE_PARAMS, _FUNCTIONAL_PARAMS), or an integer param
+    (_INTEGER_PARAMS) that is not an integer >= its least value, here or
+    down an oscillatory base chain, raises ValueError.
     """
 
     kind: str
@@ -209,6 +256,7 @@ class IncreasingProcessSpec:
                              f"expected one of {sorted(PROCESS_KINDS)}")
         if self.kind in _NAMED:
             _named_function(self)
+        _check_reads(self)
         if self.kind == "oscillatory":    # a dict base becomes a spec
             base = self.params.get("base")
             if isinstance(base, dict):
@@ -239,11 +287,14 @@ class IncreasingProcessSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "IncreasingProcessSpec":
         """The spec of a config entry; ValueError unless it is an object with
-        a kind and, if any, a params object."""
+        a kind and, if any, a params object, and no other key."""
         if not (isinstance(data, dict) and "kind" in data
                 and isinstance(data.get("params", {}), dict)):
             raise ValueError(f"an A entry must be an object with a kind and a params "
                              f"object, got {data!r}")
+        for key in data:
+            if key not in ("kind", "params"):
+                raise ValueError(f"an A entry takes only kind and params, got {key!r}")
         return cls(kind=data["kind"], params=dict(data.get("params", {})))
 
 

@@ -629,6 +629,20 @@ README_RUNS = [
     *readme_runs("terminal-entry", {"problem.terminal": {"name": "constant", "value": 1.0}},
                  ["solve"], 2, ["error: [registry] terminal: a terminal entry takes only name "
                                 "and params, got 'value'"]),
+    # the same for A, whose "rat" left the rate at 1 and "parms" the shape at
+    # identity, and for a delay measure, whose "weigth" was never read
+    *readme_runs("A-param", {"problem.A": {"kind": "deterministic",
+                                           "params": {"shape": "linear", "rat": 2.0}}},
+                 ["solve"], 2, [A_KINDS_LINE + "the deterministic shape 'linear' reads no param "
+                                               "'rat'; it reads rate, shape"]),
+    *readme_runs("A-entry", {"problem.A": {"kind": "deterministic",
+                                           "parms": {"shape": "linear"}}},
+                 ["solve"], 2, [A_KINDS_LINE + "an A entry takes only kind and params, "
+                                               "got 'parms'"]),
+    *readme_runs("rho-entry", {"problem.rho": {"thetas": [-0.1, 0.0], "weights": [0.5, 0.5],
+                                               "weigth": [1.0, 0.0]}},
+                 ["solve"], 2, ["error: [domain] problem: rho takes only thetas and weights, "
+                                "got 'weigth'"]),
 ]
 
 

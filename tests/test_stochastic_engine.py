@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -71,10 +72,12 @@ def test_brownian_reproducible_and_path_major():
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("n, block_paths", [(10, 3), (4100, None)])
+@pytest.mark.parametrize("n, block_paths", [(10, 3), (4100, None), (9, 4), (7, 16)])
 def test_brownian_draws_stream_in_path_blocks(monkeypatch, d, n, block_paths):
-    # blocks of 3 paths, the last one short; and the default block, which on
-    # 32 steps holds 4096 // d paths, so 4100 paths take two or three blocks
+    # the block is drawn and summed in half-blocks of block_paths // 2 paths:
+    # ten of 1 path; five of 2 paths, the last one short; one of 8 paths,
+    # which holds all 7; and the default block, whose half-blocks on 32 steps
+    # hold 2048 // d paths, so 4100 paths take three or five, the last short
     if block_paths is not None:
         monkeypatch.setattr(stochastic_engine, "BLOCK_BYTES", block_paths * 8 * GRID.n_steps * d)
     W = simulate_brownian(GRID, n, d=d, seed=21).W
@@ -102,6 +105,21 @@ def test_builders_hold_one_stack(spec):
     finally:
         tracemalloc.stop()
     assert peak < built.nbytes + 2 * BLOCK_BYTES
+
+
+def test_brownian_joins_its_worker_thread(monkeypatch):
+    # the thread that sums the half-blocks ends with the call, and an error
+    # in it reaches the caller, with no thread left behind either
+    threads = threading.enumerate()
+    simulate_brownian(GRID, 4100, seed=21)
+    assert threading.enumerate() == threads
+
+    def failing_cumsum(*args, **kwargs):
+        raise RuntimeError("cumsum failed")
+    monkeypatch.setattr(np, "cumsum", failing_cumsum)
+    with pytest.raises(RuntimeError, match="cumsum failed"):
+        simulate_brownian(GRID, 4100, seed=21)
+    assert threading.enumerate() == threads
 
 
 def test_ensemble_arrays_frozen():
@@ -336,9 +354,11 @@ def test_spec_refuses_unknown_kinds_down_the_base_chain():
     with pytest.raises(ValueError, match="'bogus'"):
         IncreasingProcessSpec("oscillatory", {"n": 2, "base": {
             "kind": "time_integral", "params": {"functional": "bogus"}}})
-    # callables are not looked up, and a name only counts for its own kind
+    # callables are not looked up, and a name only counts for its own kind:
+    # a running_max A reads no shape, so its shape is refused unread
     IncreasingProcessSpec("deterministic", {"shape": lambda t, params: t})
-    IncreasingProcessSpec("running_max", {"shape": "bogus"})
+    with pytest.raises(ValueError, match="^the running_max A reads no param 'shape'"):
+        IncreasingProcessSpec("running_max", {"shape": "bogus"})
 
 
 @pytest.mark.parametrize("kind, params", [
@@ -357,6 +377,37 @@ def test_spec_refuses_fractional_or_out_of_range_integer_params(kind, params):
         IncreasingProcessSpec(kind, params)
     with pytest.raises(ValueError, match="needs an integer"):
         IncreasingProcessSpec("oscillatory", {"n": 2, "base": {"kind": kind, "params": params}})
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"kind": "deterministic", "params": {"shape": "linear", "rat": 2.0}},
+     "the deterministic shape 'linear' reads no param 'rat'; it reads rate, shape"),
+    ({"kind": "deterministic", "params": {"rate": 2.0}},
+     "the deterministic shape 'identity' reads no param 'rate'; it reads shape"),
+    ({"kind": "running_max", "params": {"componnt": 0}},
+     "the running_max A reads no param 'componnt'; it reads component"),
+    ({"kind": "time_integral", "params": {"functional": "constant", "scale": 2.0}},
+     "the time_integral functional 'constant' reads no param 'scale'; it reads functional, value"),
+    ({"kind": "oscillatory", "params": {"n": 2, "m": 3, "base": {"kind": "running_max"}}},
+     "the oscillatory A reads no param 'm'; it reads base, n"),
+    ({"kind": "oscillatory", "params": {"n": 2, "base": {"kind": "time_integral",
+                                                         "params": {"rate": 2.0}}}},
+     "the time_integral functional 'constant' reads no param 'rate'; it reads "
+     "functional, value"),
+    ({"kind": "deterministic", "parms": {"shape": "linear"}},
+     "an A entry takes only kind and params, got 'parms'"),
+    ({"kind": "oscillatory", "params": {"n": 2, "base": {"kind": "running_max", "param": {}}}},
+     "an A entry takes only kind and params, got 'param'"),
+], ids=["linear-rat", "identity-rate", "running_max-componnt", "constant-scale",
+        "oscillatory-m", "base-rate", "entry-parms", "base-entry-param"])
+def test_spec_refuses_a_key_it_does_not_read(entry, message):
+    # each used to be read as its default: a rate of 1, component 0, or no
+    # params at all; a callable shape or functional may read any params
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IncreasingProcessSpec.from_dict(entry)
+    IncreasingProcessSpec("deterministic", {"shape": lambda t, params: t, "rat": 2.0})
+    IncreasingProcessSpec("time_integral", {"functional": lambda w, params: w[:, 0] ** 2,
+                                            "scale": 2.0})
 
 
 def test_spec_check_dimension_follows_the_base_chain():
