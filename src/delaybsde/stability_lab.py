@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from .errors import ConstraintViolationError, FamilyInvalidError
 from .model import (ProblemSpec, argument_clouds, equivalent_norm,
@@ -179,7 +178,8 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
     deterministic when the base's is, so its Gram matrices are built once
     for all of them; any other member gets its own plan.  solve refuses a
     tol that is not a finite number >= 0, and TimeGrid.uniform an n_steps
-    that is not an integer >= 1, with ValueError.
+    that is not an integer >= 1, with ValueError.  The trend is scipy's
+    Spearman rho of error against delta_total, bit for bit (_spearman_rho).
     """
     base = family.base
     grid = TimeGrid.uniform(base.T, n_steps, delta=base.delta)
@@ -233,8 +233,7 @@ def run_stability(family: PerturbationFamily, *, n_paths: int = 2000,
         rho = float("nan")
         trend_ok = degenerate or bool(np.all(np.diff(errors) <= 0))
     else:
-        res = spearmanr(deltas, errors)
-        rho = float(getattr(res, "statistic", getattr(res, "correlation", np.nan)))
+        rho = _spearman_rho(deltas, errors)
         trend_ok = bool(np.isnan(rho)) or rho >= 0.6
     final_ok = bool(errors[-1] <= final_threshold)
     report = StabilityReport(rows=rows, spearman_rho=rho, trend_ok=trend_ok,
@@ -400,6 +399,17 @@ def helly_bray_stochastic_check(X_list, H_list, X_limit, H_limit,
     return HellyBrayReport(rows=rows, bv_tail=tail, tight=tight,
                            decreasing=decreasing, ks_final=ks_final,
                            ks_threshold=ks_threshold, verdict=verdict)
+
+
+def _spearman_rho(a, b) -> float:
+    """scipy.stats.spearmanr(a, b).statistic bit for bit: the correlation of
+    the average ranks, NaN for fewer than 2 values, a constant input or a NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.size < 2 or any(np.isnan(x).any() or (x == x[0]).all() for x in (a, b)):
+        return float("nan")
+    ranks = [(np.searchsorted(s, x, "left") + np.searchsorted(s, x, "right") + 1) / 2
+             for x, s in ((a, np.sort(a)), (b, np.sort(b)))]    # ties share their mean rank
+    return float(np.corrcoef(np.column_stack(ranks), rowvar=False)[1, 0])
 
 
 def _ks_statistic(sample, other_sorted) -> float:

@@ -118,7 +118,8 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, d: int = 1,
     into its rows of the node-major W, so W holds the bits of one path-major
     draw of every path while the call holds W and one block.  The calling
     thread draws half b into one buffer while one worker thread scales and
-    sums half b - 1 from the other; the worker is joined before the call
+    sums half b - 1 from the other; the caller sums the last half, so a call
+    of one half-block starts no thread.  The worker is joined before the call
     returns, an error in it is raised here, and since each half writes rows
     no other touches, W's bits do not depend on how the two threads are
     scheduled.  n_paths >= 1, d >= 1 and the seed, a Philox key in
@@ -143,8 +144,9 @@ def simulate_brownian(grid: TimeGrid, n_paths: int, d: int = 1,
             z = rng.standard_normal(out=halves[b % 2, :n_paths - p])
             if summed is not None:    # half b - 1; half b + 1 reuses its buffer
                 summed.result()
-            summed = worker.submit(add_up, z, W[p:p + z.shape[0], 1:, :])
-        summed.result()
+            if p + half < n_paths:
+                summed = worker.submit(add_up, z, W[p:p + half, 1:, :])
+        add_up(z, W[p:, 1:, :])
     return PathEnsemble(grid=grid, W=W, seed=int(seed))
 
 

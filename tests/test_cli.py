@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -508,6 +510,24 @@ def readme_config():
         text = fh.read()
     block = text.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     return json.loads(block)
+
+
+def test_commands_load_no_scipy_stats(tmp_path):
+    # this process loads scipy.stats for its oracles, so a fresh one runs
+    # the four commands on the README config and lists what they loaded
+    config = write_config(tmp_path, readme_config())
+    script = f"""
+import sys
+from delaybsde import cli
+for command in ("check-assumptions", "solve", "stability", "helly-bray"):
+    out = {str(tmp_path)!r} + "/" + command
+    assert cli.run([command, "--config", {config!r}, "--paths", "200", "--out", out]) == 0
+print(sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats.")))
+"""
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))   # the delaybsde tested here
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": package_root}, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def readme_runs(name, edits, commands, code, out, err=(), written=False,

@@ -24,6 +24,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import qmc
 
 from delaybsde import model, registry, stability_lab
 from delaybsde.errors import (BlowupError, ConfigError, ConstraintViolationError,
@@ -819,6 +820,36 @@ def test_generator_cannot_write_into_argument_clouds(which, arg):
         stability_lab.generator_gap(gen, None, prob, which=which)
     with pytest.raises(ValueError, match="read-only"):
         check_integrability(prob, linear_A_ensemble())
+
+
+def scipy_sobol(dim, log2n, seed):
+    return qmc.Sobol(dim, scramble=True, seed=seed).random_base2(log2n)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 14, 22, 40, 86, 200])
+def test_scrambled_sobol_is_scipys_bit_for_bit(dim):
+    for seed in (0, 1, 23, 42, 2 ** 40 + 3):
+        for log2n in (2, 9, 11):
+            assert np.array_equal(model._scrambled_sobol(dim, log2n, seed),
+                                  scipy_sobol(dim, log2n, seed)), (seed, log2n)
+
+
+def test_scrambled_sobol_refuses_dimensions_beyond_the_table():
+    with pytest.raises(ValueError, match="Maximum supported dimensionality is 21201"):
+        model._scrambled_sobol(21202, 2, 0)
+
+
+@pytest.mark.parametrize("m, d", [(1, 1), (1, 2)])
+def test_argument_clouds_hold_scipys_points(monkeypatch, m, d):
+    problem = base_problem(m=m, d=d)
+    clouds = model.argument_clouds(problem, 2048, 11, count=2)
+    monkeypatch.setattr(model, "_scrambled_sobol", scipy_sobol)
+    for cloud, oracle in zip(clouds, model.argument_clouds(problem, 2048, 11, count=2),
+                             strict=True):
+        for name in ("y", "z", "y_seg", "z_seg"):
+            assert np.array_equal(getattr(cloud, name), getattr(oracle, name)), name
+        for ctx, ctx_oracle in zip(cloud.contexts, oracle.contexts, strict=True):
+            assert ctx.t == ctx_oracle.t and np.array_equal(ctx.w, ctx_oracle.w)
 
 
 # ------------------------------------------------------------ integrability

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 import pytest
 from dataclasses import replace
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, spearmanr
 
 from delaybsde import registry, stability_lab, stochastic_engine
 from delaybsde.errors import FamilyInvalidError
@@ -507,6 +507,23 @@ def test_ks_statistic_is_scipys_bit_for_bit(a, b, expected):
     assert repr(statistic) == repr(oracle)   # NaN for NaN, +0.0 for +0.0
     if expected is not None:
         assert repr(statistic) == repr(expected)
+
+
+@pytest.mark.parametrize("a, b", [
+    ([1.0, 2.0, 2.0, 3.0, 5.0], [0.5, 0.5, 0.7, 0.1, 0.9]),     # ties in both
+    ([-np.inf, 0.0, np.inf, 1.0], [3.0, 1.0, 2.0, np.inf]),     # +-inf rank as extremes
+    ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]),                      # a NaN
+    ([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0]),               # a constant input
+    ([1.0, 2.0, 3.0], [7.0, 7.0, 7.0]),
+    ([1.0], [2.0]),                                             # fewer than 2 values
+    *[(KS_A[:n], np.round(KS_B[:n], 0)) for n in range(2, 9)],  # lengths 2 to 8
+], ids=["ties", "inf", "nan", "constant", "constant-other", "one",
+        *[f"length-{n}" for n in range(2, 9)]])
+def test_spearman_rho_is_scipys_bit_for_bit(a, b):
+    with warnings.catch_warnings():   # scipy warns of a constant input
+        warnings.simplefilter("ignore")
+        oracle = float(spearmanr(a, b).statistic)
+    assert repr(stability_lab._spearman_rho(a, b)) == repr(oracle)
 
 
 MEMBER_STACK = 5_000 * 513 * 8   # one member's integrand or integral, bytes

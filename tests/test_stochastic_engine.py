@@ -122,6 +122,24 @@ def test_brownian_joins_its_worker_thread(monkeypatch):
     assert threading.enumerate() == threads
 
 
+def test_brownian_of_one_half_block_starts_no_thread(monkeypatch):
+    # the caller sums the last half-block itself, so a call whose paths fit
+    # one half-block hands the worker nothing, and a longer one all the rest
+    submitted = []
+
+    class CountingExecutor(stochastic_engine.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(args[0])
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(stochastic_engine, "ThreadPoolExecutor", CountingExecutor)
+    simulate_brownian(TimeGrid.uniform(1.0, 5), 1, seed=21)
+    assert submitted == []
+    monkeypatch.setattr(stochastic_engine, "BLOCK_BYTES", 2 * 8 * GRID.n_steps)
+    simulate_brownian(GRID, 3, seed=21)     # three half-blocks of one path
+    assert len(submitted) == 2
+
+
 def test_ensemble_arrays_frozen():
     ens = simulate_brownian(GRID, 3, seed=0)
     with pytest.raises(ValueError):
