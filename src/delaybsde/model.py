@@ -459,9 +459,6 @@ class LambdaSelection:
     mu_lambda: float
     a: float
     b: float
-    c: float
-    beta: float
-    L_tilde: float
 
 
 def mu_lambda(lam: float, c: float, beta: float, L_tilde: float) -> float:
@@ -499,8 +496,7 @@ def select_lambda(c: float, beta: float, L_tilde: float) -> LambdaSelection:
             f"no scanned lambda contracts (best mu={mu:.4f}); "
             "beta or c are too close to their limits")
     return LambdaSelection(lam=lam, mu_lambda=mu, a=lam * beta / 2.0,
-                           b=lam / 2.0 - BDG_CONSTANT, c=c, beta=beta,
-                           L_tilde=L_tilde)
+                           b=lam / 2.0 - BDG_CONSTANT)
 
 
 # ----------------------------------------------------------------- probes

@@ -18,7 +18,7 @@ Layout: path stacks are (n_paths, n_nodes, ...) and node-major
 (path_calculus.node_major_zeros): the ensemble's W and random A, as
 PathEnsemble keeps them, the sweep arrays, the Picard iterate and a random
 A's norm weights.  The sweep reads each node of W and A in place, the
-Picard distance walks the stacks node by node (model.equivalent_norm's
+Picard distance walks the stacks in slabs of nodes (model.equivalent_norm's
 minus, which pass 1, measured from the zero iterate, does without), and
 solve returns the node-major stacks it swept, which consistency_residuals
 reads in place.
@@ -120,15 +120,18 @@ def _iterate_reads(problem: ProblemSpec) -> frozenset:
             | generator_reads(problem.G) & {"y", "y_seg"})
 
 
-def _solved_at_its_node(problem: ProblemSpec, plan: RegressionPlan, dA: np.ndarray) -> bool:
+def _solved_at_its_node(problem: ProblemSpec, ensemble: PathEnsemble, dA: np.ndarray) -> bool:
     """Whether one sweep that solves G's equation at its own node gives the
     map's fixed point: G's y is all the map reads of its iterate, G is
     affine in y with coefficients known at t (its ``affine_in_y``, which
     the registry's "linear" G sets), so that it keeps a value in the
-    regression span, and A is deterministic (no random A in the plan's
-    state, one stored row of dA)."""
+    regression span, and A is deterministic: the ensemble's ``A_spec`` is
+    not random, or, for an A without a spec, dA stores one row.  A plan that
+    serves the ensemble then regresses on no A."""
+    spec = ensemble.A_spec
+    deterministic = dA.shape[0] == 1 if spec is None else not spec.is_random
     return (_iterate_reads(problem) == {"y"} and getattr(problem.G, "affine_in_y", False)
-            and not plan.reads_A and dA.shape[0] == 1)
+            and deterministic)
 
 
 def _affine_node_solve(problem: ProblemSpec, ctx, probes: np.ndarray, dA_i: np.ndarray,
@@ -218,7 +221,7 @@ def _sweep(problem: ProblemSpec, ensemble: PathEnsemble, U: np.ndarray, V: np.nd
     W = ensemble.W
     if dA is None:
         dA = np.diff(stored_rows(ensemble.A), axis=1)
-    if node_g and not _solved_at_its_node(problem, plan, dA):
+    if node_g and not _solved_at_its_node(problem, ensemble, dA):
         raise ValueError("G is solved at its own node only when G's y is all the map "
                          "reads of its iterate, G is affine in y and A is deterministic")
 
@@ -366,12 +369,13 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     once, since the result of one sweep is the fixed point: a map that reads
     none of them, whose pass 2 would repeat pass 1 bit for bit, and one that
     reads G's y alone, through a G affine in y (its ``affine_in_y``), with a
-    deterministic A, whose fixed point at node i involves node i and later
-    nodes only, so that pass 1 solves G's equation at its own node
-    (_sweep's node_g; a G nonlinear in y or reading the context's w leaves
-    the regression span and keeps the loop), in one step, where a node
-    whose equation cannot contract raises NonContractionError, and
-    diagnostics.node_passes is 1.  Pass 2 is then skipped (logged at INFO)
+    deterministic A (the ensemble's ``A_spec`` says so, whatever A's
+    layout; an A without a spec needs one stored row), whose fixed point at
+    node i involves node i and later nodes only, so that pass 1 solves G's
+    equation at its own node (_sweep's node_g; a G nonlinear in y or
+    reading the context's w leaves the regression span and keeps the loop),
+    in one step, where a node whose equation cannot contract raises
+    NonContractionError, and diagnostics.node_passes is 1.  Pass 2 is then skipped (logged at INFO)
     and recorded as what it would give: the distance 0.0, the ratio 0.0,
     iterations == 2 and converged.  This needs max_iter >= 2 and a pass 1 that did not
     converge.  A random A and every delayed driver keep the Picard loop, and
@@ -410,9 +414,9 @@ def solve(problem: ProblemSpec, ensemble: PathEnsemble, *,
     ratios: list[float] = []
     converged = False
     plan = _plan_for(ensemble, plan, basis)
-    # in A's layout: node-major for a random A, one row for a deterministic A
+    # in A's layout: one row for a broadcast (deterministic) A, else node-major
     weights = norm_weights(ensemble.A, grid, alpha, beta)
-    node_g = _solved_at_its_node(problem, plan, weights[1])
+    node_g = _solved_at_its_node(problem, ensemble, weights[1])
     one_sweep = node_g or not _iterate_reads(problem)
     node_passes = int(node_g)
 

@@ -8,12 +8,14 @@ ConfigError.  Every param a builder reads, and every number problem_from_dict
 reads that ProblemSpec does not check itself (K, K_tilde and the delay
 measures' entries), must be a finite number (path_calculus.is_number), not a
 string or a bool; anything else raises ValueError, as does a delay measure's
-entry key other than thetas and weights.  Built F and G carry
-``reads``, the frozenset of the arguments ("y", "z", "y_seg", "z_seg") they
-read; a generator without it counts as reading every argument
-(model.generator_reads).  The "linear" G also carries ``affine_in_y``: it is
-affine in y with coefficients known at t, so it keeps a value in the
-regression span, which lets the solver sweep once (picard_solver.solve).
+entry key other than thetas and weights.  Every F and G is one row of a
+table of terms (_driver): the sum of param times term over its (param,
+term) pairs.  Its ``reads``, the frozenset of the arguments ("y", "z",
+"y_seg", "z_seg") it reads, are its terms' (a generator without it counts
+as reading every argument, model.generator_reads); the G whose one term is
+y, "linear", carries ``affine_in_y``: it is affine in y with coefficients
+known at t, so it keeps a value in the regression span, which lets the
+solver sweep once (picard_solver.solve).
 Built terminals carry ``width``, the number of columns of xi, which
 ProblemSpec checks against m; a "brownian" one also ``component``, the
 component of W(T) it reads, which ProblemSpec checks against d.
@@ -83,114 +85,71 @@ _TERMINALS = {
 
 # ----------------------------------------------------------------- drivers
 
-def _reading(fn, *arguments):
-    fn.reads = frozenset(arguments)
-    return fn
-
-
-def _F_zero(params):
-    def F(t, y, z, y_seg, z_seg, ctx):
-        return np.zeros_like(y)
-    return _reading(F)
-
-
-def _F_linear(params):
-    a_y = _number(params, "a_y", 0.0)
-    a_z = _number(params, "a_z", 0.0)
-
-    def F(t, y, z, y_seg, z_seg, ctx):
-        return a_y * y + a_z * np.sum(z, axis=2)
-    return _reading(F, "y", "z")
-
-
-def _F_delayed_linear(params):
-    # kappa * y_segment(-delta), the pure lagged-state driver
-    kappa = _number(params, "kappa", 0.0)
-
-    def F(t, y, z, y_seg, z_seg, ctx):
-        return kappa * y_seg[:, 0, :]
-    return _reading(F, "y_seg")
-
-
-def _F_rho_integral(params):
-    kappa = _number(params, "kappa", 0.0)
-
-    def F(t, y, z, y_seg, z_seg, ctx):
-        return kappa * segment_integral(y_seg, ctx.rho)
-    return _reading(F, "y_seg")
-
-
-def _F_linear_plus_rho(params):
-    a_y = _number(params, "a_y", 0.0)
-    a_z = _number(params, "a_z", 0.0)
-    kappa_rho = _number(params, "kappa_rho", 0.0)
-    kappa_z_rho = _number(params, "kappa_z_rho", 0.0)
-
-    def F(t, y, z, y_seg, z_seg, ctx):
-        out = a_y * y + a_z * np.sum(z, axis=2) \
-            + kappa_rho * segment_integral(y_seg, ctx.rho)
-        if kappa_z_rho:
-            out = out + kappa_z_rho * np.sum(segment_integral(z_seg, ctx.rho), axis=2)
-        return out
-    return _reading(F, "y", "z", "y_seg", *(("z_seg",) if kappa_z_rho else ()))
-
-
-_F_BUILDERS = {
-    "zero": _F_zero,
-    "linear": _F_linear,
-    "delayed_linear": _F_delayed_linear,
-    "rho_integral": _F_rho_integral,
-    "linear_plus_rho": _F_linear_plus_rho,
+# term: (the argument it reads, None for none; c times its value at the
+# call's arguments, with w the delay weights, the context's rho for F and
+# rho_tilde for G)
+_TERMS = {
+    "one": (None, lambda c, y, z, y_seg, z_seg, w: np.full_like(y, c)),
+    "y": ("y", lambda c, y, z, y_seg, z_seg, w: c * y),
+    "z": ("z", lambda c, y, z, y_seg, z_seg, w: c * np.sum(z, axis=2)),
+    "y_lag": ("y_seg", lambda c, y, z, y_seg, z_seg, w: c * y_seg[:, 0]),
+    "y_rho": ("y_seg", lambda c, y, z, y_seg, z_seg, w: c * segment_integral(y_seg, w)),
+    "z_rho": ("z_seg", lambda c, y, z, y_seg, z_seg, w:
+              c * np.sum(segment_integral(z_seg, w), axis=2)),
 }
 
 
-def _G_zero(params):
-    def G(t, y, y_seg, ctx):
-        return np.zeros_like(y)
-    return _reading(G)
+def _sum(terms, y, z, y_seg, z_seg, w):
+    """The sum, left to right from the first, of each (c, term)'s value;
+    zeros for no term."""
+    out = None
+    for c, term in terms:
+        value = term(c, y, z, y_seg, z_seg, w)
+        out = value if out is None else out + value
+    return np.zeros_like(y) if out is None else out
 
 
-def _G_constant(params):
-    value = _number(params, "value", 1.0)
-
-    def G(t, y, y_seg, ctx):
-        return np.full_like(y, value)
-    return _reading(G)
-
-
-def _G_linear(params):
-    b = _number(params, "b", 0.0)
-
-    def G(t, y, y_seg, ctx):
-        return b * y
-    G.affine_in_y = True
-    return _reading(G, "y")
-
-
-def _G_rho_integral(params):
-    gamma = _number(params, "gamma", 0.0)
-
-    def G(t, y, y_seg, ctx):
-        return gamma * segment_integral(y_seg, ctx.rho_tilde)
-    return _reading(G, "y_seg")
-
-
-def _G_linear_plus_rho(params):
-    b = _number(params, "b", 0.0)
-    gamma = _number(params, "gamma", 0.0)
-
-    def G(t, y, y_seg, ctx):
-        return b * y + gamma * segment_integral(y_seg, ctx.rho_tilde)
-    return _reading(G, "y", "y_seg")
+def _driver(kind, pairs):
+    """The builder of the F or G (kind) whose value is the sum of param times
+    term over its (param, term) pairs.  It reads each param in order, 1.0
+    by default for the term one and 0.0 for any other, and leaves out a
+    z_rho term whose param is 0, so that the driver reads no z_seg.  The
+    driver's ``reads`` are its terms' arguments; a G whose one term is y
+    is affine in y (``affine_in_y``)."""
+    def build(params):
+        coeffs = [(_number(params, param, 1.0 if term == "one" else 0.0), term)
+                  for param, term in pairs]
+        kept = [(c, term) for c, term in coeffs if c or term != "z_rho"]
+        terms = [(c, _TERMS[term][1]) for c, term in kept]
+        if kind == "F":
+            def fn(t, y, z, y_seg, z_seg, ctx):
+                return _sum(terms, y, z, y_seg, z_seg, ctx.rho)
+        else:
+            def fn(t, y, y_seg, ctx):
+                return _sum(terms, y, None, y_seg, None, ctx.rho_tilde)
+            if [term for _, term in kept] == ["y"]:
+                fn.affine_in_y = True
+        fn.reads = frozenset(_TERMS[term][0] for _, term in kept) - {None}
+        return fn
+    return build
 
 
-_G_BUILDERS = {
-    "zero": _G_zero,
-    "constant": _G_constant,
-    "linear": _G_linear,
-    "rho_integral": _G_rho_integral,
-    "linear_plus_rho": _G_linear_plus_rho,
-}
+_F_BUILDERS = {name: _driver("F", pairs) for name, pairs in {
+    "zero": (),
+    "linear": (("a_y", "y"), ("a_z", "z")),
+    "delayed_linear": (("kappa", "y_lag"),),
+    "rho_integral": (("kappa", "y_rho"),),
+    "linear_plus_rho": (("a_y", "y"), ("a_z", "z"), ("kappa_rho", "y_rho"),
+                        ("kappa_z_rho", "z_rho")),
+}.items()}
+
+_G_BUILDERS = {name: _driver("G", pairs) for name, pairs in {
+    "zero": (),
+    "constant": (("value", "one"),),
+    "linear": (("b", "y"),),
+    "rho_integral": (("gamma", "y_rho"),),
+    "linear_plus_rho": (("b", "y"), ("gamma", "y_rho")),
+}.items()}
 
 
 class _Params(dict):

@@ -578,6 +578,14 @@ README_RUNS = [
         "...", f"lambda selection: FAIL ({NO_LAMBDA})", "...",
         "check-assumptions: FAIL (1 failures)"], written=True),
     *readme_runs("tiny-c", TINY_C, ["solve"], 2, [f"solve: FAIL ({NO_LAMBDA}{FORCE}"]),
+    # forced past its probe, G = 60y grows G's equation at node 49 by
+    # 60 dA = 1.2 on every pass, so the one sweep refuses it: FAIL, exit 2,
+    # nothing written
+    *readme_runs("G-60-force", {"problem.G": {"name": "linear", "params": {"b": 60.0}},
+                                "solver.force": True}, ["solve"], 2, [
+        "solve: FAIL (G's equation at node 49 (t=0.98) has factor 1.200e+00 >= 1 on some "
+        "path, so iterating it cannot contract)"],
+        [PROBE_G.replace("empirical_L=2.0", "empirical_L=60.0")]),
     *readme_runs("tiny-c-force", {**TINY_C, "solver.force": True}, ["solve"], 0, [
         "solve: converged=True ...", "contraction: INCONCLUSIVE tail_max=nan mu_lambda=nan",
         "...", "solve: PASS"],
@@ -1206,6 +1214,21 @@ def test_hellybray_resonant_inconclusive(tmp_path, capsys):
 def test_missing_config_file_is_an_error(tmp_path):
     code = cli.run(["solve", "--config", str(tmp_path / "absent.json")])
     assert code == 1
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"out": ""}, "[schema] out: must be a non-empty string, got ''"),
+    ([], "config root must be a JSON object"),
+], ids=["empty-out", "root-list"])
+def test_a_root_it_cannot_read_is_an_error(tmp_path, capsys, monkeypatch, config, message):
+    # with no --out, the config's out is the output directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("DELAYBSDE_OUT", raising=False)
+    config = {**base_config(), **config} if isinstance(config, dict) else [base_config()]
+    assert cli.run(["solve", "--config", write_config(tmp_path, config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 def test_invalid_json_is_an_error(tmp_path):

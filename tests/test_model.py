@@ -179,6 +179,8 @@ def test_atom_measure_validation():
         AtomMeasure(np.array([-0.1, 0.0]), np.array([-0.5, 1.5]))
     with pytest.raises(ValueError):
         AtomMeasure(np.array([0.1]), np.array([1.0]))
+    with pytest.raises(ValueError, match="^thetas and weights must be equally sized vectors$"):
+        AtomMeasure(np.array([-0.1, 0.0]), np.array([1.0]))
 
 
 def test_atom_measure_projection():
@@ -1163,6 +1165,54 @@ def test_declared_reads_are_true(which, name, params, declared):
         want = model.evaluate_generator(gen, which, ctx, *args.values())
         assert np.all(np.isfinite(want))
         assert np.array_equal(model.evaluate_generator(gen, which, ctx, *masked.values()), want)
+
+
+# (kind, name, params, its value at (y, z, y_seg, z_seg) with delay weights
+# w, the context's rho for F and rho_tilde for G, written out term by term)
+DRIVER_VALUES = [
+    ("F", "zero", {}, lambda y, z, y_seg, z_seg, w: np.zeros_like(y)),
+    ("F", "linear", {"a_y": 0.3, "a_z": -0.7},
+     lambda y, z, y_seg, z_seg, w: 0.3 * y + -0.7 * np.sum(z, axis=2)),
+    ("F", "delayed_linear", {"kappa": 0.4}, lambda y, z, y_seg, z_seg, w: 0.4 * y_seg[:, 0, :]),
+    ("F", "rho_integral", {"kappa": -1.3},
+     lambda y, z, y_seg, z_seg, w: -1.3 * segment_integral(y_seg, w)),
+    ("F", "linear_plus_rho", {"a_y": 0.3, "a_z": -0.7, "kappa_rho": 1.1, "kappa_z_rho": 0.0},
+     lambda y, z, y_seg, z_seg, w: 0.3 * y + -0.7 * np.sum(z, axis=2)
+     + 1.1 * segment_integral(y_seg, w)),
+    ("F", "linear_plus_rho", {"a_y": 0.3, "a_z": -0.7, "kappa_rho": 1.1, "kappa_z_rho": 0.9},
+     lambda y, z, y_seg, z_seg, w: 0.3 * y + -0.7 * np.sum(z, axis=2)
+     + 1.1 * segment_integral(y_seg, w) + 0.9 * np.sum(segment_integral(z_seg, w), axis=2)),
+    ("G", "zero", {}, lambda y, z, y_seg, z_seg, w: np.zeros_like(y)),
+    ("G", "constant", {}, lambda y, z, y_seg, z_seg, w: np.full_like(y, 1.0)),
+    ("G", "constant", {"value": -2.5}, lambda y, z, y_seg, z_seg, w: np.full_like(y, -2.5)),
+    ("G", "linear", {"b": 0.6}, lambda y, z, y_seg, z_seg, w: 0.6 * y),
+    ("G", "rho_integral", {"gamma": 0.8},
+     lambda y, z, y_seg, z_seg, w: 0.8 * segment_integral(y_seg, w)),
+    ("G", "linear_plus_rho", {"b": 0.6, "gamma": -0.8},
+     lambda y, z, y_seg, z_seg, w: 0.6 * y + -0.8 * segment_integral(y_seg, w)),
+]
+
+
+@pytest.mark.parametrize("which, name, params, value", DRIVER_VALUES)
+def test_every_driver_gives_the_bits_of_its_formula(which, name, params, value):
+    assert {name for kind, name, _, _ in DRIVER_VALUES if kind == which} == set(
+        registry._F_BUILDERS if which == "F" else registry._G_BUILDERS)
+    build = registry.build_F if which == "F" else registry.build_G
+    gen = build({"name": name, "params": params})
+    rho = AtomMeasure(np.array([-0.1, -0.04, 0.0]), np.array([0.2, 0.5, 0.3]))
+    problem = base_problem(m=2, d=2, xi=both_components, rho=rho,
+                           rho_tilde=AtomMeasure(np.array([-0.08, -0.02]), np.array([0.7, 0.3])))
+    cloud, = model.argument_clouds(problem, 64, seed=11)
+    y, z, y_seg, z_seg = cloud.y, cloud.z, cloud.y_seg, cloud.z_seg
+    for ctx in cloud.contexts:
+        assert np.count_nonzero(ctx.rho) == 3 and np.count_nonzero(ctx.rho_tilde) == 2
+        if which == "F":
+            got, w = gen(ctx.t, y, z, y_seg, z_seg, ctx), ctx.rho
+        else:
+            got, w = gen(ctx.t, y, y_seg, ctx), ctx.rho_tilde
+        want = value(y, z, y_seg, z_seg, w)
+        assert got.shape == want.shape == (64, 2) and np.any(want != 0.0) == (name != "zero")
+        assert got.tobytes() == want.tobytes()    # bit for bit, signed zeros included
 
 
 def test_problem_config_errors():

@@ -56,6 +56,9 @@ def test_grid_requires_zero_start_and_increase():
     for nodes in ([0.0, np.nan, 1.0], [0.0, 1.0, np.inf]):
         with pytest.raises(GridAlignmentError, match="finite and strictly increasing"):
             TimeGrid(np.array(nodes))
+    for nodes in ([0.0], [], [[0.0, 1.0]]):
+        with pytest.raises(GridAlignmentError, match="^grid needs at least two nodes$"):
+            TimeGrid(np.array(nodes))
 
 
 def test_grid_delta_alignment():
@@ -65,6 +68,8 @@ def test_grid_delta_alignment():
         TimeGrid.uniform(1.0, 50, delta=1 / 3)
     with pytest.raises(GridAlignmentError):
         TimeGrid.uniform(1.0, 50, delta=1.5)
+    with pytest.raises(GridAlignmentError, match="^delayed lookups require a uniform grid$"):
+        TimeGrid(np.array([0.0, 0.1, 0.3, 1.0]), delta=0.1)
 
 
 @pytest.mark.parametrize("n_steps", [20.5, 20.0, True, 0, -3, "20"])

@@ -169,6 +169,8 @@ def test_delay_windows_refuse_nodes_outside_the_stack():
         node_segment(X, 3, -1)
     with pytest.raises(ValueError):
         delay_windows(X, -1)
+    with pytest.raises(ValueError, match="^unknown segment kind 'bogus'$"):
+        delay_windows(X, 2, "bogus")
 
 
 def test_node_segment_windows_are_read_only():
@@ -219,6 +221,9 @@ def test_build_B_constant_driver_exact():
     U = np.zeros((4, 51, 1))
     B = build_B(prob, ens, U)
     assert np.allclose(B[:, :, 0], ens.grid.nodes[None, :], atol=1e-14)
+    # no G: zeros, laid out node-major like any B
+    B = build_B(make_problem(), ens, U)
+    assert B.shape == (4, 51, 1) and not B.any() and is_node_major(B)
 
 
 def test_build_B_matches_bruteforce():
@@ -1040,6 +1045,26 @@ def test_one_sweep_matches_ten_picard_passes():
     for _ in range(10):
         U, V = gamma_step(prob, ens, U, V)
     assert np.max(np.abs(U - sol.Y)) <= 1e-6 and np.max(np.abs(V - sol.Z)) <= 1e-6
+
+
+def test_a_full_copy_of_a_deterministic_A_sweeps_once_with_the_broadcasts_bits():
+    # A = t stored once per path, as a hand-built ensemble may hold it: its
+    # spec says A is deterministic, so the README problem sweeps once, as on
+    # the one broadcast row, with the same bits (it took the Picard loop,
+    # and Y moved by up to 1e-7)
+    ens = make_ensemble(2000, n_steps=50, seed=42)
+    full = replace(ens, A=np.ascontiguousarray(ens.A))
+    assert stored_rows(ens.A).shape == (1, 51) and stored_rows(full.A).shape == (2000, 51)
+    prob = readme_problem()
+    one, two = (solve(prob, e) for e in (ens, full))
+    for d in (one.diagnostics, two.diagnostics):
+        assert d.iterations == 2 and d.node_passes == 1
+    assert np.array_equal(one.Y, two.Y) and np.array_equal(one.Z, two.Z)
+    assert one.diagnostics.deltas == two.diagnostics.deltas
+    assert consistency_residuals(prob, one) == consistency_residuals(prob, two)
+    # an A without a spec counts as deterministic by its one stored row alone
+    unnamed = solve(prob, replace(full, A_spec=None))
+    assert unnamed.diagnostics.node_passes == 0 and unnamed.diagnostics.iterations > 2
 
 
 def test_a_node_fixed_point_that_misses_its_gap_is_refused():

@@ -337,6 +337,21 @@ def test_helly_bray_one_path_oscillatory_matches_antiderivative():
     assert np.all(np.diff(d) < 0)
 
 
+def test_helly_bray_reads_a_1d_process_as_its_one_path():
+    # the README's one-path case: 1-D processes give the report of their
+    # (1, nodes) rows
+    grid = TimeGrid.uniform(1.0, 256)
+    t = grid.nodes
+    xs = [np.cos(t) + 1.0 / n for n in (1, 2, 4)]
+    etas = [t + np.sin(2 * np.pi * n * t) / (4 * np.pi * n) for n in (1, 2, 4)]
+    flat = helly_bray_stochastic_check(xs, etas, np.cos(t), t, grid)
+    rows = helly_bray_stochastic_check([x[None] for x in xs], [e[None] for e in etas],
+                                       np.cos(t)[None], t[None], grid)
+    assert [r.sup_distance for r in flat.rows] == [r.sup_distance for r in rows.rows]
+    assert [r.ks_statistic for r in flat.rows] == [r.ks_statistic for r in rows.rows]
+    assert flat == rows and all(r.sup_distance > 0 for r in flat.rows)
+
+
 def test_helly_bray_oscillatory_family_passes():
     grid = TimeGrid.uniform(1.0, 200)
     ens = simulate_brownian(grid, 2000, seed=3)

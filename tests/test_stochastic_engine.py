@@ -270,6 +270,10 @@ def test_ensemble_keeps_a_broadcast_A_and_copies_any_other_layout():
     assert np.array_equal(kept, by_path)
     with pytest.raises(ValueError, match="n_paths, n_nodes"):
         PathEnsemble(GRID, ens.W, 7, A=np.broadcast_to(row, (4, 33)))
+    # a W of another node count, or without its dimension axis, fits no grid
+    for W in (ens.W[:, :-1], ens.W[:, :, 0]):
+        with pytest.raises(ValueError, match=r"^W of shape \(5, 3[23](, 1)?\) does not fit the grid$"):
+            PathEnsemble(GRID, W, 7)
 
 
 @pytest.mark.parametrize("d", [1, 2])
