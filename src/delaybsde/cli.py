@@ -24,7 +24,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__, stability_lab
 from .errors import (BlowupError, ConfigError, ConstraintViolationError,
@@ -273,7 +272,7 @@ def write_manifest(out_dir, command, config, settings):
         "config_sha256": hashlib.sha256(canonical_config_text(config).encode("utf-8")).hexdigest(),
         "settings": {key: settings[key] for key in _ENSEMBLE_KEYS},
         "versions": {"package": __version__, "numpy": np.__version__,
-                     "scipy": scipy.__version__, "python": "%d.%d.%d" % sys.version_info[:3]},
+                     "python": "%d.%d.%d" % sys.version_info[:3]},
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -10,14 +10,11 @@ and compute the contraction budget (threshold for c, lambda, mu_lambda).
 
 from __future__ import annotations
 
-import functools
 import logging
 import numbers
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .errors import (ConstraintViolationError, GeneratorEvaluationError,
                      NumericOverflowError)
@@ -524,65 +521,17 @@ class ArgumentCloud:
     contexts: tuple
 
 
-SOBOL_BITS, SOBOL_MAX_DIM = 30, 21201
-
-
-@functools.cache
-def _sobol_directions(dim: int) -> np.ndarray:
-    """The read-only (dim, 30) Sobol direction numbers of Joe & Kuo (2008),
-    built as Bratley & Fox (1988) do from the poly/vinit table scipy installs;
-    ValueError beyond the table's 21,201 dimensions."""
-    if dim > SOBOL_MAX_DIM:
-        raise ValueError(f"Maximum supported dimensionality is {SOBOL_MAX_DIM}.")
-    with np.load(os.path.join(os.path.dirname(scipy.__file__), "stats",
-                              "_sobol_direction_numbers.npz")) as table:
-        poly, vinit = table["poly"][:dim], table["vinit"][:dim]
-    deg = np.frexp(poly)[1] - 1             # each primitive polynomial's degree
-    v = np.zeros((dim, SOBOL_BITS), dtype=np.int64)
-    v[:, :vinit.shape[1]] = vinit
-    v[0] = 1                                # dimension 0, of degree 0, is all ones
-    for j in range(SOBOL_BITS):             # each row's recurrence, past its first deg numbers
-        new = v[np.arange(dim), j - deg]
-        for i in range(min(j, deg.max())):  # poly's bit deg - 1 - i weighs v[j - i - 1] 2^(i + 1)
-            a = (i < deg) & (poly >> np.maximum(deg - 1 - i, 0))
-            new ^= a * (v[:, j - i - 1] << (i + 1))
-        v[:, j] = np.where(j < deg, v[:, j], new)
-    v <<= SOBOL_BITS - 1 - np.arange(SOBOL_BITS)
-    v.flags.writeable = False
-    return v
-
-
-def _scrambled_sobol(dim: int, log2n: int, seed) -> np.ndarray:
-    """qmc.Sobol(dim, scramble=True, seed=seed).random_base2(log2n) bit for bit:
-    the first 2^log2n Sobol points under the linear matrix scramble plus
-    digital shift (Matousek 1998), drawn from np.random.default_rng(seed) in
-    scipy's order, shift first, and taken in Gray-code order."""
-    rng = np.random.default_rng(seed)
-    hi = SOBOL_BITS - 1 - np.arange(SOBOL_BITS)   # the bit each row or column of ltm reads
-    shift = np.dot(rng.integers(0, 2, size=(dim, SOBOL_BITS), dtype=np.uint32),
-                   2 ** np.arange(SOBOL_BITS, dtype=np.uint32))
-    ltm = np.tril(rng.integers(0, 2, size=(dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32)) \
-        | np.eye(SOBOL_BITS, dtype=np.uint32)
-    # bit hi[p] of a scrambled number: the parity of ltm's row p AND its bits
-    bits = _sobol_directions(dim)[:, None, :] >> hi[:, None] & 1
-    sv = ((ltm @ bits & 1) << hi[:, None]).sum(axis=1)
-    i = np.arange(1, 2 ** log2n)
-    flips = np.frexp(i & -i)[1] - 1          # point i flips the column of i's trailing zeros
-    return np.bitwise_xor.accumulate(np.vstack([shift, sv.T[flips]]), axis=0) * 2.0 ** -SOBOL_BITS
-
-
 def argument_clouds(problem: ProblemSpec, n_samples: int, seed: int,
                     count: int = 1) -> tuple:
-    """``count`` clouds of 2^ceil(log2 n_samples) points in the box [-3, 3] on the
-    8-step theta grid: disjoint coordinate blocks of one scrambled-Sobol set
-    (scipy's, by _scrambled_sobol), so the clouds' i-th points together form
-    one low-discrepancy point.  The arrays, fed to many generator calls, are read-only."""
+    """``count`` clouds of n_samples uniform points in the box [-3, 3] on the
+    8-step theta grid: disjoint column blocks of one draw from the Philox
+    stream keyed by the seed, built as simulate_brownian builds its stream.
+    The arrays, fed to many generator calls, are read-only."""
     m, d, k = problem.m, problem.d, 8
     theta, rho, rho_tilde = problem.delay_weights(k)
     widths = [d, m, m * d, m, m, m * d, m * d]
-    u = 3.0 * (2.0 * _scrambled_sobol(count * sum(widths),
-                                      int(np.ceil(np.log2(max(n_samples, 4)))), seed) - 1.0)
-    n = u.shape[0]
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    u = 3.0 * (2.0 * rng.random((n_samples, count * sum(widths))) - 1.0)
     clouds = []
     for block in np.split(u, count, axis=1):
         w, y, z, y_end, y_slope, z_end, z_slope = np.split(
@@ -590,8 +539,8 @@ def argument_clouds(problem: ProblemSpec, n_samples: int, seed: int,
         # linear-in-theta profiles with the endpoint value at theta = 0
         y_seg = y_end[:, None, :] + y_slope[:, None, :] * theta[None, :, None]
         z_seg = (z_end[:, None, :] + z_slope[:, None, :]
-                 * theta[None, :, None]).reshape(n, k + 1, m, d)
-        z = z.reshape(n, m, d)
+                 * theta[None, :, None]).reshape(n_samples, k + 1, m, d)
+        z = z.reshape(n_samples, m, d)
         for arr in (w, y, z, y_seg, z_seg):
             arr.flags.writeable = False
         contexts = tuple(GenContext(t=float(t), w=w, theta=theta, rho=rho,
@@ -634,7 +583,7 @@ PROBE_SAMPLES = 2048
 
 
 def probe_lipschitz(problem: ProblemSpec, which: str = "F", seed: int = 0) -> LipschitzProbe:
-    """Empirical Lipschitz/kernel constants from low-discrepancy sampling.
+    """Empirical Lipschitz/kernel constants from seeded uniform points.
 
     Pairs two argument clouds of PROBE_SAMPLES points in the box [-3, 3]
     (see argument_clouds): moving only (y, z) gives the pointwise

@@ -504,11 +504,6 @@ class RegressionPlan:
         self._state = _regression_state(ensemble)
         self._grams: dict[int, np.ndarray] = {}
 
-    @property
-    def reads_A(self) -> bool:
-        """Whether the state holds a random A, the design's extra column."""
-        return self._state[1] is not None
-
     def serves(self, ensemble: PathEnsemble) -> bool:
         """Whether ensemble holds this plan's regression state."""
         return all(a is b for a, b in zip(_regression_state(ensemble), self._state))

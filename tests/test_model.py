@@ -24,7 +24,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import qmc
 
 from delaybsde import model, registry, stability_lab
 from delaybsde.errors import (BlowupError, ConfigError, ConstraintViolationError,
@@ -824,34 +823,29 @@ def test_generator_cannot_write_into_argument_clouds(which, arg):
         check_integrability(prob, linear_A_ensemble())
 
 
-def scipy_sobol(dim, log2n, seed):
-    return qmc.Sobol(dim, scramble=True, seed=seed).random_base2(log2n)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 7, 14, 22, 40, 86, 200])
-def test_scrambled_sobol_is_scipys_bit_for_bit(dim):
-    for seed in (0, 1, 23, 42, 2 ** 40 + 3):
-        for log2n in (2, 9, 11):
-            assert np.array_equal(model._scrambled_sobol(dim, log2n, seed),
-                                  scipy_sobol(dim, log2n, seed)), (seed, log2n)
-
-
-def test_scrambled_sobol_refuses_dimensions_beyond_the_table():
-    with pytest.raises(ValueError, match="Maximum supported dimensionality is 21201"):
-        model._scrambled_sobol(21202, 2, 0)
-
-
 @pytest.mark.parametrize("m, d", [(1, 1), (1, 2)])
-def test_argument_clouds_hold_scipys_points(monkeypatch, m, d):
+def test_argument_clouds_are_column_blocks_of_one_philox_draw(m, d):
     problem = base_problem(m=m, d=d)
+    theta = problem.delay_weights(8)[0]
+    widths = [d, m, m * d, m, m, m * d, m * d]
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(11)))
+    u = 3.0 * (2.0 * rng.random((2048, 2 * sum(widths))) - 1.0)
     clouds = model.argument_clouds(problem, 2048, 11, count=2)
-    monkeypatch.setattr(model, "_scrambled_sobol", scipy_sobol)
-    for cloud, oracle in zip(clouds, model.argument_clouds(problem, 2048, 11, count=2),
-                             strict=True):
-        for name in ("y", "z", "y_seg", "z_seg"):
-            assert np.array_equal(getattr(cloud, name), getattr(oracle, name)), name
-        for ctx, ctx_oracle in zip(cloud.contexts, oracle.contexts, strict=True):
-            assert ctx.t == ctx_oracle.t and np.array_equal(ctx.w, ctx_oracle.w)
+    for i, cloud in enumerate(clouds):
+        columns, start = {}, i * sum(widths)
+        for name, width in zip(("w", "y", "z", "y_end", "y_slope", "z_end", "z_slope"), widths):
+            columns[name], start = u[:, start:start + width], start + width
+        y_seg = (columns["y_end"][:, None, :]
+                 + columns["y_slope"][:, None, :] * theta[None, :, None])
+        z_seg = (columns["z_end"][:, None, :] + columns["z_slope"][:, None, :]
+                 * theta[None, :, None]).reshape(2048, 9, m, d)
+        assert np.array_equal(cloud.y, columns["y"])
+        assert np.array_equal(cloud.z, columns["z"].reshape(2048, m, d))
+        assert np.array_equal(cloud.y_seg, y_seg)
+        assert np.array_equal(cloud.z_seg, z_seg)
+        assert [ctx.t for ctx in cloud.contexts] == list(np.linspace(0.0, problem.T, 9))
+        for ctx in cloud.contexts:
+            assert np.array_equal(ctx.w, columns["w"])
 
 
 # ------------------------------------------------------------ integrability

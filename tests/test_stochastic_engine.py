@@ -638,14 +638,16 @@ def test_plan_serves_the_ensembles_that_hold_its_regression_state():
     # a deterministic A is not part of the state, whichever it is
     other_det_A = realize_increasing_process(
         IncreasingProcessSpec("oscillatory", {"base": det("identity"), "n": 2}), driving)
-    assert not plan.reads_A
+    # degree 2 in one W: 1, W and W^2, and no column for A
+    assert plan.design(5).shape[1] == 3
     assert plan.serves(det_A) and plan.serves(other_det_A) and plan.serves(driving)
     # another W object, even with the same values, or a random A
     assert not plan.serves(PathEnsemble(grid=GRID, W=driving.W.copy(), seed=30))
     random_A = realize_increasing_process(running_max, driving)
     assert not plan.serves(random_A)
     random_plan = RegressionPlan(RegressionBasis(2), random_A)
-    assert random_plan.reads_A and random_plan.serves(random_A)
+    # and a random A adds its one column
+    assert random_plan.design(5).shape[1] == 4 and random_plan.serves(random_A)
     assert not (random_plan.serves(det_A) or random_plan.serves(driving))
     # the same W with another random A object
     assert not random_plan.serves(realize_increasing_process(running_max, driving))
